@@ -105,13 +105,14 @@ class DFSSSPEngine(RoutingEngine):
     def reroute(self, prior, degraded) -> RoutingResult:
         """Incrementally repair ``prior`` on the degraded fabric.
 
-        Re-runs Dijkstra only for the destinations whose forwarding
-        entries traverse dead channels, splices the repaired columns into
-        the tables, then re-inserts the repaired paths into the layer
-        CDGs — escalating a path to another layer only when keeping its
-        old layer would re-introduce a cycle. Falls back to a full DFSSSP
-        run when repair is impossible (link-up, foreign degradation) or
-        when the repaired paths exhaust the virtual-layer budget.
+        Re-routes (with the engine's ``kernel``) only the destinations
+        whose forwarding entries traverse dead channels, splices the
+        repaired columns into the tables, then re-inserts the repaired
+        paths into the layer CDGs — escalating a path to another layer
+        only when keeping its old layer would re-introduce a cycle. Falls
+        back to a full DFSSSP run when repair is impossible (link-up,
+        foreign degradation) or when the repaired paths exhaust the
+        virtual-layer budget.
         """
         from repro.exceptions import InsufficientLayersError, RepairError
         from repro.resilience.repair import count_fallback, repair_routing
@@ -124,6 +125,7 @@ class DFSSSPEngine(RoutingEngine):
                 degraded,
                 engine_name=self.name,
                 count_switch_sources=self._sssp.count_switch_sources,
+                kernel=self._sssp.kernel,
             )
         except (RepairError, InsufficientLayersError) as err:
             count_fallback(self.name, reason=type(err).__name__)

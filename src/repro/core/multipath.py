@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
-from repro.core.sssp import _dijkstra_to_dest
+from repro.core.sssp import _dijkstra_to_dest, update_weights_for_dest
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import find_any_cycle
 from repro.exceptions import RoutingError, SimulationError
@@ -151,18 +151,12 @@ class MultipathDFSSSPEngine:
 
         # OpenSM routes LIDs in order: offset-major interleaving makes the
         # planes diverge destination by destination.
-        from repro.core.sssp import SSSPEngine
-
-        updater = SSSPEngine()
-        chan_src = fabric.channels.src
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
             for plane in range(K):
                 dist, parent = _dijkstra_to_dest(fabric, dest, weights)
                 plane_tables[plane][:, t_idx] = parent
-                updater._update_weights(
-                    fabric, dest, dist, parent, weights, is_term, chan_src
-                )
+                update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
 
         tables = [
             RoutingTables(fabric, plane_tables[k], engine=f"{self.name}[{k}]")

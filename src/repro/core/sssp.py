@@ -137,6 +137,7 @@ class SSSPEngine(RoutingEngine):
                 degraded,
                 engine_name=self.name,
                 count_switch_sources=self.count_switch_sources,
+                kernel=self.kernel,
             )
         except RepairError as err:
             count_fallback(self.name, reason=type(err).__name__)
@@ -181,9 +182,10 @@ class SSSPEngine(RoutingEngine):
 
         weights = np.full(fabric.num_channels, w0, dtype=np.int64)
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        from repro.parallel.kernel import resolve_kernel
+        from repro.parallel.reduction import column_routine
 
-        dijkstra = resolve_kernel(self.kernel)
+        route_column = column_routine(fabric, self.kernel, self.name)
+        update_weights = weight_updater(self.kernel)
 
         reg = get_registry()
         m_sources = reg.counter(
@@ -198,17 +200,17 @@ class SSSPEngine(RoutingEngine):
         )
         hooks = get_hooks()
 
-        chan_src = fabric.channels.src
         is_term = fabric.kinds == 1  # NodeKind.TERMINAL
         with span("sssp.run", engine=self.name, destinations=int(T)):
             for t_idx in order:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(fabric.terminals[t_idx])
                 with span("sssp.dijkstra", dest=dest) as sp:
-                    dist, parent = dijkstra(fabric, dest, weights)
+                    dist, parent = route_column(dest, weights)
                     next_channel[:, t_idx] = parent
-                    self._update_weights(
-                        fabric, dest, dist, parent, weights, is_term, chan_src
+                    update_weights(
+                        fabric, dest, dist, parent, weights, is_term,
+                        count_switch_sources=self.count_switch_sources,
                     )
                 # One `weights[c] += ...` happened per node with a parent
                 # channel; counted vectorised to keep the hot loop clean.
@@ -227,25 +229,22 @@ class SSSPEngine(RoutingEngine):
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights
 
-    # ------------------------------------------------------------------
-    def _update_weights(self, fabric, dest, dist, parent, weights, is_term, chan_src) -> None:
-        if self.kernel == "numpy":
-            # Same kernel family as the Dijkstra: stays vectorized.
-            update = update_weights_for_dest_fast
-        elif self.kernel == "native":
-            from repro.parallel import native
 
-            update = (
-                update_weights_for_dest_native
-                if native.numba_available()
-                else update_weights_for_dest  # degraded to "python" wholesale
-            )
-        else:
-            update = update_weights_for_dest
-        update(
-            fabric, dest, dist, parent, weights, is_term,
-            count_switch_sources=self.count_switch_sources,
-        )
+def weight_updater(kernel: str):
+    """The balancing-weight update of the same family as ``kernel``.
+
+    ``"numpy"`` stays vectorized, ``"native"`` runs the jitted loop (the
+    reference loop when numba is absent — the kernel degraded to
+    ``"python"`` wholesale). All three apply identical increments.
+    """
+    if kernel == "numpy":
+        return update_weights_for_dest_fast
+    if kernel == "native":
+        from repro.parallel import native
+
+        if native.numba_available():
+            return update_weights_for_dest_native
+    return update_weights_for_dest
 
 
 def update_weights_for_dest(
@@ -345,8 +344,8 @@ def update_weights_for_dest_native(
     """Jitted :func:`update_weights_for_dest` (numba path only).
 
     Runs the reference farthest-first loop in machine code; the caller
-    (:meth:`SSSPEngine._update_weights`) already fell back to the
-    reference when numba is absent.
+    (:func:`weight_updater`) already fell back to the reference when
+    numba is absent.
     """
     from repro.parallel import native
 

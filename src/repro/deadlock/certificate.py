@@ -132,34 +132,6 @@ class DeadlockFreedomCertificate:
 
 
 # ----------------------------------------------------------------------
-def _layer_edges(paths: PathSet, pids: np.ndarray) -> np.ndarray:
-    """Unique switch-to-switch dependency edges of the given paths.
-
-    Vectorised like :class:`repro.deadlock.incremental.LayerCDG` (but kept
-    local: certificates must not depend on the engine-side CDG code):
-    consecutive channel pairs of every path, filtered to switch-to-switch
-    hops, packed into 64-bit keys and uniqued. Returns (E, 2) int64
-    sorted lexicographically.
-    """
-    if len(pids) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    starts = paths.offsets[pids]
-    lens = paths.offsets[pids + 1] - starts
-    pair_counts = np.maximum(lens - 1, 0)
-    total = int(pair_counts.sum())
-    if total == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    rep = np.repeat(np.arange(len(pids)), pair_counts)
-    first = np.cumsum(pair_counts) - pair_counts
-    pos = starts[rep] + (np.arange(total) - first[rep])
-    c1 = paths.chans[pos].astype(np.int64)
-    c2 = paths.chans[pos + 1].astype(np.int64)
-    is_sw = paths.fabric.is_switch_channel
-    keep = is_sw[c1] & is_sw[c2]
-    keys = np.unique((c1[keep] << 32) | c2[keep])
-    return np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1)
-
-
 def _topological_order(edges: np.ndarray) -> tuple[np.ndarray | None, list[int] | None]:
     """Deterministic (smallest-id-first) Kahn order over the edge nodes.
 
@@ -209,7 +181,7 @@ def emit_certificate(
     layers: list[LayerWitness] = []
     for layer in range(layered.num_layers):
         pids = np.flatnonzero(path_layers == layer)
-        edges = _layer_edges(paths, pids)
+        edges = np.stack(paths.dependency_edges(pids), axis=1)
         order, cycle = _topological_order(edges)
         if cycle is not None:
             chain = " -> ".join(str(c) for c in cycle)
@@ -280,7 +252,7 @@ def check_against_routing(
         )
     for layer in range(cert.num_layers):
         pids = np.flatnonzero(active & (layered.path_layers == layer))
-        derived = _layer_edges(paths, pids)
+        derived = np.stack(paths.dependency_edges(pids), axis=1)
         claimed = cert.layers[layer].edges
         if derived.shape != claimed.shape or not np.array_equal(derived, claimed):
             return fail(

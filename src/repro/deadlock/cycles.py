@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.obs import COUNT_BUCKETS, DURATION_BUCKETS, get_registry
 
@@ -109,6 +111,35 @@ def find_any_cycle(cdg: ChannelDependencyGraph) -> list[tuple[int, int]] | None:
 
 def is_acyclic(cdg: ChannelDependencyGraph) -> bool:
     return find_any_cycle(cdg) is None
+
+
+def kahn_core(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
+    """Vectorized Kahn peel of the edge list ``src[i] -> dst[i]``.
+
+    Repeatedly strips zero-in-degree nodes with whole-array operations
+    (O(V+E) per round, one round per level of the acyclic fringe) and
+    returns ``(core, num_nodes)``: the nodes that can still lie on a
+    cycle and the graph's node count. An empty core certifies the graph
+    acyclic.
+    """
+    if not len(src):
+        return np.zeros(0, dtype=np.int64), 0
+    nodes = np.unique(np.concatenate([src, dst]))
+    a1 = np.searchsorted(nodes, src)
+    a2 = np.searchsorted(nodes, dst)
+    indeg = np.bincount(a2, minlength=len(nodes))
+    edge_up = np.ones(len(a1), dtype=bool)
+    gone = np.zeros(len(nodes), dtype=bool)
+    while True:
+        zero = ~gone & (indeg == 0)
+        if not zero.any():
+            break
+        gone[zero] = True
+        drop = edge_up & zero[a1]
+        if drop.any():
+            indeg -= np.bincount(a2[drop], minlength=len(nodes))
+            edge_up[drop] = False
+    return nodes[~gone], len(nodes)
 
 
 # ----------------------------------------------------------------------

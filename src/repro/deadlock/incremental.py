@@ -48,14 +48,11 @@ from repro.core.layers import (
     _compact,
 )
 from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.deadlock.cycles import tarjan_sccs
+from repro.deadlock.cycles import kahn_core, tarjan_sccs
 from repro.exceptions import InsufficientLayersError, ReproError
 from repro.obs import COUNT_BUCKETS, get_hooks, get_registry, span
-from repro.routing.paths import PathSet
+from repro.routing.paths import EDGE_KEY_MASK as _KEY_MASK, EDGE_KEY_SHIFT as _KEY_SHIFT, PathSet
 from repro.service.budget import check_budget
-
-_KEY_SHIFT = 32
-_KEY_MASK = (1 << _KEY_SHIFT) - 1
 
 
 class LayerCDG:
@@ -77,25 +74,7 @@ class LayerCDG:
         self.pids = np.asarray(pids, dtype=np.int64)
         if len(self.pids) and np.any(np.diff(self.pids) <= 0):
             raise ReproError("LayerCDG requires strictly increasing pids")
-        is_sw = paths.fabric.is_switch_channel
-
-        starts = paths.offsets[self.pids]
-        lens = paths.offsets[self.pids + 1] - starts
-        pair_counts = np.maximum(lens - 1, 0)
-        total = int(pair_counts.sum())
-
-        if total:
-            rep = np.repeat(np.arange(len(self.pids)), pair_counts)
-            first = np.cumsum(pair_counts) - pair_counts
-            pos = starts[rep] + (np.arange(total) - first[rep])
-            c1 = paths.chans[pos].astype(np.int64)
-            c2 = paths.chans[pos + 1].astype(np.int64)
-            keep = is_sw[c1] & is_sw[c2]
-            key = (c1[keep] << _KEY_SHIFT) | c2[keep]
-            row = rep[keep]
-        else:
-            key = np.zeros(0, dtype=np.int64)
-            row = np.zeros(0, dtype=np.int64)
+        key, row = paths.dependency_pairs(self.pids)
 
         # Sort occurrences by (edge, path) and drop duplicates so weights
         # count *distinct* inducing paths, like the dict CDG's sets (a
@@ -307,34 +286,15 @@ class LayerCDG:
 
     # ------------------------------------------------------------------
     def certify_core(self) -> np.ndarray:
-        """Vectorized Kahn peel: nodes that can still lie on a cycle.
+        """Nodes that can still lie on a cycle (:func:`kahn_core` peel).
 
-        Repeatedly strips zero-in-degree nodes with whole-array
-        operations; an empty result certifies the layer acyclic in
-        O(V+E) total work, with Tarjan needed only on the survivors.
+        An empty result certifies the layer acyclic in O(V+E) total
+        work, with Tarjan needed only on the survivors.
         """
-        src = self.edge_src[self.alive]
-        dst = self.edge_dst[self.alive]
-        if not len(src):
-            self._num_nodes = 0
-            return np.zeros(0, dtype=np.int64)
-        nodes = np.unique(np.concatenate([src, dst]))
-        self._num_nodes = len(nodes)
-        a1 = np.searchsorted(nodes, src)
-        a2 = np.searchsorted(nodes, dst)
-        indeg = np.bincount(a2, minlength=len(nodes))
-        edge_up = np.ones(len(a1), dtype=bool)
-        gone = np.zeros(len(nodes), dtype=bool)
-        while True:
-            zero = ~gone & (indeg == 0)
-            if not zero.any():
-                break
-            gone[zero] = True
-            drop = edge_up & zero[a1]
-            if drop.any():
-                indeg -= np.bincount(a2[drop], minlength=len(nodes))
-                edge_up[drop] = False
-        return nodes[~gone]
+        core, self._num_nodes = kahn_core(
+            self.edge_src[self.alive], self.edge_dst[self.alive]
+        )
+        return core
 
 
 def _crosscheck(cdg: LayerCDG) -> None:

@@ -3,18 +3,28 @@
 Given a :class:`~repro.routing.base.LayeredRouting`, rebuild each virtual
 layer's channel dependency graph from scratch and check it is acyclic —
 Dally & Seitz' sufficient condition. This is deliberately decoupled from
-the layer-assignment code so tests can catch assignment bugs, and a
-second, slower networkx-based checker cross-validates the in-house DFS.
+the layer-assignment code so tests can catch assignment bugs.
+
+:func:`verify_deadlock_free` works on arrays: a layer's distinct
+dependency edges come straight from the :class:`PathSet` and a
+vectorized Kahn peel decides acyclicity. Only a layer that *fails*
+is rebuilt as a dict :class:`ChannelDependencyGraph`
+(:func:`build_layer_cdgs`, the readable reference) to extract a witness
+cycle with the in-house DFS; a slower networkx-based checker
+cross-validates both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.deadlock.cycles import find_any_cycle
+from repro.deadlock.cycles import find_any_cycle, kahn_core
 from repro.routing.base import LayeredRouting
 from repro.routing.paths import PathSet
+from repro.service.budget import check_budget
 
 
 @dataclass(frozen=True)
@@ -102,18 +112,26 @@ def verify_deadlock_free(
     layered: LayeredRouting, paths: PathSet, traffic_only: bool = True
 ) -> VerificationReport:
     """Check Dally/Seitz acyclicity for every layer independently."""
-    cdgs = build_layer_cdgs(layered, paths, traffic_only=traffic_only)
+    pids = paths.active_pids() if traffic_only else np.arange(paths.num_paths)
+    layer_of = layered.path_layers[pids]
     cycles: dict[int, list[tuple[int, int]]] = {}
-    for layer, cdg in enumerate(cdgs):
-        cycle = find_any_cycle(cdg)
-        if cycle is not None:
-            cycles[layer] = cycle
+    edges_per_layer: list[int] = []
+    paths_per_layer: list[int] = []
+    for layer in range(layered.num_layers):
+        check_budget()  # cooperative deadline (repro.service)
+        members = pids[layer_of == layer]
+        src, dst = paths.dependency_edges(members)
+        edges_per_layer.append(len(src))
+        paths_per_layer.append(len(members))
+        core, _ = kahn_core(src, dst)
+        if len(core):
+            cycles[layer] = find_any_cycle(build_layer_cdgs(layered, paths, pids=members)[layer])
     return VerificationReport(
         deadlock_free=not cycles,
         num_layers=layered.num_layers,
         cycles=cycles,
-        edges_per_layer=[cdg.num_edges for cdg in cdgs],
-        paths_per_layer=[cdg.num_paths for cdg in cdgs],
+        edges_per_layer=edges_per_layer,
+        paths_per_layer=paths_per_layer,
     )
 
 

@@ -27,6 +27,13 @@ class NodeKind(IntEnum):
     TERMINAL = 1
 
 
+# Plain ints for the per-node accessors: resolving ``NodeKind.SWITCH``
+# goes through the enum metaclass on every call, which dominated the
+# reference heap Dijkstra's relaxation loop.
+_SWITCH = int(NodeKind.SWITCH)
+_TERMINAL = int(NodeKind.TERMINAL)
+
+
 class Fabric:
     """Immutable network description.
 
@@ -121,10 +128,10 @@ class Fabric:
         return len(self.switches)
 
     def is_switch(self, node: int) -> bool:
-        return self.kinds[node] == NodeKind.SWITCH
+        return self.kinds[node] == _SWITCH
 
     def is_terminal(self, node: int) -> bool:
-        return self.kinds[node] == NodeKind.TERMINAL
+        return self.kinds[node] == _TERMINAL
 
     def out_channels(self, node: int) -> np.ndarray:
         """Channel ids leaving ``node`` (NumPy view; do not mutate)."""

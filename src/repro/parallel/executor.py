@@ -60,7 +60,7 @@ from repro.exceptions import ComputeTimeoutError
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_registry, span
 from repro.obs.telemetry import capture_spans, export_context, replay_spans
-from repro.parallel.kernel import INT64_INF, hops_to_dest, resolve_kernel
+from repro.parallel.kernel import INT64_INF, hops_to_dest
 from repro.parallel.reduction import ExactReduction
 from repro.service.budget import active_budget, check_budget, compute_budget
 
@@ -264,7 +264,6 @@ def run_parallel_sssp(
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    fallback_dijkstra = resolve_kernel(kernel)
     T = fabric.num_terminals
     w0 = T * T + 1
     weights = np.full(fabric.num_channels, w0, dtype=np.int64)
@@ -281,11 +280,6 @@ def run_parallel_sssp(
     )
     m_columns = reg.counter(
         "routing_parallel_columns", "hop columns computed by workers", engine=engine_name
-    )
-    m_fallbacks = reg.counter(
-        "routing_parallel_fallbacks",
-        "reduction columns that failed validation and re-ran full Dijkstra",
-        engine=engine_name,
     )
     m_timeouts = reg.counter(
         "routing_parallel_worker_timeouts",
@@ -308,7 +302,7 @@ def run_parallel_sssp(
     if batch_size < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     batches = [jobs[i : i + batch_size] for i in range(0, len(jobs), batch_size)]
-    reduction = ExactReduction(fabric)
+    reduction = ExactReduction(fabric, kernel, engine_name)
 
     with span(
         "parallel.run",
@@ -393,10 +387,7 @@ def run_parallel_sssp(
                         for row, (t_idx, dest) in enumerate(batch_jobs):
                             check_budget()  # parent-side deadline between columns
                             hops = block[row] if use_shm else columns[row]
-                            dist, parent = reduction.refine(dest, hops, weights)
-                            if not reduction.validate(dest, dist, parent, weights):
-                                m_fallbacks.inc()
-                                dist, parent = fallback_dijkstra(fabric, dest, weights)
+                            dist, parent = reduction.column(dest, weights, hops)
                             next_channel[:, t_idx] = parent
                             update_weights_for_dest_fast(
                                 fabric, dest, dist, parent, weights, is_term,

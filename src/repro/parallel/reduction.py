@@ -30,6 +30,12 @@ concurrently. The reduction here resolves that dependency *exactly*:
 ``weights`` are then advanced with the ordinary
 :func:`repro.core.sssp.update_weights_for_dest`, keeping the weight
 stream byte-for-byte equal to the serial engine's.
+
+:meth:`ExactReduction.column` is steps 2–3 plus the fallback as one
+routine. The pool reducer feeds it the workers' hop columns; the serial
+numpy engine and the incremental repair let it sweep the hops itself —
+the same validated column either way, at a fraction of a frontier
+Dijkstra's cost (:func:`column_routine` picks it for ``kernel="numpy"``).
 """
 
 from __future__ import annotations
@@ -37,8 +43,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.fabric import Fabric
+from repro.obs import get_registry
+from repro.parallel.kernel import INT64_INF, hops_to_dest, resolve_kernel
 
-INT64_INF = np.iinfo(np.int64).max
+
+def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp"):
+    """``(dest, weights) -> (dist, parent)`` for one serial column.
+
+    ``"numpy"`` routes through :meth:`ExactReduction.column`; the
+    ``"python"`` reference and the ``"native"`` jit run their Dijkstra
+    directly. All three return identical arrays.
+    """
+    if kernel == "numpy":
+        return ExactReduction(fabric, kernel, engine_name).column
+    dijkstra = resolve_kernel(kernel)
+    return lambda dest, weights: dijkstra(fabric, dest, weights)
 
 
 class ExactReduction:
@@ -46,11 +65,18 @@ class ExactReduction:
 
     Groups the fabric's channels by their source node once (reusing the
     CSR out-channel layout) so each per-destination step is pure vector
-    arithmetic.
+    arithmetic. ``kernel`` names the Dijkstra a column falls back to when
+    validation fails; ``engine_name`` labels the fallback counter.
     """
 
-    def __init__(self, fabric: Fabric):
+    def __init__(self, fabric: Fabric, kernel: str = "numpy", engine_name: str = "sssp"):
         self.fabric = fabric
+        self._dijkstra = resolve_kernel(kernel)
+        self._m_fallbacks = get_registry().counter(
+            "routing_parallel_fallbacks",
+            "reduction columns that failed validation and re-ran full Dijkstra",
+            engine=engine_name,
+        )
         # Channels grouped by src node, lowest channel id first — exactly
         # the CSR out-channel ordering.
         self.chan = fabric.out_chan.astype(np.int64)
@@ -59,6 +85,21 @@ class ExactReduction:
         self.dst_is_switch = fabric.kinds[self.chan_dst] == 0  # NodeKind.SWITCH
 
     # ------------------------------------------------------------------
+    def column(self, dest: int, weights: np.ndarray, hops: np.ndarray | None = None):
+        """Exactly the serial Dijkstra's ``(dist, parent)`` toward ``dest``.
+
+        Refines ``hops`` (swept here when the caller has no worker-made
+        column) on the min-hop DAG, validates the candidate against the
+        Bellman fixpoint and re-runs the full Dijkstra when it fails.
+        """
+        if hops is None:
+            hops = hops_to_dest(self.fabric, dest)
+        dist, parent = self.refine(dest, hops, weights)
+        if not self.validate(dest, dist, parent, weights):
+            self._m_fallbacks.inc()
+            dist, parent = self._dijkstra(self.fabric, dest, weights)
+        return dist, parent
+
     def refine(self, dest: int, hops: np.ndarray, weights: np.ndarray):
         """Weighted ``(dist, parent)`` column restricted to the min-hop DAG.
 

@@ -8,14 +8,19 @@ columns. :func:`repair_routing` instead
 1. translates the surviving forwarding entries onto the degraded fabric
    (node and channel ids are renumbered by the rebuild; the
    :class:`~repro.network.faults.DegradedFabric` maps drive the splice),
-2. re-runs Dijkstra *only* for the destinations whose columns lost an
-   entry, reusing the surviving balancing weights so the repaired routes
-   stay globally balanced and hop-minimal (the §II weight argument is
-   unaffected: total accumulated weight stays below ``W0``),
+2. re-routes *only* the destinations whose columns lost an entry — with
+   the engine's own ``kernel``, so ``"numpy"`` pays a hop sweep plus the
+   validated min-hop-DAG refinement per column instead of a heap
+   Dijkstra — reusing the surviving balancing weights so the repaired
+   routes stay globally balanced and hop-minimal (the §II weight
+   argument is unaffected: total accumulated weight stays below ``W0``),
 3. re-verifies deadlock-freedom incrementally: the untouched paths keep
    their virtual layers (any subset of an acyclic CDG is acyclic), and
-   each repaired path is re-inserted into its old layer first, escalating
-   to another layer only when staying put would re-introduce a cycle.
+   each repaired path goes back into its old layer first. One array
+   check of all layers settles the common case where every path fits
+   there; only when some layer comes out cyclic are the repaired paths
+   re-inserted one at a time, escalating to another layer where staying
+   put would re-introduce a cycle.
 
 If the repaired paths exhaust the layer budget the
 :class:`~repro.exceptions.InsufficientLayersError` propagates and the
@@ -27,12 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
+from repro.core.sssp import weight_updater
 from repro.deadlock.verify import build_layer_cdgs, verify_deadlock_free
 from repro.exceptions import InsufficientLayersError, RepairError, RoutingError
 from repro.network.faults import DegradedFabric
 from repro.network.validate import check_routable
 from repro.obs import DURATION_BUCKETS, RATIO_BUCKETS, get_registry, span
+from repro.parallel.reduction import column_routine
 from repro.routing.base import LayeredRouting, RoutingResult, RoutingTables
 from repro.routing.paths import extract_paths
 from repro.service.budget import check_budget
@@ -129,8 +135,13 @@ def repair_routing(
     *,
     engine_name: str | None = None,
     count_switch_sources: bool = False,
+    kernel: str = "python",
 ) -> RoutingResult:
     """Incrementally repair ``prior`` for ``degraded.fabric``.
+
+    ``kernel`` is the engine's per-destination kernel
+    (:data:`repro.core.sssp.KERNELS`); every kernel yields the same
+    columns and weights.
 
     Raises :class:`~repro.exceptions.RepairError` when the degradation
     cannot be spliced (foreign fabric, link-up, terminals lost) and
@@ -169,13 +180,15 @@ def repair_routing(
             weights = _translate_weights(prior, degraded)
 
         is_term = new.kinds == 1  # NodeKind.TERMINAL
+        route_column = column_routine(new, kernel, engine)
+        update_weights = weight_updater(kernel)
         with span("repair.dijkstra", destinations=len(affected)):
             for t_idx in affected:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(new.terminals[t_idx])
-                dist, parent = dijkstra_to_dest(new, dest, weights)
+                dist, parent = route_column(dest, weights)
                 next_channel[:, t_idx] = parent
-                update_weights_for_dest(
+                update_weights(
                     new, dest, dist, parent, weights, is_term,
                     count_switch_sources=count_switch_sources,
                 )
@@ -229,24 +242,46 @@ def _repair_layers(
     """Re-verify the virtual layers after splicing repaired columns.
 
     Surviving paths keep their layers (subsets of acyclic CDGs stay
-    acyclic); each repaired traffic-carrying path is re-inserted starting
-    at its old layer and escalates — old layer upward, then the remaining
-    lower layers — only when an insertion would close a cycle.
+    acyclic) and every repaired path is first tried in its old layer, all
+    at once: if one full acyclicity check of that assignment passes, the
+    one-at-a-time insertion would have placed every path exactly there
+    (each of its intermediate CDGs is a subset of an acyclic one), so the
+    check is both the insertion and the final verification. Only when
+    some layer is cyclic does :func:`_insert_sequentially` run.
     """
-    new = degraded.fabric
     L = prior.layered.num_layers
-    S = new.num_switches
-    path_layers = _translate_layers(prior, degraded)
+    layered = LayeredRouting(tables, _translate_layers(prior, degraded), L)
+    if verify_deadlock_free(layered, paths).deadlock_free:
+        return layered, 0
+    escalations = _insert_sequentially(layered, paths, affected)
+    report = verify_deadlock_free(layered, paths)
+    if not report.deadlock_free:  # pragma: no cover - insertion guarantees this
+        raise RoutingError(
+            f"incremental repair produced a cyclic layer: {sorted(report.cycles)}"
+        )
+    return layered, escalations
+
+
+def _insert_sequentially(layered: LayeredRouting, paths, affected: np.ndarray) -> int:
+    """Re-insert the repaired paths one at a time; returns the escalations.
+
+    Each repaired traffic-carrying path starts at its old layer and
+    escalates — old layer upward, then the remaining lower layers — only
+    when an insertion would close a cycle. ``layered.path_layers`` is
+    updated in place.
+    """
+    new = layered.fabric
+    L = layered.num_layers
+    path_layers = layered.path_layers
 
     affected_col = np.zeros(new.num_terminals, dtype=bool)
     affected_col[affected] = True
     active = paths.active_pids()
-    is_repaired = affected_col[active // S]
+    is_repaired = affected_col[active // new.num_switches]
     kept = active[~is_repaired]
     repaired = active[is_repaired]
 
-    scratch = LayeredRouting(tables, path_layers, L)
-    cdgs = build_layer_cdgs(scratch, paths, pids=kept)
+    cdgs = build_layer_cdgs(layered, paths, pids=kept)
 
     escalations = 0
     for pid in map(int, repaired):
@@ -267,11 +302,4 @@ def _repair_layers(
         if placed != guess:
             escalations += 1
             path_layers[pid] = placed
-
-    layered = LayeredRouting(tables, path_layers, L)
-    report = verify_deadlock_free(layered, paths)
-    if not report.deadlock_free:  # pragma: no cover - insertion guarantees this
-        raise RoutingError(
-            f"incremental repair produced a cyclic layer: {sorted(report.cycles)}"
-        )
-    return layered, escalations
+    return escalations

@@ -24,6 +24,10 @@ from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
 from repro.routing.base import RoutingTables
 
+#: a dependency edge ``(c1, c2)`` packs into one int64 as ``c1 << 32 | c2``
+EDGE_KEY_SHIFT = 32
+EDGE_KEY_MASK = (1 << EDGE_KEY_SHIFT) - 1
+
 
 class PathSet:
     """Flat storage of all switch-to-terminal paths of a routing."""
@@ -35,6 +39,7 @@ class PathSet:
         expected = fabric.num_switches * fabric.num_terminals + 1
         if self.offsets.shape != (expected,):
             raise RoutingError(f"offsets shape {self.offsets.shape} != ({expected},)")
+        self._active_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -85,17 +90,55 @@ class PathSet:
         dependencies. OpenSM's DFSSSP likewise only considers CA-to-CA
         paths — layering the spine-originated suffixes separately would
         pin their edges in lower layers and inflate the lane count.
+
+        Computed once per path set (read-only array): the engine, the
+        verifier, the certificate and the repair all ask for it.
         """
-        fab = self.fabric
-        leaf = np.zeros(fab.num_switches, dtype=bool)
-        for t in fab.terminals:
-            for sw in fab.attached_switches(int(t)):
-                leaf[int(fab.switch_index[int(sw)])] = True
-        return np.tile(leaf, fab.num_terminals)
+        if self._active_mask is None:
+            fab = self.fabric
+            attached = fab.channels.dst[fab.kinds[fab.channels.src] == 1]  # terminal uplinks
+            leaf = np.zeros(fab.num_switches, dtype=bool)
+            leaf[fab.switch_index[attached[fab.kinds[attached] == 0]]] = True
+            mask = np.tile(leaf, fab.num_terminals)
+            mask.flags.writeable = False
+            self._active_mask = mask
+        return self._active_mask
 
     def active_pids(self) -> np.ndarray:
         """Ids of the traffic-carrying paths (see :meth:`active_mask`)."""
         return np.flatnonzero(self.active_mask())
+
+    def dependency_pairs(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Channel-dependency occurrences of the paths ``pids``.
+
+        Every consecutive channel pair ``(c1, c2)`` of every listed path
+        where both are switch-to-switch channels (terminal channels
+        cannot lie on a dependency cycle), in path-major order. Returns
+        ``(keys, rows)``: the pair packed as ``c1 << 32 | c2`` (int64)
+        and the index into ``pids`` of the path inducing it. The one
+        extraction behind the CDG engine, the verifier and the
+        certificate.
+        """
+        pids = np.asarray(pids, dtype=np.int64)
+        starts = self.offsets[pids]
+        pair_counts = np.maximum(self.offsets[pids + 1] - starts - 1, 0)
+        total = int(pair_counts.sum())
+        if not total:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        rows = np.repeat(np.arange(len(pids)), pair_counts)
+        first = np.cumsum(pair_counts) - pair_counts
+        pos = starts[rows] + (np.arange(total) - first[rows])
+        c1 = self.chans[pos].astype(np.int64)
+        c2 = self.chans[pos + 1].astype(np.int64)
+        is_sw = self.fabric.is_switch_channel
+        keep = is_sw[c1] & is_sw[c2]
+        return (c1[keep] << EDGE_KEY_SHIFT) | c2[keep], rows[keep]
+
+    def dependency_edges(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct dependency edges of ``pids`` as ``(c1, c2)`` int64
+        columns, sorted lexicographically."""
+        keys = np.unique(self.dependency_pairs(pids)[0])
+        return keys >> EDGE_KEY_SHIFT, keys & EDGE_KEY_MASK
 
 
 def extract_paths(tables: RoutingTables) -> PathSet:

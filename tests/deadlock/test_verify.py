@@ -1,6 +1,10 @@
 """Deadlock-freedom verification, cross-checked against networkx."""
 
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from repro import topologies
 from repro.core import DFSSSPEngine, SSSPEngine
 from repro.deadlock import (
@@ -8,8 +12,12 @@ from repro.deadlock import (
     verify_deadlock_free,
     verify_with_networkx,
 )
+from repro.deadlock.cycles import find_any_cycle
+from repro.exceptions import ComputeTimeoutError
+from repro.obs import MetricsRegistry, set_registry
 from repro.routing import LASHEngine, MinHopEngine, extract_paths
 from repro.routing.base import LayeredRouting
+from repro.service.budget import compute_budget
 
 
 def test_sssp_ring_is_cyclic(sssp_ring5, ring5):
@@ -112,3 +120,78 @@ def test_failure_summary_carries_certificate_counterexample():
         paths_per_layer=(4,),
     )
     assert legacy.failure_summary().startswith("cyclic CDG in 1 layer(s)")
+
+
+# ----------------------------------------------------------------------
+# Array verify vs the dict reference vs networkx
+# ----------------------------------------------------------------------
+def _verify_reference(layered, paths, traffic_only=True):
+    """The dict-CDG verifier the array one replaced: every layer rebuilt
+    path by path, one DFS each."""
+    cdgs = build_layer_cdgs(layered, paths, traffic_only=traffic_only)
+    cycles = {}
+    for layer, cdg in enumerate(cdgs):
+        cycle = find_any_cycle(cdg)
+        if cycle is not None:
+            cycles[layer] = cycle
+    return cycles, [c.num_edges for c in cdgs], [c.num_paths for c in cdgs], cdgs
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(min_value=4, max_value=12),  # switches
+    st.integers(min_value=0, max_value=14),  # extra links beyond the tree
+    st.integers(min_value=1, max_value=3),  # terminals per switch
+    st.integers(min_value=0, max_value=10_000),  # fabric seed
+    st.integers(min_value=1, max_value=4),  # layers
+    st.integers(min_value=0, max_value=10_000),  # layer-assignment seed
+    st.booleans(),  # traffic_only
+)
+def test_array_verify_matches_dict_reference_and_networkx(
+    s, extra, tps, seed, num_layers, layer_seed, traffic_only
+):
+    """Random layer assignments over SSSP tables: mostly cyclic with one
+    layer, increasingly acyclic with more — both verdicts get exercised."""
+    links = min(s - 1 + extra, s * (s - 1) // 2)
+    fabric = topologies.random_topology(s, links, tps, seed=seed)
+    tables = SSSPEngine().route(fabric).tables
+    paths = extract_paths(tables)
+    rng = np.random.default_rng(layer_seed)
+    layered = LayeredRouting(
+        tables, rng.integers(0, num_layers, paths.num_paths).astype(np.int16), num_layers
+    )
+
+    report = verify_deadlock_free(layered, paths, traffic_only=traffic_only)
+    cycles, edges, counts, cdgs = _verify_reference(layered, paths, traffic_only)
+
+    assert report.deadlock_free == (not cycles)
+    assert report.deadlock_free == verify_with_networkx(layered, paths, traffic_only)
+    assert list(report.edges_per_layer) == edges
+    assert list(report.paths_per_layer) == counts
+    assert sorted(report.cycles) == sorted(cycles)
+    for layer, cycle in report.cycles.items():
+        assert len(cycle) >= 2
+        for (a, b), (c, _) in zip(cycle, cycle[1:] + cycle[:1]):
+            assert cdgs[layer].has_edge(a, b)
+            assert b == c  # consecutive edges chain, and the last closes the loop
+
+
+def test_verify_does_not_touch_the_dict_cdg_when_acyclic(dfsssp_random16, paths_dfsssp_random16):
+    """``cdg_paths_added`` counts dict-CDG insertions: an acyclic verdict
+    comes from the arrays alone, a cyclic layer is rebuilt for its witness."""
+    reg = MetricsRegistry()
+    old = set_registry(reg)
+    try:
+        assert verify_deadlock_free(dfsssp_random16.layered, paths_dfsssp_random16).deadlock_free
+        assert not reg.value("cdg_paths_added")
+        one_layer = LayeredRouting.single_layer(dfsssp_random16.tables)
+        assert not verify_deadlock_free(one_layer, paths_dfsssp_random16).deadlock_free
+        assert reg.value("cdg_paths_added") == paths_dfsssp_random16.num_paths
+    finally:
+        set_registry(old)
+
+
+def test_verify_polls_the_compute_budget(dfsssp_random16, paths_dfsssp_random16):
+    with pytest.raises(ComputeTimeoutError):
+        with compute_budget(0.0, label="verify"):
+            verify_deadlock_free(dfsssp_random16.layered, paths_dfsssp_random16)

@@ -1,17 +1,27 @@
 """Incremental repair: correctness vs a full reroute, escalation, fallbacks."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import topologies
 from repro.core import DFSSSPEngine, SSSPEngine
 from repro.deadlock import verify_deadlock_free
-from repro.exceptions import RepairError
+from repro.exceptions import ComputeTimeoutError, RepairError
 from repro.network import fail_links, fail_switches, identity_degradation
 from repro.network.faults import DegradedFabric
 from repro.obs import MetricsRegistry, set_registry
-from repro.resilience import relative_degradation, repair_routing, translate_tables
+from repro.resilience import (
+    FaultInjector,
+    relative_degradation,
+    repair as repair_mod,
+    repair_routing,
+    translate_tables,
+)
 from repro.routing import extract_paths, path_minimality_violations
+from repro.service.budget import compute_budget
 
 
 @pytest.fixture()
@@ -184,8 +194,6 @@ def test_generic_engine_reroute_is_full_route(random16, one_link_down):
 def test_chained_repairs_compose(random16):
     engine = DFSSSPEngine()
     result = engine.route(random16)
-    from repro.resilience import FaultInjector
-
     injector = FaultInjector(random16, seed=6, p_switch_down=0.0, p_link_up=0.0)
     prev = injector.current
     for _ in range(3):
@@ -198,3 +206,143 @@ def test_chained_repairs_compose(random16):
         assert path_minimality_violations(result.tables, paths) == 0
         prev = cur
     assert result.stats.get("repair"), "last step should still be incremental"
+
+
+# ----------------------------------------------------------------------
+# Array repair path vs the sequential reference
+# ----------------------------------------------------------------------
+def _sequential_reference(monkeypatch, prior, degraded, **kwargs):
+    """``repair_routing`` the slow way: heap Dijkstra per column, and the
+    batch layer check reported as failed so that every repaired path is
+    re-inserted one DFS at a time."""
+    real = repair_mod.verify_deadlock_free
+    calls = []
+
+    def first_check_fails(layered, paths):
+        calls.append(1)
+        if len(calls) == 1:
+            return SimpleNamespace(deadlock_free=False)
+        return real(layered, paths)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repair_mod, "verify_deadlock_free", first_check_fails)
+        return repair_routing(prior, degraded, kernel="python", **kwargs)
+
+
+def _assert_same_repair(got, want):
+    assert np.array_equal(got.tables.next_channel, want.tables.next_channel)
+    assert np.array_equal(got.channel_weights, want.channel_weights)
+    if want.layered is None:
+        assert got.layered is None
+    else:
+        assert np.array_equal(got.layered.path_layers, want.layered.path_layers)
+    timeless = [
+        {k: v for k, v in r.stats["repair"].items() if k != "time_repair_s"}
+        for r in (got, want)
+    ]
+    assert timeless[0] == timeless[1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: topologies.random_topology(16, 34, terminals_per_switch=3, seed=42),
+        lambda: topologies.kary_ntree(4, 2),
+        lambda: topologies.xgft(2, (4, 4), (1, 2)),
+    ],
+    ids=["random16", "ktree42", "xgft"],
+)
+@pytest.mark.parametrize("engine_cls", [SSSPEngine, DFSSSPEngine])
+def test_repair_bit_identical_to_sequential_reference(monkeypatch, build, engine_cls):
+    """Chained fault stream: every step of the array path (numpy column
+    routine, batch layer check) equals the sequential reference."""
+    fabric = build()
+    result = engine_cls(kernel="numpy").route(fabric)
+    injector = FaultInjector(fabric, seed=6, p_switch_down=0.15, p_link_up=0.0)
+    prev = injector.current
+    for _ in range(4):
+        stepped = injector.step()
+        if stepped is None:
+            break
+        _, cur = stepped
+        rel = relative_degradation(prev, cur)
+        want = _sequential_reference(monkeypatch, result, rel, engine_name=engine_cls.name)
+        got = repair_routing(result, rel, engine_name=engine_cls.name, kernel="numpy")
+        _assert_same_repair(got, want)
+        assert got.stats["repair"]["destinations_repaired"] > 0
+        result, prev = got, cur
+
+
+def test_repair_slow_path_matches_sequential_reference(monkeypatch):
+    """The escalation fabric: the batch check finds a cyclic layer, the
+    one-at-a-time loop runs, and the outcome is the reference's."""
+    fabric = topologies.random_topology(10, 22, 2, seed=1)
+    prior = DFSSSPEngine(balance=False, kernel="numpy").route(fabric)
+    degraded = fail_links(fabric, 2, seed=4)
+    want = _sequential_reference(monkeypatch, prior, degraded, engine_name="dfsssp")
+
+    slow_path = []
+    real = repair_mod._insert_sequentially
+    monkeypatch.setattr(
+        repair_mod, "_insert_sequentially",
+        lambda *a: slow_path.append(1) or real(*a),
+    )
+    got = repair_routing(prior, degraded, engine_name="dfsssp", kernel="numpy")
+    assert slow_path == [1]
+    assert got.stats["repair"]["escalations"] > 0
+    _assert_same_repair(got, want)
+
+
+def test_repair_fast_path_skips_sequential_insertion(monkeypatch, random16):
+    prior = DFSSSPEngine().route(random16)
+    monkeypatch.setattr(
+        repair_mod, "_insert_sequentially",
+        lambda *a: pytest.fail("batch check passed; nothing to insert one by one"),
+    )
+    repaired = repair_routing(prior, fail_links(random16, 1, seed=3), engine_name="dfsssp")
+    assert repaired.stats["repair"]["escalations"] == 0
+
+
+def test_repair_falls_back_to_dijkstra_when_validation_fails(
+    monkeypatch, fresh_registry, sssp_random16, one_link_down
+):
+    """Weights that make detours cheaper than hop-minimal routes: the
+    min-hop-DAG candidate is no Bellman fixpoint, so the column routine
+    must run the full Dijkstra — and still equal the heap reference."""
+    heavy = sssp_random16.channel_weights.copy()
+    w0 = int(heavy.min())
+    switch_channels = np.flatnonzero(sssp_random16.tables.fabric.is_switch_channel)
+    heavy[switch_channels[::3]] += 5 * w0
+    prior = replace(sssp_random16, channel_weights=heavy)
+    want = _sequential_reference(monkeypatch, prior, one_link_down, engine_name="sssp")
+    got = repair_routing(prior, one_link_down, engine_name="sssp", kernel="numpy")
+    assert fresh_registry.value("routing_parallel_fallbacks", engine="sssp") > 0
+    _assert_same_repair(got, want)
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_repair_column_loop_polls_the_budget(kernel, sssp_random16, one_link_down):
+    with pytest.raises(ComputeTimeoutError):
+        with compute_budget(0.0, label="repair"):
+            repair_routing(sssp_random16, one_link_down, engine_name="sssp", kernel=kernel)
+
+
+def test_repair_layer_check_polls_the_budget(random16):
+    """No column to re-route (nothing died), so the first poll an expired
+    budget can trip is the layer check's."""
+    prior = DFSSSPEngine().route(random16)
+    with pytest.raises(ComputeTimeoutError):
+        with compute_budget(0.0, label="repair"):
+            repair_routing(prior, identity_degradation(random16), engine_name="dfsssp")
+
+
+def test_engine_reroute_hands_its_kernel_to_repair(monkeypatch, random16, one_link_down):
+    seen = []
+    real = repair_mod.column_routine
+    monkeypatch.setattr(
+        repair_mod, "column_routine",
+        lambda fabric, kernel, engine: seen.append(kernel) or real(fabric, kernel, engine),
+    )
+    for engine in (SSSPEngine(kernel="numpy"), DFSSSPEngine(kernel="numpy"), SSSPEngine()):
+        engine.reroute(engine.route(random16), one_link_down)
+    assert seen == ["numpy", "numpy", "python"]

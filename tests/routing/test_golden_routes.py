@@ -20,6 +20,7 @@ import pytest
 
 from tests.data.golden_gen import (
     DIGEST_FABRICS,
+    ENGINES,
     FABRICS,
     compute_golden,
     compute_golden_digest,
@@ -138,3 +139,28 @@ def test_routes_match_golden_digest(topology):
         "`PYTHONPATH=src python -m tests.data.golden_gen` if intentional):\n"
         + "\n".join(problems)
     )
+
+
+@pytest.mark.parametrize("topology", sorted(FABRICS))
+def test_serial_numpy_kernel_matches_golden(topology):
+    """The fixtures were written by the heap Dijkstra; the serial numpy
+    engine builds every column from a hop sweep, the min-hop-DAG
+    refinement and the Bellman-fixpoint validation instead."""
+    golden = json.loads(golden_path(topology).read_text())
+    fabric = FABRICS[topology][1]()
+    problems: list[str] = []
+    for engine, want in golden["engines"].items():
+        result = ENGINES[engine](kernel="numpy").route(fabric)
+        problems += _diff_tables(
+            topology, engine, result.tables.next_channel, want["next_channel"]
+        )
+        problems += _diff_vector(
+            topology, engine, "channel_weights", result.channel_weights,
+            want["channel_weights"],
+        )
+        if "path_layers" in want:
+            problems += _diff_vector(
+                topology, engine, "path_layers", result.layered.path_layers,
+                want["path_layers"],
+            )
+    assert not problems, "\n".join(problems)

@@ -135,3 +135,59 @@ def test_active_pids_consistent_with_mask(minhop_random16):
     pids = paths.active_pids()
     assert mask.sum() == len(pids)
     assert mask.all()  # every random16 switch hosts terminals
+
+
+def _active_mask_loop(paths):
+    """The per-terminal loop ``active_mask`` used to be."""
+    fab = paths.fabric
+    leaf = np.zeros(fab.num_switches, dtype=bool)
+    for t in fab.terminals:
+        for sw in fab.attached_switches(int(t)):
+            leaf[int(fab.switch_index[int(sw)])] = True
+    return np.tile(leaf, fab.num_terminals)
+
+
+def _dual_homed_fabric():
+    """Four switches in a line; one terminal cabled to both ends, one to
+    the second switch, the third switch hosting none."""
+    from repro.network import FabricBuilder
+
+    b = FabricBuilder()
+    sw = b.add_switches(4)
+    for a, c in zip(sw, sw[1:]):
+        b.add_link(a, c)
+    dual, single = b.add_terminals(2)
+    b.add_link(dual, sw[0])
+    b.add_link(dual, sw[3])
+    b.add_link(single, sw[1])
+    return b.build()
+
+
+def test_active_mask_equals_the_loop_and_is_computed_once(ktree42, random16):
+    for fabric in (ktree42, random16, _dual_homed_fabric()):
+        paths = extract_paths(MinHopEngine().route(fabric).tables)
+        mask = paths.active_mask()
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, _active_mask_loop(paths))
+        assert paths.active_mask() is mask  # memoised ...
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]  # ... so nobody may write to it
+    dual = extract_paths(MinHopEngine().route(_dual_homed_fabric()).tables)
+    assert dual.active_mask()[:4].tolist() == [True, True, False, True]
+
+
+def test_dependency_pairs_are_the_switch_channel_pairs_of_each_path(minhop_random16):
+    paths = extract_paths(minhop_random16.tables)
+    is_sw = paths.fabric.is_switch_channel
+    pids = np.arange(3, paths.num_paths, 7)
+    keys, rows = paths.dependency_pairs(pids)
+    want = [
+        ((int(a) << 32) | int(b), row)
+        for row, pid in enumerate(pids)
+        for a, b in zip(paths.path(pid)[:-1], paths.path(pid)[1:])
+        if is_sw[a] and is_sw[b]
+    ]
+    assert list(zip(keys.tolist(), rows.tolist())) == want
+    edges = np.stack(paths.dependency_edges(pids), axis=1)
+    assert [(a << 32) | b for a, b in edges.tolist()] == sorted({k for k, _ in want})
+    assert len(paths.dependency_edges(np.zeros(0, dtype=np.int64))[0]) == 0

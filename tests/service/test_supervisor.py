@@ -192,3 +192,32 @@ def test_state_dict_round_trips_events(fabric):
     assert len(state["uncommitted"]) == 1
     restored = [FaultEvent.from_dict(e) for e in state["uncommitted"]]
     assert restored[0].kind in ("link_down", "switch_down", "link_up")
+
+
+def test_candidate_paths_are_extracted_once(fabric, tmp_path, monkeypatch):
+    """``_verify`` walks the tables (the completeness check) and hands the
+    PathSet on: certifying the checkpoint must not walk them again."""
+    from repro.service import supervisor as supervisor_mod
+
+    walks = []
+    real = supervisor_mod.extract_paths
+    monkeypatch.setattr(
+        supervisor_mod, "extract_paths", lambda tables: walks.append(1) or real(tables)
+    )
+    sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
+    assert walks == [1]  # the initial route: verified, certified, checkpointed
+    assert sup.serving().result.certificate is not None
+
+    injector = FaultInjector(fabric, seed=5, p_switch_down=0.0, p_link_up=0.0)
+    sup.submit(injector.step()[0])
+    outcome = sup.process()
+    assert outcome.ok and outcome.action == "repair"
+    assert walks == [1, 1]
+    served = sup.serving().result
+    assert served.certificate is not None  # emitted from the verified paths
+    assert served.certificate.check().ok
+
+    restored = RoutingSupervisor.restore(tmp_path, sleep=_no_sleep)
+    assert np.array_equal(
+        restored.serving().result.tables.next_channel, served.tables.next_channel
+    )
