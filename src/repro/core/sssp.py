@@ -68,7 +68,7 @@ class SSSPEngine(RoutingEngine):
         absent). All are bit-identical; see :mod:`repro.parallel.kernel`
         and :mod:`repro.parallel.native`.
     batch:
-        Hop columns per parallel batch (default ``4 * workers``). Only
+        Destinations per parallel batch (default ``4 * workers``). Only
         used when ``workers >= 1``; batching affects scheduling and span
         granularity, never results.
     shm:
@@ -184,8 +184,7 @@ class SSSPEngine(RoutingEngine):
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         from repro.parallel.reduction import column_routine
 
-        route_column = column_routine(fabric, self.kernel, self.name)
-        update_weights = weight_updater(self.kernel)
+        step, counts = column_routine(fabric, self.kernel, self.name)
 
         reg = get_registry()
         m_sources = reg.counter(
@@ -200,18 +199,15 @@ class SSSPEngine(RoutingEngine):
         )
         hooks = get_hooks()
 
-        is_term = fabric.kinds == 1  # NodeKind.TERMINAL
-        with span("sssp.run", engine=self.name, destinations=int(T)):
+        with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
             for t_idx in order:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(fabric.terminals[t_idx])
                 with span("sssp.dijkstra", dest=dest) as sp:
-                    dist, parent = route_column(dest, weights)
-                    next_channel[:, t_idx] = parent
-                    update_weights(
-                        fabric, dest, dist, parent, weights, is_term,
-                        count_switch_sources=self.count_switch_sources,
+                    parent = step(
+                        dest, weights, count_switch_sources=self.count_switch_sources
                     )
+                    next_channel[:, t_idx] = parent
                 # One `weights[c] += ...` happened per node with a parent
                 # channel; counted vectorised to keep the hot loop clean.
                 updates = int(np.count_nonzero(parent >= 0))
@@ -225,26 +221,11 @@ class SSSPEngine(RoutingEngine):
                     weight_updates=updates,
                     dijkstra_seconds=sp.duration,
                 )
+            for key, value in counts.items():
+                run_sp.set_attr(key, value)
 
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights
-
-
-def weight_updater(kernel: str):
-    """The balancing-weight update of the same family as ``kernel``.
-
-    ``"numpy"`` stays vectorized, ``"native"`` runs the jitted loop (the
-    reference loop when numba is absent — the kernel degraded to
-    ``"python"`` wholesale). All three apply identical increments.
-    """
-    if kernel == "numpy":
-        return update_weights_for_dest_fast
-    if kernel == "native":
-        from repro.parallel import native
-
-        if native.numba_available():
-            return update_weights_for_dest_native
-    return update_weights_for_dest
 
 
 def update_weights_for_dest(
@@ -290,15 +271,16 @@ def update_weights_for_dest_fast(
     The reference walks nodes farthest-first; exactness only needs a
     *topological* order of the shortest-path tree (the increments are
     integer adds, which commute, and each node's count must be final
-    before its parent consumes it). This version levels the tree by
-    parent-pointer depth and applies one whole level per numpy operation,
-    deepest level first. Within a level the parent channels are distinct
-    (one per source node), so the fancy-indexed ``+=`` on ``weights`` is
-    exact; the node counts funnel through ``np.add.at``. Bit-identical to
-    the reference on every input — the differential suite asserts it.
+    before its parent consumes it). Nodes nobody routes through — every
+    terminal, typically nine in ten nodes — are done in one operation up
+    front; only the inner nodes are levelled by parent-pointer depth and
+    applied one whole level per numpy operation, deepest level first.
+    Within a level the parent channels are distinct (one per source
+    node), so the fancy-indexed ``+=`` on ``weights`` is exact; the node
+    counts funnel through ``np.add.at``. Bit-identical to the reference
+    on every input — the differential suite asserts it.
     """
     n = fabric.num_nodes
-    chan_dst = fabric.channels.dst
     if count_switch_sources:
         cnt = np.ones(n, dtype=np.int64)
     else:
@@ -307,28 +289,29 @@ def update_weights_for_dest_fast(
     have = np.flatnonzero(parent >= 0)  # nodes that route via a parent channel
     if not len(have):
         return
-    pchan = parent[have].astype(np.int64)
-    pnode = chan_dst[pchan]
-    # Depth of every routing node in the parent-pointer tree. Parent
-    # chains end at `dest`, whose depth is 0; one pass resolves one level.
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[have] = np.arange(len(have))
-    pidx = pos[pnode]  # index of the parent within `have`; -1 => parent is dest
-    depth = np.where(pidx < 0, 1, -1).astype(np.int64)
-    todo = np.flatnonzero(depth < 0)
+    pnode = np.full(n, -1, dtype=np.int64)  # the node each parent channel enters
+    pnode[have] = fabric.channels.dst[parent[have]]
+    inner = np.zeros(n, dtype=bool)
+    inner[pnode[have]] = True
+    # Leaves of the tree carry their initial count: final from the start.
+    levels = [have[~inner[have]]]
+    # Inner nodes by depth: parent chains end at `dest`; one pass peels
+    # the nodes whose parent is already placed.
+    placed = np.zeros(n, dtype=bool)
+    placed[dest] = True
+    todo = have[inner[have]]
     while len(todo):
-        pd = depth[pidx[todo]]
-        ready = pd > 0
+        ready = placed[pnode[todo]]
         if not ready.any():  # pragma: no cover - impossible for tree parents
             raise ValueError("parent pointers contain a cycle")
-        depth[todo[ready]] = pd[ready] + 1
+        placed[todo[ready]] = True
+        levels.insert(1, todo[ready])
         todo = todo[~ready]
-    # Deepest level first: every child's count is final before the parent
-    # level reads it, the same invariant the farthest-first loop keeps.
-    for d in range(int(depth.max()), 0, -1):
-        sel = np.flatnonzero(depth == d)
-        contrib = cnt[have[sel]]
-        weights[pchan[sel]] += contrib  # pchan unique per source node
+    # Leaves, then deepest level first: every child's count is final
+    # before its parent reads it, the invariant the farthest-first loop keeps.
+    for sel in levels:
+        contrib = cnt[sel]
+        weights[parent[sel]] += contrib  # one parent channel per source node
         np.add.at(cnt, pnode[sel], contrib)
 
 
@@ -344,8 +327,8 @@ def update_weights_for_dest_native(
     """Jitted :func:`update_weights_for_dest` (numba path only).
 
     Runs the reference farthest-first loop in machine code; the caller
-    (:func:`weight_updater`) already fell back to the reference when
-    numba is absent.
+    (:func:`repro.parallel.reduction.column_routine`) already fell back
+    to the reference when numba is absent.
     """
     from repro.parallel import native
 

@@ -4,17 +4,21 @@ The fan-out/reduce split mirrors how per-destination routing
 parallelizes in practice (cf. the Angara graph-routing work): what can
 run concurrently is exactly the *weight-independent* part of each
 destination's column. Workers therefore compute **hop columns** —
-minimum hop counts toward each destination, which no balancing update
+minimum hop counts toward a destination, which no balancing update
 can invalidate — while the parent performs the weight-dependent
-refinement serially, in the engine's fixed destination order, through
-:class:`repro.parallel.reduction.ExactReduction`. Validation with
-Dijkstra fallback makes the combined result bit-identical to the serial
-engine on every fabric, which ``tests/parallel`` asserts property-based
-and per topology family.
+step (refine, validate, weight update) serially, in the engine's fixed
+destination order, through
+:meth:`repro.parallel.reduction.ExactReduction.step`. One hop column
+opens one *hop plan*, and single-homed terminals on one switch share
+theirs, so a sweep is fanned out only for the first destination of each
+such switch and for every destination that shares nothing — not one per
+destination. Validation with Dijkstra fallback makes the combined
+result bit-identical to the serial engine on every fabric, which
+``tests/parallel`` asserts property-based and per topology family.
 
 Scheduling is deterministic: the ordered destination list is cut into
-fixed-size batches, each batch into per-worker contiguous chunks, and
-results are consumed in submission order — worker count and OS
+fixed-size batches, each batch's sweeps into per-worker contiguous
+chunks, and results are consumed in submission order — worker count and OS
 scheduling can change timing only, never output. Batch ``b+1`` is
 dispatched before batch ``b`` is reduced, so workers stay busy while the
 parent reduces.
@@ -38,7 +42,7 @@ escalation semantics end to end.
 
 Observability: one ``parallel.run`` span per engine run, one
 ``parallel.batch`` span per batch — and, when a sink is live, one
-``parallel.hop_column`` span per destination *inside each worker
+``parallel.hop_column`` span per sweep *inside each worker
 process*, captured there and replayed re-parented under the consuming
 batch span (see :mod:`repro.obs.telemetry`; the shipped carrier's
 ``capture`` flag keeps workers span-free when nobody is tracing) —
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from collections.abc import Sequence
 from contextlib import nullcontext
 
@@ -64,7 +69,7 @@ from repro.parallel.kernel import INT64_INF, hops_to_dest
 from repro.parallel.reduction import ExactReduction
 from repro.service.budget import active_budget, check_budget, compute_budget
 
-#: default hop columns per batch, per worker (batches of ``4 * workers``).
+#: default destinations per batch, per worker (batches of ``4 * workers``).
 BATCH_COLUMNS_PER_WORKER = 4
 
 # ----------------------------------------------------------------------
@@ -137,7 +142,7 @@ def _hop_columns_task(dests: Sequence[int], budget_s, budget_label: str,
     records)`` — shipping the timeout as data keeps the payload picklable
     regardless of how the exception type evolves. ``records`` are the
     worker's captured span dicts (one ``parallel.hop_column`` per
-    destination, stamped with the shipped request id and this worker's
+    column, stamped with the shipped request id and this worker's
     pid) when the ``carrier`` asks for capture, else empty; the parent
     replays them re-parented under its ``parallel.batch`` span. A
     timed-out chunk still ships what it captured — the aborted column's
@@ -253,22 +258,19 @@ def run_parallel_sssp(
     engine_name: str = "sssp",
     use_shm: bool = True,
 ):
-    """Parallel SSSP: fan out hop columns, reduce exactly in ``order``.
+    """Parallel SSSP: fan out hop sweeps, reduce exactly in ``order``.
 
     Returns ``(next_channel, weights)`` bit-identical to
     :meth:`repro.core.sssp.SSSPEngine._run` on the same fabric and
     destination order. ``use_shm`` selects the shared-memory transport
     (module docstring); both transports produce the same arrays.
     """
-    from repro.core.sssp import update_weights_for_dest_fast
-
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     T = fabric.num_terminals
     w0 = T * T + 1
     weights = np.full(fabric.num_channels, w0, dtype=np.int64)
     next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-    is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
     reg = get_registry()
     reg.gauge(
@@ -276,10 +278,11 @@ def run_parallel_sssp(
         engine=engine_name,
     ).set(workers)
     m_batches = reg.counter(
-        "routing_parallel_batches", "hop-column batches dispatched", engine=engine_name
+        "routing_parallel_batches", "destination batches reduced", engine=engine_name
     )
     m_columns = reg.counter(
-        "routing_parallel_columns", "hop columns computed by workers", engine=engine_name
+        "routing_parallel_columns",
+        "hop columns swept by workers (one per hop plan opened)", engine=engine_name,
     )
     m_timeouts = reg.counter(
         "routing_parallel_worker_timeouts",
@@ -296,6 +299,10 @@ def run_parallel_sssp(
     m_updates = reg.counter(
         "sssp_edge_weight_updates", "per-channel weight increments applied after Dijkstras"
     )
+    m_dijkstra = reg.histogram(
+        "sssp_dijkstra_seconds", "wall time per single-destination Dijkstra",
+        buckets=DURATION_BUCKETS,
+    )
 
     jobs = [(int(t_idx), int(fabric.terminals[t_idx])) for t_idx in order]
     batch_size = batch or workers * BATCH_COLUMNS_PER_WORKER
@@ -303,6 +310,19 @@ def run_parallel_sssp(
         raise ValueError(f"batch must be >= 1, got {batch}")
     batches = [jobs[i : i + batch_size] for i in range(0, len(jobs), batch_size)]
     reduction = ExactReduction(fabric, kernel, engine_name)
+    opened: set[int] = set()  # switches whose shared plan has a sweep under way
+
+    def sweeps_needed(batch_jobs: list) -> list[tuple[int, int]]:
+        """``(dest, row)`` of the batch's destinations that need a hop
+        sweep: the first one of every shared plan and each one that
+        shares none — all of them once the plan cache has filled up."""
+        rows = []
+        for row, (_, dest) in enumerate(batch_jobs):
+            root = reduction.shared_root(dest)
+            if root < 0 or reduction.cache_full or root not in opened:
+                opened.add(root)
+                rows.append((dest, row))
+        return rows
 
     with span(
         "parallel.run",
@@ -312,7 +332,7 @@ def run_parallel_sssp(
         destinations=int(T),
         batches=len(batches),
         transport="shm" if use_shm else "pickle",
-    ):
+    ) as run_sp:
         if not batches:
             return next_channel, weights
         arena = None
@@ -334,30 +354,24 @@ def run_parallel_sssp(
                 handles: list = [None] * len(batches)
 
                 def dispatch(index: int) -> None:
+                    """Fan out the sweeps of batch ``index`` as
+                    ``(chunk, result)`` pairs; a batch served entirely
+                    from cached plans sends the workers nothing."""
                     if index >= len(batches):
                         return
                     budget_s, label = _budget_snapshot()
                     carrier = export_context()
-                    if use_shm:
-                        rows = [
-                            (dest, row)
-                            for row, (_, dest) in enumerate(batches[index])
-                        ]
-                        handles[index] = [
-                            pool.apply_async(
-                                _hop_columns_shm_task,
-                                (chunk, index % 2, budget_s, label, carrier),
-                            )
-                            for chunk in _chunks(rows, workers)
-                        ]
-                    else:
-                        handles[index] = [
-                            pool.apply_async(
-                                _hop_columns_task,
-                                ([dest for _, dest in chunk], budget_s, label, carrier),
-                            )
-                            for chunk in _chunks(batches[index], workers)
-                        ]
+                    handles[index] = []
+                    for chunk in _chunks(sweeps_needed(batches[index]), workers):
+                        if not chunk:
+                            continue
+                        if use_shm:
+                            task, work = _hop_columns_shm_task, (chunk, index % 2)
+                        else:
+                            task, work = _hop_columns_task, ([dest for dest, _ in chunk],)
+                        handles[index].append(
+                            (chunk, pool.apply_async(task, (*work, budget_s, label, carrier)))
+                        )
 
                 dispatch(0)
                 for index, batch_jobs in enumerate(batches):
@@ -366,8 +380,8 @@ def run_parallel_sssp(
                         "parallel.batch", engine=engine_name, batch=index,
                         columns=len(batch_jobs),
                     ) as sp:
-                        columns: list[np.ndarray] | None = None if use_shm else []
-                        for handle in handles[index]:
+                        hops_of: dict[int, np.ndarray] = {}  # batch row -> hop column
+                        for chunk, handle in handles[index]:
                             status, payload, records = handle.get()
                             # Re-parent the worker's captured spans under this
                             # batch span (even for a timed-out chunk — its
@@ -380,24 +394,27 @@ def run_parallel_sssp(
                                     f"parallel worker: {message}",
                                     label=label, limit_s=limit_s, elapsed_s=elapsed_s,
                                 )
-                            if not use_shm:
-                                columns.extend(payload)
+                            rows = [row for _, row in chunk]
+                            columns = blocks[index % 2].array[rows] if use_shm else payload
+                            hops_of.update(zip(rows, columns))
                         handles[index] = None  # free the batch's column memory
-                        block = blocks[index % 2].array if use_shm else None
+                        sp.set_attr("sweeps", len(hops_of))
                         for row, (t_idx, dest) in enumerate(batch_jobs):
                             check_budget()  # parent-side deadline between columns
-                            hops = block[row] if use_shm else columns[row]
-                            dist, parent = reduction.column(dest, weights, hops)
-                            next_channel[:, t_idx] = parent
-                            update_weights_for_dest_fast(
-                                fabric, dest, dist, parent, weights, is_term,
-                                count_switch_sources=count_switch_sources,
+                            t0 = time.perf_counter()
+                            parent = reduction.step(
+                                dest, weights, hops_of.get(row), count_switch_sources
                             )
+                            next_channel[:, t_idx] = parent
                             m_sources.inc()
                             m_updates.inc(int(np.count_nonzero(parent >= 0)))
+                            m_dijkstra.observe(time.perf_counter() - t0)
                     m_batches.inc()
-                    m_columns.inc(len(batch_jobs))
+                    m_columns.inc(len(hops_of))
+                    reduction.counts["sweeps"] += len(hops_of)
                     m_seconds.observe(sp.duration)
+                for key, value in reduction.counts.items():
+                    run_sp.set_attr(key, value)
         finally:
             # Parent owns every segment: unlink as soon as the pool is
             # gone (workers hold plain mappings, closed at process exit).

@@ -1,72 +1,132 @@
-"""Exact, order-preserving reduction for fanned-out routing columns.
+"""One Algorithm-1 step — column, validation, weight update — made exact.
 
 The data dependency that makes SSSP hard to parallelize is the balancing
 weights: destination *t*'s Dijkstra runs on weights updated by every
 destination before it, so per-destination trees cannot simply be computed
-concurrently. The reduction here resolves that dependency *exactly*:
+concurrently. What does **not** depend on the weights is the min-hop DAG
+toward a destination, and because SSSP's initial weight ``W0 = T**2 + 1``
+dominates any accumulated balancing weight, the weighted shortest-path
+tree lives inside that DAG in practice. :meth:`ExactReduction.step`
+exploits both facts, in the engine's fixed destination order:
 
-1. Workers ship back the **hop column** per destination — minimum hop
-   counts, which do not depend on the weights at all and therefore never
-   go stale (see :mod:`repro.parallel.executor`).
-2. In the fixed serial destination order, :meth:`ExactReduction.refine`
-   rebuilds the weighted tree *restricted to the min-hop DAG* under the
-   current weights — a handful of vectorized level sweeps instead of a
-   full Dijkstra. Because SSSP's initial weight ``W0 = T**2 + 1``
-   dominates any accumulated balancing weight, the weighted shortest
-   paths are hop-minimal in practice, and the DAG-restricted optimum
-   coincides with the unrestricted one.
-3. :meth:`ExactReduction.validate` then *proves* the candidate column is
-   exactly what serial Dijkstra would produce: with strictly positive
+1. **Hop plan.** One hop sweep toward the destination (done here, or
+   shipped by a pool worker — :mod:`repro.parallel.executor`) is bucketed
+   once into a :class:`HopPlan`: the DAG channels level-major, in CSR
+   order (source-major, channel id ascending) within a level. Uplinks of
+   single-homed terminals stay out of it — such a terminal has one way
+   out, so its column entry is a gather, ``dist[t] = dist[sw(t)] +
+   w[uplink(t)]``. For a single-homed destination the plan is rooted at
+   its attachment switch and is *the same plan for every terminal on
+   that switch*: it is cached there and reused (see below).
+2. **Refine.** Per level, one ``np.minimum.reduceat`` over the bucket
+   gives every node's distance and a second one its first minimiser —
+   the lowest channel id, since buckets are in CSR order. No sort.
+3. **Validate.** :meth:`ExactReduction.validate` *proves* the candidate
+   is exactly what serial Dijkstra would produce: with strictly positive
    weights, ``(dist, parent)`` is the serial answer **iff** it is the
    unique Bellman fixpoint with the lowest-channel-id tie-break
-   (``parent[v]`` = min channel id among minimisers of
-   ``dist[u] + weight[c]`` over channels ``(v -> u)`` into forwarding
-   nodes). That is one vectorized O(E) pass. If validation ever fails
-   (e.g. a pathological fabric where balancing weight overwhelms ``W0``),
-   the caller falls back to a full per-destination Dijkstra — so the
-   parallel engine is bit-identical to the serial one *unconditionally*,
-   not merely when the hop-minimality heuristic holds.
+   (``parent[v]`` = min channel id among minimisers of ``dist[u] +
+   weight[c]`` over channels ``(v -> u)`` into forwarding nodes). That
+   is one ``reduceat`` over the CSR rows of **all** channels. If it ever
+   fails — a pathological fabric where balancing weight overwhelms
+   ``W0``, or a plan that does not fit the destination — the step falls
+   back to a full per-destination Dijkstra, so the result is
+   bit-identical to the reference *unconditionally*.
+4. **Advance the weights.** A validated column's tree depth is the
+   plan's hop level, so the subtree counts are walked over the plan's
+   levels deepest-first; after a fallback the generic
+   :func:`repro.core.sssp.update_weights_for_dest_fast` levels the tree
+   from its parent pointers instead.
 
-``weights`` are then advanced with the ordinary
-:func:`repro.core.sssp.update_weights_for_dest`, keeping the weight
-stream byte-for-byte equal to the serial engine's.
+**Sharing and why it is safe.** Two single-homed terminals on one switch
+see the same hop levels on every node but themselves, and neither is in
+the plan, so one sweep serves them all (14 per leaf on a 2 352-terminal
+fat tree: 168 sweeps, not 2 352). Correctness never rests on that
+argument: every column, shared plan or not, passes step 3 or is
+recomputed. Plans are cached only for switches that host at least two
+single-homed terminals, live on the per-run :class:`ExactReduction`, and
+stop being inserted once they hold :data:`PLAN_CACHE_BYTES` — later
+destinations then sweep for themselves.
 
-:meth:`ExactReduction.column` is steps 2–3 plus the fallback as one
-routine. The pool reducer feeds it the workers' hop columns; the serial
-numpy engine and the incremental repair let it sweep the hops itself —
-the same validated column either way, at a fraction of a frontier
-Dijkstra's cost (:func:`column_routine` picks it for ``kernel="numpy"``).
+:func:`column_routine` hands the serial engine and the incremental repair
+this step for ``kernel="numpy"``, and the plain Dijkstra + reference
+update for the other kernels; the pool reducer always runs this one.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.core.sssp import (
+    update_weights_for_dest,
+    update_weights_for_dest_fast,
+    update_weights_for_dest_native,
+)
 from repro.network.fabric import Fabric
 from repro.obs import get_registry
+from repro.parallel import native
 from repro.parallel.kernel import INT64_INF, hops_to_dest, resolve_kernel
+
+#: Most bytes one run's cached hop plans may hold (int32 arrays, ~10 kB a
+#: plan on a 2 352-terminal fat tree). When the next plan would not fit,
+#: caching stops for the rest of the run.
+PLAN_CACHE_BYTES = 32 << 20
 
 
 def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp"):
-    """``(dest, weights) -> (dist, parent)`` for one serial column.
+    """One Algorithm-1 step for ``kernel``, as ``(step, counts)``.
 
-    ``"numpy"`` routes through :meth:`ExactReduction.column`; the
-    ``"python"`` reference and the ``"native"`` jit run their Dijkstra
-    directly. All three return identical arrays.
+    ``step(dest, weights, count_switch_sources=False)`` routes the column
+    toward ``dest``, advances ``weights`` in place and returns the
+    column's ``parent`` array. ``"numpy"`` is :meth:`ExactReduction.step`
+    and ``counts`` its live ``sweeps / plans / plan_hits / fallbacks``;
+    the ``"python"`` reference and the ``"native"`` jit run their
+    Dijkstra and the matching update directly (no counts). All three
+    produce identical arrays.
     """
     if kernel == "numpy":
-        return ExactReduction(fabric, kernel, engine_name).column
+        reduction = ExactReduction(fabric, kernel, engine_name)
+        return reduction.step, reduction.counts
     dijkstra = resolve_kernel(kernel)
-    return lambda dest, weights: dijkstra(fabric, dest, weights)
+    update = update_weights_for_dest
+    if kernel == "native" and native.numba_available():
+        update = update_weights_for_dest_native
+    is_term = fabric.kinds == 1  # NodeKind.TERMINAL
+
+    def step(dest: int, weights: np.ndarray, count_switch_sources: bool = False):
+        dist, parent = dijkstra(fabric, dest, weights)
+        update(fabric, dest, dist, parent, weights, is_term,
+               count_switch_sources=count_switch_sources)
+        return parent
+
+    return step, {}
+
+
+class HopPlan(NamedTuple):
+    """The min-hop DAG toward one root, bucketed for sort-free refinement.
+
+    ``root`` is the node whose distance is seeded before the level pass:
+    the attachment switch of a single-homed destination (then the plan
+    fits every single-homed terminal on it) or the destination itself.
+    ``levels`` holds, nearest level first, ``(chan, dst, seg, starts,
+    nodes)``: the level's DAG channels in CSR order, the node each one
+    enters, the index of its source node within the level, where each
+    source's run of channels starts, and the source nodes themselves.
+    """
+
+    root: int
+    levels: list
+    nbytes: int
 
 
 class ExactReduction:
-    """Per-run scratch state for the refine/validate steps.
+    """Per-run state of the fused step: CSR views, leaf terminals, plans.
 
-    Groups the fabric's channels by their source node once (reusing the
-    CSR out-channel layout) so each per-destination step is pure vector
-    arithmetic. ``kernel`` names the Dijkstra a column falls back to when
-    validation fails; ``engine_name`` labels the fallback counter.
+    ``kernel`` names the Dijkstra a column falls back to when validation
+    fails; ``engine_name`` labels the fallback counter. The plan cache
+    dies with the instance, i.e. with the SSSP phase that made it.
     """
 
     def __init__(self, fabric: Fabric, kernel: str = "numpy", engine_name: str = "sssp"):
@@ -77,93 +137,204 @@ class ExactReduction:
             "reduction columns that failed validation and re-ran full Dijkstra",
             engine=engine_name,
         )
-        # Channels grouped by src node, lowest channel id first — exactly
-        # the CSR out-channel ordering.
-        self.chan = fabric.out_chan.astype(np.int64)
-        self.chan_src = fabric.channels.src[self.chan]
-        self.chan_dst = fabric.channels.dst[self.chan]
-        self.dst_is_switch = fabric.kinds[self.chan_dst] == 0  # NodeKind.SWITCH
+        #: hop sweeps done for this run (here, or by the pool's workers),
+        #: plans built, steps served from a cached plan, failed validations
+        self.counts = {"sweeps": 0, "plans": 0, "plan_hits": 0, "fallbacks": 0}
+        n, E = fabric.num_nodes, fabric.num_channels
+        channels = fabric.channels
+        self._is_switch = fabric.kinds == 0  # NodeKind.SWITCH
+        self._is_term = fabric.kinds == 1
+        # All channels grouped by source node, lowest channel id first —
+        # exactly the CSR out-channel ordering.
+        self._chan = fabric.out_chan.astype(np.intp)
+        self._chan_src = channels.src[self._chan]
+        self._chan_dst = channels.dst[self._chan]
+        degree = np.diff(fabric.out_ptr)
+        # reduceat on an empty segment returns the element at its start,
+        # not the identity, so only rows that have a channel are reduced.
+        self._rows = np.flatnonzero(degree > 0)
+        self._row_starts = fabric.out_ptr[self._rows].astype(np.intp)
+        self._row_of = np.repeat(np.arange(len(self._rows)), degree[self._rows])
+        self._index = np.arange(E, dtype=np.intp)
+
+        # Single-homed terminals: one out-channel, into a switch.
+        lone = np.flatnonzero(self._is_term & (degree == 1))
+        uplink = fabric.out_chan[fabric.out_ptr[lone]].astype(np.intp)
+        into_switch = self._is_switch[channels.dst[uplink]]
+        self._leaf = lone[into_switch]
+        self._leaf_up = uplink[into_switch]
+        self._leaf_sw = channels.dst[self._leaf_up].astype(np.intp)
+        self._uplink = np.full(n, -1, dtype=np.intp)
+        self._uplink[self._leaf] = self._leaf_up
+        hosted = np.bincount(self._leaf_sw, minlength=n)
+        #: per node: the switch whose plan it shares, -1 where nothing is shared
+        self._shared_root = np.full(n, -1, dtype=np.intp)
+        self._shared_root[self._leaf] = np.where(hosted[self._leaf_sw] >= 2, self._leaf_sw, -1)
+        # CSR positions a plan may draw from: channels into switches that
+        # are not a single-homed terminal's uplink.
+        leaf_uplink = np.zeros(E, dtype=bool)
+        leaf_uplink[self._leaf_up] = True
+        self._trunk = self._is_switch[self._chan_dst] & ~leaf_uplink[self._chan]
+        self._trunk_pos = np.flatnonzero(self._trunk)
+
+        self._plans: dict[int, HopPlan] = {}
+        self._plan_bytes = 0
+        self.cache_full = False
 
     # ------------------------------------------------------------------
-    def column(self, dest: int, weights: np.ndarray, hops: np.ndarray | None = None):
-        """Exactly the serial Dijkstra's ``(dist, parent)`` toward ``dest``.
+    def shared_root(self, dest: int) -> int:
+        """The switch whose cached plan serves ``dest``; -1 if none can."""
+        return int(self._shared_root[dest])
 
-        Refines ``hops`` (swept here when the caller has no worker-made
-        column) on the min-hop DAG, validates the candidate against the
-        Bellman fixpoint and re-runs the full Dijkstra when it fails.
+    def step(self, dest: int, weights: np.ndarray, hops: np.ndarray | None = None,
+             count_switch_sources: bool = False) -> np.ndarray:
+        """Route ``dest`` exactly as serial Dijkstra would and advance
+        ``weights``; returns the column's ``parent`` array.
+
+        ``hops`` is a worker-made hop column for ``dest``, used when no
+        cached plan serves it (swept here when absent).
         """
-        if hops is None:
-            hops = hops_to_dest(self.fabric, dest)
-        dist, parent = self.refine(dest, hops, weights)
-        if not self.validate(dest, dist, parent, weights):
+        key = self.shared_root(dest)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.counts["plan_hits"] += 1
+        else:
+            if hops is None:
+                hops = hops_to_dest(self.fabric, dest)
+                self.counts["sweeps"] += 1
+            plan = self._build_plan(dest, hops)
+            self.counts["plans"] += 1
+            if key >= 0 and not self.cache_full:
+                if self._plan_bytes + plan.nbytes <= PLAN_CACHE_BYTES:
+                    self._plans[key] = plan
+                    self._plan_bytes += plan.nbytes
+                else:
+                    self.cache_full = True
+        dist, parent = self._refine(dest, plan, weights)
+        if self.validate(dest, dist, parent, weights):
+            self._advance(dest, plan, parent, weights, count_switch_sources)
+        else:
+            self.counts["fallbacks"] += 1
             self._m_fallbacks.inc()
             dist, parent = self._dijkstra(self.fabric, dest, weights)
-        return dist, parent
+            update_weights_for_dest_fast(
+                self.fabric, dest, dist, parent, weights, self._is_term,
+                count_switch_sources=count_switch_sources,
+            )
+        return parent
 
     def refine(self, dest: int, hops: np.ndarray, weights: np.ndarray):
         """Weighted ``(dist, parent)`` column restricted to the min-hop DAG.
 
-        ``hops`` is the worker-computed hop column for ``dest``. The
-        result is a *candidate* — callers must :meth:`validate` it.
+        ``hops`` is the hop column for ``dest``. The result is a
+        *candidate* — callers must :meth:`validate` it.
         """
+        return self._refine(dest, self._build_plan(dest, hops), weights)
+
+    # ------------------------------------------------------------------
+    def _build_plan(self, dest: int, hops: np.ndarray) -> HopPlan:
+        uplink = self._uplink[dest]
+        if uplink >= 0:
+            root = int(self.fabric.channels.dst[uplink])
+            pos = self._trunk_pos
+        else:  # not single-homed: the channels into dest are DAG channels too
+            root = dest
+            pos = np.flatnonzero(self._trunk | (self._chan_dst == dest))
+        src, dst = self._chan_src[pos], self._chan_dst[pos]
+        hv, hu = hops[src], hops[dst]
+        # hops == -1 marks unreachable nodes: never a DAG endpoint.
+        keep = np.flatnonzero((hu >= 0) & (hv == hu + 1))
+        keep = keep[np.argsort(hv[keep], kind="stable")]  # level-major, CSR order within
+        chan = self._chan[pos[keep]].astype(np.int32)
+        src, dst, level = src[keep].astype(np.int32), dst[keep].astype(np.int32), hv[keep]
+        levels, nbytes = [], 0
+        if not len(chan):  # nothing reaches dest
+            return HopPlan(root, levels, nbytes)
+        cuts = np.flatnonzero(level[1:] != level[:-1]) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chan)]):
+            s = src[a:b]
+            first = np.r_[True, s[1:] != s[:-1]]
+            starts = np.flatnonzero(first)
+            bucket = (chan[a:b], dst[a:b], (np.cumsum(first) - 1).astype(np.int32),
+                      starts, s[starts])
+            levels.append(bucket)
+            nbytes += sum(arr.nbytes for arr in bucket)
+        return HopPlan(root, levels, nbytes)
+
+    def _refine(self, dest: int, plan: HopPlan, weights: np.ndarray):
         n = self.fabric.num_nodes
         dist = np.full(n, INT64_INF, dtype=np.int64)
         parent = np.full(n, -1, dtype=np.int32)
+        if plan.root != dest:
+            entry = self.fabric.channels.reverse[self._uplink[dest]]
+            dist[plan.root] = weights[entry]
+            parent[plan.root] = entry
+        else:
+            dist[dest] = 0
+        for chan, dst, seg, starts, nodes in plan.levels:
+            cand = dist[dst] + weights[chan]
+            best = np.minimum.reduceat(cand, starts)
+            # First minimiser of each run == its lowest channel id.
+            pick = np.minimum.reduceat(
+                np.where(cand == best[seg], self._index[: len(cand)], len(cand)), starts)
+            dist[nodes] = best
+            parent[nodes] = chan[pick]
+        # Single-homed terminals hang off their switch by their one uplink;
+        # under an unreached switch they stay at INF / -1.
+        via = dist[self._leaf_sw]
+        reached = via < INT64_INF
+        dist[self._leaf] = np.where(reached, via + weights[self._leaf_up], INT64_INF)
+        parent[self._leaf] = np.where(reached, self._leaf_up, -1)
         dist[dest] = 0
-        hv = hops[self.chan_src]
-        hu = hops[self.chan_dst]
-        receives = self.dst_is_switch | (self.chan_dst == dest)
-        dag = receives & (hu >= 0) & (hv == hu + 1)
-        w = weights[self.chan]
-        max_hop = int(hops.max())
-        for level in range(1, max_hop + 1):
-            sel = np.flatnonzero(dag & (hv == level))
-            if not len(sel):
-                continue
-            cand = dist[self.chan_dst[sel]] + w[sel]
-            c_ids = self.chan[sel]
-            v_ids = self.chan_src[sel]
-            order = np.lexsort((c_ids, cand, v_ids))
-            v_sorted = v_ids[order]
-            first = np.ones(len(v_sorted), dtype=bool)
-            first[1:] = v_sorted[1:] != v_sorted[:-1]
-            v_best = v_sorted[first]
-            dist[v_best] = cand[order][first]
-            parent[v_best] = c_ids[order][first].astype(np.int32)
+        parent[dest] = -1
         return dist, parent
 
-    # ------------------------------------------------------------------
     def validate(
         self, dest: int, dist: np.ndarray, parent: np.ndarray, weights: np.ndarray
     ) -> bool:
         """True iff ``(dist, parent)`` is exactly the serial Dijkstra answer.
 
         Checks the Bellman fixpoint with the serial tie-break in one
-        vectorized pass: for every node ``v != dest``,
+        vectorized pass over every channel: for every node ``v != dest``,
         ``dist[v] == min(dist[u] + w[c])`` over channels ``c = (v -> u)``
         into forwarding nodes, and ``parent[v]`` is the lowest channel id
         attaining that minimum (with unreachable nodes at INF / -1).
         """
-        receives = self.dst_is_switch | (self.chan_dst == dest)
-        du = dist[self.chan_dst]
-        usable = receives & (du < INT64_INF)
-        # The inner where keeps INF + w from overflowing on masked lanes.
-        cand = np.where(usable, du + np.where(usable, weights[self.chan], 0), INT64_INF)
-        order = np.lexsort((self.chan, cand, self.chan_src))
-        v_sorted = self.chan_src[order]
-        first = np.ones(len(v_sorted), dtype=bool)
-        first[1:] = v_sorted[1:] != v_sorted[:-1]
-        v_best = v_sorted[first]
-        d_best = cand[order][first]
-        c_best = self.chan[order][first]
-        n = self.fabric.num_nodes
+        n, E = self.fabric.num_nodes, self.fabric.num_channels
+        through = np.where(self._is_switch, dist, INT64_INF)  # terminals never forward
+        through[dest] = dist[dest]
+        du = through[self._chan_dst]
+        cand = du + weights[self._chan]  # wraps where du is INF; masked next
+        cand[du == INT64_INF] = INT64_INF
+        best = np.minimum.reduceat(cand, self._row_starts)
+        # CSR rows are channel-id ascending: the first minimiser is the lowest id.
+        pick = np.minimum.reduceat(
+            np.where(cand == best[self._row_of], self._index, E), self._row_starts)
         fix_d = np.full(n, INT64_INF, dtype=np.int64)
         fix_c = np.full(n, -1, dtype=np.int64)
-        fix_d[v_best] = d_best
-        reached = d_best < INT64_INF
-        fix_c[v_best[reached]] = c_best[reached]
+        fix_d[self._rows] = best
+        fix_c[self._rows] = np.where(best < INT64_INF, self._chan[pick], -1)
         fix_d[dest] = 0
         fix_c[dest] = -1
-        if not np.array_equal(fix_d, dist):
-            return False
-        return bool(np.array_equal(fix_c, parent.astype(np.int64)))
+        return bool(np.array_equal(fix_d, dist) and np.array_equal(fix_c, parent))
+
+    def _advance(self, dest: int, plan: HopPlan, parent: np.ndarray, weights: np.ndarray,
+                 count_switch_sources: bool) -> None:
+        """:func:`repro.core.sssp.update_weights_for_dest` for a validated
+        column: its tree depth is the plan's hop level, so the subtree
+        counts flow leaf terminals first, then level by level, deepest
+        first — each node's count is final before its parent reads it."""
+        n = self.fabric.num_nodes
+        chan_dst = self.fabric.channels.dst
+        cnt = np.ones(n, dtype=np.int64) if count_switch_sources else self._is_term.astype(np.int64)
+        cnt[dest] = 0
+        reached = np.flatnonzero(parent[self._leaf] >= 0)  # dest itself has no parent
+        weights[self._leaf_up[reached]] += 1  # one uplink per terminal: distinct
+        cnt += np.bincount(self._leaf_sw[reached], minlength=n)
+        for _, _, _, _, nodes in reversed(plan.levels):
+            via = parent[nodes]
+            load = cnt[nodes]
+            weights[via] += load  # one parent channel per node: distinct
+            np.add.at(cnt, chan_dst[via], load)
+        if plan.root != dest:
+            weights[parent[plan.root]] += cnt[plan.root]

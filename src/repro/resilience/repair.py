@@ -9,9 +9,9 @@ columns. :func:`repair_routing` instead
    (node and channel ids are renumbered by the rebuild; the
    :class:`~repro.network.faults.DegradedFabric` maps drive the splice),
 2. re-routes *only* the destinations whose columns lost an entry — with
-   the engine's own ``kernel``, so ``"numpy"`` pays a hop sweep plus the
-   validated min-hop-DAG refinement per column instead of a heap
-   Dijkstra — reusing the surviving balancing weights so the repaired
+   the engine's own ``kernel``, so ``"numpy"`` pays the fused, validated
+   step of :mod:`repro.parallel.reduction` per column (one hop sweep per
+   attachment switch) instead of a heap Dijkstra — reusing the surviving balancing weights so the repaired
    routes stay globally balanced and hop-minimal (the §II weight
    argument is unaffected: total accumulated weight stays below ``W0``),
 3. re-verifies deadlock-freedom incrementally: the untouched paths keep
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sssp import weight_updater
 from repro.deadlock.verify import build_layer_cdgs, verify_deadlock_free
 from repro.exceptions import InsufficientLayersError, RepairError, RoutingError
 from repro.network.faults import DegradedFabric
@@ -179,18 +178,13 @@ def repair_routing(
             next_channel, affected = translate_tables(prior, degraded)
             weights = _translate_weights(prior, degraded)
 
-        is_term = new.kinds == 1  # NodeKind.TERMINAL
-        route_column = column_routine(new, kernel, engine)
-        update_weights = weight_updater(kernel)
+        step, _ = column_routine(new, kernel, engine)
         with span("repair.dijkstra", destinations=len(affected)):
             for t_idx in affected:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(new.terminals[t_idx])
-                dist, parent = route_column(dest, weights)
-                next_channel[:, t_idx] = parent
-                update_weights(
-                    new, dest, dist, parent, weights, is_term,
-                    count_switch_sources=count_switch_sources,
+                next_channel[:, t_idx] = step(
+                    dest, weights, count_switch_sources=count_switch_sources
                 )
 
         tables = RoutingTables(new, next_channel, engine=engine)

@@ -127,7 +127,10 @@ def test_parallel_metrics_and_spans(fabric):
     T = fabric.num_terminals
     expected_batches = -(-T // 4)  # ceil
     assert reg.gauge("routing_parallel_workers", "", engine="sssp").value == 2
-    assert reg.counter("routing_parallel_columns", "", engine="sssp").value == T
+    # One hop sweep per plan opened: each switch hosts two terminals, so
+    # the second one of every pair is served from its sibling's plan.
+    plans = fabric.num_switches
+    assert reg.counter("routing_parallel_columns", "", engine="sssp").value == plans
     assert reg.counter("routing_parallel_batches", "", engine="sssp").value == (
         expected_batches
     )
@@ -138,9 +141,12 @@ def test_parallel_metrics_and_spans(fabric):
     assert len(runs) == 1
     assert runs[0].attrs["workers"] == 2
     assert runs[0].attrs["kernel"] == "numpy"
+    assert {k: runs[0].attrs[k] for k in ("sweeps", "plans", "plan_hits", "fallbacks")} == {
+        "sweeps": plans, "plans": plans, "plan_hits": T - plans, "fallbacks": 0}
     batches = sink.find("parallel.batch")
     assert len(batches) == expected_batches
     assert sum(s.attrs["columns"] for s in batches) == T
+    assert sum(s.attrs["sweeps"] for s in batches) == plans
 
 
 def test_run_parallel_rejects_zero_workers(fabric):

@@ -1,0 +1,309 @@
+"""The fused Algorithm-1 step against the python heap reference.
+
+:meth:`ExactReduction.step` (shared hop plan → sort-free refine → full
+Bellman validation → plan-walk weight update) must reproduce
+``dijkstra_to_dest`` + ``update_weights_for_dest`` bit for bit: per call
+on the awkward fabrics (empty CSR rows, unreachable nodes, dual-homed
+terminals), per run through the engines, and — the point of validating
+every column — even when a cached plan is wrong.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import topologies
+from repro.core import SSSPEngine
+from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
+from repro.exceptions import ComputeTimeoutError
+from repro.network import FabricBuilder
+from repro.network.faults import cable_keys, degrade
+from repro.obs import InMemorySink, get_registry, use_sink
+from repro.parallel import executor, reduction as reduction_mod
+from repro.parallel.reduction import ExactReduction, HopPlan
+from repro.service.budget import active_budget, compute_budget
+
+from tests.parallel.test_differential import FAMILIES, assert_same_routing
+
+
+@pytest.fixture(autouse=True)
+def _fresh_registry():
+    get_registry().reset()
+    yield
+    get_registry().reset()
+
+
+def _islands():
+    """random16 with switch 0 cut off entirely (an empty CSR row, its
+    terminals unreachable), switch 1 removed, and switch 2 left with its
+    terminals but no way to the rest."""
+    fabric = topologies.random_topology(16, 34, terminals_per_switch=3, seed=42)
+    s0, s1, s2 = (int(s) for s in fabric.switches[:3])
+    def touches(key, switch):
+        return switch in (fabric.channels.src[key[0]], fabric.channels.dst[key[0]])
+
+    dead = [key for key in cable_keys(fabric)
+            if touches(key, s0) or (touches(key, s2) and fabric.is_switch_channel[key[0]])]
+    return degrade(fabric, dead_switches=[s1], dead_cables=dead).fabric
+
+
+def _dual_homed():
+    """A 6-ring with two terminals per switch, one more terminal homed on
+    switches 0 and 3, and a doubled cable."""
+    b = FabricBuilder()
+    sw = b.add_switches(6)
+    for i, s in enumerate(sw):
+        b.add_link(s, sw[(i + 1) % 6], count=2 if i == 1 else 1)
+        for t in b.add_terminals(2):
+            b.add_link(t, s)
+    both = b.add_terminal()
+    b.add_link(both, sw[0])
+    b.add_link(both, sw[3])
+    return b.build()
+
+
+AWKWARD = {"islands": _islands, "dual_homed": _dual_homed}
+
+
+def _reference_step(fabric, dest, weights, is_term, count_switch_sources):
+    dist, parent = dijkstra_to_dest(fabric, dest, weights)
+    update_weights_for_dest(fabric, dest, dist, parent, weights, is_term,
+                            count_switch_sources=count_switch_sources)
+    return parent
+
+
+def _assert_steps_match(fabric, reduction, order, count_switch_sources=False, poison=None):
+    """Run the reference and ``reduction`` side by side over ``order``."""
+    T = fabric.num_terminals
+    ref_w = np.full(fabric.num_channels, T * T + 1, dtype=np.int64)
+    new_w = ref_w.copy()
+    is_term = fabric.kinds == 1
+    for t_idx in order:
+        dest = int(fabric.terminals[t_idx])
+        if poison is not None:
+            poison(dest)
+        want = _reference_step(fabric, dest, ref_w, is_term, count_switch_sources)
+        got = reduction.step(dest, new_w, count_switch_sources=count_switch_sources)
+        np.testing.assert_array_equal(got, want, err_msg=f"parent toward {dest}")
+        np.testing.assert_array_equal(new_w, ref_w, err_msg=f"weights after {dest}")
+
+
+# ----------------------------------------------------------------------
+# per call: empty rows, unreachable nodes, multi-homed terminals
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("count_switch_sources", [False, True])
+@pytest.mark.parametrize("name", sorted(AWKWARD))
+def test_step_is_exact_on_awkward_fabrics(name, count_switch_sources):
+    fabric = AWKWARD[name]()
+    reduction = ExactReduction(fabric)
+    order = np.random.default_rng(5).permutation(fabric.num_terminals)
+    _assert_steps_match(fabric, reduction, order, count_switch_sources)
+    assert reduction.counts["fallbacks"] == 0
+
+
+def test_islands_have_the_rows_reduceat_must_mask():
+    fabric = _islands()
+    degree = np.diff(fabric.out_ptr)
+    assert (degree[fabric.switches] == 0).any()  # isolated switch: empty row
+    assert (degree[fabric.terminals] == 0).any()  # terminal nobody can reach
+    hops = reduction_mod.hops_to_dest(fabric, int(fabric.terminals[-1]))
+    assert (hops[fabric.switches] == -1).any() and (hops[fabric.switches] > 0).any()
+
+
+def test_dual_homed_terminal_shares_no_plan():
+    """As a destination it has no single uplink to shortcut and no switch
+    to share with; as a source it sits in the level buckets."""
+    fabric = _dual_homed()
+    both = int(fabric.terminals[-1])
+    assert len(fabric.attached_switches(both)) == 2
+    reduction = ExactReduction(fabric)
+    assert reduction.shared_root(both) == -1
+    weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    reduction.step(both, weights)
+    reduction.step(both, weights)
+    assert reduction.counts == {"sweeps": 2, "plans": 2, "plan_hits": 0, "fallbacks": 0}
+    sibling_a, sibling_b = (int(t) for t in fabric.terminals[:2])
+    assert reduction.shared_root(sibling_a) == reduction.shared_root(sibling_b) >= 0
+    plan = reduction._build_plan(sibling_a, reduction_mod.hops_to_dest(fabric, sibling_a))
+    assert any(both in nodes for *_, nodes in plan.levels)
+
+
+def test_refine_and_validate_entry_points():
+    """What the benchmark's probe calls: an uncached plan per call."""
+    fabric = topologies.xgft(2, (4, 4), (1, 2))
+    reduction = ExactReduction(fabric)
+    weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    dest = int(fabric.terminals[3])
+    dist, parent = reduction.refine(dest, reduction_mod.hops_to_dest(fabric, dest), weights)
+    want_dist, want_parent = dijkstra_to_dest(fabric, dest, weights)
+    np.testing.assert_array_equal(dist, want_dist)
+    np.testing.assert_array_equal(parent, want_parent)
+    assert reduction.validate(dest, dist, parent, weights)
+    # An equally short way out with a higher channel id is still wrong.
+    tie = next(
+        (v, c) for v in map(int, fabric.switches) for c in map(int, fabric.out_channels(v))
+        if c > parent[v] and fabric.is_switch(fabric.channels.dst[c])
+        and dist[fabric.channels.dst[c]] + weights[c] == dist[v]
+    )
+    worse = parent.copy()
+    worse[tie[0]] = tie[1]
+    assert not reduction.validate(dest, dist, worse, weights)
+    longer = dist.copy()
+    longer[tie[0]] += 1
+    assert not reduction.validate(dest, longer, parent, weights)
+    assert reduction.counts["plans"] == 0 and not reduction._plans
+
+
+# ----------------------------------------------------------------------
+# per run: engines vs the python heap reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dest_order", ["index", "random"])
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_engines_match_heap_reference(family, workers, dest_order):
+    fabric = FAMILIES[family]()
+    base = SSSPEngine(dest_order=dest_order).route(fabric)
+    reg = get_registry()
+    reg.reset()
+    got = SSSPEngine(kernel="numpy", workers=workers, dest_order=dest_order).route(fabric)
+    assert_same_routing(base, got)
+    # The pool parent times each destination like the serial loop does.
+    assert reg.histogram("sssp_dijkstra_seconds", "").count == fabric.num_terminals
+    assert reg.value("routing_parallel_fallbacks", engine="sssp") == 0
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_count_switch_sources_through_the_engines(workers):
+    fabric = FAMILIES["random"]()
+    base = SSSPEngine(count_switch_sources=True).route(fabric)
+    got = SSSPEngine(kernel="numpy", workers=workers, count_switch_sources=True).route(fabric)
+    assert_same_routing(base, got)
+    assert not np.array_equal(base.channel_weights, SSSPEngine().route(fabric).channel_weights)
+
+
+# ----------------------------------------------------------------------
+# validation, not the cache key, carries correctness
+# ----------------------------------------------------------------------
+def _drop_chosen_channel(plan: HopPlan, parent: np.ndarray) -> HopPlan:
+    """``plan`` minus one DAG channel the true column routes over."""
+    for i, (chan, dst, seg, starts, nodes) in enumerate(plan.levels):
+        runs = np.diff(np.r_[starts, len(chan)])
+        for j in np.flatnonzero(runs >= 2):  # the node keeps another channel
+            k = int(np.flatnonzero(chan == parent[nodes[j]])[0])
+            starts = starts.copy()
+            starts[j + 1:] -= 1
+            bucket = (np.delete(chan, k), np.delete(dst, k), np.delete(seg, k), starts, nodes)
+            return plan._replace(levels=[*plan.levels[:i], bucket, *plan.levels[i + 1:]])
+    raise AssertionError("no node with two DAG channels")
+
+
+def _swap_first_levels(plan: HopPlan, parent: np.ndarray) -> HopPlan:
+    return plan._replace(levels=[plan.levels[1], plan.levels[0], *plan.levels[2:]])
+
+
+@pytest.mark.parametrize("corrupt", [_drop_chosen_channel, _swap_first_levels])
+def test_poisoned_plan_is_rejected_and_output_identical(corrupt):
+    fabric = topologies.xgft(2, (4, 4), (1, 2))
+    reduction = ExactReduction(fabric)
+    is_term = fabric.kinds == 1
+    poisoned = []
+
+    def poison(dest):
+        """Once its first terminal has opened a plan, corrupt it for the rest."""
+        root = reduction.shared_root(dest)
+        if root in reduction._plans and root not in poisoned:
+            scratch = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+            parent = _reference_step(fabric, dest, scratch, is_term, False)
+            reduction._plans[root] = corrupt(reduction._plans[root], parent)
+            poisoned.append(root)
+
+    _assert_steps_match(fabric, reduction, range(fabric.num_terminals), poison=poison)
+    assert poisoned
+    assert reduction.counts["fallbacks"] > 0
+    assert reduction.counts["fallbacks"] == get_registry().value(
+        "routing_parallel_fallbacks", engine="sssp")
+
+
+def test_full_plan_cache_sweeps_per_destination(monkeypatch):
+    fabric = FAMILIES["xgft"]()
+    base = SSSPEngine().route(fabric)
+    monkeypatch.setattr(reduction_mod, "PLAN_CACHE_BYTES", 0)
+    T = fabric.num_terminals
+    for workers in (0, 2):
+        sink = InMemorySink()
+        with use_sink(sink):
+            got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
+        assert_same_routing(base, got)
+        run = sink.find("parallel.run" if workers else "sssp.run")[0]
+        assert run.attrs["plan_hits"] == 0
+        assert run.attrs["sweeps"] == run.attrs["plans"] == T
+
+
+# ----------------------------------------------------------------------
+# sweeps performed == plans opened
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "build, plans",
+    [
+        (lambda: topologies.xgft(3, (14, 14, 12), (1, 4, 4)), 168),  # the fattree_pool fabric
+        (FAMILIES["kautz"], 12),  # one terminal per switch: nothing shared, T sweeps
+    ],
+    ids=["fattree_pool", "kautz"],
+)
+def test_one_sweep_per_plan_opened(build, plans):
+    fabric = build()
+    for workers in (0, 2):
+        get_registry().reset()
+        sink = InMemorySink()
+        with use_sink(sink):
+            SSSPEngine(kernel="numpy", workers=workers).route(fabric)
+        run = sink.find("parallel.run" if workers else "sssp.run")[0]
+        assert run.attrs["sweeps"] == run.attrs["plans"] == plans
+        assert run.attrs["plan_hits"] == fabric.num_terminals - plans
+        assert run.attrs["fallbacks"] == 0
+        if workers:
+            assert len(sink.find("parallel.hop_column")) == plans
+            assert get_registry().value("routing_parallel_columns", engine="sssp") == plans
+
+
+# ----------------------------------------------------------------------
+# the compute budget is still polled where it was
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def expire_after_first_step(monkeypatch):
+    """The first destination routes; from then on the budget is spent, so
+    the next per-destination poll of whichever loop is running must raise."""
+    real = ExactReduction.step
+
+    def step(self, *args, **kwargs):
+        parent = real(self, *args, **kwargs)
+        active_budget().deadline = 0.0
+        return parent
+
+    monkeypatch.setattr(ExactReduction, "step", step)
+
+
+def test_budget_trips_inside_the_serial_loop(expire_after_first_step):
+    with pytest.raises(ComputeTimeoutError):
+        with compute_budget(60.0, label="unit"):
+            SSSPEngine(kernel="numpy").route(FAMILIES["xgft"]())
+    assert get_registry().value("sssp_sources_routed") == 1
+
+
+def test_budget_trips_in_the_pool_parent(expire_after_first_step):
+    with pytest.raises(ComputeTimeoutError) as err:
+        with compute_budget(60.0, label="unit"):
+            SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
+    assert "parallel worker" not in str(err.value)  # the workers had a minute
+    assert get_registry().value("sssp_sources_routed") == 1
+
+
+def test_budget_trips_in_a_worker_sweep(monkeypatch):
+    """Workers re-arm a spent deadline; their first sweep polls it and the
+    parent re-raises what they ship back."""
+    monkeypatch.setattr(executor, "_budget_snapshot", lambda: (0.0, "unit"))
+    with pytest.raises(ComputeTimeoutError, match="parallel worker"):
+        SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
+    assert get_registry().value("routing_parallel_worker_timeouts", engine="sssp") == 1
+    assert get_registry().value("sssp_sources_routed") == 0
