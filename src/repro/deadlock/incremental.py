@@ -11,29 +11,30 @@ after every edge eviction. This module removes both costs:
   extracted with NumPy indexing, deduplicated into a sorted edge table
   (``edge_key = c1 << 32 | c2``), and two inverted CSR indexes are built
   alongside — edge → inducing path ids and path id → induced edges.
-* **Delta eviction.** Moving the paths of one edge to the next layer
-  only *removes* edges from the current layer: weights are decremented
-  with one ``bincount`` over the movers' edge occurrences and edges
-  reaching weight zero flip an ``alive`` mask. Nothing is rebuilt; the
-  next layer's CDG is vector-built once when processing reaches it.
 * **SCC certification, once per layer.** A vectorized Kahn peel strips
   everything that cannot lie on a cycle in O(V+E); Tarjan condensation
-  runs only on the surviving core, and each non-trivial component is
-  then *drained* of cycles (:func:`repro.deadlock.cycles.drain_cycles`)
-  without ever re-condensing — edge deletion cannot create cycles or
-  merge components, so one condensation per layer certifies the
-  remainder for good.
+  runs only on the surviving core, once — edge deletion cannot create
+  cycles or merge components, so draining each non-trivial component
+  certifies the remainder for good.
+* **One fused drain.** :meth:`LayerCDG.drain` walks, picks and evicts on
+  *edge ids*: the walk keeps one advance-only pointer per channel, the
+  cycle is a slice of the walk's chosen edge ids, and moving the paths
+  of the picked edge only *removes* edges — weights are decremented in
+  place and edges reaching zero flip an ``alive`` byte. Nothing is
+  rebuilt; the next layer's CDG is vector-built once when processing
+  reaches it.
 
 Cycle selection is canonical: components are processed in ascending
 smallest-channel-id order, the drain walk steps minimum-successor-first,
 and the heuristics break weight ties toward the lowest ``(c1, c2)``
 pair. Every choice is a pure function of the current edge set, which the
-rebuild-based reference (:func:`repro.core.layers.assign_layers_offline`)
-maintains as dict-of-dict structures and this engine maintains as array
-deltas — hence the two produce **bit-identical** layer assignments.
-``tests/deadlock/test_incremental.py`` proves it differentially and
-``debug=True`` cross-checks the delta-applied arrays against a full dict
-rebuild after every eviction.
+rebuild-based reference (:func:`repro.core.layers.assign_layers_offline`
+over :func:`repro.deadlock.cycles.drain_cycles`) maintains as
+dict-of-dict structures and this engine maintains as array deltas —
+hence the two produce **bit-identical** layer assignments.
+``tests/deadlock/test_incremental.py`` proves it differentially, event
+for event, and ``debug=True`` cross-checks the delta-applied arrays
+against a full dict rebuild after every eviction.
 """
 
 from __future__ import annotations
@@ -55,18 +56,38 @@ from repro.routing.paths import EDGE_KEY_MASK as _KEY_MASK, EDGE_KEY_SHIFT as _K
 from repro.service.budget import check_budget
 
 
+def eviction_counters(heuristic: str):
+    """``(cycles_broken, edges_evicted, paths_moved, edges_removed)``
+    counters every Algorithm 2 array engine publishes into."""
+    reg = get_registry()
+    return (
+        reg.counter(
+            "dfsssp_cycles_broken", "CDG cycles broken during offline layer assignment"
+        ),
+        reg.counter(
+            "dfsssp_edges_evicted", "cycle edges evicted from a layer's CDG",
+            heuristic=str(heuristic),
+        ),
+        reg.counter("dfsssp_paths_moved", "paths relocated to a higher virtual layer"),
+        reg.counter(
+            "cdg_incremental_edges_removed",
+            "CDG edges deleted by delta eviction (incremental engine)",
+        ),
+    )
+
+
 class LayerCDG:
     """One layer's CDG as sorted CSR arrays with inverted path indexes.
 
-    Edges are stored sorted by packed key ``(c1 << 32) | c2``, so the
-    adjacency of a channel is a contiguous edge-id range (successors come
-    out in ascending channel-id order — exactly the drain walk's order)
-    and edge lookup is a binary search. ``alive`` masks deleted edges and
-    ``active`` masks paths that have moved to a higher layer; neither
-    array ever grows, matching the eviction loop's remove-only life. The
-    hot walk path uses plain-Python mirrors (``_dst`` list, ``_alive``
-    bytearray, ``_adj`` range dict) — per-element NumPy indexing would
-    dominate the drain otherwise.
+    Edges are stored sorted by packed key ``(c1 << 32) | c2``, so an edge
+    id *is* its rank among the layer's ``(c1, c2)`` pairs, the adjacency
+    of a channel is a contiguous edge-id range (successors come out in
+    ascending channel-id order — exactly the drain walk's order) and edge
+    lookup is a binary search. ``alive`` masks deleted edges and
+    ``_active`` masks paths that have moved to a higher layer; neither
+    ever grows, matching the eviction loop's remove-only life.
+    ``weight`` keeps the build-time counts; :meth:`edge_weight` reads the
+    live ones.
     """
 
     def __init__(self, paths: PathSet, pids: np.ndarray):
@@ -99,7 +120,6 @@ class LayerCDG:
             self.edge_key = key
             counts = np.zeros(0, dtype=np.int64)
         self.weight = counts.astype(np.int64)
-        self.alive = np.ones(len(self.edge_key), dtype=bool)
         self.edge_src = (self.edge_key >> _KEY_SHIFT).astype(np.int64)
         self.edge_dst = (self.edge_key & _KEY_MASK).astype(np.int64)
         self.e_off = np.zeros(len(self.edge_key) + 1, dtype=np.int64)
@@ -113,28 +133,40 @@ class LayerCDG:
         np.cumsum(np.bincount(row, minlength=len(self.pids)), out=self.p_off[1:])
         self.p_eids = eid[back]
 
-        # Hot-path mirrors, all edge-table sized (paths-sized data stays
-        # in NumPy and is sliced per eviction): edge ids of channel c
-        # are the contiguous range _adj[c]; weights, liveness and lookup
-        # are plain Python — the walk and the heuristics touch single
-        # elements, where NumPy's per-call overhead would dominate.
+        # One byte per path and per edge, flipped by the eviction;
+        # ``alive`` is a NumPy view of the same bytes, so the vectorized
+        # readers (nodes, certify_core) never need a sync step.
         self._active = bytearray(b"\x01" * len(self.pids))
-        self._dst: list[int] = self.edge_dst.tolist()
-        self._weight: list[int] = self.weight.tolist()
         self._alive = bytearray(b"\x01" * len(self.edge_key))
-        self._eidx: dict[int, int] = {
-            k: i for i, k in enumerate(self.edge_key.tolist())
-        }
-        self._adj: dict[int, tuple[int, int]] = {}
-        if len(self.edge_src):
-            bounds = np.flatnonzero(np.diff(self.edge_src)) + 1
-            lows = np.concatenate(([0], bounds))
-            highs = np.concatenate((bounds, [len(self.edge_src)]))
-            for c, lo, hi in zip(
-                self.edge_src[lows].tolist(), lows.tolist(), highs.tolist()
-            ):
-                self._adj[c] = (lo, hi)
+        self.alive = np.frombuffer(self._alive, dtype=bool)
+        self._weight: list[int] | None = None  # drain state, see _mirror()
         self._num_nodes: int | None = None
+
+    def _mirror(self) -> None:
+        """Build the drain's plain-Python state on first use.
+
+        The walk, the pick and the eviction touch single elements, where
+        NumPy's per-call overhead would dominate. State sized by the
+        edge table (``_dst``, ``_weight``, ``_eid_at``) or the channel
+        count (``_ptr``/``_end`` adjacency bounds, ``_member``, ``_pos``)
+        lives in lists; the occurrence arrays, sized by paths × hops,
+        are read through ``memoryview``s (:meth:`drain` says why). A
+        layer whose Kahn core is empty never pays for any of it.
+        """
+        if self._weight is not None:
+            return
+        n_ch = self.paths.fabric.num_channels
+        # Out-edges of channel c are the edge ids _first[c]:_first[c + 1].
+        self._first: list[int] = np.searchsorted(self.edge_src, np.arange(n_ch + 1)).tolist()
+        self._ptr = self._first[:-1]  # next out-edge the walk tries
+        self._end = self._first[1:]
+        self._dst: list[int] = self.edge_dst.tolist()
+        self._weight = self.weight.tolist()
+        self._member = [0] * n_ch  # component stamp, 0 = not a member
+        self._pos = [-1] * n_ch  # index on the walk, -1 = off it
+        self._eid_at = [-1] * len(self._dst)  # chosen edge -> walk index of its source
+        self._e_off, self._e_rows = memoryview(self.e_off), memoryview(self.e_rows)
+        self._p_off, self._p_eids = memoryview(self.p_off), memoryview(self.p_eids)
 
     # ------------------------------------------------------------------
     @property
@@ -143,19 +175,27 @@ class LayerCDG:
 
     @property
     def num_paths(self) -> int:
-        return sum(self._active)
+        return self._active.count(1)
 
-    def _eid(self, c1: int, c2: int) -> int:
-        return self._eidx.get((int(c1) << _KEY_SHIFT) | int(c2), -1)
+    def _find(self, c1: int, c2: int) -> int:
+        """Id of the alive edge (c1, c2) by binary search, -1 if none."""
+        key = (int(c1) << _KEY_SHIFT) | int(c2)
+        i = int(np.searchsorted(self.edge_key, key))
+        if i < len(self.edge_key) and self.edge_key[i] == key and self._alive[i]:
+            return i
+        return -1
 
     def edge_weight(self, c1: int, c2: int) -> int:
         """Distinct inducing paths of edge (c1, c2) — the heuristics' key."""
-        i = self._eidx.get((c1 << _KEY_SHIFT) | c2, -1)
-        return self._weight[i] if i >= 0 and self._alive[i] else 0
+        i = self._find(c1, c2)
+        if i < 0:
+            return 0
+        self._mirror()
+        return self._weight[i]
 
     def pids_of_edge(self, c1: int, c2: int) -> list[int]:
         """Active inducing path ids of (c1, c2), ascending."""
-        i = self._eid(c1, c2)
+        i = self._find(c1, c2)
         if i < 0:
             return []
         active = self._active
@@ -164,87 +204,9 @@ class LayerCDG:
 
     def successors(self, c: int) -> list[int]:
         """Alive successors of channel ``c``, ascending."""
-        lo, hi = self._adj.get(c, (0, 0))
+        self._mirror()
         alive, dst = self._alive, self._dst
-        return [dst[e] for e in range(lo, hi) if alive[e]]
-
-    def drain_cycles(self, membership):
-        """CSR-specialised :func:`repro.deadlock.cycles.drain_cycles`.
-
-        Computes the exact same cycle sequence as the shared generator
-        (the differential suite proves it), with three delta-aware
-        shortcuts the dict engine cannot take:
-
-        * destinations are stored ascending per channel, so the first
-          alive in-member destination *is* the minimum successor — the
-          scan early-exits instead of building a successor list;
-        * the membership minimum never decreases (members only shrink),
-          so a pointer into the sorted membership replaces per-restart
-          ``min()`` scans;
-        * an eviction only deletes edges, so the canonical walk replays
-          identically up to the first node whose chosen edge died. The
-          caller reports the newly dead edge ids via ``send()`` and the
-          walk resumes from the cached prefix instead of re-tracing
-          from the start.
-        """
-        adj, alive, dst = self._adj, self._alive, self._dst
-        members = set(membership)
-        ordered = sorted(members)
-        low = 0
-        pos: dict[int, int] = {}
-        eid_at: dict[int, int] = {}  # chosen edge id -> index of its source in walk
-        walk: list[int] = []
-        chosen: list[int] = []  # chosen[k] = edge id walk[k] -> walk[k+1]
-        while len(members) >= 2:  # no self-loops in a CDG
-            if not walk:
-                while ordered[low] not in members:
-                    low += 1
-                start = ordered[low]
-                pos = {start: 0}
-                eid_at = {}
-                walk = [start]
-                chosen = []
-            v = walk[-1]
-            lo, hi = adj.get(v, (0, 0))
-            nxt = e_nxt = None
-            for e in range(lo, hi):
-                if alive[e] and dst[e] in members:
-                    nxt = dst[e]
-                    e_nxt = e
-                    break
-            if nxt is None:
-                members.discard(v)
-                del pos[v]
-                walk.pop()
-                if chosen:
-                    del eid_at[chosen.pop()]
-                continue
-            j = pos.get(nxt)
-            if j is None:
-                pos[nxt] = len(walk)
-                eid_at[e_nxt] = len(walk) - 1
-                chosen.append(e_nxt)
-                walk.append(nxt)
-                continue
-            nodes = walk[j:]
-            edges = [(nodes[k], nodes[k + 1]) for k in range(len(nodes) - 1)]
-            edges.append((v, nxt))
-            newly_dead = yield edges
-            # Resume: cut the walk at the earliest node whose chosen
-            # edge died (the closing edge was never appended, so the
-            # final node re-chooses automatically). Everything before
-            # the cut would replay identically from a fresh restart.
-            cut = len(walk) - 1
-            for e in newly_dead:
-                k = eid_at.get(e)
-                if k is not None and k < cut:
-                    cut = k
-            for node in walk[cut + 1 :]:
-                del pos[node]
-            for e in chosen[cut:]:
-                del eid_at[e]
-            del walk[cut + 1 :]
-            del chosen[cut:]
+        return [dst[e] for e in range(self._first[c], self._first[c + 1]) if alive[e]]
 
     def nodes(self) -> np.ndarray:
         """Channels with at least one alive incident edge."""
@@ -252,37 +214,9 @@ class LayerCDG:
             np.concatenate([self.edge_src[self.alive], self.edge_dst[self.alive]])
         )
 
-    # ------------------------------------------------------------------
-    def evict_edge(self, c1: int, c2: int) -> tuple[list[int], list[int]]:
-        """Delta-apply: move every active path inducing (c1, c2) out.
-
-        Decrements every edge the movers induce and kills edges that
-        reach weight zero. Returns ``(mover_pids, newly_dead_edge_ids)``,
-        both ascending. A typical eviction moves a handful of paths
-        touching a few dozen edges, so the whole delta runs on the
-        Python mirrors (``_weight``/``_alive``/``_active`` are
-        authoritative after build); the NumPy ``alive`` column stays in
-        sync for the vectorized readers (:meth:`nodes`,
-        :meth:`certify_core`).
-        """
-        i = self._eid(c1, c2)
-        active = self._active
-        all_rows = self.e_rows[self.e_off[i] : self.e_off[i + 1]]
-        rows = [r for r in all_rows.tolist() if active[r]]
-        newly_dead: list[int] = []
-        w, alive = self._weight, self._alive
-        p_off, p_eids = self.p_off, self.p_eids
-        for r in rows:
-            active[r] = 0
-            for e in p_eids[p_off[r] : p_off[r + 1]].tolist():
-                w[e] -= 1
-                if not w[e] and alive[e]:
-                    alive[e] = 0
-                    newly_dead.append(e)
-        if newly_dead:
-            self.alive[newly_dead] = False
-        movers = self.pids[rows].tolist() if rows else []
-        return movers, newly_dead
+    def moved_pids(self) -> np.ndarray:
+        """Path ids evicted from this layer so far, ascending."""
+        return self.pids[~np.frombuffer(self._active, dtype=bool)]
 
     # ------------------------------------------------------------------
     def certify_core(self) -> np.ndarray:
@@ -295,6 +229,193 @@ class LayerCDG:
             self.edge_src[self.alive], self.edge_dst[self.alive]
         )
         return core
+
+    def condense(self) -> list[set[int]]:
+        """Non-trivial SCCs of the Kahn core, ascending by smallest
+        channel — the order the engines drain them in."""
+        core = self.certify_core()
+        sccs = tarjan_sccs(core.tolist(), self.successors) if len(core) else []
+        return sorted(sccs, key=min)
+
+    def evict_edge(self, c1: int, c2: int) -> tuple[list[int], list[int]]:
+        """Move every active path inducing (c1, c2) out of the layer.
+
+        Returns ``(mover_pids, newly_dead_edge_ids)``, movers ascending.
+        """
+        i = self._find(c1, c2)
+        if i < 0:
+            raise ReproError(f"cannot evict ({c1}, {c2}): not an alive edge of this layer")
+        self._mirror()
+        rows, dead = self._evict(i)
+        return self.pids[rows].tolist(), dead
+
+    def _evict(self, eid: int) -> tuple[list[int], list[int]]:
+        """Delta-apply the eviction of edge ``eid``: deactivate its
+        inducing paths, decrement every edge they induce and kill the
+        ones that reach weight zero (each does so exactly once: weights
+        count distinct active paths). Returns ``(mover_rows, dead_ids)``.
+        """
+        active, w, alive = self._active, self._weight, self._alive
+        p_off, p_eids = self._p_off, self._p_eids
+        rows = [
+            r for r in self._e_rows[self._e_off[eid] : self._e_off[eid + 1]] if active[r]
+        ]
+        dead: list[int] = []
+        for r in rows:
+            active[r] = 0
+            for x in p_eids[p_off[r] : p_off[r + 1]]:
+                wx = w[x] - 1
+                w[x] = wx
+                if not wx:
+                    alive[x] = 0
+                    dead.append(x)
+        return rows, dead
+
+    def drain(self, sccs, layer: int, max_layers: int, heuristic: str,
+              hooks=None, debug: bool = False) -> tuple[int, int]:
+        """Break every cycle inside ``sccs``; returns ``(cycles, paths_moved)``.
+
+        ``sccs`` are components of the last condensation, drained in the
+        order given. Per component this is
+        :func:`repro.deadlock.cycles.drain_cycles` + heuristic pick +
+        eviction — the same canonical cycle sequence, the differential
+        suite proves it event for event — fused into one loop over edge
+        ids:
+
+        * the walk steps to ``ptr[v]``, a per-channel pointer into v's
+          (ascending) adjacency that only ever advances: ``alive`` and
+          the membership only shrink while a component drains, so an
+          out-edge skipped once stays skippable and the successor scans
+          cost O(E) per component instead of a re-scan per visit;
+        * a revisit closes the cycle ``chosen[j:] + [e]`` — edge ids,
+          whose order is the ``(c1, c2)`` order, so "lowest pair on
+          ties" is "lowest id";
+        * an eviction only deletes edges, so the canonical walk replays
+          identically up to the first node whose chosen edge died
+          (``eid_at``) and resumes from that prefix instead of
+          re-tracing from the smallest member.
+
+        Edge-table- and channel-count-sized state lives in lists
+        (:meth:`_mirror`). The occurrence arrays ``e_rows``/``p_eids``
+        are sized by paths × hops and stay NumPy, read through
+        ``memoryview``s: no list or dict sized by path count or by edge
+        occurrences is built per layer. Measured on ``random_layers``:
+        ``.tolist()`` copies of the two lift the assign phase's peak RSS
+        from 113 to 148 MB and make the drain slower.
+
+        Polls the compute budget once per cycle, raises
+        :class:`InsufficientLayersError` at the first cycle found with
+        no layer left, emits ``hooks.cycle_broken`` once per cycle when
+        ``hooks`` is given and someone listens, and adds each
+        component's totals to the eviction counters from a ``finally``,
+        so they stay exact when a budget trips mid-drain.
+        """
+        self._mirror()
+        dst, w, alive = self._dst, self._weight, self._alive
+        ptr, end = self._ptr, self._end
+        member, pos, eid_at = self._member, self._pos, self._eid_at
+        evict = self._evict
+        first, weakest = heuristic == "first", heuristic == "weakest"
+        counters = eviction_counters(heuristic)
+        total_cycles = total_moved = 0
+        for comp in sccs:
+            ordered = sorted(comp)
+            stamp = ordered[0] + 1  # components are disjoint: unique, non-zero
+            for c in ordered:
+                member[c] = stamp
+            remaining = len(ordered)
+            low = 0
+            emit = hooks is not None and hooks.active("cycle_broken")
+            cycles = moved = removed = 0
+            walk: list[int] = []
+            chosen: list[int] = []  # chosen[k] = edge id walk[k] -> walk[k+1]
+            try:
+                while remaining >= 2:  # no self-loops in a CDG
+                    if not walk:
+                        while member[ordered[low]] != stamp:
+                            low += 1  # the minimum member never decreases
+                        v = ordered[low]
+                        pos[v] = 0
+                        walk.append(v)
+                    v = walk[-1]
+                    e, hi = ptr[v], end[v]
+                    while e < hi and not (alive[e] and member[dst[e]] == stamp):
+                        e += 1
+                    ptr[v] = e
+                    if e == hi:  # stranded: off every cycle for good
+                        member[v] = 0
+                        remaining -= 1
+                        pos[v] = -1
+                        walk.pop()
+                        if chosen:
+                            eid_at[chosen.pop()] = -1
+                        continue
+                    nxt = dst[e]
+                    j = pos[nxt]
+                    if j < 0:
+                        pos[nxt] = len(walk)
+                        eid_at[e] = len(walk) - 1
+                        chosen.append(e)
+                        walk.append(nxt)
+                        continue
+
+                    check_budget()  # cooperative deadline (repro.service)
+                    if layer + 1 >= max_layers:
+                        raise InsufficientLayersError(
+                            f"cycles remain after filling all {max_layers} layers",
+                            layers_available=max_layers,
+                            layers_needed_at_least=max_layers + 1,
+                        )
+                    # The cycle is chosen[j:] + [e]; ids order like
+                    # (c1, c2) pairs, so ties go to the lowest id.
+                    if first:
+                        pick = chosen[j]
+                    else:
+                        pick, bw = e, w[e]
+                        for x in chosen[j:]:
+                            wx = w[x]
+                            if (wx < bw if weakest else wx > bw) or (wx == bw and x < pick):
+                                pick, bw = x, wx
+                    rows, dead = evict(pick)
+                    if not rows:
+                        raise ReproError(
+                            f"cycle edge ({self.edge_src[pick]}, {dst[pick]}) "
+                            "without inducing paths"
+                        )
+                    cycles += 1
+                    moved += len(rows)
+                    removed += len(dead)
+                    if emit:
+                        hooks.cycle_broken(
+                            layer=layer,
+                            edge=(int(self.edge_src[pick]), dst[pick]),
+                            paths_moved=len(rows),
+                            heuristic=str(heuristic),
+                        )
+                    if debug:
+                        _crosscheck(self)
+                    # Resume: cut the walk at the earliest node whose
+                    # chosen edge died (the closing edge was never
+                    # appended, so the final node re-chooses on its
+                    # own). Everything before the cut would replay
+                    # identically from a fresh restart.
+                    cut = len(walk) - 1
+                    for x in dead:
+                        k = eid_at[x]
+                        if 0 <= k < cut:
+                            cut = k
+                    for node in walk[cut + 1 :]:
+                        pos[node] = -1
+                    for x in chosen[cut:]:
+                        eid_at[x] = -1
+                    del walk[cut + 1 :]
+                    del chosen[cut:]
+            finally:
+                for counter, n in zip(counters, (cycles, cycles, moved, removed)):
+                    counter.inc(n)
+            total_cycles += cycles
+            total_moved += moved
+        return total_cycles, total_moved
 
 
 def _crosscheck(cdg: LayerCDG) -> None:
@@ -331,43 +452,6 @@ def _crosscheck(cdg: LayerCDG) -> None:
             )
 
 
-def _fast_heuristic(name: str, cdg: LayerCDG):
-    """Bind a heuristic to one layer's mirrors.
-
-    Computes exactly what :mod:`repro.core.heuristics` computes —
-    minimum (weight, edge) / (-weight, edge) / first — but reads the
-    weight through the layer's dict index instead of a per-edge method
-    call; the heuristic runs once per cycle edge per eviction, which is
-    hot enough to matter.
-    """
-    if name == "first":
-        return lambda cycle: cycle[0]
-    eidx, w = cdg._eidx, cdg._weight
-    if name == "weakest":
-
-        def pick(cycle):
-            best = None
-            bw = 0
-            for e in cycle:
-                we = w[eidx[(e[0] << _KEY_SHIFT) | e[1]]]
-                if best is None or we < bw or (we == bw and e < best):
-                    best, bw = e, we
-            return best
-
-    else:  # strongest (get_heuristic already rejected unknown names)
-
-        def pick(cycle):
-            best = None
-            bw = 0
-            for e in cycle:
-                we = w[eidx[(e[0] << _KEY_SHIFT) | e[1]]]
-                if best is None or we > bw or (we == bw and e < best):
-                    best, bw = e, we
-            return best
-
-    return pick
-
-
 def assign_layers_incremental(
     paths: PathSet,
     max_layers: int = DEFAULT_MAX_LAYERS,
@@ -386,7 +470,7 @@ def assign_layers_incremental(
     """
     if max_layers < 1:
         raise ValueError(f"max_layers must be >= 1, got {max_layers}")
-    get_heuristic(heuristic)  # validate the name; fast paths below
+    get_heuristic(heuristic)  # validate the name; LayerCDG.drain picks on edge ids
     path_layers = np.zeros(paths.num_paths, dtype=np.int16)
     if pids is None:
         pids = np.arange(paths.num_paths, dtype=np.int64)
@@ -396,18 +480,7 @@ def assign_layers_incremental(
 
     reg = get_registry()
     hooks = get_hooks()
-    m_cycles = reg.counter(
-        "dfsssp_cycles_broken", "CDG cycles broken during offline layer assignment"
-    )
-    m_moved = reg.counter("dfsssp_paths_moved", "paths relocated to a higher virtual layer")
-    m_evicted = reg.counter(
-        "dfsssp_edges_evicted", "cycle edges evicted from a layer's CDG",
-        heuristic=str(heuristic),
-    )
-    m_delta = reg.counter(
-        "cdg_incremental_edges_removed",
-        "CDG edges deleted by delta eviction (incremental engine)",
-    )
+    eviction_counters(heuristic)  # registered (at 0) even when nothing cycles
     m_drained = reg.counter(
         "cdg_incremental_sccs_drained",
         "non-trivial SCCs drained of cycles (incremental engine)",
@@ -433,58 +506,22 @@ def assign_layers_incremental(
                 h_edges.observe(cdg.num_edges)
 
                 with span("cdg.certify", layer=layer):
-                    core = cdg.certify_core()
-                    sccs = tarjan_sccs(core.tolist(), cdg.successors) if len(core) else []
+                    sccs = cdg.condense()
                 h_nodes.observe(cdg._num_nodes)  # counted during the peel
 
-                pick = _fast_heuristic(heuristic, cdg)
-                moved_out: list[int] = []
-                for membership in sorted(sccs, key=min):
-                    m_drained.inc()
-                    drain = cdg.drain_cycles(membership)
-                    cycle = next(drain, None)
-                    while cycle is not None:
-                        check_budget()  # cooperative deadline (repro.service)
-                        if layer + 1 >= max_layers:
-                            raise InsufficientLayersError(
-                                f"cycles remain after filling all {max_layers} layers",
-                                layers_available=max_layers,
-                                layers_needed_at_least=max_layers + 1,
-                            )
-                        edge = pick(cycle)
-                        movers, newly_dead = cdg.evict_edge(*edge)
-                        assert movers, "cycle edge without inducing paths"
-                        moved_out.extend(movers)
-
-                        cycles_broken += 1
-                        paths_moved += len(movers)
-                        m_cycles.inc()
-                        m_evicted.inc()
-                        m_moved.inc(len(movers))
-                        m_delta.inc(len(newly_dead))
-                        hooks.cycle_broken(
-                            layer=layer,
-                            edge=(int(edge[0]), int(edge[1])),
-                            paths_moved=len(movers),
-                            heuristic=str(heuristic),
-                        )
-                        if debug:
-                            _crosscheck(cdg)
-                        try:
-                            # The walk resumes from its cached prefix,
-                            # cut at the first edge the eviction killed.
-                            cycle = drain.send(newly_dead)
-                        except StopIteration:
-                            cycle = None
+                if sccs:
+                    m_drained.inc(len(sccs))
+                    cycles, moved = cdg.drain(
+                        sccs, layer, max_layers, heuristic, hooks=hooks, debug=debug
+                    )
+                    cycles_broken += cycles
+                    paths_moved += moved
 
                 sp.set_attr("paths", cdg.num_paths)
                 sp.set_attr("edges", cdg.num_edges)
             hooks.layer_closed(layer=layer, paths=cdg.num_paths, edges=cdg.num_edges)
-            if moved_out:
-                members = np.sort(np.asarray(moved_out, dtype=np.int64))
-                path_layers[members] = layer + 1
-            else:
-                members = np.zeros(0, np.int64)
+            members = cdg.moved_pids()
+            path_layers[members] = layer + 1
             layer += 1
 
     layers_needed = _compact(path_layers)

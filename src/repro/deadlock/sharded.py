@@ -57,12 +57,11 @@ from repro.core.layers import (
     _balance_layers,
     _compact,
 )
-from repro.deadlock.cycles import tarjan_sccs
-from repro.deadlock.incremental import LayerCDG, _crosscheck, _fast_heuristic
+from repro.deadlock.incremental import LayerCDG, eviction_counters
 from repro.exceptions import InsufficientLayersError
 from repro.obs import COUNT_BUCKETS, get_hooks, get_registry, span
 from repro.routing.paths import PathSet
-from repro.service.budget import check_budget, compute_budget
+from repro.service.budget import compute_budget
 
 
 def _shard_sccs(cdg: LayerCDG, sccs: list[set[int]]):
@@ -131,53 +130,6 @@ def _shard_sccs(cdg: LayerCDG, sccs: list[set[int]]):
     return shards
 
 
-def _drain_shard(
-    cdg: LayerCDG,
-    comps: list[set[int]],
-    heuristic: str,
-    layer: int,
-    max_layers: int,
-    debug: bool = False,
-    on_cycle=None,
-):
-    """Drain one shard's SCCs in serial order on ``cdg``.
-
-    ``cdg`` is either the full layer CDG (inline mode) or the shard's
-    restricted CDG (worker mode) — the eviction sequence is identical
-    (module docstring). Returns ``(mover_pids, cycles_broken)``; raises
-    :class:`InsufficientLayersError` exactly when the serial engine
-    would.
-    """
-    pick = _fast_heuristic(heuristic, cdg)
-    moved: list[int] = []
-    cycles_broken = 0
-    for membership in comps:
-        drain = cdg.drain_cycles(membership)
-        cycle = next(drain, None)
-        while cycle is not None:
-            check_budget()  # cooperative deadline (repro.service)
-            if layer + 1 >= max_layers:
-                raise InsufficientLayersError(
-                    f"cycles remain after filling all {max_layers} layers",
-                    layers_available=max_layers,
-                    layers_needed_at_least=max_layers + 1,
-                )
-            edge = pick(cycle)
-            movers, newly_dead = cdg.evict_edge(*edge)
-            assert movers, "cycle edge without inducing paths"
-            moved.extend(movers)
-            cycles_broken += 1
-            if on_cycle is not None:
-                on_cycle(edge, movers, newly_dead)
-            if debug:
-                _crosscheck(cdg)
-            try:
-                cycle = drain.send(newly_dead)
-            except StopIteration:
-                cycle = None
-    return moved, cycles_broken
-
-
 # ----------------------------------------------------------------------
 # process fan-out
 # ----------------------------------------------------------------------
@@ -201,14 +153,11 @@ def _drain_shard_task(comps, rows, layer: int, budget_s, budget_label: str):
     paths = _shard_ctx["paths"]
 
     def run():
-        shard_pids = LayerCDG(paths, np.asarray(rows, dtype=np.int64))
-        return _drain_shard(
-            shard_pids,
-            [set(c) for c in comps],
-            _shard_ctx["heuristic"],
-            layer,
-            _shard_ctx["max_layers"],
+        shard = LayerCDG(paths, np.asarray(rows, dtype=np.int64))
+        cycles, _moved = shard.drain(
+            comps, layer, _shard_ctx["max_layers"], _shard_ctx["heuristic"]
         )
+        return shard.moved_pids(), cycles
 
     try:
         if budget_s is not None:
@@ -243,7 +192,7 @@ def assign_layers_sharded(
         raise ValueError(f"max_layers must be >= 1, got {max_layers}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    get_heuristic(heuristic)  # validate the name; fast paths below
+    get_heuristic(heuristic)  # validate the name; LayerCDG.drain picks on edge ids
     path_layers = np.zeros(paths.num_paths, dtype=np.int16)
     if pids is None:
         pids = np.arange(paths.num_paths, dtype=np.int64)
@@ -253,14 +202,7 @@ def assign_layers_sharded(
 
     reg = get_registry()
     hooks = get_hooks()
-    m_cycles = reg.counter(
-        "dfsssp_cycles_broken", "CDG cycles broken during offline layer assignment"
-    )
-    m_moved = reg.counter("dfsssp_paths_moved", "paths relocated to a higher virtual layer")
-    m_evicted = reg.counter(
-        "dfsssp_edges_evicted", "cycle edges evicted from a layer's CDG",
-        heuristic=str(heuristic),
-    )
+    counters = eviction_counters(heuristic)  # registered (at 0) even when nothing cycles
     m_shards = reg.counter(
         "cdg_shards_drained", "independent SCC shards drained (sharded engine)"
     )
@@ -285,54 +227,37 @@ def assign_layers_sharded(
                 h_edges.observe(cdg.num_edges)
 
                 with span("cdg.certify", layer=layer):
-                    core = cdg.certify_core()
-                    sccs = tarjan_sccs(core.tolist(), cdg.successors) if len(core) else []
+                    sccs = cdg.condense()
                 h_nodes.observe(cdg._num_nodes)
 
-                moved_out: list[int] = []
+                pooled = None  # movers of a pool drain; inline ones stay in cdg
                 if sccs:
                     shards = _shard_sccs(cdg, sccs)
                     sp.set_attr("shards", len(shards))
+                    m_shards.inc(len(shards))
                     if workers >= 1 and len(shards) > 1:
-                        moved_out, broken = _drain_shards_pool(
+                        pooled, broken = _drain_shards_pool(
                             paths, cdg, shards, heuristic, layer, max_layers, workers
                         )
-                        m_shards.inc(len(shards))
                         cycles_broken += broken
-                        paths_moved += len(moved_out)
-                        m_cycles.inc(broken)
-                        m_evicted.inc(broken)
-                        m_moved.inc(len(moved_out))
+                        paths_moved += len(pooled)
+                        # workers drain on their own registries; edges_removed
+                        # (the fourth counter) is not shipped back
+                        for counter, n in zip(counters, (broken, broken, len(pooled))):
+                            counter.inc(n)
                     else:
-                        def on_cycle(edge, movers, newly_dead):
-                            m_cycles.inc()
-                            m_evicted.inc()
-                            m_moved.inc(len(movers))
-                            hooks.cycle_broken(
-                                layer=layer,
-                                edge=(int(edge[0]), int(edge[1])),
-                                paths_moved=len(movers),
-                                heuristic=str(heuristic),
-                            )
-
                         for comps, _rows in shards:
-                            m_shards.inc()
-                            moved, broken = _drain_shard(
-                                cdg, comps, heuristic, layer, max_layers,
-                                debug=debug, on_cycle=on_cycle,
+                            broken, moved = cdg.drain(
+                                comps, layer, max_layers, heuristic, hooks=hooks, debug=debug
                             )
-                            moved_out.extend(moved)
                             cycles_broken += broken
-                            paths_moved += len(moved)
+                            paths_moved += moved
 
                 sp.set_attr("paths", cdg.num_paths)
                 sp.set_attr("edges", cdg.num_edges)
             hooks.layer_closed(layer=layer, paths=cdg.num_paths, edges=cdg.num_edges)
-            if moved_out:
-                members = np.sort(np.asarray(moved_out, dtype=np.int64))
-                path_layers[members] = layer + 1
-            else:
-                members = np.zeros(0, np.int64)
+            members = cdg.moved_pids() if pooled is None else pooled
+            path_layers[members] = layer + 1
             layer += 1
 
     layers_needed = _compact(path_layers)
@@ -357,7 +282,8 @@ def _drain_shards_pool(
     max_layers: int,
     workers: int,
 ):
-    """Fan shard drains out over a fork pool; merge movers and counts.
+    """Fan shard drains out over a fork pool; returns the movers
+    (ascending pids) and the cycles broken.
 
     Restricted CDGs are built worker-side from the shard's path rows
     (mapped back to real pids so the worker's ``LayerCDG`` indexes the
@@ -369,7 +295,7 @@ def _drain_shards_pool(
 
     ctx = _mp_context()
     budget_s, label = _budget_snapshot()
-    moved_out: list[int] = []
+    moved_out: list[np.ndarray] = []
     broken = 0
     with ctx.Pool(
         min(workers, len(shards)),
@@ -405,6 +331,6 @@ def _drain_shards_pool(
                     label=tlabel, limit_s=limit_s, elapsed_s=elapsed_s,
                 )
             moved, cycles = payload
-            moved_out.extend(moved)
+            moved_out.append(moved)
             broken += cycles
-    return moved_out, broken
+    return np.sort(np.concatenate(moved_out)), broken

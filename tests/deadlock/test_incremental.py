@@ -10,8 +10,11 @@ here rather than surfacing as a subtly different assignment.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import topologies
 from repro.core import DFSSSPEngine, SSSPEngine
@@ -21,9 +24,13 @@ from repro.deadlock import (
     assign_layers_incremental,
     verify_deadlock_free,
 )
+from repro.deadlock.sharded import assign_layers_sharded
+from repro.exceptions import ComputeTimeoutError, InsufficientLayersError, ReproError
 from repro.network.faults import cable_keys, degrade
+from repro.obs import MetricsRegistry, get_hooks, set_registry
 from repro.routing import extract_paths
 from repro.routing.base import LayeredRouting
+from repro.service.budget import compute_budget
 
 # Seven distinct families (the acceptance floor), small enough to keep
 # the full matrix fast but each with a genuinely different CDG shape.
@@ -195,3 +202,152 @@ def test_unknown_heuristic_rejected():
     paths = _paths_for(topologies.ring(6, terminals_per_switch=1))
     with pytest.raises(ValueError, match="unknown heuristic"):
         assign_layers_incremental(paths, heuristic="bogus")
+
+
+# ----------------------------------------------------------------------
+# The fused drain (LayerCDG.drain): same evictions, event for event
+# ----------------------------------------------------------------------
+@contextmanager
+def _evictions():
+    """Collect ``(layer, edge, paths_moved)`` per ``cycle_broken`` event."""
+    events = []
+    hooks = get_hooks()
+    handler = hooks.on_cycle_broken(
+        lambda d: events.append((d["layer"], tuple(d["edge"]), d["paths_moved"]))
+    )
+    try:
+        yield events
+    finally:
+        hooks.unsubscribe("cycle_broken", handler)
+
+
+@pytest.fixture()
+def fresh_registry():
+    reg = MetricsRegistry()
+    old = set_registry(reg)
+    yield reg
+    set_registry(old)
+
+
+def _stream(assign, paths, **kwargs):
+    with _evictions() as events:
+        assign(paths, pids=paths.active_pids(), **kwargs)
+    return events
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_eviction_stream_is_identical_across_engines(family_paths, heuristic):
+    """Stronger than end-state equality: every engine breaks the same
+    cycles in the same order and moves the same number of paths each time."""
+    name, paths = family_paths
+    ref = _stream(assign_layers_offline, paths, heuristic=heuristic)
+    inc = _stream(assign_layers_incremental, paths, heuristic=heuristic)
+    sha = _stream(assign_layers_sharded, paths, heuristic=heuristic, workers=0)
+    assert inc == ref, f"{name}/{heuristic}: incremental stream diverged"
+    assert sha == ref, f"{name}/{heuristic}: sharded stream diverged"
+
+
+def test_budget_expiring_mid_drain_leaves_exact_counters(fresh_registry):
+    """A deadline that passes after N cycles raises from inside the
+    drain, and the per-component counter flush still reads exactly N."""
+    paths = _paths_for(FAMILIES["random"]())
+    n = 3
+    with _evictions() as events, pytest.raises(ComputeTimeoutError):
+        # the clock advances one tick per broken cycle
+        with compute_budget(n, label="drain", clock=lambda: len(events)):
+            assign_layers_incremental(paths, pids=paths.active_pids())
+    reg = fresh_registry
+    assert len(events) == n
+    assert reg.value("dfsssp_cycles_broken") == n
+    assert reg.value("dfsssp_edges_evicted", heuristic="weakest") == n
+    assert reg.value("dfsssp_paths_moved") == sum(moved for _, _, moved in events)
+    assert reg.value("cdg_incremental_edges_removed") > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        FAMILIES["ring"],  # two layers: the very first cycle overflows
+        FAMILIES["dragonfly"],
+        lambda: topologies.torus((4, 4), terminals_per_switch=1),
+        lambda: topologies.random_topology(24, 60, 2, seed=3),
+    ),
+)
+def test_insufficient_layers_raised_at_the_same_cycle(make):
+    paths = _paths_for(make())
+    pids = paths.active_pids()
+    needed = assign_layers_offline(paths, pids=pids, max_layers=16).layers_needed
+    assert needed >= 2
+    streams = []
+    for assign in (assign_layers_offline, assign_layers_incremental):
+        with _evictions() as events, pytest.raises(InsufficientLayersError) as err:
+            assign(paths, pids=pids, max_layers=needed - 1)
+        assert err.value.layers_available == needed - 1
+        streams.append(events)
+    assert streams[0] == streams[1]
+    assert streams[0] or needed == 2
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(min_value=4, max_value=10),  # switches
+    st.integers(min_value=0, max_value=12),  # extra links beyond the tree
+    st.integers(min_value=1, max_value=2),  # terminals per switch
+    st.integers(min_value=0, max_value=10_000),  # fabric seed
+    st.sampled_from(HEURISTICS),
+)
+def test_random_fabrics_match_reference_under_debug(s, extra, tps, seed, heuristic):
+    links = min(s - 1 + extra, s * (s - 1) // 2)
+    paths = _paths_for(topologies.random_topology(s, links, tps, seed=seed))
+    pids = paths.active_pids()
+    with _evictions() as want:
+        ref = assign_layers_offline(paths, heuristic=heuristic, pids=pids, max_layers=16)
+    with _evictions() as got:
+        inc = assign_layers_incremental(
+            paths, heuristic=heuristic, pids=pids, max_layers=16, debug=True
+        )
+    assert got == want
+    np.testing.assert_array_equal(inc.path_layers, ref.path_layers)
+
+
+@pytest.mark.parametrize("family", ("ring", "mesh", "hypercube", "dragonfly", "random"))
+def test_walk_pointers_only_advance_past_unusable_edges(family):
+    """The drain never re-scans an adjacency: what a pointer skipped is
+    dead or leads out of the component's final membership for good."""
+    paths = _paths_for(FAMILIES[family]())
+    cdg = LayerCDG(paths, np.asarray(paths.active_pids(), dtype=np.int64))
+    sccs = cdg.condense()
+    assert sccs
+    cdg.drain(sccs, 0, 16, "weakest")
+    first = cdg._first
+    for comp in sccs:
+        stamp = min(comp) + 1
+        final = {c for c in comp if cdg._member[c] == stamp}
+        assert len(final) < 2  # drained
+        for c in comp:
+            assert first[c] <= cdg._ptr[c] <= first[c + 1]
+            for e in range(first[c], cdg._ptr[c]):
+                assert not cdg.alive[e] or cdg._dst[e] not in final
+    assert not len(cdg.certify_core())
+
+
+def test_evicting_an_unknown_or_dead_edge_is_an_error():
+    paths = _paths_for(topologies.ring(8, terminals_per_switch=1))
+    cdg = LayerCDG(paths, np.asarray(paths.active_pids(), dtype=np.int64))
+    (c1, c2), _w = _edges_of(cdg)[0]
+    with pytest.raises(ReproError, match=r"\(0, 0\)"):
+        cdg.evict_edge(0, 0)  # a CDG has no self-loops
+    assert cdg.evict_edge(c1, c2)[0]
+    with pytest.raises(ReproError, match=rf"\({c1}, {c2}\)"):
+        cdg.evict_edge(c1, c2)
+
+
+def test_drain_rejects_a_cycle_edge_nobody_induces():
+    """Corrupted state (paths deactivated behind the CDG's back) must
+    raise, not spin or pass an `assert` that ``python -O`` strips."""
+    paths = _paths_for(topologies.ring(8, terminals_per_switch=1))
+    cdg = LayerCDG(paths, np.asarray(paths.active_pids(), dtype=np.int64))
+    sccs = cdg.condense()
+    cdg._active[:] = bytes(len(cdg._active))
+    with pytest.raises(ReproError, match="without inducing paths"):
+        cdg.drain(sccs, 0, 16, "weakest")
