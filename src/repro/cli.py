@@ -153,11 +153,9 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         "kernel is bit-identical to the reference 'python' heap)",
     )
     p.add_argument(
-        "--cdg", choices=("incremental", "sharded", "rebuild"),
-        default="incremental",
+        "--cdg", choices=("incremental", "rebuild"), default="incremental",
         help="DFSSSP cycle-breaking engine (the vectorized 'incremental' "
-        "CSR engine, the 'sharded' independent-SCC batcher and the "
-        "'rebuild' reference are all bit-identical)",
+        "CSR engine is bit-identical to the 'rebuild' reference)",
     )
 
 

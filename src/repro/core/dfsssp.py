@@ -45,17 +45,14 @@ class DFSSSPEngine(RoutingEngine):
     cdg:
         Cycle-breaking engine for offline mode: ``"incremental"``
         (default — the vectorized CSR engine of
-        :mod:`repro.deadlock.incremental`), ``"sharded"`` (batches
-        eviction across independent SCC shards per layer, optionally
-        fanning them out over ``workers`` processes — see
-        :mod:`repro.deadlock.sharded`) or ``"rebuild"`` (the dict-backed
-        reference). All produce bit-identical layer assignments; the
-        benchmark suite gates the incremental engine at ≥3× the
-        rebuild's speed.
+        :mod:`repro.deadlock.incremental`) or ``"rebuild"`` (the
+        dict-backed reference). Both produce bit-identical layer
+        assignments; the benchmark suite gates the incremental engine at
+        ≥3× the rebuild's speed.
     balance:
         Spread paths over unused layers after cycle breaking (Algorithm
         2's final step).
-    dest_order / seed / count_switch_sources / workers / kernel / batch:
+    dest_order / seed / count_switch_sources / workers / kernel:
         Forwarded to :class:`SSSPEngine` — in particular ``workers=N``
         fans the SSSP phase out over a process pool and ``kernel="numpy"``
         selects the vectorized Dijkstra, both bit-identical to the serial
@@ -78,15 +75,11 @@ class DFSSSPEngine(RoutingEngine):
         count_switch_sources: bool = False,
         workers: int = 0,
         kernel: str = "python",
-        batch: int | None = None,
-        shm: bool = True,
     ):
         if mode not in ("offline", "online"):
             raise ValueError(f"mode must be 'offline' or 'online', got {mode!r}")
-        if cdg not in ("incremental", "sharded", "rebuild"):
-            raise ValueError(
-                f"cdg must be 'incremental', 'sharded' or 'rebuild', got {cdg!r}"
-            )
+        if cdg not in ("incremental", "rebuild"):
+            raise ValueError(f"cdg must be 'incremental' or 'rebuild', got {cdg!r}")
         self.max_layers = max_layers
         self.heuristic = heuristic
         self.mode = mode
@@ -98,8 +91,6 @@ class DFSSSPEngine(RoutingEngine):
             count_switch_sources=count_switch_sources,
             workers=workers,
             kernel=kernel,
-            batch=batch,
-            shm=shm,
         )
 
     def reroute(self, prior, degraded) -> RoutingResult:
@@ -151,14 +142,6 @@ class DFSSSPEngine(RoutingEngine):
                     from repro.deadlock.incremental import assign_layers_incremental
 
                     assign = assign_layers_incremental
-                elif self.cdg == "sharded":
-                    from functools import partial
-
-                    from repro.deadlock.sharded import assign_layers_sharded
-
-                    assign = partial(
-                        assign_layers_sharded, workers=self._sssp.workers
-                    )
                 else:
                     assign = assign_layers_offline
                 assignment = assign(

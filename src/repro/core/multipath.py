@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
-from repro.core.sssp import _dijkstra_to_dest, update_weights_for_dest
+from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import find_any_cycle
 from repro.exceptions import RoutingError, SimulationError
@@ -154,7 +154,7 @@ class MultipathDFSSSPEngine:
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
             for plane in range(K):
-                dist, parent = _dijkstra_to_dest(fabric, dest, weights)
+                dist, parent = dijkstra_to_dest(fabric, dest, weights)
                 plane_tables[plane][:, t_idx] = parent
                 update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
 

@@ -36,7 +36,7 @@ from repro.service.budget import check_budget
 from repro.utils.prng import make_rng, stable_fabric_seed
 
 #: per-destination shortest-path kernels (see :mod:`repro.parallel.kernel`).
-KERNELS = ("python", "numpy", "native")
+KERNELS = ("python", "numpy")
 
 
 class SSSPEngine(RoutingEngine):
@@ -62,20 +62,9 @@ class SSSPEngine(RoutingEngine):
         (:mod:`repro.parallel.executor`); the result is bit-identical to
         the serial run.
     kernel:
-        ``"python"`` (reference heap Dijkstra, default), ``"numpy"``
-        (vectorized masked-argmin kernel) or ``"native"`` (numba-jit CSR
-        kernel, degrading to ``"python"`` with a warning when numba is
-        absent). All are bit-identical; see :mod:`repro.parallel.kernel`
-        and :mod:`repro.parallel.native`.
-    batch:
-        Destinations per parallel batch (default ``4 * workers``). Only
-        used when ``workers >= 1``; batching affects scheduling and span
-        granularity, never results.
-    shm:
-        Parallel transport (``workers >= 1`` only): True (default) maps
-        the fabric and the result columns into shared memory, False
-        ships them through pickling. Bit-identical either way; see
-        :mod:`repro.parallel.shm`.
+        ``"python"`` (reference heap Dijkstra, default) or ``"numpy"``
+        (vectorized masked-argmin kernel, the production path). They are
+        bit-identical; see :mod:`repro.parallel.kernel`.
     """
 
     name = "sssp"
@@ -88,8 +77,6 @@ class SSSPEngine(RoutingEngine):
         count_switch_sources: bool = False,
         workers: int = 0,
         kernel: str = "python",
-        batch: int | None = None,
-        shm: bool = True,
     ):
         if dest_order not in ("index", "random"):
             raise ValueError(f"dest_order must be 'index' or 'random', got {dest_order!r}")
@@ -97,15 +84,11 @@ class SSSPEngine(RoutingEngine):
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if batch is not None and batch < 1:
-            raise ValueError(f"batch must be >= 1 or None, got {batch}")
         self.dest_order = dest_order
         self.seed = seed
         self.count_switch_sources = count_switch_sources
         self.workers = workers
         self.kernel = kernel
-        self.batch = batch
-        self.shm = shm
 
     # ------------------------------------------------------------------
     def _route(self, fabric: Fabric) -> RoutingResult:
@@ -172,10 +155,8 @@ class SSSPEngine(RoutingEngine):
                 order,
                 workers=self.workers,
                 kernel=self.kernel,
-                batch=self.batch,
                 count_switch_sources=self.count_switch_sources,
                 engine_name=self.name,
-                use_shm=self.shm,
             )
             total = int(weights.sum() - w0 * fabric.num_channels)
             return RoutingTables(fabric, next_channel, engine=self.name), total, weights
@@ -315,42 +296,6 @@ def update_weights_for_dest_fast(
         np.add.at(cnt, pnode[sel], contrib)
 
 
-def update_weights_for_dest_native(
-    fabric: Fabric,
-    dest: int,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    weights: np.ndarray,
-    is_term: np.ndarray,
-    count_switch_sources: bool = False,
-) -> None:
-    """Jitted :func:`update_weights_for_dest` (numba path only).
-
-    Runs the reference farthest-first loop in machine code; the caller
-    (:func:`repro.parallel.reduction.column_routine`) already fell back
-    to the reference when numba is absent.
-    """
-    from repro.parallel import native
-
-    impl = native.load_native()
-    if impl is None:  # pragma: no cover - callers gate on numba_available
-        update_weights_for_dest(
-            fabric, dest, dist, parent, weights, is_term,
-            count_switch_sources=count_switch_sources,
-        )
-        return
-    if count_switch_sources:
-        cnt = np.ones(fabric.num_nodes, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64)
-    cnt[dest] = 0
-    finite = np.flatnonzero(dist < np.iinfo(np.int64).max)
-    order = finite[np.argsort(dist[finite])[::-1]]  # farthest first
-    impl.update_weights_csr(
-        dest, dist, parent, weights, cnt, fabric.channels.dst, order
-    )
-
-
 def dijkstra_to_dest(fabric: Fabric, dest: int, weights: np.ndarray):
     """Weighted shortest paths from every node *to* ``dest``.
 
@@ -390,6 +335,3 @@ def dijkstra_to_dest(fabric: Fabric, dest: int, weights: np.ndarray):
                 parent[v] = c
                 heapq.heappush(heap, (nd, v))
     return dist, parent
-
-
-_dijkstra_to_dest = dijkstra_to_dest  # backwards-compatible private alias

@@ -23,14 +23,10 @@ scheduling can change timing only, never output. Batch ``b+1`` is
 dispatched before batch ``b`` is reduced, so workers stay busy while the
 parent reduces.
 
-Two transports move the fabric out and the hop columns back
-(``use_shm``, default on): the **shared-memory** path maps the fabric
-CSR arrays and two rotating per-batch column blocks into every process
-(:mod:`repro.parallel.shm` — zero pickling per batch, workers write
-result rows in place), while the **pickling** path ships columns through
-the pool's result queue. They are observationally identical — the
-differential suite runs both against serial — the shm path is simply the
-one that survives 100k-endpoint fabrics.
+The fabric goes out and the hop columns come back through shared memory
+(:mod:`repro.parallel.shm`): the fabric CSR arrays and two rotating
+per-batch column blocks are mapped into every process, so nothing is
+pickled per batch and workers write result rows in place.
 
 Compute budgets (:mod:`repro.service.budget`) are context-local and do
 not cross process boundaries, so the parent snapshots the active
@@ -65,8 +61,9 @@ from repro.exceptions import ComputeTimeoutError
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_registry, span
 from repro.obs.telemetry import capture_spans, export_context, replay_spans
-from repro.parallel.kernel import INT64_INF, hops_to_dest
+from repro.parallel.kernel import hops_to_dest
 from repro.parallel.reduction import ExactReduction
+from repro.parallel.shm import ColumnBlock, FabricArena, attach_columns, attach_fabric
 from repro.service.budget import active_budget, check_budget, compute_budget
 
 #: default destinations per batch, per worker (batches of ``4 * workers``).
@@ -75,121 +72,51 @@ BATCH_COLUMNS_PER_WORKER = 4
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-_worker_state: dict = {"fabric": None, "kernel": "numpy", "columns": None, "pins": ()}
+_worker_state: dict = {"fabric": None, "columns": None, "pins": ()}
 
 
-def _init_worker(fabric: Fabric | None, kernel: str,
-                 fabric_spec: dict | None = None,
-                 column_specs: Sequence[dict] | None = None) -> None:
-    """Pool initializer: pin the (immutable) fabric and kernel choice.
-
-    The shm transport passes ``fabric=None`` plus segment specs; the
-    worker maps the shared fabric arena into a
+def _init_worker(fabric_spec: dict, column_specs: Sequence[dict]) -> None:
+    """Pool initializer: map the shared fabric arena into a
     :class:`~repro.parallel.shm.FabricView` and the rotating column
     blocks into writable row arrays, pinning the mappings for the
-    process lifetime (``pins`` keeps the SharedMemory objects alive).
-    """
-    pins = []
-    if fabric_spec is not None:
-        from repro.parallel.shm import attach_fabric
-
-        fabric, shm = attach_fabric(fabric_spec)
+    process lifetime (``pins`` keeps the SharedMemory objects alive)."""
+    fabric, shm = attach_fabric(fabric_spec)
+    pins = [shm]
+    columns = []
+    for spec in column_specs:
+        arr, shm = attach_columns(spec)
+        columns.append(arr)
         pins.append(shm)
     _worker_state["fabric"] = fabric
-    _worker_state["kernel"] = kernel
-    columns = None
-    if column_specs is not None:
-        from repro.parallel.shm import attach_columns
-
-        columns = []
-        for spec in column_specs:
-            arr, shm = attach_columns(spec)
-            columns.append(arr)
-            pins.append(shm)
     _worker_state["columns"] = columns
     _worker_state["pins"] = tuple(pins)
-
-
-def _hop_column(dest: int) -> np.ndarray:
-    """One destination's hop column with the configured kernel.
-
-    The ``python`` kernel literally fans out
-    :func:`repro.core.sssp.dijkstra_to_dest` on uniform unit weights
-    (whose distances *are* hop counts); ``numpy`` runs the BFS kernel and
-    ``native`` the jitted one (degrading to ``python`` without numba).
-    All return identical columns.
-    """
-    fabric = _worker_state["fabric"]
-    kernel = _worker_state["kernel"]
-    if kernel == "native":
-        from repro.parallel.native import hops_to_dest_native
-
-        return hops_to_dest_native(fabric, dest)
-    if kernel == "python":
-        from repro.core.sssp import dijkstra_to_dest
-
-        ones = np.ones(fabric.num_channels, dtype=np.int64)
-        dist, _ = dijkstra_to_dest(fabric, dest, ones)
-        return np.where(dist == INT64_INF, -1, dist).astype(np.int32)
-    return hops_to_dest(fabric, dest)
-
-
-def _hop_columns_task(dests: Sequence[int], budget_s, budget_label: str,
-                      carrier: dict | None = None):
-    """Compute hop columns for a chunk of destinations, under a deadline.
-
-    Returns ``("ok", [columns...], records)`` or ``("timeout", info,
-    records)`` — shipping the timeout as data keeps the payload picklable
-    regardless of how the exception type evolves. ``records`` are the
-    worker's captured span dicts (one ``parallel.hop_column`` per
-    column, stamped with the shipped request id and this worker's
-    pid) when the ``carrier`` asks for capture, else empty; the parent
-    replays them re-parented under its ``parallel.batch`` span. A
-    timed-out chunk still ships what it captured — the aborted column's
-    span arrives with ``status="error"`` and explains the timeout.
-    """
-    capture = bool(carrier and carrier.get("capture"))
-    ctx = capture_spans(carrier) if capture else nullcontext()
-    records: list[dict] = []
-
-    def columns() -> list[np.ndarray]:
-        out = []
-        for d in dests:
-            if capture:
-                with span("parallel.hop_column", dest=int(d), pid=os.getpid()):
-                    out.append(_hop_column(int(d)))
-            else:
-                out.append(_hop_column(int(d)))
-        return out
-
-    with ctx as sink:
-        if capture:
-            records = sink.records
-        try:
-            if budget_s is not None:
-                with compute_budget(budget_s, label=budget_label):
-                    return ("ok", columns(), records)
-            return ("ok", columns(), records)
-        except ComputeTimeoutError as err:
-            return ("timeout", (str(err), err.label, err.limit_s, err.elapsed_s), records)
 
 
 def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
                           budget_s, budget_label: str,
                           carrier: dict | None = None):
-    """Shared-memory variant of :func:`_hop_columns_task`.
+    """Sweep a chunk of destinations' hop columns, under a deadline.
 
     ``dest_rows`` pairs each destination with its row in column block
     ``block`` (an index into the initializer's ``column_specs``); the
-    column lands in shared memory, so the return payload is just the
-    completed-row count. Timeout/trace semantics are identical to the
-    pickling task — a timed-out chunk may have written some rows, but the
-    parent discards the whole batch by re-raising, so partial rows are
-    never consumed.
+    column lands in shared memory, so the payload is just the
+    completed-row count. Returns ``("ok", rows done, records)`` or
+    ``("timeout", info, records)`` — shipping the timeout as data keeps
+    the payload picklable regardless of how the exception type evolves.
+    A timed-out chunk may have written some rows, but the parent
+    discards the whole batch by re-raising, so partial rows are never
+    consumed. ``records`` are the worker's captured span dicts (one
+    ``parallel.hop_column`` per column, stamped with the shipped request
+    id and this worker's pid) when the ``carrier`` asks for capture,
+    else empty; the parent replays them re-parented under its
+    ``parallel.batch`` span. A timed-out chunk still ships what it
+    captured — the aborted column's span arrives with
+    ``status="error"`` and explains the timeout.
     """
     capture = bool(carrier and carrier.get("capture"))
     ctx = capture_spans(carrier) if capture else nullcontext()
     records: list[dict] = []
+    fabric = _worker_state["fabric"]
     out = _worker_state["columns"][block]
 
     def fill() -> int:
@@ -197,9 +124,9 @@ def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
         for dest, row in dest_rows:
             if capture:
                 with span("parallel.hop_column", dest=int(dest), pid=os.getpid()):
-                    out[row, :] = _hop_column(int(dest))
+                    out[row, :] = hops_to_dest(fabric, int(dest))
             else:
-                out[row, :] = _hop_column(int(dest))
+                out[row, :] = hops_to_dest(fabric, int(dest))
             done += 1
         return done
 
@@ -219,8 +146,8 @@ def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
 # parent side
 # ----------------------------------------------------------------------
 def _mp_context():
-    """Fork when the platform has it (cheap, fabric shared copy-on-write);
-    spawn otherwise (fabric pickled once per worker via the initializer)."""
+    """Fork when the platform has it (cheap), spawn otherwise; either way
+    workers reach the fabric through the shared arena."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -256,14 +183,16 @@ def run_parallel_sssp(
     batch: int | None = None,
     count_switch_sources: bool = False,
     engine_name: str = "sssp",
-    use_shm: bool = True,
 ):
     """Parallel SSSP: fan out hop sweeps, reduce exactly in ``order``.
 
     Returns ``(next_channel, weights)`` bit-identical to
     :meth:`repro.core.sssp.SSSPEngine._run` on the same fabric and
-    destination order. ``use_shm`` selects the shared-memory transport
-    (module docstring); both transports produce the same arrays.
+    destination order. ``kernel`` names the Dijkstra a column falls
+    back to when its validation fails — workers always sweep BFS hops,
+    which no kernel choice can change. ``batch`` (destinations per
+    batch, default ``4 * workers``) affects scheduling and span
+    granularity only.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -331,23 +260,15 @@ def run_parallel_sssp(
         kernel=kernel,
         destinations=int(T),
         batches=len(batches),
-        transport="shm" if use_shm else "pickle",
     ) as run_sp:
         if not batches:
             return next_channel, weights
-        arena = None
-        blocks: list = []
-        if use_shm:
-            from repro.parallel.shm import ColumnBlock, FabricArena
-
-            arena = FabricArena(fabric)
-            # Two rotating blocks: the parent reduces batch b (block b%2)
-            # only after all of b's chunks returned, while workers fill
-            # batch b+1 into the other block — never the same rows.
-            blocks = [ColumnBlock(batch_size, fabric.num_nodes) for _ in range(2)]
-            initargs = (None, kernel, arena.spec, [b.spec for b in blocks])
-        else:
-            initargs = (fabric, kernel)
+        arena = FabricArena(fabric)
+        # Two rotating blocks: the parent reduces batch b (block b%2)
+        # only after all of b's chunks returned, while workers fill
+        # batch b+1 into the other block — never the same rows.
+        blocks = [ColumnBlock(batch_size, fabric.num_nodes) for _ in range(2)]
+        initargs = (arena.spec, [b.spec for b in blocks])
         ctx = _mp_context()
         try:
             with ctx.Pool(workers, initializer=_init_worker, initargs=initargs) as pool:
@@ -365,13 +286,10 @@ def run_parallel_sssp(
                     for chunk in _chunks(sweeps_needed(batches[index]), workers):
                         if not chunk:
                             continue
-                        if use_shm:
-                            task, work = _hop_columns_shm_task, (chunk, index % 2)
-                        else:
-                            task, work = _hop_columns_task, ([dest for dest, _ in chunk],)
-                        handles[index].append(
-                            (chunk, pool.apply_async(task, (*work, budget_s, label, carrier)))
-                        )
+                        handles[index].append((chunk, pool.apply_async(
+                            _hop_columns_shm_task,
+                            (chunk, index % 2, budget_s, label, carrier),
+                        )))
 
                 dispatch(0)
                 for index, batch_jobs in enumerate(batches):
@@ -395,8 +313,7 @@ def run_parallel_sssp(
                                     label=label, limit_s=limit_s, elapsed_s=elapsed_s,
                                 )
                             rows = [row for _, row in chunk]
-                            columns = blocks[index % 2].array[rows] if use_shm else payload
-                            hops_of.update(zip(rows, columns))
+                            hops_of.update(zip(rows, blocks[index % 2].array[rows]))
                         handles[index] = None  # free the batch's column memory
                         sp.set_attr("sweeps", len(hops_of))
                         for row, (t_idx, dest) in enumerate(batch_jobs):
@@ -420,6 +337,5 @@ def run_parallel_sssp(
             # gone (workers hold plain mappings, closed at process exit).
             for b in blocks:
                 b.destroy()
-            if arena is not None:
-                arena.destroy()
+            arena.destroy()
     return next_channel, weights

@@ -28,39 +28,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sssp import KERNELS, dijkstra_to_dest
 from repro.network.fabric import Fabric
 from repro.service.budget import check_budget
-
-#: Kernel names accepted by the engines and the CLI ``--kernel`` flag.
-KERNELS = ("python", "numpy", "native")
 
 INT64_INF = np.iinfo(np.int64).max
 
 
 def resolve_kernel(name: str):
-    """Map a kernel name to its ``(fabric, dest, weights)`` callable.
-
-    ``"native"`` resolves to the numba-jit CSR kernel when numba is
-    importable and otherwise **degrades to the ``"python"`` reference**
-    after a one-time :class:`RuntimeWarning` — callers never need to
-    probe numba themselves, and results are bit-identical either way
-    (see :mod:`repro.parallel.native`).
-    """
+    """Map a kernel name to its ``(fabric, dest, weights)`` callable."""
     if name == "python":
-        from repro.core.sssp import dijkstra_to_dest
-
         return dijkstra_to_dest
     if name == "numpy":
         return dijkstra_to_dest_numpy
-    if name == "native":
-        from repro.parallel import native
-
-        if native.numba_available():
-            return native.dijkstra_to_dest_native
-        native.warn_native_fallback()
-        from repro.core.sssp import dijkstra_to_dest
-
-        return dijkstra_to_dest
     raise ValueError(f"kernel must be one of {KERNELS}, got {name!r}")
 
 

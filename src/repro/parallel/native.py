@@ -1,266 +1,13 @@
-"""Native (numba-jit) routing kernels with a graceful pure-python fallback.
+"""Residue of the deleted numba kernels: only the probe below remains.
 
-``kernel="native"`` compiles the two per-destination hot loops — the CSR
-binary-heap Dijkstra and the BFS hop-column sweep — to machine code with
-numba. Numba is an *optional* dependency (``pip install repro[native]``):
-when it is not importable the kernels degrade to the reference
-``"python"`` implementations with a one-time :class:`RuntimeWarning`, and
-every caller keeps producing bit-identical results — the degradation is
-an implementation detail, never a behaviour change
-(``tests/parallel/test_native_fallback.py`` asserts both halves).
-
-Bit-identity of the jitted kernels does not rely on replicating
-``heapq``'s exact pop order: with strictly positive weights the final
-``(dist, parent)`` pair is the unique Bellman fixpoint under the
-``(distance, channel id)`` tie-break — a property of the fixpoint, not
-of the relaxation schedule — so any correct Dijkstra that applies the
-same relaxation predicate (``nd < dist[v] or (nd == dist[v] and
-c < parent[v])``) lands on the same arrays (see
-:mod:`repro.parallel.kernel` for the same argument applied to the numpy
-kernel; the differential suite asserts it per call).
-
-The jitted functions operate on flat arrays only (no Fabric object
-crosses the jit boundary), so they run unchanged against shared-memory
-fabric views (:mod:`repro.parallel.shm`) inside pool workers.
+``benchmarks/e2e/workloads.py`` imports it for its metadata line and a
+simplicity PR may not edit that file; the next ``benchmark`` PR drops the
+import and this module with it. Nothing under ``src/`` uses numba.
 """
 
-from __future__ import annotations
-
-import warnings
-
-import numpy as np
-
-INT64_INF = np.iinfo(np.int64).max
-
-#: resolved lazily by :func:`numba_available` / :func:`load_native`
-_STATE: dict = {"checked": False, "impl": None, "warned": False}
+from importlib.util import find_spec
 
 
 def numba_available() -> bool:
-    """True iff numba imports (cached after the first probe)."""
-    return load_native() is not None
-
-
-def reset_probe_for_tests() -> None:
-    """Forget the cached probe result (test hook)."""
-    _STATE.update(checked=False, impl=None, warned=False)
-
-
-def warn_native_fallback() -> None:
-    """Emit the one-time 'native degraded to python' warning."""
-    if not _STATE["warned"]:
-        _STATE["warned"] = True
-        warnings.warn(
-            "numba is not importable; kernel='native' falls back to the "
-            "pure-python reference kernels (install the 'native' extra: "
-            "pip install repro[native]). Results are bit-identical either way.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def load_native():
-    """The compiled kernel namespace, or ``None`` when numba is absent.
-
-    The first call probes ``import numba`` and, on success, defines and
-    caches the jitted functions; later calls return the cached namespace.
-    Compilation itself is deferred to the first *invocation* (numba
-    lazy-compiles per signature) and cached on disk (``cache=True``).
-    """
-    if _STATE["checked"]:
-        return _STATE["impl"]
-    _STATE["checked"] = True
-    try:
-        import numba
-    except ImportError:
-        _STATE["impl"] = None
-        return None
-    _STATE["impl"] = _build_kernels(numba)
-    return _STATE["impl"]
-
-
-def _build_kernels(numba):
-    """Define the jitted kernels (only runs when numba is importable)."""
-    njit = numba.njit
-
-    @njit(cache=True, nogil=True)
-    def _dijkstra_csr(
-        n, dest, kinds, out_ptr, out_chan, chan_dst, reverse, weights
-    ):  # pragma: no cover - requires numba
-        dist = np.full(n, INT64_INF, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int32)
-        settled = np.zeros(n, dtype=np.uint8)
-        dist[dest] = 0
-        # Array-backed binary min-heap of (dist, node), lazy deletion.
-        cap = 4 * n + 8
-        heap_d = np.empty(cap, dtype=np.int64)
-        heap_v = np.empty(cap, dtype=np.int64)
-        size = 0
-        heap_d[0] = 0
-        heap_v[0] = dest
-        size = 1
-        while size > 0:
-            d = heap_d[0]
-            u = heap_v[0]
-            size -= 1
-            heap_d[0] = heap_d[size]
-            heap_v[0] = heap_v[size]
-            # sift down
-            i = 0
-            while True:
-                left = 2 * i + 1
-                if left >= size:
-                    break
-                small = left
-                right = left + 1
-                if right < size and (
-                    heap_d[right] < heap_d[left]
-                    or (heap_d[right] == heap_d[left] and heap_v[right] < heap_v[left])
-                ):
-                    small = right
-                if heap_d[small] < heap_d[i] or (
-                    heap_d[small] == heap_d[i] and heap_v[small] < heap_v[i]
-                ):
-                    heap_d[i], heap_d[small] = heap_d[small], heap_d[i]
-                    heap_v[i], heap_v[small] = heap_v[small], heap_v[i]
-                    i = small
-                else:
-                    break
-            if settled[u]:
-                continue
-            settled[u] = 1
-            if u != dest and kinds[u] != 0:
-                continue  # terminals never forward traffic for others
-            for k in range(out_ptr[u], out_ptr[u + 1]):
-                c_out = out_chan[k]
-                c = reverse[c_out]
-                v = chan_dst[c_out]
-                if settled[v]:
-                    continue
-                nd = d + weights[c]
-                if nd < dist[v] or (nd == dist[v] and c < parent[v]):
-                    dist[v] = nd
-                    parent[v] = c
-                    if size >= cap:  # grow (rare: lazy deletions pile up)
-                        new_cap = cap * 2
-                        nh_d = np.empty(new_cap, dtype=np.int64)
-                        nh_v = np.empty(new_cap, dtype=np.int64)
-                        nh_d[:size] = heap_d[:size]
-                        nh_v[:size] = heap_v[:size]
-                        heap_d = nh_d
-                        heap_v = nh_v
-                        cap = new_cap
-                    # sift up
-                    i = size
-                    heap_d[i] = nd
-                    heap_v[i] = v
-                    size += 1
-                    while i > 0:
-                        up = (i - 1) // 2
-                        if heap_d[i] < heap_d[up] or (
-                            heap_d[i] == heap_d[up] and heap_v[i] < heap_v[up]
-                        ):
-                            heap_d[i], heap_d[up] = heap_d[up], heap_d[i]
-                            heap_v[i], heap_v[up] = heap_v[up], heap_v[i]
-                            i = up
-                        else:
-                            break
-        return dist, parent
-
-    @njit(cache=True, nogil=True)
-    def _hops_csr(
-        n, dest, kinds, out_ptr, out_chan, chan_dst
-    ):  # pragma: no cover - requires numba
-        hops = np.full(n, -1, dtype=np.int32)
-        hops[dest] = 0
-        queue = np.empty(n, dtype=np.int64)
-        queue[0] = dest
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            if u != dest and kinds[u] != 0:
-                continue
-            level = hops[u] + 1
-            for k in range(out_ptr[u], out_ptr[u + 1]):
-                v = chan_dst[out_chan[k]]
-                if hops[v] < 0:
-                    hops[v] = level
-                    queue[tail] = v
-                    tail += 1
-        return hops
-
-    @njit(cache=True, nogil=True)
-    def _update_weights_csr(
-        dest, dist, parent, weights, cnt, chan_dst, order
-    ):  # pragma: no cover - requires numba
-        # ``order`` holds the finite-distance nodes farthest-first; the
-        # caller precomputed it (argsort stays in numpy for exactness).
-        for idx in range(order.shape[0]):
-            v = order[idx]
-            c = parent[v]
-            if c < 0:
-                continue
-            weights[c] += cnt[v]
-            cnt[chan_dst[c]] += cnt[v]
-
-    class _Kernels:
-        dijkstra_csr = staticmethod(_dijkstra_csr)
-        hops_csr = staticmethod(_hops_csr)
-        update_weights_csr = staticmethod(_update_weights_csr)
-
-    return _Kernels
-
-
-# ----------------------------------------------------------------------
-# Fabric-level wrappers (the engine/executor entry points)
-# ----------------------------------------------------------------------
-def dijkstra_to_dest_native(fabric, dest: int, weights: np.ndarray):
-    """Weighted shortest paths to ``dest`` with the jitted CSR kernel.
-
-    Falls back to :func:`repro.core.sssp.dijkstra_to_dest` (after a
-    one-time warning) when numba is absent — same ``(dist, parent)``
-    either way.
-    """
-    impl = load_native()
-    if impl is None:
-        from repro.core.sssp import dijkstra_to_dest
-
-        warn_native_fallback()
-        return dijkstra_to_dest(fabric, dest, weights)
-    return impl.dijkstra_csr(
-        fabric.num_nodes,
-        dest,
-        fabric.kinds,
-        fabric.out_ptr,
-        fabric.out_chan,
-        fabric.channels.dst,
-        fabric.channels.reverse,
-        weights,
-    )
-
-
-def hops_to_dest_native(fabric, dest: int) -> np.ndarray:
-    """BFS hop column with the jitted kernel.
-
-    Without numba this degrades — like every ``"native"`` entry point —
-    to the ``"python"`` reference: the heap Dijkstra on unit weights,
-    whose distances *are* hop counts.
-    """
-    impl = load_native()
-    if impl is None:
-        from repro.core.sssp import dijkstra_to_dest
-
-        warn_native_fallback()
-        ones = np.ones(fabric.num_channels, dtype=np.int64)
-        dist, _ = dijkstra_to_dest(fabric, dest, ones)
-        return np.where(dist == INT64_INF, -1, dist).astype(np.int32)
-    return impl.hops_csr(
-        fabric.num_nodes,
-        dest,
-        fabric.kinds,
-        fabric.out_ptr,
-        fabric.out_chan,
-        fabric.channels.dst,
-    )
+    """True iff numba is importable in this environment."""
+    return find_spec("numba") is not None

@@ -49,8 +49,8 @@ stop being inserted once they hold :data:`PLAN_CACHE_BYTES` — later
 destinations then sweep for themselves.
 
 :func:`column_routine` hands the serial engine and the incremental repair
-this step for ``kernel="numpy"``, and the plain Dijkstra + reference
-update for the other kernels; the pool reducer always runs this one.
+this step for ``kernel="numpy"``, and the heap Dijkstra + reference
+update for ``kernel="python"``; the pool reducer always runs this one.
 """
 
 from __future__ import annotations
@@ -59,14 +59,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.sssp import (
-    update_weights_for_dest,
-    update_weights_for_dest_fast,
-    update_weights_for_dest_native,
-)
+from repro.core.sssp import update_weights_for_dest, update_weights_for_dest_fast
 from repro.network.fabric import Fabric
 from repro.obs import get_registry
-from repro.parallel import native
 from repro.parallel.kernel import INT64_INF, hops_to_dest, resolve_kernel
 
 #: Most bytes one run's cached hop plans may hold (int32 arrays, ~10 kB a
@@ -82,23 +77,20 @@ def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp"):
     toward ``dest``, advances ``weights`` in place and returns the
     column's ``parent`` array. ``"numpy"`` is :meth:`ExactReduction.step`
     and ``counts`` its live ``sweeps / plans / plan_hits / fallbacks``;
-    the ``"python"`` reference and the ``"native"`` jit run their
-    Dijkstra and the matching update directly (no counts). All three
-    produce identical arrays.
+    the ``"python"`` reference runs the heap Dijkstra and the
+    farthest-first update directly (no counts). Both produce identical
+    arrays.
     """
     if kernel == "numpy":
         reduction = ExactReduction(fabric, kernel, engine_name)
         return reduction.step, reduction.counts
     dijkstra = resolve_kernel(kernel)
-    update = update_weights_for_dest
-    if kernel == "native" and native.numba_available():
-        update = update_weights_for_dest_native
     is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
     def step(dest: int, weights: np.ndarray, count_switch_sources: bool = False):
         dist, parent = dijkstra(fabric, dest, weights)
-        update(fabric, dest, dist, parent, weights, is_term,
-               count_switch_sources=count_switch_sources)
+        update_weights_for_dest(fabric, dest, dist, parent, weights, is_term,
+                                count_switch_sources=count_switch_sources)
         return parent
 
     return step, {}

@@ -22,8 +22,8 @@ replaces both copies with :mod:`multiprocessing.shared_memory`:
 Nothing about the *values* changes — workers run the same kernels on the
 same arrays, rows land in the same deterministic order, and the parent's
 ExactReduction consumes them in submission order — so the executor's
-bit-identity contract survives unchanged (``tests/parallel`` asserts the
-shm and pickling paths equal serial per topology family).
+bit-identity contract survives unchanged (``tests/parallel`` asserts
+pool runs equal serial per topology family).
 
 Lifecycle: the parent owns every segment and is the only process that
 ``unlink``s, in a ``finally`` as soon as the run ends (crashed runs leak

@@ -40,13 +40,20 @@ State machine::
 
 from __future__ import annotations
 
+import inspect
 import secrets
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from repro.deadlock.verify import verify_deadlock_free
-from repro.exceptions import ComputeTimeoutError, ReproError, RoutingError, ServiceError
+from repro.exceptions import (
+    CheckpointError,
+    ComputeTimeoutError,
+    ReproError,
+    RoutingError,
+    ServiceError,
+)
 from repro.network.fabric import Fabric
 from repro.network.faults import DegradedFabric, degrade, identity_degradation
 from repro.network.validate import check_routable
@@ -56,7 +63,7 @@ from repro.obs.telemetry import request_scope
 from repro.resilience.events import LINK_UP, FaultEvent, relative_degradation
 from repro.routing.base import RoutingEngine, RoutingResult
 from repro.routing.paths import PathSet, extract_paths
-from repro.routing.registry import make_engine
+from repro.routing.registry import ENGINES, make_engine
 from repro.service.budget import compute_budget
 from repro.service.checkpoint import Checkpoint, CheckpointStore
 from repro.service.policy import CircuitBreaker, ServicePolicy
@@ -261,15 +268,32 @@ class RoutingSupervisor:
         with span("service.restore", path=str(checkpoint_dir)):
             ckpt = store.load()
             restored_policy = policy or ServicePolicy.from_dict(ckpt.state["policy"])
+            engine = str(ckpt.state["engine"])
+            engine_opts = dict(ckpt.state.get("engine_opts", {}))
+            # The options were written by whatever version took the
+            # checkpoint; one this version no longer has must fail as a
+            # checkpoint fault, not from inside the engine constructor.
+            where = ckpt.path / "state.json"
+            try:
+                make_engine(engine, **engine_opts)
+            except TypeError as err:
+                accepted = sorted(inspect.signature(ENGINES[engine]).parameters)
+                unknown = sorted(set(engine_opts) - set(accepted))
+                raise CheckpointError(
+                    f"{where}: engine_opts {unknown} not accepted by engine "
+                    f"{engine!r} (accepted options: {accepted})"
+                ) from err
+            except ValueError as err:
+                raise CheckpointError(f"{where}: engine_opts {engine_opts}: {err}") from err
             sup = cls(
-                engine=str(ckpt.state["engine"]),
+                engine=engine,
                 policy=restored_policy,
                 checkpoint_dir=checkpoint_dir,
                 cache_dir=cache_dir,
                 clock=clock,
                 sleep=sleep,
                 seed=seed,
-                engine_opts=dict(ckpt.state.get("engine_opts", {})),
+                engine_opts=engine_opts,
                 _restored=ckpt,
             )
         return sup

@@ -4,14 +4,9 @@ The determinism contract of :mod:`repro.parallel` is *exact* equality —
 forwarding tables, layer assignments and balancing weights — between the
 serial reference engine and
 
-* the process-pool executor (``workers`` ∈ {1, 2, 4}), over **both**
-  result transports — the shared-memory column blocks (``shm=True``,
-  the default) and the legacy pickling queue (``shm=False``),
+* the process-pool executor (``workers`` ∈ {1, 2, 4}),
 * the vectorized numpy Dijkstra kernel (``kernel="numpy"``),
-* the native kernel selection (``kernel="native"`` — jitted when numba
-  is importable, degraded to the python reference otherwise; identical
-  either way, so this config is meaningful on every CI leg),
-* any combination of the above,
+* any combination of the two,
 
 on every topology family. ``assert_same_routing`` compares arrays with
 ``np.array_equal`` (no tolerance: weights and channel ids are integers),
@@ -20,8 +15,6 @@ irregular fabrics.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +27,7 @@ from repro.core.sssp import (
     update_weights_for_dest,
     update_weights_for_dest_fast,
 )
-from repro.parallel import dijkstra_to_dest_numpy
+from repro.parallel import dijkstra_to_dest_numpy, run_parallel_sssp
 
 # ≥ 5 topology families, as the acceptance criteria require; sizes are
 # small enough that one serial + three parallel runs stay in CI budget.
@@ -50,14 +43,10 @@ FAMILIES = {
 
 PARALLEL_CONFIGS = [
     pytest.param(dict(kernel="numpy"), id="serial-numpy"),
-    pytest.param(dict(kernel="native"), id="serial-native"),
     pytest.param(dict(workers=1, kernel="numpy"), id="workers1-numpy-shm"),
-    pytest.param(dict(workers=1, shm=False), id="workers1-python-pickle"),
     pytest.param(dict(workers=2), id="workers2-python"),
     pytest.param(dict(workers=2, kernel="numpy"), id="workers2-numpy"),
     pytest.param(dict(workers=4, kernel="numpy"), id="workers4-numpy-shm"),
-    pytest.param(dict(workers=4, kernel="numpy", shm=False), id="workers4-numpy-pickle"),
-    pytest.param(dict(workers=4, kernel="native"), id="workers4-native"),
 ]
 
 
@@ -94,11 +83,7 @@ def assert_same_routing(base, other, *, layers: bool = False) -> None:
 @pytest.mark.parametrize("config", PARALLEL_CONFIGS)
 def test_sssp_bit_identical(family_fabric, serial_sssp, config):
     name, fabric = family_fabric
-    with warnings.catch_warnings():
-        # kernel="native" warns when numba is absent; the point here is
-        # that the *routes* are identical regardless.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = SSSPEngine(**config).route(fabric)
+    result = SSSPEngine(**config).route(fabric)
     assert_same_routing(serial_sssp, result)
     assert result.stats["total_balancing_weight"] == serial_sssp.stats[
         "total_balancing_weight"
@@ -109,9 +94,7 @@ def test_sssp_bit_identical(family_fabric, serial_sssp, config):
 def test_dfsssp_bit_identical(family_fabric, serial_dfsssp, config):
     """Identical tables imply identical layers — asserted, not assumed."""
     _, fabric = family_fabric
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = DFSSSPEngine(**config).route(fabric)
+    result = DFSSSPEngine(**config).route(fabric)
     assert_same_routing(serial_dfsssp, result, layers=True)
     assert result.stats["layers_needed"] == serial_dfsssp.stats["layers_needed"]
 
@@ -162,8 +145,11 @@ def test_batch_size_never_changes_results(params, batch):
     """Batching affects scheduling and span granularity only."""
     fabric = _fabric(params)
     base = SSSPEngine().route(fabric)
-    par = SSSPEngine(workers=2, kernel="numpy", batch=batch).route(fabric)
-    assert_same_routing(base, par)
+    next_channel, weights = run_parallel_sssp(
+        fabric, np.arange(fabric.num_terminals), workers=2, kernel="numpy", batch=batch
+    )
+    assert np.array_equal(next_channel, base.tables.next_channel)
+    assert np.array_equal(weights, base.channel_weights)
 
 
 @_slow

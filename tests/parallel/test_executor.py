@@ -13,9 +13,12 @@ from repro.parallel import ExactReduction, run_parallel_sssp
 from repro.parallel.executor import (
     _budget_snapshot,
     _chunks,
-    _hop_columns_task,
+    _hop_columns_shm_task,
     _init_worker,
+    _worker_state,
 )
+from repro.parallel.kernel import hops_to_dest
+from repro.parallel.shm import ColumnBlock, FabricArena
 from repro.service.budget import compute_budget
 
 
@@ -52,11 +55,29 @@ def test_budget_snapshot_forwards_remaining():
     assert 0 < remaining <= 30.0
 
 
-def test_worker_task_ships_timeout_as_data(fabric):
+@pytest.fixture()
+def worker_block(fabric):
+    """This process initialised as a pool worker over a one-block
+    transport; yields the parent's view of the block's three rows."""
+    arena = FabricArena(fabric)
+    block = ColumnBlock(3, fabric.num_nodes)
+    _init_worker(arena.spec, [block.spec])
+    yield block.array
+    pins = _worker_state["pins"]
+    _worker_state.update(fabric=None, columns=None, pins=())  # drop the mapped views
+    for shm in pins:
+        shm.close()
+    block.destroy()
+    arena.destroy()
+
+
+def _dest_rows(fabric):
+    return [(int(d), row) for row, d in enumerate(fabric.terminals[:3])]
+
+
+def test_worker_task_ships_timeout_as_data(fabric, worker_block):
     """Workers re-arm the deadline and return it as a picklable tuple."""
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
-    status, payload, records = _hop_columns_task(dests, 0.0, "repair")
+    status, payload, records = _hop_columns_shm_task(_dest_rows(fabric), 0, 0.0, "repair")
     assert status == "timeout"
     message, label, limit_s, elapsed_s = payload
     assert label == "repair"
@@ -66,25 +87,22 @@ def test_worker_task_ships_timeout_as_data(fabric):
     assert records == []  # no carrier → no span capture
 
 
-def test_worker_task_ok_without_budget(fabric):
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
-    status, columns, records = _hop_columns_task(dests, None, "compute")
-    assert status == "ok"
-    assert len(columns) == 3
+def test_worker_task_ok_without_budget(fabric, worker_block):
+    dest_rows = _dest_rows(fabric)
+    status, done, records = _hop_columns_shm_task(dest_rows, 0, None, "compute")
+    assert (status, done) == ("ok", 3)
     assert records == []
-    for col in columns:
-        assert col.shape == (fabric.num_nodes,)
+    for dest, row in dest_rows:  # the columns landed in the parent's view
+        np.testing.assert_array_equal(worker_block[row], hops_to_dest(fabric, dest))
 
 
-def test_worker_task_captures_spans_when_carrier_asks(fabric):
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
+def test_worker_task_captures_spans_when_carrier_asks(fabric, worker_block):
+    dest_rows = _dest_rows(fabric)
     carrier = {"request_id": "req-ff00", "capture": True}
-    status, columns, records = _hop_columns_task(dests, None, "compute", carrier)
+    status, _, records = _hop_columns_shm_task(dest_rows, 0, None, "compute", carrier)
     assert status == "ok"
     assert [r["name"] for r in records] == ["parallel.hop_column"] * 3
-    assert [r["attrs"]["dest"] for r in records] == dests
+    assert [r["attrs"]["dest"] for r in records] == [d for d, _ in dest_rows]
     assert all(r["attrs"]["request_id"] == "req-ff00" for r in records)
     assert all(r["attrs"]["pid"] > 0 for r in records)
 
@@ -155,8 +173,9 @@ def test_run_parallel_rejects_zero_workers(fabric):
 
 
 def test_executor_python_kernel_matches_serial(fabric):
-    """The python worker kernel literally fans out the reference heap
-    Dijkstra on unit weights — results must still be exact."""
+    """With ``kernel="python"`` the workers still sweep BFS hops (equal to
+    the unit-weight heap Dijkstra, see ``test_hops_equal_unit_weight_dijkstra``)
+    and the reducer falls back to the heap kernel — results stay exact."""
     base = SSSPEngine().route(fabric)
     par = SSSPEngine(workers=3, kernel="python").route(fabric)
     assert np.array_equal(par.tables.next_channel, base.tables.next_channel)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import topologies
+from repro.core import DFSSSPEngine
 from repro.core.sssp import KERNELS, SSSPEngine, dijkstra_to_dest
 from repro.exceptions import ComputeTimeoutError
 from repro.parallel import (
@@ -33,9 +34,19 @@ def test_engine_rejects_bad_parallel_options():
         SSSPEngine(kernel="fortran")
     with pytest.raises(ValueError, match="workers"):
         SSSPEngine(workers=-1)
-    with pytest.raises(ValueError, match="batch"):
-        SSSPEngine(workers=2, batch=0)
-    assert KERNELS == ("python", "numpy", "native")
+    assert KERNELS == ("python", "numpy")
+
+
+def test_removed_options_fail_loudly():
+    """The deleted kernel, engine and knobs are errors, not silent defaults."""
+    for engine in (SSSPEngine, DFSSSPEngine):
+        with pytest.raises(ValueError, match="'python', 'numpy'"):
+            engine(kernel="native")
+        for knob in ("shm", "batch"):
+            with pytest.raises(TypeError, match=knob):
+                engine(**{knob: 1})
+    with pytest.raises(ValueError, match="'incremental' or 'rebuild'"):
+        DFSSSPEngine(**{"cdg": "sharded"})
 
 
 def test_numpy_kernel_matches_heap_on_uniform_weights(fabric):

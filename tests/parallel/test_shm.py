@@ -2,8 +2,8 @@
 
 :mod:`repro.parallel.shm` owns raw OS resources (POSIX shared-memory
 segments under ``/dev/shm``), so beyond value correctness — the
-differential suite already proves shm runs bit-identical to pickling and
-serial — this file pins the lifecycle contract:
+differential suite already proves pool runs bit-identical to serial —
+this file pins the lifecycle contract:
 
 * arena/block round-trips reproduce the packed arrays exactly, through
   the same attach path workers use;

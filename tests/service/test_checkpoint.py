@@ -132,6 +132,28 @@ def test_corrupt_state_json_names_file(tmp_path, fabric):
     assert "state.json" in str(exc.value)
 
 
+@pytest.mark.parametrize("opts, named", [
+    ({"cdg": "sharded"}, ("cdg", "'incremental' or 'rebuild'")),
+    ({"kernel": "native"}, ("kernel", "('python', 'numpy')")),
+    ({"workers": 2, "shm": False}, ("['shm']", "'workers'")),
+    ({"batch": 8}, ("['batch']", "'kernel'")),
+])
+def test_restore_rejects_removed_engine_opts(tmp_path, fabric, opts, named):
+    """A checkpoint written with an option this version no longer has is
+    a checkpoint fault naming the key and what is accepted instead."""
+    RoutingSupervisor(fabric, engine="dfsssp", policy=FAST, checkpoint_dir=tmp_path / "ckpt")
+    store = CheckpointStore(tmp_path / "ckpt")
+    state_file = store.root / store._name(store.latest_version()) / "state.json"
+    data = json.loads(state_file.read_text())
+    data["engine_opts"] = opts
+    state_file.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError) as exc:
+        RoutingSupervisor.restore(tmp_path / "ckpt")
+    assert "state.json" in str(exc.value)
+    for text in named:
+        assert text in str(exc.value)
+
+
 def test_corrupt_current_pointer(tmp_path, fabric):
     RoutingSupervisor(fabric, policy=FAST, checkpoint_dir=tmp_path / "ckpt")
     (tmp_path / "ckpt" / "CURRENT").write_text("garbage")

@@ -68,9 +68,11 @@ def test_route_parallel_flags(capsys):
 
 
 def test_route_rejects_unknown_kernel(capsys):
-    with pytest.raises(SystemExit):
-        main(["route", "--family", "ring", "--switches", "5",
-              "--engine", "sssp", "--kernel", "cuda"])
+    for flag in (("--kernel", "cuda"), ("--kernel", "native"), ("--cdg", "sharded")):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", "--family", "ring", "--switches", "5",
+                  "--engine", "dfsssp", *flag])
+        assert exc.value.code == 2
 
 
 def test_simulate_command(capsys):
