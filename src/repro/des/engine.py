@@ -39,10 +39,11 @@ occupancy into :mod:`repro.obs` under ``des_*`` names, inside a
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,13 +57,12 @@ from repro.utils.prng import spawn_rngs
 # import cycle through the wrong door when repro.des is imported first.
 
 # Event kinds (heap payload discriminators; never compared by heapq —
-# the (time, seq) prefix is always unique).
-_E_FLOW = "flow"
-_E_TRY = "try"
-_E_ARRIVE = "arrive"
-_E_FAULT = "fault"
-_E_RETX = "retx"
-_E_FREE = "free"  # a channel's serializer went idle
+# the (time, seq) prefix is always unique). The first three are 99 % of
+# all events and are handled inside the loop of :meth:`PacketDES.run`.
+_E_TRY, _E_ARRIVE, _E_FREE, _E_FLOW, _E_RETX, _E_FAULT = range(6)
+_KIND_NAMES = ("try", "arrive", "free", "flow", "retx", "fault")
+_RECORD_CHUNK = 4096  # record-stream entries hashed per ``sha256.update``
+_queue_order = attrgetter("channel", "vc")
 
 
 @dataclass(frozen=True)
@@ -93,39 +93,38 @@ class FaultSpec:
     count: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _Packet:
     pid: int
     fid: int
-    src: int
     dst: int
     nbytes: int
-    vc: int
     born: float
     attempts: int = 0
     hops: int = 0
 
 
-@dataclass
+@dataclass(slots=True, eq=False)  # hashed by identity: queues key the run's dicts
 class QueueStats:
-    """Occupancy statistics of one ``(channel, vc)`` output queue."""
+    """One ``(channel, vc)`` output queue: its occupancy statistics and,
+    while a run is in progress, the packets stored in it."""
 
     channel: int
     vc: int
     max_occupancy: int = 0
     _integral: float = 0.0
     _last_t: float = 0.0
-    _occ: int = 0
+    _occ: int = 0  # stored packets + slots reserved by packets on the wire
+    _pkts: deque | None = field(default=None, repr=False)
 
     def change(self, delta: int, t: float) -> None:
+        """Move the occupancy by ``delta`` at time ``t`` in one step (the
+        engine's event loop inlines the ``±1`` case)."""
         self._integral += self._occ * (t - self._last_t)
         self._last_t = t
         self._occ += delta
         if self._occ > self.max_occupancy:
             self.max_occupancy = self._occ
-
-    def finalize(self, t: float) -> None:
-        self.change(0, t)
 
     @property
     def occupancy(self) -> int:
@@ -171,6 +170,10 @@ class DesOutcome:
     log: list[tuple] | None = None
     log_hash: str = ""
     timelines: dict[tuple[int, int], list[tuple[float, int]]] | None = None
+    #: events handled per kind (``try`` + ``arrive`` + ``free`` + ``flow`` +
+    #: ``retx`` + ``fault`` == ``events_processed``) and what the ``try``
+    #: events did: ``send`` + ``try_empty`` + ``try_busy`` + ``try_no_credit``.
+    events_by_kind: dict[str, int] = field(default_factory=dict)
 
     @property
     def throughput_bytes_per_s(self) -> float:
@@ -212,6 +215,7 @@ class DesOutcome:
             "status": self.status,
             "time_s": self.time,
             "events": self.events_processed,
+            "events_by_kind": dict(self.events_by_kind),
             "injected": self.injected,
             "delivered": self.delivered,
             "dropped": self.dropped,
@@ -293,7 +297,10 @@ class PacketDES:
         self._cur_state = None  # DegradedFabric once a fault fired
         self._node_h2c: np.ndarray | None = None  # healthy node -> current node
         self._chan_c2h: np.ndarray | None = None  # current channel -> healthy channel
-        self._alive = np.ones(self.fabric.num_channels, dtype=bool)
+        self._alive = [True] * self.fabric.num_channels
+        # (queue, dst) -> next queue (None: dst is the wire's far end) in
+        # the current routing frame; the event loop's only table look-up.
+        self._hops: dict[tuple[QueueStats, int], QueueStats | None] = {}
 
     def _adopt_state(self, state) -> None:
         """Install a cumulative degradation as the current routing frame."""
@@ -306,7 +313,9 @@ class PacketDES:
         self._chan_c2h = c2h
         alive = np.zeros(self.fabric.num_channels, dtype=bool)
         alive[healthy_alive] = True
-        self._alive = alive
+        # In place: the running event loop holds both objects.
+        self._alive[:] = alive.tolist()
+        self._hops.clear()
 
     def _next_hop(self, node: int, dst: int) -> int:
         """Current output channel (healthy id) at ``node`` toward ``dst``."""
@@ -350,33 +359,35 @@ class PacketDES:
         self._reset_routing_view()
 
         fab = self.fabric
-        chan_dst = fab.channels.dst
         link = self.link
-        cap = self.buffer_packets
+        chan_dst = fab.channels.dst.tolist()
+        alive, hops = self._alive, self._hops
+        num_nodes = fab.num_nodes
+        bandwidth, propagation = link.bandwidth_bytes_per_s, link.propagation_s
+        cap = self.buffer_packets if self.buffer_packets is not None else math.inf
 
         # Mutable run state.
         heap: list[tuple] = []
-        self._heap = heap
-        self._seq = 0
-        queues: dict[tuple[int, int], deque] = {}
-        occ: dict[tuple[int, int], int] = {}
-        waiters: dict[tuple[int, int], set] = {}
-        busy: dict[int, float] = {}
-        busy_blocked: dict[int, set] = {}  # channel -> vc-queues waiting for it
+        seq = 0
         qstats: dict[tuple[int, int], QueueStats] = {}
+        stored: list[QueueStats] = []  # queues that hold(held) packets, by first store
+        waiters: defaultdict[QueueStats, set] = defaultdict(set)  # full queue -> senders
+        busy = [0.0] * fab.num_channels
+        busy_blocked: defaultdict[int, set] = defaultdict(set)  # channel -> waiting queues
+        link_packets = [0] * fab.num_channels
         timelines: dict[tuple[int, int], list] = {} if self.record_timelines else None
-        link_packets = np.zeros(fab.num_channels, dtype=np.int64)
         flows: dict[int, _FlowState] = {}
         log: list[tuple] | None = [] if self.record_events else None
         digest = hashlib.sha256()
+        records: list[str] = []  # formatted entries not yet hashed
+        emit = records.append
         fault_notes: list[str] = []
         reroute_notes: list[str] = []
-
+        latencies: list[float] = []
+        occ_samples: defaultdict[int, int] = defaultdict(int)
         stats = {
-            "injected": 0, "delivered": 0, "dropped": 0, "retx": 0, "lost": 0,
-            "in_network": 0, "flows_released": 0, "flows_completed": 0,
-            "bytes_delivered": 0, "first_inject": None, "last_delivery": 0.0,
-            "latencies": [],
+            "injected": 0, "dropped": 0, "retx": 0, "lost": 0, "flows_released": 0,
+            "flows_completed": 0, "first_inject": None,
         }
 
         reg = get_registry()
@@ -396,43 +407,65 @@ class PacketDES:
             buckets=DURATION_BUCKETS,
         )
         h_occ = reg.histogram(
-            "des_queue_occupancy", "queue occupancy sampled at each reservation",
+            "des_queue_occupancy", "queue occupancy sampled at each send-time reservation",
             buckets=COUNT_BUCKETS,
         )
 
-        pid_counter = [0]
+        def flush() -> None:
+            digest.update("".join(records).encode())
+            records.clear()
 
         def record(t: float, kind: str, *args) -> None:
             entry = (round(t, 12), kind, *args)
-            digest.update(repr(entry).encode())
+            emit(repr(entry))
             if log is not None:
                 log.append(entry)
 
-        def push(t: float, kind: str, payload) -> None:
-            self._seq += 1
-            heapq.heappush(heap, (t, self._seq, kind, payload))
+        def push(t: float, kind: int, payload) -> None:
+            nonlocal seq
+            seq += 1
+            heappush(heap, (t, seq, kind, payload))
 
-        def stat_for(key) -> QueueStats:
-            st = qstats.get(key)
-            if st is None:
-                st = qstats[key] = QueueStats(channel=key[0], vc=key[1])
-            return st
+        # ------------ handlers of the rare events and branches ------------
+        def queue_at(c: int, vc: int) -> QueueStats:
+            q = qstats.get((c, vc))
+            if q is None:
+                q = qstats[c, vc] = QueueStats(channel=c, vc=vc)
+            return q
 
-        def occ_change(key, delta: int, t: float) -> None:
-            occ[key] = occ.get(key, 0) + delta
-            stat_for(key).change(delta, t)
+        def open_queue(q: QueueStats) -> deque:
+            """The first packet is about to be stored in ``q``."""
+            stored.append(q)
+            q._pkts = deque()
+            return q._pkts
+
+        def account(q: QueueStats, delta: int, t: float) -> None:
+            """``delta`` packets enter/leave ``q`` at once: the integral
+            moves on the first, the maximum on the last."""
             if timelines is not None:
-                timelines.setdefault(key, []).append((t, occ[key]))
-            if delta < 0:
-                for w in sorted(waiters.pop(key, ())):
-                    push(t, _E_TRY, w)
+                step = 1 if delta > 0 else -1
+                timelines.setdefault((q.channel, q.vc), []).extend(
+                    (t, q._occ + i) for i in range(step, delta + step, step)
+                )
+            q.change(delta, t)
 
-        def space(key) -> bool:
-            if cap is None:
-                return True
-            return occ.get(key, 0) < cap
+        def wake(q: QueueStats, t: float) -> None:
+            for w in sorted(waiters.pop(q, ()), key=_queue_order):
+                push(t, _E_TRY, w)
 
-        # -------------------------- handlers --------------------------
+        def inject(t: float, flow, sizes, attempts: int) -> None:
+            """Queue one packet per entry of ``sizes`` at the flow's source."""
+            vc = self._vc_for(flow.src, flow.dst)
+            q = queue_at(self._next_hop(flow.src, flow.dst), vc)
+            pkts = q._pkts if q._pkts is not None else open_queue(q)
+            pkts.extend(
+                _Packet(pid, flow.fid, flow.dst, nbytes, t, attempts)
+                for pid, nbytes in enumerate(sizes, stats["injected"] + 1)
+            )
+            account(q, len(sizes), t)
+            stats["injected"] += len(sizes)
+            push(t, _E_TRY, q)
+
         def release_flow(t: float, flow) -> None:
             if fab.term_index[flow.src] < 0 or fab.term_index[flow.dst] < 0:
                 raise SimulationError(
@@ -440,63 +473,27 @@ class PacketDES:
                 )
             if flow.src == flow.dst:
                 raise SimulationError(f"flow {flow.fid} is a self-flow")
-            state = _FlowState(
-                flow=flow,
-                released_at=t,
-                packets_total=max(1, math.ceil(flow.size_bytes / link.mtu_bytes)),
-            )
-            flows[flow.fid] = state
+            mtu = link.mtu_bytes
+            full, rest = divmod(flow.size_bytes, mtu)
+            sizes = ([mtu] * full + [rest] * (rest > 0)) or [mtu]  # an empty flow is one packet
+            flows[flow.fid] = _FlowState(flow=flow, released_at=t, packets_total=len(sizes))
             stats["flows_released"] += 1
             record(t, "start", flow.fid, flow.src, flow.dst, flow.size_bytes)
-            vc = self._vc_for(flow.src, flow.dst)
-            c0 = self._next_hop(flow.src, flow.dst)
-            key = (c0, vc)
-            remaining = flow.size_bytes
-            q = queues.setdefault(key, deque())
-            for _ in range(state.packets_total):
-                nbytes = min(link.mtu_bytes, remaining) or link.mtu_bytes
-                remaining -= nbytes
-                pid_counter[0] += 1
-                pkt = _Packet(
-                    pid=pid_counter[0], fid=flow.fid, src=flow.src, dst=flow.dst,
-                    nbytes=nbytes, vc=vc, born=t,
-                )
-                q.append(pkt)
-                occ_change(key, +1, t)
-                stats["injected"] += 1
-                stats["in_network"] += 1
-                m_inj.inc()
+            inject(t, flow, sizes, 0)
             if stats["first_inject"] is None:
                 stats["first_inject"] = t
-            push(t, _E_TRY, key)
 
         def inject_retx(t: float, payload) -> None:
             flow, nbytes, attempts = payload
-            vc = self._vc_for(flow.src, flow.dst)
-            c0 = self._next_hop(flow.src, flow.dst)
-            key = (c0, vc)
-            pid_counter[0] += 1
-            pkt = _Packet(
-                pid=pid_counter[0], fid=flow.fid, src=flow.src, dst=flow.dst,
-                nbytes=nbytes, vc=vc, born=t, attempts=attempts,
-            )
-            queues.setdefault(key, deque()).append(pkt)
-            occ_change(key, +1, t)
-            stats["injected"] += 1
-            stats["in_network"] += 1
-            m_inj.inc()
-            record(t, "retx", pkt.pid, flow.fid, attempts)
-            push(t, _E_TRY, key)
+            inject(t, flow, (nbytes,), attempts)
+            record(t, "retx", stats["injected"], flow.fid, attempts)
 
         def drop_packet(t: float, pkt: _Packet, where: int, reason: str) -> None:
             stats["dropped"] += 1
-            stats["in_network"] -= 1
-            m_drop.inc()
             record(t, "drop", pkt.pid, where, reason)
             state = flows[pkt.fid]
             if pkt.attempts < self.max_retransmits:
                 stats["retx"] += 1
-                m_retx.inc()
                 push(
                     t + self.retransmit_delay_s, _E_RETX,
                     (state.flow, pkt.nbytes, pkt.attempts + 1),
@@ -505,104 +502,36 @@ class PacketDES:
                 state.lost += 1
                 stats["lost"] += 1
 
-        def deliver(t: float, pkt: _Packet) -> None:
-            stats["delivered"] += 1
-            stats["in_network"] -= 1
-            stats["bytes_delivered"] += pkt.nbytes
-            stats["last_delivery"] = t
-            stats["latencies"].append(t - pkt.born)
-            m_del.inc()
-            h_lat.observe(t - pkt.born)
-            record(t, "deliver", pkt.pid, pkt.fid)
-            state = flows[pkt.fid]
-            state.delivered += 1
-            if state.delivered == state.packets_total:
-                state.completed_at = t
-                stats["flows_completed"] += 1
-                m_flows.inc()
-                h_fct.observe(t - state.released_at)
-                record(t, "flow_done", pkt.fid)
-                for new_flow in workload.on_complete(state.flow, t):
-                    push(max(t, new_flow.start), _E_FLOW, new_flow)
+        def flow_done(t: float, state: _FlowState) -> None:
+            state.completed_at = t
+            stats["flows_completed"] += 1
+            h_fct.observe(t - state.released_at)
+            record(t, "flow_done", state.flow.fid)
+            for new_flow in workload.on_complete(state.flow, t):
+                push(max(t, new_flow.start), _E_FLOW, new_flow)
 
-        def try_send(t: float, key) -> None:
-            q = queues.get(key)
-            if not q:
-                return
-            c, _vc = key
-            if busy.get(c, 0.0) > t:
-                # The serializer is taken; a FREE event at busy-end will
-                # re-schedule every vc-queue registered here.
-                busy_blocked.setdefault(c, set()).add(key)
-                return
-            pkt = q[0]
-            node_after = int(chan_dst[c])
-            if node_after == pkt.dst:
-                next_key = None
-            else:
-                nxt = self._next_hop(node_after, pkt.dst)
-                next_key = (nxt, pkt.vc)
-                if not space(next_key):
-                    waiters.setdefault(next_key, set()).add(key)
-                    return
-                occ_change(next_key, +1, t)
-                h_occ.observe(occ[next_key])
-            q.popleft()
-            occ_change(key, -1, t)
-            pkt.hops += 1
-            if pkt.hops > fab.num_nodes:
-                raise SimulationError(
-                    f"packet {pkt.pid} exceeded {fab.num_nodes} hops toward terminal "
-                    f"{pkt.dst}: cyclic forwarding tables"
-                )
-            ser = link.serialization_s(pkt.nbytes)
-            busy[c] = t + ser
-            link_packets[c] += 1
-            record(t, "send", pkt.pid, c)
-            push(t + ser + link.propagation_s, _E_ARRIVE, (pkt, c, next_key))
-            busy_blocked.setdefault(c, set()).add(key)
-            push(t + ser, _E_FREE, c)
+        def purge_dead(t: float) -> None:
+            """Drop packets buffered on dead channels; wake blocked senders.
 
-        def channel_free(t: float, c: int) -> None:
-            # Wake every vc-queue that found the serializer busy. The wake
-            # order rotates with the channel's send count so no virtual
-            # lane starves under saturation (same trick as flitsim's
-            # rotated service order).
-            blocked = sorted(busy_blocked.pop(c, ()))
-            if not blocked:
-                return
-            rot = int(link_packets[c]) % len(blocked)
-            for w in blocked[rot:] + blocked[:rot]:
-                push(t, _E_TRY, w)
-
-        def arrive(t: float, payload) -> None:
-            pkt, crossed, next_key = payload
-            if not self._alive[crossed]:
-                # The wire died while the packet was on it.
-                if next_key is not None and self._alive[next_key[0]]:
-                    occ_change(next_key, -1, t)  # release the reserved slot
-                drop_packet(t, pkt, crossed, "link_died_in_flight")
-                return
-            record(t, "arrive", pkt.pid, crossed)
-            if next_key is None:
-                deliver(t, pkt)
-                return
-            if not self._alive[next_key[0]]:
-                # The reserved next hop died after the send decision:
-                # re-resolve against the repaired tables.
-                node = int(chan_dst[crossed])
-                try:
-                    nxt = self._next_hop(node, pkt.dst)
-                except SimulationError:
-                    drop_packet(t, pkt, next_key[0], "no_route_after_fault")
-                    return
-                next_key = (nxt, pkt.vc)
-                if not space(next_key):
-                    drop_packet(t, pkt, nxt, "no_buffer_after_reroute")
-                    return
-                occ_change(next_key, +1, t)
-            queues.setdefault(next_key, deque()).append(pkt)
-            push(t, _E_TRY, next_key)
+            Queues on dead channels vanish with their link: their packets
+            are dropped (and retransmitted from the source), their waiter
+            registrations are discarded, and every upstream queue that was
+            waiting for a credit from a dead queue is re-scheduled so its
+            head packet re-resolves against the repaired tables.
+            """
+            dead = [q for q in stored if not alive[q.channel]]
+            stored[:] = [q for q in stored if alive[q.channel]]
+            for q in dead:
+                wake(q, t)
+                pkts, q._pkts = q._pkts, None
+                if pkts:
+                    account(q, -len(pkts), t)
+                for pkt in pkts:
+                    drop_packet(t, pkt, q.channel, "queued_on_dead_link")
+            # A dead queue that never stored a packet (all its slots reserved
+            # by packets still on the wire) can have waiters too.
+            for q in [q for q in waiters if not alive[q.channel]]:
+                wake(q, t)
 
         def inject_fault(t: float, spec: FaultSpec) -> None:
             from repro.resilience.events import (
@@ -642,16 +571,9 @@ class PacketDES:
                 m_reroutes.inc()
                 reroute_notes.append(action)
                 record(t, "reroute", action)
-                self._purge_dead(t, queues, occ, waiters, qstats, drop_packet, push)
+                purge_dead(t)
 
-        handlers = {
-            _E_FLOW: release_flow,
-            _E_TRY: try_send,
-            _E_ARRIVE: arrive,
-            _E_FAULT: inject_fault,
-            _E_RETX: inject_retx,
-            _E_FREE: channel_free,
-        }
+        rare = {_E_FLOW: release_flow, _E_RETX: inject_retx, _E_FAULT: inject_fault}
 
         # -------------------------- main loop --------------------------
         self._injector = None
@@ -663,94 +585,227 @@ class PacketDES:
         for spec in sorted(faults, key=lambda s: s.at_s):
             push(float(spec.at_s), _E_FAULT, spec)
 
-        events = 0
-        now = 0.0
+        horizon = horizon_s if horizon_s is not None else math.inf
+        events = delivered = bytes_delivered = 0
+        by_kind = [0] * len(_KIND_NAMES)  # try is filled in as the remainder
+        n_arrive = n_free = try_empty = try_busy = try_no_credit = 0
+        last_delivery = 0.0
+        t = 0.0
+        stamp = None  # the timestamp `tr` / `head` were formatted for
         status = "completed"
         with span(
             "des.run", engine=self.result.tables.engine,
             workload=getattr(workload, "name", type(workload).__name__),
-            buffers=cap if cap is not None else "inf",
+            buffers=self.buffer_packets if self.buffer_packets is not None else "inf",
         ) as sp:
             while heap:
-                t, _seq, kind, payload = heapq.heappop(heap)
-                if horizon_s is not None and t > horizon_s:
+                t, _, kind, arg = heappop(heap)
+                if t > horizon:
                     status = "horizon"
-                    now = horizon_s
+                    t = horizon_s
                     break
-                now = t
                 events += 1
                 if events > max_events:
                     raise SimulationError(
                         f"DES exceeded {max_events} events (runaway scenario?)"
                     )
-                handlers[kind](t, payload)
-            else:
-                if stats["in_network"] > 0:
+                if t != stamp:
+                    stamp = t
+                    tr = round(t, 12)
+                    head = f"({tr!r}, '"
+                    if len(records) >= _RECORD_CHUNK:
+                        flush()
+
+                if kind == _E_TRY:
+                    q = arg
+                    pkts = q._pkts
+                    if not pkts:
+                        try_empty += 1
+                        continue
+                    c = q.channel
+                    if busy[c] > t:
+                        # The serializer is taken; the FREE event at busy-end
+                        # re-schedules every vc-queue registered here.
+                        busy_blocked[c].add(q)
+                        try_busy += 1
+                        continue
+                    pkt = pkts[0]
+                    dst = pkt.dst
+                    nq = hops.get((q, dst), hops)  # `hops` itself = not cached
+                    if nq is hops:
+                        far = chan_dst[c]
+                        nq = None if far == dst else queue_at(self._next_hop(far, dst), q.vc)
+                        hops[q, dst] = nq
+                    if nq is not None:
+                        occ = nq._occ
+                        if occ >= cap:
+                            waiters[nq].add(q)
+                            try_no_credit += 1
+                            continue
+                        nq._integral += occ * (t - nq._last_t)
+                        nq._last_t = t
+                        nq._occ = occ = occ + 1
+                        if occ > nq.max_occupancy:
+                            nq.max_occupancy = occ
+                        occ_samples[occ] += 1
+                        if timelines is not None:
+                            timelines.setdefault((nq.channel, nq.vc), []).append((t, occ))
+                    pkts.popleft()
+                    occ = q._occ
+                    q._integral += occ * (t - q._last_t)
+                    q._last_t = t
+                    q._occ = occ - 1
+                    if timelines is not None:
+                        timelines.setdefault((c, q.vc), []).append((t, occ - 1))
+                    if waiters:
+                        for w in sorted(waiters.pop(q, ()), key=_queue_order):
+                            seq += 1
+                            heappush(heap, (t, seq, _E_TRY, w))
+                    pkt.hops += 1
+                    if pkt.hops > num_nodes:
+                        raise SimulationError(
+                            f"packet {pkt.pid} exceeded {num_nodes} hops toward terminal "
+                            f"{dst}: cyclic forwarding tables"
+                        )
+                    done = t + pkt.nbytes / bandwidth
+                    busy[c] = done
+                    link_packets[c] += 1
+                    emit(f"{head}send', {pkt.pid!r}, {c!r})")
+                    if log is not None:
+                        log.append((tr, "send", pkt.pid, c))
+                    seq += 1
+                    heappush(heap, (done + propagation, seq, _E_ARRIVE, (pkt, c, nq)))
+                    busy_blocked[c].add(q)
+                    seq += 1
+                    heappush(heap, (done, seq, _E_FREE, c))
+
+                elif kind == _E_ARRIVE:
+                    n_arrive += 1
+                    pkt, c, nq = arg
+                    if not alive[c]:
+                        # The wire died while the packet was on it.
+                        if nq is not None and alive[nq.channel]:
+                            account(nq, -1, t)  # release the reserved slot
+                            wake(nq, t)
+                        drop_packet(t, pkt, c, "link_died_in_flight")
+                        continue
+                    emit(f"{head}arrive', {pkt.pid!r}, {c!r})")
+                    if log is not None:
+                        log.append((tr, "arrive", pkt.pid, c))
+                    if nq is None:
+                        delivered += 1
+                        bytes_delivered += pkt.nbytes
+                        last_delivery = t
+                        latencies.append(t - pkt.born)
+                        h_lat.observe(t - pkt.born)
+                        emit(f"{head}deliver', {pkt.pid!r}, {pkt.fid!r})")
+                        if log is not None:
+                            log.append((tr, "deliver", pkt.pid, pkt.fid))
+                        state = flows[pkt.fid]
+                        state.delivered += 1
+                        if state.delivered == state.packets_total:
+                            flow_done(t, state)
+                        continue
+                    if not alive[nq.channel]:
+                        # The reserved next hop died after the send decision:
+                        # re-resolve against the repaired tables.
+                        dead = nq.channel
+                        try:
+                            nq = queue_at(self._next_hop(chan_dst[c], pkt.dst), nq.vc)
+                        except SimulationError:
+                            drop_packet(t, pkt, dead, "no_route_after_fault")
+                            continue
+                        if nq._occ >= cap:
+                            drop_packet(t, pkt, nq.channel, "no_buffer_after_reroute")
+                            continue
+                        account(nq, +1, t)
+                    pkts = nq._pkts
+                    if pkts is None:
+                        pkts = open_queue(nq)
+                    pkts.append(pkt)
+                    seq += 1
+                    heappush(heap, (t, seq, _E_TRY, nq))
+
+                elif kind == _E_FREE:
+                    # Wake every vc-queue that found the serializer busy. The
+                    # wake order rotates with the channel's send count so no
+                    # virtual lane starves under saturation (same trick as
+                    # flitsim's rotated service order).
+                    n_free += 1
+                    blocked = busy_blocked.pop(arg, ())
+                    if len(blocked) > 1:
+                        blocked = sorted(blocked, key=_queue_order)
+                        rot = link_packets[arg] % len(blocked)
+                        blocked = blocked[rot:] + blocked[:rot]
+                    for w in blocked:
+                        seq += 1
+                        heappush(heap, (t, seq, _E_TRY, w))
+
+                else:
+                    by_kind[kind] += 1
+                    rare[kind](t, arg)
+            flush()
+
+            in_network = stats["injected"] - delivered - stats["dropped"]
+            if status != "horizon":
+                if in_network > 0:
                     status = "deadlock"
                 elif stats["flows_completed"] < stats["flows_released"]:
                     status = "incomplete"
+            by_kind[_E_ARRIVE], by_kind[_E_FREE] = n_arrive, n_free
+            by_kind[_E_TRY] = events - sum(by_kind)
+            events_by_kind = dict(zip(_KIND_NAMES, by_kind))
+            events_by_kind.update(
+                try_sent=by_kind[_E_TRY] - try_empty - try_busy - try_no_credit,
+                try_empty=try_empty, try_busy=try_busy, try_no_credit=try_no_credit,
+            )
             sp.set_attr("status", status)
             sp.set_attr("events", events)
-        m_events.inc(events)
+            for name, n in events_by_kind.items():
+                sp.set_attr(f"events_{name}", n)
 
-        for st in qstats.values():
-            st.finalize(now)
+        # One registry update per metric per run, not one per packet.
+        m_inj.inc(stats["injected"])
+        m_del.inc(delivered)
+        m_drop.inc(stats["dropped"])
+        m_retx.inc(stats["retx"])
+        m_flows.inc(stats["flows_completed"])
+        m_events.inc(events)
+        for occ, n in occ_samples.items():
+            h_occ.observe(occ, n)
+
+        for q in qstats.values():
+            q.change(0, t)
         first = stats["first_inject"]
         makespan = (
-            stats["last_delivery"] - first
-            if first is not None and stats["last_delivery"] > first
-            else 0.0
+            last_delivery - first if first is not None and last_delivery > first else 0.0
         )
         return DesOutcome(
             status=status,
-            time=now,
+            time=t,
             events_processed=events,
             injected=stats["injected"],
-            delivered=stats["delivered"],
+            delivered=delivered,
             dropped=stats["dropped"],
             retransmitted=stats["retx"],
             lost=stats["lost"],
-            in_network=stats["in_network"],
+            in_network=in_network,
             flows_released=stats["flows_released"],
             flows_completed=stats["flows_completed"],
-            bytes_delivered=stats["bytes_delivered"],
+            bytes_delivered=bytes_delivered,
             makespan_s=makespan,
             fct_seconds={
                 fid: st.completed_at - st.released_at
                 for fid, st in flows.items()
                 if st.completed_at is not None
             },
-            packet_latency_s=stats["latencies"],
-            link_packets=link_packets,
-            queue_stats=sorted(qstats.values(), key=lambda q: (q.channel, q.vc)),
+            packet_latency_s=latencies,
+            link_packets=np.array(link_packets, dtype=np.int64),
+            queue_stats=sorted(qstats.values(), key=_queue_order),
             faults=fault_notes,
             reroutes=reroute_notes,
             log=log,
             log_hash=digest.hexdigest(),
             timelines=timelines,
+            events_by_kind=events_by_kind,
         )
-
-    # ------------------------------------------------------------------
-    def _purge_dead(self, t, queues, occ, waiters, qstats, drop_packet, push) -> None:
-        """Drop packets buffered on dead channels; wake blocked senders.
-
-        Queues on dead channels vanish with their link: their packets are
-        dropped (and retransmitted from the source), their occupancy and
-        waiter registrations are discarded, and every upstream queue that
-        was waiting for a credit from a dead queue is re-scheduled so its
-        head packet re-resolves against the repaired tables.
-        """
-        dead_keys = [key for key in queues if not self._alive[key[0]]]
-        for key in dead_keys:
-            for w in sorted(waiters.pop(key, ())):
-                push(t, _E_TRY, w)
-            for pkt in list(queues.pop(key)):
-                occ[key] = occ.get(key, 0) - 1
-                qstats[key].change(-1, t)
-                drop_packet(t, pkt, key[0], "queued_on_dead_link")
-        # Waiter sets may also reference dead queues among the *waiting*
-        # side; those keys were just purged above. Remaining waiters on
-        # live queues keep their registration.
-        for key in [k for k in waiters if not self._alive[k[0]]]:
-            for w in sorted(waiters.pop(key, ())):
-                push(t, _E_TRY, w)

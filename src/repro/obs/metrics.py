@@ -151,10 +151,12 @@ class Histogram(Metric):
         self._min = float("inf")
         self._max = float("-inf")
 
-    def observe(self, value: int | float) -> None:
-        self._bucket_counts[bisect_left(self.buckets, value)] += 1
-        self._count += 1
-        self._sum += value
+    def observe(self, value: int | float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (a caller that tallies
+        by value flushes once; the sum is exact for integer values)."""
+        self._bucket_counts[bisect_left(self.buckets, value)] += count
+        self._count += count
+        self._sum += value * count
         if value < self._min:
             self._min = value
         if value > self._max:

@@ -7,13 +7,31 @@ DFSSSP (two virtual lanes) — the DES reports ``"deadlock"`` for one and
 ``"completed"`` for the other on identical traffic.
 """
 
+import hashlib
+import json
+from bisect import bisect_left
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro import topologies
-from repro.des import FaultSpec, LinkParams, PacketDES, UniformPairsWorkload, make_workload
+from repro.des import (
+    FaultSpec,
+    LinkParams,
+    PacketDES,
+    UniformPairsWorkload,
+    build_scenario_fabric,
+    make_workload,
+    normalize_scenario,
+)
+from repro.des.engine import _RECORD_CHUNK
 from repro.des.workloads import Workload
 from repro.exceptions import SimulationError
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.resilience.events import FaultInjector
 from repro.routing.registry import ENGINES
+from repro.utils.prng import spawn_rngs
 
 
 class ShiftWorkload(Workload):
@@ -200,6 +218,68 @@ def test_switch_fault_keeps_conservation(routed):
     assert out.injected == out.delivered + out.dropped
 
 
+def test_purge_extends_the_occupancy_timeline_of_a_dead_queue():
+    """A fault that drops queued packets must show in the queue's timeline.
+
+    The fabric, engine, buffers, seed and fault time are those of
+    ``examples/des_allreduce_fault.json``; its ring all-reduce never queues
+    on the cable seed 7 kills, so the traffic here is the congesting
+    all-pairs pattern.
+    """
+    example = Path(__file__).parents[2] / "examples" / "des_allreduce_fault.json"
+    spec = normalize_scenario(json.loads(example.read_text()))
+    fabric = build_scenario_fabric(spec["topology"])
+    engine = ENGINES[spec["engines"][0]]()
+    des = PacketDES(
+        engine.route(fabric), engine=engine, buffer_packets=spec["buffer_packets"],
+        seed=spec["seed"], record_events=True, record_timelines=True,
+    )
+    out = des.run(
+        UniformPairsWorkload(fabric, size_bytes=16384),
+        faults=[FaultSpec(**f) for f in spec["faults"]],
+    )
+    assert any(e[1] == "drop" and e[4] == "queued_on_dead_link" for e in out.log), (
+        "the fault found no queued packet: the test lost its subject"
+    )
+    for q in out.queue_stats:
+        timeline = out.timelines[q.channel, q.vc]
+        assert timeline[-1][1] == q.occupancy, (q.channel, q.vc)
+        steps = [b[1] - a[1] for a, b in zip([(0.0, 0)] + timeline, timeline)]
+        assert set(steps) <= {-1, 1}, (q.channel, q.vc)
+
+
+def _dead_channels(fabric, seed, p_switch_down):
+    """Healthy ids of the channels the DES's first fault event kills."""
+    injector = FaultInjector(
+        fabric, seed=spawn_rngs(seed, 1)[0], p_switch_down=p_switch_down, p_link_up=0.0
+    )
+    _, degraded = injector.step()
+    return {c for c, m in enumerate(degraded.channel_map.tolist()) if m < 0}
+
+
+@pytest.mark.parametrize("buffers", [4, None])
+@pytest.mark.parametrize("p_switch_down", [0.0, 1.0])
+def test_next_hop_cache_dies_with_the_routing_frame(routed, buffers, p_switch_down):
+    fabric, result = routed("xgft442", "dfsssp")
+    seed = 7
+    des = PacketDES(
+        result, engine=ENGINES["dfsssp"](), buffer_packets=buffers, seed=seed,
+        p_switch_down=p_switch_down, record_events=True,
+    )
+    out = des.run(
+        UniformPairsWorkload(fabric, size_bytes=16384), faults=[FaultSpec(at_s=1e-5)]
+    )
+    dead = _dead_channels(fabric, seed, p_switch_down)
+    rerouted = next(i for i, e in enumerate(out.log) if e[1] == "reroute")
+    before = {e[3] for e in out.log[:rerouted] if e[1] == "send"}
+    after = {e[3] for e in out.log[rerouted:] if e[1] == "send"}
+    # The cache had learnt hops onto the doomed channels ...
+    assert before & dead
+    # ... and none of them survives the reroute.
+    assert not after & dead
+    assert after  # traffic kept flowing over the repaired tables
+
+
 # ---------------------------------------------------------------------------
 # Workload sanity enforced at release time
 # ---------------------------------------------------------------------------
@@ -237,3 +317,100 @@ def test_event_log_recording_is_optional_but_hash_is_not(routed):
     assert {"start", "send", "arrive", "deliver", "flow_done"} <= kinds
     # Recording must not perturb the simulation.
     assert full.log_hash == bare.log_hash
+
+
+def _digest_of(log) -> str:
+    return hashlib.sha256("".join(repr(e) for e in log).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("how", ["completed", "horizon", "fault"])
+def test_log_hash_is_a_digest_of_the_log_however_it_is_chunked(routed, how):
+    fabric, result = routed("xgft442", "dfsssp")
+    des = PacketDES(
+        result, engine=ENGINES["dfsssp"](), buffer_packets=8, seed=7, record_events=True
+    )
+    out = des.run(
+        UniformPairsWorkload(fabric, size_bytes=16384),
+        horizon_s=3e-5 if how == "horizon" else None,
+        faults=[FaultSpec(at_s=1e-5)] if how == "fault" else (),
+    )
+    assert out.status == how.replace("fault", "completed")
+    # Long enough that a chunk was hashed mid-run and the rest at the exit.
+    assert len(out.log) > _RECORD_CHUNK
+    assert out.log_hash == _digest_of(out.log)
+
+
+# ---------------------------------------------------------------------------
+# Metrics and the per-kind event breakdown
+# ---------------------------------------------------------------------------
+def _run_in_fresh_registry(routed, faults=()):
+    fabric, result = routed("xgft442", "sssp")  # one lane: a queue is its channel
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        out = PacketDES(
+            result, engine=ENGINES["sssp"](), buffer_packets=4, seed=7, record_events=True
+        ).run(UniformPairsWorkload(fabric, size_bytes=16384), faults=faults)
+    finally:
+        set_registry(previous)
+    assert out.status == "completed"
+    return fabric, result, registry, out
+
+
+@pytest.mark.parametrize("faults", [(), (FaultSpec(at_s=1e-5),)], ids=["healthy", "fault"])
+def test_counters_and_event_breakdown_match_the_outcome_and_the_log(routed, faults):
+    _, _, registry, out = _run_in_fresh_registry(routed, faults)
+    kinds = Counter(e[1] for e in out.log)
+    injected = kinds["start"] * 4 + kinds["retx"]  # 16 KiB flows of 4 KiB packets
+    assert registry.value("des_packets_injected") == out.injected == injected
+    assert registry.value("des_packets_delivered") == out.delivered == kinds["deliver"]
+    assert registry.value("des_packets_dropped") == out.dropped == kinds["drop"]
+    assert registry.value("des_packets_retransmitted") == out.retransmitted
+    assert registry.value("des_flows_completed") == out.flows_completed == kinds["flow_done"]
+    assert registry.value("des_events_processed") == out.events_processed
+
+    by_kind = out.events_by_kind
+    event_kinds = ("try", "arrive", "free", "flow", "retx", "fault")
+    assert sum(by_kind[k] for k in event_kinds) == out.events_processed
+    assert by_kind["try"] == sum(
+        by_kind[k] for k in ("try_sent", "try_empty", "try_busy", "try_no_credit")
+    )
+    assert by_kind["try_sent"] == kinds["send"] == int(out.link_packets.sum())
+    assert by_kind["arrive"] == by_kind["free"] == kinds["send"]  # the run drained
+    assert by_kind["flow"] == out.flows_released
+    assert by_kind["retx"] == kinds["retx"]
+    assert by_kind["fault"] == len(faults)
+    assert by_kind["try_no_credit"] > 0  # 4-packet buffers under all-pairs traffic
+
+
+def test_queue_occupancy_histogram_equals_the_per_reservation_samples(routed):
+    """``des_queue_occupancy`` is flushed once per run from a per-value
+    tally; replaying the log against the tables gives every sample."""
+    fabric, result, registry, out = _run_in_fresh_registry(routed)
+    chan_dst = fabric.channels.dst.tolist()
+    dst_of, occ, samples = {}, Counter(), []
+    for _t, kind, *args in out.log:
+        if kind == "start":
+            _fid, src, dst, size = args
+            packets = size // LinkParams().mtu_bytes
+            first = len(dst_of) + 1  # packet ids count up in release order
+            dst_of.update((first + i, dst) for i in range(packets))
+            occ[result.tables.next_hop(src, dst)] += packets
+        elif kind == "send":
+            pid, c = args
+            if chan_dst[c] != dst_of[pid]:  # not the last hop: a slot was reserved
+                nxt = result.tables.next_hop(chan_dst[c], dst_of[pid])
+                occ[nxt] += 1
+                samples.append(occ[nxt])
+            occ[c] -= 1
+    assert not +occ  # every queue drained
+
+    hist = registry.get("des_queue_occupancy")
+    assert (hist.count, hist.sum) == (len(samples), sum(samples))
+    assert (hist.minimum, hist.maximum) == (min(samples), max(samples)) == (1, 4)
+    per_bucket = Counter(bisect_left(hist.buckets, v) for v in samples)
+    expected, acc = [], 0
+    for i, le in enumerate(hist.buckets):
+        acc += per_bucket[i]
+        expected.append((le, acc))
+    assert hist.cumulative_buckets() == expected

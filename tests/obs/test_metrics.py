@@ -67,6 +67,18 @@ def test_histogram_math(reg):
     assert cum[float("inf")] == 5
 
 
+def test_histogram_observe_with_count_equals_repeated_observes(reg):
+    one_by_one = reg.histogram("a", buckets=[1, 2, 5])
+    batched = reg.histogram("b", buckets=[1, 2, 5])
+    for value, count in ((3, 4), (1, 1), (7, 2)):
+        for _ in range(count):
+            one_by_one.observe(value)
+        batched.observe(value, count)
+    for prop in ("count", "sum", "minimum", "maximum"):
+        assert getattr(batched, prop) == getattr(one_by_one, prop)
+    assert batched.cumulative_buckets() == one_by_one.cumulative_buckets()
+
+
 def test_histogram_quantile(reg):
     h = reg.histogram("q", buckets=[1, 2, 4, 8])
     for v in (1, 1, 2, 2, 2, 2, 3, 3, 7, 7):
