@@ -166,7 +166,7 @@ def assign_layers_offline(
 def _compact(path_layers: np.ndarray) -> int:
     """Renumber layers densely (a middle layer can end up empty when all
     of its paths moved onward); returns the number of layers in use."""
-    used = np.unique(path_layers)
+    used = np.flatnonzero(np.bincount(path_layers))
     remap = np.zeros(int(used.max()) + 1 if len(used) else 1, dtype=np.int16)
     remap[used] = np.arange(len(used), dtype=np.int16)
     path_layers[:] = remap[path_layers]

@@ -71,12 +71,9 @@ class DeadlockFreedomCertificate:
             "fingerprint": self.fingerprint,
             "num_layers": int(self.num_layers),
             "num_paths": int(len(self.path_layers)),
-            "path_layers": [int(v) for v in self.path_layers],
+            "path_layers": self.path_layers.tolist(),
             "layers": [
-                {
-                    "topo_order": [int(c) for c in lw.topo_order],
-                    "edges": [[int(a), int(b)] for a, b in lw.edges],
-                }
+                {"topo_order": lw.topo_order.tolist(), "edges": lw.edges.tolist()}
                 for lw in self.layers
             ],
         }

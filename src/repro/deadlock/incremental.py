@@ -476,7 +476,9 @@ def assign_layers_incremental(
         pids = np.arange(paths.num_paths, dtype=np.int64)
     elif not isinstance(pids, np.ndarray):
         pids = np.fromiter(pids, dtype=np.int64)
-    pids = np.unique(pids.astype(np.int64, copy=False))
+    pids = pids.astype(np.int64, copy=False)
+    if not (pids[1:] > pids[:-1]).all():  # active_pids() is already sorted, distinct
+        pids = np.unique(pids)
 
     reg = get_registry()
     hooks = get_hooks()

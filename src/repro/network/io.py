@@ -104,7 +104,8 @@ def fabric_from_dict(data: dict) -> Fabric:
 
 def save_fabric(fabric: Fabric, path: str | Path) -> None:
     """Atomically write the JSON representation (tmp file + rename)."""
-    atomic_write_text(path, json.dumps(fabric_to_dict(fabric), indent=1))
+    # compact separators, no indent: an indent selects json's pure-python encoder
+    atomic_write_text(path, json.dumps(fabric_to_dict(fabric), separators=(",", ":")))
 
 
 def load_fabric(path: str | Path) -> Fabric:

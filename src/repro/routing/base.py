@@ -30,13 +30,15 @@ class RoutingTables:
 
     ``next_channel`` has shape ``(num_nodes, num_terminals)`` with channel
     ids, or -1 for "no entry" (only legal on the destination terminal's
-    own row/column intersection).
+    own row/column intersection). Fill the array before constructing the
+    tables: :func:`repro.routing.paths.extract_paths` makes it read-only.
     """
 
     def __init__(self, fabric: Fabric, next_channel: np.ndarray, engine: str = "?"):
         self.fabric = fabric
         self.next_channel = np.asarray(next_channel, dtype=np.int32)
         self.engine = engine
+        self._paths = None  # repro.routing.paths.extract_paths keeps its PathSet here
         expected = (fabric.num_nodes, fabric.num_terminals)
         if self.next_channel.shape != expected:
             raise RoutingError(

@@ -11,9 +11,9 @@ It is the shared input of
 
 Storage is flat and destination-major: path ``pid = t_idx * S + s_idx``
 occupies ``chans[offsets[pid]:offsets[pid+1]]``. Extraction is vectorised
-per destination — all switches walk their next-hop chain simultaneously —
-so the Python-level loop count is ``O(num_terminals * diameter)`` instead
-of ``O(S * T * diameter)``.
+over blocks of destinations — all switches walk their next-hop chains
+toward every destination of a block simultaneously — so the Python-level
+loop count is ``O(blocks * diameter)`` instead of ``O(S * T * diameter)``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,17 @@ import numpy as np
 
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
+from repro.obs import get_registry, span
 from repro.routing.base import RoutingTables
 
 #: a dependency edge ``(c1, c2)`` packs into one int64 as ``c1 << 32 | c2``
 EDGE_KEY_SHIFT = 32
 EDGE_KEY_MASK = (1 << EDGE_KEY_SHIFT) - 1
+
+#: (switch, destination) walkers :func:`extract_paths` advances together
+MAX_WALKERS = 1 << 18
+#: (walker, step) entries one block may hold before it is narrowed
+MAX_HELD = 16 * MAX_WALKERS
 
 
 class PathSet:
@@ -142,56 +148,85 @@ class PathSet:
 
 
 def extract_paths(tables: RoutingTables) -> PathSet:
-    """Walk the forwarding tables into a :class:`PathSet`.
+    """Walk the forwarding tables into a :class:`PathSet`, once per tables.
+
+    The result is kept on ``tables`` and ``tables.next_channel`` becomes
+    read-only, so every later call returns the same object and an
+    in-place write raises ``ValueError`` instead of leaving it stale.
 
     Raises :class:`RoutingError` on missing entries or forwarding loops —
     this doubles as the completeness validator for routing engines.
     """
+    if tables._paths is None:
+        tables._paths = _walk(tables)
+        tables.next_channel.flags.writeable = False
+    return tables._paths
+
+
+def _walk(tables: RoutingTables) -> PathSet:
+    """Advance the ``(switch, destination)`` walkers of a block of
+    destinations together, carrying only those still under way."""
     fab = tables.fabric
     S, T = fab.num_switches, fab.num_terminals
     nc = tables.next_channel
     chan_dst = fab.channels.dst
-    switches = fab.switches.astype(np.int64)
+    terminals = fab.terminals
     max_steps = fab.num_nodes + 1
+    block = max(1, MAX_WALKERS // max(S, 1))  # destinations per block
 
-    all_lengths = np.empty(S * T, dtype=np.int64)
+    all_lengths = np.zeros(S * T, dtype=np.int64)
     chunks: list[np.ndarray] = []
+    with span("paths.extract", paths=S * T) as sp:
+        t0 = 0
+        while t0 < T:
+            t1 = min(t0 + block, T)
+            dest = np.repeat(np.arange(t0, t1), S)  # t_idx of each walker
+            lengths = all_lengths[t0 * S : t1 * S]
+            live = np.arange(len(dest))
+            cur = np.tile(fab.switches, t1 - t0)
+            steps: list[tuple[np.ndarray, np.ndarray]] = []
+            held = 0
+            while len(live):
+                t_idx = dest[live]
+                if len(steps) > max_steps:
+                    raise RoutingError(
+                        f"{tables.engine}: forwarding loop toward terminal "
+                        f"{int(terminals[t_idx[0]])}"
+                    )
+                held += len(live)
+                if held > MAX_HELD and block > 1:
+                    # Long paths or a forwarding loop: a narrower block keeps
+                    # the steps held until the loop limit within memory.
+                    block //= 2
+                    break
+                c = nc[cur, t_idx]
+                bad = np.flatnonzero(c < 0)
+                if len(bad):
+                    raise RoutingError(
+                        f"{tables.engine}: missing table entry at node {int(cur[bad[0]])} "
+                        f"for terminal {int(terminals[t_idx[bad[0]]])}"
+                    )
+                steps.append((live, c))
+                cur = chan_dst[c]
+                going = cur != terminals[t_idx]
+                lengths[live[~going]] = len(steps)
+                live, cur = live[going], cur[going]
+            else:
+                first = np.cumsum(lengths) - lengths
+                out = np.empty(int(lengths.sum()), dtype=np.int32)
+                for k, (walkers, c) in enumerate(steps):
+                    out[first[walkers] + k] = c
+                chunks.append(out)
+                t0 = t1
 
-    for t_idx in range(T):
-        term = int(fab.terminals[t_idx])
-        cur = switches.copy()
-        alive = cur != term
-        lengths = np.zeros(S, dtype=np.int64)
-        steps: list[np.ndarray] = []
-        while alive.any():
-            c = nc[cur, t_idx]
-            bad = alive & (c < 0)
-            if bad.any():
-                node = int(fab.switches[int(np.flatnonzero(bad)[0])])
-                raise RoutingError(
-                    f"{tables.engine}: missing table entry at node {node} "
-                    f"for terminal {term}"
-                )
-            step = np.where(alive, c, -1).astype(np.int32)
-            steps.append(step)
-            lengths[alive] += 1
-            cur = np.where(alive, chan_dst[np.maximum(c, 0)].astype(np.int64), cur)
-            alive = cur != term
-            if len(steps) > max_steps:
-                raise RoutingError(
-                    f"{tables.engine}: forwarding loop toward terminal {term}"
-                )
-        if steps:
-            m = np.vstack(steps)  # (depth, S)
-            mask = (m >= 0).T  # (S, depth)
-            chunks.append(m.T[mask])  # per-switch channel runs, s order
-        all_lengths[t_idx * S : (t_idx + 1) * S] = lengths
-
-    offsets = np.zeros(S * T + 1, dtype=np.int64)
-    np.cumsum(all_lengths, out=offsets[1:])
-    chans = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
-    if offsets[-1] != len(chans):  # pragma: no cover - internal invariant
-        raise RoutingError("path extraction bookkeeping mismatch")
+        offsets = np.zeros(S * T + 1, dtype=np.int64)
+        np.cumsum(all_lengths, out=offsets[1:])
+        chans = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+        sp.set_attr("chans", len(chans))
+        sp.set_attr("blocks", len(chunks))
+    get_registry().counter(
+        "paths_extracted_total", "forwarding tables walked into a PathSet"
+    ).inc()
     return PathSet(fab, offsets, chans)
 
 

@@ -62,7 +62,7 @@ from repro.obs.recorder import get_recorder, record_event
 from repro.obs.telemetry import request_scope
 from repro.resilience.events import LINK_UP, FaultEvent, relative_degradation
 from repro.routing.base import RoutingEngine, RoutingResult
-from repro.routing.paths import PathSet, extract_paths
+from repro.routing.paths import extract_paths
 from repro.routing.registry import ENGINES, make_engine
 from repro.service.budget import compute_budget
 from repro.service.checkpoint import Checkpoint, CheckpointStore
@@ -237,12 +237,12 @@ class RoutingSupervisor:
         ):
             with compute_budget(self.policy.full_deadline_s, label="initial_route"):
                 result = self._full_route(fabric)
-            paths = self._verify(result)
+            self._verify(result)
         self._lkg = result
         self.version = 1
         self._set_state(HEALTHY)
         if self._store is not None:
-            self.checkpoint(paths)
+            self.checkpoint()
 
     # ------------------------------------------------------------------
     # restore
@@ -470,9 +470,9 @@ class RoutingSupervisor:
             outcome.cables = target.fabric.num_channels // 2
             rel = relative_degradation(self._committed, target)
 
-            action, result, paths, errors = self._run_ladder(target, rel, has_link_up, outcome)
+            action, result, errors = self._run_ladder(target, rel, has_link_up, outcome)
             if result is not None:
-                self._accept(result, paths, target, cables, switches, action)
+                self._accept(result, target, cables, switches, action)
                 outcome.ok = True
                 outcome.action = action
                 outcome.state = self._state
@@ -508,8 +508,7 @@ class RoutingSupervisor:
                     has_link_up: bool, outcome: BatchOutcome):
         """incremental → full → fallback, each rung retried with backoff.
 
-        Returns ``(rung, result, paths, errors)``; ``paths`` is the
-        :class:`PathSet` the accepted result was verified on.
+        Returns ``(rung, result, errors)``.
         """
         policy = self.policy
         rungs = []
@@ -553,10 +552,10 @@ class RoutingSupervisor:
                     with span("service.attempt", rung=rung, attempt=attempt):
                         with compute_budget(deadline, label=rung):
                             result = attempt_fn()
-                        paths = self._verify(result)
+                        self._verify(result)
                     record_event("rung_ok", engine=self.engine.name, rung=rung,
                                  attempt=attempt)
-                    return rung, result, paths, errors
+                    return rung, result, errors
                 except ComputeTimeoutError as err:
                     outcome.timeouts += 1
                     reg.counter(
@@ -572,7 +571,7 @@ class RoutingSupervisor:
                                  attempt=attempt, cause="error",
                                  error=f"{type(err).__name__}: {err}")
                     errors.append(f"{rung}[{attempt}]: {type(err).__name__}: {err}")
-        return None, None, None, errors
+        return None, None, errors
 
     def _full_route(self, fabric: Fabric) -> RoutingResult:
         """Full primary-engine route with optional cache warm-start.
@@ -593,12 +592,12 @@ class RoutingSupervisor:
         self._cache.store(fabric, self.engine.name, self.engine_opts, result)
         return result
 
-    def _verify(self, result: RoutingResult) -> PathSet:
+    def _verify(self, result: RoutingResult) -> None:
         """Refuse to serve unroutable or cyclic tables (independent check).
 
-        Returns the :class:`PathSet` extracted from the tables — the
-        extraction is the completeness check — so the caller can certify
-        the same result without walking the tables again.
+        Extracting the paths is the completeness check; the tables keep
+        the :class:`~repro.routing.paths.PathSet`, so certifying the same
+        result at checkpoint time does not walk them again.
 
         Results that carry a deadlock-freedom certificate (cache hits,
         restored checkpoints) are verified by the O(V+E) certificate
@@ -610,7 +609,7 @@ class RoutingSupervisor:
         """
         paths = extract_paths(result.tables)
         if result.layered is None:
-            return paths
+            return
         if result.certificate is not None:
             from repro.deadlock.certificate import check_against_routing, report_from_check
 
@@ -620,7 +619,7 @@ class RoutingSupervisor:
             record_event("verify", engine=self.engine.name, method="certificate",
                          ok=check.ok)
             if check.ok:
-                return paths
+                return
             record_event(
                 "certificate_rejected", engine=self.engine.name,
                 reason=check.reason, layer=check.layer,
@@ -635,10 +634,10 @@ class RoutingSupervisor:
             record_event("verify", engine=self.engine.name, method="rebuild",
                          ok=report.deadlock_free)
             if report.deadlock_free:
-                return paths
+                return
         raise RoutingError(f"candidate routing rejected: {report.failure_summary()}")
 
-    def _accept(self, result: RoutingResult, paths: PathSet, target: DegradedFabric,
+    def _accept(self, result: RoutingResult, target: DegradedFabric,
                 cables: set, switches: set, action: str) -> None:
         self._lkg = result
         self._committed = target
@@ -662,7 +661,7 @@ class RoutingSupervisor:
             self._store is not None
             and self._successes_since_checkpoint >= self.policy.checkpoint_every
         ):
-            self.checkpoint(paths)
+            self.checkpoint()
 
     def _record_failure(self, batch, outcome: BatchOutcome, prev_state: str,
                         errors: list[str]) -> None:
@@ -717,13 +716,8 @@ class RoutingSupervisor:
             "extra": self.extra,
         }
 
-    def checkpoint(self, paths: PathSet | None = None) -> "str | None":
-        """Write an atomic checkpoint now; returns its path.
-
-        ``paths`` is the served routing's :class:`PathSet` when the
-        caller already holds it (:meth:`_verify` returns it); otherwise
-        the tables are walked again if a certificate has to be emitted.
-        """
+    def checkpoint(self) -> "str | None":
+        """Write an atomic checkpoint now; returns its path."""
         if self._store is None:
             raise ServiceError("supervisor has no checkpoint directory configured")
         if self._lkg.layered is not None and self._lkg.certificate is None:
@@ -734,7 +728,7 @@ class RoutingSupervisor:
 
             self._lkg.certificate = emit_certificate(
                 self._lkg.layered,
-                paths if paths is not None else extract_paths(self._lkg.tables),
+                extract_paths(self._lkg.tables),
                 engine=self._lkg.tables.engine,
             )
         with span("service.checkpoint", version=self._ckpt_seq):

@@ -28,7 +28,7 @@ from repro.deadlock.certificate import (
     check_against_routing,
     emit_certificate,
 )
-from repro.deadlock.checker import check_certificate
+from repro.deadlock.checker import FORMAT, KIND, check_certificate
 from repro.exceptions import CertificateError
 from repro.routing import extract_paths, make_engine
 from repro.routing.base import LayeredRouting
@@ -167,3 +167,52 @@ def test_certificate_roundtrip_and_mutations(fabric, config):
     )
     assert not res.ok
     assert str(pid) in res.reason or "path" in res.reason
+
+
+def _to_dict_elementwise(cert) -> dict:
+    """``to_dict`` as it was before ``ndarray.tolist()`` (oracle)."""
+    return {
+        "format": FORMAT,
+        "kind": KIND,
+        "engine": cert.engine,
+        "fingerprint": cert.fingerprint,
+        "num_layers": int(cert.num_layers),
+        "num_paths": int(len(cert.path_layers)),
+        "path_layers": [int(v) for v in cert.path_layers],
+        "layers": [
+            {
+                "topo_order": [int(c) for c in lw.topo_order],
+                "edges": [[int(a), int(b)] for a, b in lw.edges],
+            }
+            for lw in cert.layers
+        ],
+    }
+
+
+def _leaves(value):
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("build, min_layers", [
+    (lambda: topologies.random_topology(24, 60, terminals_per_switch=2, seed=1), 3),
+    (lambda: topologies.xgft(2, (3, 3), (1, 2)), 1),
+])
+def test_certificate_renders_the_same_bytes_from_python_ints(build, min_layers):
+    result = make_engine("dfsssp", balance=False).route(build())
+    assert result.layered.layers_used >= min_layers
+    cert = emit_certificate(result.layered, extract_paths(result.tables))
+    payload = cert.to_dict()
+
+    assert cert.to_json() == json.dumps(_to_dict_elementwise(cert), sort_keys=True) + "\n"
+    numbers = [payload["num_layers"], payload["num_paths"], payload["path_layers"],
+               [[lw["topo_order"], lw["edges"]] for lw in payload["layers"]]]
+    assert all(type(v) is int for v in _leaves(numbers))
+    assert check_certificate(payload).ok
+
+    back = DeadlockFreedomCertificate.from_dict(json.loads(cert.to_json()))
+    assert back.to_json() == cert.to_json()
+    assert check_against_routing(back, result.layered, extract_paths(result.tables)).ok

@@ -41,10 +41,15 @@ def test_json_roundtrip(tmp_path, random16):
 
 
 def test_json_roundtrip_preserves_coordinates(tmp_path, torus333):
+    from repro.routing import fabric_fingerprint
+
     p = tmp_path / "t.json"
     save_fabric(torus333, p)
+    assert "\n" not in p.read_text()  # compact: written by json's C encoder
     loaded = load_fabric(p)
     assert loaded.coordinates == torus333.coordinates
+    assert loaded.metadata == json.loads(json.dumps(torus333.metadata)) != {}
+    assert fabric_fingerprint(loaded) == fabric_fingerprint(torus333)
 
 
 def test_json_roundtrip_preserves_capacity(tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import topologies
 from repro.exceptions import RoutingError
+from repro.obs import InMemorySink, use_sink
 from repro.routing import (
     MinHopEngine,
     RoutingTables,
@@ -11,6 +13,7 @@ from repro.routing import (
     flow_channels,
     path_minimality_violations,
 )
+from repro.routing import paths as paths_mod
 from repro.routing.paths import PathSet
 
 
@@ -191,3 +194,136 @@ def test_dependency_pairs_are_the_switch_channel_pairs_of_each_path(minhop_rando
     edges = np.stack(paths.dependency_edges(pids), axis=1)
     assert [(a << 32) | b for a, b in edges.tolist()] == sorted({k for k, _ in want})
     assert len(paths.dependency_edges(np.zeros(0, dtype=np.int64))[0]) == 0
+
+
+# ----------------------------------------------------------------------
+# one walk per tables, in blocks
+# ----------------------------------------------------------------------
+def _walk_per_destination(tables):
+    """The per-destination walk ``extract_paths`` used to be (oracle)."""
+    fab = tables.fabric
+    S, T = fab.num_switches, fab.num_terminals
+    nc, chan_dst = tables.next_channel, fab.channels.dst
+    switches = fab.switches.astype(np.int64)
+    all_lengths = np.empty(S * T, dtype=np.int64)
+    chunks = []
+    for t_idx in range(T):
+        term = int(fab.terminals[t_idx])
+        cur = switches.copy()
+        alive = cur != term
+        lengths = np.zeros(S, dtype=np.int64)
+        steps = []
+        while alive.any():
+            c = nc[cur, t_idx]
+            assert not (alive & (c < 0)).any() and len(steps) <= fab.num_nodes
+            steps.append(np.where(alive, c, -1).astype(np.int32))
+            lengths[alive] += 1
+            cur = np.where(alive, chan_dst[np.maximum(c, 0)].astype(np.int64), cur)
+            alive = cur != term
+        if steps:
+            m = np.vstack(steps)  # (depth, S)
+            chunks.append(m.T[(m >= 0).T])  # per-switch channel runs, s order
+        all_lengths[t_idx * S : (t_idx + 1) * S] = lengths
+    offsets = np.zeros(S * T + 1, dtype=np.int64)
+    np.cumsum(all_lengths, out=offsets[1:])
+    return offsets, np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+
+
+def _fresh(tables):
+    """Unwalked tables over a copy of the array."""
+    return RoutingTables(tables.fabric, tables.next_channel.copy(), engine=tables.engine)
+
+
+def test_extract_paths_walks_each_tables_once_and_freezes_them(minhop_random16):
+    from repro.obs import get_registry
+
+    tables = _fresh(minhop_random16.tables)
+    tables.next_channel[0, 0] = tables.next_channel[0, 0]  # still writable
+    walked = get_registry().value("paths_extracted_total") or 0
+    with use_sink(InMemorySink()) as sink:
+        paths = extract_paths(tables)
+        assert extract_paths(tables) is paths
+    # only the real walk is traced and counted
+    assert len(sink.find("paths.extract")) == 1
+    assert get_registry().value("paths_extracted_total") == walked + 1
+    with pytest.raises(ValueError, match="read-only"):
+        tables.next_channel[0, 0] = 0
+    again = extract_paths(_fresh(tables))
+    assert again is not paths
+    assert np.array_equal(again.offsets, paths.offsets)
+    assert np.array_equal(again.chans, paths.chans)
+
+
+def test_repair_result_carries_its_own_pathset(ring5, dfsssp_ring5):
+    from repro.network.faults import fail_specific_cable
+    from repro.resilience.repair import repair_routing
+
+    prior_paths = extract_paths(dfsssp_ring5.tables)
+    repaired = repair_routing(dfsssp_ring5, fail_specific_cable(ring5, 0, 1))
+    assert repaired.tables is not dfsssp_ring5.tables
+    assert repaired.tables._paths is not None  # walked by the repair itself
+    assert extract_paths(repaired.tables) is not prior_paths
+    assert extract_paths(dfsssp_ring5.tables) is prior_paths
+
+
+@pytest.mark.parametrize("name", ["ring5", "random16", "torus333", "xgft"])
+def test_block_walk_equals_the_per_destination_walk(name, request, monkeypatch):
+    fabric = (
+        topologies.xgft(2, (4, 4), (1, 2)) if name == "xgft" else request.getfixturevalue(name)
+    )
+    tables = MinHopEngine().route(fabric).tables
+    S, T = tables.fabric.num_switches, tables.fabric.num_terminals
+    want_offsets, want_chans = _walk_per_destination(tables)
+    # 1 walker and S walkers: one destination per block; b·S + 1: a block
+    # edge inside the fabric with T not a multiple of the block
+    b = 3 if T % 3 else 5
+    for walkers, blocks in ((1, T), (S, T), (b * S + 1, T // b + 1),
+                            (paths_mod.MAX_WALKERS, 1)):
+        monkeypatch.setattr(paths_mod, "MAX_WALKERS", walkers)
+        with use_sink(InMemorySink()) as sink:
+            got = extract_paths(_fresh(tables))
+        assert got.offsets.dtype == want_offsets.dtype == np.int64
+        assert got.chans.dtype == want_chans.dtype == np.int32
+        assert np.array_equal(got.offsets, want_offsets)
+        assert np.array_equal(got.chans, want_chans)
+        (sp,) = sink.find("paths.extract")
+        assert sp.attrs == {"paths": S * T, "chans": len(want_chans), "blocks": blocks}
+
+
+def test_block_walk_narrows_a_block_that_holds_too_many_steps(random16, monkeypatch):
+    tables = MinHopEngine().route(random16).tables
+    want_offsets, want_chans = _walk_per_destination(tables)
+    monkeypatch.setattr(paths_mod, "MAX_HELD", 4 * random16.num_switches)
+    with use_sink(InMemorySink()) as sink:
+        got = extract_paths(_fresh(tables))
+    assert np.array_equal(got.offsets, want_offsets)
+    assert np.array_equal(got.chans, want_chans)
+    assert sink.find("paths.extract")[0].attrs["blocks"] > 1
+
+
+def test_extraction_errors_name_a_terminal_of_the_second_block(random16, monkeypatch):
+    good = MinHopEngine().route(random16).tables
+    S = random16.num_switches
+    monkeypatch.setattr(paths_mod, "MAX_WALKERS", 5 * S)  # blocks of 5 destinations
+    t_idx = 7
+    term = int(random16.terminals[t_idx])
+    node = int(random16.switches[3])
+
+    nc = good.next_channel.copy()
+    nc[node, t_idx] = -1
+    with pytest.raises(
+        RoutingError, match=rf"holey: missing table entry at node {node} for terminal {term}$"
+    ):
+        extract_paths(RoutingTables(random16, nc, engine="holey"))
+
+    # two neighbouring switches forward to each other, toward ``term`` only
+    nc = good.next_channel.copy()
+    back = int(good.next_channel[node, t_idx])
+    peer = int(random16.channels.dst[back])
+    assert random16.kinds[peer] == 0
+    nc[peer, t_idx] = random16.channel_between(peer, node)
+    with use_sink(InMemorySink()) as sink:
+        with pytest.raises(RoutingError, match=rf"loopy: forwarding loop toward terminal {term}$"):
+            extract_paths(RoutingTables(random16, nc, engine="loopy"))
+    (sp,) = sink.find("paths.extract")
+    assert sp.status == "error"

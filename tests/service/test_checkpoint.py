@@ -239,3 +239,29 @@ def test_supervisor_restores_and_checkpoints_after_fallback(tmp_path, fabric):
     assert restored.serving().version == latest - 1
     restored.checkpoint()
     assert store.latest_version() == latest
+
+
+# ----------------------------------------------------------------------
+# derive once: one path walk per routing, however many stages read it
+# ----------------------------------------------------------------------
+def test_route_to_checkpoint_walks_the_tables_once(tmp_path):
+    """The benchmark's ``route_pipeline``, stage by stage."""
+    from repro.core import DFSSSPEngine
+    from repro.deadlock import verify_deadlock_free
+    from repro.deadlock.certificate import check_against_routing, emit_certificate
+    from repro.obs import InMemorySink, use_sink
+    from repro.routing import extract_paths
+
+    fabric = topologies.xgft(2, (4, 4), (1, 2))
+    store = CheckpointStore(tmp_path / "routes")
+    with use_sink(InMemorySink()) as sink:
+        result = DFSSSPEngine().route(fabric)
+        paths = extract_paths(result.tables)
+        assert verify_deadlock_free(result.layered, paths).deadlock_free
+        result.certificate = emit_certificate(result.layered, paths, engine="dfsssp")
+        assert check_against_routing(result.certificate, result.layered, paths).ok
+        store.save(version=1, baseline=fabric, result=result,
+                   state={"engine": "dfsssp", "state": "healthy",
+                          "dead_cables": [], "dead_switches": []})
+    assert len(sink.find("paths.extract")) == 1
+    assert store.load().result.certificate.to_json() == result.certificate.to_json()

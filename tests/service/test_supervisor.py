@@ -194,25 +194,25 @@ def test_state_dict_round_trips_events(fabric):
     assert restored[0].kind in ("link_down", "switch_down", "link_up")
 
 
-def test_candidate_paths_are_extracted_once(fabric, tmp_path, monkeypatch):
-    """``_verify`` walks the tables (the completeness check) and hands the
-    PathSet on: certifying the checkpoint must not walk them again."""
-    from repro.service import supervisor as supervisor_mod
+def test_candidate_paths_are_extracted_once(fabric, tmp_path):
+    """The engine (or the repair) walks the tables once; ``_verify`` — the
+    completeness check — and the checkpoint's certificate read that same
+    PathSet: one ``paths.extract`` span per routing served."""
+    from repro.obs import InMemorySink, use_sink
 
-    walks = []
-    real = supervisor_mod.extract_paths
-    monkeypatch.setattr(
-        supervisor_mod, "extract_paths", lambda tables: walks.append(1) or real(tables)
-    )
-    sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
-    assert walks == [1]  # the initial route: verified, certified, checkpointed
+    with use_sink(InMemorySink()) as sink:
+        sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
+    # the initial route: verified, certified, checkpointed
+    assert len(sink.find("paths.extract")) == 1
     assert sup.serving().result.certificate is not None
 
     injector = FaultInjector(fabric, seed=5, p_switch_down=0.0, p_link_up=0.0)
-    sup.submit(injector.step()[0])
-    outcome = sup.process()
+    with use_sink(InMemorySink()) as sink:
+        sup.submit(injector.step()[0])
+        outcome = sup.process()
     assert outcome.ok and outcome.action == "repair"
-    assert walks == [1, 1]
+    assert sup.serving().result.certificate is not None  # checkpointed again
+    assert len(sink.find("paths.extract")) == 1
     served = sup.serving().result
     assert served.certificate is not None  # emitted from the verified paths
     assert served.certificate.check().ok
