@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.heuristics import get_heuristic
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import drain_cycles, tarjan_sccs
-from repro.exceptions import InsufficientLayersError
+from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.obs import get_hooks, get_registry, span
 from repro.routing.paths import PathSet
 from repro.service.budget import check_budget
@@ -127,7 +127,8 @@ def assign_layers_offline(
                             cdgs.append(ChannelDependencyGraph(fabric))
                         edge = pick(cdg, cycle)
                         movers = sorted(cdg.pids_of_edge(*edge))
-                        assert movers, "cycle edge without inducing paths"
+                        if not movers:
+                            raise RoutingError(f"layer {layer}: no path induces cycle edge {edge}")
                         nxt = cdgs[layer + 1]
                         for pid in movers:
                             chans = paths.path(pid)
@@ -215,8 +216,8 @@ def assign_layers_online(
                         layers_needed_at_least=max_layers + 1,
                     )
                 cdgs.append(ChannelDependencyGraph(fabric))
-                ok = cdgs[-1].try_add_path(pid, chans)
-                assert ok, "a single path cannot be cyclic on its own"
+                if not cdgs[-1].try_add_path(pid, chans):
+                    raise RoutingError(f"path {pid} fits no empty layer")
                 path_layers[pid] = len(cdgs) - 1
 
     layers_needed = _compact(path_layers)

@@ -2,18 +2,20 @@
 
 Model
 -----
-* **Event queue** — a binary heap of ``(time, seq)``-ordered events where
-  ``seq`` is a monotonically increasing insertion counter. Ties in time
-  are therefore broken by insertion order, which is itself a pure
-  function of the (seeded) inputs: the same scenario and seed replay the
-  exact same event sequence, bit for bit (``DesOutcome.log_hash`` pins
-  it).
+* **Event queue** — events are served in ``(time, seq)`` order, ``seq``
+  being the insertion order, itself a pure function of the (seeded)
+  inputs: the same scenario and seed replay the exact same event
+  sequence, bit for bit (``DesOutcome.log_hash`` pins it). Events due
+  later wait in a binary heap; events due at the instant being handled
+  join a FIFO, served once the heap has nothing left for that instant —
+  they were all inserted after every heap entry, so the order is the same.
 * **Forwarding** — hop-by-hop against the *current* forwarding tables,
   exactly like a switch consulting its LFT: the next output channel is
   looked up when a packet reaches the head of a queue, so a mid-run
   reroute redirects every packet that has not yet crossed the repaired
   region. Virtual lanes follow InfiniBand SL→VL semantics: a packet's
-  lane is fixed at injection from the routing's layer assignment.
+  lane is fixed at injection from the routing's layer assignment; a
+  retransmission is a new injection and looks its lane up again.
 * **Queues and backpressure** — every directed channel has one output
   FIFO per virtual lane. Switch queues hold at most ``buffer_packets``
   packets (``None`` = infinite); a packet may only start serializing
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict, deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -56,8 +59,8 @@ from repro.utils.prng import spawn_rngs
 # importing it at module level would enter the deadlock/network/routing
 # import cycle through the wrong door when repro.des is imported first.
 
-# Event kinds (heap payload discriminators; never compared by heapq —
-# the (time, seq) prefix is always unique). The first three are 99 % of
+# Event kinds (payload discriminators; never compared by heapq — a heap
+# entry's (time, seq) prefix is unique). The first three are 99 % of
 # all events and are handled inside the loop of :meth:`PacketDES.run`.
 _E_TRY, _E_ARRIVE, _E_FREE, _E_FLOW, _E_RETX, _E_FAULT = range(6)
 _KIND_NAMES = ("try", "arrive", "free", "flow", "retx", "fault")
@@ -284,6 +287,8 @@ class PacketDES:
             if retransmit_delay_s is not None
             else 8 * self.link.propagation_s + self.link.serialization_s(self.link.mtu_bytes)
         )
+        if self.retransmit_delay_s < 0:  # the clock never runs backwards
+            raise SimulationError("retransmit_delay_s cannot be negative")
         self.max_retransmits = max_retransmits
         self.p_switch_down = p_switch_down
         self.record_events = record_events
@@ -367,8 +372,9 @@ class PacketDES:
         cap = self.buffer_packets if self.buffer_packets is not None else math.inf
 
         # Mutable run state.
-        heap: list[tuple] = []
-        seq = 0
+        heap: list[tuple] = []  # (time, seq, kind, payload) of events due later
+        instant: deque[tuple] = deque()  # (kind, payload) of events due at `t`
+        seq = 0  # heap insertions
         qstats: dict[tuple[int, int], QueueStats] = {}
         stored: list[QueueStats] = []  # queues that hold(held) packets, by first store
         waiters: defaultdict[QueueStats, set] = defaultdict(set)  # full queue -> senders
@@ -421,10 +427,14 @@ class PacketDES:
             if log is not None:
                 log.append(entry)
 
-        def push(t: float, kind: int, payload) -> None:
+        def push(t: float | None, when: float, kind: int, payload) -> None:
+            """Schedule at ``when`` from instant ``t`` (``None`` before the loop)."""
             nonlocal seq
-            seq += 1
-            heappush(heap, (t, seq, kind, payload))
+            if when == t:
+                instant.append((kind, payload))
+            else:
+                seq += 1
+                heappush(heap, (when, seq, kind, payload))
 
         # ------------ handlers of the rare events and branches ------------
         def queue_at(c: int, vc: int) -> QueueStats:
@@ -449,9 +459,8 @@ class PacketDES:
                 )
             q.change(delta, t)
 
-        def wake(q: QueueStats, t: float) -> None:
-            for w in sorted(waiters.pop(q, ()), key=_queue_order):
-                push(t, _E_TRY, w)
+        def wake(q: QueueStats) -> None:
+            instant.extend((_E_TRY, w) for w in sorted(waiters.pop(q, ()), key=_queue_order))
 
         def inject(t: float, flow, sizes, attempts: int) -> None:
             """Queue one packet per entry of ``sizes`` at the flow's source."""
@@ -464,7 +473,7 @@ class PacketDES:
             )
             account(q, len(sizes), t)
             stats["injected"] += len(sizes)
-            push(t, _E_TRY, q)
+            instant.append((_E_TRY, q))
 
         def release_flow(t: float, flow) -> None:
             if fab.term_index[flow.src] < 0 or fab.term_index[flow.dst] < 0:
@@ -495,7 +504,7 @@ class PacketDES:
             if pkt.attempts < self.max_retransmits:
                 stats["retx"] += 1
                 push(
-                    t + self.retransmit_delay_s, _E_RETX,
+                    t, t + self.retransmit_delay_s, _E_RETX,
                     (state.flow, pkt.nbytes, pkt.attempts + 1),
                 )
             else:
@@ -508,7 +517,7 @@ class PacketDES:
             h_fct.observe(t - state.released_at)
             record(t, "flow_done", state.flow.fid)
             for new_flow in workload.on_complete(state.flow, t):
-                push(max(t, new_flow.start), _E_FLOW, new_flow)
+                push(t, max(t, new_flow.start), _E_FLOW, new_flow)
 
         def purge_dead(t: float) -> None:
             """Drop packets buffered on dead channels; wake blocked senders.
@@ -522,7 +531,7 @@ class PacketDES:
             dead = [q for q in stored if not alive[q.channel]]
             stored[:] = [q for q in stored if alive[q.channel]]
             for q in dead:
-                wake(q, t)
+                wake(q)
                 pkts, q._pkts = q._pkts, None
                 if pkts:
                     account(q, -len(pkts), t)
@@ -531,7 +540,7 @@ class PacketDES:
             # A dead queue that never stored a packet (all its slots reserved
             # by packets still on the wire) can have waiters too.
             for q in [q for q in waiters if not alive[q.channel]]:
-                wake(q, t)
+                wake(q)
 
         def inject_fault(t: float, spec: FaultSpec) -> None:
             from repro.resilience.events import (
@@ -579,42 +588,50 @@ class PacketDES:
         self._injector = None
         try:
             for flow in workload.initial():
-                push(float(flow.start), _E_FLOW, flow)
+                push(None, float(flow.start), _E_FLOW, flow)
         except ReproError as err:
             raise SimulationError(f"workload refused to start: {err}") from err
         for spec in sorted(faults, key=lambda s: s.at_s):
-            push(float(spec.at_s), _E_FAULT, spec)
+            push(None, float(spec.at_s), _E_FAULT, spec)
 
         horizon = horizon_s if horizon_s is not None else math.inf
-        events = delivered = bytes_delivered = 0
+        events = delivered = bytes_delivered = n_instant = 0
         by_kind = [0] * len(_KIND_NAMES)  # try is filled in as the remainder
         n_arrive = n_free = try_empty = try_busy = try_no_credit = 0
         last_delivery = 0.0
         t = 0.0
         stamp = None  # the timestamp `tr` / `head` were formatted for
         status = "completed"
-        with span(
+        with ExitStack() as on_exit, span(
             "des.run", engine=self.result.tables.engine,
             workload=getattr(workload, "name", type(workload).__name__),
             buffers=self.buffer_packets if self.buffer_packets is not None else "inf",
         ) as sp:
-            while heap:
-                t, _, kind, arg = heappop(heap)
-                if t > horizon:
-                    status = "horizon"
-                    t = horizon_s
+            on_exit.callback(h_lat.observe_many, latencies)  # an aborted run's too
+            while True:
+                # Heap entries due at `t` predate all of `instant`: they go first.
+                if instant and (not heap or heap[0][0] != t):
+                    kind, arg = instant.popleft()
+                    n_instant += 1
+                elif heap:
+                    t, _, kind, arg = heappop(heap)
+                    if t > horizon:
+                        status = "horizon"
+                        t = horizon_s
+                        break
+                    if t != stamp:
+                        stamp = t
+                        tr = round(t, 12)
+                        head = f"({tr!r}, '"
+                        if len(records) >= _RECORD_CHUNK:
+                            flush()
+                else:
                     break
                 events += 1
                 if events > max_events:
                     raise SimulationError(
                         f"DES exceeded {max_events} events (runaway scenario?)"
                     )
-                if t != stamp:
-                    stamp = t
-                    tr = round(t, 12)
-                    head = f"({tr!r}, '"
-                    if len(records) >= _RECORD_CHUNK:
-                        flush()
 
                 if kind == _E_TRY:
                     q = arg
@@ -657,10 +674,8 @@ class PacketDES:
                     q._occ = occ - 1
                     if timelines is not None:
                         timelines.setdefault((c, q.vc), []).append((t, occ - 1))
-                    if waiters:
-                        for w in sorted(waiters.pop(q, ()), key=_queue_order):
-                            seq += 1
-                            heappush(heap, (t, seq, _E_TRY, w))
+                    if q in waiters:
+                        wake(q)
                     pkt.hops += 1
                     if pkt.hops > num_nodes:
                         raise SimulationError(
@@ -673,11 +688,14 @@ class PacketDES:
                     emit(f"{head}send', {pkt.pid!r}, {c!r})")
                     if log is not None:
                         log.append((tr, "send", pkt.pid, c))
-                    seq += 1
-                    heappush(heap, (done + propagation, seq, _E_ARRIVE, (pkt, c, nq)))
                     busy_blocked[c].add(q)
-                    seq += 1
-                    heappush(heap, (done, seq, _E_FREE, c))
+                    if done > t:
+                        seq += 2
+                        heappush(heap, (done + propagation, seq - 1, _E_ARRIVE, (pkt, c, nq)))
+                        heappush(heap, (done, seq, _E_FREE, c))
+                    else:  # a serialization too short to move the clock
+                        push(t, done + propagation, _E_ARRIVE, (pkt, c, nq))
+                        push(t, done, _E_FREE, c)
 
                 elif kind == _E_ARRIVE:
                     n_arrive += 1
@@ -686,7 +704,7 @@ class PacketDES:
                         # The wire died while the packet was on it.
                         if nq is not None and alive[nq.channel]:
                             account(nq, -1, t)  # release the reserved slot
-                            wake(nq, t)
+                            wake(nq)
                         drop_packet(t, pkt, c, "link_died_in_flight")
                         continue
                     emit(f"{head}arrive', {pkt.pid!r}, {c!r})")
@@ -697,7 +715,6 @@ class PacketDES:
                         bytes_delivered += pkt.nbytes
                         last_delivery = t
                         latencies.append(t - pkt.born)
-                        h_lat.observe(t - pkt.born)
                         emit(f"{head}deliver', {pkt.pid!r}, {pkt.fid!r})")
                         if log is not None:
                             log.append((tr, "deliver", pkt.pid, pkt.fid))
@@ -723,8 +740,7 @@ class PacketDES:
                     if pkts is None:
                         pkts = open_queue(nq)
                     pkts.append(pkt)
-                    seq += 1
-                    heappush(heap, (t, seq, _E_TRY, nq))
+                    instant.append((_E_TRY, nq))
 
                 elif kind == _E_FREE:
                     # Wake every vc-queue that found the serializer busy. The
@@ -738,8 +754,7 @@ class PacketDES:
                         rot = link_packets[arg] % len(blocked)
                         blocked = blocked[rot:] + blocked[:rot]
                     for w in blocked:
-                        seq += 1
-                        heappush(heap, (t, seq, _E_TRY, w))
+                        instant.append((_E_TRY, w))
 
                 else:
                     by_kind[kind] += 1
@@ -761,6 +776,7 @@ class PacketDES:
             )
             sp.set_attr("status", status)
             sp.set_attr("events", events)
+            sp.set_attr("events_instant", n_instant)  # the rest were heap pops
             for name, n in events_by_kind.items():
                 sp.set_attr(f"events_{name}", n)
 

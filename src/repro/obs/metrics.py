@@ -162,6 +162,17 @@ class Histogram(Metric):
         if value > self._max:
             self._max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """One :meth:`observe` per value, in order, in one call (the sum
+        accumulates left to right, so it is bit-identical)."""
+        if values:
+            buckets, counts, total = self.buckets, self._bucket_counts, self._sum
+            for value in values:
+                counts[bisect_left(buckets, value)] += 1
+                total += value
+            self._count, self._sum = self._count + len(values), total
+            self._min, self._max = min(self._min, min(values)), max(self._max, max(values))
+
     @property
     def count(self) -> int:
         return self._count

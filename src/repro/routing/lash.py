@@ -108,8 +108,8 @@ class LASHEngine(RoutingEngine):
                         layers_needed_at_least=self.max_layers + 1,
                     )
                 cdgs.append(ChannelDependencyGraph(fabric))
-                ok = cdgs[-1].try_add_path(pair_pid, chans)
-                assert ok, "a single shortest path cannot be cyclic"
+                if not cdgs[-1].try_add_path(pair_pid, chans):
+                    raise RoutingError(f"lash: pair ({s_sw_idx},{t_sw_idx}) fits no empty layer")
                 pair_layer[s_sw_idx, t_sw_idx] = len(cdgs) - 1
 
         # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ from repro import topologies
 from repro.core import SSSPEngine, assign_layers_offline, assign_layers_online
 from repro.core.layers import _balance_layers, _compact
 from repro.deadlock import verify_deadlock_free
-from repro.exceptions import InsufficientLayersError
+from repro.deadlock.cdg import ChannelDependencyGraph
+from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.routing import extract_paths
 from repro.routing.base import LayeredRouting
 
@@ -120,3 +121,17 @@ def test_moved_paths_counted(ring_paths):
     assignment = assign_layers_offline(paths, max_layers=8, balance=False)
     moved = int((assignment.path_layers > 0).sum())
     assert assignment.paths_moved == moved
+
+
+def test_cycle_edge_without_inducing_path_is_a_named_error(ring_paths, monkeypatch):
+    monkeypatch.setattr(ChannelDependencyGraph, "pids_of_edge", lambda self, c1, c2: set())
+    with pytest.raises(RoutingError, match=r"layer 0: no path induces cycle edge \(\d+, \d+\)"):
+        assign_layers_offline(ring_paths[1], max_layers=8)
+
+
+def test_path_that_fits_no_empty_layer_is_a_named_error(ring_paths, monkeypatch):
+    """Not an ``assert``: under ``python -O`` the path would be recorded in
+    a layer it was never added to."""
+    monkeypatch.setattr(ChannelDependencyGraph, "try_add_path", lambda self, pid, chans: False)
+    with pytest.raises(RoutingError, match="path 0 fits no empty layer"):
+        assign_layers_online(ring_paths[1], max_layers=8)

@@ -79,6 +79,25 @@ def test_histogram_observe_with_count_equals_repeated_observes(reg):
     assert batched.cumulative_buckets() == one_by_one.cumulative_buckets()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], [0.1, 0.2, 0.3, 1e-17, 2.0, 1.0, 7.5, 0.1], [3e-6 * i for i in range(1, 500)]],
+    ids=["empty", "unordered", "many"],
+)
+def test_histogram_observe_many_equals_repeated_observes(reg, values):
+    one_by_one = reg.histogram("a", buckets=[1e-5, 0.25, 1, 2, 5])
+    batched = reg.histogram("b", buckets=[1e-5, 0.25, 1, 2, 5])
+    for h in (one_by_one, batched):
+        h.observe(0.7)  # a histogram that already holds observations
+    for value in values:
+        one_by_one.observe(value)
+    batched.observe_many(values)
+    # `==`, not approx: the sum accumulates left to right, like observe.
+    for prop in ("count", "sum", "minimum", "maximum"):
+        assert getattr(batched, prop) == getattr(one_by_one, prop)
+    assert batched.cumulative_buckets() == one_by_one.cumulative_buckets()
+
+
 def test_histogram_quantile(reg):
     h = reg.histogram("q", buckets=[1, 2, 4, 8])
     for v in (1, 1, 2, 2, 2, 2, 3, 3, 7, 7):

@@ -4,7 +4,8 @@ import pytest
 
 from repro import topologies
 from repro.deadlock import verify_deadlock_free, verify_with_networkx
-from repro.exceptions import InsufficientLayersError
+from repro.deadlock.cdg import ChannelDependencyGraph
+from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.routing import LASHEngine, extract_paths, path_minimality_violations
 
 
@@ -81,3 +82,11 @@ def test_bad_max_layers():
 def test_stats_layers_needed_le_available(random16):
     result = LASHEngine(max_layers=8).route(random16)
     assert 1 <= result.stats["layers_needed"] <= 8
+
+
+def test_a_pair_that_fits_no_empty_layer_is_a_named_error(monkeypatch):
+    """Not an ``assert``: under ``python -O`` the pair would be recorded in
+    a layer it was never added to."""
+    monkeypatch.setattr(ChannelDependencyGraph, "try_add_path", lambda self, pid, chans: False)
+    with pytest.raises(RoutingError, match=r"pair \(1,0\) fits no empty layer"):
+        LASHEngine().route(topologies.ring(4, 1))
