@@ -4,16 +4,17 @@ After cycle breaking, DFSSSP spreads paths over the *unused* virtual
 lanes ("balance paths on empty CDGs without additional cycle search").
 Layer choice never changes routes, so congestion-model bandwidth is
 identical — the payoff is buffer-level: spreading traffic over more
-lanes means more independent buffer pools per channel in the flit
-simulator, hence fewer head-of-line stalls and faster drainage. The
-ablation runs identical traffic with balancing on and off.
+lanes means more independent buffer pools per channel in the packet
+DES, hence fewer head-of-line stalls and faster drainage. The ablation
+runs identical traffic with balancing on and off, at cycle level.
 """
 
 from conftest import emit, run_once
 
 from repro import topologies
 from repro.core import DFSSSPEngine
-from repro.simulator import FlitSimulator, bisection_pattern
+from repro.des import run_pattern
+from repro.simulator import bisection_pattern
 from repro.utils.reporting import Table
 
 
@@ -31,11 +32,10 @@ def _experiment():
     for seed in range(3):
         pattern = bisection_pattern(fabric, seed=seed, bidirectional=True)
         for name, result in (("balanced", on), ("compact", off)):
-            sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=1)
-            out = sim.run(pattern, packets_per_flow=6)
-            assert out.status == "delivered"
-            table.add_row([name, result.layered.layers_used, seed, out.cycles])
-            totals[name] += out.cycles
+            out = run_pattern(result, pattern, buffers=1, packets_per_flow=6)
+            assert out.status == "completed"
+            table.add_row([name, result.layered.layers_used, seed, int(out.time)])
+            totals[name] += int(out.time)
     return table, totals
 
 

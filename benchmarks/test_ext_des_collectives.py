@@ -1,7 +1,7 @@
 """Extension: packet-level AI-collective completion times, DFSSSP vs SSSP.
 
-The paper compares routings by static edge-forwarding-index and flit-sim
-drainage; the DES adds the metric modern AI fabrics actually tune for —
+The paper compares routings by static edge-forwarding-index and
+cycle-level drainage; the DES adds the metric modern AI fabrics actually tune for —
 flow completion time of collectives under finite buffers. Each cell
 routes the fabric once and replays the identical collective (same flow
 schedule, same sizes) under both engines, reporting FCT p50/p99 and

@@ -1,4 +1,4 @@
-"""Extension: saturation throughput of routed fabrics (flit-level).
+"""Extension: saturation throughput of routed fabrics (packet DES, cycle level).
 
 The paper evaluates static congestion (ORCS); this extension drives the
 routed network dynamically — Bernoulli injection at increasing offered
@@ -12,8 +12,9 @@ from conftest import emit, run_once
 
 from repro import topologies
 from repro.core import DFSSSPEngine
+from repro.des import saturation_point, saturation_sweep
 from repro.routing import UpDownEngine
-from repro.simulator import FlitSimulator, permutation_pattern, saturation_point, saturation_sweep
+from repro.simulator import permutation_pattern
 from repro.utils.reporting import Table
 
 RATES = [0.05, 0.15, 0.3, 0.5, 0.8]
@@ -33,8 +34,9 @@ def _experiment():
     )
     data = {}
     for name, result in engines.items():
-        sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=2)
-        sweep = saturation_sweep(sim, pattern, rates=RATES, warmup=200, measure=500, seed=5)
+        sweep = saturation_sweep(
+            result, pattern, RATES, buffers=2, warmup=200, measure=500, seed=5
+        )
         for r in sweep:
             table.add_row([name, r.offered_rate, r.delivered_rate, r.mean_latency, r.deadlocked])
         data[name] = sweep

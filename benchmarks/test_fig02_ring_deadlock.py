@@ -2,16 +2,17 @@
 
 The paper argues (Figure 2) that SSSP on a 5-node ring with a 2-hop
 clockwise shift fills all buffers into a circular wait. We run that exact
-configuration in the flit-level simulator for both SSSP (expect: proven
-deadlock with a 5-buffer wait-for cycle) and DFSSSP (expect: all packets
-delivered), at several buffer depths.
+configuration on the packet DES at cycle level for both SSSP (expect: a
+deadlock with a 5-queue credit wait-for cycle) and DFSSSP (expect: all
+packets delivered), at several buffer depths.
 """
 
 from conftest import emit, run_once
 
 from repro import topologies
 from repro.core import DFSSSPEngine, SSSPEngine
-from repro.simulator import FlitSimulator, shift_pattern
+from repro.des import run_pattern
+from repro.simulator import shift_pattern
 from repro.utils.reporting import Table
 
 
@@ -28,10 +29,9 @@ def _experiment():
         ("dfsssp", DFSSSPEngine().route(fabric)),
     ):
         for buffers in (1, 2, 4):
-            sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=buffers)
-            out = sim.run(pattern, packets_per_flow=8)
+            out = run_pattern(result, pattern, buffers=buffers, packets_per_flow=8)
             table.add_row(
-                [name, buffers, out.status, out.cycles, out.delivered, len(out.waitfor_cycle)]
+                [name, buffers, out.status, int(out.time), out.delivered, len(out.waitfor_cycle)]
             )
             outcomes[(name, buffers)] = out
     return table, outcomes
@@ -40,9 +40,9 @@ def _experiment():
 def test_fig02_ring_deadlock(benchmark):
     table, outcomes = run_once(benchmark, _experiment)
     emit("fig02_ring_deadlock", table.render(), table=table)
-    # Paper shape: SSSP deadlocks at every finite buffer depth; DFSSSP
-    # always drains.
+    # Paper shape: SSSP deadlocks at every finite buffer depth, with the
+    # whole ring of queues in the wait-for cycle; DFSSSP always drains.
     for buffers in (1, 2, 4):
         assert outcomes[("sssp", buffers)].status == "deadlock"
-        assert outcomes[("dfsssp", buffers)].status == "delivered"
-    assert len(outcomes[("sssp", 1)].waitfor_cycle) == 5
+        assert len(outcomes[("sssp", buffers)].waitfor_cycle) == 5
+        assert outcomes[("dfsssp", buffers)].status == "completed"

@@ -8,7 +8,7 @@ splits the dependency cycle over two virtual lanes and the same traffic
 drains.
 
 The script shows the channel-dependency-graph view (the *prediction*)
-and the flit-level simulation (the *observation*) side by side.
+and the packet-level simulation (the *observation*) side by side.
 
 Run:  python examples/deadlock_demo.py
 """
@@ -21,7 +21,8 @@ from repro import (
     topologies,
     verify_deadlock_free,
 )
-from repro.simulator import FlitSimulator, shift_pattern
+from repro.des import run_pattern
+from repro.simulator import shift_pattern
 
 
 def describe(name, result, fabric, pattern):
@@ -37,11 +38,10 @@ def describe(name, result, fabric, pattern):
         pretty = " -> ".join(str(a) for a, _ in cycle) + f" -> {cycle[0][0]}"
         print(f"CDG analysis : cycle through channels {pretty}")
 
-    sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=1)
-    out = sim.run(pattern, packets_per_flow=8)
-    print(f"flit-level   : {out.status} after {out.cycles} cycles "
-          f"({out.delivered} delivered, {out.in_flight} stuck)")
-    if out.deadlocked:
+    out = run_pattern(result, pattern, buffers=1, packets_per_flow=8)
+    print(f"packet-level : {out.status} after {out.time:g} cycles "
+          f"({out.delivered} delivered, {out.in_network} stuck)")
+    if out.waitfor_cycle:
         wait = " -> ".join(f"ch{c}/vl{v}" for c, v in out.waitfor_cycle)
         print(f"               circular wait: {wait}")
     print()
@@ -57,7 +57,7 @@ def main() -> None:
     sssp = describe("SSSP (1 virtual lane)", SSSPEngine().route(fabric), fabric, pattern)
     dfsssp = describe("DFSSSP (2 lanes needed)", DFSSSPEngine().route(fabric), fabric, pattern)
 
-    assert sssp.deadlocked and dfsssp.status == "delivered"
+    assert sssp.status == "deadlock" and dfsssp.status == "completed"
     print("Conclusion: identical routes, identical traffic — the virtual-lane")
     print("assignment alone turns a guaranteed deadlock into full delivery.")
 

@@ -27,7 +27,8 @@ from repro.core import (
 from repro.deadlock import verify_deadlock_free
 from repro.exceptions import ReproError
 from repro.routing import PAPER_ENGINES, extract_paths, make_engine
-from repro.simulator import CongestionSimulator, FlitSimulator, shift_pattern
+from repro.des import run_pattern
+from repro.simulator import CongestionSimulator, shift_pattern
 
 
 def section(title):
@@ -52,13 +53,8 @@ def main() -> None:
     section("2. The ring deadlock (paper §III, Figure 2)")
     ring = topologies.ring(5, 1)
     pattern = shift_pattern(ring, 2)
-    wedged = FlitSimulator(SSSPEngine().route(ring).tables, buffer_depth=1).run(
-        pattern, packets_per_flow=8
-    )
-    df_ring = DFSSSPEngine().route(ring)
-    drained = FlitSimulator(
-        df_ring.tables, layered=df_ring.layered, buffer_depth=1
-    ).run(pattern, packets_per_flow=8)
+    wedged = run_pattern(SSSPEngine().route(ring), pattern, buffers=1, packets_per_flow=8)
+    drained = run_pattern(DFSSSPEngine().route(ring), pattern, buffers=1, packets_per_flow=8)
     print(f"  SSSP   : {wedged.status} (circular wait of {len(wedged.waitfor_cycle)} buffers)")
     print(f"  DFSSSP : {drained.status} ({drained.delivered} packets)")
 

@@ -6,7 +6,7 @@ single-source-shortest-path routing made deadlock-free through virtual
 layers), every baseline it compares against (MinHop, Up*/Down*, DOR,
 fat-tree, LASH), the acyclic-path-partitioning formalism with its
 NP-completeness reduction, an ORCS-equivalent effective-bisection-
-bandwidth simulator, a flit-level deadlock demonstrator, and benchmark
+bandwidth simulator, a packet-level simulator that shows the deadlock, and benchmark
 harnesses regenerating every table and figure of the paper's evaluation.
 
 Quickstart::
@@ -34,7 +34,6 @@ _EXPORTS = {
     "assign_layers_online": "repro.core",
     "verify_deadlock_free": "repro.deadlock",
     "CertificateError": "repro.exceptions",
-    "DeadlockError": "repro.exceptions",
     "DisconnectedFabricError": "repro.exceptions",
     "FabricError": "repro.exceptions",
     "InsufficientLayersError": "repro.exceptions",
@@ -43,6 +42,7 @@ _EXPORTS = {
     "RoutingError": "repro.exceptions",
     "SimulationError": "repro.exceptions",
     "UnsupportedTopologyError": "repro.exceptions",
+    "UsageError": "repro.exceptions",
     "Fabric": "repro.network",
     "FabricBuilder": "repro.network",
     "topologies": "repro.network.topologies",

@@ -107,7 +107,6 @@ def adversarial_permutation(
         )
         if best is None or candidate.worst_flow_bandwidth < best.worst_flow_bandwidth:
             best = candidate
-    assert best is not None
     return best
 
 

@@ -135,12 +135,9 @@ def estimate_bisection(
             move = half - len(side_a)
             side_a += others[:move]
             others = others[move:]
-        if not side_a or not others:
-            continue
         cut = _min_cut_between(g, set(side_a), others)
         if best is None or cut < best[0]:
             best = (cut, len(side_a), len(others))
-    assert best is not None
     return BisectionEstimate(best[0], best[1], best[2], exact=False)
 
 

@@ -6,7 +6,8 @@ Subcommands mirror the OpenSM-era workflow on the fabric model:
 * ``route``      — run a routing engine, print path/layer statistics;
 * ``simulate``   — effective bisection bandwidth for one or more engines;
 * ``vls``        — virtual-lane requirements (DFSSSP heuristics vs LASH);
-* ``deadlock``   — flit-level deadlock experiment on a pattern;
+* ``deadlock``   — Figure 2 on the packet DES: drain a shift pattern, or
+  print the wedge's credit wait-for cycle;
 * ``throughput`` — open-loop saturation sweep (offered vs delivered load);
 * ``bisection``  — theoretical bisection width of the fabric;
 * ``orcs``       — ORCS-style named pattern / metric evaluation;
@@ -76,7 +77,7 @@ from repro.parallel.kernel import KERNELS
 from repro.routing import PAPER_ENGINES, extract_paths, make_engine
 from repro.routing.base import LayeredRouting
 from repro.deadlock import verify_deadlock_free
-from repro.simulator import CongestionSimulator, FlitSimulator, shift_pattern
+from repro.simulator import CongestionSimulator, permutation_pattern, shift_pattern
 from repro.utils.atomicio import atomic_write_text
 from repro.utils.reporting import Table
 
@@ -435,7 +436,7 @@ def cmd_vls(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    from repro.simulator import FlitSimulator, permutation_pattern, saturation_sweep
+    from repro.des import saturation_sweep
 
     fabric = _build_topo(args)
     pattern = permutation_pattern(fabric, seed=args.seed)
@@ -446,14 +447,9 @@ def cmd_throughput(args) -> int:
     )
     for name in args.engines.split(","):
         result = make_engine(name, **_engine_opts(args, name)).route(fabric)
-        sim = FlitSimulator(
-            result.tables,
-            layered=result.layered,
-            buffer_depth=args.buffers,
-            packet_length=args.packet_length,
-        )
         for r in saturation_sweep(
-            sim, pattern, rates=rates, warmup=args.warmup, measure=args.measure, seed=args.seed
+            result, pattern, rates, buffers=args.buffers, packet_length=args.packet_length,
+            warmup=args.warmup, measure=args.measure, seed=args.seed,
         ):
             table.add_row([name, r.offered_rate, r.delivered_rate, r.mean_latency, r.deadlocked])
     print(table.render())
@@ -916,22 +912,21 @@ def cmd_checkpoint(args) -> int:
 
 
 def cmd_deadlock(args) -> int:
+    from repro.des import run_pattern
+
     fabric = _build_topo(args)
     pattern = shift_pattern(fabric, args.shift)
     for name in args.engines.split(","):
         result = make_engine(name, **_engine_opts(args, name)).route(fabric)
-        sim = FlitSimulator(
-            result.tables,
-            layered=result.layered,
-            buffer_depth=args.buffers,
+        outcome = run_pattern(
+            result, pattern, buffers=args.buffers, packets_per_flow=args.packets,
             packet_length=args.packet_length,
         )
-        outcome = sim.run(pattern, packets_per_flow=args.packets)
         print(
-            f"{name:8s} -> {outcome.status:10s} cycles={outcome.cycles} "
-            f"delivered={outcome.delivered} in-flight={outcome.in_flight}"
+            f"{name:8s} -> {outcome.status:10s} cycles={outcome.time:g} "
+            f"delivered={outcome.delivered} in-flight={outcome.in_network}"
         )
-        if outcome.deadlocked:
+        if outcome.waitfor_cycle:
             print(f"         wait-for cycle: {outcome.waitfor_cycle}")
     return 0
 
@@ -1092,7 +1087,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--restarts", type=int, default=4)
     p.set_defaults(func=cmd_bisection)
 
-    p = sub.add_parser("deadlock", help="flit-level deadlock experiment")
+    p = sub.add_parser("deadlock", help="packet-level deadlock experiment (Fig. 2)")
     _add_topo_args(p)
     _add_obs_args(p)
     _add_parallel_args(p)

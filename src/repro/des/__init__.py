@@ -20,7 +20,8 @@ bursty AI-training traffic. This package adds the dynamic half:
   and the uniform steady-state load the differential tests use.
 * :mod:`repro.des.scenario` — JSON scenario schema, the per-engine
   sweep runner and the report (FCT percentiles, queue-occupancy stats,
-  throughput), surfaced by the ``des`` CLI subcommand.
+  throughput), surfaced by the ``des`` CLI subcommand; plus the cycle-level
+  ``run_pattern`` (Figure 2) and ``saturation_sweep`` behind ``deadlock`` / ``throughput``.
 
 Validation story (see ``docs/des.md``): under uniform steady-state
 traffic with infinite buffers the DES per-link packet counts must match
@@ -43,17 +44,24 @@ from repro.des.engine import (
     QueueStats,
 )
 from repro.des.scenario import (
+    OpenLoopResult,
     ScenarioReport,
     build_scenario_fabric,
+    cycle_link,
     normalize_scenario,
+    run_pattern,
     run_scenario,
+    saturation_point,
+    saturation_sweep,
 )
 from repro.des.workloads import (
     WORKLOADS,
     AllToAllWorkload,
+    BernoulliWorkload,
     CompositeWorkload,
     Flow,
     MiceProbeWorkload,
+    PatternWorkload,
     RingAllReduceWorkload,
     TPPPWorkload,
     TreeAllReduceWorkload,
@@ -64,13 +72,16 @@ from repro.des.workloads import (
 
 __all__ = [
     "AllToAllWorkload",
+    "BernoulliWorkload",
     "CompositeWorkload",
     "DesOutcome",
     "FaultSpec",
     "Flow",
     "LinkParams",
     "MiceProbeWorkload",
+    "OpenLoopResult",
     "PacketDES",
+    "PatternWorkload",
     "QueueStats",
     "RingAllReduceWorkload",
     "ScenarioReport",
@@ -80,7 +91,11 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "build_scenario_fabric",
+    "cycle_link",
     "make_workload",
     "normalize_scenario",
+    "run_pattern",
     "run_scenario",
+    "saturation_point",
+    "saturation_sweep",
 ]

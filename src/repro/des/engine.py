@@ -22,7 +22,8 @@ Model
   when a slot in its *next* queue has been reserved (credit-style
   backpressure), so finite buffers propagate congestion upstream and a
   cyclic buffer dependency wedges — observable as ``status ==
-  "deadlock"``. Terminal (NIC) queues are unbounded.
+  "deadlock"``, with the credit wait-for cycle as the witness
+  (``DesOutcome.waitfor_cycle``). Terminal (NIC) queues are unbounded.
 * **Links** — serializing a packet occupies its channel for
   ``bytes / bandwidth`` seconds; arrival happens one ``propagation``
   later. Both come from :class:`LinkParams`.
@@ -177,6 +178,9 @@ class DesOutcome:
     #: ``retx`` + ``fault`` == ``events_processed``) and what the ``try``
     #: events did: ``send`` + ``try_empty`` + ``try_busy`` + ``try_no_credit``.
     events_by_kind: dict[str, int] = field(default_factory=dict)
+    #: the deadlock witness: ``(channel, vc)`` queues, each one's head packet
+    #: waiting on the next one's full buffer, the last on the first ([] unless wedged).
+    waitfor_cycle: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def throughput_bytes_per_s(self) -> float:
@@ -745,8 +749,8 @@ class PacketDES:
                 elif kind == _E_FREE:
                     # Wake every vc-queue that found the serializer busy. The
                     # wake order rotates with the channel's send count so no
-                    # virtual lane starves under saturation (same trick as
-                    # flitsim's rotated service order).
+                    # virtual lane starves under saturation (round-robin
+                    # arbitration over the lanes).
                     n_free += 1
                     blocked = busy_blocked.pop(arg, ())
                     if len(blocked) > 1:
@@ -824,4 +828,27 @@ class PacketDES:
             log_hash=digest.hexdigest(),
             timelines=timelines,
             events_by_kind=events_by_kind,
+            waitfor_cycle=_waitfor_cycle(stored, hops, cap) if status == "deadlock" else [],
         )
+
+
+def _waitfor_cycle(stored: list[QueueStats], hops: dict, cap: float) -> list[tuple[int, int]]:
+    """A cycle of credit waits in a wedged run, or ``[]``: a queue waits on
+    the queue its head packet needs next (the run's next-hop cache) only
+    while that one is full, and a cycle of full queues never frees a slot."""
+    waits = {}
+    for q in stored:
+        if q._pkts:
+            nq = hops.get((q, q._pkts[0].dst))
+            if nq is not None and nq._occ >= cap:
+                waits[q] = nq
+    seen: set[QueueStats] = set()
+    for q in list(waits):
+        trail: list[QueueStats] = []
+        while q in waits and q not in seen:
+            seen.add(q)
+            trail.append(q)
+            q = waits[q]
+        if q in trail:  # the walk closed on itself
+            return [(w.channel, w.vc) for w in trail[trail.index(q):]]
+    return []

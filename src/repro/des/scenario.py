@@ -26,14 +26,18 @@ Every key except ``topology`` has a default (see ``_DEFAULTS``);
 instance through :class:`repro.des.PacketDES`, so the comparison is
 apples-to-apples: identical flows, identical fault schedule (the fault
 injector is re-seeded per engine), different forwarding tables.
+
+Figure 2's drain (:func:`run_pattern`) and :func:`saturation_sweep` run on
+:func:`cycle_link`, where one time unit is one flit: times are cycle counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.des.engine import FaultSpec, LinkParams, PacketDES
-from repro.des.workloads import make_workload
+from repro.des.engine import DesOutcome, FaultSpec, LinkParams, PacketDES
+from repro.des.workloads import BernoulliWorkload, PatternWorkload, make_workload
 from repro.exceptions import ReproError, SimulationError
 from repro.network import topologies as topo
 from repro.network.fabric import Fabric
@@ -241,3 +245,65 @@ def run_scenario(spec: dict, fabric: Fabric | None = None) -> ScenarioReport:
             report.results[name] = summary
             report.outcomes[name] = outcome
     return report
+
+
+def cycle_link(packet_length: int = 1) -> LinkParams:
+    """One flit per time unit, no propagation delay: DES times are cycles."""
+    return LinkParams(bandwidth_bytes_per_s=1.0, propagation_s=0.0, mtu_bytes=packet_length)
+
+
+def run_pattern(
+    result, pattern, *, buffers: int | None, packets_per_flow: int = 1, packet_length: int = 1
+) -> DesOutcome:
+    """Send ``packets_per_flow`` packets per pattern pair at cycle 0 and run
+    until the network drains or wedges (``status == "deadlock"``)."""
+    if packets_per_flow < 1:
+        raise SimulationError("packets_per_flow must be >= 1")
+    des = PacketDES(result, link=cycle_link(packet_length), buffer_packets=buffers)
+    return des.run(PatternWorkload(pattern, packets_per_flow * packet_length))
+
+
+@dataclass(frozen=True)
+class OpenLoopResult:
+    """One offered load of :func:`saturation_sweep`."""
+
+    offered_rate: float  # packets per source per cycle
+    delivered_rate: float  # packets per source per cycle, measured window
+    mean_latency: float  # cycles from flow start to delivery
+    deadlocked: bool
+    cycles: int
+
+    @property
+    def accepted_fraction(self) -> float:
+        return self.delivered_rate / self.offered_rate if self.offered_rate else 0.0
+
+
+def saturation_sweep(
+    result, pattern, rates=(0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9), *, buffers: int | None = 2,
+    packet_length: int = 1, warmup: int = 300, measure: int = 700, seed=None,
+) -> list[OpenLoopResult]:
+    """Bernoulli injection at each offered rate, one run of ``warmup +
+    measure`` cycles per rate; throughput and latency count the packets
+    delivered after the warm-up. The saturation throughput is where
+    ``delivered_rate`` stops tracking ``offered_rate``."""
+    out = []
+    for rate in rates:
+        wl = BernoulliWorkload(pattern, rate, warmup + measure, packet_length, seed)
+        if not wl.sources:  # zero demand: nothing to inject or measure
+            out.append(OpenLoopResult(rate, 0.0, 0.0, False, 0))
+            continue
+        des = PacketDES(result, link=cycle_link(packet_length), buffer_packets=buffers)
+        run = des.run(wl, horizon_s=warmup + measure)
+        start = {f.fid: f.start for f in wl.flows}
+        lat = [v for fid, v in run.fct_seconds.items() if start[fid] + v > warmup]
+        dead = run.status == "deadlock"
+        mean = sum(lat) / len(lat) if lat else math.inf if dead else 0.0
+        out.append(OpenLoopResult(rate, len(lat) / measure / len(wl.sources), mean, dead,
+                                  int(run.time)))
+    return out
+
+
+def saturation_point(results: list[OpenLoopResult], tolerance: float = 0.9) -> float:
+    """Largest offered rate still delivering >= ``tolerance`` of it."""
+    ok = [r.offered_rate for r in results if not r.deadlocked and r.accepted_fraction >= tolerance]
+    return max(ok, default=0.0)

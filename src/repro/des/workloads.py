@@ -36,6 +36,9 @@ schema, see ``docs/des.md``):
 ``mice``
     Seeded random single-packet probes over a start window — the
     latency canaries large RDMA flows squash.
+
+:class:`PatternWorkload` (Figure 2's drain) and :class:`BernoulliWorkload`
+(the saturation sweep's sources) take a traffic pattern: not scenario kinds.
 """
 
 from __future__ import annotations
@@ -421,6 +424,51 @@ class MiceProbeWorkload(Workload):
             "kind": self.name, "count": self.count, "size_bytes": self.size_bytes,
             "window_s": self.window_s,
         }
+
+
+class PatternWorkload(Workload):
+    """Every ``(src, dst)`` pair of a traffic pattern sends one
+    ``size_bytes`` flow at time zero — a closed-loop drain."""
+
+    name = "pattern"
+
+    def __init__(self, pattern, size_bytes: int):
+        super().__init__()
+        self.pattern = [(int(s), int(d)) for s, d in pattern]
+        self.size_bytes = int(size_bytes)
+
+    def initial(self) -> list[Flow]:
+        return [self._flow(s, d, self.size_bytes, 0.0, "pattern") for s, d in self.pattern]
+
+
+class BernoulliWorkload(Workload):
+    """Open-loop Bernoulli sources at integer cycle times.
+
+    At every cycle ``1..cycles`` each source of ``pattern`` starts one
+    single-packet flow with probability ``rate``, taking its destinations
+    round-robin; ``flows`` holds the whole seeded schedule.
+    """
+
+    name = "bernoulli"
+
+    def __init__(self, pattern, rate: float, cycles: int, size_bytes: int = 1, seed=None):
+        super().__init__()
+        if not 0 < rate <= 1:
+            raise SimulationError(f"rate must be in (0, 1], got {rate}")
+        dests: dict[int, list[int]] = {}
+        for s, d in pattern:
+            dests.setdefault(int(s), []).append(int(d))
+        self.sources = list(dests.items())
+        fires = make_rng(seed).random((cycles, len(self.sources))) < rate
+        sent = [0] * len(self.sources)
+        self.flows = []
+        for row, i in zip(*fires.nonzero()):  # cycle by cycle, source by source
+            src, dsts = self.sources[i]
+            self.flows.append(self._flow(src, dsts[sent[i] % len(dsts)], size_bytes, row + 1.0))
+            sent[i] += 1
+
+    def initial(self) -> list[Flow]:
+        return self.flows
 
 
 @dataclass

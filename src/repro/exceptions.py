@@ -115,16 +115,11 @@ class CertificateError(ReproError):
         self.counterexample = list(counterexample) if counterexample is not None else None
 
 
-class DeadlockError(ReproError):
-    """The flit-level simulator detected an actual deadlock (a cycle in the
-    packet wait-for graph with every participant blocked)."""
-
-    def __init__(self, message: str, cycle=None, blocked_packets: int = 0):
-        super().__init__(message)
-        self.cycle = list(cycle) if cycle is not None else []
-        self.blocked_packets = blocked_packets
-
-
 class SimulationError(ReproError):
     """Invalid simulator configuration or a pattern referencing unknown
     endpoints."""
+
+
+class UsageError(ReproError):
+    """A context manager was driven out of order, e.g. a ``Timer`` or
+    tracing ``span`` exited without having been entered."""

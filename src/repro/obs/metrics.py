@@ -1,7 +1,7 @@
 """Process-local metrics primitives with a named registry.
 
 The paper's quantitative internals — SSSP's per-destination weight
-updates, DFSSSP's cycle/eviction counts, the simulators' flit flow — are
+updates, DFSSSP's cycle/eviction counts, the simulators' packet flow — are
 recorded as :class:`Counter`, :class:`Gauge` and :class:`Histogram`
 instances in a :class:`MetricsRegistry`. The registry exports either
 Prometheus text format (``render_prometheus``) or JSON

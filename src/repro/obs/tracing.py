@@ -39,6 +39,8 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+from repro.exceptions import UsageError
+
 _ids = itertools.count(1)
 
 #: Ambient request id — set by :func:`repro.obs.telemetry.request_scope`
@@ -286,7 +288,8 @@ class span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         s = self._span
-        assert s is not None, "span.__exit__ without __enter__"
+        if s is None:
+            raise UsageError(f"span {self._name!r}: __exit__ without __enter__")
         s.duration = time.perf_counter() - s.start_perf
         _current.reset(self._token)
         if exc_type is not None:

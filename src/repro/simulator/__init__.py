@@ -1,5 +1,6 @@
 """Simulation substrate: traffic patterns, the ORCS-equivalent congestion
-simulator, the flit-level deadlock demonstrator and utilization metrics."""
+simulator and utilization metrics. Packet-level dynamics — the Figure 2
+deadlock, saturation sweeps — live in :mod:`repro.des`."""
 
 from repro.simulator.patterns import (
     Pattern,
@@ -12,23 +13,12 @@ from repro.simulator.patterns import (
     validate_pattern,
 )
 from repro.simulator.congestion import CongestionSimulator, EbbResult, PatternResult
-from repro.simulator.flitsim import FlitSimOutcome, FlitSimulator, Packet
-from repro.simulator.throughput import (
-    OpenLoopResult,
-    run_open_loop,
-    saturation_point,
-    saturation_sweep,
-)
 from repro.simulator.orcs import OrcsResult, run_orcs
 from repro.simulator.metrics import UtilizationStats, gini_coefficient, utilization_stats
 
 __all__ = [
     "OrcsResult",
     "run_orcs",
-    "OpenLoopResult",
-    "run_open_loop",
-    "saturation_point",
-    "saturation_sweep",
     "Pattern",
     "alltoall_rounds",
     "bisection_pattern",
@@ -40,9 +30,6 @@ __all__ = [
     "CongestionSimulator",
     "EbbResult",
     "PatternResult",
-    "FlitSimOutcome",
-    "FlitSimulator",
-    "Packet",
     "UtilizationStats",
     "gini_coefficient",
     "utilization_stats",

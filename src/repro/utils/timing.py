@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 
+from repro.exceptions import UsageError
 from repro.obs import get_registry
 from repro.obs.metrics import MetricsRegistry
 
@@ -52,7 +53,8 @@ class Timer:
         return self
 
     def __exit__(self, *exc) -> None:
-        assert self._t0 is not None, "Timer.__exit__ without __enter__"
+        if self._t0 is None:
+            raise UsageError("Timer.__exit__ without __enter__")
         dt = time.perf_counter() - self._t0
         self.elapsed += dt
         self.calls += 1

@@ -65,3 +65,16 @@ def test_routing_efficiency_in_unit_range():
     ebb = CongestionSimulator(result.tables).effective_bisection_bandwidth(20, seed=4).ebb
     eff = routing_efficiency(ebb, fab, seed=4)
     assert 0.3 <= eff <= 1.6  # heuristic cut + sampling noise envelope
+
+
+
+@pytest.mark.parametrize("switches,tps", [(3, 1), (4, 1), (5, 2)])
+def test_heuristic_path_always_finds_a_split(switches, tps):
+    # Every proposal is rebalanced to exactly half the terminals, so none
+    # is ever skipped — even on fabrics this small forced off the exact path.
+    fabric = topologies.ring(switches, tps)
+    est = estimate_bisection(fabric, seed=0, exact_limit=0)
+    assert not est.exact
+    assert est.terminals_a == fabric.num_terminals // 2
+    assert est.terminals_a + est.terminals_b == fabric.num_terminals
+    assert est.cut_capacity > 0

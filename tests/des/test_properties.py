@@ -7,17 +7,22 @@
   as delivered, dropped, or still in the network.
 * Safety: deliberately cyclic forwarding tables can never complete a
   flow — the hop guard aborts the run instead of looping forever.
+* Deadlock: on random small fabrics at cycle level, deadlock-free
+  engines always drain and SSSP reports a deadlock exactly when it can
+  show a credit wait-for cycle of full queues.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import topologies
-from repro.core import DFSSSPEngine
-from repro.des import FaultSpec, PacketDES, make_workload
+from repro.core import DFSSSPEngine, SSSPEngine
+from repro.des import FaultSpec, PacketDES, make_workload, run_pattern
 from repro.exceptions import SimulationError
+from repro.routing import LASHEngine, UpDownEngine
 from repro.routing.base import RoutingResult, RoutingTables
+from repro.simulator import permutation_pattern
 
 _examples = settings(
     max_examples=8,
@@ -124,3 +129,53 @@ def test_cyclic_tables_never_deliver(switches):
     des = PacketDES(result, buffer_packets=None)
     with pytest.raises(SimulationError, match="cyclic"):
         des.run(wl)
+
+
+#: (switches, extra_links, terminals, seed, buffers, packets) on which SSSP
+#: wedges, so the property below always sees both of its outcomes
+_WEDGES = [(8, 5, 2, 3698, 2, 3), (6, 1, 2, 8205, 4, 2)]
+
+
+def _all_pairs_drain(route, switches, extra_links, terminals, seed, buffers, packets):
+    links = min(switches - 1 + extra_links, switches * (switches - 1) // 2)
+    fab = topologies.random_topology(switches, links, terminals, seed=seed)
+    terms = [int(t) for t in fab.terminals]
+    pattern = [(s, d) for s in terms for d in terms if s != d]
+    return run_pattern(route(fab), pattern, buffers=buffers, packets_per_flow=packets)
+
+
+@pytest.mark.parametrize("params", _WEDGES)
+def test_sssp_wedges_on_the_explicit_examples(params):
+    out = _all_pairs_drain(SSSPEngine().route, *params)
+    assert out.status == "deadlock" and out.waitfor_cycle
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    switches=st.integers(4, 11),
+    extra_links=st.integers(0, 12),
+    terminals=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    buffers=st.integers(1, 4),
+    packets=st.integers(1, 4),
+)
+@example(*_WEDGES[0])
+@example(*_WEDGES[1])
+def test_cycle_level_drain_on_random_fabrics(
+    switches, extra_links, terminals, seed, buffers, packets
+):
+    fabric = (switches, extra_links, terminals, seed)
+    for engine in (UpDownEngine(), LASHEngine(max_layers=16), DFSSSPEngine()):
+        out = _all_pairs_drain(engine.route, *fabric, buffers, packets)
+        assert out.status == "completed", engine.name
+        assert out.injected == out.delivered
+        assert out.in_network == 0 and out.waitfor_cycle == []
+
+    out = _all_pairs_drain(SSSPEngine().route, *fabric, buffers, packets)
+    assert out.status in {"completed", "deadlock"}
+    assert (out.status == "deadlock") == bool(out.waitfor_cycle)
+    occupancy = {(q.channel, q.vc): q.occupancy for q in out.queue_stats}
+    assert all(occupancy[key] == buffers for key in out.waitfor_cycle)
+    assert out.injected == out.delivered + out.in_network
+    unbounded = _all_pairs_drain(SSSPEngine().route, *fabric, None, packets)
+    assert unbounded.status == "completed"

@@ -21,6 +21,13 @@ def test_intra_group_complete():
         assert fab.degree(int(s)) == 3
 
 
+@pytest.mark.parametrize("a,h", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2)])
+def test_every_switch_fills_its_h_global_ports(a, h):
+    # g - 1 = a*h peer groups: each group uses exactly its a*h global slots.
+    fab = dragonfly(a=a, p=0, h=h)
+    assert {fab.degree(int(s)) for s in fab.switches} == {a - 1 + h}
+
+
 def test_one_global_cable_per_group_pair():
     a, h = 2, 2
     fab = dragonfly(a=a, p=0, h=h)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.exceptions import UsageError
 from repro.obs import (
     InMemorySink,
     JsonlSink,
@@ -145,3 +146,10 @@ def test_find_helper():
             pass
     assert len(sink.find("a")) == 2
     assert len(sink.find("missing")) == 0
+
+
+def test_exit_without_enter_is_a_named_error():
+    with use_sink(InMemorySink()) as sink:
+        with pytest.raises(UsageError, match="'phase'.*without __enter__"):
+            span("phase").__exit__(None, None, None)
+    assert sink.events == []

@@ -2,7 +2,7 @@
 
 This is the library-level contract the benchmark harnesses rely on:
 every engine either produces complete tables on a topology (verified end
-to end: extraction, deadlock check, congestion simulation, flit-level
+to end: extraction, deadlock check, congestion simulation, packet-level
 delivery) or raises a typed error — never silently corrupt tables.
 """
 
@@ -13,7 +13,8 @@ from repro.deadlock import verify_deadlock_free
 from repro.exceptions import ReproError
 from repro.routing import PAPER_ENGINES, extract_paths, make_engine
 from repro.routing.base import LayeredRouting
-from repro.simulator import CongestionSimulator, FlitSimulator, bisection_pattern
+from repro.des import run_pattern
+from repro.simulator import CongestionSimulator, bisection_pattern
 
 TOPOLOGIES = {
     "ring": lambda: topologies.ring(6, 1),
@@ -60,14 +61,13 @@ def test_engine_topology_matrix(topo_name, engine_name):
 
 @pytest.mark.parametrize("topo_name", ["ring", "torus", "random"])
 def test_deadlock_free_engines_deliver_under_pressure(topo_name):
-    """Flit-level end-to-end: deadlock-free engines always drain."""
+    """Packet-level end-to-end: deadlock-free engines always drain."""
     fabric = TOPOLOGIES[topo_name]()
     for engine_name in ("updown", "lash", "dfsssp"):
         result = make_engine(engine_name).route(fabric)
-        sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=1)
         pattern = bisection_pattern(fabric, seed=1, bidirectional=True)
-        out = sim.run(pattern, packets_per_flow=5)
-        assert out.status == "delivered", f"{engine_name} on {topo_name}: {out.status}"
+        out = run_pattern(result, pattern, buffers=1, packets_per_flow=5)
+        assert out.status == "completed", f"{engine_name} on {topo_name}: {out.status}"
 
 
 def test_dfsssp_dominates_updown_in_bandwidth():

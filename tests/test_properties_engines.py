@@ -6,8 +6,10 @@ invariants) with the guarantees the rest of the system leans on:
 * Up*/Down* realized routes are always legal up*-down* sequences and its
   layer is always acyclic, on arbitrary random fabrics;
 * LASH is always deadlock-free and minimal;
-* congestion accounting conserves flow-hop counts exactly;
-* the flit simulator never loses or duplicates packets.
+* congestion accounting conserves flow-hop counts exactly.
+
+The packet-level drain on random fabrics is a property of the DES
+(``tests/des/test_properties.py``).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,12 +24,7 @@ from repro.routing import (
     path_minimality_violations,
     rank_switches,
 )
-from repro.simulator import (
-    CongestionSimulator,
-    FlitSimulator,
-    bisection_pattern,
-    permutation_pattern,
-)
+from repro.simulator import CongestionSimulator, bisection_pattern
 
 _slow = settings(
     max_examples=15,
@@ -97,17 +94,3 @@ def test_congestion_conserves_flow_hops(params):
     assert (res.flow_bandwidth <= 1.0 + 1e-12).all()
     assert (res.flow_bandwidth > 0).all()
 
-
-@_slow
-@given(random_topo_params, st.integers(min_value=1, max_value=4))
-def test_flitsim_conserves_packets(params, packets):
-    fabric = _fabric(params)
-    if fabric.num_terminals < 4:
-        return
-    result = DFSSSPEngine().route(fabric)
-    sim = FlitSimulator(result.tables, layered=result.layered, buffer_depth=1)
-    pattern = permutation_pattern(fabric, seed=2)
-    out = sim.run(pattern, packets_per_flow=packets, max_cycles=50_000)
-    assert out.status == "delivered"
-    assert out.delivered == packets * len(pattern)
-    assert out.in_flight == 0 and out.pending == 0

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.exceptions import UsageError
 from repro.utils.timing import Timer, time_callable
 
 
@@ -37,3 +38,10 @@ def test_time_callable_returns_result():
 def test_time_callable_rejects_zero_repeats():
     with pytest.raises(ValueError):
         time_callable(lambda: None, repeats=0)
+
+
+def test_exit_without_enter_is_a_named_error():
+    t = Timer()
+    with pytest.raises(UsageError, match="without __enter__"):
+        t.__exit__(None, None, None)
+    assert t.calls == 0
