@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
 from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
-from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.deadlock.cycles import find_any_cycle
+from repro.deadlock.cycles import kahn_core
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.fabric import Fabric
 from repro.network.validate import check_routable
@@ -109,13 +108,18 @@ class MultipathRouting:
 
     def verify_deadlock_free(self) -> bool:
         """Acyclicity of every layer's CDG over the union of planes
-        (traffic-carrying paths only — flows start at terminals)."""
-        combined = self.combined_paths()
-        cdgs = [ChannelDependencyGraph(self.fabric) for _ in range(self.num_layers)]
-        for pid in combined.active_pids():
-            pid = int(pid)
-            cdgs[int(self.path_layers[pid])].add_path(pid, combined.path(pid))
-        return all(find_any_cycle(c) is None for c in cdgs)
+        (traffic-carrying paths only — flows start at terminals): one
+        Kahn peel per layer of the edges taken from every plane."""
+        active = self.path_sets[0].active_pids()  # the same in every plane
+        size = self.path_sets[0].num_paths
+        for layer in range(self.num_layers):
+            src, dst = zip(*(
+                paths.dependency_edges(active[self.path_layers[active + k * size] == layer])
+                for k, paths in enumerate(self.path_sets)
+            ))
+            if (kahn_core(np.concatenate(src), np.concatenate(dst))[1] < 0).any():
+                return False
+        return True
 
 
 class MultipathDFSSSPEngine:

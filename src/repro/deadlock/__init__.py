@@ -14,10 +14,7 @@ Everything here resolves lazily (PEP 562). Two reasons:
 
 _LAZY = {
     "ChannelDependencyGraph": "repro.deadlock.cdg",
-    "CycleSearch": "repro.deadlock.cycles",
     "drain_cycles": "repro.deadlock.cycles",
-    "find_any_cycle": "repro.deadlock.cycles",
-    "is_acyclic": "repro.deadlock.cycles",
     "tarjan_sccs": "repro.deadlock.cycles",
     "VerificationReport": "repro.deadlock.verify",
     "build_layer_cdgs": "repro.deadlock.verify",
@@ -53,7 +50,6 @@ def __dir__():
 __all__ = [
     "ChannelDependencyGraph",
     "CheckResult",
-    "CycleSearch",
     "DeadlockFreedomCertificate",
     "LayerCDG",
     "VerificationReport",
@@ -63,9 +59,7 @@ __all__ = [
     "check_certificate",
     "drain_cycles",
     "emit_certificate",
-    "find_any_cycle",
     "find_minimal_cycle",
-    "is_acyclic",
     "report_from_check",
     "tarjan_sccs",
     "verify_deadlock_free",

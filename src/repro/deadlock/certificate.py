@@ -29,18 +29,20 @@ warm-started or restored routing.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.deadlock.checker import FORMAT, KIND, CheckResult, check_certificate
+from repro.deadlock.checker import FORMAT, KIND, CheckResult, check_certificate, find_minimal_cycle
+from repro.deadlock.cycles import kahn_core
+from repro.deadlock.verify import VerificationReport
 from repro.exceptions import CertificateError
 from repro.routing.base import LayeredRouting
 from repro.routing.io import fabric_fingerprint
 from repro.routing.paths import PathSet
+from repro.service.budget import check_budget
 from repro.utils.atomicio import atomic_write_text
 
 
@@ -129,33 +131,61 @@ class DeadlockFreedomCertificate:
 
 
 # ----------------------------------------------------------------------
-def _topological_order(edges: np.ndarray) -> tuple[np.ndarray | None, list[int] | None]:
-    """Deterministic (smallest-id-first) Kahn order over the edge nodes.
+def _traffic_layers(layered: LayeredRouting, paths: PathSet) -> np.ndarray:
+    """The certified path -> layer map: traffic-free paths at ``-1``."""
+    return np.where(paths.active_mask(), layered.path_layers.astype(np.int32), np.int32(-1))
 
-    Returns ``(order, None)``, or ``(None, cycle)`` with a minimal
-    counterexample when the edge set is cyclic.
+
+def layer_witnesses(layered: LayeredRouting, paths: PathSet):
+    """The one witness pass: ``(report, peels)``.
+
+    Per layer, the dependency edges of its traffic-carrying paths
+    (sorted ``(E, 2)``) are derived once and Kahn-peeled once, polling
+    the compute budget. The report names every cyclic layer with the
+    checker's minimal cycle of that layer's edges as ``(c1, c2)`` pairs;
+    ``peels`` holds ``(edges, nodes, rank)`` per acyclic layer, from which
+    :func:`_certificate` sorts the topological order (nodes by peel
+    round, then id) only when a certificate is wanted.
     """
-    nodes = np.unique(edges)
-    succ: dict[int, list[int]] = {}
-    indeg = dict.fromkeys(nodes.tolist(), 0)
-    for a, b in edges.tolist():
-        succ.setdefault(a, []).append(b)
-        indeg[b] += 1
-    heap = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        n = heapq.heappop(heap)
-        order.append(n)
-        for w in succ.get(n, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) < len(nodes):
-        from repro.deadlock.checker import find_minimal_cycle
+    path_layers = _traffic_layers(layered, paths)
+    peels = []
+    cycles: dict[int, list[tuple[int, int]]] = {}
+    edges_per_layer: list[int] = []
+    paths_per_layer: list[int] = []
+    for layer in range(layered.num_layers):
+        check_budget()  # cooperative deadline (repro.service)
+        pids = np.flatnonzero(path_layers == layer)
+        src, dst = paths.dependency_edges(pids)
+        edges = np.stack((src, dst), axis=1)
+        nodes, rank = kahn_core(src, dst)
+        edges_per_layer.append(len(edges))
+        paths_per_layer.append(len(pids))
+        if (rank < 0).any():
+            cycle = find_minimal_cycle(edges.tolist())
+            cycles[layer] = list(zip(cycle, cycle[1:]))
+        else:
+            peels.append((edges, nodes, rank))
+    report = VerificationReport(
+        deadlock_free=not cycles,
+        num_layers=layered.num_layers,
+        cycles=cycles,
+        edges_per_layer=edges_per_layer,
+        paths_per_layer=paths_per_layer,
+    )
+    return report, peels
 
-        return None, find_minimal_cycle([tuple(e) for e in edges.tolist()])
-    return np.asarray(order, dtype=np.int64), None
+
+def _certificate(layered, paths, peels, engine=None, fingerprint=None) -> DeadlockFreedomCertificate:
+    return DeadlockFreedomCertificate(
+        engine=engine or layered.tables.engine,
+        fingerprint=fabric_fingerprint(paths.fabric) if fingerprint is None else fingerprint,
+        num_layers=layered.num_layers,
+        path_layers=_traffic_layers(layered, paths),
+        layers=[
+            LayerWitness(topo_order=nodes[np.argsort(rank, kind="stable")], edges=edges)
+            for edges, nodes, rank in peels
+        ],
+    )
 
 
 def emit_certificate(
@@ -165,39 +195,36 @@ def emit_certificate(
     engine: str | None = None,
     fingerprint: str | None = None,
 ) -> DeadlockFreedomCertificate:
-    """Derive a certificate from a layered routing.
+    """Derive a certificate from a layered routing (:func:`layer_witnesses`).
 
-    Only traffic-carrying paths (source switch hosts a terminal) induce
-    buffer dependencies; all other paths are recorded as layer -1 so the
-    binding check knows they were deliberately excluded. Raises
-    :class:`CertificateError` carrying a real witness cycle when a layer's
-    CDG is cyclic — there is no certificate for an unsafe routing.
+    Traffic-free paths are recorded as layer -1 so the binding check
+    knows they were deliberately excluded. Raises
+    :class:`CertificateError` carrying a real witness cycle of the first
+    cyclic layer — there is no certificate for an unsafe routing.
     """
-    active = paths.active_mask()
-    path_layers = np.where(active, layered.path_layers.astype(np.int32), np.int32(-1))
-    layers: list[LayerWitness] = []
-    for layer in range(layered.num_layers):
-        pids = np.flatnonzero(path_layers == layer)
-        edges = np.stack(paths.dependency_edges(pids), axis=1)
-        order, cycle = _topological_order(edges)
-        if cycle is not None:
-            chain = " -> ".join(str(c) for c in cycle)
-            raise CertificateError(
-                f"layer {layer} CDG is cyclic, routing cannot be certified "
-                f"(counterexample cycle {chain})",
-                layer=layer,
-                counterexample=cycle,
-            )
-        layers.append(LayerWitness(topo_order=order, edges=edges))
-    if fingerprint is None:
-        fingerprint = fabric_fingerprint(paths.fabric)
-    return DeadlockFreedomCertificate(
-        engine=engine or layered.tables.engine,
-        fingerprint=fingerprint,
-        num_layers=layered.num_layers,
-        path_layers=path_layers,
-        layers=layers,
-    )
+    report, peels = layer_witnesses(layered, paths)
+    if report.cycles:
+        layer = min(report.cycles)
+        cycle = [c for c, _ in report.cycles[layer]] + [report.cycles[layer][-1][1]]
+        chain = " -> ".join(str(c) for c in cycle)
+        raise CertificateError(
+            f"layer {layer} CDG is cyclic, routing cannot be certified "
+            f"(counterexample cycle {chain})",
+            layer=layer,
+            counterexample=cycle,
+        )
+    return _certificate(layered, paths, peels, engine, fingerprint)
+
+
+def verify_and_certify(
+    layered: LayeredRouting, paths: PathSet
+) -> tuple[VerificationReport, DeadlockFreedomCertificate | None]:
+    """Verdict and certificate from one witness pass.
+
+    The certificate is ``None`` unless every layer is acyclic.
+    """
+    report, peels = layer_witnesses(layered, paths)
+    return report, _certificate(layered, paths, peels) if report.deadlock_free else None
 
 
 def check_against_routing(
@@ -260,21 +287,17 @@ def check_against_routing(
     return res
 
 
-def report_from_check(cert: DeadlockFreedomCertificate, result: CheckResult):
+def report_from_check(cert: DeadlockFreedomCertificate, result: CheckResult) -> VerificationReport:
     """Bridge a certificate check into a :class:`VerificationReport`.
 
     Lets the supervisor's rejection path speak the same language whether
-    it verified by full CDG rebuild or by certificate: ``failure_summary``
+    it verified by a witness pass or by certificate: ``failure_summary``
     then includes the certificate's minimal counterexample.
     """
-    from repro.deadlock.verify import VerificationReport
-
     cycles: dict[int, list[tuple[int, int]]] = {}
     if result.counterexample and result.layer is not None:
         ce = result.counterexample
-        cycles[result.layer] = [
-            (int(ce[i]), int(ce[i + 1])) for i in range(len(ce) - 1)
-        ]
+        cycles[result.layer] = list(zip(ce, ce[1:]))
     hist = np.bincount(
         cert.path_layers[cert.path_layers >= 0], minlength=cert.num_layers
     )

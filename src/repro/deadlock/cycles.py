@@ -1,145 +1,48 @@
-"""Cycle search over channel dependency graphs.
+"""Cycle detection over channel dependency graphs.
 
-:class:`CycleSearch` implements the offline Algorithm 2's inner loop: it
-finds one cycle at a time and *keeps its progress* across calls. Nodes
-proven cycle-free ("black") stay settled after paths are removed — edge
-removal can never create a cycle — which is how the offline algorithm
-gets away with essentially one complete traversal per layer (the paper's
-key speed argument versus the online variant).
+:func:`kahn_core` is the one whole-layer acyclicity verdict (verify, emit,
+multipath, the incremental engine); :func:`tarjan_sccs` and
+:func:`drain_cycles` are Algorithm 2's canonical cycle selection on what
+the peel leaves behind.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.obs import COUNT_BUCKETS, DURATION_BUCKETS, get_registry
 
-_WHITE, _GRAY, _BLACK = 0, 1, 2
-
-
-class CycleSearch:
-    """Resumable cycle finder on a (mutating) CDG.
-
-    Usage::
-
-        search = CycleSearch(cdg)
-        while (cycle := search.find_cycle()) is not None:
-            ...  # remove some paths, i.e. delete edges
-    """
-
-    def __init__(self, cdg: ChannelDependencyGraph):
-        self.cdg = cdg
-        self._black: set[int] = set()
-        reg = get_registry()
-        reg.histogram(
-            "cdg_edges", "CDG edge count at cycle-search start", buckets=COUNT_BUCKETS
-        ).observe(cdg.num_edges)
-        reg.histogram(
-            "cdg_nodes", "CDG node (channel) count at cycle-search start",
-            buckets=COUNT_BUCKETS,
-        ).observe(len(cdg.nodes()))
-        self._m_time = reg.histogram(
-            "cdg_cycle_search_seconds", "wall time per find_cycle call",
-            buckets=DURATION_BUCKETS,
-        )
-        self._m_found = reg.counter("cdg_cycles_found", "cycles returned by find_cycle")
-
-    def find_cycle(self) -> list[tuple[int, int]] | None:
-        """Return one cycle as a list of edges ``[(c1,c2), (c2,c3), ...,
-        (ck,c1)]``, or None if the CDG is (now) acyclic.
-
-        Safe to call again after the caller removed edges; previously
-        settled cycle-free nodes are not re-explored.
-        """
-        t0 = time.perf_counter()
-        cycle = self._find_cycle()
-        self._m_time.observe(time.perf_counter() - t0)
-        if cycle is not None:
-            self._m_found.inc()
-        return cycle
-
-    def _find_cycle(self) -> list[tuple[int, int]] | None:
-        color: dict[int, int] = {}
-        for start in list(self.cdg.succ):
-            if start in self._black or color.get(start, _WHITE) != _WHITE:
-                continue
-            cycle = self._dfs(start, color)
-            if cycle is not None:
-                return cycle
-        return None
-
-    def _dfs(self, start: int, color: dict[int, int]) -> list[tuple[int, int]] | None:
-        succ = self.cdg.successors
-        stack: list[tuple[int, list[int]]] = [(start, list(succ(start)))]
-        color[start] = _GRAY
-        path: list[int] = [start]
-        while stack:
-            node, todo = stack[-1]
-            if todo:
-                nxt = todo.pop()
-                if nxt in self._black:
-                    continue
-                c = color.get(nxt, _WHITE)
-                if c == _GRAY:
-                    # Found a back edge: the cycle is the gray path from
-                    # nxt to node, closed by (node, nxt).
-                    i = path.index(nxt)
-                    nodes = path[i:]
-                    edges = [(nodes[k], nodes[k + 1]) for k in range(len(nodes) - 1)]
-                    edges.append((node, nxt))
-                    return edges
-                if c == _WHITE:
-                    color[nxt] = _GRAY
-                    stack.append((nxt, list(succ(nxt))))
-                    path.append(nxt)
-                # BLACK within this call: skip.
-            else:
-                color[node] = _BLACK
-                self._black.add(node)
-                stack.pop()
-                path.pop()
-        return None
-
-
-def find_any_cycle(cdg: ChannelDependencyGraph) -> list[tuple[int, int]] | None:
-    """One-shot cycle search (fresh state)."""
-    return CycleSearch(cdg).find_cycle()
-
-
-def is_acyclic(cdg: ChannelDependencyGraph) -> bool:
-    return find_any_cycle(cdg) is None
-
-
-def kahn_core(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
+def kahn_core(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Kahn peel of the edge list ``src[i] -> dst[i]``.
 
     Repeatedly strips zero-in-degree nodes with whole-array operations
     (O(V+E) per round, one round per level of the acyclic fringe) and
-    returns ``(core, num_nodes)``: the nodes that can still lie on a
-    cycle and the graph's node count. An empty core certifies the graph
-    acyclic.
+    returns ``(nodes, rank)``: the graph's distinct nodes, ascending, and
+    the round in which each was peeled, ``-1`` for the core that can
+    still lie on a cycle (a self-loop never peels). No ``-1`` certifies
+    the graph acyclic, and then ordering the nodes by (rank, id) — a
+    stable argsort of ``rank`` — is a topological order: every
+    predecessor of a node was peeled in an earlier round.
     """
     if not len(src):
-        return np.zeros(0, dtype=np.int64), 0
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     nodes = np.unique(np.concatenate([src, dst]))
     a1 = np.searchsorted(nodes, src)
     a2 = np.searchsorted(nodes, dst)
     indeg = np.bincount(a2, minlength=len(nodes))
     edge_up = np.ones(len(a1), dtype=bool)
-    gone = np.zeros(len(nodes), dtype=bool)
+    rank = np.full(len(nodes), -1, dtype=np.int64)
+    peel = 0
     while True:
-        zero = ~gone & (indeg == 0)
+        zero = (rank < 0) & (indeg == 0)
         if not zero.any():
             break
-        gone[zero] = True
+        rank[zero] = peel
+        peel += 1
         drop = edge_up & zero[a1]
         if drop.any():
             indeg -= np.bincount(a2[drop], minlength=len(nodes))
             edge_up[drop] = False
-    return nodes[~gone], len(nodes)
+    return nodes, rank
 
 
 # ----------------------------------------------------------------------

@@ -225,10 +225,9 @@ class LayerCDG:
         An empty result certifies the layer acyclic in O(V+E) total
         work, with Tarjan needed only on the survivors.
         """
-        core, self._num_nodes = kahn_core(
-            self.edge_src[self.alive], self.edge_dst[self.alive]
-        )
-        return core
+        nodes, rank = kahn_core(self.edge_src[self.alive], self.edge_dst[self.alive])
+        self._num_nodes = len(nodes)
+        return nodes[rank < 0]
 
     def condense(self) -> list[set[int]]:
         """Non-trivial SCCs of the Kahn core, ascending by smallest
@@ -488,10 +487,10 @@ def assign_layers_incremental(
         "non-trivial SCCs drained of cycles (incremental engine)",
     )
     h_edges = reg.histogram(
-        "cdg_edges", "CDG edge count at cycle-search start", buckets=COUNT_BUCKETS
+        "cdg_edges", "CDG edge count per layer at LayerCDG construction", buckets=COUNT_BUCKETS
     )
     h_nodes = reg.histogram(
-        "cdg_nodes", "CDG node (channel) count at cycle-search start",
+        "cdg_nodes", "CDG node (channel) count per layer, from its first Kahn peel",
         buckets=COUNT_BUCKETS,
     )
 

@@ -1,39 +1,36 @@
 """Independent deadlock-freedom verification.
 
-Given a :class:`~repro.routing.base.LayeredRouting`, rebuild each virtual
-layer's channel dependency graph from scratch and check it is acyclic —
-Dally & Seitz' sufficient condition. This is deliberately decoupled from
-the layer-assignment code so tests can catch assignment bugs.
+Given a :class:`~repro.routing.base.LayeredRouting`, re-derive each
+virtual layer's channel dependency graph from the path set and check it
+is acyclic — Dally & Seitz' sufficient condition. This is deliberately
+decoupled from the layer-assignment code so tests can catch assignment
+bugs.
 
-:func:`verify_deadlock_free` works on arrays: a layer's distinct
-dependency edges come straight from the :class:`PathSet` and a
-vectorized Kahn peel decides acyclicity. Only a layer that *fails*
-is rebuilt as a dict :class:`ChannelDependencyGraph`
-(:func:`build_layer_cdgs`, the readable reference) to extract a witness
-cycle with the in-house DFS; a slower networkx-based checker
-cross-validates both.
+:func:`verify_deadlock_free` is the report of the witness pass
+:func:`repro.deadlock.certificate.layer_witnesses`: per layer, one
+derivation of the dependency edges from the :class:`PathSet`, one Kahn
+peel, and the checker's minimal cycle as a cyclic layer's witness.
+Emitting a certificate walks the same pass. :func:`build_layer_cdgs`
+(the dict-CDG reference, also used by repair) and
+:func:`verify_with_networkx` serve as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.deadlock.cycles import find_any_cycle, kahn_core
 from repro.routing.base import LayeredRouting
 from repro.routing.paths import PathSet
-from repro.service.budget import check_budget
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a deadlock-freedom check.
 
-    ``method`` records how the verdict was reached: ``"rebuild"`` (full
-    CDG reconstruction, :func:`verify_deadlock_free`) or ``"certificate"``
-    (O(V+E) certificate check,
+    ``method`` records how the verdict was reached: ``"rebuild"`` (every
+    layer's edges re-derived from the path set and Kahn-peeled,
+    :func:`verify_deadlock_free`) or ``"certificate"`` (O(V+E) check,
     :func:`repro.deadlock.certificate.check_against_routing`). On a
     certificate rejection, ``failure_reason`` carries the checker's
     reason and ``certificate_counterexample`` the minimal counterexample
@@ -108,31 +105,15 @@ def build_layer_cdgs(
     return cdgs
 
 
-def verify_deadlock_free(
-    layered: LayeredRouting, paths: PathSet, traffic_only: bool = True
-) -> VerificationReport:
-    """Check Dally/Seitz acyclicity for every layer independently."""
-    pids = paths.active_pids() if traffic_only else np.arange(paths.num_paths)
-    layer_of = layered.path_layers[pids]
-    cycles: dict[int, list[tuple[int, int]]] = {}
-    edges_per_layer: list[int] = []
-    paths_per_layer: list[int] = []
-    for layer in range(layered.num_layers):
-        check_budget()  # cooperative deadline (repro.service)
-        members = pids[layer_of == layer]
-        src, dst = paths.dependency_edges(members)
-        edges_per_layer.append(len(src))
-        paths_per_layer.append(len(members))
-        core, _ = kahn_core(src, dst)
-        if len(core):
-            cycles[layer] = find_any_cycle(build_layer_cdgs(layered, paths, pids=members)[layer])
-    return VerificationReport(
-        deadlock_free=not cycles,
-        num_layers=layered.num_layers,
-        cycles=cycles,
-        edges_per_layer=edges_per_layer,
-        paths_per_layer=paths_per_layer,
-    )
+def verify_deadlock_free(layered: LayeredRouting, paths: PathSet) -> VerificationReport:
+    """Check Dally/Seitz acyclicity for every layer independently.
+
+    Traffic-carrying paths only; every cyclic layer is reported with a
+    minimal witness cycle. Polls the compute budget once per layer.
+    """
+    from repro.deadlock.certificate import layer_witnesses  # it imports this module
+
+    return layer_witnesses(layered, paths)[0]
 
 
 def verify_with_networkx(
@@ -140,7 +121,7 @@ def verify_with_networkx(
 ) -> bool:
     """Slow reference check using :func:`networkx.is_directed_acyclic_graph`.
 
-    Used by the test suite to cross-validate the in-house cycle search.
+    Used by the test suite to cross-validate the Kahn-peel verdict.
     """
     import networkx as nx
 

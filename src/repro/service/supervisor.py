@@ -46,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from repro.deadlock.verify import verify_deadlock_free
+from repro.deadlock.certificate import check_against_routing, report_from_check, verify_and_certify
 from repro.exceptions import (
     CheckpointError,
     ComputeTimeoutError,
@@ -326,7 +326,7 @@ class RoutingSupervisor:
         )
         # A restored routing is re-verified before it is ever served —
         # via its checkpointed certificate (O(V+E)) when one is present,
-        # via the full CDG rebuild otherwise. The scope id lives outside
+        # via a witness pass otherwise. The scope id lives outside
         # the numbered namespace: restores must not shift request_seq,
         # which is checkpointed so pre-crash ids are never reused.
         with request_scope(
@@ -596,23 +596,22 @@ class RoutingSupervisor:
         """Refuse to serve unroutable or cyclic tables (independent check).
 
         Extracting the paths is the completeness check; the tables keep
-        the :class:`~repro.routing.paths.PathSet`, so certifying the same
-        result at checkpoint time does not walk them again.
+        the :class:`~repro.routing.paths.PathSet`, so nothing later walks
+        them again.
 
         Results that carry a deadlock-freedom certificate (cache hits,
         restored checkpoints) are verified by the O(V+E) certificate
-        check — structure *and* binding to the live routing — instead of
-        the full CDG rebuild; everything else pays the rebuild. Either
-        way a ``service.verify`` span and a ``verify`` flight-recorder
-        event record which method ran; a rejection dumps the certificate's
-        minimal counterexample to the flight recorder before raising.
+        check — structure *and* binding to the live routing. Everything
+        else pays one witness pass, whose certificate an accepted result
+        keeps. Either way a ``service.verify`` span and a ``verify``
+        flight-recorder event record which method ran; a rejection dumps
+        the certificate's minimal counterexample to the flight recorder
+        before raising.
         """
         paths = extract_paths(result.tables)
         if result.layered is None:
             return
         if result.certificate is not None:
-            from repro.deadlock.certificate import check_against_routing, report_from_check
-
             with span("service.verify", method="certificate") as sp:
                 check = check_against_routing(result.certificate, result.layered, paths)
                 sp.set_attr("ok", check.ok)
@@ -629,11 +628,12 @@ class RoutingSupervisor:
             report = report_from_check(result.certificate, check)
         else:
             with span("service.verify", method="rebuild") as sp:
-                report = verify_deadlock_free(result.layered, paths)
+                report, certificate = verify_and_certify(result.layered, paths)
                 sp.set_attr("ok", report.deadlock_free)
             record_event("verify", engine=self.engine.name, method="rebuild",
                          ok=report.deadlock_free)
             if report.deadlock_free:
+                result.certificate = certificate
                 return
         raise RoutingError(f"candidate routing rejected: {report.failure_summary()}")
 
@@ -717,20 +717,12 @@ class RoutingSupervisor:
         }
 
     def checkpoint(self) -> "str | None":
-        """Write an atomic checkpoint now; returns its path."""
+        """Write an atomic checkpoint now; returns its path.
+
+        Every last-known-good passed :meth:`_verify`, so it is certified.
+        """
         if self._store is None:
             raise ServiceError("supervisor has no checkpoint directory configured")
-        if self._lkg.layered is not None and self._lkg.certificate is None:
-            # Certify at checkpoint time so every restore can verify in
-            # O(V+E) — cache hits already arrive certified, this covers
-            # fresh routes and incremental repairs.
-            from repro.deadlock.certificate import emit_certificate
-
-            self._lkg.certificate = emit_certificate(
-                self._lkg.layered,
-                extract_paths(self._lkg.tables),
-                engine=self._lkg.tables.engine,
-            )
         with span("service.checkpoint", version=self._ckpt_seq):
             path = self._store.save(
                 version=self._ckpt_seq,

@@ -221,3 +221,32 @@ def test_candidate_paths_are_extracted_once(fabric, tmp_path):
     assert np.array_equal(
         restored.serving().result.tables.next_channel, served.tables.next_channel
     )
+
+
+def test_repair_batch_derives_each_layers_edges_twice(fabric, tmp_path, monkeypatch):
+    """One accepted incremental-repair batch with checkpointing on derives
+    every layer's dependency edges twice: the repair's own acyclicity
+    check, then ``_verify``'s witness pass, whose certificate the
+    checkpoint writes as is (no third derivation at checkpoint time)."""
+    from repro.routing.paths import PathSet
+
+    sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
+    calls = []
+    real = PathSet.dependency_edges
+
+    def counting(self, pids):
+        calls.append(len(pids))
+        return real(self, pids)
+
+    monkeypatch.setattr(PathSet, "dependency_edges", counting)
+    injector = FaultInjector(fabric, seed=5, p_switch_down=0.0, p_link_up=0.0)
+    sup.submit(injector.step()[0])
+    outcome = sup.process()
+    monkeypatch.undo()
+
+    served = sup.serving().result
+    assert outcome.ok and outcome.action == "repair"
+    assert served.stats["repair"]["escalations"] == 0  # the batch check held
+    assert len(list(tmp_path.glob("ckpt-*"))) == 2  # initial + this batch
+    assert len(calls) == 2 * served.layered.num_layers
+    assert served.certificate.check().ok

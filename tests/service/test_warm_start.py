@@ -94,7 +94,7 @@ def test_restore_verifies_through_checkpointed_certificate(tmp_path, fabric):
     sup = RoutingSupervisor(
         fabric, engine="dfsssp", policy=FAST, checkpoint_dir=tmp_path / "ckpt"
     )
-    assert sup.serving().result.certificate is not None  # certified at checkpoint
+    assert sup.serving().result.certificate is not None  # certified by _verify
 
     sink = InMemorySink()
     with use_sink(sink):
