@@ -146,7 +146,22 @@ def layer_witnesses(layered: LayeredRouting, paths: PathSet):
     ``peels`` holds ``(edges, nodes, rank)`` per acyclic layer, from which
     :func:`_certificate` sorts the topological order (nodes by peel
     round, then id) only when a certificate is wanted.
+
+    A passing pass is kept on ``layered`` and ``layered.path_layers``
+    (like every kept edge array) becomes read-only, so a later call with
+    the same ``paths`` returns it after one budget poll, and an in-place
+    write raises ``ValueError`` instead of leaving it stale. A cyclic
+    pass keeps nothing: repair rewrites that assignment in place.
     """
+    kept = layered._witness
+    if (
+        kept is not None
+        and kept[0] is paths
+        and kept[1] is layered.path_layers
+        and not layered.path_layers.flags.writeable
+    ):
+        check_budget()  # cooperative deadline (repro.service)
+        return kept[2], kept[3]
     path_layers = _traffic_layers(layered, paths)
     peels = []
     cycles: dict[int, list[tuple[int, int]]] = {}
@@ -172,6 +187,11 @@ def layer_witnesses(layered: LayeredRouting, paths: PathSet):
         edges_per_layer=edges_per_layer,
         paths_per_layer=paths_per_layer,
     )
+    if report.deadlock_free:
+        for edges, _, _ in peels:  # every certificate of this routing shares them
+            edges.flags.writeable = False
+        layered.path_layers.flags.writeable = False
+        layered._witness = (paths, layered.path_layers, report, peels)
     return report, peels
 
 

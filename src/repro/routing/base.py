@@ -99,6 +99,9 @@ class LayeredRouting:
     ``path_layers`` is indexed by ``pid = t_idx * num_switches + s_idx``
     (destination-major, matching :class:`repro.routing.paths.PathSet`).
     A source *terminal* inherits the layer of its first-hop switch's path.
+    Write ``path_layers`` before the assignment is verified:
+    :func:`repro.deadlock.certificate.layer_witnesses` keeps a passing
+    witness pass here and makes the array read-only.
     """
 
     def __init__(self, tables: RoutingTables, path_layers: np.ndarray, num_layers: int):
@@ -106,6 +109,7 @@ class LayeredRouting:
         self.fabric = tables.fabric
         self.path_layers = np.asarray(path_layers, dtype=np.int16)
         self.num_layers = int(num_layers)
+        self._witness = None  # repro.deadlock.certificate.layer_witnesses keeps a passing pass here
         expected = self.fabric.num_switches * self.fabric.num_terminals
         if self.path_layers.shape != (expected,):
             raise RoutingError(

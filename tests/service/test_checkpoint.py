@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -223,6 +224,49 @@ def test_explicit_version_never_falls_back(tmp_path, fabric):
     state_file = store.root / store._name(latest) / "state.json"
     state_file.write_text("{ truncated")
     with pytest.raises(CheckpointError):
+        store.load(version=latest)
+
+
+def _tear(npz, how: str) -> None:
+    """Damage a ``routing.npz`` the way a disk fault or a partial copy does."""
+    if how == "empty":
+        npz.write_bytes(b"")
+    elif how == "truncated":
+        blob = npz.read_bytes()
+        npz.write_bytes(blob[: len(blob) // 2])
+    else:  # ``how`` names the member to drop
+        with zipfile.ZipFile(npz) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        with zipfile.ZipFile(npz, "w") as archive:
+            for name, data in members.items():
+                if name != how:
+                    archive.writestr(name, data)
+
+
+TEARS = ["empty", "truncated", "num_layers.npy"]
+
+
+@pytest.mark.parametrize("how", TEARS)
+def test_torn_routing_falls_back_to_older(tmp_path, fabric, how):
+    from repro.obs.recorder import FlightRecorder, use_recorder
+
+    _, store, latest = _two_checkpoints(tmp_path, fabric)
+    _tear(store.root / store._name(latest) / "routing.npz", how)
+    flight = FlightRecorder()
+    with use_recorder(flight):
+        ckpt = store.load()
+    assert ckpt.version == latest - 1
+    events = [e for e in flight.snapshot() if e["kind"] == "checkpoint_fallback"]
+    assert len(events) == 1
+    assert events[0]["failed_version"] == latest
+    assert "routing.npz" in events[0]["reason"]
+
+
+@pytest.mark.parametrize("how", TEARS)
+def test_torn_routing_with_explicit_version_raises(tmp_path, fabric, how):
+    _, store, latest = _two_checkpoints(tmp_path, fabric)
+    _tear(store.root / store._name(latest) / "routing.npz", how)
+    with pytest.raises(CheckpointError, match="routing.npz: torn routing state"):
         store.load(version=latest)
 
 

@@ -223,11 +223,11 @@ def test_candidate_paths_are_extracted_once(fabric, tmp_path):
     )
 
 
-def test_repair_batch_derives_each_layers_edges_twice(fabric, tmp_path, monkeypatch):
+def test_repair_batch_derives_each_layers_edges_once(fabric, tmp_path, monkeypatch):
     """One accepted incremental-repair batch with checkpointing on derives
-    every layer's dependency edges twice: the repair's own acyclicity
-    check, then ``_verify``'s witness pass, whose certificate the
-    checkpoint writes as is (no third derivation at checkpoint time)."""
+    every layer's dependency edges once: the repair's own acyclicity
+    check passes and is kept on the layered routing, ``_verify``'s witness
+    pass reuses it, and the checkpoint writes that certificate as is."""
     from repro.routing.paths import PathSet
 
     sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
@@ -248,5 +248,5 @@ def test_repair_batch_derives_each_layers_edges_twice(fabric, tmp_path, monkeypa
     assert outcome.ok and outcome.action == "repair"
     assert served.stats["repair"]["escalations"] == 0  # the batch check held
     assert len(list(tmp_path.glob("ckpt-*"))) == 2  # initial + this batch
-    assert len(calls) == 2 * served.layered.num_layers
+    assert len(calls) == served.layered.num_layers
     assert served.certificate.check().ok
