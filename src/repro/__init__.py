@@ -9,14 +9,14 @@ NP-completeness reduction, an ORCS-equivalent effective-bisection-
 bandwidth simulator, a packet-level simulator that shows the deadlock, and benchmark
 harnesses regenerating every table and figure of the paper's evaluation.
 
-Quickstart::
+Quickstart (run as a doctest, ``tests/test_doctests.py``):
 
-    from repro import topologies, DFSSSPEngine, verify_deadlock_free, extract_paths
-
-    fabric = topologies.random_topology(16, 32, terminals_per_switch=4, seed=7)
-    result = DFSSSPEngine().route(fabric)
-    report = verify_deadlock_free(result.layered, extract_paths(result.tables))
-    assert report.deadlock_free
+>>> from repro import topologies, DFSSSPEngine, verify_deadlock_free, extract_paths
+>>> fabric = topologies.random_topology(16, 32, terminals_per_switch=4, seed=7)
+>>> result = DFSSSPEngine().route(fabric)
+>>> report = verify_deadlock_free(result.layered, extract_paths(result.tables))
+>>> report.deadlock_free
+True
 
 Top-level names resolve lazily (PEP 562): importing :mod:`repro` alone
 pulls in no numpy and none of the heavy subpackages. This keeps

@@ -6,7 +6,7 @@ structural requirements (DOR, fat-tree) key off that metadata.
 """
 
 from repro.network.topologies.ring import ring, chordal_ring
-from repro.network.topologies.torus import torus, mesh
+from repro.network.topologies.torus import torus, mesh, full_mesh
 from repro.network.topologies.hypercube import hypercube
 from repro.network.topologies.trees import kary_ntree, xgft
 from repro.network.topologies.kautz import kautz, kautz_num_switches
@@ -38,6 +38,7 @@ __all__ = [
     "chordal_ring",
     "torus",
     "mesh",
+    "full_mesh",
     "hypercube",
     "kary_ntree",
     "xgft",

@@ -1,4 +1,4 @@
-"""k-ary n-cube torus and mesh generators.
+"""k-ary n-cube torus, mesh and full-mesh generators.
 
 These are the classic structured topologies for which specialised
 deadlock-free routings exist (Dally/Seitz dimension-ordered routing with
@@ -63,3 +63,25 @@ def torus(dims: tuple[int, ...], terminals_per_switch: int = 1) -> Fabric:
 def mesh(dims: tuple[int, ...], terminals_per_switch: int = 1) -> Fabric:
     """Mesh (torus without wraparound links)."""
     return _grid(tuple(dims), wrap=False, terminals_per_switch=terminals_per_switch, family="mesh")
+
+
+def full_mesh(n: int, terminals_per_switch: int = 1) -> Fabric:
+    """``n`` switches with one cable between every pair (the complete graph).
+
+    A known answer: every minimal route crosses at most one switch-to-switch
+    cable, so no path holds two consecutive switch channels, the channel
+    dependency graph has no edge, and one virtual layer suffices.
+    """
+    if n < 2:
+        raise FabricError(f"a full mesh needs at least 2 switches, got {n}")
+    b = FabricBuilder()
+    sw = b.add_switches(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b.add_link(sw[i], sw[j])
+    for i, s in enumerate(sw):
+        for j in range(terminals_per_switch):
+            b.add_link(b.add_terminal(name=f"hca{i}_{j}"), s)
+    b.metadata = {"family": "full_mesh", "switches": n,
+                  "terminals_per_switch": terminals_per_switch}
+    return b.build()

@@ -13,30 +13,43 @@ exploits both facts, in the engine's fixed destination order:
    shipped by a pool worker — :mod:`repro.parallel.executor`) is bucketed
    once into a :class:`HopPlan`: the DAG channels level-major, in CSR
    order (source-major, channel id ascending) within a level. Uplinks of
-   single-homed terminals stay out of it — such a terminal has one way
-   out, so its column entry is a gather, ``dist[t] = dist[sw(t)] +
-   w[uplink(t)]``. For a single-homed destination the plan is rooted at
-   its attachment switch and is *the same plan for every terminal on
-   that switch*: it is cached there and reused (see below).
+   *leaves* — single-homed terminals: one out-channel, into a switch —
+   stay out of it: a leaf has one way out, so its column entry is fixed
+   (its uplink, or -1 under an unreached switch). For a single-homed
+   destination the plan is rooted at its attachment switch and is *the
+   same plan for every terminal on that switch*: it is cached there and
+   reused (see below).
 2. **Refine.** Per level, one ``np.minimum.reduceat`` over the bucket
    gives every node's distance and a second one its first minimiser —
    the lowest channel id, since buckets are in CSR order. No sort.
+   ``parent`` starts as a copy of a template holding every leaf's
+   uplink; leaf distances are not kept (they stay INF).
 3. **Validate.** :meth:`ExactReduction.validate` *proves* the candidate
    is exactly what serial Dijkstra would produce: with strictly positive
    weights, ``(dist, parent)`` is the serial answer **iff** it is the
    unique Bellman fixpoint with the lowest-channel-id tie-break
    (``parent[v]`` = min channel id among minimisers of ``dist[u] +
-   weight[c]`` over channels ``(v -> u)`` into forwarding nodes). That
-   is one ``reduceat`` over the CSR rows of **all** channels. If it ever
+   weight[c]`` over channels ``(v -> u)`` into forwarding nodes). A
+   leaf's row needs no check — one out-channel leaves no tie, and it is
+   reached iff its switch is — so this is one ``reduceat`` over the
+   *non-leaf* rows: the channels into switches from non-leaves, plus the
+   channels into ``dest``, the one terminal that forwards. If it ever
    fails — a pathological fabric where balancing weight overwhelms
    ``W0``, or a plan that does not fit the destination — the step falls
    back to a full per-destination Dijkstra, so the result is
    bit-identical to the reference *unconditionally*.
-4. **Advance the weights.** A validated column's tree depth is the
-   plan's hop level, so the subtree counts are walked over the plan's
-   levels deepest-first; after a fallback the generic
+4. **Advance the weights.** Every leaf uplink gains its one source in a
+   single add (corrected for ``dest`` and for unreached switches), and
+   the subtree counts start from a precomputed base: per switch, the
+   leaves it hosts. A validated column's tree depth is the plan's hop
+   level, so the counts are then walked over the plan's levels
+   deepest-first; after a fallback the generic
    :func:`repro.core.sssp.update_weights_for_dest_fast` levels the tree
    from its parent pointers instead.
+
+Per destination, steps 2–4 thus touch the switches and the channels into
+them, O(S + E_switch), not every node and channel, O(N + E); only the
+template copy and the uplink add are O(N), as plain array operations.
 
 **Sharing and why it is safe.** Two single-homed terminals on one switch
 see the same hop levels on every node but themselves, and neither is in
@@ -142,11 +155,6 @@ class ExactReduction:
         self._chan_src = channels.src[self._chan]
         self._chan_dst = channels.dst[self._chan]
         degree = np.diff(fabric.out_ptr)
-        # reduceat on an empty segment returns the element at its start,
-        # not the identity, so only rows that have a channel are reduced.
-        self._rows = np.flatnonzero(degree > 0)
-        self._row_starts = fabric.out_ptr[self._rows].astype(np.intp)
-        self._row_of = np.repeat(np.arange(len(self._rows)), degree[self._rows])
         self._index = np.arange(E, dtype=np.intp)
 
         # Single-homed terminals: one out-channel, into a switch.
@@ -159,15 +167,35 @@ class ExactReduction:
         self._uplink = np.full(n, -1, dtype=np.intp)
         self._uplink[self._leaf] = self._leaf_up
         hosted = np.bincount(self._leaf_sw, minlength=n)
+        self._hosts = np.flatnonzero(hosted)
         #: per node: the switch whose plan it shares, -1 where nothing is shared
         self._shared_root = np.full(n, -1, dtype=np.intp)
         self._shared_root[self._leaf] = np.where(hosted[self._leaf_sw] >= 2, self._leaf_sw, -1)
+        # Every column starts from this: each leaf on its uplink.
+        self._parent0 = np.full(n, -1, dtype=np.int32)
+        self._parent0[self._leaf] = self._leaf_up
+        # Subtree counts before any tree node adds its own, keyed by
+        # count_switch_sources: a switch already carries the leaves it hosts.
+        self._cnt0 = {False: self._is_term + hosted, True: 1 + hosted}
         # CSR positions a plan may draw from: channels into switches that
         # are not a single-homed terminal's uplink.
         leaf_uplink = np.zeros(E, dtype=bool)
         leaf_uplink[self._leaf_up] = True
         self._trunk = self._is_switch[self._chan_dst] & ~leaf_uplink[self._chan]
         self._trunk_pos = np.flatnonzero(self._trunk)
+        # The rows validation checks: every node but the leaves, over the
+        # trunk channels in CSR order (the channels into dest come apart).
+        core = np.ones(n, dtype=bool)
+        core[self._leaf] = False
+        self._core = np.flatnonzero(core)
+        self._core_of = np.where(core, np.cumsum(core) - 1, -1)  # -1 for leaves
+        src = self._chan_src[self._trunk_pos]
+        first = np.r_[True, src[1:] != src[:-1]][: len(src)]
+        self._trunk_chan = self._chan[self._trunk_pos]
+        self._trunk_dst = self._chan_dst[self._trunk_pos]
+        self._row_starts = np.flatnonzero(first)
+        self._row_of = np.cumsum(first) - 1
+        self._rows = self._core_of[src[self._row_starts]]
 
         self._plans: dict[int, HopPlan] = {}
         self._plan_bytes = 0
@@ -254,9 +282,8 @@ class ExactReduction:
         return HopPlan(root, levels, nbytes)
 
     def _refine(self, dest: int, plan: HopPlan, weights: np.ndarray):
-        n = self.fabric.num_nodes
-        dist = np.full(n, INT64_INF, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int32)
+        dist = np.full(self.fabric.num_nodes, INT64_INF, dtype=np.int64)
+        parent = self._parent0.copy()
         if plan.root != dest:
             entry = self.fabric.channels.reverse[self._uplink[dest]]
             dist[plan.root] = weights[entry]
@@ -271,12 +298,11 @@ class ExactReduction:
                 np.where(cand == best[seg], self._index[: len(cand)], len(cand)), starts)
             dist[nodes] = best
             parent[nodes] = chan[pick]
-        # Single-homed terminals hang off their switch by their one uplink;
-        # under an unreached switch they stay at INF / -1.
-        via = dist[self._leaf_sw]
-        reached = via < INT64_INF
-        dist[self._leaf] = np.where(reached, via + weights[self._leaf_up], INT64_INF)
-        parent[self._leaf] = np.where(reached, self._leaf_up, -1)
+        # Leaves hang off their switch by their one uplink, unless the
+        # column never reaches it; their distances are not kept (INF).
+        dead = self._hosts[dist[self._hosts] == INT64_INF]
+        if len(dead):
+            parent[self._leaf[np.isin(self._leaf_sw, dead)]] = -1
         dist[dest] = 0
         parent[dest] = -1
         return dist, parent
@@ -284,45 +310,62 @@ class ExactReduction:
     def validate(
         self, dest: int, dist: np.ndarray, parent: np.ndarray, weights: np.ndarray
     ) -> bool:
-        """True iff ``(dist, parent)`` is exactly the serial Dijkstra answer.
+        """True iff ``(dist, parent)`` is exactly the serial Dijkstra answer
+        on every node but the leaves.
 
         Checks the Bellman fixpoint with the serial tie-break in one
-        vectorized pass over every channel: for every node ``v != dest``,
-        ``dist[v] == min(dist[u] + w[c])`` over channels ``c = (v -> u)``
-        into forwarding nodes, and ``parent[v]`` is the lowest channel id
-        attaining that minimum (with unreachable nodes at INF / -1).
+        vectorized pass over the trunk channels plus the channels into
+        ``dest``: for every non-leaf node ``v != dest``, ``dist[v] ==
+        min(dist[u] + w[c])`` over channels ``c = (v -> u)`` into
+        forwarding nodes, and ``parent[v]`` is the lowest channel id
+        attaining that minimum (with unreachable nodes at INF / -1). A
+        leaf's entry is not checked: its one uplink leaves no tie, and it
+        is reached iff its switch is.
         """
-        n, E = self.fabric.num_nodes, self.fabric.num_channels
-        through = np.where(self._is_switch, dist, INT64_INF)  # terminals never forward
-        through[dest] = dist[dest]
-        du = through[self._chan_dst]
-        cand = du + weights[self._chan]  # wraps where du is INF; masked next
+        du = dist[self._trunk_dst]
+        cand = du + weights[self._trunk_chan]  # wraps where du is INF; masked next
         cand[du == INT64_INF] = INT64_INF
-        best = np.minimum.reduceat(cand, self._row_starts)
-        # CSR rows are channel-id ascending: the first minimiser is the lowest id.
-        pick = np.minimum.reduceat(
-            np.where(cand == best[self._row_of], self._index, E), self._row_starts)
-        fix_d = np.full(n, INT64_INF, dtype=np.int64)
-        fix_c = np.full(n, -1, dtype=np.int64)
-        fix_d[self._rows] = best
-        fix_c[self._rows] = np.where(best < INT64_INF, self._chan[pick], -1)
-        fix_d[dest] = 0
-        fix_c[dest] = -1
-        return bool(np.array_equal(fix_d, dist) and np.array_equal(fix_c, parent))
+        fix_d = np.full(len(self._core), INT64_INF, dtype=np.int64)
+        fix_c = np.full(len(self._core), -1, dtype=np.int64)
+        if len(cand):
+            # reduceat on an empty segment returns the element at its start,
+            # not the identity, so only nodes with a trunk channel are rows.
+            best = np.minimum.reduceat(cand, self._row_starts)
+            # Rows are channel-id ascending: the first minimiser is the lowest id.
+            pick = np.minimum.reduceat(
+                np.where(cand == best[self._row_of], self._index[: len(cand)], len(cand)),
+                self._row_starts)
+            fix_d[self._rows] = best
+            fix_c[self._rows] = np.where(best < INT64_INF, self._trunk_chan[pick], -1)
+        # dest is the one terminal that forwards: merge the channels into it.
+        fabric = self.fabric
+        out = fabric.out_chan[fabric.out_ptr[dest]:fabric.out_ptr[dest + 1]]
+        for c in np.sort(fabric.channels.reverse[out]).tolist():
+            v, d = self._core_of[fabric.channels.src[c]], int(weights[c])
+            if d < fix_d[v] or (d == fix_d[v] and c < fix_c[v]):
+                fix_d[v], fix_c[v] = d, c
+        if self._core_of[dest] >= 0:  # a multi-homed dest has a row of its own
+            fix_d[self._core_of[dest]] = 0
+            fix_c[self._core_of[dest]] = -1
+        return bool(np.array_equal(fix_d, dist[self._core])
+                    and np.array_equal(fix_c, parent[self._core]))
 
     def _advance(self, dest: int, plan: HopPlan, parent: np.ndarray, weights: np.ndarray,
                  count_switch_sources: bool) -> None:
         """:func:`repro.core.sssp.update_weights_for_dest` for a validated
         column: its tree depth is the plan's hop level, so the subtree
         counts flow leaf terminals first, then level by level, deepest
-        first — each node's count is final before its parent reads it."""
-        n = self.fabric.num_nodes
+        first — each node's count is final before its parent reads it.
+        An unreached switch is in no level, so its count is never read."""
         chan_dst = self.fabric.channels.dst
-        cnt = np.ones(n, dtype=np.int64) if count_switch_sources else self._is_term.astype(np.int64)
-        cnt[dest] = 0
-        reached = np.flatnonzero(parent[self._leaf] >= 0)  # dest itself has no parent
-        weights[self._leaf_up[reached]] += 1  # one uplink per terminal: distinct
-        cnt += np.bincount(self._leaf_sw[reached], minlength=n)
+        cnt = self._cnt0[count_switch_sources].copy()  # dest is in no level: never read
+        weights[self._leaf_up] += 1  # one uplink per leaf: distinct
+        dead = self._hosts[parent[self._hosts] < 0]
+        if len(dead):
+            weights[self._leaf_up[np.isin(self._leaf_sw, dead)]] -= 1
+        if plan.root != dest:  # dest is a leaf: it sends nothing up
+            weights[self._uplink[dest]] -= 1
+            cnt[plan.root] -= 1
         for _, _, _, _, nodes in reversed(plan.levels):
             via = parent[nodes]
             load = cnt[nodes]

@@ -32,6 +32,7 @@ staging directories and pruned old versions are cleaned opportunistically.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -127,6 +128,9 @@ class CheckpointStore:
         ``state`` must be JSON-serialisable and carry the dead sets that
         reproduce ``result``'s fabric from ``baseline`` (see
         :meth:`load`). The version must be new — checkpoints are immutable.
+        A write the filesystem refuses (read-only directory, full disk) is
+        a :class:`CheckpointError` naming the directory and the errno; it
+        leaves no staging directory and ``CURRENT`` where it was.
         """
         final = self.root / self._name(version)
         if final.exists():
@@ -134,8 +138,8 @@ class CheckpointStore:
         staging = self.root / f".staging-{self._name(version)}-{os.getpid()}"
         if staging.exists():  # pragma: no cover - leftover from a crashed pid reuse
             shutil.rmtree(staging)
-        staging.mkdir(parents=True)
         try:
+            staging.mkdir(parents=True)
             save_fabric(baseline, staging / "fabric.json")
             save_routing(
                 staging / "routing.npz",
@@ -150,12 +154,26 @@ class CheckpointStore:
             payload["version"] = version
             (staging / "state.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
             os.rename(staging, final)
-        except BaseException:
+        except BaseException as err:
             shutil.rmtree(staging, ignore_errors=True)
+            if isinstance(err, OSError):
+                raise self._write_error(version, err) from err
             raise
-        atomic_write_text(self.root / _CURRENT, self._name(version) + "\n")
+        try:
+            atomic_write_text(self.root / _CURRENT, self._name(version) + "\n")
+        except OSError as err:
+            # Unpublished: drop it so the version number can be reissued.
+            shutil.rmtree(final, ignore_errors=True)
+            raise self._write_error(version, err) from err
         self._cleanup(current=version)
         return final
+
+    def _write_error(self, version: int, err: OSError) -> CheckpointError:
+        code = errno.errorcode.get(err.errno, "unknown")
+        return CheckpointError(
+            f"{self.root}: cannot write checkpoint version {version} "
+            f"(errno {err.errno} {code}): {err.strerror or err}"
+        )
 
     def _cleanup(self, current: int) -> None:
         """Drop stale staging dirs and checkpoints beyond ``keep``."""

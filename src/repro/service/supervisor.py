@@ -720,16 +720,24 @@ class RoutingSupervisor:
         """Write an atomic checkpoint now; returns its path.
 
         Every last-known-good passed :meth:`_verify`, so it is certified.
+        A write that fails raises :class:`CheckpointError` after a
+        ``checkpoint_failed`` flight event; the served routing is untouched
+        and the next checkpoint retries the same version.
         """
         if self._store is None:
             raise ServiceError("supervisor has no checkpoint directory configured")
         with span("service.checkpoint", version=self._ckpt_seq):
-            path = self._store.save(
-                version=self._ckpt_seq,
-                baseline=self.baseline,
-                result=self._lkg,
-                state=self.state_dict(),
-            )
+            try:
+                path = self._store.save(
+                    version=self._ckpt_seq,
+                    baseline=self.baseline,
+                    result=self._lkg,
+                    state=self.state_dict(),
+                )
+            except CheckpointError as err:
+                record_event("checkpoint_failed", engine=self.engine.name,
+                             version=self._ckpt_seq, reason=str(err))
+                raise
         record_event("checkpoint", engine=self.engine.name, version=self._ckpt_seq,
                      path=str(path))
         # The ring rides along with every checkpoint: after a crash the

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -283,6 +285,66 @@ def test_supervisor_restores_and_checkpoints_after_fallback(tmp_path, fabric):
     assert restored.serving().version == latest - 1
     restored.checkpoint()
     assert store.latest_version() == latest
+
+
+# ----------------------------------------------------------------------
+# writes the filesystem refuses: a named error, nothing half-written
+# ----------------------------------------------------------------------
+def _refuse(code):
+    def writer(*_args, **_kwargs):
+        raise OSError(code, os.strerror(code))
+    return writer
+
+
+# Root ignores a read-only chmod, so the writers are made to fail instead.
+WRITE_FAULTS = [
+    ("save_fabric", errno.EROFS),  # the first file of the staging directory
+    ("save_routing", errno.ENOSPC),  # the disk fills mid-checkpoint
+    ("atomic_write_text", errno.ENOSPC),  # published, but CURRENT cannot flip
+]
+
+
+@pytest.mark.parametrize("writer, code", WRITE_FAULTS, ids=[w for w, _ in WRITE_FAULTS])
+def test_refused_write_is_a_named_error_and_leaves_nothing(tmp_path, fabric, monkeypatch,
+                                                          writer, code):
+    from repro.service import checkpoint as checkpoint_mod
+
+    sup, store, latest = _two_checkpoints(tmp_path, fabric)
+    before = sorted(p.name for p in store.root.iterdir())
+    monkeypatch.setattr(checkpoint_mod, writer, _refuse(code))
+    with pytest.raises(CheckpointError) as err:
+        store.save(version=latest + 1, baseline=fabric, result=sup.serving().result,
+                   state=sup.state_dict())
+    assert str(store.root) in str(err.value)
+    assert f"errno {code} {errno.errorcode[code]}" in str(err.value)
+    assert sorted(p.name for p in store.root.iterdir()) == before  # no staging, no orphan
+    assert store.latest_version() == latest
+    monkeypatch.undo()  # the disk recovers: the same version number is free
+    store.save(version=latest + 1, baseline=fabric, result=sup.serving().result,
+               state=sup.state_dict())
+    assert store.load().version == latest + 1
+
+
+def test_supervisor_records_a_failed_checkpoint_and_serves_on(tmp_path, fabric, monkeypatch):
+    from repro.obs.recorder import FlightRecorder, use_recorder
+    from repro.service import checkpoint as checkpoint_mod
+
+    sup, store, latest = _two_checkpoints(tmp_path, fabric)
+    served = sup.serving()
+    monkeypatch.setattr(checkpoint_mod, "save_routing", _refuse(errno.ENOSPC))
+    flight = FlightRecorder()
+    with use_recorder(flight), pytest.raises(CheckpointError, match="ENOSPC"):
+        sup.checkpoint()
+    failed = [e for e in flight.snapshot() if e["kind"] == "checkpoint_failed"]
+    assert len(failed) == 1
+    assert failed[0]["version"] == latest + 1 and "ENOSPC" in failed[0]["reason"]
+    assert not [e for e in flight.snapshot() if e["kind"] == "checkpoint"]
+    after = sup.serving()
+    assert after.version == served.version and after.result is served.result
+    assert store.latest_version() == latest
+    monkeypatch.undo()
+    sup.checkpoint()  # retries the version that failed
+    assert store.latest_version() == latest + 1
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Run the library's docstring examples as tests.
 
 A handful of modules carry ``>>>`` examples in their docstrings; keeping
-them executable means the inline documentation can't silently rot.
+them executable means the inline documentation can't silently rot. The
+package's own quickstart (``repro.__doc__``) is one of them.
 """
 
 import doctest
 
 import pytest
 
+import repro
 import repro.network.builder
 import repro.utils.reporting
 import repro.utils.timing
 
 MODULES = [
+    repro,
     repro.network.builder,
     repro.utils.reporting,
     repro.utils.timing,
