@@ -36,11 +36,13 @@ Subcommands mirror the OpenSM-era workflow on the fabric model:
 Fabrics come from generators (``--family``), saved JSON (``--fabric``) or
 real ``ibnetdiscover`` dumps (``--ibnetdiscover``).
 
-Observability: ``route``, ``simulate``, ``deadlock`` and ``throughput``
-accept ``--trace FILE`` (JSON-lines span events) and ``--metrics FILE``
-(metrics-registry dump after the run; ``-`` = stdout, ``*.json`` = JSON,
-anything else Prometheus text). ``route`` and ``simulate`` also accept
-``--json`` for machine-readable results.
+Shared option groups are declared once, as parent parsers. Observability:
+the routing, simulation and soak commands accept ``--trace FILE``
+(JSON-lines span events) and ``--metrics FILE`` (metrics-registry dump
+after the run; ``-`` = stdout, ``*.json`` = JSON, anything else
+Prometheus text); the soaks add ``--flight-out`` (also dumped on SIGTERM)
+and ``--health-out``. ``--json`` switches a command's result to
+machine-readable JSON.
 
 Examples::
 
@@ -68,26 +70,36 @@ import json
 import os
 import sys
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, RoutingError
 from repro.network import load_fabric, save_fabric
 from repro.network import topologies as topo
 from repro.network.fabric import Fabric
-from repro.obs import JsonlSink, get_registry, set_sink
+from repro.obs import JsonlSink, get_recorder, get_registry, set_sink
+from repro.obs.export import (
+    build_trace_tree,
+    event_detail,
+    read_trace,
+    render_top,
+    render_trace_tree,
+    slo_verdict,
+    trace_request_ids,
+)
 from repro.parallel.kernel import KERNELS
 from repro.routing import PAPER_ENGINES, extract_paths, make_engine
 from repro.routing.base import LayeredRouting
-from repro.deadlock import verify_deadlock_free
+from repro.deadlock.verify import verify_routing
 from repro.simulator import CongestionSimulator, permutation_pattern, shift_pattern
 from repro.utils.atomicio import atomic_write_text
 from repro.utils.reporting import Table
 
 
-def _build_topo(args) -> Fabric:
-    if getattr(args, "ibnetdiscover", None):
+def _build_topo(args, seed: int | None = None) -> Fabric:
+    """The fabric the topology options describe (``seed`` overrides ``--seed``)."""
+    if args.ibnetdiscover:
         from repro.network import load_ibnetdiscover
 
         return load_ibnetdiscover(args.ibnetdiscover)
-    if getattr(args, "fabric", None):
+    if args.fabric:
         return load_fabric(args.fabric)
     family = args.family
     if family == "ring":
@@ -107,7 +119,8 @@ def _build_topo(args) -> Fabric:
         return topo.kautz(args.b, args.n, args.endpoints)
     if family == "random":
         return topo.random_topology(
-            args.switches, args.links, args.terminals_per_switch, seed=args.seed
+            args.switches, args.links, args.terminals_per_switch,
+            seed=args.seed if seed is None else seed,
         )
     if family == "dragonfly":
         return topo.dragonfly(args.a, args.p, args.h)
@@ -116,48 +129,8 @@ def _build_topo(args) -> Fabric:
     raise ReproError(f"unknown topology family {family!r}")
 
 
-def _add_topo_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fabric", help="load fabric from JSON instead of generating")
-    p.add_argument("--ibnetdiscover", help="load fabric from ibnetdiscover output")
-    p.add_argument("--family", default="random", help="topology family or cluster name")
-    p.add_argument("--switches", type=int, default=16)
-    p.add_argument("--links", type=int, default=32)
-    p.add_argument("--terminals-per-switch", type=int, default=2)
-    p.add_argument("--dims", default="4x4", help="torus/mesh dims, e.g. 4x4x4")
-    p.add_argument("--dimension", type=int, default=4, help="hypercube dimension")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--ms", default="4,4", help="XGFT child counts")
-    p.add_argument("--ws", default="1,2", help="XGFT parent counts")
-    p.add_argument("--endpoints", type=int, default=64, help="Kautz endpoint count")
-    p.add_argument("--a", type=int, default=4, help="dragonfly group size")
-    p.add_argument("--p", type=int, default=2, help="dragonfly terminals/switch")
-    p.add_argument("--h", type=int, default=2, help="dragonfly global links/switch")
-    p.add_argument("--scale", type=float, default=0.1, help="cluster lookalike scale")
-    p.add_argument("--seed", type=int, default=0)
-
-
 #: engines that understand the parallel-execution options
 PARALLEL_ENGINES = ("sssp", "dfsssp")
-
-
-def _add_parallel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="fan SSSP/DFSSSP destination columns over N worker processes "
-        "(0 = serial; results are bit-identical either way)",
-    )
-    p.add_argument(
-        "--kernel", choices=KERNELS, default="python",
-        help="SSSP/DFSSSP shortest-path kernel (the vectorized 'numpy' "
-        "kernel is bit-identical to the reference 'python' heap)",
-    )
-    p.add_argument(
-        "--cdg", choices=("incremental", "rebuild"), default="incremental",
-        help="DFSSSP cycle-breaking engine (the vectorized 'incremental' "
-        "CSR engine is bit-identical to the 'rebuild' reference)",
-    )
 
 
 def _engine_opts(args, name: str) -> dict:
@@ -170,25 +143,21 @@ def _engine_opts(args, name: str) -> dict:
     if name not in PARALLEL_ENGINES:
         return {}
     opts: dict = {}
-    if getattr(args, "workers", 0):
+    if args.workers:
         opts["workers"] = args.workers
-    if getattr(args, "kernel", "python") != "python":
+    if args.kernel != "python":
         opts["kernel"] = args.kernel
-    if name == "dfsssp" and getattr(args, "cdg", "incremental") != "incremental":
+    if name == "dfsssp" and args.cdg != "incremental":
         opts["cdg"] = args.cdg
     return opts
 
 
-def _add_obs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace", metavar="FILE",
-        help="write span start/stop events as JSON lines ('-' = stdout)",
-    )
-    p.add_argument(
-        "--metrics", metavar="FILE",
-        help="dump the metrics registry after the run "
-        "('-' = stdout as Prometheus text; '*.json' = JSON; else Prometheus text)",
-    )
+def _read_json(path: str):
+    """Parse a JSON file; ``-`` reads stdin."""
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, encoding="utf-8") as fp:
+        return json.load(fp)
 
 
 def _dump_metrics(target: str) -> None:
@@ -201,33 +170,38 @@ def _dump_metrics(target: str) -> None:
         atomic_write_text(target, reg.render_prometheus())
 
 
-def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flight-out", metavar="FILE",
-        help="dump the flight recorder (last-events ring) here after the "
-        "run and on SIGTERM — post-mortem context for kills",
-    )
-    p.add_argument(
-        "--health-out", metavar="FILE",
-        help="write a machine-readable SLO health report here after the run",
-    )
+def _print_fields(args, title: str, rows: dict) -> None:
+    """``--json``: the dict as JSON; otherwise a field/value table."""
+    if args.json:
+        print(json.dumps(rows, indent=2))
+        return
+    table = Table(["field", "value"], title=title)
+    for row in rows.items():
+        table.add_row(row)
+    print(table.render())
 
 
-def _write_telemetry_artifacts(args, mode: str):
-    """Honour --flight-out / --health-out at the end of a soak.
-
-    Returns the health report (or None) so callers can surface it.
-    """
-    from repro.obs import get_recorder
-    from repro.obs.slo import evaluate_slos, slos_for
-
-    report = None
-    if getattr(args, "flight_out", None):
+def _finish_soak(args, report, summary: dict, rows: dict, mode: str, title: str,
+                 ok: bool) -> int:
+    """The soaks' common tail: save ``--out``, write ``--flight-out`` and
+    ``--health-out`` (``mode``'s SLOs), print the summary (``--json``) or
+    the field/value ``rows``, and exit 0 iff the soak survived / passed."""
+    if args.out:
+        report.save(args.out)
+    if args.flight_out:
         get_recorder().dump(args.flight_out)
-    if getattr(args, "health_out", None):
-        report = evaluate_slos(slos_for(mode), get_registry().snapshot())
-        report.save(args.health_out)
-    return report
+    if args.health_out:
+        from repro.obs.slo import evaluate_slos, slos_for
+
+        health = evaluate_slos(slos_for(mode), get_registry().snapshot())
+        health.save(args.health_out)
+        # only the service summary has ever listed its violated SLOs
+        if mode == "service" and not health.healthy:
+            summary["slo_violations"] = [r.name for r in health.violations]
+    _print_fields(args, title, summary if args.json else rows)
+    if args.out and not args.json:
+        print(f"report saved to {args.out}")
+    return 0 if ok else 1
 
 
 def cmd_topo(args) -> int:
@@ -251,15 +225,16 @@ def cmd_route(args) -> int:
     for name in args.engines.split(","):
         try:
             result = make_engine(name, **_engine_opts(args, name)).route(fabric)
-            paths = extract_paths(result.tables)
             layered = result.layered or LayeredRouting.single_layer(result.tables)
-            report = verify_deadlock_free(layered, paths)
+            paths, deadlock_free, problem = verify_routing(result.tables, layered)
+            if paths is None:
+                raise RoutingError(problem)
             lengths = paths.lengths()
             table.add_row(
                 [
                     name,
                     "ok",
-                    report.deadlock_free,
+                    deadlock_free,
                     result.stats.get("layers_needed", result.num_layers),
                     float(lengths.mean()),
                     int(lengths.max(initial=0)),
@@ -296,8 +271,6 @@ def cmd_stats(args) -> int:
             "stats needs a metrics file, --cache-dir, --trace-tree or --flight"
         )
     if args.trace_tree:
-        from repro.obs.export import build_trace_tree, read_trace, trace_request_ids
-
         records = read_trace(args.trace_tree)
         if args.request:
             roots = build_trace_tree(records, request_id=args.request)
@@ -309,8 +282,6 @@ def cmd_stats(args) -> int:
             print(f"request {args.request}:")
         else:
             roots = build_trace_tree(records)
-        from repro.obs.export import render_trace_tree
-
         print(render_trace_tree(roots))
     if args.flight:
         with open(args.flight, encoding="utf-8") as fp:
@@ -322,20 +293,13 @@ def cmd_stats(args) -> int:
         )
         table = Table(["seq", "kind", "request", "detail"], title=args.flight)
         for event in events:
-            detail = " ".join(
-                f"{k}={v}" for k, v in event.items()
-                if k not in ("seq", "ts", "mono", "kind", "request_id") and v is not None
-            )
-            table.add_row(
-                [event.get("seq"), event.get("kind"), event.get("request_id") or "-", detail]
-            )
+            table.add_row([
+                event.get("seq"), event.get("kind"), event.get("request_id") or "-",
+                event_detail(event),
+            ])
         print(table.render())
     if args.file:
-        if args.file == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.file, encoding="utf-8") as fp:
-                data = json.load(fp)
+        data = _read_json(args.file)
         entries = data.get("metrics")
         if entries is None:
             raise ReproError(f"{args.file}: not a metrics dump (no 'metrics' key)")
@@ -376,11 +340,7 @@ def cmd_health(args) -> int:
     """Judge declarative SLOs against a recorded metrics dump."""
     from repro.obs.slo import evaluate_slos, load_slos, slos_for
 
-    if args.file == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.file, encoding="utf-8") as fp:
-            data = json.load(fp)
+    data = _read_json(args.file)
     if data.get("metrics") is None:
         raise ReproError(f"{args.file}: not a metrics dump (no 'metrics' key)")
     slos = load_slos(args.slos) if args.slos else slos_for(args.mode)
@@ -395,7 +355,6 @@ def cmd_health(args) -> int:
             title=f"health ({args.mode} SLOs) from {args.file}",
         )
         for r in report.results:
-            verdict = "SKIP" if r.compliant is None else ("ok" if r.compliant else "VIOLATED")
             table.add_row(
                 [
                     r.name,
@@ -403,7 +362,7 @@ def cmd_health(args) -> int:
                     round(r.value, 6) if r.value is not None else None,
                     r.threshold,
                     round(r.burn_rate, 3) if r.burn_rate is not None else None,
-                    verdict,
+                    slo_verdict(r),
                 ]
             )
         print(table.render())
@@ -420,17 +379,15 @@ def cmd_vls(args) -> int:
 
     fabric = _build_topo(args)
     table = Table(["algorithm", "virtual layers"], title=f"VL requirements on {fabric}")
-    for heuristic in HEURISTICS:
+    engines = {
+        f"dfsssp/{h}": DFSSSPEngine(max_layers=args.max_layers, heuristic=h) for h in HEURISTICS
+    }
+    engines["lash"] = LASHEngine(max_layers=args.max_layers)
+    for label, engine in engines.items():
         try:
-            result = DFSSSPEngine(max_layers=args.max_layers, heuristic=heuristic).route(fabric)
-            table.add_row([f"dfsssp/{heuristic}", result.stats["layers_needed"]])
+            table.add_row([label, engine.route(fabric).stats["layers_needed"]])
         except ReproError:
-            table.add_row([f"dfsssp/{heuristic}", None])
-    try:
-        result = LASHEngine(max_layers=args.max_layers).route(fabric)
-        table.add_row(["lash", result.stats["layers_needed"]])
-    except ReproError:
-        table.add_row(["lash", None])
+            table.add_row([label, None])
     print(table.render())
     return 0
 
@@ -490,21 +447,12 @@ def cmd_bisection(args) -> int:
 def cmd_des(args) -> int:
     from repro.des import run_scenario
 
-    if args.scenario == "-":
-        raw = json.load(sys.stdin)
-    else:
-        with open(args.scenario) as fh:
-            raw = json.load(fh)
+    raw = _read_json(args.scenario)
     scenarios = raw if isinstance(raw, list) else [raw]
     # CLI-pinned engine options win over per-scenario ones so a sweep can
-    # run every scenario under one kernel/worker configuration.
-    cli_opts: dict = {}
-    if getattr(args, "workers", 0):
-        cli_opts["workers"] = args.workers
-    if getattr(args, "kernel", "python") != "python":
-        cli_opts["kernel"] = args.kernel
-    if getattr(args, "cdg", "incremental") != "incremental":
-        cli_opts["cdg"] = args.cdg
+    # run every scenario under one kernel/worker configuration. DFSSSP
+    # takes every parallel option, so its set is the full one.
+    cli_opts = _engine_opts(args, "dfsssp")
     if cli_opts:
         scenarios = [
             {**spec, "engine_opts": {**spec.get("engine_opts", {}), **cli_opts}}
@@ -583,16 +531,8 @@ def cmd_chaos(args) -> int:
         p_link_up=args.p_link_up,
     )
     summary = report.summary()
-    if args.out:
-        report.save(args.out)
-    _write_telemetry_artifacts(args, mode="chaos")
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        table = Table(
-            ["field", "value"],
-            title=f"chaos soak: {args.engine} on {fabric}, seed {args.chaos_seed}",
-        )
+    rows = {
+        key: summary[key]
         for key in (
             "events_requested",
             "events_applied",
@@ -601,32 +541,23 @@ def cmd_chaos(args) -> int:
             "escalations",
             "destinations_repaired",
             "destinations_examined",
-        ):
-            table.add_row([key, summary[key]])
-        for kind, count in sorted(summary["events_by_kind"].items()):
-            table.add_row([f"events[{kind}]", count])
-        if summary["mean_repair_seconds"] is not None:
-            table.add_row(["mean repair [s]", round(summary["mean_repair_seconds"], 6)])
-        if summary["mean_full_reroute_seconds"] is not None:
-            table.add_row(
-                ["mean full reroute [s]", round(summary["mean_full_reroute_seconds"], 6)]
-            )
-        table.add_row(["survived", summary["survived"]])
-        print(table.render())
-        if args.out:
-            print(f"report saved to {args.out}")
-    return 0 if report.survived else 1
+        )
+    }
+    rows.update((f"events[{kind}]", n) for kind, n in sorted(summary["events_by_kind"].items()))
+    if summary["mean_repair_seconds"] is not None:
+        rows["mean repair [s]"] = round(summary["mean_repair_seconds"], 6)
+    if summary["mean_full_reroute_seconds"] is not None:
+        rows["mean full reroute [s]"] = round(summary["mean_full_reroute_seconds"], 6)
+    rows["survived"] = summary["survived"]
+    title = f"chaos soak: {args.engine} on {fabric}, seed {args.chaos_seed}"
+    return _finish_soak(args, report, summary, rows, "chaos", title, report.survived)
 
 
 def cmd_serve(args) -> int:
-    from repro.obs import get_recorder, install_signal_dump, record_event
+    from repro.obs import record_event
     from repro.obs.slo import SLOEngine, slos_for
     from repro.resilience import run_service_soak
     from repro.service import BackoffPolicy, RoutingSupervisor, ServicePolicy
-
-    if args.flight_out:
-        # A SIGTERM mid-soak still leaves a post-mortem dump behind.
-        install_signal_dump(args.flight_out)
 
     def _deadline(value: float) -> float | None:
         return None if value <= 0 else value
@@ -707,8 +638,6 @@ def cmd_serve(args) -> int:
     def on_batch(record: dict) -> None:
         health = slo_engine.tick() if slo_engine is not None else None
         if args.top:
-            from repro.obs.export import render_top
-
             out = render_top(
                 served=supervisor.serving(),
                 report=health,
@@ -731,19 +660,8 @@ def cmd_serve(args) -> int:
         **soak_kwargs,
     )
     summary = report.summary()
-    if args.out:
-        report.save(args.out)
-    health = _write_telemetry_artifacts(args, mode="service")
-    if health is not None and not health.healthy:
-        summary["slo_violations"] = [r.name for r in health.violations]
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        table = Table(
-            ["field", "value"],
-            title=f"service soak: {summary['engine']} on {summary['fabric']}, "
-            f"seed {summary['seed']}",
-        )
+    rows = {
+        key: summary[key]
         for key in (
             "events_requested",
             "events_submitted",
@@ -754,17 +672,16 @@ def cmd_serve(args) -> int:
             "stale_serves",
             "final_state",
             "final_version",
-        ):
-            table.add_row([key, summary[key]])
-        for action, count in sorted(summary["batches_by_action"].items()):
-            table.add_row([f"batches[{action}]", count])
-        table.add_row(["survived", summary["survived"]])
-        if summary["failure"]:
-            table.add_row(["failure", summary["failure"]])
-        print(table.render())
-        if args.out:
-            print(f"report saved to {args.out}")
-    return 0 if report.survived else 1
+        )
+    }
+    rows.update(
+        (f"batches[{action}]", n) for action, n in sorted(summary["batches_by_action"].items())
+    )
+    rows["survived"] = summary["survived"]
+    if summary["failure"]:
+        rows["failure"] = summary["failure"]
+    title = f"service soak: {summary['engine']} on {summary['fabric']}, seed {summary['seed']}"
+    return _finish_soak(args, report, summary, rows, "service", title, report.survived)
 
 
 def cmd_fleet_soak(args) -> int:
@@ -779,29 +696,22 @@ def cmd_fleet_soak(args) -> int:
     restored from checkpoint and certificate-verified, full recovery,
     and the fleet SLO set green.
     """
+    import tempfile
+    from dataclasses import replace
+
     from repro.fleet import FleetConfig, FleetManager, run_fleet_soak
-    from repro.obs import install_signal_dump
 
-    if args.flight_out:
-        install_signal_dump(args.flight_out)
-    fabrics = {}
-    base_seed = args.seed
-    try:
-        for i in range(args.fabrics):
-            args.seed = base_seed + i
-            fabrics[f"fab-{i:02d}"] = _build_topo(args)
-    finally:
-        args.seed = base_seed
-    root = args.root
-    if not root:
-        import tempfile
-
-        root = tempfile.mkdtemp(prefix="repro-fleet-")
+    if args.retries < 0:
+        raise ReproError(f"retries must be >= 0, got {args.retries}")
+    fabrics = {
+        f"fab-{i:02d}": _build_topo(args, seed=args.seed + i) for i in range(args.fabrics)
+    }
+    root = args.root or tempfile.mkdtemp(prefix="repro-fleet-")
     config = FleetConfig(
         workers=args.workers,
         engine=args.engine,
         request_timeout_s=args.request_timeout,
-        retries=args.retries,
+        backoff=replace(FleetConfig.backoff, max_attempts=args.retries + 1),
         heartbeat_timeout_s=args.heartbeat_timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -819,40 +729,29 @@ def cmd_fleet_soak(args) -> int:
             tenants=args.tenants,
         )
     summary = report.summary()
-    if args.out:
-        report.save(args.out)
-    _write_telemetry_artifacts(args, mode="fleet")
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        table = Table(
-            ["field", "value"],
-            title=f"fleet soak: {len(fabrics)} fabrics / {args.workers} workers, "
-            f"seed {args.soak_seed}",
-        )
-        for key in (
-            "requests_sent", "served_ok", "served_degraded", "failed",
-            "retries", "stale_serves", "faults_applied", "faults_deferred",
-            "kills", "respawns", "respawned_shards_certified",
-            "recovered", "throughput_rps",
-        ):
-            value = summary[key]
-            if isinstance(value, float):
-                value = round(value, 3)
-            table.add_row([key, value])
-        lat = summary.get("latency") or {}
-        for key in ("p50_s", "p95_s", "p99_s"):
-            if key in lat:
-                table.add_row([f"latency[{key}]", round(lat[key], 6)])
-        table.add_row(["slo healthy", report.slo.get("healthy")])
-        table.add_row(["passed", summary["passed"]])
-        if summary["failure"]:
-            table.add_row(["failure", summary["failure"]])
-        print(table.render())
-        if args.out:
-            print(f"report saved to {args.out}")
+    rows = {}
+    for key in (
+        "requests_sent", "served_ok", "served_degraded", "failed",
+        "retries", "stale_serves", "faults_applied", "faults_deferred",
+        "kills", "respawns", "respawned_shards_certified",
+        "recovered", "throughput_rps",
+    ):
+        value = summary[key]
+        rows[key] = round(value, 3) if isinstance(value, float) else value
+    lat = summary.get("latency") or {}
+    rows.update(
+        (f"latency[{key}]", round(lat[key], 6)) for key in ("p50_s", "p95_s", "p99_s")
+        if key in lat
+    )
+    rows["slo healthy"] = report.slo.get("healthy")
+    rows["passed"] = summary["passed"]
+    if summary["failure"]:
+        rows["failure"] = summary["failure"]
+    title = f"fleet soak: {len(fabrics)} fabrics / {args.workers} workers, seed {args.soak_seed}"
+    rc = _finish_soak(args, report, summary, rows, "fleet", title, report.passed)
+    if not args.json:
         print(f"fleet root: {root}")
-    return 0 if report.passed else 1
+    return rc
 
 
 def cmd_checkpoint(args) -> int:
@@ -863,23 +762,8 @@ def cmd_checkpoint(args) -> int:
         raise ReproError(f"{args.dir}: no checkpoint found")
     ckpt = store.load(args.version)
     state = ckpt.state
-
-    deadlock_free = None
-    routable = True
-    problem = None
-    try:
-        paths = extract_paths(ckpt.result.tables)
-    except ReproError as err:
-        routable = False
-        problem = str(err)
-    else:
-        if ckpt.result.layered is not None:
-            vr = verify_deadlock_free(ckpt.result.layered, paths)
-            deadlock_free = vr.deadlock_free
-            if not vr.deadlock_free:
-                problem = f"cyclic layer CDG: layers {sorted(vr.cycles)}"
-    ok = routable and deadlock_free is not False
-
+    paths, deadlock_free, problem = verify_routing(ckpt.result.tables, ckpt.result.layered)
+    ok = paths is not None and deadlock_free is not False
     info = {
         "dir": str(store.root),
         "version": ckpt.version,
@@ -895,19 +779,13 @@ def cmd_checkpoint(args) -> int:
         "uncommitted_events": len(state.get("uncommitted", [])),
         "events_submitted": state.get("events_submitted"),
         "layers_used": ckpt.result.layers_used,
-        "routable": routable,
+        "routable": paths is not None,
         "deadlock_free": deadlock_free,
         "ok": ok,
     }
     if problem:
         info["problem"] = problem
-    if args.json:
-        print(json.dumps(info, indent=2))
-    else:
-        table = Table(["field", "value"], title=f"checkpoint {store._name(ckpt.version)}")
-        for key, value in info.items():
-            table.add_row([key, value])
-        print(table.render())
+    _print_fields(args, f"checkpoint {store._name(ckpt.version)}", info)
     return 0 if ok else 1
 
 
@@ -934,17 +812,17 @@ def cmd_deadlock(args) -> int:
 def _certify_load_routing(args):
     """The (tables, layered) pair the ``certify`` subcommand operates on."""
     fabric = _build_topo(args)
-    if getattr(args, "lft", None):
+    if args.lft:
         from pathlib import Path
 
         from repro.network.opensm_export import import_lft, import_sl_assignment
 
         tables = import_lft(Path(args.lft).read_text(), fabric)
-        if getattr(args, "sl", None):
+        if args.sl:
             layered = import_sl_assignment(Path(args.sl).read_text(), tables)
         else:
             layered = LayeredRouting.single_layer(tables)
-    elif getattr(args, "routing", None):
+    elif args.routing:
         from repro.routing.io import load_routing_state
 
         state = load_routing_state(args.routing, fabric)
@@ -978,8 +856,7 @@ def cmd_certify(args) -> int:
     if args.check:
         res = checker.check_file(args.check)
         mode = "standalone"
-        bind = getattr(args, "lft", None) or getattr(args, "routing", None) or args.bind
-        if res.ok and bind:
+        if res.ok and (args.lft or args.routing or args.bind):
             tables, layered = _certify_load_routing(args)
             cert = DeadlockFreedomCertificate.load(args.check)
             res = check_against_routing(cert, layered, extract_paths(tables))
@@ -1021,87 +898,135 @@ def cmd_certify(args) -> int:
     }
     if args.out:
         info["out"] = str(args.out)
-    if args.json:
-        print(json.dumps(info, indent=2))
-    else:
-        table = Table(["field", "value"], title="deadlock-freedom certificate")
-        for key, value in info.items():
-            table.add_row([key, value])
-        print(table.render())
+    _print_fields(args, "deadlock-freedom certificate", info)
     return 0 if res.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    # Option groups several subcommands share are parent parsers, declared once.
+    topo_opts = argparse.ArgumentParser(add_help=False)
+    topo_opts.add_argument("--fabric", help="load fabric from JSON instead of generating")
+    topo_opts.add_argument("--ibnetdiscover", help="load fabric from ibnetdiscover output")
+    topo_opts.add_argument("--family", default="random", help="topology family or cluster name")
+    topo_opts.add_argument("--switches", type=int, default=16)
+    topo_opts.add_argument("--links", type=int, default=32)
+    topo_opts.add_argument("--terminals-per-switch", type=int, default=2)
+    topo_opts.add_argument("--dims", default="4x4", help="torus/mesh dims, e.g. 4x4x4")
+    topo_opts.add_argument("--dimension", type=int, default=4, help="hypercube dimension")
+    topo_opts.add_argument("--k", type=int, default=4)
+    topo_opts.add_argument("--n", type=int, default=2)
+    topo_opts.add_argument("--b", type=int, default=2)
+    topo_opts.add_argument("--ms", default="4,4", help="XGFT child counts")
+    topo_opts.add_argument("--ws", default="1,2", help="XGFT parent counts")
+    topo_opts.add_argument("--endpoints", type=int, default=64, help="Kautz endpoint count")
+    topo_opts.add_argument("--a", type=int, default=4, help="dragonfly group size")
+    topo_opts.add_argument("--p", type=int, default=2, help="dragonfly terminals/switch")
+    topo_opts.add_argument("--h", type=int, default=2, help="dragonfly global links/switch")
+    topo_opts.add_argument("--scale", type=float, default=0.1, help="cluster lookalike scale")
+    topo_opts.add_argument("--seed", type=int, default=0)
+
+    parallel_opts = argparse.ArgumentParser(add_help=False)
+    parallel_opts.add_argument(
+        "--workers", type=int, default=0,
+        help="fan SSSP/DFSSSP destination columns over N worker processes "
+        "(0 = serial; results are bit-identical either way)",
+    )
+    parallel_opts.add_argument(
+        "--kernel", choices=KERNELS, default="python",
+        help="SSSP/DFSSSP shortest-path kernel (the vectorized 'numpy' "
+        "kernel is bit-identical to the reference 'python' heap)",
+    )
+    parallel_opts.add_argument(
+        "--cdg", choices=("incremental", "rebuild"), default="incremental",
+        help="DFSSSP cycle-breaking engine (the vectorized 'incremental' "
+        "CSR engine is bit-identical to the 'rebuild' reference)",
+    )
+
+    obs_opts = argparse.ArgumentParser(add_help=False)
+    obs_opts.add_argument(
+        "--trace", metavar="FILE",
+        help="write span start/stop events as JSON lines ('-' = stdout)",
+    )
+    obs_opts.add_argument(
+        "--metrics", metavar="FILE",
+        help="dump the metrics registry after the run "
+        "('-' = stdout as Prometheus text; '*.json' = JSON; else Prometheus text)",
+    )
+
+    telemetry_opts = argparse.ArgumentParser(add_help=False)
+    telemetry_opts.add_argument(
+        "--flight-out", metavar="FILE",
+        help="dump the flight recorder (last-events ring) here after the "
+        "run and on SIGTERM — post-mortem context for kills",
+    )
+    telemetry_opts.add_argument(
+        "--health-out", metavar="FILE",
+        help="write a machine-readable SLO health report here after the run",
+    )
+
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable JSON output")
+
+    fault_opts = argparse.ArgumentParser(add_help=False)
+    fault_opts.add_argument("--events", type=int, default=50, help="fault events to inject")
+    fault_opts.add_argument("--chaos-seed", type=int, default=0, help="fault-stream RNG seed")
+    fault_opts.add_argument("--p-switch-down", type=float, default=0.15, dest="p_switch_down")
+    fault_opts.add_argument("--p-link-up", type=float, default=0.2, dest="p_link_up")
+
     parser = argparse.ArgumentParser(prog="repro-route", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("topo", help="generate / inspect a topology")
-    _add_topo_args(p)
+    def command(name, func, help, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    p = command("topo", cmd_topo, "generate / inspect a topology", topo_opts)
     p.add_argument("--out", help="save fabric JSON here")
-    p.set_defaults(func=cmd_topo)
 
-    p = sub.add_parser("route", help="run routing engines, show path stats")
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("route", cmd_route, "run routing engines, show path stats",
+                topo_opts, obs_opts, parallel_opts, json_opt)
     p.add_argument("--engines", "--engine", default=",".join(PAPER_ENGINES))
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("simulate", help="effective bisection bandwidth")
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("simulate", cmd_simulate, "effective bisection bandwidth",
+                topo_opts, obs_opts, parallel_opts, json_opt)
     p.add_argument("--engines", "--engine", default="minhop,dfsssp")
     p.add_argument("--patterns", type=int, default=50)
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("vls", help="virtual-lane requirements")
-    _add_topo_args(p)
+    p = command("vls", cmd_vls, "virtual-lane requirements", topo_opts)
     p.add_argument("--max-layers", type=int, default=16)
-    p.set_defaults(func=cmd_vls)
 
-    p = sub.add_parser("throughput", help="open-loop saturation sweep")
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("throughput", cmd_throughput, "open-loop saturation sweep",
+                topo_opts, obs_opts, parallel_opts)
     p.add_argument("--engines", "--engine", default="dfsssp")
     p.add_argument("--rates", default="0.1,0.3,0.6,0.9")
     p.add_argument("--buffers", type=int, default=2)
     p.add_argument("--packet-length", type=int, default=1, dest="packet_length")
     p.add_argument("--warmup", type=int, default=200)
     p.add_argument("--measure", type=int, default=500)
-    p.set_defaults(func=cmd_throughput)
 
-    p = sub.add_parser("orcs", help="ORCS-style pattern/metric evaluation")
-    _add_topo_args(p)
+    p = command("orcs", cmd_orcs, "ORCS-style pattern/metric evaluation", topo_opts)
     p.add_argument("--engines", default="dfsssp")
     p.add_argument("--pattern", default="bisect")
     p.add_argument("--metric", default="avg_bandwidth")
     p.add_argument("--runs", type=int, default=50)
-    p.set_defaults(func=cmd_orcs)
 
-    p = sub.add_parser("bisection", help="theoretical bisection estimate")
-    _add_topo_args(p)
+    p = command("bisection", cmd_bisection, "theoretical bisection estimate", topo_opts)
     p.add_argument("--restarts", type=int, default=4)
-    p.set_defaults(func=cmd_bisection)
 
-    p = sub.add_parser("deadlock", help="packet-level deadlock experiment (Fig. 2)")
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("deadlock", cmd_deadlock, "packet-level deadlock experiment (Fig. 2)",
+                topo_opts, obs_opts, parallel_opts)
     p.add_argument("--engines", "--engine", default="sssp,dfsssp")
     p.add_argument("--shift", type=int, default=2)
     p.add_argument("--buffers", type=int, default=1)
     p.add_argument("--packets", type=int, default=8)
     p.add_argument("--packet-length", type=int, default=1, dest="packet_length")
-    p.set_defaults(func=cmd_deadlock)
 
-    p = sub.add_parser(
-        "des",
-        help="packet-level DES scenario sweep (FCT percentiles, queue "
+    p = command(
+        "des", cmd_des,
+        "packet-level DES scenario sweep (FCT percentiles, queue "
         "occupancy, faults mid-collective; see docs/des.md)",
+        obs_opts, parallel_opts, json_opt,
     )
     p.add_argument(
         "--scenario", required=True, metavar="FILE",
@@ -1112,41 +1037,20 @@ def main(argv: list[str] | None = None) -> int:
         "--events-out", metavar="FILE",
         help="write recorded event logs here (needs \"record_events\": true)",
     )
-    p.add_argument("--json", action="store_true", help="print the JSON report")
-    _add_obs_args(p)
-    _add_parallel_args(p)
-    p.set_defaults(func=cmd_des)
 
-    p = sub.add_parser("chaos", help="fault-injection soak (degrade/repair/verify)")
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("chaos", cmd_chaos, "fault-injection soak (degrade/repair/verify)",
+                topo_opts, obs_opts, parallel_opts, fault_opts, telemetry_opts, json_opt)
     p.add_argument("--engine", default="dfsssp", help="engine under test")
-    p.add_argument("--events", type=int, default=50, help="fault events to inject")
-    p.add_argument("--chaos-seed", type=int, default=0, help="fault-stream RNG seed")
-    p.add_argument("--p-switch-down", type=float, default=0.15, dest="p_switch_down")
-    p.add_argument("--p-link-up", type=float, default=0.2, dest="p_link_up")
     p.add_argument(
         "--no-verify", action="store_true",
         help="skip per-event reachability / deadlock-freedom verification",
     )
     p.add_argument("--out", help="write the full report (summary + events) as JSON")
-    p.add_argument("--json", action="store_true", help="print the summary as JSON")
-    _add_telemetry_args(p)
-    p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser(
-        "serve",
-        help="supervised service-mode soak (deadlines, backoff, checkpoint/restore)",
-    )
-    _add_topo_args(p)
-    _add_obs_args(p)
-    _add_parallel_args(p)
+    p = command("serve", cmd_serve,
+                "supervised service-mode soak (deadlines, backoff, checkpoint/restore)",
+                topo_opts, obs_opts, parallel_opts, fault_opts, telemetry_opts, json_opt)
     p.add_argument("--engine", default="dfsssp", help="primary routing engine")
-    p.add_argument("--events", type=int, default=50, help="fault events to inject")
-    p.add_argument("--chaos-seed", type=int, default=0, help="fault-stream RNG seed")
-    p.add_argument("--p-switch-down", type=float, default=0.15, dest="p_switch_down")
-    p.add_argument("--p-link-up", type=float, default=0.2, dest="p_link_up")
     p.add_argument(
         "--burst-max", type=int, default=1,
         help="submit up to N events per batch (exercises coalescing)",
@@ -1193,21 +1097,15 @@ def main(argv: list[str] | None = None) -> int:
         "(replays the persisted soak parameters)",
     )
     p.add_argument("--out", help="write the full report (summary + batches) as JSON")
-    p.add_argument("--json", action="store_true", help="print the summary as JSON")
-    _add_telemetry_args(p)
     p.add_argument(
         "--top", action="store_true",
         help="redraw a top-style live health view after every batch "
         "(supervisor state, SLO table, flight-recorder tail)",
     )
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
-        "fleet-soak",
-        help="fleet chaos soak (sharded workers, SIGKILLs, degradation)",
-    )
-    _add_topo_args(p)
-    _add_obs_args(p)
+    p = command("fleet-soak", cmd_fleet_soak,
+                "fleet chaos soak (sharded workers, SIGKILLs, degradation)",
+                topo_opts, obs_opts, telemetry_opts, json_opt)
     p.add_argument(
         "--fabrics", type=int, default=4,
         help="number of fabrics to shard (random family varies seed per fabric)",
@@ -1244,29 +1142,21 @@ def main(argv: list[str] | None = None) -> int:
         help="backpressure pacing per degraded serve in seconds",
     )
     p.add_argument("--out", help="write the full soak report as JSON")
-    p.add_argument("--json", action="store_true", help="print the summary as JSON")
-    _add_telemetry_args(p)
-    p.set_defaults(func=cmd_fleet_soak)
 
-    p = sub.add_parser("checkpoint", help="inspect / verify a service checkpoint")
+    p = command("checkpoint", cmd_checkpoint, "inspect / verify a service checkpoint",
+                json_opt)
     p.add_argument("dir", help="checkpoint directory (as passed to serve)")
     p.add_argument(
         "--version", type=int,
         help="inspect this checkpoint version instead of CURRENT",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    p.set_defaults(func=cmd_checkpoint)
 
-    p = sub.add_parser(
-        "certify",
-        help="emit / validate deadlock-freedom certificates",
-    )
-    _add_topo_args(p)
+    p = command("certify", cmd_certify, "emit / validate deadlock-freedom certificates",
+                topo_opts, parallel_opts, json_opt)
     p.add_argument(
         "--engine", default="dfsssp", choices=sorted(PAPER_ENGINES),
         help="engine to route with when no routing source is given",
     )
-    _add_parallel_args(p)
     p.add_argument(
         "--routing", metavar="NPZ",
         help="certify a saved routing state instead of routing fresh",
@@ -1290,12 +1180,8 @@ def main(argv: list[str] | None = None) -> int:
         "topology with --engine and bind the certificate against that",
     )
     p.add_argument("--out", help="write the emitted certificate JSON here")
-    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser(
-        "stats", help="render metrics dumps, trace trees and flight dumps"
-    )
+    p = command("stats", cmd_stats, "render metrics dumps, trace trees and flight dumps")
     p.add_argument("file", nargs="?", help="metrics JSON file ('-' = stdin)")
     p.add_argument(
         "--cache-dir",
@@ -1313,11 +1199,9 @@ def main(argv: list[str] | None = None) -> int:
         "--flight", metavar="FILE",
         help="render a flight-recorder dump (--flight-out) as a table",
     )
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser(
-        "health", help="judge declarative SLOs against a metrics dump"
-    )
+    p = command("health", cmd_health, "judge declarative SLOs against a metrics dump",
+                json_opt)
     p.add_argument("file", help="metrics JSON dump ('-' = stdin)")
     p.add_argument(
         "--mode", choices=("service", "chaos", "fleet"), default="service",
@@ -1328,15 +1212,21 @@ def main(argv: list[str] | None = None) -> int:
         help="custom SLO definitions (JSON list) instead of the defaults",
     )
     p.add_argument("--out", help="write the machine-readable health report here")
-    p.add_argument("--json", action="store_true", help="print the report as JSON")
-    p.set_defaults(func=cmd_health)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     sink = prev_sink = None
     try:
         if getattr(args, "trace", None):
             sink = JsonlSink(sys.stdout if args.trace == "-" else args.trace)
             prev_sink = set_sink(sink)
+        if getattr(args, "flight_out", None):
+            from repro.obs import install_signal_dump
+
+            # A SIGTERM mid-soak still leaves a post-mortem dump behind.
+            install_signal_dump(args.flight_out)
         rc = args.func(args)
     except BrokenPipeError:
         # stdout went away (e.g. `| head`); suppress the exit-flush noise.

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.routing.base import LayeredRouting
-from repro.routing.paths import PathSet
+from repro.exceptions import RoutingError
+from repro.routing.base import LayeredRouting, RoutingTables
+from repro.routing.paths import PathSet, extract_paths
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,28 @@ def verify_deadlock_free(layered: LayeredRouting, paths: PathSet) -> Verificatio
     from repro.deadlock.certificate import layer_witnesses  # it imports this module
 
     return layer_witnesses(layered, paths)[0]
+
+
+def verify_routing(
+    tables: RoutingTables, layered: LayeredRouting | None
+) -> tuple[PathSet | None, bool | None, str | None]:
+    """Is this routing servable? ``(paths, deadlock_free, problem)``.
+
+    ``paths`` is ``None`` when a terminal pair does not route (``problem``
+    is then the extraction error's text); ``deadlock_free`` is ``None``
+    unless ``layered`` was given and checked. ``problem`` is ``None`` for a
+    servable routing; callers prefix it with their own context.
+    """
+    try:
+        paths = extract_paths(tables)
+    except RoutingError as err:
+        return None, None, str(err)
+    if layered is None:
+        return paths, None, None
+    report = verify_deadlock_free(layered, paths)
+    if report.deadlock_free:
+        return paths, True, None
+    return paths, False, f"cyclic layer CDG: layers {sorted(report.cycles)}"
 
 
 def verify_with_networkx(

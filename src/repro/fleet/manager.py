@@ -78,19 +78,17 @@ class FleetConfig:
     """All fleet-manager knobs in one bundle.
 
     ``request_timeout_s`` is the per-request deadline (callers may
-    override per call); ``retries`` counts *additional* attempts after
-    the first. Heartbeat timing trades detection latency against false
-    positives — the default tolerates a worker pausing ~10 beats.
+    override per call); ``backoff.max_attempts`` bounds the attempts per
+    request, the first included. Heartbeat timing trades detection
+    latency against false positives — the default tolerates a worker
+    pausing ~10 beats.
     """
 
     workers: int = 2
     engine: str = "dfsssp"
     engine_opts: dict = field(default_factory=dict)
     request_timeout_s: float = 30.0
-    retries: int = 2
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base_s=0.05, cap_s=0.5, max_attempts=3)
-    )
+    backoff: BackoffPolicy = BackoffPolicy(base_s=0.05, cap_s=0.5, max_attempts=3)
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 2.0
     spawn_timeout_s: float = 120.0
@@ -107,8 +105,6 @@ class FleetConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise FleetError(f"fleet needs >= 1 worker, got {self.workers}")
-        if self.retries < 0:
-            raise FleetError(f"retries must be >= 0, got {self.retries}")
         if self.degraded_delay_s < 0:
             raise FleetError(
                 f"degraded_delay_s must be >= 0, got {self.degraded_delay_s}"
@@ -402,7 +398,7 @@ class FleetManager:
             attempts = 0
             resolved = False
             try:
-                for attempt in range(self.config.retries + 1):
+                for attempt in range(self.config.backoff.max_attempts):
                     if attempt:
                         with self._rng_lock:
                             delay = self.config.backoff.delay(attempt - 1, self._rng)

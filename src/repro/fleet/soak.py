@@ -25,7 +25,6 @@ that is the chaos being tested, and the report records what happened.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -37,11 +36,11 @@ from repro.obs import get_registry
 from repro.obs.recorder import record_event
 from repro.obs.slo import evaluate_slos, slos_for
 from repro.resilience.events import FaultInjector
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.reporting import JsonReport
 
 
 @dataclass
-class FleetSoakReport:
+class FleetSoakReport(JsonReport):
     """Everything one fleet soak run learned."""
 
     fabrics: int
@@ -121,13 +120,6 @@ class FleetSoakReport:
             "respawn_log": self.respawns,
             "slo": self.slo,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save(self, path) -> None:
-        """Atomically write the full report as JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
 
 
 def _percentiles(latencies: list[float]) -> dict:

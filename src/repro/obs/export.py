@@ -15,6 +15,8 @@ CLI (``stats --trace-tree``, ``serve --top``) and tests:
   state, SLO table from the latest :class:`~repro.obs.slo.HealthReport`,
   and the flight recorder's newest events. The serve CLI clears the
   terminal and reprints it after every batch.
+* :func:`slo_verdict` / :func:`event_detail` — how an SLO result and a
+  flight event print, here and in the ``health`` / ``stats`` CLI.
 """
 
 from __future__ import annotations
@@ -152,6 +154,22 @@ def trace_request_ids(records: list[dict]) -> list[str]:
 # ----------------------------------------------------------------------
 # `top`-style live view
 # ----------------------------------------------------------------------
+#: flight-event fields every event carries; the rest is its detail
+_EVENT_HEAD = ("seq", "ts", "mono", "kind", "request_id")
+
+
+def slo_verdict(result) -> str:
+    """``SKIP`` (too little data), ``ok`` or ``VIOLATED`` for an SLOResult."""
+    return "SKIP" if result.compliant is None else ("ok" if result.compliant else "VIOLATED")
+
+
+def event_detail(event: dict) -> str:
+    """A flight event's own fields as ``k=v`` pairs (``None`` values omitted)."""
+    return " ".join(
+        f"{k}={v}" for k, v in event.items() if k not in _EVENT_HEAD and v is not None
+    )
+
+
 def _fmt_value(v: float | None) -> str:
     if v is None:
         return "-"
@@ -191,22 +209,18 @@ def render_top(
         header = f"  {'SLO':<24} {'value':>10} {'target':>10} {'burn':>7}  verdict"
         lines.append(header)
         for r in report.results:
-            verdict = "SKIP" if r.compliant is None else ("ok" if r.compliant else "VIOLATED")
             burn = f"{r.burn_rate:.2f}" if r.burn_rate is not None else "-"
             lines.append(
                 f"  {r.name:<24} {_fmt_value(r.value):>10} "
-                f"{_fmt_value(r.threshold):>10} {burn:>7}  {verdict}"
+                f"{_fmt_value(r.threshold):>10} {burn:>7}  {slo_verdict(r)}"
             )
         lines.append("")
     if recorder is not None and len(recorder):
         lines.append(f"flight recorder (last {min(tail, len(recorder))} of "
                      f"{recorder.recorded} events):")
         for event in recorder.last(tail):
-            extras = {
-                k: v for k, v in event.items()
-                if k not in ("seq", "ts", "mono", "kind", "request_id")
-            }
-            detail = " ".join(f"{k}={v}" for k, v in extras.items())
             rid = event.get("request_id") or "-"
-            lines.append(f"  #{event['seq']:<5} {event['kind']:<18} {rid:<16} {detail}")
+            lines.append(
+                f"  #{event['seq']:<5} {event['kind']:<18} {rid:<16} {event_detail(event)}"
+            )
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.obs.metrics import get_registry, quantile_from_entry
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.reporting import JsonReport
 
 QUANTILE = "quantile"
 RATIO = "ratio"
@@ -102,7 +102,7 @@ class SLOResult:
 
 
 @dataclass
-class HealthReport:
+class HealthReport(JsonReport):
     """All SLO results for one window, plus the overall verdict."""
 
     results: list[SLOResult] = field(default_factory=list)
@@ -137,13 +137,6 @@ class HealthReport:
             "violated": len(self.violations),
             "slos": [r.to_dict() for r in self.results],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save(self, path) -> None:
-        """Atomically write the machine-readable health report."""
-        atomic_write_text(path, self.to_json() + "\n")
 
 
 # ----------------------------------------------------------------------

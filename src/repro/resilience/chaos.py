@@ -17,18 +17,16 @@ publish a soak report as a build artifact.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.deadlock.verify import verify_deadlock_free
+from repro.deadlock.verify import verify_routing
 from repro.exceptions import ReproError
 from repro.network.fabric import Fabric
 from repro.obs import get_registry, span
 from repro.resilience.events import LINK_UP, FaultInjector, relative_degradation
 from repro.routing.base import RoutingEngine, RoutingResult
-from repro.routing.paths import extract_paths
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.reporting import JsonReport
 
 
 @dataclass
@@ -51,7 +49,7 @@ class ChaosEventRecord:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(JsonReport):
     """Everything a soak run learned, plus aggregate statistics."""
 
     engine: str
@@ -99,13 +97,6 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         return {"summary": self.summary(), "events": [asdict(r) for r in self.records]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save(self, path) -> None:
-        """Atomically write the full report (summary + events) as JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
 
 
 class ChaosRunner:
@@ -221,31 +212,22 @@ class ChaosRunner:
     def _verify(self, result: RoutingResult, report: ChaosReport, record) -> None:
         if not self.verify:
             return
-        try:
-            paths = extract_paths(result.tables)
-        except ReproError as err:
+        paths, deadlock_free, problem = verify_routing(result.tables, result.layered)
+        if record is not None and deadlock_free is not None:
+            record.deadlock_free = deadlock_free
+            record.layers_used = result.layered.layers_used
+        if problem is not None:
             report.survived = False
-            report.failure = f"unreachable pair: {err}"
+            report.failure = problem if paths is not None else f"unreachable pair: {problem}"
             if record is not None:
                 record.error = report.failure
-            return
-        if result.layered is not None:
-            vr = verify_deadlock_free(result.layered, paths)
-            if record is not None:
-                record.deadlock_free = vr.deadlock_free
-                record.layers_used = result.layered.layers_used
-            if not vr.deadlock_free:
-                report.survived = False
-                report.failure = f"cyclic layer CDG: layers {sorted(vr.cycles)}"
-                if record is not None:
-                    record.error = report.failure
 
 
 # ----------------------------------------------------------------------
 # Service-mode soak: the chaos stream driving a RoutingSupervisor
 # ----------------------------------------------------------------------
 @dataclass
-class ServiceSoakReport:
+class ServiceSoakReport(JsonReport):
     """Outcome of a supervised (service-mode) soak run.
 
     ``records`` holds one dict per processed batch: the supervisor's
@@ -299,13 +281,6 @@ class ServiceSoakReport:
     def to_dict(self) -> dict:
         return {"summary": self.summary(), "batches": self.records}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save(self, path) -> None:
-        """Atomically write the full report as JSON."""
-        atomic_write_text(path, self.to_json() + "\n")
-
 
 def run_service_soak(
     supervisor,
@@ -347,8 +322,6 @@ def run_service_soak(
         verified — the serve CLI hooks its SLO-engine tick and live
         ``--top`` redraw here.
     """
-    from repro.deadlock.verify import verify_deadlock_free as _verify_df
-
     baseline = supervisor.baseline
     injector = FaultInjector(
         baseline,
@@ -380,20 +353,16 @@ def run_service_soak(
 
     def verify_serving(record: dict | None) -> bool:
         served = supervisor.serving()
-        try:
-            paths = extract_paths(served.result.tables)
-        except ReproError as err:
+        paths, deadlock_free, problem = verify_routing(
+            served.result.tables, served.result.layered
+        )
+        if problem is not None:
             report.survived = False
-            report.failure = f"served unroutable tables: {err}"
+            report.failure = (
+                f"served {problem}" if paths is not None
+                else f"served unroutable tables: {problem}"
+            )
             return False
-        deadlock_free = None
-        if served.result.layered is not None:
-            vr = _verify_df(served.result.layered, paths)
-            deadlock_free = vr.deadlock_free
-            if not vr.deadlock_free:
-                report.survived = False
-                report.failure = f"served cyclic layer CDG: layers {sorted(vr.cycles)}"
-                return False
         if record is not None:
             record["served_stale"] = served.stale
             record["served_version"] = served.version

@@ -3,7 +3,8 @@
 Every benchmark prints the rows/series of the corresponding paper table or
 figure. To keep the output diff-able and terminal-friendly we emit simple
 fixed-width tables (and optionally CSV) rather than depending on plotting
-libraries, which are unavailable offline.
+libraries, which are unavailable offline. :class:`JsonReport` gives the
+soak and health reports their one JSON form.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Iterable, Sequence
+
+from repro.utils.atomicio import atomic_write_text
 
 
 def _json_default(value):
@@ -100,3 +103,14 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
+
+
+class JsonReport:
+    """``to_json`` and ``save`` for a report class that defines ``to_dict``."""
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    def save(self, path) -> None:
+        """Atomically write the report as JSON."""
+        atomic_write_text(path, self.to_json() + "\n")

@@ -44,8 +44,8 @@ def fleet(tmp_path_factory):
 def test_config_validation():
     with pytest.raises(FleetError):
         FleetConfig(workers=0)
-    with pytest.raises(FleetError):
-        FleetConfig(retries=-1)
+    with pytest.raises(ValueError):  # the front end's attempts: backoff.max_attempts
+        BackoffPolicy(max_attempts=0)
     # daemonized workers cannot host their own process pools
     with pytest.raises(FleetError):
         FleetConfig(engine_opts={"workers": 4})

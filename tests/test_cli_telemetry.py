@@ -151,3 +151,15 @@ def test_chaos_telemetry_artifacts(tmp_path, capsys):
         "repair_latency_p99", "engine_survival",
     }
     assert report["healthy"] is True
+
+
+def test_chaos_flight_out_dumps_on_sigterm(tmp_path, monkeypatch, capsys):
+    # Patched so the test process keeps its own SIGTERM handling.
+    import repro.obs
+
+    installed = []
+    monkeypatch.setattr(repro.obs, "install_signal_dump", installed.append)
+    flight = tmp_path / "flight.json"
+    rc = main(["chaos", *TOPO, "--events", "2", "--flight-out", str(flight)])
+    assert rc == 0
+    assert installed == [str(flight)]
