@@ -85,9 +85,9 @@ from repro.obs.export import (
     trace_request_ids,
 )
 from repro.parallel.kernel import KERNELS
-from repro.routing import PAPER_ENGINES, extract_paths, make_engine
+from repro.routing import PAPER_ENGINES, make_engine
 from repro.routing.base import LayeredRouting
-from repro.deadlock.verify import verify_routing
+from repro.deadlock.certificate import check_servable
 from repro.simulator import CongestionSimulator, permutation_pattern, shift_pattern
 from repro.utils.atomicio import atomic_write_text
 from repro.utils.reporting import Table
@@ -226,15 +226,15 @@ def cmd_route(args) -> int:
         try:
             result = make_engine(name, **_engine_opts(args, name)).route(fabric)
             layered = result.layered or LayeredRouting.single_layer(result.tables)
-            paths, deadlock_free, problem = verify_routing(result.tables, layered)
-            if paths is None:
-                raise RoutingError(problem)
-            lengths = paths.lengths()
+            verdict = check_servable(result.tables, layered)
+            if verdict.paths is None:
+                raise RoutingError(verdict.problem)
+            lengths = verdict.paths.lengths()
             table.add_row(
                 [
                     name,
                     "ok",
-                    deadlock_free,
+                    verdict.deadlock_free,
                     result.stats.get("layers_needed", result.num_layers),
                     float(lengths.mean()),
                     int(lengths.max(initial=0)),
@@ -284,8 +284,7 @@ def cmd_stats(args) -> int:
             roots = build_trace_tree(records)
         print(render_trace_tree(roots))
     if args.flight:
-        with open(args.flight, encoding="utf-8") as fp:
-            dump = json.load(fp)
+        dump = _read_json(args.flight)
         events = dump.get("events", [])
         print(
             f"flight recorder: {dump.get('recorded', len(events))} events recorded, "
@@ -762,8 +761,8 @@ def cmd_checkpoint(args) -> int:
         raise ReproError(f"{args.dir}: no checkpoint found")
     ckpt = store.load(args.version)
     state = ckpt.state
-    paths, deadlock_free, problem = verify_routing(ckpt.result.tables, ckpt.result.layered)
-    ok = paths is not None and deadlock_free is not False
+    result = ckpt.result
+    verdict = check_servable(result.tables, result.layered, result.certificate)
     info = {
         "dir": str(store.root),
         "version": ckpt.version,
@@ -778,15 +777,15 @@ def cmd_checkpoint(args) -> int:
         "dead_cables": len(state.get("dead_cables", [])),
         "uncommitted_events": len(state.get("uncommitted", [])),
         "events_submitted": state.get("events_submitted"),
-        "layers_used": ckpt.result.layers_used,
-        "routable": paths is not None,
-        "deadlock_free": deadlock_free,
-        "ok": ok,
+        "layers_used": result.layers_used,
+        "routable": verdict.paths is not None,
+        "deadlock_free": verdict.deadlock_free,
+        "ok": verdict.problem is None,
     }
-    if problem:
-        info["problem"] = problem
+    if verdict.problem:
+        info["problem"] = verdict.problem
     _print_fields(args, f"checkpoint {store._name(ckpt.version)}", info)
-    return 0 if ok else 1
+    return 0 if verdict.problem is None else 1
 
 
 def cmd_deadlock(args) -> int:
@@ -846,12 +845,7 @@ def cmd_certify(args) -> int:
     the witness edge and minimal counterexample cycle printed.
     """
     from repro.deadlock import checker
-    from repro.deadlock.certificate import (
-        DeadlockFreedomCertificate,
-        check_against_routing,
-        emit_certificate,
-    )
-    from repro.exceptions import CertificateError
+    from repro.deadlock.certificate import DeadlockFreedomCertificate
 
     if args.check:
         res = checker.check_file(args.check)
@@ -859,7 +853,10 @@ def cmd_certify(args) -> int:
         if res.ok and (args.lft or args.routing or args.bind):
             tables, layered = _certify_load_routing(args)
             cert = DeadlockFreedomCertificate.load(args.check)
-            res = check_against_routing(cert, layered, extract_paths(tables))
+            verdict = check_servable(tables, layered, cert)
+            if verdict.check is None:
+                raise RoutingError(verdict.problem)
+            res = verdict.check
             mode = "bound to routing"
         if args.json:
             print(json.dumps({
@@ -873,16 +870,11 @@ def cmd_certify(args) -> int:
             print(f"{args.check} ({mode}): {res.summary()}")
         return 0 if res.ok else 1
 
-    tables, layered = _certify_load_routing(args)
-    paths = extract_paths(tables)
-    try:
-        cert = emit_certificate(layered, paths)
-    except CertificateError as err:
-        print(f"cannot certify: {err}", file=sys.stderr)
-        if err.counterexample:
-            chain = " -> ".join(str(c) for c in err.counterexample)
-            print(f"counterexample cycle: {chain}", file=sys.stderr)
+    verdict = check_servable(*_certify_load_routing(args))
+    if verdict.problem is not None:
+        print(f"cannot certify: {verdict.problem}", file=sys.stderr)
         return 1
+    cert = verdict.certificate
     res = cert.check()  # independent re-check of our own emission
     if args.out:
         cert.save(args.out)

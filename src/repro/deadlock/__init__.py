@@ -25,7 +25,7 @@ _LAZY = {
     "DeadlockFreedomCertificate": "repro.deadlock.certificate",
     "emit_certificate": "repro.deadlock.certificate",
     "check_against_routing": "repro.deadlock.certificate",
-    "report_from_check": "repro.deadlock.certificate",
+    "check_servable": "repro.deadlock.certificate",
     "CheckResult": "repro.deadlock.checker",
     "check_certificate": "repro.deadlock.checker",
     "find_minimal_cycle": "repro.deadlock.checker",
@@ -57,10 +57,10 @@ __all__ = [
     "build_layer_cdgs",
     "check_against_routing",
     "check_certificate",
+    "check_servable",
     "drain_cycles",
     "emit_certificate",
     "find_minimal_cycle",
-    "report_from_check",
     "tarjan_sccs",
     "verify_deadlock_free",
     "verify_with_networkx",

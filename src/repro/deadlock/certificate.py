@@ -22,9 +22,10 @@ Two levels of trust:
   A certificate whose layers are individually acyclic but whose paths
   were silently remapped fails here.
 
-The cache (:mod:`repro.routing.cache`) and the supervisor
-(:mod:`repro.service.supervisor`) run the binding check before serving a
-warm-started or restored routing.
+:func:`check_servable` is the one gate in front of everything served
+(supervisor, cache, CLI, soaks): a routing that carries a certificate —
+a cache hit, a restored checkpoint — gets the binding check, any other
+one witness pass, which yields its certificate.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ import numpy as np
 from repro.deadlock.checker import FORMAT, KIND, CheckResult, check_certificate, find_minimal_cycle
 from repro.deadlock.cycles import kahn_core
 from repro.deadlock.verify import VerificationReport
-from repro.exceptions import CertificateError
-from repro.routing.base import LayeredRouting
+from repro.exceptions import CertificateError, RoutingError
+from repro.routing.base import LayeredRouting, RoutingTables
 from repro.routing.io import fabric_fingerprint
-from repro.routing.paths import PathSet
+from repro.routing.paths import PathSet, extract_paths
 from repro.service.budget import check_budget
 from repro.utils.atomicio import atomic_write_text
 
@@ -236,17 +237,6 @@ def emit_certificate(
     return _certificate(layered, paths, peels, engine, fingerprint)
 
 
-def verify_and_certify(
-    layered: LayeredRouting, paths: PathSet
-) -> tuple[VerificationReport, DeadlockFreedomCertificate | None]:
-    """Verdict and certificate from one witness pass.
-
-    The certificate is ``None`` unless every layer is acyclic.
-    """
-    report, peels = layer_witnesses(layered, paths)
-    return report, _certificate(layered, paths, peels) if report.deadlock_free else None
-
-
 def check_against_routing(
     cert: DeadlockFreedomCertificate, layered: LayeredRouting, paths: PathSet
 ) -> CheckResult:
@@ -307,29 +297,55 @@ def check_against_routing(
     return res
 
 
-def report_from_check(cert: DeadlockFreedomCertificate, result: CheckResult) -> VerificationReport:
-    """Bridge a certificate check into a :class:`VerificationReport`.
+@dataclass(frozen=True)
+class ServableVerdict:
+    """What :func:`check_servable` decided; ``problem`` is ``None`` iff servable.
 
-    Lets the supervisor's rejection path speak the same language whether
-    it verified by a witness pass or by certificate: ``failure_summary``
-    then includes the certificate's minimal counterexample.
+    ``paths`` is ``None`` when a terminal pair does not route. ``check`` is
+    the binding check of a carried certificate; ``certificate`` is the
+    carried one, or the one a passing witness pass built.
     """
-    cycles: dict[int, list[tuple[int, int]]] = {}
-    if result.counterexample and result.layer is not None:
-        ce = result.counterexample
-        cycles[result.layer] = list(zip(ce, ce[1:]))
-    hist = np.bincount(
-        cert.path_layers[cert.path_layers >= 0], minlength=cert.num_layers
-    )
-    return VerificationReport(
-        deadlock_free=result.ok,
-        num_layers=cert.num_layers,
-        cycles=cycles,
-        edges_per_layer=[len(lw.edges) for lw in cert.layers],
-        paths_per_layer=[int(v) for v in hist],
-        method="certificate",
-        failure_reason=result.reason,
-        certificate_counterexample=(
-            tuple(result.counterexample) if result.counterexample else None
-        ),
-    )
+
+    paths: PathSet | None
+    certificate: DeadlockFreedomCertificate | None = None
+    check: CheckResult | None = None
+    problem: str | None = None
+
+    @property
+    def deadlock_free(self) -> bool | None:
+        """``None`` when nothing was checked (unroutable, or no layers)."""
+        if self.paths is None or (self.problem is None and self.certificate is None):
+            return None
+        return self.problem is None
+
+
+def check_servable(
+    tables: RoutingTables,
+    layered: LayeredRouting | None,
+    certificate: DeadlockFreedomCertificate | None = None,
+) -> ServableVerdict:
+    """The one gate for a served routing: routable, certified, bound.
+
+    1. Every terminal pair routes (path extraction; its error is the
+       problem).
+    2. Without ``layered`` there is nothing more to decide.
+    3. A carried ``certificate`` gets one :func:`check_against_routing`;
+       the problem is the checker's summary (reason, witness edge,
+       minimal counterexample).
+    4. Otherwise one witness pass (:func:`layer_witnesses`) decides: a
+       passing pass yields the certificate, a cyclic one names every
+       cyclic layer and its witness cycle.
+    """
+    try:
+        paths = extract_paths(tables)
+    except RoutingError as err:
+        return ServableVerdict(None, problem=str(err))
+    if layered is None:
+        return ServableVerdict(paths)
+    if certificate is not None:
+        check = check_against_routing(certificate, layered, paths)
+        return ServableVerdict(paths, certificate, check, None if check.ok else check.summary())
+    report, peels = layer_witnesses(layered, paths)
+    if not report.deadlock_free:
+        return ServableVerdict(paths, problem=report.failure_summary())
+    return ServableVerdict(paths, _certificate(layered, paths, peels))

@@ -20,32 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.exceptions import RoutingError
-from repro.routing.base import LayeredRouting, RoutingTables
-from repro.routing.paths import PathSet, extract_paths
+from repro.routing.base import LayeredRouting
+from repro.routing.paths import PathSet
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a deadlock-freedom check.
-
-    ``method`` records how the verdict was reached: ``"rebuild"`` (every
-    layer's edges re-derived from the path set and Kahn-peeled,
-    :func:`verify_deadlock_free`) or ``"certificate"`` (O(V+E) check,
-    :func:`repro.deadlock.certificate.check_against_routing`). On a
-    certificate rejection, ``failure_reason`` carries the checker's
-    reason and ``certificate_counterexample`` the minimal counterexample
-    cycle, when one exists.
-    """
+    """Outcome of a deadlock-freedom check (one witness pass)."""
 
     deadlock_free: bool
     num_layers: int
     cycles: dict[int, list[tuple[int, int]]]  # layer -> one witness cycle
     edges_per_layer: list[int]
     paths_per_layer: list[int]
-    method: str = "rebuild"
-    failure_reason: str | None = None
-    certificate_counterexample: tuple[int, ...] | None = None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.deadlock_free
@@ -56,8 +43,7 @@ class VerificationReport:
         Names every cyclic layer and spells out one witness cycle as a
         channel chain (``c1 -> c2 -> ... -> c1``) so an assertion message
         or service log pinpoints the offending buffer loop instead of
-        reporting a bare boolean. Certificate-based failures additionally
-        surface the checker's reason and minimal counterexample.
+        reporting a bare boolean.
         """
         if self.deadlock_free:
             return "deadlock-free: all layer CDGs acyclic"
@@ -70,16 +56,7 @@ class VerificationReport:
                 f"layer {layer} ({self.edges_per_layer[layer]} edges, "
                 f"{self.paths_per_layer[layer]} paths) has witness cycle {chain}"
             )
-        if self.certificate_counterexample:
-            chain = " -> ".join(str(c) for c in self.certificate_counterexample)
-            parts.append(f"certificate minimal counterexample cycle {chain}")
-        if self.cycles:
-            head = f"cyclic CDG in {len(self.cycles)} layer(s)"
-            if self.failure_reason:
-                parts.append(self.failure_reason)
-        else:
-            head = self.failure_reason or "verification failed"
-        return head + (": " + "; ".join(parts) if parts else "")
+        return f"cyclic CDG in {len(self.cycles)} layer(s): " + "; ".join(parts)
 
 
 def build_layer_cdgs(
@@ -115,28 +92,6 @@ def verify_deadlock_free(layered: LayeredRouting, paths: PathSet) -> Verificatio
     from repro.deadlock.certificate import layer_witnesses  # it imports this module
 
     return layer_witnesses(layered, paths)[0]
-
-
-def verify_routing(
-    tables: RoutingTables, layered: LayeredRouting | None
-) -> tuple[PathSet | None, bool | None, str | None]:
-    """Is this routing servable? ``(paths, deadlock_free, problem)``.
-
-    ``paths`` is ``None`` when a terminal pair does not route (``problem``
-    is then the extraction error's text); ``deadlock_free`` is ``None``
-    unless ``layered`` was given and checked. ``problem`` is ``None`` for a
-    servable routing; callers prefix it with their own context.
-    """
-    try:
-        paths = extract_paths(tables)
-    except RoutingError as err:
-        return None, None, str(err)
-    if layered is None:
-        return paths, None, None
-    report = verify_deadlock_free(layered, paths)
-    if report.deadlock_free:
-        return paths, True, None
-    return paths, False, f"cyclic layer CDG: layers {sorted(report.cycles)}"
 
 
 def verify_with_networkx(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.deadlock.verify import verify_routing
+from repro.deadlock.certificate import check_servable
 from repro.exceptions import ReproError
 from repro.network.fabric import Fabric
 from repro.obs import get_registry, span
@@ -212,13 +212,16 @@ class ChaosRunner:
     def _verify(self, result: RoutingResult, report: ChaosReport, record) -> None:
         if not self.verify:
             return
-        paths, deadlock_free, problem = verify_routing(result.tables, result.layered)
-        if record is not None and deadlock_free is not None:
-            record.deadlock_free = deadlock_free
+        verdict = check_servable(result.tables, result.layered, result.certificate)
+        if record is not None and verdict.deadlock_free is not None:
+            record.deadlock_free = verdict.deadlock_free
             record.layers_used = result.layered.layers_used
-        if problem is not None:
+        if verdict.problem is not None:
             report.survived = False
-            report.failure = problem if paths is not None else f"unreachable pair: {problem}"
+            report.failure = (
+                verdict.problem if verdict.paths is not None
+                else f"unreachable pair: {verdict.problem}"
+            )
             if record is not None:
                 record.error = report.failure
 
@@ -353,21 +356,20 @@ def run_service_soak(
 
     def verify_serving(record: dict | None) -> bool:
         served = supervisor.serving()
-        paths, deadlock_free, problem = verify_routing(
-            served.result.tables, served.result.layered
-        )
-        if problem is not None:
+        result = served.result
+        verdict = check_servable(result.tables, result.layered, result.certificate)
+        if verdict.problem is not None:
             report.survived = False
             report.failure = (
-                f"served {problem}" if paths is not None
-                else f"served unroutable tables: {problem}"
+                f"served {verdict.problem}" if verdict.paths is not None
+                else f"served unroutable tables: {verdict.problem}"
             )
             return False
         if record is not None:
             record["served_stale"] = served.stale
             record["served_version"] = served.version
             record["served_state"] = served.state
-            record["served_deadlock_free"] = deadlock_free
+            record["served_deadlock_free"] = verdict.deadlock_free
         return True
 
     with span("chaos.service_soak", engine=supervisor.engine.name, events=num_events):

@@ -175,21 +175,16 @@ class RoutingCache:
         on trust — the caller treats ``None`` as a cache miss so the
         routing is recomputed and re-certified.
         """
-        from repro.deadlock.certificate import (
-            DeadlockFreedomCertificate,
-            check_against_routing,
-        )
-        from repro.routing.paths import extract_paths
+        from repro.deadlock.certificate import DeadlockFreedomCertificate, check_servable
 
-        reason = None
         try:
             cert = DeadlockFreedomCertificate.load(cert_path)
-            check = check_against_routing(cert, state.layered, extract_paths(state.tables))
-            if check.ok:
-                return cert
-            reason = check.reason
         except CertificateError as err:
             reason = str(err)
+        else:
+            reason = check_servable(state.tables, state.layered, cert).problem
+            if reason is None:
+                return cert
         record_event("cache_cert_invalid", engine=str(engine), key=key, reason=reason)
         get_registry().counter(
             "routing_cert_invalid_total",
@@ -213,12 +208,12 @@ class RoutingCache:
         key = cache_key(fabric_fingerprint(fabric), engine, opts)
         npz, meta_path, cert_path = self._paths(key)
         if result.layered is not None and result.certificate is None:
-            from repro.deadlock.certificate import emit_certificate
-            from repro.routing.paths import extract_paths
+            from repro.deadlock.certificate import check_servable
 
-            result.certificate = emit_certificate(
-                result.layered, extract_paths(result.tables), engine=str(engine)
-            )
+            verdict = check_servable(result.tables, result.layered)
+            if verdict.problem is not None:
+                raise CertificateError(f"routing cannot be certified: {verdict.problem}")
+            result.certificate = verdict.certificate
         save_routing(
             npz,
             result.tables,

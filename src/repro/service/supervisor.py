@@ -46,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from repro.deadlock.certificate import check_against_routing, report_from_check, verify_and_certify
+from repro.deadlock.certificate import check_servable
 from repro.exceptions import (
     CheckpointError,
     ComputeTimeoutError,
@@ -62,7 +62,6 @@ from repro.obs.recorder import get_recorder, record_event
 from repro.obs.telemetry import request_scope
 from repro.resilience.events import LINK_UP, FaultEvent, relative_degradation
 from repro.routing.base import RoutingEngine, RoutingResult
-from repro.routing.paths import extract_paths
 from repro.routing.registry import ENGINES, make_engine
 from repro.service.budget import compute_budget
 from repro.service.checkpoint import Checkpoint, CheckpointStore
@@ -593,49 +592,36 @@ class RoutingSupervisor:
         return result
 
     def _verify(self, result: RoutingResult) -> None:
-        """Refuse to serve unroutable or cyclic tables (independent check).
+        """Refuse to serve unroutable or cyclic tables (:func:`check_servable`).
 
-        Extracting the paths is the completeness check; the tables keep
-        the :class:`~repro.routing.paths.PathSet`, so nothing later walks
-        them again.
-
-        Results that carry a deadlock-freedom certificate (cache hits,
-        restored checkpoints) are verified by the O(V+E) certificate
-        check — structure *and* binding to the live routing. Everything
-        else pays one witness pass, whose certificate an accepted result
-        keeps. Either way a ``service.verify`` span and a ``verify``
-        flight-recorder event record which method ran; a rejection dumps
-        the certificate's minimal counterexample to the flight recorder
-        before raising.
+        A result carrying a certificate (cache hit, restored checkpoint)
+        gets one binding check; any other one witness pass, whose
+        certificate an accepted result keeps. A ``service.verify`` span and
+        a ``verify`` flight event record which method ran; a rejected
+        certificate is dumped to the flight recorder before raising.
         """
-        paths = extract_paths(result.tables)
+        method = "rebuild" if result.certificate is None else "certificate"
+        with span("service.verify", method=method) as sp:
+            verdict = check_servable(result.tables, result.layered, result.certificate)
+            sp.set_attr("ok", verdict.problem is None)
+        if verdict.paths is None:
+            raise RoutingError(verdict.problem)
         if result.layered is None:
             return
-        if result.certificate is not None:
-            with span("service.verify", method="certificate") as sp:
-                check = check_against_routing(result.certificate, result.layered, paths)
-                sp.set_attr("ok", check.ok)
-            record_event("verify", engine=self.engine.name, method="certificate",
-                         ok=check.ok)
-            if check.ok:
-                return
+        record_event("verify", engine=self.engine.name, method=method,
+                     ok=verdict.problem is None)
+        if verdict.problem is None:
+            result.certificate = verdict.certificate
+            return
+        check = verdict.check
+        if check is not None:
             record_event(
                 "certificate_rejected", engine=self.engine.name,
                 reason=check.reason, layer=check.layer,
                 witness_edge=list(check.witness_edge) if check.witness_edge else None,
                 counterexample=check.counterexample,
             )
-            report = report_from_check(result.certificate, check)
-        else:
-            with span("service.verify", method="rebuild") as sp:
-                report, certificate = verify_and_certify(result.layered, paths)
-                sp.set_attr("ok", report.deadlock_free)
-            record_event("verify", engine=self.engine.name, method="rebuild",
-                         ok=report.deadlock_free)
-            if report.deadlock_free:
-                result.certificate = certificate
-                return
-        raise RoutingError(f"candidate routing rejected: {report.failure_summary()}")
+        raise RoutingError(f"candidate routing rejected: {verdict.problem}")
 
     def _accept(self, result: RoutingResult, target: DegradedFabric,
                 cables: set, switches: set, action: str) -> None:

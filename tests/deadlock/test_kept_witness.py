@@ -1,7 +1,7 @@
 """A passing witness pass is kept on its frozen ``LayeredRouting``.
 
 ``layer_witnesses`` derives every layer's dependency edges once per
-routing: verify, emit and ``verify_and_certify`` after it reuse the pass,
+routing: verify, emit and ``check_servable`` after it reuse the pass,
 ``path_layers`` turns read-only so the kept pass cannot go stale, and a
 cyclic pass keeps nothing, so repair can still rewrite that assignment.
 """
@@ -13,7 +13,7 @@ import pytest
 from repro import topologies
 from repro.core import DFSSSPEngine, SSSPEngine
 from repro.deadlock import verify_deadlock_free
-from repro.deadlock.certificate import emit_certificate, verify_and_certify
+from repro.deadlock.certificate import check_servable, emit_certificate
 from repro.exceptions import ComputeTimeoutError
 from repro.network import fail_links
 from repro.resilience import repair_routing
@@ -60,9 +60,10 @@ def test_verify_then_emit_derives_each_layer_once(routed, derivations):
     assert verify_deadlock_free(layered, paths).deadlock_free
     assert len(derivations) == layered.num_layers
     cert = emit_certificate(layered, paths)
-    report, again = verify_and_certify(layered, paths)
+    verdict = check_servable(layered.tables, layered)
     assert len(derivations) == layered.num_layers
-    assert report.deadlock_free and again.to_json() == cert.to_json()
+    assert verdict.paths is paths and verdict.problem is None
+    assert verdict.certificate.to_json() == cert.to_json()
 
     # The kept pass certifies byte for byte what a fresh pass does.
     fresh, fresh_paths = _unkept_copy(layered)

@@ -96,35 +96,6 @@ def test_traffic_only_excludes_spine_sourced_paths(ktree42):
     assert verify_with_networkx(layered, paths, traffic_only=False)
 
 
-def test_failure_summary_carries_certificate_counterexample():
-    """Certificate-driven reports surface the minimal cycle in the summary."""
-    from repro.deadlock.verify import VerificationReport
-
-    report = VerificationReport(
-        deadlock_free=False,
-        num_layers=1,
-        cycles={0: ((3, 7), (7, 3))},
-        edges_per_layer=(2,),
-        paths_per_layer=(4,),
-        method="certificate",
-        failure_reason="edge (3, 7) goes backwards in the claimed topological order",
-        certificate_counterexample=(3, 7, 3),
-    )
-    summary = report.failure_summary()
-    assert "certificate minimal counterexample cycle 3 -> 7 -> 3" in summary
-    assert "backwards" in summary
-
-    # Without a counterexample the legacy cycles-only wording is unchanged.
-    legacy = VerificationReport(
-        deadlock_free=False,
-        num_layers=1,
-        cycles={0: ((3, 7), (7, 3))},
-        edges_per_layer=(2,),
-        paths_per_layer=(4,),
-    )
-    assert legacy.failure_summary().startswith("cyclic CDG in 1 layer(s)")
-
-
 # ----------------------------------------------------------------------
 # Array verify vs the dict reference vs networkx
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -117,6 +118,21 @@ def test_stats_flight_renders_dump(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "flight recorder:" in out
     assert "routing_accepted" in out and "state_transition" in out
+
+
+def test_stats_flight_reads_stdin(tmp_path, capsys, monkeypatch):
+    """``--flight -`` reads the dump from stdin, like ``stats``, ``health``
+    and ``des`` do for their inputs."""
+    flight = tmp_path / "flight.json"
+    _serve(tmp_path, "--flight-out", str(flight))
+    capsys.readouterr()
+    assert main(["stats", "--flight", str(flight)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(flight.read_text()))
+    assert main(["stats", "--flight", "-"]) == 0
+    from_stdin = capsys.readouterr().out
+    assert from_stdin.splitlines()[0] == from_file.splitlines()[0]
+    assert "routing_accepted" in from_stdin and "state_transition" in from_stdin
 
 
 def test_stats_still_requires_an_input(capsys):
