@@ -109,14 +109,19 @@ class MultipathRouting:
     def verify_deadlock_free(self) -> bool:
         """Acyclicity of every layer's CDG over the union of planes
         (traffic-carrying paths only — flows start at terminals): one
-        Kahn peel per layer of the edges taken from every plane."""
-        active = self.path_sets[0].active_pids()  # the same in every plane
+        all-layer edge derivation per plane, then one Kahn peel per layer
+        of the edges taken from every plane."""
+        active = self.path_sets[0].active_mask()  # the same in every plane
         size = self.path_sets[0].num_paths
+        planes = [
+            paths.layer_edges(
+                np.where(active, self.path_layers[k * size : (k + 1) * size], -1),
+                self.num_layers,
+            )
+            for k, paths in enumerate(self.path_sets)
+        ]
         for layer in range(self.num_layers):
-            src, dst = zip(*(
-                paths.dependency_edges(active[self.path_layers[active + k * size] == layer])
-                for k, paths in enumerate(self.path_sets)
-            ))
+            src, dst = zip(*(plane[layer] for plane in planes))
             if (kahn_core(np.concatenate(src), np.concatenate(dst))[1] < 0).any():
                 return False
         return True

@@ -140,9 +140,10 @@ def _traffic_layers(layered: LayeredRouting, paths: PathSet) -> np.ndarray:
 def layer_witnesses(layered: LayeredRouting, paths: PathSet):
     """The one witness pass: ``(report, peels)``.
 
-    Per layer, the dependency edges of its traffic-carrying paths
-    (sorted ``(E, 2)``) are derived once and Kahn-peeled once, polling
-    the compute budget. The report names every cyclic layer with the
+    The dependency edges of every layer's traffic-carrying paths (sorted
+    ``(E, 2)``) come from one :meth:`~repro.routing.paths.PathSet.layer_edges`
+    call, and each layer is Kahn-peeled once, polling the compute
+    budget. The report names every cyclic layer with the
     checker's minimal cycle of that layer's edges as ``(c1, c2)`` pairs;
     ``peels`` holds ``(edges, nodes, rank)`` per acyclic layer, from which
     :func:`_certificate` sorts the topological order (nodes by peel
@@ -164,18 +165,18 @@ def layer_witnesses(layered: LayeredRouting, paths: PathSet):
         check_budget()  # cooperative deadline (repro.service)
         return kept[2], kept[3]
     path_layers = _traffic_layers(layered, paths)
+    num_layers = layered.num_layers
+    check_budget()  # cooperative deadline (repro.service)
+    derived = paths.layer_edges(path_layers, num_layers)
+    per_layer = np.bincount(path_layers[path_layers >= 0], minlength=num_layers)
     peels = []
     cycles: dict[int, list[tuple[int, int]]] = {}
     edges_per_layer: list[int] = []
-    paths_per_layer: list[int] = []
-    for layer in range(layered.num_layers):
+    for layer, (src, dst) in enumerate(derived):
         check_budget()  # cooperative deadline (repro.service)
-        pids = np.flatnonzero(path_layers == layer)
-        src, dst = paths.dependency_edges(pids)
         edges = np.stack((src, dst), axis=1)
         nodes, rank = kahn_core(src, dst)
         edges_per_layer.append(len(edges))
-        paths_per_layer.append(len(pids))
         if (rank < 0).any():
             cycle = find_minimal_cycle(edges.tolist())
             cycles[layer] = list(zip(cycle, cycle[1:]))
@@ -183,10 +184,10 @@ def layer_witnesses(layered: LayeredRouting, paths: PathSet):
             peels.append((edges, nodes, rank))
     report = VerificationReport(
         deadlock_free=not cycles,
-        num_layers=layered.num_layers,
+        num_layers=num_layers,
         cycles=cycles,
         edges_per_layer=edges_per_layer,
-        paths_per_layer=paths_per_layer,
+        paths_per_layer=per_layer[:num_layers].tolist(),
     )
     if report.deadlock_free:
         for edges, _, _ in peels:  # every certificate of this routing shares them
@@ -246,7 +247,9 @@ def check_against_routing(
     layer acyclic). Level 2 binds the certificate to *this* routing:
     fingerprint, layer count, path→layer assignment on traffic-carrying
     paths, and per-layer equality between the certified edges and the
-    edges re-derived from the live path set.
+    edges re-derived from the live path set — one
+    :meth:`~repro.routing.paths.PathSet.layer_edges` call of its own,
+    never the kept witness pass.
     """
     res = check_certificate(cert.to_dict())
     if not res.ok:
@@ -284,9 +287,9 @@ def check_against_routing(
             f"{int(cert.path_layers[bad])}, routing says "
             f"{int(layered.path_layers[bad])})"
         )
-    for layer in range(cert.num_layers):
-        pids = np.flatnonzero(active & (layered.path_layers == layer))
-        derived = np.stack(paths.dependency_edges(pids), axis=1)
+    derived_layers = paths.layer_edges(_traffic_layers(layered, paths), cert.num_layers)
+    for layer, edges in enumerate(derived_layers):
+        derived = np.stack(edges, axis=1)
         claimed = cert.layers[layer].edges
         if derived.shape != claimed.shape or not np.array_equal(derived, claimed):
             return fail(

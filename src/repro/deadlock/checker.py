@@ -133,9 +133,11 @@ def check_certificate(cert) -> CheckResult:
     if cert.get("num_paths", len(path_layers)) != len(path_layers):
         return _fail(f"path_layers has {len(path_layers)} entries, num_paths says "
                      f"{cert.get('num_paths')}")
-    for i, layer in enumerate(path_layers):
-        if not isinstance(layer, int) or not -1 <= layer < num_layers:
-            return _fail(f"path_layers[{i}] = {layer!r} outside [-1, {num_layers})")
+    if not (set(map(type, path_layers)) <= {int} and min(path_layers, default=0) >= -1
+            and max(path_layers, default=0) < num_layers):  # builtins clear the common case
+        for i, layer in enumerate(path_layers):  # only to name the first bad entry
+            if not isinstance(layer, int) or not -1 <= layer < num_layers:
+                return _fail(f"path_layers[{i}] = {layer!r} outside [-1, {num_layers})")
     total_nodes = total_edges = 0
     for li, witness in enumerate(layers):
         if not isinstance(witness, dict):
@@ -150,27 +152,25 @@ def check_certificate(cert) -> CheckResult:
             if c in pos:
                 return _fail(f"channel {c} appears twice in the topological order", layer=li)
             pos[c] = i
-        pairs: list[tuple[int, int]] = []
+        bad = None  # (reason, edge) of the first edge not strictly forward
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2 and all(isinstance(c, int) for c in e)):
                 return _fail(f"malformed dependency edge {e!r}", layer=li)
-            if e[0] == e[1]:
-                return _fail(f"self-dependency on channel {e[0]}", layer=li,
-                             edge=(e[0], e[1]), cycle=[e[0], e[0]])
-            pairs.append((e[0], e[1]))
-        for c1, c2 in pairs:
+            c1, c2 = e
+            if c1 == c2:
+                return _fail(f"self-dependency on channel {c1}", layer=li,
+                             edge=(c1, c2), cycle=[c1, c1])
             p1, p2 = pos.get(c1), pos.get(c2)
-            if p1 is None or p2 is None:
-                missing = c1 if p1 is None else c2
-                return _fail(f"edge ({c1}, {c2}) references channel {missing} absent "
-                             "from the topological order", layer=li, edge=(c1, c2),
-                             cycle=find_minimal_cycle(pairs))
-            if p1 >= p2:
-                return _fail(f"edge ({c1}, {c2}) goes backwards in the claimed topological "
-                             f"order (position {p1} >= {p2})", layer=li, edge=(c1, c2),
-                             cycle=find_minimal_cycle(pairs))
+            if bad is None and (p1 is None or p2 is None):
+                bad = (f"edge ({c1}, {c2}) references channel {c1 if p1 is None else c2} "
+                       "absent from the topological order", (c1, c2))
+            elif bad is None and p1 >= p2:
+                bad = (f"edge ({c1}, {c2}) goes backwards in the claimed topological order "
+                       f"(position {p1} >= {p2})", (c1, c2))
+        if bad is not None:
+            return _fail(bad[0], layer=li, edge=bad[1], cycle=find_minimal_cycle(edges))
         total_nodes += len(pos)
-        total_edges += len(pairs)
+        total_edges += len(edges)
     return CheckResult(True, layers=num_layers, nodes=total_nodes, edges=total_edges)
 
 

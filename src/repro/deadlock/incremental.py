@@ -5,12 +5,15 @@ channel dependency graph of every layer (one dict operation per
 consecutive channel pair of every path) and re-searching for cycles
 after every edge eviction. This module removes both costs:
 
-* **CSR build.** Each layer's CDG is materialised in one vectorized pass
-  over the :class:`~repro.routing.paths.PathSet`'s flat arrays: all
-  consecutive (c1, c2) switch-channel pairs of the layer's paths are
-  extracted with NumPy indexing, deduplicated into a sorted edge table
-  (``edge_key = c1 << 32 | c2``), and two inverted CSR indexes are built
-  alongside — edge → inducing path ids and path id → induced edges.
+* **Edge table by counting.** Each layer's CDG is read off the
+  :class:`~repro.routing.paths.PathSet`'s dependency index
+  (:class:`~repro.routing.paths.TurnIndex`: the fabric's switch-channel
+  turns in ``(c1, c2)`` order plus every path's turn occurrences). One
+  range gather selects the layer's occurrences and one ``np.bincount``
+  over turn ids yields the edge table — edge ids in ``(c1, c2)`` order,
+  weights = inducing paths — without a sort. The two inverted CSR
+  indexes (edge → inducing path rows, path row → induced edge ids) are
+  built only when the drain needs them.
 * **SCC certification, once per layer.** A vectorized Kahn peel strips
   everything that cannot lie on a cycle in O(V+E); Tarjan condensation
   runs only on the surviving core, once — edge deletion cannot create
@@ -50,9 +53,9 @@ from repro.core.layers import (
 )
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import kahn_core, tarjan_sccs
-from repro.exceptions import InsufficientLayersError, ReproError
+from repro.exceptions import InsufficientLayersError, ReproError, RoutingError
 from repro.obs import COUNT_BUCKETS, get_hooks, get_registry, span
-from repro.routing.paths import EDGE_KEY_MASK as _KEY_MASK, EDGE_KEY_SHIFT as _KEY_SHIFT, PathSet
+from repro.routing.paths import PathSet
 from repro.service.budget import check_budget
 
 
@@ -77,17 +80,21 @@ def eviction_counters(heuristic: str):
 
 
 class LayerCDG:
-    """One layer's CDG as sorted CSR arrays with inverted path indexes.
+    """One layer's CDG as an edge table with inverted path indexes.
 
-    Edges are stored sorted by packed key ``(c1 << 32) | c2``, so an edge
-    id *is* its rank among the layer's ``(c1, c2)`` pairs, the adjacency
-    of a channel is a contiguous edge-id range (successors come out in
-    ascending channel-id order — exactly the drain walk's order) and edge
-    lookup is a binary search. ``alive`` masks deleted edges and
-    ``_active`` masks paths that have moved to a higher layer; neither
-    ever grows, matching the eviction loop's remove-only life.
-    ``weight`` keeps the build-time counts; :meth:`edge_weight` reads the
-    live ones.
+    An edge is a turn of the path set's dependency index that a member
+    path takes, and edges are numbered in turn order, which is
+    ``(c1, c2)`` order: an edge id *is* its rank among the layer's
+    pairs, the adjacency of a channel is a contiguous edge-id range
+    (successors come out in ascending channel-id order — exactly the
+    drain walk's order) and edge lookup is a binary search on
+    ``edge_turn``. ``alive`` masks deleted edges and ``_active`` masks
+    paths that have moved to a higher layer; neither ever grows,
+    matching the eviction loop's remove-only life. ``weight`` keeps the
+    build-time counts; :meth:`edge_weight` reads the live ones. The CSR
+    indexes ``e_off``/``e_rows`` (edge → path rows) and
+    ``p_off``/``p_eids`` (path row → edge ids) exist from
+    :meth:`_mirror` on.
     """
 
     def __init__(self, paths: PathSet, pids: np.ndarray):
@@ -95,66 +102,79 @@ class LayerCDG:
         self.pids = np.asarray(pids, dtype=np.int64)
         if len(self.pids) and np.any(np.diff(self.pids) <= 0):
             raise ReproError("LayerCDG requires strictly increasing pids")
-        key, row = paths.dependency_pairs(self.pids)
+        index = paths.turn_index()
 
-        # Sort occurrences by (edge, path) and drop duplicates so weights
-        # count *distinct* inducing paths, like the dict CDG's sets (a
-        # loop-free path cannot repeat a pair, but stay defensive).
-        order = np.lexsort((row, key))
-        key, row = key[order], row[order]
-        if len(key):
-            dup = np.zeros(len(key), dtype=bool)
-            dup[1:] = (key[1:] == key[:-1]) & (row[1:] == row[:-1])
-            key, row = key[~dup], row[~dup]
+        # The members' occurrences, path-major: one range per path.
+        first = index.occ_ptr[self.pids]
+        counts = index.occ_ptr[self.pids + 1] - first
+        rows = np.repeat(np.arange(len(self.pids), dtype=np.int32), counts)
+        at = np.arange(len(rows)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        turns = index.occ_turn[at]
 
-        # Edge table (sorted by key) + edge -> path-rows CSR. ``key`` is
-        # already sorted, so run boundaries replace a second np.unique sort.
-        if len(key):
-            head = np.empty(len(key), dtype=bool)
-            head[0] = True
-            np.not_equal(key[1:], key[:-1], out=head[1:])
-            run_starts = np.flatnonzero(head)
-            self.edge_key = key[run_starts]
-            counts = np.diff(np.append(run_starts, len(key)))
-        else:
-            self.edge_key = key
-            counts = np.zeros(0, dtype=np.int64)
-        self.weight = counts.astype(np.int64)
-        self.edge_src = (self.edge_key >> _KEY_SHIFT).astype(np.int64)
-        self.edge_dst = (self.edge_key & _KEY_MASK).astype(np.int64)
-        self.e_off = np.zeros(len(self.edge_key) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.e_off[1:])
-        self.e_rows = row  # grouped by edge, ascending path row inside
-
-        # Path row -> edge ids CSR (occurrences back in path-major order).
-        eid = np.repeat(np.arange(len(self.edge_key)), counts)
-        back = np.argsort(row, kind="stable")
-        self.p_off = np.zeros(len(self.pids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=len(self.pids)), out=self.p_off[1:])
-        self.p_eids = eid[back]
+        # A turn's occurrence count is its number of inducing paths: no
+        # path induces a pair twice (_mirror() checks).
+        per_turn = np.bincount(turns, minlength=len(index.src))
+        self.edge_turn = np.flatnonzero(per_turn)
+        self.weight = per_turn[self.edge_turn]
+        self.edge_src = index.src[self.edge_turn]
+        self.edge_dst = index.dst[self.edge_turn]
+        self._occ: tuple[np.ndarray, np.ndarray] | None = (rows, turns)  # until _mirror()
 
         # One byte per path and per edge, flipped by the eviction;
         # ``alive`` is a NumPy view of the same bytes, so the vectorized
         # readers (nodes, certify_core) never need a sync step.
         self._active = bytearray(b"\x01" * len(self.pids))
-        self._alive = bytearray(b"\x01" * len(self.edge_key))
+        self._alive = bytearray(b"\x01" * len(self.edge_turn))
         self.alive = np.frombuffer(self._alive, dtype=bool)
         self._weight: list[int] | None = None  # drain state, see _mirror()
         self._num_nodes: int | None = None
 
     def _mirror(self) -> None:
-        """Build the drain's plain-Python state on first use.
+        """Build the drain's state on first use.
 
-        The walk, the pick and the eviction touch single elements, where
-        NumPy's per-call overhead would dominate. State sized by the
-        edge table (``_dst``, ``_weight``, ``_eid_at``) or the channel
-        count (``_ptr``/``_end`` adjacency bounds, ``_member``, ``_pos``)
-        lives in lists; the occurrence arrays, sized by paths × hops,
-        are read through ``memoryview``s (:meth:`drain` says why). A
-        layer whose Kahn core is empty never pays for any of it.
+        First the two inverted CSR indexes, from the occurrences kept at
+        construction. One stable argsort of their edge ids (uint16 while
+        they fit, which NumPy radix-sorts) groups the path rows by edge,
+        ascending inside (``e_off``/``e_rows``); the occurrences'
+        path-major order already is ``p_eids``. A path inducing one edge
+        twice repeats a channel: :func:`~repro.routing.paths.extract_paths`
+        rejects such forwarding loops, and a hand-built path set gets a
+        :class:`RoutingError` here.
+
+        Then the plain-Python state. The walk, the pick and the eviction
+        touch single elements, where NumPy's per-call overhead would
+        dominate. State sized by the edge table (``_dst``, ``_weight``,
+        ``_eid_at``) or the channel count (``_ptr``/``_end`` adjacency
+        bounds, ``_member``, ``_pos``) lives in lists; the occurrence
+        arrays, sized by paths × hops, are read through ``memoryview``s
+        (:meth:`drain` says why). A layer whose Kahn core is empty never
+        pays for any of it.
         """
         if self._weight is not None:
             return
+        rows, turns = self._occ
+        n_edges = len(self.edge_turn)
+        eid_of = np.zeros(len(self.paths.turn_index().src),
+                          dtype=np.uint16 if n_edges <= 1 << 16 else np.int32)
+        eid_of[self.edge_turn] = np.arange(n_edges)
+        self.p_eids = eid_of[turns]
+        self.e_rows = rows[np.argsort(self.p_eids, kind="stable")]
+        self.e_off = np.zeros(n_edges + 1, dtype=np.int64)
+        np.cumsum(self.weight, out=self.e_off[1:])
+        twice = self.e_rows[1:] == self.e_rows[:-1]
+        twice[self.e_off[1:-1] - 1] = False  # a run boundary: two edges
+        if twice.any():
+            at = int(np.flatnonzero(twice)[0])
+            e = int(np.searchsorted(self.e_off, at, side="right")) - 1
+            raise RoutingError(
+                f"path {int(self.pids[self.e_rows[at]])} induces the dependency "
+                f"({int(self.edge_src[e])}, {int(self.edge_dst[e])}) twice: "
+                "it repeats a channel"
+            )
+        self.p_off = np.zeros(len(self.pids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self.pids)), out=self.p_off[1:])
+        self._occ = None
+
         n_ch = self.paths.fabric.num_channels
         # Out-edges of channel c are the edge ids _first[c]:_first[c + 1].
         self._first: list[int] = np.searchsorted(self.edge_src, np.arange(n_ch + 1)).tolist()
@@ -179,9 +199,9 @@ class LayerCDG:
 
     def _find(self, c1: int, c2: int) -> int:
         """Id of the alive edge (c1, c2) by binary search, -1 if none."""
-        key = (int(c1) << _KEY_SHIFT) | int(c2)
-        i = int(np.searchsorted(self.edge_key, key))
-        if i < len(self.edge_key) and self.edge_key[i] == key and self._alive[i]:
+        t = self.paths.turn_index().turn(c1, c2)
+        i = int(np.searchsorted(self.edge_turn, t))
+        if t >= 0 and i < len(self.edge_turn) and self.edge_turn[i] == t and self._alive[i]:
             return i
         return -1
 
@@ -198,6 +218,7 @@ class LayerCDG:
         i = self._find(c1, c2)
         if i < 0:
             return []
+        self._mirror()
         active = self._active
         rows = self.e_rows[self.e_off[i] : self.e_off[i + 1]]
         return [int(p) for p, r in zip(self.pids[rows], rows) if active[r]]

@@ -4,7 +4,8 @@ A :class:`PathSet` materialises, for every (source switch, destination
 terminal) pair, the unique channel sequence the forwarding tables induce.
 It is the shared input of
 
-* the channel-dependency-graph builder (:mod:`repro.deadlock.cdg`),
+* the channel-dependency-graph builders (:mod:`repro.deadlock`), through
+  its dependency index (:class:`TurnIndex`),
 * the congestion simulator (flows concatenate an injection channel with a
   switch-level path), and
 * path statistics (hop histograms, minimality checks).
@@ -25,10 +26,6 @@ from repro.network.fabric import Fabric
 from repro.obs import get_registry, span
 from repro.routing.base import RoutingTables
 
-#: a dependency edge ``(c1, c2)`` packs into one int64 as ``c1 << 32 | c2``
-EDGE_KEY_SHIFT = 32
-EDGE_KEY_MASK = (1 << EDGE_KEY_SHIFT) - 1
-
 #: (switch, destination) walkers :func:`extract_paths` advances together
 MAX_WALKERS = 1 << 18
 #: (walker, step) entries one block may hold before it is narrowed
@@ -46,6 +43,7 @@ class PathSet:
         if self.offsets.shape != (expected,):
             raise RoutingError(f"offsets shape {self.offsets.shape} != ({expected},)")
         self._active_mask: np.ndarray | None = None
+        self._turns: TurnIndex | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -114,37 +112,129 @@ class PathSet:
         """Ids of the traffic-carrying paths (see :meth:`active_mask`)."""
         return np.flatnonzero(self.active_mask())
 
-    def dependency_pairs(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Channel-dependency occurrences of the paths ``pids``.
+    def turn_index(self) -> TurnIndex:
+        """The dependency index (:class:`TurnIndex`), built on first use.
 
-        Every consecutive channel pair ``(c1, c2)`` of every listed path
-        where both are switch-to-switch channels (terminal channels
-        cannot lie on a dependency cycle), in path-major order. Returns
-        ``(keys, rows)``: the pair packed as ``c1 << 32 | c2`` (int64)
-        and the index into ``pids`` of the path inducing it. The one
-        extraction behind the CDG engine, the verifier and the
-        certificate.
+        Building it makes ``offsets`` and ``chans`` read-only, so an
+        in-place write raises ``ValueError`` instead of leaving the index
+        stale. The CDG engine, the witness pass and the binding check
+        all read this one index.
         """
-        pids = np.asarray(pids, dtype=np.int64)
-        starts = self.offsets[pids]
-        pair_counts = np.maximum(self.offsets[pids + 1] - starts - 1, 0)
-        total = int(pair_counts.sum())
-        if not total:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        rows = np.repeat(np.arange(len(pids)), pair_counts)
-        first = np.cumsum(pair_counts) - pair_counts
-        pos = starts[rows] + (np.arange(total) - first[rows])
-        c1 = self.chans[pos].astype(np.int64)
-        c2 = self.chans[pos + 1].astype(np.int64)
-        is_sw = self.fabric.is_switch_channel
-        keep = is_sw[c1] & is_sw[c2]
-        return (c1[keep] << EDGE_KEY_SHIFT) | c2[keep], rows[keep]
+        if self._turns is None:
+            self._turns = TurnIndex(self)
+            self.offsets.flags.writeable = False
+            self.chans.flags.writeable = False
+        return self._turns
 
     def dependency_edges(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct dependency edges of ``pids`` as ``(c1, c2)`` int64
-        columns, sorted lexicographically."""
-        keys = np.unique(self.dependency_pairs(pids)[0])
-        return keys >> EDGE_KEY_SHIFT, keys & EDGE_KEY_MASK
+        """Distinct dependency edges of the paths ``pids`` as ``(c1, c2)``
+        int64 columns, sorted lexicographically."""
+        layer = np.full(self.num_paths, -1, dtype=np.int8)
+        layer[np.asarray(pids, dtype=np.int64)] = 0
+        return self.layer_edges(layer, 1)[0]
+
+    def layer_edges(
+        self, path_layers: np.ndarray, num_layers: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Distinct dependency edges of every layer, in one pass.
+
+        Path ``pid`` belongs to layer ``path_layers[pid]``; a value
+        outside ``[0, num_layers)`` (``-1``: a traffic-free path) leaves
+        it out. Returns, per layer, ``(c1, c2)`` int64 columns sorted
+        lexicographically. The work is one repeat of every path's layer
+        over its occurrences and one scatter into a layers × turns
+        presence mask: turn ids order like their pairs, so nothing is
+        sorted.
+        """
+        index = self.turn_index()
+        path_layers = np.asarray(path_layers)
+        if path_layers.shape != (self.num_paths,):
+            raise RoutingError(
+                f"path_layers shape {path_layers.shape} != ({self.num_paths},)"
+            )
+        turns = len(index.src)
+        row = np.repeat(path_layers, np.diff(index.occ_ptr)).astype(np.int64)
+        row[(row < 0) | (row >= num_layers)] = num_layers  # a spare row takes the left-out paths
+        present = np.zeros((num_layers + 1) * turns, dtype=bool)
+        present[row * turns + index.occ_turn] = True
+        present = present.reshape(num_layers + 1, turns)
+        edges = []
+        for layer in range(num_layers):
+            t = np.flatnonzero(present[layer])
+            edges.append((index.src[t], index.dst[t]))
+        return edges
+
+
+class TurnIndex:
+    """A path set's channel-dependency index (:meth:`PathSet.turn_index`).
+
+    A *turn* is a pair of switch channels ``(c1, c2)`` with
+    ``dst(c1) == src(c2)``: every dependency a path can induce is one
+    (terminal channels cannot lie on a dependency cycle). The fabric's
+    turns are numbered in ``(c1, c2)`` order — those out of ``c1`` are
+    ``ptr[c1]:ptr[c1 + 1]``, and ``(c1, c2)`` is turn
+    ``ptr[c1] + rank[c2]``, ``rank[c2]`` being ``c2``'s place among the
+    switch channels leaving its source (``-1`` for a terminal channel) —
+    so ascending turn ids are a lexicographically sorted edge list and
+    deduplicating edges is a presence mask or a count, not a sort.
+    ``src`` / ``dst`` are each turn's ``(c1, c2)``.
+
+    ``occ_turn`` lists every path's turns, path-major and in hop order —
+    ``occ_turn[occ_ptr[pid]:occ_ptr[pid + 1]]`` are path ``pid``'s — as
+    uint16 while the fabric has at most 65 536 turns (the index lives as
+    long as its path set). Every array is read-only.
+    """
+
+    def __init__(self, paths: PathSet):
+        fab = paths.fabric
+        chan_src, chan_dst = fab.channels.src, fab.channels.dst
+        n_ch = fab.num_channels
+        # Switch channels by source node, ascending id (the fabric CSR's order).
+        sw_out = fab.out_chan[fab.is_switch_channel[fab.out_chan]].astype(np.int64)
+        sw_ptr = np.zeros(fab.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(chan_src[sw_out], minlength=fab.num_nodes), out=sw_ptr[1:])
+        self.rank = np.full(n_ch, -1, dtype=np.int64)
+        self.rank[sw_out] = np.arange(len(sw_out)) - sw_ptr[chan_src[sw_out]]
+        fan = np.where(fab.is_switch_channel, np.diff(sw_ptr)[chan_dst], 0)
+        self.ptr = np.zeros(n_ch + 1, dtype=np.int64)
+        np.cumsum(fan, out=self.ptr[1:])
+        self.src = np.repeat(np.arange(n_ch, dtype=np.int64), fan)
+        first = sw_ptr[chan_dst[self.src]] - self.ptr[self.src]
+        self.dst = sw_out[first + np.arange(len(self.src))]
+
+        self.occ_turn, self.occ_ptr = self._occurrences(paths)
+        for arr in (self.rank, self.ptr, self.src, self.dst, self.occ_turn, self.occ_ptr):
+            arr.flags.writeable = False
+
+    def _occurrences(self, paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+        """``(occ_turn, occ_ptr)`` of every consecutive switch-channel pair."""
+        chans, offsets = paths.chans, paths.offsets
+        fab = paths.fabric
+        sw = fab.is_switch_channel[chans]
+        pair = sw[:-1] & sw[1:]
+        seam = offsets[1:-1] - 1  # the pair across two neighbouring paths
+        pair[seam[(seam >= 0) & (seam < len(pair))]] = False
+        at = np.flatnonzero(pair)
+        a, b = chans[at], chans[at + 1]
+        loose = np.flatnonzero(fab.channels.dst[a] != fab.channels.src[b])
+        if len(loose):
+            i = loose[0]
+            pid = int(np.searchsorted(offsets, at[i], side="right")) - 1
+            raise RoutingError(
+                f"path {pid} is not a channel chain: channel {int(a[i])} "
+                f"does not end where channel {int(b[i])} starts"
+            )
+        turn = (self.ptr[a] + self.rank[b]).astype(
+            np.uint16 if len(self.src) <= 1 << 16 else np.int32
+        )
+        return turn, np.searchsorted(at, offsets)
+
+    def turn(self, c1: int, c2: int) -> int:
+        """Id of the turn ``(c1, c2)``, ``-1`` if the pair is none."""
+        if not (0 <= c1 < len(self.rank) and 0 <= c2 < len(self.rank)) or self.rank[c2] < 0:
+            return -1
+        t = int(self.ptr[c1] + self.rank[c2])
+        return t if t < self.ptr[c1 + 1] and self.dst[t] == c2 else -1
 
 
 def extract_paths(tables: RoutingTables) -> PathSet:

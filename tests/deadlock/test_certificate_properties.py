@@ -10,6 +10,8 @@
   time where the certificate no longer describes the routing.
 * Whenever the checker returns a counterexample it is a *real* cycle in
   the certified edge set — closed, and every step an actual edge.
+* The checker's builtin check of ``path_layers`` accepts exactly what
+  the per-entry loop accepts and rejects with the loop's text.
 * On arbitrary small digraphs (self-loops and parallel edges included)
   the Kahn peel behind verification and emission agrees with networkx:
   an empty core exactly on a DAG, whose (peel round, id) order puts
@@ -31,7 +33,7 @@ from repro.deadlock.certificate import (
     check_against_routing,
     emit_certificate,
 )
-from repro.deadlock.checker import check_certificate, find_minimal_cycle
+from repro.deadlock.checker import FORMAT, KIND, check_certificate, find_minimal_cycle
 from repro.deadlock.cycles import kahn_core
 from repro.exceptions import CertificateError
 from repro.routing import extract_paths, make_engine
@@ -232,3 +234,37 @@ def test_kahn_peel_agrees_with_networkx(edges):
         return
     assert cycle is not None and len(cycle) >= 2 and cycle[0] == cycle[-1]
     assert all(step in set(edges) for step in zip(cycle, cycle[1:]))
+
+
+def _loop_verdict(path_layers, num_layers):
+    """The per-entry loop the checker's builtin fast path stands in for."""
+    for i, layer in enumerate(path_layers):
+        if not isinstance(layer, int) or not -1 <= layer < num_layers:
+            return f"path_layers[{i}] = {layer!r} outside [-1, {num_layers})"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.one_of(st.integers(-2, 5), st.booleans(), st.floats(-2, 5)), max_size=6),
+)
+@example(2, [])  # nothing to check
+@example(2, [0, 1, -1])
+@example(2, [0, 2])  # num_layers itself
+@example(2, [1, -2])
+@example(2, [True, False, 1])  # bools are ints to the loop: accepted
+@example(2, [0, 1.0])  # a float is not
+def test_path_layers_fast_path_agrees_with_the_loop(num_layers, path_layers):
+    wire = {
+        "format": FORMAT,
+        "kind": KIND,
+        "num_layers": num_layers,
+        "num_paths": len(path_layers),
+        "path_layers": path_layers,
+        "layers": [{"topo_order": [], "edges": []} for _ in range(num_layers)],
+    }
+    res = check_certificate(wire)
+    want = _loop_verdict(path_layers, num_layers)
+    assert res.ok == (want is None)
+    assert res.reason == want

@@ -1,7 +1,8 @@
 """A passing witness pass is kept on its frozen ``LayeredRouting``.
 
 ``layer_witnesses`` derives every layer's dependency edges once per
-routing: verify, emit and ``check_servable`` after it reuse the pass,
+routing, in one ``PathSet.layer_edges`` call: verify, emit and
+``check_servable`` after it reuse the pass,
 ``path_layers`` turns read-only so the kept pass cannot go stale, and a
 cyclic pass keeps nothing, so repair can still rewrite that assignment.
 """
@@ -33,15 +34,15 @@ def routed():
 
 @pytest.fixture()
 def derivations(monkeypatch):
-    """Counts ``PathSet.dependency_edges`` calls."""
+    """Counts ``PathSet.layer_edges`` calls: one derives every layer."""
     calls = []
-    real = PathSet.dependency_edges
+    real = PathSet.layer_edges
 
-    def counting(self, pids):
-        calls.append(len(pids))
-        return real(self, pids)
+    def counting(self, path_layers, num_layers):
+        calls.append(num_layers)
+        return real(self, path_layers, num_layers)
 
-    monkeypatch.setattr(PathSet, "dependency_edges", counting)
+    monkeypatch.setattr(PathSet, "layer_edges", counting)
     return calls
 
 
@@ -58,10 +59,10 @@ def _unkept_copy(layered: LayeredRouting) -> tuple[LayeredRouting, PathSet]:
 def test_verify_then_emit_derives_each_layer_once(routed, derivations):
     layered, paths = routed
     assert verify_deadlock_free(layered, paths).deadlock_free
-    assert len(derivations) == layered.num_layers
+    assert derivations == [layered.num_layers]
     cert = emit_certificate(layered, paths)
     verdict = check_servable(layered.tables, layered)
-    assert len(derivations) == layered.num_layers
+    assert derivations == [layered.num_layers]
     assert verdict.paths is paths and verdict.problem is None
     assert verdict.certificate.to_json() == cert.to_json()
 
@@ -101,11 +102,11 @@ def test_another_path_set_recomputes(routed, derivations):
     first = verify_deadlock_free(layered, paths)
     other = PathSet(paths.fabric, paths.offsets.copy(), paths.chans.copy())
     second = verify_deadlock_free(layered, other)
-    assert len(derivations) == 2 * layered.num_layers
+    assert len(derivations) == 2
     assert second == first
     # The newest pass is the kept one.
     verify_deadlock_free(layered, other)
-    assert len(derivations) == 2 * layered.num_layers
+    assert len(derivations) == 2
 
 
 def test_a_kept_pass_still_polls_the_budget(routed, derivations):
@@ -114,7 +115,7 @@ def test_a_kept_pass_still_polls_the_budget(routed, derivations):
     with pytest.raises(ComputeTimeoutError):
         with compute_budget(0.0, label="verify"):
             verify_deadlock_free(layered, paths)
-    assert len(derivations) == layered.num_layers
+    assert len(derivations) == 1
 
 
 def test_repair_rewrites_after_a_cyclic_pass_and_keeps_the_final_one(derivations):

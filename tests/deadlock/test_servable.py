@@ -28,15 +28,15 @@ def routed():
 
 @pytest.fixture()
 def derivations(monkeypatch):
-    """Counts ``PathSet.dependency_edges`` calls."""
+    """Counts ``PathSet.layer_edges`` calls: one derives every layer."""
     calls = []
-    real = PathSet.dependency_edges
+    real = PathSet.layer_edges
 
-    def counting(self, pids):
-        calls.append(len(pids))
-        return real(self, pids)
+    def counting(self, path_layers, num_layers):
+        calls.append(num_layers)
+        return real(self, path_layers, num_layers)
 
-    monkeypatch.setattr(PathSet, "dependency_edges", counting)
+    monkeypatch.setattr(PathSet, "layer_edges", counting)
     return calls
 
 
@@ -54,11 +54,11 @@ def test_fresh_routing_gets_one_witness_pass_and_its_certificate(routed, derivat
     assert verdict.problem is None and verdict.check is None
     assert verdict.deadlock_free is True
     assert verdict.paths is extract_paths(routed.tables)
-    assert len(derivations) == routed.layered.num_layers
+    assert derivations == [routed.layered.num_layers]
     # Byte for byte the certificate emit_certificate builds from the same pass.
     emitted = emit_certificate(routed.layered, verdict.paths)
     assert verdict.certificate.to_json() == emitted.to_json()
-    assert len(derivations) == routed.layered.num_layers
+    assert derivations == [routed.layered.num_layers]
     assert check_certificate(json.loads(verdict.certificate.to_json())).ok
 
 
@@ -68,8 +68,9 @@ def test_carried_certificate_gets_one_binding_check(routed, derivations):
     verdict = check_servable(routed.tables, routed.layered, cert)
     assert verdict.problem is None and verdict.check.ok
     assert verdict.certificate is cert and verdict.deadlock_free is True
-    # The binding check derives every layer's edges itself, never the kept pass.
-    assert len(derivations) == before + routed.layered.num_layers
+    # The binding check derives every layer's edges itself (one all-layer
+    # derivation), never reading the kept pass.
+    assert len(derivations) == before + 1
 
 
 def test_rejected_certificate_problem_is_the_checkers_summary(routed):

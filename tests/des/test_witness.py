@@ -17,7 +17,6 @@ from repro.des.engine import QueueStats, _Packet, _waitfor_cycle
 from repro.exceptions import CertificateError
 from repro.routing import extract_paths
 from repro.routing.base import LayeredRouting
-from repro.routing.paths import EDGE_KEY_SHIFT
 from repro.simulator import shift_pattern
 
 
@@ -46,11 +45,13 @@ def test_witness_is_the_certificates_counterexample(sssp_ring5, shift2):
     witness = out.waitfor_cycle
     assert {c for c, _ in witness} == set(err.value.counterexample) == {0, 2, 4, 6, 8}
     # Each wait (c, vc) -> (c', vc) is a layer-vc dependency some path induces.
-    active = paths.active_mask()
+    derived = paths.layer_edges(
+        np.where(paths.active_mask(), layered.path_layers, -1), layered.num_layers
+    )
     for (c, vc), (nc, nvc) in zip(witness, witness[1:] + witness[:1]):
         assert nvc == vc
-        keys, _ = paths.dependency_pairs(np.flatnonzero(active & (layered.path_layers == vc)))
-        assert (c << EDGE_KEY_SHIFT) | nc in set(keys.tolist())
+        src, dst = derived[vc]
+        assert (c, nc) in set(zip(src.tolist(), dst.tolist()))
 
 
 def test_every_witness_queue_is_full_and_listed_once(sssp_ring5, shift2):

@@ -179,21 +179,59 @@ def test_active_mask_equals_the_loop_and_is_computed_once(ktree42, random16):
     assert dual.active_mask()[:4].tolist() == [True, True, False, True]
 
 
-def test_dependency_pairs_are_the_switch_channel_pairs_of_each_path(minhop_random16):
+def test_turn_index_lists_the_switch_channel_pairs_of_each_path(minhop_random16):
     paths = extract_paths(minhop_random16.tables)
-    is_sw = paths.fabric.is_switch_channel
-    pids = np.arange(3, paths.num_paths, 7)
-    keys, rows = paths.dependency_pairs(pids)
+    fab = paths.fabric
+    is_sw = fab.is_switch_channel
+    index = paths.turn_index()
+    # The turn table: every pair of switch channels meeting at a node, in (c1, c2) order.
+    turns = sorted(
+        (a, b)
+        for a in map(int, fab.switch_channel_ids())
+        for b in map(int, fab.out_channels(int(fab.channels.dst[a])))
+        if is_sw[b]
+    )
+    assert list(zip(index.src.tolist(), index.dst.tolist())) == turns
+    assert [index.turn(a, b) for a, b in turns] == list(range(len(turns)))
+    uplink = int(fab.out_channels(int(fab.terminals[0]))[0])
+    assert index.turn(0, 0) == -1 and index.turn(uplink, turns[0][1]) == -1
+    # Every path's turns, path-major, in hop order.
     want = [
-        ((int(a) << 32) | int(b), row)
-        for row, pid in enumerate(pids)
-        for a, b in zip(paths.path(pid)[:-1], paths.path(pid)[1:])
+        (pid, (a, b))
+        for pid in range(paths.num_paths)
+        for a, b in zip(paths.path(pid).tolist()[:-1], paths.path(pid).tolist()[1:])
         if is_sw[a] and is_sw[b]
     ]
-    assert list(zip(keys.tolist(), rows.tolist())) == want
+    occ_pid = np.repeat(np.arange(paths.num_paths), np.diff(index.occ_ptr))
+    got = [(p, turns[t]) for p, t in zip(occ_pid.tolist(), index.occ_turn.tolist())]
+    assert got == want
+    pids = np.arange(3, paths.num_paths, 7)
     edges = np.stack(paths.dependency_edges(pids), axis=1)
-    assert [(a << 32) | b for a, b in edges.tolist()] == sorted({k for k, _ in want})
+    chosen = set(pids.tolist())
+    assert [tuple(e) for e in edges.tolist()] == sorted({e for p, e in want if p in chosen})
     assert len(paths.dependency_edges(np.zeros(0, dtype=np.int64))[0]) == 0
+
+
+def test_indexing_freezes_the_path_arrays(minhop_random16):
+    """The index is built once per path set; after that an in-place write
+    raises instead of leaving it stale."""
+    paths = extract_paths(_fresh(minhop_random16.tables))
+    paths.chans[0] = paths.chans[0]  # writable until indexed
+    index = paths.turn_index()
+    assert paths.turn_index() is index
+    for arr in (paths.chans, paths.offsets, index.occ_ptr, index.occ_turn, index.src):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_a_path_whose_channels_do_not_meet_is_a_named_error(ring5):
+    ring = [ring5.channel_between(s, (s + 1) % 5) for s in range(5)]
+    lengths = np.zeros(ring5.num_switches * ring5.num_terminals, dtype=np.int64)
+    lengths[3] = 2
+    paths = PathSet(ring5, np.concatenate([[0], np.cumsum(lengths)]),
+                    np.array([ring[0], ring[2]], dtype=np.int32))
+    with pytest.raises(RoutingError, match="path 3 is not a channel chain"):
+        paths.dependency_edges([3])
 
 
 # ----------------------------------------------------------------------

@@ -225,20 +225,21 @@ def test_candidate_paths_are_extracted_once(fabric, tmp_path):
 
 def test_repair_batch_derives_each_layers_edges_once(fabric, tmp_path, monkeypatch):
     """One accepted incremental-repair batch with checkpointing on derives
-    every layer's dependency edges once: the repair's own acyclicity
+    every layer's dependency edges once, in one ``PathSet.layer_edges``
+    call: the repair's own acyclicity
     check passes and is kept on the layered routing, ``_verify``'s witness
     pass reuses it, and the checkpoint writes that certificate as is."""
     from repro.routing.paths import PathSet
 
     sup = make_supervisor(fabric, checkpoint_dir=tmp_path)
     calls = []
-    real = PathSet.dependency_edges
+    real = PathSet.layer_edges
 
-    def counting(self, pids):
-        calls.append(len(pids))
-        return real(self, pids)
+    def counting(self, path_layers, num_layers):
+        calls.append(num_layers)
+        return real(self, path_layers, num_layers)
 
-    monkeypatch.setattr(PathSet, "dependency_edges", counting)
+    monkeypatch.setattr(PathSet, "layer_edges", counting)
     injector = FaultInjector(fabric, seed=5, p_switch_down=0.0, p_link_up=0.0)
     sup.submit(injector.step()[0])
     outcome = sup.process()
@@ -248,5 +249,5 @@ def test_repair_batch_derives_each_layers_edges_once(fabric, tmp_path, monkeypat
     assert outcome.ok and outcome.action == "repair"
     assert served.stats["repair"]["escalations"] == 0  # the batch check held
     assert len(list(tmp_path.glob("ckpt-*"))) == 2  # initial + this batch
-    assert len(calls) == served.layered.num_layers
+    assert calls == [served.layered.num_layers]
     assert served.certificate.check().ok
