@@ -15,7 +15,8 @@ Run:  python examples/opensm_interop.py
 """
 
 from repro import DFSSSPEngine, extract_paths, verify_deadlock_free
-from repro.network import export_lft, export_route, export_sl_assignment, parse_ibnetdiscover
+from repro.network import parse_ibnetdiscover
+from repro.network.opensm_export import export_lft, export_route, export_sl_assignment
 
 SAMPLE = """
 # sample ibnetdiscover output: 2 ISR9024 switches, 4 nodes, 2-cable trunk

@@ -16,11 +16,8 @@ both halves (identical tables; acyclic per-layer CDGs).
 
 from __future__ import annotations
 
-from repro.core.layers import (
-    DEFAULT_MAX_LAYERS,
-    assign_layers_offline,
-    assign_layers_online,
-)
+from repro.core.heuristics import get_heuristic
+from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
 from repro.core.sssp import SSSPEngine
 from repro.network.fabric import Fabric
 from repro.obs import COUNT_BUCKETS, get_registry, span
@@ -39,11 +36,8 @@ class DFSSSPEngine(RoutingEngine):
     heuristic:
         Cycle-edge choice: ``"weakest"`` (default, best), ``"strongest"``
         or ``"first"`` — see :mod:`repro.core.heuristics`.
-    mode:
-        ``"offline"`` (the paper's fast contribution) or ``"online"``
-        (the LASH-style baseline kept for the §IV runtime comparison).
     cdg:
-        Cycle-breaking engine for offline mode: ``"incremental"``
+        Cycle-breaking engine for Algorithm 2: ``"incremental"``
         (default — the vectorized CSR engine of
         :mod:`repro.deadlock.incremental`) or ``"rebuild"`` (the
         dict-backed reference). Both produce bit-identical layer
@@ -52,7 +46,7 @@ class DFSSSPEngine(RoutingEngine):
     balance:
         Spread paths over unused layers after cycle breaking (Algorithm
         2's final step).
-    dest_order / seed / count_switch_sources / workers / kernel:
+    workers / kernel:
         Forwarded to :class:`SSSPEngine` — in particular ``workers=N``
         fans the SSSP phase out over a process pool and ``kernel="numpy"``
         selects the vectorized Dijkstra, both bit-identical to the serial
@@ -67,31 +61,21 @@ class DFSSSPEngine(RoutingEngine):
         self,
         max_layers: int = DEFAULT_MAX_LAYERS,
         heuristic: str = "weakest",
-        mode: str = "offline",
         cdg: str = "incremental",
         balance: bool = True,
-        dest_order: str = "index",
-        seed=None,
-        count_switch_sources: bool = False,
         workers: int = 0,
         kernel: str = "python",
     ):
-        if mode not in ("offline", "online"):
-            raise ValueError(f"mode must be 'offline' or 'online', got {mode!r}")
+        if max_layers < 1:
+            raise ValueError(f"max_layers must be >= 1, got {max_layers}")
+        get_heuristic(heuristic)  # ValueError naming the available ones
         if cdg not in ("incremental", "rebuild"):
             raise ValueError(f"cdg must be 'incremental' or 'rebuild', got {cdg!r}")
         self.max_layers = max_layers
         self.heuristic = heuristic
-        self.mode = mode
         self.cdg = cdg
         self.balance = balance
-        self._sssp = SSSPEngine(
-            dest_order=dest_order,
-            seed=seed,
-            count_switch_sources=count_switch_sources,
-            workers=workers,
-            kernel=kernel,
-        )
+        self._sssp = SSSPEngine(workers=workers, kernel=kernel)
 
     def reroute(self, prior, degraded) -> RoutingResult:
         """Incrementally repair ``prior`` on the degraded fabric.
@@ -112,11 +96,7 @@ class DFSSSPEngine(RoutingEngine):
             return self.route(degraded.fabric)
         try:
             return repair_routing(
-                prior,
-                degraded,
-                engine_name=self.name,
-                count_switch_sources=self._sssp.count_switch_sources,
-                kernel=self._sssp.kernel,
+                prior, degraded, engine_name=self.name, kernel=self._sssp.kernel
             )
         except (RepairError, InsufficientLayersError) as err:
             count_fallback(self.name, reason=type(err).__name__)
@@ -128,33 +108,28 @@ class DFSSSPEngine(RoutingEngine):
             tables.engine = self.name  # routes are SSSP's, the engine is ours
         t_sssp = sp_sssp.duration
 
-        with span("dfsssp.layers", mode=self.mode, heuristic=self.heuristic) as sp_layers:
+        with span("dfsssp.layers", heuristic=self.heuristic) as sp_layers:
             check_budget()  # phase boundary: SSSP done, layering not started
             paths = extract_paths(tables)
             # OpenSM's DFSSSP layers CA-to-CA paths: only paths whose source
             # switch hosts terminals ever carry traffic, and layering the
             # spine-originated suffixes separately would inflate lane counts.
             active = paths.active_pids()
-            if self.mode == "offline":
-                if self.cdg == "incremental":
-                    # Imported here: repro.deadlock.incremental depends on
-                    # this package for LayerAssignment.
-                    from repro.deadlock.incremental import assign_layers_incremental
+            if self.cdg == "incremental":
+                # Imported here: repro.deadlock.incremental depends on
+                # this package for LayerAssignment.
+                from repro.deadlock.incremental import assign_layers_incremental
 
-                    assign = assign_layers_incremental
-                else:
-                    assign = assign_layers_offline
-                assignment = assign(
-                    paths,
-                    max_layers=self.max_layers,
-                    heuristic=self.heuristic,
-                    balance=self.balance,
-                    pids=active,
-                )
+                assign = assign_layers_incremental
             else:
-                assignment = assign_layers_online(
-                    paths, max_layers=self.max_layers, balance=self.balance, pids=active
-                )
+                assign = assign_layers_offline
+            assignment = assign(
+                paths,
+                max_layers=self.max_layers,
+                heuristic=self.heuristic,
+                balance=self.balance,
+                pids=active,
+            )
         t_layers = sp_layers.duration
 
         layered = LayeredRouting(tables, assignment.path_layers, self.max_layers)
@@ -180,9 +155,8 @@ class DFSSSPEngine(RoutingEngine):
             channel_weights=weights,
             stats={
                 "engine": self.name,
-                "mode": self.mode,
-                "cdg": self.cdg if self.mode == "offline" else None,
-                "heuristic": self.heuristic if self.mode == "offline" else None,
+                "cdg": self.cdg,
+                "heuristic": self.heuristic,
                 "layers_needed": assignment.layers_needed,
                 "layers_used": layered.layers_used,
                 "cycles_broken": assignment.cycles_broken,

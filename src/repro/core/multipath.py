@@ -31,7 +31,10 @@ from repro.network.fabric import Fabric
 from repro.network.validate import check_routable
 from repro.routing.base import RoutingTables
 from repro.routing.paths import PathSet, extract_paths
-from repro.simulator.congestion import EbbResult
+# The module, not the class: repro.simulator.congestion imports
+# repro.routing, which imports this package, so a first import of
+# repro.simulator reaches this line with congestion half-initialized.
+from repro.simulator import congestion
 from repro.simulator.patterns import Pattern, bisection_pattern, validate_pattern
 from repro.utils.prng import spawn_rngs
 
@@ -257,7 +260,9 @@ class MultipathCongestionSimulator:
         per_flow_max = np.maximum.reduceat(sharing[flat], offsets[:-1])
         return 1.0 / per_flow_max
 
-    def effective_bisection_bandwidth(self, num_patterns: int = 100, seed=None) -> EbbResult:
+    def effective_bisection_bandwidth(
+        self, num_patterns: int = 100, seed=None
+    ) -> congestion.EbbResult:
         rngs = spawn_rngs(seed, num_patterns)
         means = np.empty(num_patterns)
         flows = 0
@@ -266,4 +271,6 @@ class MultipathCongestionSimulator:
             bw = self.evaluate(pattern)
             means[i] = float(bw.mean())
             flows = len(pattern)
-        return EbbResult(per_pattern_mean=means, num_flows=flows, num_patterns=num_patterns)
+        return congestion.EbbResult(
+            per_pattern_mean=means, num_flows=flows, num_patterns=num_patterns
+        )

@@ -33,7 +33,6 @@ from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_hooks, get_registry, span
 from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
 from repro.service.budget import check_budget
-from repro.utils.prng import make_rng, stable_fabric_seed
 
 #: per-destination shortest-path kernels (see :mod:`repro.parallel.kernel`).
 KERNELS = ("python", "numpy")
@@ -42,20 +41,12 @@ KERNELS = ("python", "numpy")
 class SSSPEngine(RoutingEngine):
     """Algorithm 1. Not deadlock-free — see :class:`DFSSSPEngine`.
 
+    Destinations are routed in terminal index order, and the weight
+    update counts terminal sources only: the paper's OpenSM
+    implementation balances CA-to-CA routes.
+
     Parameters
     ----------
-    dest_order:
-        ``"index"`` (deterministic, default) or ``"random"`` — the order
-        in which destinations are routed influences balancing slightly
-        (the paper notes the source order defines the routes).
-    seed:
-        RNG seed for ``dest_order="random"``. ``None`` derives a stable
-        seed from the fabric (:func:`~repro.utils.prng.stable_fabric_seed`)
-        so results stay reproducible across processes and restarts.
-    count_switch_sources:
-        Whether switches count as path sources in the weight update. The
-        paper's OpenSM implementation balances CA-to-CA routes only
-        (default False).
     workers:
         0 (default) routes serially in-process. ``N >= 1`` fans the
         per-destination columns out over an ``N``-process pool
@@ -70,23 +61,11 @@ class SSSPEngine(RoutingEngine):
     name = "sssp"
     supports_incremental_reroute = True
 
-    def __init__(
-        self,
-        dest_order: str = "index",
-        seed=None,
-        count_switch_sources: bool = False,
-        workers: int = 0,
-        kernel: str = "python",
-    ):
-        if dest_order not in ("index", "random"):
-            raise ValueError(f"dest_order must be 'index' or 'random', got {dest_order!r}")
+    def __init__(self, workers: int = 0, kernel: str = "python"):
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        self.dest_order = dest_order
-        self.seed = seed
-        self.count_switch_sources = count_switch_sources
         self.workers = workers
         self.kernel = kernel
 
@@ -115,48 +94,20 @@ class SSSPEngine(RoutingEngine):
         if prior is None:
             return self.route(degraded.fabric)
         try:
-            return repair_routing(
-                prior,
-                degraded,
-                engine_name=self.name,
-                count_switch_sources=self.count_switch_sources,
-                kernel=self.kernel,
-            )
+            return repair_routing(prior, degraded, engine_name=self.name, kernel=self.kernel)
         except RepairError as err:
             count_fallback(self.name, reason=type(err).__name__)
             return self.route(degraded.fabric)
 
-    def resolved_seed(self, fabric: Fabric):
-        """The RNG seed a route on ``fabric`` will actually use.
-
-        An explicit ``seed`` wins; otherwise (``seed=None``) the seed is
-        derived deterministically from the fabric so that ``dest_order=
-        "random"`` stays bit-reproducible across processes — the parallel
-        executor, checkpoint replay and the differential tests rely on it.
-        """
-        return self.seed if self.seed is not None else stable_fabric_seed(fabric)
-
-    def _dest_order(self, fabric: Fabric) -> np.ndarray:
-        order = np.arange(fabric.num_terminals)
-        if self.dest_order == "random":
-            make_rng(self.resolved_seed(fabric)).shuffle(order)
-        return order
-
     def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray]:
         T = fabric.num_terminals
         w0 = T * T + 1
-        order = self._dest_order(fabric)
 
         if self.workers:
             from repro.parallel.executor import run_parallel_sssp
 
             next_channel, weights = run_parallel_sssp(
-                fabric,
-                order,
-                workers=self.workers,
-                kernel=self.kernel,
-                count_switch_sources=self.count_switch_sources,
-                engine_name=self.name,
+                fabric, workers=self.workers, kernel=self.kernel, engine_name=self.name
             )
             total = int(weights.sum() - w0 * fabric.num_channels)
             return RoutingTables(fabric, next_channel, engine=self.name), total, weights
@@ -181,13 +132,10 @@ class SSSPEngine(RoutingEngine):
         hooks = get_hooks()
 
         with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
-            for t_idx in order:
+            for t_idx, dest in enumerate(fabric.terminals.tolist()):
                 check_budget()  # cooperative deadline (repro.service)
-                dest = int(fabric.terminals[t_idx])
                 with span("sssp.dijkstra", dest=dest) as sp:
-                    parent = step(
-                        dest, weights, count_switch_sources=self.count_switch_sources
-                    )
+                    parent = step(dest, weights)
                     next_channel[:, t_idx] = parent
                 # One `weights[c] += ...` happened per node with a parent
                 # channel; counted vectorised to keep the hot loop clean.
@@ -197,7 +145,7 @@ class SSSPEngine(RoutingEngine):
                 m_dijkstra.observe(sp.duration)
                 hooks.iteration(
                     engine=self.name,
-                    iteration=int(t_idx),
+                    iteration=t_idx,
                     dest=dest,
                     weight_updates=updates,
                     dijkstra_seconds=sp.duration,
@@ -216,14 +164,10 @@ def update_weights_for_dest(
     parent: np.ndarray,
     weights: np.ndarray,
     is_term: np.ndarray,
-    count_switch_sources: bool = False,
 ) -> None:
-    """Add, to each channel, the number of (terminal) sources whose path
+    """Add, to each channel, the number of terminal sources whose path
     to ``dest`` crosses it (subtree counting)."""
-    if count_switch_sources:
-        cnt = np.ones(fabric.num_nodes, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64).copy()
+    cnt = is_term.astype(np.int64)
     cnt[dest] = 0
     finite = np.flatnonzero(dist < np.iinfo(np.int64).max)
     order = finite[np.argsort(dist[finite])[::-1]]  # farthest first
@@ -245,7 +189,6 @@ def update_weights_for_dest_fast(
     parent: np.ndarray,
     weights: np.ndarray,
     is_term: np.ndarray,
-    count_switch_sources: bool = False,
 ) -> None:
     """Vectorized :func:`update_weights_for_dest` — exact, not approximate.
 
@@ -262,10 +205,7 @@ def update_weights_for_dest_fast(
     on every input — the differential suite asserts it.
     """
     n = fabric.num_nodes
-    if count_switch_sources:
-        cnt = np.ones(n, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64)
+    cnt = is_term.astype(np.int64)
     cnt[dest] = 0
     have = np.flatnonzero(parent >= 0)  # nodes that route via a parent channel
     if not len(have):

@@ -31,11 +31,6 @@ the event-level behaviour, and hypothesis properties pin determinism
 and packet conservation.
 """
 
-# Enter the shared network/routing import cycle through its working
-# door first (the same order every other entry point uses): importing
-# repro.des cold must not start the graph at repro.routing.base.
-import repro.network  # noqa: F401
-
 from repro.des.engine import (
     DesOutcome,
     FaultSpec,

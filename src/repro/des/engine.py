@@ -56,9 +56,8 @@ from repro.obs import COUNT_BUCKETS, DURATION_BUCKETS, get_registry, span
 from repro.routing.base import RoutingEngine, RoutingResult
 from repro.utils.prng import spawn_rngs
 
-# NOTE: repro.resilience is imported lazily inside the fault handler —
-# importing it at module level would enter the deadlock/network/routing
-# import cycle through the wrong door when repro.des is imported first.
+# NOTE: repro.resilience is imported lazily inside the fault handler:
+# only fault scenarios need it.
 
 # Event kinds (payload discriminators; never compared by heapq — a heap
 # entry's (time, seq) prefix is unique). The first three are 99 % of

@@ -109,11 +109,11 @@ def _build_shard(spec: ShardSpec, root, policy: ServicePolicy, cache: RoutingCac
     summary = serving_summary(spec.fabric_id, supervisor)
     summary["restored"] = restored
     # The restore path verifies through the checkpointed certificate
-    # (supervisor._adopt -> _verify); a fresh construction verifies via
-    # the full CDG rebuild. Either way the shard never serves unverified.
+    # (supervisor._adopt -> _verify); a fresh construction verifies by a
+    # witness pass. Either way the shard never serves unverified.
     summary["verify_method"] = "certificate" if (
         restored and supervisor.serving().result.certificate is not None
-    ) else "rebuild"
+    ) else "witness"
     return supervisor, summary
 
 

@@ -14,7 +14,6 @@ from repro.network.io import (
     save_fabric,
 )
 from repro.network.ibnetdiscover import load_ibnetdiscover, parse_ibnetdiscover
-from repro.network.opensm_export import export_lft, export_route, export_sl_assignment
 from repro.network.faults import (
     DegradedFabric,
     cable_keys,
@@ -27,9 +26,6 @@ from repro.network.faults import (
 
 __all__ = [
     "load_ibnetdiscover",
-    "export_lft",
-    "export_route",
-    "export_sl_assignment",
     "parse_ibnetdiscover",
     "Channel",
     "ChannelVector",

@@ -176,23 +176,20 @@ def _budget_snapshot():
 
 def run_parallel_sssp(
     fabric: Fabric,
-    order: np.ndarray,
     *,
     workers: int,
     kernel: str = "python",
     batch: int | None = None,
-    count_switch_sources: bool = False,
     engine_name: str = "sssp",
 ):
-    """Parallel SSSP: fan out hop sweeps, reduce exactly in ``order``.
+    """Parallel SSSP: fan out hop sweeps, reduce exactly in terminal order.
 
     Returns ``(next_channel, weights)`` bit-identical to
-    :meth:`repro.core.sssp.SSSPEngine._run` on the same fabric and
-    destination order. ``kernel`` names the Dijkstra a column falls
-    back to when its validation fails — workers always sweep BFS hops,
-    which no kernel choice can change. ``batch`` (destinations per
-    batch, default ``4 * workers``) affects scheduling and span
-    granularity only.
+    :meth:`repro.core.sssp.SSSPEngine._run` on the same fabric.
+    ``kernel`` names the Dijkstra a column falls back to when its
+    validation fails — workers always sweep BFS hops, which no kernel
+    choice can change. ``batch`` (destinations per batch, default
+    ``4 * workers``) affects scheduling and span granularity only.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -233,7 +230,7 @@ def run_parallel_sssp(
         buckets=DURATION_BUCKETS,
     )
 
-    jobs = [(int(t_idx), int(fabric.terminals[t_idx])) for t_idx in order]
+    jobs = list(enumerate(fabric.terminals.tolist()))
     batch_size = batch or workers * BATCH_COLUMNS_PER_WORKER
     if batch_size < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -319,9 +316,7 @@ def run_parallel_sssp(
                         for row, (t_idx, dest) in enumerate(batch_jobs):
                             check_budget()  # parent-side deadline between columns
                             t0 = time.perf_counter()
-                            parent = reduction.step(
-                                dest, weights, hops_of.get(row), count_switch_sources
-                            )
+                            parent = reduction.step(dest, weights, hops_of.get(row))
                             next_channel[:, t_idx] = parent
                             m_sources.inc()
                             m_updates.inc(int(np.count_nonzero(parent >= 0)))

@@ -86,13 +86,12 @@ PLAN_CACHE_BYTES = 32 << 20
 def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp"):
     """One Algorithm-1 step for ``kernel``, as ``(step, counts)``.
 
-    ``step(dest, weights, count_switch_sources=False)`` routes the column
-    toward ``dest``, advances ``weights`` in place and returns the
-    column's ``parent`` array. ``"numpy"`` is :meth:`ExactReduction.step`
-    and ``counts`` its live ``sweeps / plans / plan_hits / fallbacks``;
-    the ``"python"`` reference runs the heap Dijkstra and the
-    farthest-first update directly (no counts). Both produce identical
-    arrays.
+    ``step(dest, weights)`` routes the column toward ``dest``, advances
+    ``weights`` in place and returns the column's ``parent`` array.
+    ``"numpy"`` is :meth:`ExactReduction.step` and ``counts`` its live
+    ``sweeps / plans / plan_hits / fallbacks``; the ``"python"``
+    reference runs the heap Dijkstra and the farthest-first update
+    directly (no counts). Both produce identical arrays.
     """
     if kernel == "numpy":
         reduction = ExactReduction(fabric, kernel, engine_name)
@@ -100,10 +99,9 @@ def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp"):
     dijkstra = resolve_kernel(kernel)
     is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
-    def step(dest: int, weights: np.ndarray, count_switch_sources: bool = False):
+    def step(dest: int, weights: np.ndarray):
         dist, parent = dijkstra(fabric, dest, weights)
-        update_weights_for_dest(fabric, dest, dist, parent, weights, is_term,
-                                count_switch_sources=count_switch_sources)
+        update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
         return parent
 
     return step, {}
@@ -174,9 +172,9 @@ class ExactReduction:
         # Every column starts from this: each leaf on its uplink.
         self._parent0 = np.full(n, -1, dtype=np.int32)
         self._parent0[self._leaf] = self._leaf_up
-        # Subtree counts before any tree node adds its own, keyed by
-        # count_switch_sources: a switch already carries the leaves it hosts.
-        self._cnt0 = {False: self._is_term + hosted, True: 1 + hosted}
+        # Subtree counts before any tree node adds its own: a switch
+        # already carries the leaves it hosts.
+        self._cnt0 = self._is_term + hosted
         # CSR positions a plan may draw from: channels into switches that
         # are not a single-homed terminal's uplink.
         leaf_uplink = np.zeros(E, dtype=bool)
@@ -206,8 +204,8 @@ class ExactReduction:
         """The switch whose cached plan serves ``dest``; -1 if none can."""
         return int(self._shared_root[dest])
 
-    def step(self, dest: int, weights: np.ndarray, hops: np.ndarray | None = None,
-             count_switch_sources: bool = False) -> np.ndarray:
+    def step(self, dest: int, weights: np.ndarray,
+             hops: np.ndarray | None = None) -> np.ndarray:
         """Route ``dest`` exactly as serial Dijkstra would and advance
         ``weights``; returns the column's ``parent`` array.
 
@@ -232,14 +230,13 @@ class ExactReduction:
                     self.cache_full = True
         dist, parent = self._refine(dest, plan, weights)
         if self.validate(dest, dist, parent, weights):
-            self._advance(dest, plan, parent, weights, count_switch_sources)
+            self._advance(dest, plan, parent, weights)
         else:
             self.counts["fallbacks"] += 1
             self._m_fallbacks.inc()
             dist, parent = self._dijkstra(self.fabric, dest, weights)
             update_weights_for_dest_fast(
-                self.fabric, dest, dist, parent, weights, self._is_term,
-                count_switch_sources=count_switch_sources,
+                self.fabric, dest, dist, parent, weights, self._is_term
             )
         return parent
 
@@ -350,15 +347,15 @@ class ExactReduction:
         return bool(np.array_equal(fix_d, dist[self._core])
                     and np.array_equal(fix_c, parent[self._core]))
 
-    def _advance(self, dest: int, plan: HopPlan, parent: np.ndarray, weights: np.ndarray,
-                 count_switch_sources: bool) -> None:
+    def _advance(self, dest: int, plan: HopPlan, parent: np.ndarray,
+                 weights: np.ndarray) -> None:
         """:func:`repro.core.sssp.update_weights_for_dest` for a validated
         column: its tree depth is the plan's hop level, so the subtree
         counts flow leaf terminals first, then level by level, deepest
         first — each node's count is final before its parent reads it.
         An unreached switch is in no level, so its count is never read."""
         chan_dst = self.fabric.channels.dst
-        cnt = self._cnt0[count_switch_sources].copy()  # dest is in no level: never read
+        cnt = self._cnt0.copy()  # dest is in no level: never read
         weights[self._leaf_up] += 1  # one uplink per leaf: distinct
         dead = self._hosts[parent[self._hosts] < 0]
         if len(dead):

@@ -133,7 +133,6 @@ def repair_routing(
     degraded: DegradedFabric,
     *,
     engine_name: str | None = None,
-    count_switch_sources: bool = False,
     kernel: str = "python",
 ) -> RoutingResult:
     """Incrementally repair ``prior`` for ``degraded.fabric``.
@@ -183,9 +182,7 @@ def repair_routing(
             for t_idx in affected:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(new.terminals[t_idx])
-                next_channel[:, t_idx] = step(
-                    dest, weights, count_switch_sources=count_switch_sources
-                )
+                next_channel[:, t_idx] = step(dest, weights)
 
         tables = RoutingTables(new, next_channel, engine=engine)
         # Doubles as the reachability check: raises on any missing entry.

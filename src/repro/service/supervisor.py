@@ -600,7 +600,7 @@ class RoutingSupervisor:
         a ``verify`` flight event record which method ran; a rejected
         certificate is dumped to the flight recorder before raising.
         """
-        method = "rebuild" if result.certificate is None else "certificate"
+        method = "witness" if result.certificate is None else "certificate"
         with span("service.verify", method=method) as sp:
             verdict = check_servable(result.tables, result.layered, result.certificate)
             sp.set_attr("ok", verdict.problem is None)

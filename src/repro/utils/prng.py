@@ -12,7 +12,6 @@ convention and derive independent child streams, so that
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -51,34 +50,6 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
         return [np.random.default_rng(child) for child in ss.spawn(n)]
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def stable_fabric_seed(fabric) -> int:
-    """Deterministic seed derived from a fabric's structure.
-
-    CRC32 over the node kinds and channel endpoint arrays: the same
-    fabric yields the same seed in every process, interpreter and run —
-    unlike ``hash()`` (salted per process) or OS entropy. Engines use
-    this when a stochastic option (e.g. ``dest_order="random"``) is
-    requested without an explicit seed, so that a routing recomputed in
-    a worker, a restarted service, or a differential test is still
-    bit-reproducible.
-
-    The CRC is cached on the fabric after the first call — fabrics are
-    immutable, and re-hashing three full-length arrays on every
-    ``resolved_seed`` lookup is measurable at 100k nodes.
-    """
-    cached = getattr(fabric, "_stable_seed_cache", None)
-    if cached is not None:
-        return cached
-    crc = zlib.crc32(np.ascontiguousarray(fabric.kinds, dtype=np.int8).tobytes())
-    crc = zlib.crc32(np.ascontiguousarray(fabric.channels.src, dtype=np.int64).tobytes(), crc)
-    crc = zlib.crc32(np.ascontiguousarray(fabric.channels.dst, dtype=np.int64).tobytes(), crc)
-    try:
-        fabric._stable_seed_cache = crc
-    except AttributeError:  # pragma: no cover - slotted/frozen stand-ins
-        pass
-    return crc
 
 
 def permutation_pairs(rng: np.random.Generator, items: Sequence[int]) -> list[tuple[int, int]]:

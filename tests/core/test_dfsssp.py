@@ -1,5 +1,7 @@
 """DFSSSP: identical paths to SSSP + verified deadlock-freedom."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -65,17 +67,6 @@ def test_balance_disabled(ring5):
     assert result.layered.layers_used == result.stats["layers_needed"] == 2
 
 
-def test_online_mode_matches_offline_freedom(random16):
-    online = DFSSSPEngine(mode="online", balance=False).route(random16)
-    paths = extract_paths(online.tables)
-    assert verify_deadlock_free(online.layered, paths).deadlock_free
-
-
-def test_online_ring_layer_count(ring5):
-    online = DFSSSPEngine(mode="online", balance=False).route(ring5)
-    assert online.stats["layers_needed"] == 2
-
-
 def test_insufficient_layers_raises():
     fab = topologies.torus((5,), terminals_per_switch=1)
     with pytest.raises(InsufficientLayersError) as exc:
@@ -90,9 +81,20 @@ def test_heuristic_options(random16):
         assert verify_deadlock_free(result.layered, paths).deadlock_free
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        DFSSSPEngine(mode="hybrid")
+def test_option_surface():
+    assert list(inspect.signature(DFSSSPEngine).parameters) == [
+        "max_layers", "heuristic", "cdg", "balance", "workers", "kernel",
+    ]
+
+
+@pytest.mark.parametrize("opts, named", [
+    ({"heuristic": "bogus"}, "unknown heuristic 'bogus'"),
+    ({"max_layers": 0}, "max_layers must be >= 1"),
+], ids=["heuristic", "max_layers"])
+def test_invalid_options_rejected_at_construction(opts, named):
+    """A bad value fails when the engine is built, not at its first route."""
+    with pytest.raises(ValueError, match=named):
+        DFSSSPEngine(**opts)
 
 
 def test_stats_complete(dfsssp_random16):

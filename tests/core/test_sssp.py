@@ -1,5 +1,7 @@
 """SSSP routing (Algorithm 1): minimality, balancing, determinism."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -39,42 +41,15 @@ def test_not_deadlock_free_claim(sssp_ring5):
     assert sssp_ring5.layered is None
 
 
+def test_option_surface():
+    """Destination order and source counting are the paper's, not knobs."""
+    assert list(inspect.signature(SSSPEngine).parameters) == ["workers", "kernel"]
+
+
 def test_deterministic(random16):
     a = SSSPEngine().route(random16).tables.next_channel
     b = SSSPEngine().route(random16).tables.next_channel
     assert (a == b).all()
-
-
-def test_random_dest_order_seeded(random16):
-    a = SSSPEngine(dest_order="random", seed=1).route(random16).tables.next_channel
-    b = SSSPEngine(dest_order="random", seed=1).route(random16).tables.next_channel
-    assert (a == b).all()
-
-
-def test_random_dest_order_unseeded_is_reproducible(random16):
-    """``seed=None`` must not mean OS entropy: the engine derives a
-    stable per-fabric seed, so two unseeded runs (even in different
-    processes — see the parallel differential suite) agree exactly."""
-    a = SSSPEngine(dest_order="random").route(random16).tables.next_channel
-    b = SSSPEngine(dest_order="random").route(random16).tables.next_channel
-    assert (a == b).all()
-
-
-def test_resolved_seed_is_stable_and_explicit_seed_wins(random16, ring5):
-    from repro.utils.prng import stable_fabric_seed
-
-    engine = SSSPEngine(dest_order="random")
-    assert engine.resolved_seed(random16) == stable_fabric_seed(random16)
-    assert engine.resolved_seed(random16) == engine.resolved_seed(random16)
-    # Different fabrics derive different seeds (not a hash guarantee in
-    # general, but these two must not collide for the default to be useful).
-    assert engine.resolved_seed(random16) != engine.resolved_seed(ring5)
-    assert SSSPEngine(dest_order="random", seed=7).resolved_seed(random16) == 7
-
-
-def test_bad_dest_order_rejected():
-    with pytest.raises(ValueError, match="dest_order"):
-        SSSPEngine(dest_order="zigzag")
 
 
 def test_balancing_weight_accumulates(sssp_ring5):
@@ -108,14 +83,6 @@ def test_better_global_balance_than_minhop_on_asymmetric_fabric():
     sssp_util = routing_utilization(SSSPEngine().route(fab).tables)
     minhop_util = routing_utilization(MinHopEngine().route(fab).tables)
     assert sssp_util.maximum <= minhop_util.maximum
-
-
-def test_count_switch_sources_changes_weights(random16):
-    a = SSSPEngine(count_switch_sources=False).route(random16)
-    b = SSSPEngine(count_switch_sources=True).route(random16)
-    assert (
-        a.stats["total_balancing_weight"] != b.stats["total_balancing_weight"]
-    )
 
 
 def test_subtree_weight_update_counts_terminal_sources(ring5):

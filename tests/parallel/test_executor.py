@@ -132,12 +132,9 @@ def test_validation_fallback_still_bit_identical(fabric, monkeypatch):
 
 
 def test_parallel_metrics_and_spans(fabric):
-    order = np.arange(fabric.num_terminals)
     sink = InMemorySink()
     with use_sink(sink):
-        next_channel, weights = run_parallel_sssp(
-            fabric, order, workers=2, kernel="numpy", batch=4
-        )
+        next_channel, weights = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=4)
     assert next_channel.shape == (fabric.num_nodes, fabric.num_terminals)
     assert weights.shape == (fabric.num_channels,)
 
@@ -169,7 +166,7 @@ def test_parallel_metrics_and_spans(fabric):
 
 def test_run_parallel_rejects_zero_workers(fabric):
     with pytest.raises(ValueError, match="workers"):
-        run_parallel_sssp(fabric, np.arange(fabric.num_terminals), workers=0)
+        run_parallel_sssp(fabric, workers=0)
 
 
 def test_executor_python_kernel_matches_serial(fabric):

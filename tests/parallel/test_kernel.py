@@ -42,7 +42,7 @@ def test_removed_options_fail_loudly():
     for engine in (SSSPEngine, DFSSSPEngine):
         with pytest.raises(ValueError, match="'python', 'numpy'"):
             engine(kernel="native")
-        for knob in ("shm", "batch"):
+        for knob in ("shm", "batch", "mode", "dest_order", "seed", "count_switch_sources"):
             with pytest.raises(TypeError, match=knob):
                 engine(**{knob: 1})
     with pytest.raises(ValueError, match="'incremental' or 'rebuild'"):

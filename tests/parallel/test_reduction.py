@@ -76,14 +76,13 @@ def _leaves(fabric):
     ], dtype=np.intp)
 
 
-def _reference_step(fabric, dest, weights, is_term, count_switch_sources):
+def _reference_step(fabric, dest, weights, is_term):
     dist, parent = dijkstra_to_dest(fabric, dest, weights)
-    update_weights_for_dest(fabric, dest, dist, parent, weights, is_term,
-                            count_switch_sources=count_switch_sources)
+    update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
     return parent
 
 
-def _assert_steps_match(fabric, reduction, order, count_switch_sources=False, poison=None):
+def _assert_steps_match(fabric, reduction, order, poison=None):
     """Run the reference and ``reduction`` side by side over ``order``."""
     T = fabric.num_terminals
     ref_w = np.full(fabric.num_channels, T * T + 1, dtype=np.int64)
@@ -93,8 +92,8 @@ def _assert_steps_match(fabric, reduction, order, count_switch_sources=False, po
         dest = int(fabric.terminals[t_idx])
         if poison is not None:
             poison(dest)
-        want = _reference_step(fabric, dest, ref_w, is_term, count_switch_sources)
-        got = reduction.step(dest, new_w, count_switch_sources=count_switch_sources)
+        want = _reference_step(fabric, dest, ref_w, is_term)
+        got = reduction.step(dest, new_w)
         np.testing.assert_array_equal(got, want, err_msg=f"parent toward {dest}")
         np.testing.assert_array_equal(new_w, ref_w, err_msg=f"weights after {dest}")
 
@@ -102,13 +101,12 @@ def _assert_steps_match(fabric, reduction, order, count_switch_sources=False, po
 # ----------------------------------------------------------------------
 # per call: empty rows, unreachable nodes, multi-homed terminals
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("count_switch_sources", [False, True])
 @pytest.mark.parametrize("name", sorted(AWKWARD))
-def test_step_is_exact_on_awkward_fabrics(name, count_switch_sources):
+def test_step_is_exact_on_awkward_fabrics(name):
     fabric = AWKWARD[name]()
     reduction = ExactReduction(fabric)
     order = np.random.default_rng(5).permutation(fabric.num_terminals)
-    _assert_steps_match(fabric, reduction, order, count_switch_sources)
+    _assert_steps_match(fabric, reduction, order)
     assert reduction.counts["fallbacks"] == 0
 
 
@@ -198,11 +196,11 @@ def degraded_fabrics(draw):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(degraded_fabrics(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_step_is_exact_on_random_degraded_fabrics(fabric, seed, count_switch_sources):
+@given(degraded_fabrics(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_step_is_exact_on_random_degraded_fabrics(fabric, seed):
     reduction = ExactReduction(fabric)
     order = np.random.default_rng(seed).permutation(fabric.num_terminals)
-    _assert_steps_match(fabric, reduction, order, count_switch_sources)
+    _assert_steps_match(fabric, reduction, order)
     assert reduction.counts["fallbacks"] == 0
 
 
@@ -243,7 +241,7 @@ def test_tie_between_the_channel_into_dest_and_a_switch_channel(dest_channel_fir
     assert not reduction.validate(d, dist, other, weights)
 
     want_w, got_w = weights.copy(), weights.copy()
-    want = _reference_step(fabric, d, want_w, fabric.kinds == 1, False)
+    want = _reference_step(fabric, d, want_w, fabric.kinds == 1)
     np.testing.assert_array_equal(reduction.step(d, got_w), want)
     np.testing.assert_array_equal(got_w, want_w)
     assert reduction.counts["fallbacks"] == (0 if dest_channel_first else 1)
@@ -266,35 +264,25 @@ def test_leaves_under_an_unreached_switch_stay_unrouted():
     weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
     before = weights.copy()
     want_w = weights.copy()
-    want = _reference_step(fabric, dest, want_w, fabric.kinds == 1, False)
+    want = _reference_step(fabric, dest, want_w, fabric.kinds == 1)
     parent = reduction.step(dest, weights)
     assert (parent[stranded] == -1).all()
     np.testing.assert_array_equal(weights[uplinks], before[uplinks])
     np.testing.assert_array_equal(parent, want)
     np.testing.assert_array_equal(weights, want_w)
     assert reduction.counts["fallbacks"] == 0
-@pytest.mark.parametrize("dest_order", ["index", "random"])
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_engines_match_heap_reference(family, workers, dest_order):
+def test_engines_match_heap_reference(family, workers):
     fabric = FAMILIES[family]()
-    base = SSSPEngine(dest_order=dest_order).route(fabric)
+    base = SSSPEngine().route(fabric)
     reg = get_registry()
     reg.reset()
-    got = SSSPEngine(kernel="numpy", workers=workers, dest_order=dest_order).route(fabric)
+    got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
     assert_same_routing(base, got)
     # The pool parent times each destination like the serial loop does.
     assert reg.histogram("sssp_dijkstra_seconds", "").count == fabric.num_terminals
     assert reg.value("routing_parallel_fallbacks", engine="sssp") == 0
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_count_switch_sources_through_the_engines(workers):
-    fabric = FAMILIES["random"]()
-    base = SSSPEngine(count_switch_sources=True).route(fabric)
-    got = SSSPEngine(kernel="numpy", workers=workers, count_switch_sources=True).route(fabric)
-    assert_same_routing(base, got)
-    assert not np.array_equal(base.channel_weights, SSSPEngine().route(fabric).channel_weights)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +317,7 @@ def test_poisoned_plan_is_rejected_and_output_identical(corrupt):
         root = reduction.shared_root(dest)
         if root in reduction._plans and root not in poisoned:
             scratch = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
-            parent = _reference_step(fabric, dest, scratch, is_term, False)
+            parent = _reference_step(fabric, dest, scratch, is_term)
             reduction._plans[root] = corrupt(reduction._plans[root], parent)
             poisoned.append(root)
 

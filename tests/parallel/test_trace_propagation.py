@@ -36,13 +36,10 @@ def _fresh_registry():
 
 def _traced_run(fabric, workers):
     """Run once; return (request_id, sink) with every span captured."""
-    order = np.arange(fabric.num_terminals)
     sink = InMemorySink()
     with use_sink(sink):
         with request_scope(f"req-w{workers}", workers=workers):
-            run_parallel_sssp(
-                fabric, order, workers=workers, kernel="numpy", batch=BATCH
-            )
+            run_parallel_sssp(fabric, workers=workers, kernel="numpy", batch=BATCH)
     return f"req-w{workers}", sink
 
 
@@ -94,9 +91,8 @@ def test_multiple_workers_actually_fan_out(fabric):
 
 def test_disabled_sink_means_no_worker_spans(fabric):
     # NullSink → carrier capture flag off → workers skip span bookkeeping.
-    order = np.arange(fabric.num_terminals)
     sink = InMemorySink()
-    run_parallel_sssp(fabric, order, workers=2, kernel="numpy", batch=BATCH)
+    run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=BATCH)
     with use_sink(sink):
         pass  # sink was never active during the run
     assert sink.find("parallel.hop_column") == []
@@ -104,14 +100,11 @@ def test_disabled_sink_means_no_worker_spans(fabric):
 
 def test_replayed_spans_preserve_results(fabric):
     """Tracing must be observation only: traced and untraced runs agree."""
-    order = np.arange(fabric.num_terminals)
-    plain_nc, plain_w = run_parallel_sssp(
-        fabric, order, workers=2, kernel="numpy", batch=BATCH
-    )
+    plain_nc, plain_w = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=BATCH)
     with use_sink(InMemorySink()):
         with request_scope("req-x"):
             traced_nc, traced_w = run_parallel_sssp(
-                fabric, order, workers=2, kernel="numpy", batch=BATCH
+                fabric, workers=2, kernel="numpy", batch=BATCH
             )
     assert np.array_equal(plain_nc, traced_nc)
     assert np.array_equal(plain_w, traced_w)

@@ -140,6 +140,12 @@ def test_corrupt_state_json_names_file(tmp_path, fabric):
     ({"kernel": "native"}, ("kernel", "('python', 'numpy')")),
     ({"workers": 2, "shm": False}, ("['shm']", "'workers'")),
     ({"batch": 8}, ("['batch']", "'kernel'")),
+    ({"mode": "online"}, ("['mode']", "'heuristic'")),
+    ({"dest_order": "random"}, ("['dest_order']", "'workers'")),
+    ({"seed": 3}, ("['seed']", "'kernel'")),
+    ({"count_switch_sources": True}, ("['count_switch_sources']", "'balance'")),
+    ({"heuristic": "bogus"}, ("unknown heuristic 'bogus'", "'weakest'")),
+    ({"max_layers": 0}, ("max_layers must be >= 1", "got 0")),
 ])
 def test_restore_rejects_removed_engine_opts(tmp_path, fabric, opts, named):
     """A checkpoint written with an option this version no longer has is

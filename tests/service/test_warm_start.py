@@ -27,6 +27,19 @@ def _hits(engine="dfsssp") -> int:
     return get_registry().counter("routing_cache_hit_total", engine=engine).value
 
 
+def test_uncached_route_is_verified_by_a_witness_pass(fabric):
+    """A routing without a carried certificate (no cache stored one) is
+    checked by one witness pass; span and flight event name it ``"witness"``."""
+    from repro.obs.recorder import FlightRecorder, use_recorder
+
+    sink, flight = InMemorySink(), FlightRecorder()
+    with use_sink(sink), use_recorder(flight):
+        RoutingSupervisor(fabric, engine="dfsssp", policy=FAST)
+    assert [s.attrs["method"] for s in sink.find("service.verify")] == ["witness"]
+    events = [e for e in flight.snapshot() if e["kind"] == "verify"]
+    assert [(e["method"], e["ok"]) for e in events] == [("witness", True)]
+
+
 def test_restart_warm_starts_and_is_faster(tmp_path, fabric):
     t0 = time.perf_counter()
     cold = RoutingSupervisor(fabric, engine="dfsssp", policy=FAST, cache_dir=tmp_path)

@@ -3,47 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.prng import (
-    make_rng,
-    permutation_pairs,
-    spawn_rngs,
-    stable_fabric_seed,
-)
-
-
-def test_stable_fabric_seed_cached_on_fabric():
-    """The CRC is computed once and memoized on the (immutable) fabric;
-    the cached value is what every later call returns."""
-    from repro.network.topologies import ring
-
-    fabric = ring(5, 2)
-    assert not hasattr(fabric, "_stable_seed_cache")
-    first = stable_fabric_seed(fabric)
-    assert fabric._stable_seed_cache == first
-    # Poison the cache: a hit must short-circuit the CRC entirely.
-    fabric._stable_seed_cache = first + 1
-    assert stable_fabric_seed(fabric) == first + 1
-    # Identical structure, fresh fabric -> identical seed (no cache).
-    assert stable_fabric_seed(ring(5, 2)) == first
-
-
-def test_stable_fabric_seed_survives_slotted_stand_ins():
-    """Duck-typed fabrics that cannot take new attributes still work —
-    the cache is an optimization, never a requirement."""
-    from repro.network.topologies import ring
-
-    fabric = ring(4, 1)
-
-    class Slotted:
-        __slots__ = ("kinds", "channels")
-
-        def __init__(self, f):
-            self.kinds = f.kinds
-            self.channels = f.channels
-
-    stand_in = Slotted(fabric)
-    assert stable_fabric_seed(stand_in) == stable_fabric_seed(fabric)
-    assert not hasattr(stand_in, "_stable_seed_cache")
+from repro.utils.prng import make_rng, permutation_pairs, spawn_rngs
 
 
 def test_make_rng_from_int_deterministic():
