@@ -265,11 +265,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Render a ``--metrics`` JSON dump and/or a routing-cache listing."""
-    if not args.file and not args.cache_dir and not args.trace_tree and not args.flight:
-        raise ReproError(
-            "stats needs a metrics file, --cache-dir, --trace-tree or --flight"
-        )
+    """Render a ``--metrics`` JSON dump, a trace tree and/or a flight dump."""
+    if not args.file and not args.trace_tree and not args.flight:
+        raise ReproError("stats needs a metrics file, --trace-tree or --flight")
     if args.trace_tree:
         records = read_trace(args.trace_tree)
         if args.request:
@@ -311,26 +309,6 @@ def cmd_stats(args) -> int:
                 table.add_row([f"{e['name']}_mean", e["type"], labels, float(e["mean"])])
             else:
                 table.add_row([e["name"], e["type"], labels, e["value"]])
-        print(table.render())
-    if args.cache_dir:
-        from repro.routing.cache import RoutingCache
-
-        cache = RoutingCache(args.cache_dir)
-        table = Table(
-            ["key", "engine", "fingerprint", "layers", "bytes"],
-            title=f"routing cache {args.cache_dir}",
-        )
-        for meta in cache.entries():
-            stats = meta.get("stats", {})
-            table.add_row(
-                [
-                    meta.get("key", "?"),
-                    meta.get("engine", "?"),
-                    str(meta.get("fingerprint", ""))[:12],
-                    stats.get("layers_used"),
-                    meta.get("bytes", 0),
-                ]
-            )
         print(table.render())
     return 0
 
@@ -573,9 +551,7 @@ def cmd_serve(args) -> int:
     if args.restore:
         if not args.checkpoint_dir:
             raise ReproError("serve --restore requires --checkpoint-dir")
-        supervisor = RoutingSupervisor.restore(
-            args.checkpoint_dir, cache_dir=args.cache_dir
-        )
+        supervisor = RoutingSupervisor.restore(args.checkpoint_dir)
         # A restored soak must replay the original stream: the persisted
         # parameters win over whatever defaults the restart command used.
         persisted = supervisor.extra.get("soak", {})
@@ -600,7 +576,6 @@ def cmd_serve(args) -> int:
             engine=args.engine,
             policy=policy,
             checkpoint_dir=args.checkpoint_dir,
-            cache_dir=args.cache_dir,
             seed=args.seed,
             engine_opts=_engine_opts(args, args.engine),
         )
@@ -1067,10 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--checkpoint-dir", help="persist checkpoints here (enables restore)")
     p.add_argument(
-        "--cache-dir",
-        help="fingerprint-keyed routing cache (warm-starts full reroutes)",
-    )
-    p.add_argument(
         "--checkpoint-every", type=int, default=1,
         help="checkpoint after every N accepted batches",
     )
@@ -1119,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants", type=int, default=4, help="tenant ids to rotate")
     p.add_argument(
         "--root",
-        help="fleet state dir (checkpoints/cache/flight dumps); default temp dir",
+        help="fleet state dir (checkpoints/flight dumps); default temp dir",
     )
     p.add_argument(
         "--request-timeout", type=float, default=30.0, dest="request_timeout",
@@ -1175,10 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stats", cmd_stats, "render metrics dumps, trace trees and flight dumps")
     p.add_argument("file", nargs="?", help="metrics JSON file ('-' = stdin)")
-    p.add_argument(
-        "--cache-dir",
-        help="also list the routing-cache entries under this directory",
-    )
     p.add_argument(
         "--trace-tree", metavar="FILE",
         help="render a --trace JSONL file as an indented span tree",

@@ -23,8 +23,8 @@ Two levels of trust:
   were silently remapped fails here.
 
 :func:`check_servable` is the one gate in front of everything served
-(supervisor, cache, CLI, soaks): a routing that carries a certificate —
-a cache hit, a restored checkpoint — gets the binding check, any other
+(supervisor, CLI, soaks): a routing that carries a certificate — a
+restored checkpoint — gets the binding check, any other
 one witness pass, which yields its certificate.
 """
 

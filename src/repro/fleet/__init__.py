@@ -9,7 +9,7 @@ multi-fabric, multi-process service (ROADMAP item 2):
   budgets, per-fabric circuit breakers and graceful degradation, and
   respawns crashed workers from rolling checkpoints (certificate-
   verified before serving).
-* :class:`~repro.fleet.manager.FleetConfig` — all the knobs.
+* :class:`~repro.fleet.manager.FleetConfig` — the settings a caller chooses.
 * :class:`~repro.fleet.admission.AdmissionController` — bounded
   in-flight budgets per tenant / fabric / fleet.
 * :func:`~repro.fleet.soak.run_fleet_soak` — the chaos soak behind the

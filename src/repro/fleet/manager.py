@@ -19,10 +19,10 @@ The request path layers the operational guarantees on top:
 * **circuit breakers** — one per fabric; consecutive shard failures
   stop the retry traffic until a cooldown probe succeeds;
 * **graceful degradation** — rejected, breaker-open, or shard-down
-  requests are answered from the last-known-good serving summary (or,
-  failing that, the shared fingerprint-keyed routing cache), explicitly
-  stamped ``stale``/``degraded`` — a request only fails (``ok=False``)
-  when nothing anywhere knows a routing for that fabric.
+  requests are answered from the last-known-good serving summary,
+  explicitly stamped ``stale``/``degraded``. The constructor records a
+  summary for every fabric before it returns, so a constructed fleet
+  answers every request for a known fabric.
 
 Crash detection is belt and braces: each worker stamps a shared
 heartbeat double from a daemon thread; the monitor respawns a worker
@@ -35,8 +35,8 @@ before serving — the manager records each respawn with per-shard
 Workers are started via the ``forkserver`` (fallback ``spawn``) start
 method: the manager is multi-threaded and metrics registries hold locks,
 so ``fork`` could deadlock a child. That makes workers daemonic
-processes, which cannot have children of their own — hence
-``engine_opts`` requesting the parallel executor is rejected up front.
+processes, which cannot have children of their own, so every shard runs
+its engine with the default options: serial, no process pool.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import FleetError
@@ -58,7 +58,6 @@ from repro.fleet.messages import (
     OP_QUERY,
     OP_SHUTDOWN,
     OPS,
-    SOURCE_DEGRADED_CACHE,
     SOURCE_DEGRADED_LKG,
     FleetRequest,
     FleetResponse,
@@ -69,37 +68,37 @@ from repro.fleet.worker import worker_main
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_registry
 from repro.obs.recorder import record_event
-from repro.routing.cache import RoutingCache
 from repro.service.policy import BackoffPolicy, CircuitBreaker, ServicePolicy
+
+#: seconds between a worker's heartbeat stamps (and between monitor sweeps)
+HEARTBEAT_INTERVAL_S = 0.2
+#: seconds a worker may take to build its shards and report ready
+SPAWN_TIMEOUT_S = 120.0
+#: admission budgets: in-flight requests per tenant, per fabric, in total
+PER_TENANT_INFLIGHT = 16
+PER_FABRIC_INFLIGHT = 16
+TOTAL_INFLIGHT = 128
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """All fleet-manager knobs in one bundle.
+    """The fleet-manager settings a caller chooses; the rest are module constants.
 
     ``request_timeout_s`` is the per-request deadline (callers may
     override per call); ``backoff.max_attempts`` bounds the attempts per
-    request, the first included. Heartbeat timing trades detection
-    latency against false positives — the default tolerates a worker
-    pausing ~10 beats.
+    request, the first included. ``heartbeat_timeout_s`` trades
+    detection latency against false positives — the default tolerates a
+    worker pausing ~10 beats of :data:`HEARTBEAT_INTERVAL_S`.
     """
 
     workers: int = 2
     engine: str = "dfsssp"
-    engine_opts: dict = field(default_factory=dict)
     request_timeout_s: float = 30.0
     backoff: BackoffPolicy = BackoffPolicy(base_s=0.05, cap_s=0.5, max_attempts=3)
-    heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 2.0
-    spawn_timeout_s: float = 120.0
-    per_tenant_inflight: int | None = 16
-    per_fabric_inflight: int | None = 16
-    total_inflight: int | None = 128
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 1.0
     degraded_delay_s: float = 0.1
-    cache_max_entries: int | None = 256
-    cache_max_bytes: int | None = None
     policy: ServicePolicy | None = None
 
     def __post_init__(self):
@@ -108,12 +107,6 @@ class FleetConfig:
         if self.degraded_delay_s < 0:
             raise FleetError(
                 f"degraded_delay_s must be >= 0, got {self.degraded_delay_s}"
-            )
-        if int(self.engine_opts.get("workers") or 1) > 1:
-            raise FleetError(
-                "engine_opts requesting the parallel executor cannot run inside "
-                "fleet workers (daemonic processes may not have children); "
-                "drop engine_opts['workers'] or serve the fabric in-process"
             )
 
 
@@ -159,8 +152,7 @@ class FleetManager:
         ``config.workers`` workers in sorted-id order.
     root:
         Fleet state directory: ``shards/<fabric_id>/`` rolling
-        checkpoints, ``cache/`` the shared bounded routing cache,
-        ``workers/`` per-worker flight dumps.
+        checkpoints, ``workers/`` per-worker flight dumps.
     config:
         :class:`FleetConfig`.
 
@@ -189,19 +181,15 @@ class FleetManager:
         self._specs: list[list[ShardSpec]] = [[] for _ in range(self._num_workers)]
         for fid in ids:
             self._specs[self._shard_of[fid]].append(
-                ShardSpec(
-                    fabric_id=fid, fabric=items[fid],
-                    engine=self.config.engine,
-                    engine_opts=dict(self.config.engine_opts),
-                )
+                ShardSpec(fabric_id=fid, fabric=items[fid], engine=self.config.engine)
             )
 
         self._ctx = _mp_context()
         self._policy = self.config.policy or ServicePolicy()
         self.admission = AdmissionController(
-            per_tenant=self.config.per_tenant_inflight,
-            per_fabric=self.config.per_fabric_inflight,
-            total=self.config.total_inflight,
+            per_tenant=PER_TENANT_INFLIGHT,
+            per_fabric=PER_FABRIC_INFLIGHT,
+            total=TOTAL_INFLIGHT,
         )
         self._breakers = {
             fid: CircuitBreaker(
@@ -209,13 +197,6 @@ class FleetManager:
             )
             for fid in ids
         }
-        # Manager-side read-only view of the shared cache: the degraded
-        # path probes it when no last-known-good summary exists yet.
-        self._cache = RoutingCache(
-            self.root / "cache",
-            max_entries=self.config.cache_max_entries,
-            max_bytes=self.config.cache_max_bytes,
-        )
         self._lkg: dict[str, dict] = {}
         self._rng = random.Random(0xF1EE7)
         self._rng_lock = threading.Lock()
@@ -250,8 +231,7 @@ class FleetManager:
                 heartbeat,
                 str(self.root),
                 self._policy.to_dict(),
-                (self.config.cache_max_entries, self.config.cache_max_bytes),
-                self.config.heartbeat_interval_s,
+                HEARTBEAT_INTERVAL_S,
             ),
             daemon=True,
         )
@@ -288,20 +268,27 @@ class FleetManager:
         return handle
 
     def _await_ready(self, worker_id: int, conn, process) -> WorkerReady:
-        deadline = time.monotonic() + self.config.spawn_timeout_s
-        while True:
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
+        while process.is_alive() or conn.poll(0):
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or (not process.is_alive() and not conn.poll(0)):
-                if process.is_alive():
-                    process.kill()
-                raise FleetError(
-                    f"worker {worker_id} died before reporting ready "
-                    f"(exitcode={process.exitcode})"
-                )
-            if conn.poll(min(remaining, 0.1)):
+            if remaining <= 0:
+                break
+            if not conn.poll(min(remaining, 0.1)):
+                continue
+            try:
                 msg = conn.recv()
-                if isinstance(msg, WorkerReady):
-                    return msg
+            except EOFError:  # the worker closed its pipe on the way out
+                process.join(timeout=5.0)
+                break
+            if isinstance(msg, WorkerReady):
+                return msg
+        if process.is_alive():
+            process.kill()
+            process.join()
+        raise FleetError(
+            f"worker {worker_id} died before reporting ready "
+            f"(exitcode={process.exitcode})"
+        )
 
     def _mark_dead(self, handle: _WorkerHandle, reason: str) -> None:
         if not handle.alive:
@@ -325,7 +312,6 @@ class FleetManager:
         ).set(sum(1 for w in self._workers if w.alive))
 
     def _monitor_loop(self) -> None:
-        interval = self.config.heartbeat_interval_s
         while not self._closing.is_set():
             now = time.time()
             for idx, handle in enumerate(self._workers):
@@ -347,7 +333,7 @@ class FleetManager:
                         continue
                     self._workers[idx] = replacement
                     self._publish_alive()
-            self._closing.wait(interval)
+            self._closing.wait(HEARTBEAT_INTERVAL_S)
 
     # ------------------------------------------------------------------
     # request path
@@ -465,10 +451,10 @@ class FleetManager:
     def _degraded(self, req: FleetRequest, reason: str) -> FleetResponse:
         """Answer from last-known-good state instead of erroring.
 
-        Order: the in-memory serving summary (updated on every successful
-        worker response), then a shared-cache probe under the *baseline*
-        fabric's fingerprint. Fault ops served this way are ``deferred``:
-        the event was not applied, the caller sees the pre-fault routing.
+        The answer is the in-memory serving summary, updated on every
+        successful worker response. Fault ops served this way are
+        ``deferred``: the event was not applied, the caller sees the
+        pre-fault routing.
 
         Degraded answers are paced by ``degraded_delay_s``: an instant
         fail-fast answer costs nothing, so during an outage clients would
@@ -483,22 +469,6 @@ class FleetManager:
             reason=reason,
         ).inc()
         serving = self._lkg.get(req.fabric_id)
-        source = SOURCE_DEGRADED_LKG
-        if serving is None:
-            cached = self._cache.load(
-                self.fabrics[req.fabric_id], self.config.engine, self.config.engine_opts
-            )
-            if cached is not None:
-                source = SOURCE_DEGRADED_CACHE
-                serving = {
-                    "fabric_id": req.fabric_id,
-                    "engine": self.config.engine,
-                    "version": 0,
-                    "state": "degraded",
-                    "stale": True,
-                    "deadlock_free": cached.deadlock_free,
-                    "certified": cached.certificate is not None,
-                }
         if serving is None:
             get_registry().counter(
                 "fleet_requests_failed_total",
@@ -509,16 +479,17 @@ class FleetManager:
             return FleetResponse(
                 request_id=req.request_id, op=req.op, fabric_id=req.fabric_id,
                 ok=False, error=f"no routing available ({reason})",
-                degraded=True, source=source,
+                degraded=True, source=SOURCE_DEGRADED_LKG,
             )
         record_event("degraded_serve", request_id=req.request_id,
-                     fabric=req.fabric_id, reason=reason, source=source)
+                     fabric=req.fabric_id, reason=reason, source=SOURCE_DEGRADED_LKG)
         payload = {"serving": dict(serving), "reason": reason}
         if req.op == OP_FAULT:
             payload["deferred"] = True
         return FleetResponse(
             request_id=req.request_id, op=req.op, fabric_id=req.fabric_id,
-            ok=True, payload=payload, stale=True, degraded=True, source=source,
+            ok=True, payload=payload, stale=True, degraded=True,
+            source=SOURCE_DEGRADED_LKG,
         )
 
     def _finish(

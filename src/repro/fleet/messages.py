@@ -31,7 +31,6 @@ OPS = (OP_QUERY, OP_FAULT, OP_HEALTH, OP_SHUTDOWN)
 #: response sources (who actually answered)
 SOURCE_WORKER = "worker"
 SOURCE_DEGRADED_LKG = "degraded-lkg"
-SOURCE_DEGRADED_CACHE = "degraded-cache"
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class ShardSpec:
     fabric_id: str
     fabric: Fabric
     engine: str = "dfsssp"
-    engine_opts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from repro.fleet.messages import (
 )
 from repro.obs.recorder import get_recorder, record_event
 from repro.resilience.events import FaultEvent
-from repro.routing.cache import RoutingCache
 from repro.service.policy import ServicePolicy
 from repro.service.supervisor import RoutingSupervisor
 
@@ -86,14 +85,12 @@ def serving_summary(fabric_id: str, supervisor: RoutingSupervisor) -> dict:
     }
 
 
-def _build_shard(spec: ShardSpec, root, policy: ServicePolicy, cache: RoutingCache):
+def _build_shard(spec: ShardSpec, root, policy: ServicePolicy):
     """Restore-or-construct one shard; returns (supervisor, summary)."""
     ckpt_dir = shard_checkpoint_dir(root, spec.fabric_id)
     restored = False
     try:
-        supervisor = RoutingSupervisor.restore(
-            ckpt_dir, policy=policy, cache_dir=cache
-        )
+        supervisor = RoutingSupervisor.restore(ckpt_dir, policy=policy)
         restored = True
     except CheckpointError:
         # No (usable) checkpoint — first spawn, or the shard died before
@@ -103,8 +100,6 @@ def _build_shard(spec: ShardSpec, root, policy: ServicePolicy, cache: RoutingCac
             engine=spec.engine,
             policy=policy,
             checkpoint_dir=ckpt_dir,
-            cache_dir=cache,
-            engine_opts=dict(spec.engine_opts),
         )
     summary = serving_summary(spec.fabric_id, supervisor)
     summary["restored"] = restored
@@ -167,17 +162,11 @@ def worker_main(
     heartbeat,
     root,
     policy_data: dict | None,
-    cache_limits: tuple[int | None, int | None],
     heartbeat_interval_s: float,
 ) -> None:
     """Entry point of one fleet worker process."""
     policy = (
         ServicePolicy.from_dict(policy_data) if policy_data else ServicePolicy()
-    )
-    max_entries, max_bytes = cache_limits
-    cache = RoutingCache(
-        os.path.join(str(root), "cache"),
-        max_entries=max_entries, max_bytes=max_bytes,
     )
 
     stop = threading.Event()
@@ -197,7 +186,7 @@ def worker_main(
     try:
         for spec in specs:
             supervisors[spec.fabric_id], shard_info[spec.fabric_id] = _build_shard(
-                spec, root, policy, cache
+                spec, root, policy
             )
         conn.send(WorkerReady(worker=worker_id, pid=os.getpid(), shards=shard_info))
     except BaseException:  # pragma: no cover - surfaced as spawn failure

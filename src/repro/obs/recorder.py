@@ -5,7 +5,7 @@ question *"what were the last N things that happened before the
 crash?"*. The :class:`FlightRecorder` keeps exactly that: a fixed-size
 in-memory ring of small structured events — supervisor state
 transitions, escalation-rung failures, budget exhaustions,
-circuit-breaker trips, cache hits/misses, fault injections — each
+circuit-breaker trips, fault injections — each
 stamped with both clocks and the ambient request id. Recording is a
 deque append; nothing touches disk until :meth:`dump`.
 

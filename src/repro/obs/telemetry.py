@@ -1,7 +1,7 @@
 """Request-scoped trace correlation, across threads *and* processes.
 
 The supervisor (``repro.service``), the parallel executor
-(``repro.parallel``) and the routing cache each emit spans, but until a
+(``repro.parallel``) and the engines each emit spans, but until a
 request id ties them together a JSONL trace is a bag of fragments. This
 module provides:
 

@@ -12,13 +12,12 @@ from repro.routing.paths import (
     flow_channels,
     path_minimality_violations,
 )
-from repro.routing.minhop import MinHopEngine, bfs_hops_to
+from repro.routing.minhop import MinHopEngine
 from repro.routing.updown import UpDownEngine, rank_switches
 from repro.routing.dor import DOREngine
 from repro.routing.dor_vc import DORVCEngine
 from repro.routing.ftree import FatTreeEngine, tree_ranks
 from repro.routing.lash import LASHEngine
-from repro.routing.cache import RoutingCache, cache_key
 from repro.routing.io import (
     RoutingState,
     fabric_fingerprint,
@@ -35,8 +34,6 @@ from repro.routing.registry import (
 )
 
 __all__ = [
-    "RoutingCache",
-    "cache_key",
     "RoutingState",
     "fabric_fingerprint",
     "load_routing",
@@ -51,7 +48,6 @@ __all__ = [
     "flow_channels",
     "path_minimality_violations",
     "MinHopEngine",
-    "bfs_hops_to",
     "UpDownEngine",
     "rank_switches",
     "DOREngine",

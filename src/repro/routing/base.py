@@ -187,9 +187,10 @@ class RoutingResult:
 
     ``certificate`` (a
     :class:`repro.deadlock.certificate.DeadlockFreedomCertificate`, typed
-    loosely to keep this module import-light) is attached by the cache,
-    checkpoint store and ``certify`` CLI so consumers can re-check
-    deadlock freedom in O(V+E) without re-running the layer assignment.
+    loosely to keep this module import-light) is attached by the
+    supervisor's verification, the checkpoint store and ``certify`` CLI
+    so consumers can re-check deadlock freedom in O(V+E) without
+    re-running the layer assignment.
     Engines themselves leave it ``None``.
     """
 

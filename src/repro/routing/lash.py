@@ -24,7 +24,6 @@ from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.network.fabric import Fabric
 from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
-from repro.routing.minhop import bfs_hops_to
 
 
 class LASHEngine(RoutingEngine):
@@ -38,6 +37,8 @@ class LASHEngine(RoutingEngine):
         self.max_layers = max_layers
 
     def _route(self, fabric: Fabric) -> RoutingResult:
+        from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
+
         S = fabric.num_switches
         T = fabric.num_terminals
         # ------------------------------------------------------------------
@@ -48,7 +49,7 @@ class LASHEngine(RoutingEngine):
         chan_dst = fabric.channels.dst
         for t_sw_idx in range(S):
             dest_sw = int(fabric.switches[t_sw_idx])
-            dist = bfs_hops_to(fabric, dest_sw)
+            dist = hops_to_dest(fabric, dest_sw)
             for v in fabric.switches:
                 v = int(v)
                 if v == dest_sw:

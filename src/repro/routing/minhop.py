@@ -17,48 +17,10 @@ break on (load, channel id), matching the sequential first-minimum scan.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.network.fabric import Fabric
 from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
-
-
-def bfs_hops_to(fabric: Fabric, dest: int) -> np.ndarray:
-    """Unweighted hop distance of every node to ``dest``.
-
-    Level-synchronous vectorised BFS over the CSR adjacency; terminals
-    other than ``dest`` never forward, so they are not expanded.
-    """
-    dist = np.full(fabric.num_nodes, -1, dtype=np.int64)
-    dist[dest] = 0
-    frontier = np.array([dest], dtype=np.int64)
-    out_ptr, out_chan = fabric.out_ptr, fabric.out_chan
-    chan_dst = fabric.channels.dst
-    is_switch = fabric.kinds == 0
-    level = 0
-    while len(frontier):
-        level += 1
-        # Expand only forwarding nodes (switches) plus the destination.
-        expand = frontier[is_switch[frontier] | (frontier == dest)]
-        if not len(expand):
-            break
-        starts = out_ptr[expand]
-        counts = out_ptr[expand + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Flat indices of all outgoing channels of the frontier.
-        base = np.repeat(starts, counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        neighbors = chan_dst[out_chan[base + offsets]].astype(np.int64)
-        fresh = neighbors[dist[neighbors] < 0]
-        if not len(fresh):
-            break
-        fresh = np.unique(fresh)
-        dist[fresh] = level
-        frontier = fresh
-    return dist
 
 
 class MinHopEngine(RoutingEngine):
@@ -67,6 +29,8 @@ class MinHopEngine(RoutingEngine):
     name = "minhop"
 
     def _route(self, fabric: Fabric) -> RoutingResult:
+        from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
+
         T = fabric.num_terminals
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         load = np.zeros(fabric.num_channels, dtype=np.int64)
@@ -76,7 +40,7 @@ class MinHopEngine(RoutingEngine):
 
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
-            dist = bfs_hops_to(fabric, dest)
+            dist = hops_to_dest(fabric, dest)
             # A channel (u -> v) lies on a minimum-hop path iff
             # dist[v] + 1 == dist[u]; the destination itself gets no entry.
             eligible = (
@@ -109,13 +73,15 @@ class MinHopEngine(RoutingEngine):
     def _route_scalar(self, fabric: Fabric) -> RoutingResult:
         """Reference implementation (sequential loop); kept for the
         equivalence regression test."""
+        from repro.parallel.kernel import hops_to_dest
+
         T = fabric.num_terminals
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         load = np.zeros(fabric.num_channels, dtype=np.int64)
         chan_dst = fabric.channels.dst
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
-            dist = bfs_hops_to(fabric, dest)
+            dist = hops_to_dest(fabric, dest)
             for v in range(fabric.num_nodes):
                 if v == dest:
                     continue

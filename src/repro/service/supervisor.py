@@ -138,17 +138,6 @@ class RoutingSupervisor:
         fallback, checkpoint cadence).
     checkpoint_dir:
         Enables checkpointing; ``restore`` resumes from it.
-    cache_dir:
-        Path or ready-made :class:`~repro.routing.cache.RoutingCache`
-        instance (a fleet worker shares one bounded cache across its
-        shards). Enables the cache: full
-        routes (the initial route and the ladder's "full" rung) first
-        probe the cache under the target fabric's fingerprint + engine
-        config, and every freshly computed full route is stored back.
-        A supervisor restarted on the same fabric — or re-encountering a
-        previously seen degraded fabric — warm-starts instead of paying
-        the full recompute. Cached results still pass :meth:`_verify`
-        before being served.
     clock / sleep:
         Monotonic clock for breaker cooldowns and a sleep for backoff —
         injectable so tests run instantly and deterministically. Compute
@@ -170,7 +159,6 @@ class RoutingSupervisor:
         engine: str | RoutingEngine = "dfsssp",
         policy: ServicePolicy | None = None,
         checkpoint_dir=None,
-        cache_dir=None,
         *,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -194,16 +182,6 @@ class RoutingSupervisor:
             if checkpoint_dir is not None
             else None
         )
-        if cache_dir is not None:
-            from repro.routing.cache import RoutingCache
-
-            # Accept a ready-made cache so fleets can share one bounded
-            # instance across all supervisors in a worker process.
-            self._cache = (
-                cache_dir if isinstance(cache_dir, RoutingCache) else RoutingCache(cache_dir)
-            )
-        else:
-            self._cache = None
         self._queue: deque[FaultEvent] = deque()
         self._uncommitted: list[FaultEvent] = []
         self.extra: dict = {}
@@ -235,7 +213,7 @@ class RoutingSupervisor:
             self._next_request_id(), name="service.initial_route", engine=self.engine.name
         ):
             with compute_budget(self.policy.full_deadline_s, label="initial_route"):
-                result = self._full_route(fabric)
+                result = self.engine.route(fabric)
             self._verify(result)
         self._lkg = result
         self.version = 1
@@ -252,7 +230,6 @@ class RoutingSupervisor:
         checkpoint_dir,
         *,
         policy: ServicePolicy | None = None,
-        cache_dir=None,
         clock=time.monotonic,
         sleep=time.sleep,
         seed=0,
@@ -288,7 +265,6 @@ class RoutingSupervisor:
                 engine=engine,
                 policy=restored_policy,
                 checkpoint_dir=checkpoint_dir,
-                cache_dir=cache_dir,
                 clock=clock,
                 sleep=sleep,
                 seed=seed,
@@ -522,7 +498,7 @@ class RoutingSupervisor:
             )
         rungs.append(
             ("full", policy.full_deadline_s, policy.backoff.max_attempts,
-             lambda: self._full_route(target.fabric))
+             lambda: self.engine.route(target.fabric))
         )
         if policy.fallback_engine and policy.fallback_engine != self.engine.name:
             fallback = make_engine(policy.fallback_engine)
@@ -572,29 +548,10 @@ class RoutingSupervisor:
                     errors.append(f"{rung}[{attempt}]: {type(err).__name__}: {err}")
         return None, None, errors
 
-    def _full_route(self, fabric: Fabric) -> RoutingResult:
-        """Full primary-engine route with optional cache warm-start.
-
-        The ``cache.warm_start`` span wraps the probe; the ``hit``
-        attribute records the outcome. A hit skips the engine entirely
-        (the caller still verifies the result); a miss routes and stores
-        the fresh result for the next encounter of this fabric.
-        """
-        if self._cache is None:
-            return self.engine.route(fabric)
-        with span("cache.warm_start", engine=self.engine.name) as sp:
-            cached = self._cache.load(fabric, self.engine.name, self.engine_opts)
-            sp.set_attr("hit", cached is not None)
-        if cached is not None:
-            return cached
-        result = self.engine.route(fabric)
-        self._cache.store(fabric, self.engine.name, self.engine_opts, result)
-        return result
-
     def _verify(self, result: RoutingResult) -> None:
         """Refuse to serve unroutable or cyclic tables (:func:`check_servable`).
 
-        A result carrying a certificate (cache hit, restored checkpoint)
+        A result carrying a certificate (a restored checkpoint)
         gets one binding check; any other one witness pass, whose
         certificate an accepted result keeps. A ``service.verify`` span and
         a ``verify`` flight event record which method ran; a rejected

@@ -14,7 +14,7 @@ import pytest
 from repro import topologies
 from repro.exceptions import FleetError
 from repro.fleet import FleetConfig, FleetManager
-from repro.fleet.messages import SOURCE_DEGRADED_CACHE, SOURCE_DEGRADED_LKG
+from repro.fleet.messages import SOURCE_DEGRADED_LKG
 from repro.resilience.events import FaultInjector
 from repro.service.policy import BackoffPolicy, ServicePolicy
 
@@ -46,10 +46,14 @@ def test_config_validation():
         FleetConfig(workers=0)
     with pytest.raises(ValueError):  # the front end's attempts: backoff.max_attempts
         BackoffPolicy(max_attempts=0)
-    # daemonized workers cannot host their own process pools
-    with pytest.raises(FleetError):
-        FleetConfig(engine_opts={"workers": 4})
-    FleetConfig(engine_opts={"workers": 1})  # serial engine is fine
+
+
+def test_worker_that_fails_to_build_its_shards_is_a_fleet_error(tmp_path):
+    """A worker dying mid-build closes its pipe; the manager must report
+    that as the spawn failure it is, with the exit code, not as EOF."""
+    config = FleetConfig(workers=1, engine="no-such-engine")
+    with pytest.raises(FleetError, match=r"died before reporting ready \(exitcode=1\)"):
+        FleetManager(_fabrics(n=1), tmp_path, config)
 
 
 def test_spawn_shards_across_workers(fleet):
@@ -58,6 +62,14 @@ def test_spawn_shards_across_workers(fleet):
     assert set(status["shards"]) == {"fab-0", "fab-1", "fab-2", "fab-3"}
     assert set(status["shards"].values()) == {0, 1}  # both workers own shards
     assert fleet.alive_workers() == [0, 1]
+
+
+def test_every_fabric_has_a_last_known_good_summary(fleet):
+    """The degraded path needs no other source: construction fills it."""
+    for fabric_id in fleet.fabrics:
+        lkg = fleet.last_known_good(fabric_id)
+        assert lkg is not None and lkg["fabric_id"] == fabric_id
+        assert lkg["deadlock_free"] is True and lkg["certified"] is True
 
 
 def test_query_serves_fresh_routing(fleet):
@@ -123,7 +135,7 @@ def test_kill_respawns_with_certified_restore(fleet):
         if resp.degraded:
             saw_degraded = True
             assert resp.stale
-            assert resp.source in (SOURCE_DEGRADED_LKG, SOURCE_DEGRADED_CACHE)
+            assert resp.source == SOURCE_DEGRADED_LKG
         elif saw_degraded:
             break  # degraded phase observed, now recovered
         time.sleep(0.05)

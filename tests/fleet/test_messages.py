@@ -28,7 +28,6 @@ def test_shard_spec_pickles_with_fabric():
     assert clone.fabric_id == "fab-00"
     assert clone.engine == "dfsssp"
     assert clone.fabric.num_switches == fabric.num_switches
-    assert clone.engine_opts == {}
 
 
 def test_request_and_response_pickle_round_trip():

@@ -2,7 +2,8 @@
 
 
 from repro import topologies
-from repro.routing import MinHopEngine, bfs_hops_to, extract_paths, path_minimality_violations
+from repro.parallel.kernel import hops_to_dest
+from repro.routing import MinHopEngine, extract_paths, path_minimality_violations
 
 
 def test_complete_tables(minhop_random16, random16):
@@ -53,7 +54,7 @@ def test_balances_trunked_links():
 
 def test_bfs_hops_symmetric_distance(ring5):
     dest = int(ring5.terminals[0])
-    hops = bfs_hops_to(ring5, dest)
+    hops = hops_to_dest(ring5, dest)
     assert hops[dest] == 0
     sw0 = int(ring5.attached_switches(dest)[0])
     assert hops[sw0] == 1
@@ -77,7 +78,7 @@ def test_bfs_does_not_route_through_terminals():
     t3 = b.add_terminal()
     b.add_link(t3, s[3])
     fab = b.build()
-    hops = bfs_hops_to(fab, t0)
+    hops = hops_to_dest(fab, t0)
     # Without transit through t_far, s[3] is 4 hops from t0 (3 switch hops + eject).
     assert hops[s[3]] == 4
     result = MinHopEngine().route(fab)
