@@ -8,10 +8,11 @@ after every edge eviction. This module removes both costs:
 * **Edge table by counting.** Each layer's CDG is read off the
   :class:`~repro.routing.paths.PathSet`'s dependency index
   (:class:`~repro.routing.paths.TurnIndex`: the fabric's switch-channel
-  turns in ``(c1, c2)`` order plus every path's turn occurrences). One
-  range gather selects the layer's occurrences and one ``np.bincount``
-  over turn ids yields the edge table — edge ids in ``(c1, c2)`` order,
-  weights = inducing paths — without a sort. The two inverted CSR
+  turns in ``(c1, c2)`` order plus every path's turn occurrences). A
+  member mask selects the layer's occurrences and ``np.bincount`` over
+  turn ids yields the edge table — edge ids in ``(c1, c2)`` order,
+  weights = inducing paths — without a sort, one
+  :func:`~repro.routing.paths.blocks` range at a time. The two inverted CSR
   indexes (edge → inducing path rows, path row → induced edge ids) are
   built only when the drain needs them.
 * **SCC certification, once per layer.** A vectorized Kahn peel strips
@@ -55,7 +56,7 @@ from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import kahn_core, tarjan_sccs
 from repro.exceptions import InsufficientLayersError, ReproError, RoutingError
 from repro.obs import COUNT_BUCKETS, get_hooks, get_registry, span
-from repro.routing.paths import PathSet
+from repro.routing.paths import PathSet, blocks
 from repro.service.budget import check_budget
 
 
@@ -103,22 +104,26 @@ class LayerCDG:
         if len(self.pids) and np.any(np.diff(self.pids) <= 0):
             raise ReproError("LayerCDG requires strictly increasing pids")
         index = paths.turn_index()
+        occ_ptr, occ_turn = index.occ_ptr, index.occ_turn
 
-        # The members' occurrences, path-major: one range per path.
-        first = index.occ_ptr[self.pids]
-        counts = index.occ_ptr[self.pids + 1] - first
-        rows = np.repeat(np.arange(len(self.pids), dtype=np.int32), counts)
-        at = np.arange(len(rows)) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        turns = index.occ_turn[at]
-
-        # A turn's occurrence count is its number of inducing paths: no
+        # The members' occurrences, path-major: per blocks() range, a
+        # member mask repeated over the path lengths selects them. A
+        # turn's occurrence count is its number of inducing paths: no
         # path induces a pair twice (_mirror() checks).
-        per_turn = np.bincount(turns, minlength=len(index.src))
+        member = np.zeros(paths.num_paths, dtype=bool)
+        member[self.pids] = True
+        per_turn = np.zeros(len(index.src), dtype=np.int64)
+        chunks = []
+        for p0, p1 in blocks(occ_ptr):
+            mine = np.repeat(member[p0:p1], np.diff(occ_ptr[p0 : p1 + 1]))
+            turns = occ_turn[occ_ptr[p0] : occ_ptr[p1]][mine]
+            per_turn += np.bincount(turns, minlength=len(per_turn))
+            chunks.append(turns)
         self.edge_turn = np.flatnonzero(per_turn)
         self.weight = per_turn[self.edge_turn]
         self.edge_src = index.src[self.edge_turn]
         self.edge_dst = index.dst[self.edge_turn]
-        self._occ: tuple[np.ndarray, np.ndarray] | None = (rows, turns)  # until _mirror()
+        self._occ: np.ndarray | None = np.concatenate(chunks)  # members' turns, until _mirror()
 
         # One byte per path and per edge, flipped by the eviction;
         # ``alive`` is a NumPy view of the same bytes, so the vectorized
@@ -133,7 +138,9 @@ class LayerCDG:
         """Build the drain's state on first use.
 
         First the two inverted CSR indexes, from the occurrences kept at
-        construction. One stable argsort of their edge ids (uint16 while
+        construction and their path rows, built here: a layer that never
+        drains (no fat-tree layer does) holds no per-occurrence row
+        array. One stable argsort of their edge ids (uint16 while
         they fit, which NumPy radix-sorts) groups the path rows by edge,
         ascending inside (``e_off``/``e_rows``); the occurrences'
         path-major order already is ``p_eids``. A path inducing one edge
@@ -152,9 +159,11 @@ class LayerCDG:
         """
         if self._weight is not None:
             return
-        rows, turns = self._occ
+        turns, index = self._occ, self.paths.turn_index()
+        counts = index.occ_ptr[self.pids + 1] - index.occ_ptr[self.pids]
+        rows = np.repeat(np.arange(len(self.pids), dtype=np.int32), counts)
         n_edges = len(self.edge_turn)
-        eid_of = np.zeros(len(self.paths.turn_index().src),
+        eid_of = np.zeros(len(index.src),
                           dtype=np.uint16 if n_edges <= 1 << 16 else np.int32)
         eid_of[self.edge_turn] = np.arange(n_edges)
         self.p_eids = eid_of[turns]
@@ -172,7 +181,7 @@ class LayerCDG:
                 "it repeats a channel"
             )
         self.p_off = np.zeros(len(self.pids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(self.pids)), out=self.p_off[1:])
+        np.cumsum(counts, out=self.p_off[1:])
         self._occ = None
 
         n_ch = self.paths.fabric.num_channels

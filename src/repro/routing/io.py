@@ -15,7 +15,9 @@ highly repetitive: on a 2 352-terminal XGFT (24 MB of int32) level 1
 deflates it ≈3.7× faster (≈45 ms against ≈165 ms, 2-core Xeon VM) into
 463 KB instead of 294 KB. A checkpoint is written on every accepted
 routing and read back only on restore, so the write is the side worth
-making cheap.
+making cheap. For the same reason each array reaches the deflater as
+1 MiB slices of its own buffer, not as the 16 MiB ``tobytes`` copies
+``np.lib.format.write_array`` makes on a zip member.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _FORMAT = 1
 _DEFLATE_LEVEL = 1
 #: what ``np.load`` raises on an empty, truncated, member-less or corrupt archive
 _TORN = (EOFError, KeyError, zipfile.BadZipFile, zlib.error)
+#: bytes of array data handed to the deflater per write
+_WRITE_CHUNK = 1 << 20
 
 
 def fabric_fingerprint(fabric: Fabric) -> str:
@@ -106,7 +110,22 @@ def save_routing(
     ) as archive:
         for key, value in payload.items():
             with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+                _write_npy(member, np.asanyarray(value))
+
+
+def _write_npy(fp, array: np.ndarray) -> None:
+    """``np.lib.format.write_array(fp, array, allow_pickle=False)``, byte
+    for byte, without its 16 MiB ``tobytes`` copies: a C-contiguous array
+    goes to ``fp`` as :data:`_WRITE_CHUNK` slices of its own buffer."""
+    if not array.flags.c_contiguous or array.dtype.kind not in "biufcSU":
+        np.lib.format.write_array(fp, array, allow_pickle=False)
+        return
+    # Without fields, a header fits format 1.0, which write_array picks.
+    np.lib.format.write_array_header_1_0(fp, np.lib.format.header_data_from_array_1_0(array))
+    if array.nbytes:
+        data = memoryview(array).cast("B")
+        for at in range(0, len(data), _WRITE_CHUNK):
+            fp.write(data[at : at + _WRITE_CHUNK])
 
 
 def _npz_path(path: str | Path) -> Path:

@@ -19,6 +19,8 @@ loop count is ``O(blocks * diameter)`` instead of ``O(S * T * diameter)``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.exceptions import RoutingError
@@ -30,6 +32,8 @@ from repro.routing.base import RoutingTables
 MAX_WALKERS = 1 << 18
 #: (walker, step) entries one block may hold before it is narrowed
 MAX_HELD = 16 * MAX_WALKERS
+#: channels (or turn occurrences) one block of a per-occurrence pass spans
+MAX_BLOCK = 1 << 16
 
 
 class PathSet:
@@ -141,10 +145,10 @@ class PathSet:
         Path ``pid`` belongs to layer ``path_layers[pid]``; a value
         outside ``[0, num_layers)`` (``-1``: a traffic-free path) leaves
         it out. Returns, per layer, ``(c1, c2)`` int64 columns sorted
-        lexicographically. The work is one repeat of every path's layer
-        over its occurrences and one scatter into a layers × turns
-        presence mask: turn ids order like their pairs, so nothing is
-        sorted.
+        lexicographically. The work is, per :func:`blocks` range, one
+        repeat of every path's mask row over its occurrences and one
+        scatter into a layers × turns presence mask: turn ids order like
+        their pairs, so nothing is sorted.
         """
         index = self.turn_index()
         path_layers = np.asarray(path_layers)
@@ -153,10 +157,15 @@ class PathSet:
                 f"path_layers shape {path_layers.shape} != ({self.num_paths},)"
             )
         turns = len(index.src)
-        row = np.repeat(path_layers, np.diff(index.occ_ptr)).astype(np.int64)
-        row[(row < 0) | (row >= num_layers)] = num_layers  # a spare row takes the left-out paths
+        occ_ptr, occ_turn = index.occ_ptr, index.occ_turn
         present = np.zeros((num_layers + 1) * turns, dtype=bool)
-        present[row * turns + index.occ_turn] = True
+        for p0, p1 in blocks(occ_ptr):
+            row = path_layers[p0:p1].astype(np.int64)
+            row[(row < 0) | (row >= num_layers)] = num_layers  # a spare row: left-out paths
+            row *= turns
+            at = np.repeat(row, np.diff(occ_ptr[p0 : p1 + 1]))
+            at += occ_turn[occ_ptr[p0] : occ_ptr[p1]]
+            present[at] = True
         present = present.reshape(num_layers + 1, turns)
         edges = []
         for layer in range(num_layers):
@@ -182,7 +191,10 @@ class TurnIndex:
     ``occ_turn`` lists every path's turns, path-major and in hop order —
     ``occ_turn[occ_ptr[pid]:occ_ptr[pid + 1]]`` are path ``pid``'s — as
     uint16 while the fabric has at most 65 536 turns (the index lives as
-    long as its path set). Every array is read-only.
+    long as its path set). Every array is read-only. What the index keeps
+    is 2 B per occurrence (``occ_turn``) and 8 B per path (``occ_ptr``);
+    its build, like every pass over it, walks :func:`blocks` ranges, so
+    the scratch is O(block), not O(paths × hops).
     """
 
     def __init__(self, paths: PathSet):
@@ -207,27 +219,37 @@ class TurnIndex:
             arr.flags.writeable = False
 
     def _occurrences(self, paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
-        """``(occ_turn, occ_ptr)`` of every consecutive switch-channel pair."""
+        """``(occ_turn, occ_ptr)`` of every consecutive switch-channel pair,
+        one :func:`blocks` range of paths at a time."""
         chans, offsets = paths.chans, paths.offsets
         fab = paths.fabric
-        sw = fab.is_switch_channel[chans]
-        pair = sw[:-1] & sw[1:]
-        seam = offsets[1:-1] - 1  # the pair across two neighbouring paths
-        pair[seam[(seam >= 0) & (seam < len(pair))]] = False
-        at = np.flatnonzero(pair)
-        a, b = chans[at], chans[at + 1]
-        loose = np.flatnonzero(fab.channels.dst[a] != fab.channels.src[b])
-        if len(loose):
-            i = loose[0]
-            pid = int(np.searchsorted(offsets, at[i], side="right")) - 1
-            raise RoutingError(
-                f"path {pid} is not a channel chain: channel {int(a[i])} "
-                f"does not end where channel {int(b[i])} starts"
-            )
-        turn = (self.ptr[a] + self.rank[b]).astype(
-            np.uint16 if len(self.src) <= 1 << 16 else np.int32
-        )
-        return turn, np.searchsorted(at, offsets)
+        is_sw, chan_src, chan_dst = fab.is_switch_channel, fab.channels.src, fab.channels.dst
+        # A turn id is below len(src), far below 2**31: int32 arithmetic.
+        ptr, rank = self.ptr.astype(np.int32), self.rank.astype(np.int32)
+        dtype = np.uint16 if len(self.src) <= 1 << 16 else np.int32
+        occ_ptr = np.zeros(len(offsets), dtype=np.int64)
+        chunks = []
+        for p0, p1 in blocks(offsets):
+            lo = offsets[p0]
+            c = chans[lo : offsets[p1]]
+            sw = is_sw[c]
+            pair = sw[:-1] & sw[1:]
+            seam = offsets[p0 + 1 : p1] - lo - 1  # the pair across two neighbouring paths
+            pair[seam[(seam >= 0) & (seam < len(pair))]] = False
+            at = np.flatnonzero(pair)
+            a, b = c[at], c[at + 1]
+            loose = np.flatnonzero(chan_dst[a] != chan_src[b])
+            if len(loose):
+                i = loose[0]
+                pid = int(np.searchsorted(offsets, lo + at[i], side="right")) - 1
+                raise RoutingError(
+                    f"path {pid} is not a channel chain: channel {int(a[i])} "
+                    f"does not end where channel {int(b[i])} starts"
+                )
+            chunks.append((ptr[a] + rank[b]).astype(dtype, copy=False))
+            ends = offsets[p0 + 1 : p1 + 1] - lo
+            occ_ptr[p0 + 1 : p1 + 1] = occ_ptr[p0] + np.searchsorted(at, ends)
+        return np.concatenate(chunks), occ_ptr
 
     def turn(self, c1: int, c2: int) -> int:
         """Id of the turn ``(c1, c2)``, ``-1`` if the pair is none."""
@@ -235,6 +257,26 @@ class TurnIndex:
             return -1
         t = int(self.ptr[c1] + self.rank[c2])
         return t if t < self.ptr[c1 + 1] and self.dst[t] == c2 else -1
+
+
+def blocks(ptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Path ranges ``[p0, p1)``, in order and at least one, that each span
+    at most :data:`MAX_BLOCK` entries of the CSR pointer ``ptr`` (a longer
+    path is a range of its own).
+
+    Every per-occurrence pass walks its path set through these ranges —
+    ``ptr`` is ``offsets`` while the turn index is built and ``occ_ptr``
+    after — so its scratch is O(block), not O(paths × hops).
+    """
+    n = len(ptr) - 1
+    p0 = 0
+    while True:
+        p1 = int(np.searchsorted(ptr, ptr[p0] + MAX_BLOCK, side="right")) - 1
+        p1 = min(max(p1, p0 + 1), n)
+        yield p0, p1
+        if p1 == n:
+            return
+        p0 = p1
 
 
 def extract_paths(tables: RoutingTables) -> PathSet:
