@@ -8,13 +8,11 @@ the expected shape is a monotone improvement of the *tail* (worst flow),
 with joint deadlock-freedom maintained across all planes.
 """
 
-import numpy as np
 from conftest import CLUSTER_SCALES, EBB_PATTERNS, emit, run_once
 
 from repro import topologies
-from repro.core import MultipathCongestionSimulator, MultipathDFSSSPEngine
-from repro.simulator import shift_pattern
-from repro.utils.prng import spawn_rngs
+from repro.core import MultipathDFSSSPEngine
+from repro.simulator import MultipathCongestionSimulator, shift_pattern
 from repro.utils.reporting import Table
 
 
@@ -32,7 +30,7 @@ def _experiment():
         free = routing.verify_deadlock_free()
         sim = MultipathCongestionSimulator(routing, mode="stripe")
         ebb = sim.effective_bisection_bandwidth(EBB_PATTERNS, seed=31).ebb
-        worst = float(sim.evaluate(pattern).min())
+        worst = sim.evaluate(pattern).min_bandwidth
         table.add_row([lmc, routing.num_planes, routing.stats["layers_needed"], ebb, worst, free])
         data[lmc] = (ebb, worst, free, routing.stats["layers_needed"])
     return table, data

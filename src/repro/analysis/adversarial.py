@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.routing.base import RoutingTables
-from repro.routing.paths import PathSet
+from repro.routing.paths import PathSet, gather_flows
 from repro.simulator.congestion import CongestionSimulator
 from repro.simulator.patterns import Pattern
 from repro.utils.prng import make_rng
@@ -41,18 +41,6 @@ class AdversarialResult:
     worst_flow_bandwidth: float
     mean_flow_bandwidth: float
     max_channel_load: int
-
-
-def _flow_channels_fast(sim: CongestionSimulator, src: int, dst: int) -> np.ndarray:
-    fab = sim.fabric
-    t_idx = int(fab.term_index[dst])
-    inject = int(sim.tables.next_channel[src, t_idx])
-    first = int(fab.channels.dst[inject])
-    rest = sim.paths.path(t_idx * fab.num_switches + int(fab.switch_index[first]))
-    out = np.empty(len(rest) + 1, dtype=np.int64)
-    out[0] = inject
-    out[1:] = rest
-    return out
 
 
 def adversarial_permutation(
@@ -83,20 +71,19 @@ def adversarial_permutation(
         unused = set(terms)
         pattern: Pattern = []
         for dst in order:
-            best_src, best_key = None, None
-            for src in unused:
-                if src == dst:
-                    continue
-                flow = _flow_channels_fast(sim, src, dst)
-                on_path = load[flow]
-                key = (int(on_path.max(initial=0)), int(on_path.sum()))
-                if best_key is None or key > best_key:
-                    best_src, best_key = src, key
-            if best_src is None:
+            cands = np.fromiter((s for s in unused if s != dst), dtype=np.int64)
+            if not len(cands):
                 continue  # only the destination itself is left
+            flat, offsets = gather_flows(tables, sim.paths, cands, np.full(len(cands), dst))
+            on_path = load[flat]
+            hottest = np.maximum.reduceat(on_path, offsets[:-1])
+            total = np.add.reduceat(on_path, offsets[:-1])
+            # The first candidate, in set order, with the largest (hottest, total).
+            top = np.flatnonzero(hottest == hottest.max())
+            pick = int(top[np.argmax(total[top])])
+            best_src = int(cands[pick])
             unused.discard(best_src)
-            flow = _flow_channels_fast(sim, best_src, dst)
-            np.add.at(load, flow, 1)
+            np.add.at(load, flat[offsets[pick] : offsets[pick + 1]], 1)
             pattern.append((best_src, dst))
         result = sim.evaluate(pattern)
         candidate = AdversarialResult(

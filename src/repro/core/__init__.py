@@ -19,7 +19,6 @@ from repro.core.heuristics import (
 )
 from repro.core.multipath import (
     ConcatenatedPaths,
-    MultipathCongestionSimulator,
     MultipathDFSSSPEngine,
     MultipathRouting,
 )
@@ -35,7 +34,6 @@ from repro.core.app_reduction import (
 
 __all__ = [
     "ConcatenatedPaths",
-    "MultipathCongestionSimulator",
     "MultipathDFSSSPEngine",
     "MultipathRouting",
     "SSSPEngine",

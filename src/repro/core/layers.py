@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.heuristics import get_heuristic
-from repro.deadlock.cdg import ChannelDependencyGraph
+from repro.deadlock.cdg import ChannelDependencyGraph, first_fit
 from repro.deadlock.cycles import drain_cycles, tarjan_sccs
 from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.obs import get_hooks, get_registry, span
@@ -200,25 +200,10 @@ def assign_layers_online(
     with span("layers.assign_online", max_layers=max_layers):
         for pid in pids:
             check_budget()  # cooperative deadline (repro.service)
-            chans = paths.path(pid)
-            placed = False
-            for layer, cdg in enumerate(cdgs):
-                m_checks.inc()
-                if cdg.try_add_path(pid, chans):
-                    path_layers[pid] = layer
-                    placed = True
-                    break
-            if not placed:
-                if len(cdgs) >= max_layers:
-                    raise InsufficientLayersError(
-                        f"path {pid} fits no layer and all {max_layers} layers are in use",
-                        layers_available=max_layers,
-                        layers_needed_at_least=max_layers + 1,
-                    )
-                cdgs.append(ChannelDependencyGraph(fabric))
-                if not cdgs[-1].try_add_path(pid, chans):
-                    raise RoutingError(f"path {pid} fits no empty layer")
-                path_layers[pid] = len(cdgs) - 1
+            tried = len(cdgs)
+            layer = first_fit(cdgs, pid, paths.path(pid), f"path {pid}", max_layers=max_layers)
+            m_checks.inc(min(layer + 1, tried))  # the existing layers probed
+            path_layers[pid] = layer
 
     layers_needed = _compact(path_layers)
     if balance and layers_needed < max_layers:

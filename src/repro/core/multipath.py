@@ -4,46 +4,43 @@ InfiniBand's LID Mask Control gives every channel adapter ``2**lmc``
 consecutive LIDs; the subnet manager routes each LID independently, so a
 source can spread its connections over up to ``2**lmc`` distinct paths.
 OpenSM's (DF)SSSP implementation — the paper's production code — treats
-every LID as a separate destination of the balancing loop, which is
-exactly what we reproduce:
+every LID as one more destination of the same two algorithms, and so do
+we, with the production steps:
 
-* one Dijkstra per (terminal, lid-offset) pair against the *shared*
-  cumulative edge weights, so the per-offset trees diverge and the
-  "planes" complement each other;
-* a single virtual-lane assignment over the union of all planes' paths
-  (deadlock-freedom must hold across planes: a packet on plane 1 shares
-  physical buffers with plane 0's packets of the same VL).
+* Algorithm 1 routes one column per (terminal, lid-offset) pair with the
+  step :class:`~repro.core.sssp.SSSPEngine` runs
+  (:func:`~repro.parallel.reduction.column_routine`), against *shared*
+  cumulative edge weights, so the per-offset trees ("planes") diverge;
+* Algorithm 2 (:func:`~repro.deadlock.incremental.assign_layers_incremental`)
+  layers the union of all planes' paths once: a packet on plane 1 shares
+  physical buffers with plane 0's packets of the same VL.
 
-The congestion simulator picks a plane per flow deterministically
-(``(src_idx + dst_idx) mod K``), modelling MPI's usual round-robin use of
-path records.
+:class:`~repro.simulator.congestion.MultipathCongestionSimulator` counts
+congestion over the planes; :meth:`MultipathRouting.plane_for`
+(``(src_idx + dst_idx) mod K``) models MPI's round-robin use of path
+records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
-from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
+from repro.core.layers import DEFAULT_MAX_LAYERS
 from repro.deadlock.cycles import kahn_core
-from repro.exceptions import RoutingError, SimulationError
+from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
 from repro.network.validate import check_routable
 from repro.routing.base import RoutingTables
 from repro.routing.paths import PathSet, extract_paths
-# The module, not the class: repro.simulator.congestion imports
-# repro.routing, which imports this package, so a first import of
-# repro.simulator reaches this line with congestion half-initialized.
-from repro.simulator import congestion
-from repro.simulator.patterns import Pattern, bisection_pattern, validate_pattern
-from repro.utils.prng import spawn_rngs
 
 
 class ConcatenatedPaths:
     """Present several planes' PathSets as one path collection.
 
-    Path ids are ``plane * plane_size + pid`` so the layer-assignment
-    machinery (which only needs ``num_paths`` and ``path(pid)``) works
+    Path ``plane * plane_size + pid`` is plane ``plane``'s path ``pid``:
+    the planes' ``offsets`` / ``chans`` are concatenated in that order, so
+    :class:`~repro.routing.paths.PathSet`'s storage methods — ``path``,
+    the turn index and ``layer_edges`` — and hence the CDG engine work
     unchanged over the union.
     """
 
@@ -55,21 +52,24 @@ class ConcatenatedPaths:
         if any(p.num_paths != self.plane_size for p in planes):
             raise RoutingError("planes must have identical path counts")
         self.fabric = planes[0].fabric
+        base = np.cumsum([0] + [len(p.chans) for p in planes])
+        self.offsets = np.concatenate(
+            [p.offsets[:-1] + b for p, b in zip(planes, base)] + [base[-1:]]
+        )
+        self.chans = np.concatenate([p.chans for p in planes])
+        self._turns = None
 
-    @property
-    def num_paths(self) -> int:
-        return self.plane_size * len(self.planes)
+    num_paths = PathSet.num_paths
+    path = PathSet.path
+    turn_index = PathSet.turn_index
+    layer_edges = PathSet.layer_edges
 
-    def path(self, pid: int) -> np.ndarray:
-        plane, inner = divmod(pid, self.plane_size)
-        return self.planes[plane].path(inner)
+    def active_mask(self) -> np.ndarray:
+        """Traffic-carrying paths across all planes (same leaf mask)."""
+        return np.tile(self.planes[0].active_mask(), len(self.planes))
 
     def active_pids(self) -> np.ndarray:
-        """Traffic-carrying paths across all planes (same leaf mask)."""
-        base = self.planes[0].active_pids()
-        return np.concatenate(
-            [base + k * self.plane_size for k in range(len(self.planes))]
-        )
+        return np.flatnonzero(self.active_mask())
 
 
 class MultipathRouting:
@@ -91,43 +91,38 @@ class MultipathRouting:
         self.path_layers = path_layers
         self.num_layers = num_layers
         self.stats = stats
+        self._combined: ConcatenatedPaths | None = None
 
     @property
     def num_planes(self) -> int:
         return len(self.planes)
 
-    def plane_for(self, src_terminal: int, dst_terminal: int) -> int:
+    def plane_for(self, src_terminal, dst_terminal):
         """Deterministic plane selection per flow (round-robin over the
-        pair index, as MPI stacks spread connections over LIDs)."""
+        pair index, as MPI stacks spread connections over LIDs); takes
+        terminal node ids or arrays of them."""
         fab = self.fabric
-        s = int(fab.term_index[src_terminal])
-        d = int(fab.term_index[dst_terminal])
-        if s < 0 or d < 0:
+        s = fab.term_index[src_terminal]
+        d = fab.term_index[dst_terminal]
+        if np.any(s < 0) or np.any(d < 0):
             raise RoutingError("plane_for expects terminal node ids")
         return (s + d) % self.num_planes
 
     def combined_paths(self) -> ConcatenatedPaths:
-        return ConcatenatedPaths(self.path_sets)
+        if self._combined is None:
+            self._combined = ConcatenatedPaths(self.path_sets)
+        return self._combined
 
     def verify_deadlock_free(self) -> bool:
         """Acyclicity of every layer's CDG over the union of planes
         (traffic-carrying paths only — flows start at terminals): one
-        all-layer edge derivation per plane, then one Kahn peel per layer
-        of the edges taken from every plane."""
-        active = self.path_sets[0].active_mask()  # the same in every plane
-        size = self.path_sets[0].num_paths
-        planes = [
-            paths.layer_edges(
-                np.where(active, self.path_layers[k * size : (k + 1) * size], -1),
-                self.num_layers,
-            )
-            for k, paths in enumerate(self.path_sets)
-        ]
-        for layer in range(self.num_layers):
-            src, dst = zip(*(plane[layer] for plane in planes))
-            if (kahn_core(np.concatenate(src), np.concatenate(dst))[1] < 0).any():
-                return False
-        return True
+        all-layer edge derivation, then one Kahn peel per layer."""
+        combined = self.combined_paths()
+        layers = np.where(combined.active_mask(), self.path_layers, -1)
+        return all(
+            (kahn_core(src, dst)[1] >= 0).all()
+            for src, dst in combined.layer_edges(layers, self.num_layers)
+        )
 
 
 class MultipathDFSSSPEngine:
@@ -151,126 +146,42 @@ class MultipathDFSSSPEngine:
         self.balance = balance
 
     def route(self, fabric: Fabric) -> MultipathRouting:
+        from repro.deadlock.incremental import assign_layers_incremental  # deadlock -> core
+        from repro.parallel.reduction import column_routine  # parallel -> core.sssp
+
         check_routable(fabric)
         T = fabric.num_terminals
         K = self.num_planes
-        w0 = (T * K) ** 2 + 1
-        weights = np.full(fabric.num_channels, w0, dtype=np.int64)
-        plane_tables = [
-            np.full((fabric.num_nodes, T), -1, dtype=np.int32) for _ in range(K)
-        ]
-        is_term = fabric.kinds == 1
-
+        weights = np.full(fabric.num_channels, (T * K) ** 2 + 1, dtype=np.int64)
+        step, _ = column_routine(fabric, "python", self.name)
+        plane_tables = [np.full((fabric.num_nodes, T), -1, dtype=np.int32) for _ in range(K)]
         # OpenSM routes LIDs in order: offset-major interleaving makes the
         # planes diverge destination by destination.
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            for plane in range(K):
-                dist, parent = dijkstra_to_dest(fabric, dest, weights)
-                plane_tables[plane][:, t_idx] = parent
-                update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
+        for t_idx, dest in enumerate(fabric.terminals):
+            for table in plane_tables:
+                table[:, t_idx] = step(int(dest), weights)
 
         tables = [
-            RoutingTables(fabric, plane_tables[k], engine=f"{self.name}[{k}]")
-            for k in range(K)
+            RoutingTables(fabric, nc, engine=f"{self.name}[{k}]")
+            for k, nc in enumerate(plane_tables)
         ]
-        path_sets = [extract_paths(t) for t in tables]
-        combined = ConcatenatedPaths(path_sets)
-        assignment = assign_layers_offline(
+        combined = ConcatenatedPaths([extract_paths(t) for t in tables])
+        assignment = assign_layers_incremental(
             combined,
             max_layers=self.max_layers,
             heuristic=self.heuristic,
             balance=self.balance,
             pids=combined.active_pids(),
         )
-        return MultipathRouting(
+        routing = MultipathRouting(
             fabric=fabric,
             planes=tables,
-            path_sets=path_sets,
+            path_sets=combined.planes,
             path_layers=assignment.path_layers,
             num_layers=self.max_layers,
-            stats={
-                "engine": self.name,
-                "lmc": self.lmc,
-                "planes": K,
-                "layers_needed": assignment.layers_needed,
-                "cycles_broken": assignment.cycles_broken,
-            },
+            stats={"engine": self.name, "lmc": self.lmc, "planes": K,
+                   "layers_needed": assignment.layers_needed,
+                   "cycles_broken": assignment.cycles_broken},
         )
-
-
-class MultipathCongestionSimulator:
-    """ORCS-style congestion counting over multiple planes.
-
-    ``mode`` selects how a flow uses the planes:
-
-    * ``"stripe"`` (default, the MPI-over-LMC behaviour): every flow
-      splits into K subflows of weight 1/K, one per plane. The effective
-      flow bandwidth is ``1 / max weighted congestion`` over the union of
-      its subflow channels (subflows finish independently; the slowest
-      one determines completion).
-    * ``"select"``: each flow takes exactly one plane, round-robin over
-      the pair index (single-path connections spread over LIDs).
-    """
-
-    def __init__(self, routing: MultipathRouting, mode: str = "stripe"):
-        if mode not in ("stripe", "select"):
-            raise SimulationError(f"mode must be 'stripe' or 'select', got {mode!r}")
-        self.routing = routing
-        self.mode = mode
-        self.fabric = routing.fabric
-        self._inv_capacity = 1.0 / self.fabric.channels.capacity
-
-    def _plane_flow(self, plane: int, src: int, dst: int) -> np.ndarray:
-        fab = self.fabric
-        tables = self.routing.planes[plane]
-        paths = self.routing.path_sets[plane]
-        t_idx = int(fab.term_index[dst])
-        inject = int(tables.next_channel[src, t_idx])
-        if inject < 0:
-            raise SimulationError(f"no route from {src} to {dst}")
-        first = int(fab.channels.dst[inject])
-        rest = paths.path(t_idx * fab.num_switches + int(fab.switch_index[first]))
-        out = np.empty(len(rest) + 1, dtype=np.int64)
-        out[0] = inject
-        out[1:] = rest
-        return out
-
-    def _flow(self, src: int, dst: int) -> np.ndarray:
-        """All channels a flow occupies (one plane or the union)."""
-        if self.mode == "select":
-            return self._plane_flow(self.routing.plane_for(src, dst), src, dst)
-        parts = [
-            self._plane_flow(k, src, dst) for k in range(self.routing.num_planes)
-        ]
-        return np.concatenate(parts)
-
-    def evaluate(self, pattern: Pattern):
-        validate_pattern(self.fabric, pattern)
-        if not pattern:
-            raise SimulationError("empty pattern")
-        flows = [self._flow(s, d) for s, d in pattern]
-        lengths = np.array([len(f) for f in flows], dtype=np.int64)
-        offsets = np.zeros(len(flows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        flat = np.concatenate(flows)
-        weight = 1.0 / self.routing.num_planes if self.mode == "stripe" else 1.0
-        load = np.bincount(flat, minlength=self.fabric.num_channels) * weight
-        sharing = load * self._inv_capacity
-        per_flow_max = np.maximum.reduceat(sharing[flat], offsets[:-1])
-        return 1.0 / per_flow_max
-
-    def effective_bisection_bandwidth(
-        self, num_patterns: int = 100, seed=None
-    ) -> congestion.EbbResult:
-        rngs = spawn_rngs(seed, num_patterns)
-        means = np.empty(num_patterns)
-        flows = 0
-        for i, rng in enumerate(rngs):
-            pattern = bisection_pattern(self.fabric, seed=rng)
-            bw = self.evaluate(pattern)
-            means[i] = float(bw.mean())
-            flows = len(pattern)
-        return congestion.EbbResult(
-            per_pattern_mean=means, num_flows=flows, num_patterns=num_patterns
-        )
+        routing._combined = combined  # verify reuses the turn index Algorithm 2 built
+        return routing

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import InsufficientLayersError, RoutingError
 from repro.network.fabric import Fabric
 from repro.obs import get_registry
 
@@ -154,3 +155,34 @@ class ChannelDependencyGraph:
                     color[node] = BLACK
                     stack.pop()
         return False
+
+
+def first_fit(
+    cdgs: list[ChannelDependencyGraph],
+    pid: int,
+    chans: np.ndarray,
+    name: str,
+    order=None,
+    max_layers: int = 0,
+) -> int:
+    """Add path ``pid`` to the first layer, in ``order`` (default: lowest
+    first), whose CDG stays acyclic with it; returns that layer.
+
+    A path no layer takes gets a new, empty layer while fewer than
+    ``max_layers`` exist; otherwise it is an
+    :class:`InsufficientLayersError` naming ``name`` (a
+    :class:`RoutingError` if it fits not even an empty layer).
+    """
+    for layer in range(len(cdgs)) if order is None else order:
+        if cdgs[layer].try_add_path(pid, chans):
+            return layer
+    if len(cdgs) >= max_layers:
+        raise InsufficientLayersError(
+            f"{name} fits no layer and all {len(cdgs)} layers are in use",
+            layers_available=len(cdgs),
+            layers_needed_at_least=len(cdgs) + 1,
+        )
+    cdgs.append(ChannelDependencyGraph(cdgs[0].fabric))
+    if not cdgs[-1].try_add_path(pid, chans):
+        raise RoutingError(f"{name} fits no empty layer")
+    return len(cdgs) - 1

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.deadlock.cdg import first_fit
 from repro.deadlock.verify import build_layer_cdgs, verify_deadlock_free
-from repro.exceptions import InsufficientLayersError, RepairError, RoutingError
+from repro.exceptions import RepairError, RoutingError
 from repro.network.faults import DegradedFabric
 from repro.network.validate import check_routable
 from repro.obs import DURATION_BUCKETS, RATIO_BUCKETS, get_registry, span
@@ -278,18 +279,8 @@ def _insert_sequentially(layered: LayeredRouting, paths, affected: np.ndarray) -
     for pid in map(int, repaired):
         check_budget()  # cooperative deadline (repro.service)
         guess = int(path_layers[pid])
-        chans = paths.path(pid)
-        placed = -1
-        for layer in (guess, *range(guess + 1, L), *range(guess)):
-            if cdgs[layer].try_add_path(pid, chans):
-                placed = layer
-                break
-        if placed < 0:
-            raise InsufficientLayersError(
-                f"repaired path {pid} fits no layer; escalating to a full reroute",
-                layers_available=L,
-                layers_needed_at_least=L + 1,
-            )
+        order = (guess, *range(guess + 1, L), *range(guess))
+        placed = first_fit(cdgs, pid, paths.path(pid), f"repaired path {pid}", order)
         if placed != guess:
             escalations += 1
             path_layers[pid] = placed

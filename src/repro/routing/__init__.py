@@ -10,6 +10,7 @@ from repro.routing.paths import (
     PathSet,
     extract_paths,
     flow_channels,
+    gather_flows,
     path_minimality_violations,
 )
 from repro.routing.minhop import MinHopEngine
@@ -46,6 +47,7 @@ __all__ = [
     "PathSet",
     "extract_paths",
     "flow_channels",
+    "gather_flows",
     "path_minimality_violations",
     "MinHopEngine",
     "UpDownEngine",

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS
-from repro.deadlock.cdg import ChannelDependencyGraph
-from repro.exceptions import InsufficientLayersError, RoutingError
+from repro.deadlock.cdg import ChannelDependencyGraph, first_fit
+from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
 from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
 
@@ -94,24 +94,10 @@ class LASHEngine(RoutingEngine):
         cdgs = [ChannelDependencyGraph(fabric)]
         for (s_sw_idx, t_sw_idx), chans in pair_paths.items():
             pair_pid = t_sw_idx * S + s_sw_idx
-            placed = False
-            for layer, cdg in enumerate(cdgs):
-                if cdg.try_add_path(pair_pid, chans):
-                    pair_layer[s_sw_idx, t_sw_idx] = layer
-                    placed = True
-                    break
-            if not placed:
-                if len(cdgs) >= self.max_layers:
-                    raise InsufficientLayersError(
-                        f"lash: pair ({s_sw_idx},{t_sw_idx}) fits no layer and all "
-                        f"{self.max_layers} layers are in use",
-                        layers_available=self.max_layers,
-                        layers_needed_at_least=self.max_layers + 1,
-                    )
-                cdgs.append(ChannelDependencyGraph(fabric))
-                if not cdgs[-1].try_add_path(pair_pid, chans):
-                    raise RoutingError(f"lash: pair ({s_sw_idx},{t_sw_idx}) fits no empty layer")
-                pair_layer[s_sw_idx, t_sw_idx] = len(cdgs) - 1
+            pair_layer[s_sw_idx, t_sw_idx] = first_fit(
+                cdgs, pair_pid, chans, f"lash: pair ({s_sw_idx},{t_sw_idx})",
+                max_layers=self.max_layers,
+            )
 
         # ------------------------------------------------------------------
         # 4. Expand to terminal-destination forwarding tables.

@@ -6,8 +6,8 @@ It is the shared input of
 
 * the channel-dependency-graph builders (:mod:`repro.deadlock`), through
   its dependency index (:class:`TurnIndex`),
-* the congestion simulator (flows concatenate an injection channel with a
-  switch-level path), and
+* the congestion simulators (:func:`gather_flows`: an injection channel
+  followed by a switch-level path), and
 * path statistics (hop histograms, minimality checks).
 
 Storage is flat and destination-major: path ``pid = t_idx * S + s_idx``
@@ -362,29 +362,46 @@ def _walk(tables: RoutingTables) -> PathSet:
     return PathSet(fab, offsets, chans)
 
 
-def flow_channels(tables: RoutingTables, paths: PathSet, src_terminal: int, dst_terminal: int) -> np.ndarray:
-    """Channel sequence of a terminal-to-terminal flow.
+def gather_flows(
+    tables: RoutingTables, paths: PathSet, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel sequences of the terminal-to-terminal flows ``src[i] -> dst[i]``.
 
-    Concatenates the injection channel chosen by the source terminal's
-    table row with the switch-level path from the first-hop switch.
+    Flow ``i`` is the injection channel of ``src[i]``'s table row followed
+    by the switch-level path from its first-hop switch; it occupies
+    ``flat[offsets[i]:offsets[i + 1]]``. Every consumer of flows (the
+    congestion simulators, the adversary, :func:`flow_channels`) gathers
+    them here, so they all see the same channels.
     """
     fab = tables.fabric
-    if src_terminal == dst_terminal:
-        raise RoutingError("flow requires distinct endpoints")
-    t_idx = int(fab.term_index[dst_terminal])
-    inject = int(tables.next_channel[src_terminal, t_idx])
-    if inject < 0:
-        raise RoutingError(
-            f"no injection channel from terminal {src_terminal} to {dst_terminal}"
-        )
-    first = int(fab.channels.dst[inject])
-    if first == dst_terminal:  # pragma: no cover - builder forbids T-T cables
-        return np.array([inject], dtype=np.int32)
-    rest = paths.path_between(first, dst_terminal)
-    out = np.empty(len(rest) + 1, dtype=np.int32)
-    out[0] = inject
-    out[1:] = rest
-    return out
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    t_idx = fab.term_index[dst].astype(np.int64)
+    inject = tables.next_channel[src, t_idx]
+    bad = np.flatnonzero((src == dst) | (fab.term_index[src] < 0) | (t_idx < 0) | (inject < 0))
+    if len(bad):
+        s, d = int(src[bad[0]]), int(dst[bad[0]])
+        if s == d:
+            raise RoutingError(f"flow ({s}, {d}) requires distinct endpoints")
+        if fab.term_index[s] < 0 or fab.term_index[d] < 0:
+            raise RoutingError(f"flow ({s}, {d}) references a non-terminal")
+        raise RoutingError(f"no injection channel from terminal {s} to {d}")
+    pid = t_idx * fab.num_switches + fab.switch_index[fab.channels.dst[inject]]
+    start = paths.offsets[pid]
+    length = paths.offsets[pid + 1] - start + 1  # + the injection channel
+    offsets = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(length, out=offsets[1:])
+    # Position k of flow i reads chans[start[i] + k - 1]; k = 0 (the entry
+    # before the path) is then overwritten with the injection channel.
+    at = np.arange(offsets[-1]) + np.repeat(start - offsets[:-1] - 1, length)
+    flat = paths.chans[at]
+    flat[offsets[:-1]] = inject
+    return flat, offsets
+
+
+def flow_channels(tables: RoutingTables, paths: PathSet, src_terminal: int, dst_terminal: int) -> np.ndarray:
+    """Channel sequence of one terminal-to-terminal flow (:func:`gather_flows`)."""
+    return gather_flows(tables, paths, [src_terminal], [dst_terminal])[0]
 
 
 def path_minimality_violations(tables: RoutingTables, paths: PathSet) -> int:

@@ -187,7 +187,6 @@ class RoutingSupervisor:
         self.extra: dict = {}
         self.events_submitted = 0
         self.batches = 0
-        self.consecutive_failures = 0
         # Request-id namespace: ids are svc-<service_id>-<seq>. Both parts
         # are checkpointed, so a restored service keeps issuing unique ids
         # in the same namespace (no id is ever reused across a crash).
@@ -287,8 +286,9 @@ class RoutingSupervisor:
         self._successes_since_checkpoint = 0
         self.events_submitted = int(state.get("events_submitted", 0))
         self.batches = int(state.get("batches", 0))
-        self.consecutive_failures = int(state.get("consecutive_failures", 0))
         self.breaker = CircuitBreaker.from_dict(state["breaker"], clock=self.clock)
+        if self.consecutive_failures:
+            self._publish_failures()
         self.extra = dict(state.get("extra", {}))
         # Pre-telemetry checkpoints lack the id namespace; fresh one then.
         self.service_id = str(state.get("service_id") or self.service_id)
@@ -322,6 +322,20 @@ class RoutingSupervisor:
     @property
     def state(self) -> str:
         return self._state
+
+    @property
+    def consecutive_failures(self) -> int:
+        """Batch failures since the last accepted routing: the breaker's count."""
+        return self.breaker.failures
+
+    def _publish_failures(self) -> None:
+        """Set the ``service_consecutive_failures`` gauge; called whenever
+        the count moves (a failure, the success that clears it, a restore
+        that carries it)."""
+        get_registry().gauge(
+            "service_consecutive_failures", "current consecutive batch failures",
+            engine=self.engine.name,
+        ).set(self.consecutive_failures)
 
     def _next_request_id(self) -> str:
         self.request_seq += 1
@@ -588,8 +602,10 @@ class RoutingSupervisor:
         self._committed_switches = switches
         self._stale = False
         self.version += 1
-        self.consecutive_failures = 0
+        cleared = self.consecutive_failures > 0
         self.breaker.record_success()
+        if cleared:
+            self._publish_failures()
         record_event("routing_accepted", engine=self.engine.name, action=action,
                      version=self.version)
         # A fallback-engine routing is fresh but not the primary engine's
@@ -610,7 +626,6 @@ class RoutingSupervisor:
                         errors: list[str]) -> None:
         self._uncommitted = batch
         self._stale = True
-        self.consecutive_failures += 1
         self.breaker.record_failure()
         self._set_state(FAILED if self.breaker.open else DEGRADED)
         record_event("batch_failed", engine=self.engine.name,
@@ -626,10 +641,7 @@ class RoutingSupervisor:
             "service_batch_failures", "repair batches that exhausted the ladder",
             engine=self.engine.name,
         ).inc()
-        reg.gauge(
-            "service_consecutive_failures", "current consecutive batch failures",
-            engine=self.engine.name,
-        ).set(self.consecutive_failures)
+        self._publish_failures()
         if self._store is not None:
             # Persist the failure too: a crash while degraded must restore
             # with the pending events and breaker state intact.
@@ -651,7 +663,6 @@ class RoutingSupervisor:
             "dead_cables": [list(k) for k in sorted(self._committed_cables)],
             "dead_switches": sorted(self._committed_switches),
             "uncommitted": [e.to_dict() for e in self._uncommitted + list(self._queue)],
-            "consecutive_failures": self.consecutive_failures,
             "events_submitted": self.events_submitted,
             "batches": self.batches,
             "breaker": self.breaker.to_dict(),

@@ -12,7 +12,12 @@ from repro.simulator.patterns import (
     stencil_pattern,
     validate_pattern,
 )
-from repro.simulator.congestion import CongestionSimulator, EbbResult, PatternResult
+from repro.simulator.congestion import (
+    CongestionSimulator,
+    EbbResult,
+    MultipathCongestionSimulator,
+    PatternResult,
+)
 from repro.simulator.orcs import OrcsResult, run_orcs
 from repro.simulator.metrics import UtilizationStats, gini_coefficient, utilization_stats
 
@@ -29,6 +34,7 @@ __all__ = [
     "validate_pattern",
     "CongestionSimulator",
     "EbbResult",
+    "MultipathCongestionSimulator",
     "PatternResult",
     "UtilizationStats",
     "gini_coefficient",

@@ -8,8 +8,10 @@ channel, and credit each flow the bandwidth of its most congested channel
 patterns — the statistic Netgauge measures on real hardware (Fig. 12).
 
 The evaluation loop is fully vectorised: flows' channel sequences are
-concatenated once, per-channel sharing comes from one ``bincount``, and
-per-flow maxima from one ``maximum.reduceat``.
+gathered once per forwarding plane, per-channel sharing comes from
+``bincount`` and per-flow maxima from ``maximum.reduceat``. An LMC routing
+(several planes) is counted by the same code,
+:class:`MultipathCongestionSimulator`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from repro.exceptions import SimulationError
 from repro.obs import get_registry, span
 from repro.routing.base import RoutingTables
-from repro.routing.paths import PathSet, extract_paths
+from repro.routing.paths import PathSet, extract_paths, gather_flows
 from repro.simulator.patterns import Pattern, bisection_pattern, validate_pattern
 from repro.utils.prng import spawn_rngs
 
@@ -88,30 +90,12 @@ class CongestionSimulator:
         self._m_flows = reg.counter("sim_flows_routed", "flows routed across all patterns")
 
     # ------------------------------------------------------------------
-    def _flow_arrays(self, pattern: Pattern) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenate flow channel sequences: (flat channels, offsets)."""
-        fab = self.fabric
-        S = fab.num_switches
-        chunks: list[np.ndarray] = []
-        lengths = np.empty(len(pattern), dtype=np.int64)
-        nc = self.tables.next_channel
-        chan_dst = fab.channels.dst
-        for i, (src, dst) in enumerate(pattern):
-            t_idx = int(fab.term_index[dst])
-            inject = int(nc[src, t_idx])
-            if inject < 0:
-                raise SimulationError(f"no route from {src} to {dst}")
-            first_switch = int(chan_dst[inject])
-            rest = self.paths.path(t_idx * S + int(fab.switch_index[first_switch]))
-            flow = np.empty(len(rest) + 1, dtype=np.int64)
-            flow[0] = inject
-            flow[1:] = rest
-            chunks.append(flow)
-            lengths[i] = len(flow)
-        offsets = np.zeros(len(pattern) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        return flat, offsets
+    def _subflows(self, src: np.ndarray, dst: np.ndarray):
+        """``([(flows, flat, offsets), ...], weight)``: per forwarding
+        plane, which flows use it and their channels there
+        (:func:`~repro.routing.paths.gather_flows`), and the load one
+        subflow puts on a channel."""
+        return [(slice(None), *gather_flows(self.tables, self.paths, src, dst))], 1
 
     def evaluate(self, pattern: Pattern) -> PatternResult:
         """Congestion-count one pattern (every flow active simultaneously)."""
@@ -119,10 +103,17 @@ class CongestionSimulator:
         if not pattern:
             raise SimulationError("empty pattern")
         with span("sim.evaluate", engine=self.tables.engine, flows=len(pattern)):
-            flat, offsets = self._flow_arrays(pattern)
-            load = np.bincount(flat, minlength=self.fabric.num_channels)
+            src, dst = np.asarray(pattern, dtype=np.int64).T
+            parts, weight = self._subflows(src, dst)
+            load = weight * sum(
+                np.bincount(flat, minlength=self.fabric.num_channels) for _, flat, _ in parts
+            )
             sharing = load * self._inv_capacity  # capacity-adjusted congestion
-            per_flow_max = np.maximum.reduceat(sharing[flat], offsets[:-1])
+            # A flow runs at the pace of its most congested channel on any plane.
+            per_flow_max = np.zeros(len(pattern))
+            for flows, flat, offsets in parts:
+                worst = np.maximum.reduceat(sharing[flat], offsets[:-1])
+                per_flow_max[flows] = np.maximum(per_flow_max[flows], worst)
             flow_bw = 1.0 / per_flow_max
         self._m_patterns.inc()
         self._m_flows.inc(len(pattern))
@@ -157,16 +148,35 @@ class CongestionSimulator:
                 flows = len(pattern)
         return EbbResult(per_pattern_mean=means, num_flows=flows, num_patterns=num_patterns)
 
-    def phase_times(self, phases: list[Pattern], bytes_per_flow: float, link_bandwidth: float = 1.0) -> list[float]:
-        """Completion time of each phase, run back to back.
 
-        A phase finishes when its slowest flow finishes; a flow's rate is
-        its most-congested channel's fair share. Used by the collective
-        and NAS application models.
-        """
-        times = []
-        for phase in phases:
-            result = self.evaluate(phase)
-            slowest = result.min_bandwidth * link_bandwidth
-            times.append(bytes_per_flow / slowest)
-        return times
+class MultipathCongestionSimulator(CongestionSimulator):
+    """Congestion counting over the planes of an LMC routing
+    (:class:`~repro.core.multipath.MultipathRouting`); only the plane
+    choice differs from :class:`CongestionSimulator`.
+
+    * ``"stripe"`` (default, MPI over LMC): every flow splits into K
+      subflows of load 1/K, one per plane; the slowest one sets its pace.
+    * ``"select"``: each flow takes the one plane
+      :meth:`~repro.core.multipath.MultipathRouting.plane_for` picks
+      (single-path connections spread over LIDs).
+    """
+
+    def __init__(self, routing, mode: str = "stripe"):
+        if mode not in ("stripe", "select"):
+            raise SimulationError(f"mode must be 'stripe' or 'select', got {mode!r}")
+        super().__init__(routing.planes[0], routing.path_sets[0])
+        self.routing = routing
+        self.mode = mode
+
+    def _subflows(self, src: np.ndarray, dst: np.ndarray):
+        planes = list(zip(self.routing.planes, self.routing.path_sets))
+        if self.mode == "stripe":
+            parts = [(slice(None), *gather_flows(t, p, src, dst)) for t, p in planes]
+            return parts, 1.0 / len(planes)
+        plane = self.routing.plane_for(src, dst)
+        parts = []
+        for k, (tables, paths) in enumerate(planes):
+            flows = np.flatnonzero(plane == k)
+            if len(flows):
+                parts.append((flows, *gather_flows(tables, paths, src[flows], dst[flows])))
+        return parts, 1

@@ -1,17 +1,19 @@
 """LMC multipathing: plane divergence, joint deadlock-freedom, striping."""
 
+import numpy as np
 import pytest
 
 from repro import topologies
 from repro.core import (
     ConcatenatedPaths,
     DFSSSPEngine,
-    MultipathCongestionSimulator,
     MultipathDFSSSPEngine,
+    MultipathRouting,
+    assign_layers_offline,
 )
 from repro.exceptions import RoutingError, SimulationError
 from repro.routing import extract_paths, path_minimality_violations
-from repro.simulator import CongestionSimulator, shift_pattern
+from repro.simulator import CongestionSimulator, MultipathCongestionSimulator, shift_pattern
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +79,14 @@ def test_striping_improves_worst_flow(fabric, lmc2):
     sim2 = MultipathCongestionSimulator(lmc2, mode="stripe")
     pattern = shift_pattern(fabric, 1)
     worst_single = sim1.evaluate(pattern).min_bandwidth
-    worst_striped = float(sim2.evaluate(pattern).min())
+    worst_striped = sim2.evaluate(pattern).min_bandwidth
     assert worst_striped >= worst_single
 
 
 def test_select_mode_runs(fabric, lmc2):
     sim = MultipathCongestionSimulator(lmc2, mode="select")
     pattern = shift_pattern(fabric, 3)
-    bw = sim.evaluate(pattern)
+    bw = sim.evaluate(pattern).flow_bandwidth
     assert (bw > 0).all() and (bw <= 1.0 + 1e-9).all()
 
 
@@ -115,3 +117,59 @@ def test_concatenated_paths_indexing(fabric, lmc2):
 def test_concatenated_paths_validation(fabric):
     with pytest.raises(RoutingError):
         ConcatenatedPaths([])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: topologies.ranger(scale=0.1),  # breaks 750-821 cycles
+        lambda: topologies.random_topology(24, 60, 2, seed=9),
+        lambda: topologies.torus((4, 4), 2),
+    ],
+    ids=["ranger", "random", "torus"],
+)
+def test_layers_equal_the_rebuild_reference(make):
+    """The engine layers the union of planes with the incremental
+    Algorithm 2; the dict-backed reference over the same concatenated
+    paths must give the very same assignment."""
+    fabric = make()
+    for lmc in (0, 1, 2):
+        routing = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
+        combined = ConcatenatedPaths(routing.path_sets)
+        ref = assign_layers_offline(combined, pids=combined.active_pids())
+        np.testing.assert_array_equal(routing.path_layers, ref.path_layers)
+        assert routing.stats["layers_needed"] == ref.layers_needed
+        assert routing.stats["cycles_broken"] == ref.cycles_broken
+        assert routing.verify_deadlock_free()
+
+
+def test_verify_rejects_a_cyclic_layering():
+    """Every path on layer 0 of a ring: the union's CDG has a cycle, so
+    the check must say no (not only ever yes)."""
+    routing = MultipathDFSSSPEngine(lmc=1).route(topologies.ring(5, 2))
+    assert routing.stats["cycles_broken"] > 0
+    assert routing.verify_deadlock_free()
+    cyclic = MultipathRouting(
+        routing.fabric,
+        routing.planes,
+        routing.path_sets,
+        np.zeros_like(routing.path_layers),
+        routing.num_layers,
+        routing.stats,
+    )
+    assert not cyclic.verify_deadlock_free()
+
+
+def test_select_mode_uses_each_flows_plane(fabric, lmc2):
+    """A select-mode flow's bandwidth is that of its plane's single-path
+    simulator on the same pattern, when no other plane carries traffic."""
+    pattern = shift_pattern(fabric, 5)
+    planes = lmc2.plane_for(*np.array(pattern).T)
+    result = MultipathCongestionSimulator(lmc2, mode="select").evaluate(pattern)
+    load = np.zeros(fabric.num_channels, dtype=np.int64)
+    for k, (tables, paths) in enumerate(zip(lmc2.planes, lmc2.path_sets)):
+        mine = [p for p, plane in zip(pattern, planes) if plane == k]
+        if mine:
+            load += CongestionSimulator(tables, paths).evaluate(mine).channel_load
+    np.testing.assert_array_equal(result.channel_load, load)
+    assert result.channel_load.dtype == np.int64

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.deadlock.cdg import ChannelDependencyGraph
+from repro.deadlock.cdg import ChannelDependencyGraph, first_fit
+from repro.exceptions import InsufficientLayersError
 from repro.network import FabricBuilder
 
 
@@ -111,3 +112,19 @@ def test_try_add_single_channel_path_trivially_ok(triangle):
     assert cdg.try_add_path(0, np.array([c01], dtype=np.int32))
     assert cdg.num_paths == 1
     assert cdg.num_edges == 0
+
+
+def test_first_fit_follows_order_grows_then_names_the_path(triangle):
+    """The one first-fit loop (LASH, the online variant, repair): the first
+    layer in ``order`` that stays acyclic takes the path; a new layer opens
+    while the budget allows; past it, a named InsufficientLayersError."""
+    c01, c12, c20 = (_chan(triangle, 0, 1), _chan(triangle, 1, 2), _chan(triangle, 2, 0))
+    a, b, closing = (np.array(p, dtype=np.int32) for p in ([c01, c12], [c12, c20], [c20, c01]))
+    cdgs = [ChannelDependencyGraph(triangle)]
+    assert first_fit(cdgs, 0, a, "path 0", max_layers=2) == 0
+    assert first_fit(cdgs, 1, b, "path 1", max_layers=2) == 0
+    assert first_fit(cdgs, 2, closing, "path 2", max_layers=2) == 1  # opened
+    assert len(cdgs) == 2
+    assert first_fit(cdgs, 3, a, "path 3", order=(1, 0)) == 1  # order, not index
+    with pytest.raises(InsufficientLayersError, match="path 4 fits no layer and all 1 layers"):
+        first_fit(cdgs[:1], 4, closing, "path 4", max_layers=1)

@@ -8,6 +8,7 @@ import pytest
 from repro import topologies
 from repro.core import DFSSSPEngine
 from repro.exceptions import RoutingError, ServiceError
+from repro.obs import get_registry
 from repro.resilience import LINK_UP, FaultEvent, FaultInjector
 from repro.service import (
     DEGRADED,
@@ -251,3 +252,52 @@ def test_repair_batch_derives_each_layers_edges_once(fabric, tmp_path, monkeypat
     assert len(list(tmp_path.glob("ckpt-*"))) == 2  # initial + this batch
     assert calls == [served.layered.num_layers]
     assert served.certificate.check().ok
+
+
+def test_consecutive_failures_is_the_breakers_count(fabric, tmp_path):
+    """k failed batches, a restore, one success: the property, the gauge
+    and the fleet worker's health summary all read the breaker. The
+    checkpoint carries the count once, inside the breaker; a checkpoint
+    that still has the old duplicate key restores as before."""
+    import json
+
+    from repro.fleet.messages import OP_HEALTH, FleetRequest
+    from repro.fleet.worker import _handle
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.service.checkpoint import CheckpointStore
+
+    def agree(sup, expected):
+        gauge = get_registry().value("service_consecutive_failures", engine="dfsssp")
+        health = _handle(FleetRequest("r", OP_HEALTH, "f"), {"f": sup}).payload
+        assert sup.breaker.failures == expected
+        assert sup.consecutive_failures == expected
+        assert gauge == expected
+        assert health["consecutive_failures"] == health["breaker"]["failures"] == expected
+
+    previous = set_registry(MetricsRegistry())
+    try:
+        policy = FAST.with_(breaker_threshold=5)
+        sup = make_supervisor(fabric, policy=policy, checkpoint_dir=tmp_path)
+        sup.policy = policy.with_(
+            repair_deadline_s=0.0, full_deadline_s=0.0, fallback_engine=None
+        )
+        sup.submit(FaultInjector(fabric, seed=5).step()[0])
+        k = 2
+        for _ in range(k):
+            assert sup.process().action == "failed"
+        agree(sup, k)
+
+        store = CheckpointStore(tmp_path)
+        state_file = store.root / store._name(store.latest_version()) / "state.json"
+        data = json.loads(state_file.read_text())
+        assert "consecutive_failures" not in data
+        data["consecutive_failures"] = k  # what older versions wrote
+        state_file.write_text(json.dumps(data))
+
+        set_registry(MetricsRegistry())  # a new process
+        restored = RoutingSupervisor.restore(tmp_path, policy=policy, sleep=_no_sleep)
+        agree(restored, k)
+        assert restored.process().ok
+        agree(restored, 0)
+    finally:
+        set_registry(previous)

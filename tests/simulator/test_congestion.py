@@ -133,14 +133,6 @@ def test_dfsssp_beats_minhop_on_ranger():
     assert ebb_df >= ebb_mh
 
 
-def test_phase_times_monotone_in_bytes(line_fabric_sim):
-    fab, terms, sim = line_fabric_sim
-    phases = [[(terms[0], terms[2]), (terms[1], terms[3])]]
-    t1 = sim.phase_times(phases, bytes_per_flow=1000.0)
-    t2 = sim.phase_times(phases, bytes_per_flow=2000.0)
-    assert t2[0] == pytest.approx(2 * t1[0])
-
-
 def test_flow_bandwidth_in_unit_interval(star_sim):
     fab, sim = star_sim
     pattern = bisection_pattern(fab, seed=9)
