@@ -6,8 +6,8 @@ completion times, or what DFSSSP's extra virtual layers cost under
 bursty AI-training traffic. This package adds the dynamic half:
 
 * :mod:`repro.des.engine` — a deterministic discrete-event engine
-  (heap-based event queue with seeded, sequence-numbered tie-breaking;
-  per-channel output FIFO queues with finite buffers; link
+  (an event calendar serving simultaneous events in the order they were
+  scheduled; per-channel output FIFO queues with finite buffers; link
   serialization and propagation delays; credit-style backpressure),
   driving packets along any :class:`~repro.routing.base.RoutingTables`
   forwarding state. Mid-run fault injection is wired through

@@ -2,13 +2,14 @@
 
 Model
 -----
-* **Event queue** — events are served in ``(time, seq)`` order, ``seq``
-  being the insertion order, itself a pure function of the (seeded)
-  inputs: the same scenario and seed replay the exact same event
-  sequence, bit for bit (``DesOutcome.log_hash`` pins it). Events due
-  later wait in a binary heap; events due at the instant being handled
-  join a FIFO, served once the heap has nothing left for that instant —
-  they were all inserted after every heap entry, so the order is the same.
+* **Event calendar** — events are served in time order and, within one
+  instant, in the order they were scheduled, itself a pure function of
+  the (seeded) inputs: the same scenario and seed replay the exact same
+  event sequence, bit for bit (``DesOutcome.log_hash`` pins it). Each
+  pending instant holds one FIFO of its events; a binary heap holds the
+  distinct pending instants. An event scheduled for the instant being
+  served joins the end of its FIFO: everything already there was
+  scheduled earlier, before the clock reached that instant.
 * **Forwarding** — hop-by-hop against the *current* forwarding tables,
   exactly like a switch consulting its LFT: the next output channel is
   looked up when a packet reaches the head of a queue, so a mid-run
@@ -59,8 +60,8 @@ from repro.utils.prng import spawn_rngs
 # NOTE: repro.resilience is imported lazily inside the fault handler:
 # only fault scenarios need it.
 
-# Event kinds (payload discriminators; never compared by heapq — a heap
-# entry's (time, seq) prefix is unique). The first three are 99 % of
+# Event kinds (payload discriminators stored with the payload in an
+# instant's FIFO; the heap holds bare times). The first three are 99 % of
 # all events and are handled inside the loop of :meth:`PacketDES.run`.
 _E_TRY, _E_ARRIVE, _E_FREE, _E_FLOW, _E_RETX, _E_FAULT = range(6)
 _KIND_NAMES = ("try", "arrive", "free", "flow", "retx", "fault")
@@ -94,6 +95,14 @@ class FaultSpec:
 
     at_s: float
     count: int = 1
+
+    def __post_init__(self):
+        # A negative time would run the clock backwards, NaN has no place in
+        # time order, and an infinite one fires only after the run drains.
+        if not 0 <= self.at_s < math.inf:
+            raise SimulationError(f"fault at_s must be finite and >= 0, got {self.at_s!r}")
+        if self.count < 1:
+            raise SimulationError(f"fault count must be >= 1, got {self.count!r}")
 
 
 @dataclass(slots=True)
@@ -362,6 +371,8 @@ class PacketDES:
         max_events: int = 5_000_000,
     ) -> DesOutcome:
         """Simulate ``workload`` until it drains, wedges, or ``horizon_s``."""
+        if horizon_s is not None and not horizon_s >= 0:  # NaN fails too
+            raise SimulationError(f"horizon_s must be >= 0, got {horizon_s!r}")
         if faults and self.engine is None:
             raise SimulationError("fault injection requires the routing engine")
         self._reset_routing_view()
@@ -375,9 +386,9 @@ class PacketDES:
         cap = self.buffer_packets if self.buffer_packets is not None else math.inf
 
         # Mutable run state.
-        heap: list[tuple] = []  # (time, seq, kind, payload) of events due later
-        instant: deque[tuple] = deque()  # (kind, payload) of events due at `t`
-        seq = 0  # heap insertions
+        times: list[float] = []  # heap of the distinct instants with events due later
+        due: dict[float, deque] = {}  # instant -> FIFO of its (kind, payload) events
+        instant: deque[tuple] = deque()  # the FIFO of the instant `t` being served
         qstats: dict[tuple[int, int], QueueStats] = {}
         stored: list[QueueStats] = []  # queues that hold(held) packets, by first store
         waiters: defaultdict[QueueStats, set] = defaultdict(set)  # full queue -> senders
@@ -432,12 +443,13 @@ class PacketDES:
 
         def push(t: float | None, when: float, kind: int, payload) -> None:
             """Schedule at ``when`` from instant ``t`` (``None`` before the loop)."""
-            nonlocal seq
             if when == t:
                 instant.append((kind, payload))
+            elif when in due:
+                due[when].append((kind, payload))
             else:
-                seq += 1
-                heappush(heap, (when, seq, kind, payload))
+                due[when] = deque(((kind, payload),))
+                heappush(times, when)
 
         # ------------ handlers of the rare events and branches ------------
         def queue_at(c: int, vc: int) -> QueueStats:
@@ -559,7 +571,7 @@ class PacketDES:
                     p_switch_down=self.p_switch_down, p_link_up=0.0,
                 )
             injector = self._injector
-            for _ in range(max(1, spec.count)):
+            for _ in range(spec.count):
                 prev = injector.current
                 stepped = injector.step()
                 if stepped is None:
@@ -591,19 +603,23 @@ class PacketDES:
         self._injector = None
         try:
             for flow in workload.initial():
-                push(None, float(flow.start), _E_FLOW, flow)
+                start = float(flow.start)
+                if not 0 <= start < math.inf:
+                    raise SimulationError(
+                        f"flow {flow.fid} starts at {flow.start!r}, not a finite time >= 0"
+                    )
+                push(None, start, _E_FLOW, flow)
         except ReproError as err:
             raise SimulationError(f"workload refused to start: {err}") from err
         for spec in sorted(faults, key=lambda s: s.at_s):
             push(None, float(spec.at_s), _E_FAULT, spec)
 
         horizon = horizon_s if horizon_s is not None else math.inf
-        events = delivered = bytes_delivered = n_instant = 0
+        events = delivered = bytes_delivered = n_instants = n_opened = 0
         by_kind = [0] * len(_KIND_NAMES)  # try is filled in as the remainder
         n_arrive = n_free = try_empty = try_busy = try_no_credit = 0
         last_delivery = 0.0
         t = 0.0
-        stamp = None  # the timestamp `tr` / `head` were formatted for
         status = "completed"
         with ExitStack() as on_exit, span(
             "des.run", engine=self.result.tables.engine,
@@ -612,22 +628,22 @@ class PacketDES:
         ) as sp:
             on_exit.callback(h_lat.observe_many, latencies)  # an aborted run's too
             while True:
-                # Heap entries due at `t` predate all of `instant`: they go first.
-                if instant and (not heap or heap[0][0] != t):
+                if instant:
                     kind, arg = instant.popleft()
-                    n_instant += 1
-                elif heap:
-                    t, _, kind, arg = heappop(heap)
+                elif times:
+                    t = heappop(times)
                     if t > horizon:
                         status = "horizon"
                         t = horizon_s
                         break
-                    if t != stamp:
-                        stamp = t
-                        tr = round(t, 12)
-                        head = f"({tr!r}, '"
-                        if len(records) >= _RECORD_CHUNK:
-                            flush()
+                    instant = due.pop(t)
+                    n_instants += 1
+                    n_opened += len(instant)
+                    tr = round(t, 12)
+                    head = f"({tr!r}, '"
+                    if len(records) >= _RECORD_CHUNK:
+                        flush()
+                    kind, arg = instant.popleft()
                 else:
                     break
                 events += 1
@@ -692,10 +708,18 @@ class PacketDES:
                     if log is not None:
                         log.append((tr, "send", pkt.pid, c))
                     busy_blocked[c].add(q)
-                    if done > t:
-                        seq += 2
-                        heappush(heap, (done + propagation, seq - 1, _E_ARRIVE, (pkt, c, nq)))
-                        heappush(heap, (done, seq, _E_FREE, c))
+                    if done > t:  # push() inlined: both are due later
+                        when = done + propagation
+                        if when in due:
+                            due[when].append((_E_ARRIVE, (pkt, c, nq)))
+                        else:
+                            due[when] = deque(((_E_ARRIVE, (pkt, c, nq)),))
+                            heappush(times, when)
+                        if done in due:
+                            due[done].append((_E_FREE, c))
+                        else:
+                            due[done] = deque(((_E_FREE, c),))
+                            heappush(times, done)
                     else:  # a serialization too short to move the clock
                         push(t, done + propagation, _E_ARRIVE, (pkt, c, nq))
                         push(t, done, _E_FREE, c)
@@ -779,7 +803,9 @@ class PacketDES:
             )
             sp.set_attr("status", status)
             sp.set_attr("events", events)
-            sp.set_attr("events_instant", n_instant)  # the rest were heap pops
+            sp.set_attr("instants", n_instants)  # calendar pops
+            # the other n_opened events were waiting when their instant opened
+            sp.set_attr("events_instant", events - n_opened)
             for name, n in events_by_kind.items():
                 sp.set_attr(f"events_{name}", n)
 

@@ -97,10 +97,8 @@ def normalize_scenario(spec: dict) -> dict:
             raise SimulationError(
                 f"unknown engine {name!r}; known: {sorted(ENGINES)}"
             )
-    out["faults"] = [
-        {"at_s": float(f["at_s"]), "count": int(f.get("count", 1))}
-        for f in out["faults"]
-    ]
+    faults = [FaultSpec(float(f["at_s"]), int(f.get("count", 1))) for f in out["faults"]]
+    out["faults"] = [{"at_s": f.at_s, "count": f.count} for f in faults]
     if not isinstance(out["engine_opts"], dict):
         raise SimulationError(
             f"engine_opts must be a dict, got {type(out['engine_opts']).__name__}"

@@ -9,7 +9,9 @@ events decides the outcome: one-packet and two-packet buffers, infinite
 buffers, zero propagation delay (a packet's arrival coincides with its
 serializer going idle), packet sizes that are not a multiple of the MTU,
 zero-delay retransmissions after a fault, a fault at the exact
-completion time of a send, a horizon at the exact time of an event, an
+completion time of a send, a fault at time zero among the initial flows,
+a horizon at the exact time of an event, cycle-level Bernoulli traffic
+(thousands of flows on integer-cycle instants) cut by a horizon, an
 event budget met exactly and missed by one, every collective workload,
 and a Figure 2 wedge. ``tests/des/test_instant_queue.py`` replays every
 stored scenario and requires equality field by field.
@@ -34,10 +36,11 @@ import json
 from pathlib import Path
 
 from repro import topologies
-from repro.des import FaultSpec, LinkParams, PacketDES, make_workload
+from repro.des import BernoulliWorkload, FaultSpec, LinkParams, PacketDES, make_workload
 from repro.exceptions import SimulationError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.routing.registry import ENGINES
+from repro.simulator.patterns import shift_pattern
 
 FIXTURE = Path(__file__).parent / "des_outcomes.json"
 
@@ -99,6 +102,11 @@ SCENARIOS: dict[str, dict] = {
                 "p_switch_down": 1.0},
         "run": {"faults": [{"at_s": 1e-5, "count": 2}]},
     },
+    "fault_at_zero_with_flows": {
+        "fabric": "xgft442", "engine": "dfsssp", "workload": _PAIRS,
+        "des": {"buffer_packets": 4, "seed": 7},
+        "run": {"faults": [{"at_s": 0.0, "count": 2}]},
+    },
     "fault_at_send_completion": {
         "fabric": "xgft442", "engine": "dfsssp", "workload": _PAIRS,
         "des": {"buffer_packets": 2, "seed": 7}, "link": {"propagation_s": 0.0},
@@ -107,6 +115,13 @@ SCENARIOS: dict[str, dict] = {
     "horizon_at_event": {
         "fabric": "xgft442", "engine": "sssp", "workload": _PAIRS,
         "des": {"buffer_packets": 2}, "derive": "horizon_at_send",
+    },
+    "bernoulli_cycle_horizon": {  # cycle_link(1): one time unit per flit
+        "fabric": "xgft442", "engine": "dfsssp",
+        "workload": {"kind": "bernoulli", "shift": 3, "rate": 0.6, "cycles": 400, "seed": 5},
+        "des": {"buffer_packets": 2},
+        "link": {"bandwidth_bytes_per_s": 1.0, "propagation_s": 0.0, "mtu_bytes": 1},
+        "run": {"horizon_s": 300.0},
     },
     "max_events_exact": {
         "fabric": "ring52", "engine": "dfsssp", "workload": _PAIRS,
@@ -168,6 +183,16 @@ SCENARIOS: dict[str, dict] = {
 }
 
 
+def _workload(fabric, spec: dict):
+    """The scenario's workload; ``bernoulli`` (open loop on a shift pattern)
+    is not in the scenario registry, so it is built here."""
+    params = dict(spec)
+    kind = params.pop("kind")
+    if kind == "bernoulli":
+        return BernoulliWorkload(shift_pattern(fabric, params.pop("shift")), **params)
+    return make_workload(kind, fabric, **params)
+
+
 def run_spec(spec: dict, registry: MetricsRegistry | None = None, **des_overrides):
     """Route the scenario's fabric and run it once; returns the outcome."""
     fabric = FABRICS[spec["fabric"]]()
@@ -180,7 +205,7 @@ def run_spec(spec: dict, registry: MetricsRegistry | None = None, **des_override
     )
     previous = set_registry(registry if registry is not None else MetricsRegistry())
     try:
-        return des.run(make_workload(fabric=fabric, **spec["workload"]), **run)
+        return des.run(_workload(fabric, spec["workload"]), **run)
     finally:
         set_registry(previous)
 

@@ -1,16 +1,17 @@
-"""The same-instant FIFO of ``PacketDES.run`` serves events in ``(time, seq)`` order.
+"""The event calendar of ``PacketDES.run`` serves simultaneous events in push order.
 
-Events scheduled for the instant being handled skip the heap: they join
-a FIFO that is served once the heap holds nothing more for that instant.
-That is exact only if every outcome stays what the heap alone produced,
-so ``tests/data/des_outcomes.json`` — recorded with the heap-only loop —
-pins the complete outcome of a scenario grid built around the ties:
-buffers of 1, 2, 16 and infinity, zero propagation delay, mixed packet
-sizes, zero-delay retransmissions, a fault at the exact completion time
-of a send, a horizon at the exact time of an event, an event budget met
-exactly and missed by one, every collective workload, occupancy
-timelines and a Figure 2 wedge. Each scenario is replayed here and
-compared field by field. The fixture's generator is
+Pending events wait in one FIFO per instant; an event scheduled for the
+instant being served joins the end of that instant's FIFO. That is exact
+only if every outcome stays what a heap ordered by ``(time, insertion)``
+produced, so ``tests/data/des_outcomes.json`` — recorded with such a heap
+engine — pins the complete outcome of a scenario grid built around the
+ties: buffers of 1, 2, 16 and infinity, zero propagation delay, mixed
+packet sizes, zero-delay retransmissions, a fault at the exact completion
+time of a send, a fault at time zero among the initial flows, a horizon
+at the exact time of an event, cycle-level Bernoulli traffic cut by a
+horizon, an event budget met exactly and missed by one, every collective
+workload, occupancy timelines and a Figure 2 wedge. Each scenario is
+replayed here and compared field by field. The fixture's generator is
 ``tests/data/des_outcomes_gen.py``.
 """
 
@@ -35,10 +36,15 @@ def test_fixture_covers_every_scenario_of_the_grid():
 @pytest.mark.parametrize("name", sorted(STORED))
 def test_outcome_matches_the_heap_only_engine(name):
     spec, want = STORED[name]["spec"], STORED[name]["outcome"]
-    got = outcome_record(spec)
+    with use_sink(InMemorySink()) as sink:
+        got = outcome_record(spec)
     assert sorted(got) == sorted(want)
     for field in want:
         assert got[field] == want[field], f"{name}: {field} drifted"
+    if "error" not in got:  # every served instant opens a non-empty FIFO
+        (run_span,) = sink.find("des.run")
+        attrs = run_span.attrs
+        assert 0 < attrs["instants"] <= attrs["events"] - attrs["events_instant"]
 
 
 def test_the_grid_reaches_the_ties_it_claims():
@@ -53,9 +59,15 @@ def test_the_grid_reaches_the_ties_it_claims():
     assert out["figure2_wedge"]["status"] == "deadlock"
     assert out["timelines"]["timelines"]
     assert out["buffers1_ring"]["events_by_kind"]["try_no_credit"] > 0
+    assert out["fault_at_zero_with_flows"]["events_by_kind"]["fault"] == 1
+    assert len(out["fault_at_zero_with_flows"]["reroutes"]) == 2
+    assert out["bernoulli_cycle_horizon"]["status"] == "horizon"
+    assert out["bernoulli_cycle_horizon"]["time"] == 300.0
+    assert out["bernoulli_cycle_horizon"]["flows_released"] > 1000
     for name, rec in STORED.items():
         if rec["spec"].get("link", {}).get("propagation_s") == 0.0:
-            assert rec["outcome"]["status"] == "completed", name
+            cut = "horizon_s" in rec["spec"].get("run", {})
+            assert rec["outcome"]["status"] == ("horizon" if cut else "completed"), name
 
 
 def _traced_run(fabric, workload, faults=(), **des):
