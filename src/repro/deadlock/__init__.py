@@ -28,6 +28,7 @@ _LAZY = {
     "check_servable": "repro.deadlock.certificate",
     "CheckResult": "repro.deadlock.checker",
     "check_certificate": "repro.deadlock.checker",
+    "check_layers": "repro.deadlock.checker",
     "find_minimal_cycle": "repro.deadlock.checker",
 }
 
@@ -57,6 +58,7 @@ __all__ = [
     "build_layer_cdgs",
     "check_against_routing",
     "check_certificate",
+    "check_layers",
     "check_servable",
     "drain_cycles",
     "emit_certificate",

@@ -15,6 +15,10 @@ Two levels of trust:
 * :func:`repro.deadlock.checker.check_certificate` — *structural*: the
   certificate is well-formed and every certified layer really is acyclic
   under its own edge list. Needs nothing but the JSON.
+  :meth:`DeadlockFreedomCertificate.check` gets the same verdict from
+  :func:`~repro.deadlock.checker.check_layers` on flat ``tolist()``
+  lists, never building the nested wire format; :meth:`~DeadlockFreedomCertificate.json_chunks`
+  writes the JSON from the arrays the same way.
 * :func:`check_against_routing` — *binding*: the certificate describes
   **this** routing. Re-derives each layer's dependency edges from the
   live :class:`~repro.routing.paths.PathSet`, compares them to the
@@ -36,7 +40,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.deadlock.checker import FORMAT, KIND, CheckResult, check_certificate, find_minimal_cycle
+from repro.deadlock.checker import (
+    FORMAT,
+    KIND,
+    CheckResult,
+    check_layers,
+    find_minimal_cycle,
+    flat_edges,
+)
 from repro.deadlock.cycles import kahn_core
 from repro.deadlock.verify import VerificationReport
 from repro.exceptions import CertificateError, RoutingError
@@ -44,7 +55,10 @@ from repro.routing.base import LayeredRouting, RoutingTables
 from repro.routing.io import fabric_fingerprint
 from repro.routing.paths import PathSet, extract_paths
 from repro.service.budget import check_budget
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.atomicio import atomic_path
+
+#: rows of an array the JSON writer renders into one text chunk
+JSON_BLOCK = 1 << 14
 
 
 @dataclass
@@ -67,6 +81,7 @@ class DeadlockFreedomCertificate:
 
     # -- serialisation --------------------------------------------------
     def to_dict(self) -> dict:
+        """The JSON wire format as nested lists (tests and :meth:`from_dict`)."""
         return {
             "format": FORMAT,
             "kind": KIND,
@@ -83,30 +98,68 @@ class DeadlockFreedomCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DeadlockFreedomCertificate":
-        try:
-            layers = [
-                LayerWitness(
-                    topo_order=np.asarray(lw["topo_order"], dtype=np.int64),
-                    edges=np.asarray(lw["edges"], dtype=np.int64).reshape(-1, 2),
-                )
-                for lw in payload["layers"]
-            ]
-            return cls(
-                engine=str(payload.get("engine", "?")),
-                fingerprint=payload.get("fingerprint"),
-                num_layers=int(payload["num_layers"]),
-                path_layers=np.asarray(payload["path_layers"], dtype=np.int32),
-                layers=layers,
+        """Inverse of :meth:`to_dict`. A payload it would have to reshape or
+        cast, or one with the wrong ``kind``, ``format`` or ``num_paths``, is a
+        :class:`CertificateError`; whether the layers are acyclic is left to
+        the checker."""
+        if not isinstance(payload, dict):
+            raise _malformed("not a JSON object")
+        for key, want in (("kind", KIND), ("format", FORMAT)):
+            if payload.get(key) != want:
+                raise _malformed(f"{key} is {payload.get(key)!r}, expected {want!r}")
+        num_layers, engine = payload.get("num_layers"), payload.get("engine", "?")
+        if type(num_layers) is not int:
+            raise _malformed(f"num_layers {num_layers!r} is not an integer")
+        fingerprint = payload.get("fingerprint")
+        if not isinstance(engine, str) or not (fingerprint is None or isinstance(fingerprint, str)):
+            raise _malformed(f"engine {engine!r} or fingerprint {fingerprint!r} is not a string")
+        path_layers = _int_array(payload.get("path_layers"), "path_layers", np.int32)
+        if payload.get("num_paths", len(path_layers)) != len(path_layers):
+            raise _malformed(
+                f"path_layers has {len(path_layers)} entries, num_paths says "
+                f"{payload.get('num_paths')!r}"
             )
-        except (KeyError, TypeError, ValueError) as err:
-            raise CertificateError(f"malformed certificate payload: {err}") from err
+        if not isinstance(payload.get("layers"), list):
+            raise _malformed("layers is not a list")
+        layers = []
+        for li, lw in enumerate(payload["layers"]):
+            edges = lw.get("edges") if isinstance(lw, dict) else None
+            if not (isinstance(edges, list) and set(map(type, edges)) <= {list}
+                    and set(map(len, edges)) <= {2}):
+                raise _malformed(f"layer {li} edges are not a list of [c1, c2] pairs")
+            layers.append(LayerWitness(
+                topo_order=_int_array(lw.get("topo_order"), f"layer {li} topo_order"),
+                edges=_int_array(flat_edges(edges), f"layer {li} edges").reshape(len(edges), 2),
+            ))
+        return cls(engine=engine, fingerprint=fingerprint,
+                   num_layers=num_layers, path_layers=path_layers, layers=layers)
+
+    def json_chunks(self):
+        """:meth:`to_json` as text chunks rendered from the arrays, at most
+        ``JSON_BLOCK`` rows at a time: the same bytes as
+        ``json.dumps(self.to_dict(), sort_keys=True) + "\\n"`` without the
+        nested lists."""
+        yield (f'{{"engine": {json.dumps(self.engine)}, '
+               f'"fingerprint": {json.dumps(self.fingerprint)}, "format": {FORMAT}, '
+               f'"kind": {json.dumps(KIND)}, "layers": [')
+        for i, lw in enumerate(self.layers):
+            yield ', {"edges": ' if i else '{"edges": '
+            yield from _json_array(lw.edges)
+            yield ', "topo_order": '
+            yield from _json_array(lw.topo_order)
+            yield "}"
+        yield (f'], "num_layers": {int(self.num_layers)}, '
+               f'"num_paths": {len(self.path_layers)}, "path_layers": ')
+        yield from _json_array(self.path_layers)
+        yield "}\n"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
+        return "".join(self.json_chunks())
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        atomic_write_text(path, self.to_json())
+        with atomic_path(path, "w") as fp:
+            fp.writelines(self.json_chunks())
         return path
 
     @classmethod
@@ -119,8 +172,13 @@ class DeadlockFreedomCertificate:
 
     # -- checking -------------------------------------------------------
     def check(self) -> CheckResult:
-        """Structural check via the independent stdlib checker."""
-        return check_certificate(self.to_dict())
+        """Structural check by the independent stdlib checker, on flat lists:
+        the verdict ``check_certificate(self.to_dict())`` would give."""
+        return check_layers(
+            int(self.num_layers),
+            self.path_layers.tolist(),
+            [(lw.topo_order.tolist(), _flat_list(lw.edges)) for lw in self.layers],
+        )
 
     @property
     def num_edges(self) -> int:
@@ -129,6 +187,43 @@ class DeadlockFreedomCertificate:
     @property
     def num_nodes(self) -> int:
         return int(sum(len(lw.topo_order) for lw in self.layers))
+
+
+def _malformed(what: str) -> CertificateError:
+    return CertificateError(f"malformed certificate payload: {what}")
+
+
+def _int_array(values, what: str, dtype=np.int64) -> np.ndarray:
+    """``values``, a list of ints, as an array; anything needing a cast is refused."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise _malformed(f"{what} is not a list of integers")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as err:
+        raise _malformed(f"{what}: {err}") from err
+
+
+def _json_array(arr: np.ndarray):
+    """``json.dumps(arr.tolist())`` as chunks of at most ``JSON_BLOCK`` rows:
+    ``map(str, ...)`` over one block of an integer ``(n,)`` or ``(n, 2)`` array."""
+    if arr.dtype.kind not in "iu" or not (arr.ndim == 1 or arr.shape[1:] == (2,)) or not arr.size:
+        yield json.dumps(arr.tolist())
+        return
+    pairs = arr.ndim == 2
+    start, sep, end = ("[[", "], [", "]]") if pairs else ("[", ", ", "]")
+    for i in range(0, len(arr), JSON_BLOCK):
+        text = map(str, arr[i:i + JSON_BLOCK].ravel().tolist())
+        if pairs:
+            text = map(", ".join, zip(text, text))
+        yield (sep if i else start) + sep.join(text)
+    yield end
+
+
+def _flat_list(edges: np.ndarray) -> list:
+    """The checker's flat edge list of what ``edges.tolist()`` holds."""
+    if edges.ndim == 2 and edges.shape[1] == 2:
+        return edges.ravel().tolist()
+    return flat_edges(edges.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +346,7 @@ def check_against_routing(
     :meth:`~repro.routing.paths.PathSet.layer_edges` call of its own,
     never the kept witness pass.
     """
-    res = check_certificate(cert.to_dict())
+    res = cert.check()
     if not res.ok:
         return res
 

@@ -108,7 +108,8 @@ class FlightRecorder:
     def dump(self, path) -> dict:
         """Atomically write the ring as JSON; returns the dumped dict."""
         data = self.to_dict()
-        atomic_write_text(path, json.dumps(data, indent=1, default=str) + "\n")
+        # compact separators, no indent: an indent selects json's pure-python encoder
+        atomic_write_text(path, json.dumps(data, separators=(",", ":"), default=str) + "\n")
         return data
 
 

@@ -147,8 +147,9 @@ class CheckpointStore:
                 result.layered,
                 channel_weights=result.channel_weights,
             )
-            if result.certificate is not None:
-                (staging / "certificate.json").write_text(result.certificate.to_json())
+            if result.certificate is not None:  # streamed from its arrays, block by block
+                with open(staging / "certificate.json", "w", encoding="utf-8") as fp:
+                    fp.writelines(result.certificate.json_chunks())
             payload = dict(state)
             payload["format"] = STATE_FORMAT
             payload["version"] = version
