@@ -4,7 +4,8 @@ Measures, on the reference fabric ``xgft(3, (8,8,6), (1,4,4))`` (88
 switches, 384 terminals — large enough that process-pool startup is
 noise):
 
-* serial SSSP / DFSSSP route time and peak memory (tracemalloc),
+* serial SSSP / DFSSSP route time and peak memory (tracemalloc) of the
+  heap-Dijkstra reference (``kernel="python"``),
 * parallel DFSSSP (``workers=4, kernel="numpy"``) route time,
 * cycle breaking: the incremental CSR engine
   (:func:`repro.deadlock.incremental.assign_layers_incremental`) vs the
@@ -127,16 +128,18 @@ def measure() -> dict:
     fabric = xgft(*REFERENCE_XGFT)
     calib = _calibrate()
 
-    serial_sssp, t_sssp = _timed_route(SSSPEngine(), fabric)
-    serial_df, t_df = _timed_route(DFSSSPEngine(), fabric)
+    # The serial baselines are the heap-Dijkstra reference, named
+    # explicitly: the engines' default is the production step.
+    serial_sssp, t_sssp = _timed_route(SSSPEngine(kernel="python"), fabric)
+    serial_df, t_df = _timed_route(DFSSSPEngine(kernel="python"), fabric)
     par_engine = DFSSSPEngine(workers=PARALLEL_WORKERS, kernel="numpy")
     par_df, t_par = _timed_route(par_engine, fabric)
     par_sssp_engine = SSSPEngine(workers=PARALLEL_WORKERS, kernel="numpy")
     par_sssp, t_par_sssp = _timed_route(par_sssp_engine, fabric)
 
     mem_fabric = xgft(*MEMORY_XGFT)
-    mem_sssp = _peak_memory_mb(SSSPEngine(), mem_fabric)
-    mem_df = _peak_memory_mb(DFSSSPEngine(), mem_fabric)
+    mem_sssp = _peak_memory_mb(SSSPEngine(kernel="python"), mem_fabric)
+    mem_df = _peak_memory_mb(DFSSSPEngine(kernel="python"), mem_fabric)
 
     # The gate only means anything if the parallel run is the *same* run.
     assert np.array_equal(

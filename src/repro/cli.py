@@ -84,7 +84,6 @@ from repro.obs.export import (
     slo_verdict,
     trace_request_ids,
 )
-from repro.parallel.kernel import KERNELS
 from repro.routing import PAPER_ENGINES, make_engine
 from repro.routing.base import LayeredRouting
 from repro.deadlock.certificate import check_servable
@@ -127,29 +126,6 @@ def _build_topo(args, seed: int | None = None) -> Fabric:
     if family in topo.CLUSTERS:
         return topo.cluster(family, scale=args.scale)
     raise ReproError(f"unknown topology family {family!r}")
-
-
-#: engines that understand the parallel-execution options
-PARALLEL_ENGINES = ("sssp", "dfsssp")
-
-
-def _engine_opts(args, name: str) -> dict:
-    """Parallel options for ``make_engine(name, ...)``.
-
-    Only SSSP/DFSSSP accept ``workers``/``kernel``; other engines get an
-    empty dict so multi-engine commands (``route --engines minhop,dfsssp
-    --workers 4``) keep working.
-    """
-    if name not in PARALLEL_ENGINES:
-        return {}
-    opts: dict = {}
-    if args.workers:
-        opts["workers"] = args.workers
-    if args.kernel != "python":
-        opts["kernel"] = args.kernel
-    if name == "dfsssp" and args.cdg != "incremental":
-        opts["cdg"] = args.cdg
-    return opts
 
 
 def _read_json(path: str):
@@ -224,7 +200,7 @@ def cmd_route(args) -> int:
     )
     for name in args.engines.split(","):
         try:
-            result = make_engine(name, **_engine_opts(args, name)).route(fabric)
+            result = make_engine(name).route(fabric)
             layered = result.layered or LayeredRouting.single_layer(result.tables)
             verdict = check_servable(result.tables, layered)
             if verdict.paths is None:
@@ -254,7 +230,7 @@ def cmd_simulate(args) -> int:
     )
     for name in args.engines.split(","):
         try:
-            result = make_engine(name, **_engine_opts(args, name)).route(fabric)
+            result = make_engine(name).route(fabric)
             sim = CongestionSimulator(result.tables)
             ebb = sim.effective_bisection_bandwidth(args.patterns, seed=args.seed)
             table.add_row([name, ebb.ebb, ebb.minimum, ebb.maximum])
@@ -380,7 +356,7 @@ def cmd_throughput(args) -> int:
         title=f"open-loop throughput on {fabric}",
     )
     for name in args.engines.split(","):
-        result = make_engine(name, **_engine_opts(args, name)).route(fabric)
+        result = make_engine(name).route(fabric)
         for r in saturation_sweep(
             result, pattern, rates, buffers=args.buffers, packet_length=args.packet_length,
             warmup=args.warmup, measure=args.measure, seed=args.seed,
@@ -426,15 +402,6 @@ def cmd_des(args) -> int:
 
     raw = _read_json(args.scenario)
     scenarios = raw if isinstance(raw, list) else [raw]
-    # CLI-pinned engine options win over per-scenario ones so a sweep can
-    # run every scenario under one kernel/worker configuration. DFSSSP
-    # takes every parallel option, so its set is the full one.
-    cli_opts = _engine_opts(args, "dfsssp")
-    if cli_opts:
-        scenarios = [
-            {**spec, "engine_opts": {**spec.get("engine_opts", {}), **cli_opts}}
-            for spec in scenarios
-        ]
     reports = [run_scenario(spec) for spec in scenarios]
     payload = [r.to_dict() for r in reports]
     out_doc = payload[0] if not isinstance(raw, list) else payload
@@ -497,7 +464,7 @@ def cmd_chaos(args) -> int:
 
     fabric = _build_topo(args)
     runner = ChaosRunner(
-        make_engine(args.engine, **_engine_opts(args, args.engine)),
+        make_engine(args.engine),
         verify=not args.no_verify,
     )
     report = runner.run(
@@ -577,7 +544,6 @@ def cmd_serve(args) -> int:
             policy=policy,
             checkpoint_dir=args.checkpoint_dir,
             seed=args.seed,
-            engine_opts=_engine_opts(args, args.engine),
         )
         events = args.events
 
@@ -769,7 +735,7 @@ def cmd_deadlock(args) -> int:
     fabric = _build_topo(args)
     pattern = shift_pattern(fabric, args.shift)
     for name in args.engines.split(","):
-        result = make_engine(name, **_engine_opts(args, name)).route(fabric)
+        result = make_engine(name).route(fabric)
         outcome = run_pattern(
             result, pattern, buffers=args.buffers, packets_per_flow=args.packets,
             packet_length=args.packet_length,
@@ -803,7 +769,7 @@ def _certify_load_routing(args):
         tables = state.tables
         layered = state.layered or LayeredRouting.single_layer(tables)
     else:
-        result = make_engine(args.engine, **_engine_opts(args, args.engine)).route(fabric)
+        result = make_engine(args.engine).route(fabric)
         tables = result.tables
         layered = result.layered or LayeredRouting.single_layer(tables)
     return tables, layered
@@ -892,23 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     topo_opts.add_argument("--scale", type=float, default=0.1, help="cluster lookalike scale")
     topo_opts.add_argument("--seed", type=int, default=0)
 
-    parallel_opts = argparse.ArgumentParser(add_help=False)
-    parallel_opts.add_argument(
-        "--workers", type=int, default=0,
-        help="fan SSSP/DFSSSP destination columns over N worker processes "
-        "(0 = serial; results are bit-identical either way)",
-    )
-    parallel_opts.add_argument(
-        "--kernel", choices=KERNELS, default="python",
-        help="SSSP/DFSSSP shortest-path kernel (the vectorized 'numpy' "
-        "kernel is bit-identical to the reference 'python' heap)",
-    )
-    parallel_opts.add_argument(
-        "--cdg", choices=("incremental", "rebuild"), default="incremental",
-        help="DFSSSP cycle-breaking engine (the vectorized 'incremental' "
-        "CSR engine is bit-identical to the 'rebuild' reference)",
-    )
-
     obs_opts = argparse.ArgumentParser(add_help=False)
     obs_opts.add_argument(
         "--trace", metavar="FILE",
@@ -952,11 +901,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="save fabric JSON here")
 
     p = command("route", cmd_route, "run routing engines, show path stats",
-                topo_opts, obs_opts, parallel_opts, json_opt)
+                topo_opts, obs_opts, json_opt)
     p.add_argument("--engines", "--engine", default=",".join(PAPER_ENGINES))
 
     p = command("simulate", cmd_simulate, "effective bisection bandwidth",
-                topo_opts, obs_opts, parallel_opts, json_opt)
+                topo_opts, obs_opts, json_opt)
     p.add_argument("--engines", "--engine", default="minhop,dfsssp")
     p.add_argument("--patterns", type=int, default=50)
 
@@ -964,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-layers", type=int, default=16)
 
     p = command("throughput", cmd_throughput, "open-loop saturation sweep",
-                topo_opts, obs_opts, parallel_opts)
+                topo_opts, obs_opts)
     p.add_argument("--engines", "--engine", default="dfsssp")
     p.add_argument("--rates", default="0.1,0.3,0.6,0.9")
     p.add_argument("--buffers", type=int, default=2)
@@ -982,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
 
     p = command("deadlock", cmd_deadlock, "packet-level deadlock experiment (Fig. 2)",
-                topo_opts, obs_opts, parallel_opts)
+                topo_opts, obs_opts)
     p.add_argument("--engines", "--engine", default="sssp,dfsssp")
     p.add_argument("--shift", type=int, default=2)
     p.add_argument("--buffers", type=int, default=1)
@@ -993,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         "des", cmd_des,
         "packet-level DES scenario sweep (FCT percentiles, queue "
         "occupancy, faults mid-collective; see docs/des.md)",
-        obs_opts, parallel_opts, json_opt,
+        obs_opts, json_opt,
     )
     p.add_argument(
         "--scenario", required=True, metavar="FILE",
@@ -1006,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("chaos", cmd_chaos, "fault-injection soak (degrade/repair/verify)",
-                topo_opts, obs_opts, parallel_opts, fault_opts, telemetry_opts, json_opt)
+                topo_opts, obs_opts, fault_opts, telemetry_opts, json_opt)
     p.add_argument("--engine", default="dfsssp", help="engine under test")
     p.add_argument(
         "--no-verify", action="store_true",
@@ -1016,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("serve", cmd_serve,
                 "supervised service-mode soak (deadlines, backoff, checkpoint/restore)",
-                topo_opts, obs_opts, parallel_opts, fault_opts, telemetry_opts, json_opt)
+                topo_opts, obs_opts, fault_opts, telemetry_opts, json_opt)
     p.add_argument("--engine", default="dfsssp", help="primary routing engine")
     p.add_argument(
         "--burst-max", type=int, default=1,
@@ -1115,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("certify", cmd_certify, "emit / validate deadlock-freedom certificates",
-                topo_opts, parallel_opts, json_opt)
+                topo_opts, json_opt)
     p.add_argument(
         "--engine", default="dfsssp", choices=sorted(PAPER_ENGINES),
         help="engine to route with when no routing source is given",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.heuristics import get_heuristic
 from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
-from repro.core.sssp import SSSPEngine
+from repro.core.sssp import DEFAULT_KERNEL, SSSPEngine
 from repro.network.fabric import Fabric
 from repro.obs import COUNT_BUCKETS, get_registry, span
 from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult
@@ -47,11 +47,12 @@ class DFSSSPEngine(RoutingEngine):
         Spread paths over unused layers after cycle breaking (Algorithm
         2's final step).
     workers / kernel:
-        Forwarded to :class:`SSSPEngine` — in particular ``workers=N``
-        fans the SSSP phase out over a process pool and ``kernel="numpy"``
-        selects the vectorized Dijkstra, both bit-identical to the serial
-        reference (the layer assignment consumes identical tables, so the
-        layered result is identical too).
+        Forwarded to :class:`SSSPEngine`: ``workers=N`` fans the SSSP
+        phase out over a process pool and ``kernel="python"`` runs the
+        heap-Dijkstra reference instead of the default production step.
+        Both are bit-identical to the default (the layer assignment
+        consumes identical tables, so the layered result is identical
+        too).
     """
 
     name = "dfsssp"
@@ -64,7 +65,7 @@ class DFSSSPEngine(RoutingEngine):
         cdg: str = "incremental",
         balance: bool = True,
         workers: int = 0,
-        kernel: str = "python",
+        kernel: str = DEFAULT_KERNEL,
     ):
         if max_layers < 1:
             raise ValueError(f"max_layers must be >= 1, got {max_layers}")

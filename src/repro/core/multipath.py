@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS
+from repro.core.sssp import DEFAULT_KERNEL
 from repro.deadlock.cycles import kahn_core
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
@@ -153,7 +154,7 @@ class MultipathDFSSSPEngine:
         T = fabric.num_terminals
         K = self.num_planes
         weights = np.full(fabric.num_channels, (T * K) ** 2 + 1, dtype=np.int64)
-        step, _ = column_routine(fabric, "python", self.name)
+        step, _ = column_routine(fabric, DEFAULT_KERNEL, self.name)
         plane_tables = [np.full((fabric.num_nodes, T), -1, dtype=np.int32) for _ in range(K)]
         # OpenSM routes LIDs in order: offset-major interleaving makes the
         # planes diverge destination by destination.

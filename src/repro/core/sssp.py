@@ -36,6 +36,9 @@ from repro.service.budget import check_budget
 
 #: per-destination shortest-path kernels (see :mod:`repro.parallel.kernel`).
 KERNELS = ("python", "numpy")
+#: the production step: the validated exact reduction of
+#: :mod:`repro.parallel.reduction`, whose fallback is the numpy Dijkstra
+DEFAULT_KERNEL = "numpy"
 
 
 class SSSPEngine(RoutingEngine):
@@ -53,15 +56,17 @@ class SSSPEngine(RoutingEngine):
         (:mod:`repro.parallel.executor`); the result is bit-identical to
         the serial run.
     kernel:
-        ``"python"`` (reference heap Dijkstra, default) or ``"numpy"``
-        (vectorized masked-argmin kernel, the production path). They are
-        bit-identical; see :mod:`repro.parallel.kernel`.
+        ``"numpy"`` (default, the production step: hop plans refined and
+        validated by :class:`~repro.parallel.reduction.ExactReduction`) or
+        ``"python"`` (the readable reference: heap Dijkstra and the
+        farthest-first weight update). They are bit-identical; the tests
+        and ``benchmarks/e2e`` name the reference explicitly.
     """
 
     name = "sssp"
     supports_incremental_reroute = True
 
-    def __init__(self, workers: int = 0, kernel: str = "python"):
+    def __init__(self, workers: int = 0, kernel: str = DEFAULT_KERNEL):
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if workers < 0:

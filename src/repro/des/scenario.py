@@ -21,9 +21,10 @@ CLI subcommand does exactly that) describing one experiment:
     }
 
 Every key except ``topology`` has a default (see ``_DEFAULTS``);
-``buffer_packets: null`` means infinite buffers. Each engine in
-``engines`` routes the same fabric and drives a *fresh* workload
-instance through :class:`repro.des.PacketDES`, so the comparison is
+``buffer_packets: null`` means infinite buffers; any other key is a
+:class:`~repro.exceptions.SimulationError`. Each engine in ``engines``
+is built with its defaults, routes the same fabric and drives a *fresh*
+workload instance through :class:`repro.des.PacketDES`, so the comparison is
 apples-to-apples: identical flows, identical fault schedule (the fault
 injector is re-seeded per engine), different forwarding tables.
 
@@ -58,16 +59,7 @@ _DEFAULTS = {
     "max_retransmits": 16,
     "record_events": False,
     "max_events": 5_000_000,
-    # Constructor options for the SSSP/DFSSSP engines (e.g. {"kernel":
-    # "numpy", "workers": 4}); other engines ignore them. The des CLI
-    # fills this from --kernel/--workers/--cdg so sweeps can pin the
-    # kernel uniformly. Routing results are bit-identical across kernels
-    # and worker counts, so this only affects routing wall time.
-    "engine_opts": {},
 }
-
-#: engines whose constructors accept ``engine_opts``
-_PARALLEL_ENGINES = ("sssp", "dfsssp")
 
 _LINK_DEFAULTS = {"bandwidth_gbps": 100.0, "propagation_us": 0.5, "mtu_bytes": 4096}
 
@@ -99,11 +91,6 @@ def normalize_scenario(spec: dict) -> dict:
             )
     faults = [FaultSpec(float(f["at_s"]), int(f.get("count", 1))) for f in out["faults"]]
     out["faults"] = [{"at_s": f.at_s, "count": f.count} for f in faults]
-    if not isinstance(out["engine_opts"], dict):
-        raise SimulationError(
-            f"engine_opts must be a dict, got {type(out['engine_opts']).__name__}"
-        )
-    out["engine_opts"] = dict(out["engine_opts"])
     return out
 
 
@@ -207,10 +194,7 @@ def run_scenario(spec: dict, fabric: Fabric | None = None) -> ScenarioReport:
         wl_spec.setdefault("seed", spec["seed"])
     with span("des.scenario", scenario=spec["name"], workload=wl_kind):
         for name in spec["engines"]:
-            opts = dict(spec["engine_opts"]) if name in _PARALLEL_ENGINES else {}
-            if name != "dfsssp":
-                opts.pop("cdg", None)  # cycle breaking is DFSSSP-only
-            engine = ENGINES[name](**opts)
+            engine = ENGINES[name]()
             try:
                 result = engine.route(fabric)
                 workload = make_workload(wl_kind, fabric, **wl_spec)

@@ -4,13 +4,14 @@
 a single output bit:
 
 * :mod:`repro.parallel.kernel` — the vectorized (numpy) Dijkstra and BFS
-  kernels, selectable on the engines via ``kernel="numpy" | "python"``;
+  kernels;
 * :mod:`repro.parallel.executor` — the process pool that fans out
-  per-destination columns in deterministic batches
+  per-destination columns in deterministic batches, only on request
   (``SSSPEngine(workers=N)`` / ``DFSSSPEngine(workers=N)``);
 * :mod:`repro.parallel.reduction` — the exact reduction that replays the
   serial weight-update order and *proves* every column equal to the
-  serial engine's, falling back to a full Dijkstra otherwise.
+  heap-Dijkstra reference's, falling back to a full Dijkstra otherwise:
+  the engines' default step (``kernel="numpy"``).
 
 The determinism contract and the worker model are documented in
 ``docs/parallel.md``; the differential suite in ``tests/parallel``
@@ -25,7 +26,17 @@ from repro.parallel.kernel import (
     resolve_kernel,
 )
 from repro.parallel.reduction import ExactReduction
-from repro.parallel.executor import run_parallel_sssp
+
+
+def __getattr__(name: str):
+    # The pool (and with it multiprocessing) loads only when asked for:
+    # the serial engines never import it.
+    if name == "run_parallel_sssp":
+        from repro.parallel.executor import run_parallel_sssp
+
+        return run_parallel_sssp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "KERNELS",

@@ -57,6 +57,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from repro.core.sssp import DEFAULT_KERNEL
 from repro.exceptions import ComputeTimeoutError
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_registry, span
@@ -178,7 +179,7 @@ def run_parallel_sssp(
     fabric: Fabric,
     *,
     workers: int,
-    kernel: str = "python",
+    kernel: str = DEFAULT_KERNEL,
     batch: int | None = None,
     engine_name: str = "sssp",
 ):

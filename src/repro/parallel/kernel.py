@@ -149,7 +149,9 @@ def hops_to_dest(fabric: Fabric, dest: int) -> np.ndarray:
         v = v[hops[v] < 0]
         if not len(v):
             break
-        frontier = np.unique(v)
         level += 1
-        hops[frontier] = level
+        hops[v] = level
+        # The new level, sorted and deduplicated: one scan of ``hops`` costs
+        # less than np.unique's sort of ``v``.
+        frontier = np.flatnonzero(hops == level)
     return hops

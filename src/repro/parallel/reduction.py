@@ -72,7 +72,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.sssp import update_weights_for_dest, update_weights_for_dest_fast
+from repro.core.sssp import (
+    DEFAULT_KERNEL,
+    update_weights_for_dest,
+    update_weights_for_dest_fast,
+)
 from repro.network.fabric import Fabric
 from repro.obs import get_registry
 from repro.parallel.kernel import INT64_INF, hops_to_dest, resolve_kernel
@@ -132,7 +136,9 @@ class ExactReduction:
     dies with the instance, i.e. with the SSSP phase that made it.
     """
 
-    def __init__(self, fabric: Fabric, kernel: str = "numpy", engine_name: str = "sssp"):
+    def __init__(
+        self, fabric: Fabric, kernel: str = DEFAULT_KERNEL, engine_name: str = "sssp"
+    ):
         self.fabric = fabric
         self._dijkstra = resolve_kernel(kernel)
         self._m_fallbacks = get_registry().counter(

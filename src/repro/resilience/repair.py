@@ -9,11 +9,12 @@ columns. :func:`repair_routing` instead
    (node and channel ids are renumbered by the rebuild; the
    :class:`~repro.network.faults.DegradedFabric` maps drive the splice),
 2. re-routes *only* the destinations whose columns lost an entry — with
-   the engine's own ``kernel``, so ``"numpy"`` pays the fused, validated
+   the engine's own ``kernel``, so the default pays the fused, validated
    step of :mod:`repro.parallel.reduction` per column (one hop sweep per
-   attachment switch) instead of a heap Dijkstra — reusing the surviving balancing weights so the repaired
-   routes stay globally balanced and hop-minimal (the §II weight
-   argument is unaffected: total accumulated weight stays below ``W0``),
+   attachment switch) instead of a heap Dijkstra — reusing the surviving
+   balancing weights so the repaired routes stay globally balanced and
+   hop-minimal (the §II weight argument is unaffected: total accumulated
+   weight stays below ``W0``),
 3. re-verifies deadlock-freedom incrementally: the untouched paths keep
    their virtual layers (any subset of an acyclic CDG is acyclic), and
    each repaired path goes back into its old layer first. One array
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sssp import DEFAULT_KERNEL
 from repro.deadlock.cdg import first_fit
 from repro.deadlock.verify import build_layer_cdgs, verify_deadlock_free
 from repro.exceptions import RepairError, RoutingError
@@ -134,7 +136,7 @@ def repair_routing(
     degraded: DegradedFabric,
     *,
     engine_name: str | None = None,
-    kernel: str = "python",
+    kernel: str = DEFAULT_KERNEL,
 ) -> RoutingResult:
     """Incrementally repair ``prior`` for ``degraded.fabric``.
 

@@ -13,6 +13,9 @@ channel's load counter is only ever bumped by its own source node, so
 within one destination no node's choice can influence another's; choices
 only interact across destinations, where we apply the bulk update. Ties
 break on (load, channel id), matching the sequential first-minimum scan.
+A single-homed terminal (one cable, into a switch) is reached through its
+switch only, so its hop column is the switch's plus one: one BFS serves
+every terminal on a switch.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import numpy as np
 
 from repro.network.fabric import Fabric
 from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
+
+#: Most bytes one route's cached switch hop columns may hold; switches
+#: past it are swept again for each of their terminals.
+SWEEP_CACHE_BYTES = 32 << 20
 
 
 class MinHopEngine(RoutingEngine):
@@ -37,10 +44,22 @@ class MinHopEngine(RoutingEngine):
         chan_src = fabric.channels.src.astype(np.int64)
         chan_dst = fabric.channels.dst.astype(np.int64)
         chan_ids = np.arange(fabric.num_channels, dtype=np.int64)
+        sweeps: dict[int, np.ndarray] = {}  # attachment switch -> its hop column
+        max_sweeps = SWEEP_CACHE_BYTES // (4 * fabric.num_nodes)
 
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
-            dist = hops_to_dest(fabric, dest)
+            switch = _uplink_switch(fabric, dest)
+            if switch < 0:
+                dist = hops_to_dest(fabric, dest)
+            else:
+                hops = sweeps.get(switch)
+                if hops is None:
+                    hops = hops_to_dest(fabric, switch)
+                    if len(sweeps) < max_sweeps:
+                        sweeps[switch] = hops
+                dist = np.where(hops >= 0, hops + 1, -1).astype(np.int32)
+                dist[dest] = 0
             # A channel (u -> v) lies on a minimum-hop path iff
             # dist[v] + 1 == dist[u]; the destination itself gets no entry.
             eligible = (
@@ -104,3 +123,12 @@ class MinHopEngine(RoutingEngine):
             deadlock_free=False,
             stats={"engine": self.name, "max_port_load": int(load.max(initial=0))},
         )
+
+
+def _uplink_switch(fabric: Fabric, terminal: int) -> int:
+    """The switch a single-homed terminal hangs off, else -1."""
+    lo, hi = fabric.out_ptr[terminal], fabric.out_ptr[terminal + 1]
+    if hi - lo != 1:
+        return -1
+    switch = int(fabric.channels.dst[fabric.out_chan[lo]])
+    return switch if fabric.is_switch(switch) else -1

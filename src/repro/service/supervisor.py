@@ -146,11 +146,11 @@ class RoutingSupervisor:
         Jitter RNG seed (backoff determinism in tests).
     engine_opts:
         Keyword options forwarded to :func:`make_engine` when ``engine``
-        is a name (e.g. ``{"workers": 4, "kernel": "numpy"}`` to run the
-        SSSP phase on the parallel executor). Persisted in checkpoints
-        and re-applied on :meth:`restore`, so a restored service keeps
-        its parallel configuration. Ignored when ``engine`` is already an
-        instance.
+        is a name (e.g. ``{"workers": 2}`` to run the SSSP phase on the
+        parallel executor); the defaults are the production configuration.
+        Persisted in checkpoints and re-applied on :meth:`restore`, so a
+        restored service keeps its configuration. Ignored when ``engine``
+        is already an instance.
     """
 
     def __init__(
@@ -542,6 +542,8 @@ class RoutingSupervisor:
                         with compute_budget(deadline, label=rung):
                             result = attempt_fn()
                         self._verify(result)
+                    if rung == "repair" and "repair" not in result.stats:
+                        rung = "full"  # reroute fell back to a full route
                     record_event("rung_ok", engine=self.engine.name, rung=rung,
                                  attempt=attempt)
                     return rung, result, errors

@@ -87,6 +87,11 @@ def test_option_surface():
     ]
 
 
+def test_defaults_are_the_production_step():
+    engine = DFSSSPEngine()
+    assert (engine._sssp.kernel, engine._sssp.workers, engine.cdg) == ("numpy", 0, "incremental")
+
+
 @pytest.mark.parametrize("opts, named", [
     ({"heuristic": "bogus"}, "unknown heuristic 'bogus'"),
     ({"max_layers": 0}, "max_layers must be >= 1"),

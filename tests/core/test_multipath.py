@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.core.multipath as multipath_mod
+import repro.parallel.reduction as reduction_mod
 from repro import topologies
 from repro.core import (
     ConcatenatedPaths,
@@ -141,6 +143,35 @@ def test_layers_equal_the_rebuild_reference(make):
         assert routing.stats["layers_needed"] == ref.layers_needed
         assert routing.stats["cycles_broken"] == ref.cycles_broken
         assert routing.verify_deadlock_free()
+
+
+@pytest.mark.parametrize(
+    "make, lmc",
+    [
+        (lambda: topologies.ranger(scale=0.1), 1),
+        (lambda: topologies.ranger(scale=0.1), 2),
+        (lambda: topologies.xgft(3, (4, 4, 4), (1, 2, 2)), 2),
+    ],
+    ids=["ranger-lmc1", "ranger-lmc2", "xgft-lmc2"],
+)
+def test_production_step_equals_the_heap_step(monkeypatch, make, lmc):
+    """The planes run the engines' production step; swapping in the heap
+    Dijkstra reference changes no plane and no layer."""
+    fabric = make()
+    kernels = []
+    real = reduction_mod.column_routine
+    monkeypatch.setattr(
+        reduction_mod, "column_routine",
+        lambda fab, kernel, name: kernels.append(kernel) or real(fab, kernel, name),
+    )
+    got = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
+    monkeypatch.setattr(multipath_mod, "DEFAULT_KERNEL", "python")
+    want = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
+    assert kernels == ["numpy", "python"]
+    for k, (a, b) in enumerate(zip(got.planes, want.planes)):
+        np.testing.assert_array_equal(a.next_channel, b.next_channel, err_msg=f"plane {k}")
+    np.testing.assert_array_equal(got.path_layers, want.path_layers)
+    assert got.stats == want.stats
 
 
 def test_verify_rejects_a_cyclic_layering():

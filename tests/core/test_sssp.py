@@ -46,6 +46,11 @@ def test_option_surface():
     assert list(inspect.signature(SSSPEngine).parameters) == ["workers", "kernel"]
 
 
+def test_defaults_are_the_production_step():
+    engine = SSSPEngine()
+    assert (engine.kernel, engine.workers) == ("numpy", 0)
+
+
 def test_deterministic(random16):
     a = SSSPEngine().route(random16).tables.next_channel
     b = SSSPEngine().route(random16).tables.next_channel

@@ -117,7 +117,7 @@ def compute_golden(name: str) -> dict:
         "engines": {},
     }
     for engine_name, engine_cls in ENGINES.items():
-        result = engine_cls().route(fabric)
+        result = engine_cls(kernel="python").route(fabric)
         entry = {
             "next_channel": result.tables.next_channel.tolist(),
             "channel_weights": result.channel_weights.tolist(),

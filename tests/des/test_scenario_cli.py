@@ -55,6 +55,13 @@ def test_normalize_rejects_malformed_scenarios(spec, match):
         normalize_scenario(spec)
 
 
+def test_engine_options_are_not_a_scenario_key():
+    """Every engine runs its production configuration; the removed
+    ``engine_opts`` key is named, not silently ignored."""
+    with pytest.raises(SimulationError, match=r"unknown scenario keys \['engine_opts'\]"):
+        normalize_scenario({**SCENARIO, "engine_opts": {"kernel": "python"}})
+
+
 def test_build_scenario_fabric_families():
     ring = build_scenario_fabric({"family": "ring", "switches": 4})
     assert ring.num_switches == 4

@@ -2,10 +2,11 @@
 
 The determinism contract of :mod:`repro.parallel` is *exact* equality —
 forwarding tables, layer assignments and balancing weights — between the
-serial reference engine and
+serial reference engine (heap Dijkstra, ``kernel="python"``, named
+explicitly: the engines' default is the production step) and
 
 * the process-pool executor (``workers`` ∈ {1, 2, 4}),
-* the vectorized numpy Dijkstra kernel (``kernel="numpy"``),
+* the production step (``kernel="numpy"``, the default),
 * any combination of the two,
 
 on every topology family. ``assert_same_routing`` compares arrays with
@@ -27,6 +28,7 @@ from repro.core.sssp import (
     update_weights_for_dest,
     update_weights_for_dest_fast,
 )
+from repro.obs import InMemorySink, use_sink
 from repro.parallel import dijkstra_to_dest_numpy, run_parallel_sssp
 
 # ≥ 5 topology families, as the acceptance criteria require; sizes are
@@ -44,7 +46,7 @@ FAMILIES = {
 PARALLEL_CONFIGS = [
     pytest.param(dict(kernel="numpy"), id="serial-numpy"),
     pytest.param(dict(workers=1, kernel="numpy"), id="workers1-numpy-shm"),
-    pytest.param(dict(workers=2), id="workers2-python"),
+    pytest.param(dict(workers=2, kernel="python"), id="workers2-python"),
     pytest.param(dict(workers=2, kernel="numpy"), id="workers2-numpy"),
     pytest.param(dict(workers=4, kernel="numpy"), id="workers4-numpy-shm"),
 ]
@@ -55,16 +57,27 @@ def family_fabric(request):
     return request.param, FAMILIES[request.param]()
 
 
+def _heap_reference(engine, fabric):
+    """Route with the heap-Dijkstra reference and prove that it ran: the
+    production step records its hop sweeps on the ``sssp.run`` span."""
+    sink = InMemorySink()
+    with use_sink(sink):
+        result = engine.route(fabric)
+    (run,) = sink.find("sssp.run")
+    assert "sweeps" not in run.attrs, "the reference ran the production step"
+    return result
+
+
 @pytest.fixture(scope="module")
 def serial_sssp(family_fabric):
     _, fabric = family_fabric
-    return SSSPEngine().route(fabric)
+    return _heap_reference(SSSPEngine(kernel="python"), fabric)
 
 
 @pytest.fixture(scope="module")
 def serial_dfsssp(family_fabric):
     _, fabric = family_fabric
-    return DFSSSPEngine().route(fabric)
+    return _heap_reference(DFSSSPEngine(kernel="python"), fabric)
 
 
 def assert_same_routing(base, other, *, layers: bool = False) -> None:
@@ -126,7 +139,7 @@ def _fabric(params):
 @given(random_topo_params, st.sampled_from([2, 4]), st.sampled_from(["python", "numpy"]))
 def test_parallel_equals_serial_on_random_fabrics(params, workers, kernel):
     fabric = _fabric(params)
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     par = SSSPEngine(workers=workers, kernel=kernel).route(fabric)
     assert_same_routing(base, par)
 
@@ -136,7 +149,7 @@ def test_parallel_equals_serial_on_random_fabrics(params, workers, kernel):
 def test_batch_size_never_changes_results(params, batch):
     """Batching affects scheduling and span granularity only."""
     fabric = _fabric(params)
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     next_channel, weights = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=batch)
     assert np.array_equal(next_channel, base.tables.next_channel)
     assert np.array_equal(weights, base.channel_weights)

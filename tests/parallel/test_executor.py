@@ -120,7 +120,7 @@ def test_parallel_run_honours_expired_budget(fabric):
 def test_validation_fallback_still_bit_identical(fabric, monkeypatch):
     """Force every reduction column to fail validation: the executor must
     re-run the full Dijkstra per destination and still match serial."""
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     monkeypatch.setattr(ExactReduction, "validate", lambda self, *a, **k: False)
     par = SSSPEngine(workers=2, kernel="numpy").route(fabric)
     assert np.array_equal(par.tables.next_channel, base.tables.next_channel)
@@ -173,7 +173,7 @@ def test_executor_python_kernel_matches_serial(fabric):
     """With ``kernel="python"`` the workers still sweep BFS hops (equal to
     the unit-weight heap Dijkstra, see ``test_hops_equal_unit_weight_dijkstra``)
     and the reducer falls back to the heap kernel — results stay exact."""
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     par = SSSPEngine(workers=3, kernel="python").route(fabric)
     assert np.array_equal(par.tables.next_channel, base.tables.next_channel)
     assert np.array_equal(par.channel_weights, base.channel_weights)

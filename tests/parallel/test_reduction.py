@@ -275,7 +275,7 @@ def test_leaves_under_an_unreached_switch_stay_unrouted():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_engines_match_heap_reference(family, workers):
     fabric = FAMILIES[family]()
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     reg = get_registry()
     reg.reset()
     got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
@@ -330,7 +330,7 @@ def test_poisoned_plan_is_rejected_and_output_identical(corrupt):
 
 def test_full_plan_cache_sweeps_per_destination(monkeypatch):
     fabric = FAMILIES["xgft"]()
-    base = SSSPEngine().route(fabric)
+    base = SSSPEngine(kernel="python").route(fabric)
     monkeypatch.setattr(reduction_mod, "PLAN_CACHE_BYTES", 0)
     T = fabric.num_terminals
     for workers in (0, 2):

@@ -343,6 +343,6 @@ def test_engine_reroute_hands_its_kernel_to_repair(monkeypatch, random16, one_li
         repair_mod, "column_routine",
         lambda fabric, kernel, engine: seen.append(kernel) or real(fabric, kernel, engine),
     )
-    for engine in (SSSPEngine(kernel="numpy"), DFSSSPEngine(kernel="numpy"), SSSPEngine()):
+    for engine in (SSSPEngine(kernel="numpy"), DFSSSPEngine(kernel="numpy"), SSSPEngine(kernel="python")):
         engine.reroute(engine.route(random16), one_link_down)
     assert seen == ["numpy", "numpy", "python"]

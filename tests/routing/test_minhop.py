@@ -100,7 +100,8 @@ def test_deterministic(random16):
 def test_vectorized_equals_scalar_reference(random16, ktree42):
     """The vectorised per-destination pass must reproduce the sequential
     OpenSM-style loop bit for bit (see the module docstring's argument)."""
-    for fab in (random16, ktree42, topologies.deimos(scale=0.08)):
+    dual_homed = topologies.xgft(2, (4, 4), (2, 2))  # no shared sweep
+    for fab in (random16, ktree42, topologies.deimos(scale=0.08), dual_homed):
         engine = MinHopEngine()
         fast = engine._route(fab)
         slow = engine._route_scalar(fab)

@@ -9,6 +9,7 @@ from repro import topologies
 from repro.core import DFSSSPEngine
 from repro.exceptions import RoutingError, ServiceError
 from repro.obs import get_registry
+from repro.obs.recorder import FlightRecorder, use_recorder
 from repro.resilience import LINK_UP, FaultEvent, FaultInjector
 from repro.service import (
     DEGRADED,
@@ -145,6 +146,25 @@ def test_fallback_engine_serves_degraded(fabric):
     served = sup.serving()
     assert not served.stale and served.version == 2
     assert served.result.tables.engine == "updown"
+
+
+def test_reroute_that_fell_back_to_a_full_route_reports_full(fabric):
+    """``reroute`` routes from scratch when repair is impossible; the batch
+    is then a full route, whichever rung asked for it."""
+
+    class FullRouteOnReroute(DFSSSPEngine):
+        def reroute(self, prior, degraded):
+            return self.route(degraded.fabric)  # no stats["repair"]
+
+    sup = RoutingSupervisor(fabric, engine=FullRouteOnReroute(), policy=FAST, sleep=_no_sleep)
+    sup.submit(FaultInjector(fabric, seed=5).step()[0])
+    with use_recorder(FlightRecorder()) as recorder:
+        outcome = sup.process()
+
+    assert outcome.ok and outcome.action == "full" and outcome.attempts == 1
+    events = recorder.snapshot()
+    assert [e["rung"] for e in events if e["kind"] == "rung_ok"] == ["full"]
+    assert [e["action"] for e in events if e["kind"] == "routing_accepted"] == ["full"]
 
 
 def test_breaker_trips_and_reprobes(fabric):

@@ -53,26 +53,29 @@ def test_route_command_loads_saved_fabric(tmp_path, capsys):
     assert "failed" in text  # ftree on a ring
 
 
-def test_route_parallel_flags(capsys):
-    """--workers/--kernel reach SSSP/DFSSSP and leave other engines alone."""
-    rc = main(
-        ["route", "--family", "ring", "--switches", "5",
-         "--terminals-per-switch", "2", "--engines", "minhop,sssp,dfsssp",
-         "--workers", "2", "--kernel", "numpy", "--metrics", "-"]
-    )
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "minhop" in text and "dfsssp" in text
-    assert 'routing_parallel_workers{engine="sssp"} 2' in text
-    assert 'routing_parallel_fallbacks{engine="sssp"} 0' in text
+#: the routing subcommands, each with the arguments it requires
+ROUTING_COMMANDS = {
+    "route": [], "simulate": [], "throughput": [], "des": ["--scenario", "s.json"],
+    "chaos": [], "serve": [], "deadlock": [], "certify": [],
+}
 
 
-def test_route_rejects_unknown_kernel(capsys):
-    for flag in (("--kernel", "cuda"), ("--kernel", "native"), ("--cdg", "sharded")):
-        with pytest.raises(SystemExit) as exc:
-            main(["route", "--family", "ring", "--switches", "5",
-                  "--engine", "dfsssp", *flag])
-        assert exc.value.code == 2
+@pytest.mark.parametrize("flag", [("--kernel", "numpy"), ("--cdg", "rebuild"),
+                                  ("--workers", "2")], ids=lambda f: f[0])
+@pytest.mark.parametrize("command", sorted(ROUTING_COMMANDS))
+def test_engine_configuration_flags_are_usage_errors(command, flag, capsys):
+    """The routing commands run the engines' one production configuration."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *ROUTING_COMMANDS[command], *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_fleet_soak_keeps_its_worker_count():
+    """``fleet-soak --workers`` is the fleet's process count, not an engine knob."""
+    from tests.data.cli_outputs_gen import cli_parser
+
+    assert cli_parser().parse_args(["fleet-soak", "--workers", "3"]).workers == 3
 
 
 def test_simulate_command(capsys):
