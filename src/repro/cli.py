@@ -463,11 +463,7 @@ def cmd_chaos(args) -> int:
     from repro.resilience import ChaosRunner
 
     fabric = _build_topo(args)
-    runner = ChaosRunner(
-        make_engine(args.engine),
-        verify=not args.no_verify,
-    )
-    report = runner.run(
+    report = ChaosRunner(make_engine(args.engine)).run(
         fabric,
         num_events=args.events,
         seed=args.chaos_seed,
@@ -957,10 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("chaos", cmd_chaos, "fault-injection soak (degrade/repair/verify)",
                 topo_opts, obs_opts, fault_opts, telemetry_opts, json_opt)
     p.add_argument("--engine", default="dfsssp", help="engine under test")
-    p.add_argument(
-        "--no-verify", action="store_true",
-        help="skip per-event reachability / deadlock-freedom verification",
-    )
     p.add_argument("--out", help="write the full report (summary + events) as JSON")
 
     p = command("serve", cmd_serve,

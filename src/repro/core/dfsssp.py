@@ -57,6 +57,7 @@ class DFSSSPEngine(RoutingEngine):
 
     name = "dfsssp"
     supports_incremental_reroute = True
+    repair_needs_layers = True
 
     def __init__(
         self,
@@ -78,30 +79,10 @@ class DFSSSPEngine(RoutingEngine):
         self.balance = balance
         self._sssp = SSSPEngine(workers=workers, kernel=kernel)
 
-    def reroute(self, prior, degraded) -> RoutingResult:
-        """Incrementally repair ``prior`` on the degraded fabric.
-
-        Re-routes (with the engine's ``kernel``) only the destinations
-        whose forwarding entries traverse dead channels, splices the
-        repaired columns into the tables, then re-inserts the repaired
-        paths into the layer CDGs — escalating a path to another layer
-        only when keeping its old layer would re-introduce a cycle. Falls
-        back to a full DFSSSP run when repair is impossible (link-up,
-        foreign degradation) or when the repaired paths exhaust the
-        virtual-layer budget.
-        """
-        from repro.exceptions import InsufficientLayersError, RepairError
-        from repro.resilience.repair import count_fallback, repair_routing
-
-        if prior is None or prior.layered is None:
-            return self.route(degraded.fabric)
-        try:
-            return repair_routing(
-                prior, degraded, engine_name=self.name, kernel=self._sssp.kernel
-            )
-        except (RepairError, InsufficientLayersError) as err:
-            count_fallback(self.name, reason=type(err).__name__)
-            return self.route(degraded.fabric)
+    @property
+    def kernel(self) -> str:
+        """The SSSP phase's kernel; incremental repair re-routes with it too."""
+        return self._sssp.kernel
 
     def _route(self, fabric: Fabric) -> RoutingResult:
         with span("dfsssp.sssp", engine=self.name) as sp_sssp:

@@ -85,25 +85,6 @@ class SSSPEngine(RoutingEngine):
             channel_weights=weights,
         )
 
-    def reroute(self, prior, degraded) -> RoutingResult:
-        """Incrementally repair ``prior`` on the degraded fabric.
-
-        Only the destinations whose forwarding entries traverse dead
-        channels are re-routed (with the surviving balancing weights);
-        everything else is spliced over. Falls back to a full reroute when
-        the degradation does not derive from the routed fabric.
-        """
-        from repro.exceptions import RepairError
-        from repro.resilience.repair import count_fallback, repair_routing
-
-        if prior is None:
-            return self.route(degraded.fabric)
-        try:
-            return repair_routing(prior, degraded, engine_name=self.name, kernel=self.kernel)
-        except RepairError as err:
-            count_fallback(self.name, reason=type(err).__name__)
-            return self.route(degraded.fabric)
-
     def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray]:
         T = fabric.num_terminals
         w0 = T * T + 1

@@ -30,8 +30,8 @@ Model
   later. Both come from :class:`LinkParams`.
 * **Faults** — each :class:`FaultSpec` fires a seeded
   :class:`repro.resilience.FaultInjector` step at a DES timestamp and
-  reroutes through the engine's repair path
-  (:meth:`~repro.routing.base.RoutingEngine.reroute`). Packets stored
+  follows it with :func:`repro.resilience.events.follow_fault` (the
+  engine's :meth:`~repro.routing.base.RoutingEngine.reroute`). Packets stored
   in, or in flight on, a dead element are dropped and retransmitted
   from the source after ``retransmit_delay_s``.
 
@@ -558,11 +558,7 @@ class PacketDES:
                 wake(q)
 
         def inject_fault(t: float, spec: FaultSpec) -> None:
-            from repro.resilience.events import (
-                LINK_UP,
-                FaultInjector,
-                relative_degradation,
-            )
+            from repro.resilience.events import FaultInjector, follow_fault
 
             if self._injector is None:
                 rng = spawn_rngs(self.seed, 1)[0]
@@ -583,14 +579,9 @@ class PacketDES:
                 m_faults.inc()
                 record(t, "fault", detail)
                 with span("des.fault", kind=event.kind, at=t):
-                    if event.kind == LINK_UP:
-                        new_result = self.engine.route(cur.fabric)
-                        action = "full"
-                    else:
-                        rel = relative_degradation(prev, cur)
-                        new_result = self.engine.reroute(self._cur_result, rel)
-                        action = "repair" if new_result.stats.get("repair") else "full"
-                self._cur_result = new_result
+                    self._cur_result, action = follow_fault(
+                        self.engine, self._cur_result, event, prev, cur
+                    )
                 self._adopt_state(cur)
                 m_reroutes.inc()
                 reroute_notes.append(action)

@@ -100,9 +100,6 @@ def cable_keys(fabric: Fabric) -> list[tuple[int, int]]:
     return keys
 
 
-_cable_keys = cable_keys  # backwards-compatible private alias
-
-
 def identity_degradation(fabric: Fabric) -> DegradedFabric:
     """A no-op :class:`DegradedFabric` (the fabric mapped onto itself).
 
@@ -146,18 +143,13 @@ def degrade(
     return _rebuild(fabric, dead_nodes, keys)
 
 
-def fail_links(fabric: Fabric, count: int, seed=None, switch_links_only: bool = True) -> DegradedFabric:
-    """Remove ``count`` random cables.
+def fail_links(fabric: Fabric, count: int, seed=None) -> DegradedFabric:
+    """Remove ``count`` random switch-to-switch cables.
 
-    With ``switch_links_only`` (default) only switch-to-switch cables are
-    candidates, so no terminal gets orphaned.
+    Terminal cables are never candidates, so no terminal gets orphaned.
     """
     rng = make_rng(seed)
-    candidates = [
-        key
-        for key in _cable_keys(fabric)
-        if not switch_links_only or fabric.is_switch_channel[key[0]]
-    ]
+    candidates = [key for key in cable_keys(fabric) if fabric.is_switch_channel[key[0]]]
     if count > len(candidates):
         raise FabricError(
             f"cannot fail {count} cables; only {len(candidates)} candidates"

@@ -8,7 +8,9 @@ deadlock-free. This package turns the repo from "route once" into
 
 * :mod:`repro.resilience.events` — seeded :class:`FaultEvent` streams
   (link-down, switch-down, link-up) over one healthy baseline, with the
-  map algebra that lets consecutive degraded fabrics compose;
+  map algebra that lets consecutive degraded fabrics compose, the one
+  event fold (:func:`fold_events`) and the one follow-a-fault step
+  (:func:`follow_fault`);
 * :mod:`repro.resilience.repair` — incremental repair that re-routes
   only the destinations whose forwarding entries traverse dead channels
   and re-verifies per-layer CDG acyclicity, escalating paths to other
@@ -36,6 +38,8 @@ from repro.resilience.events import (
     SWITCH_DOWN,
     FaultEvent,
     FaultInjector,
+    fold_events,
+    follow_fault,
     random_fault_sequence,
     relative_degradation,
 )
@@ -52,6 +56,8 @@ __all__ = [
     "SWITCH_DOWN",
     "FaultEvent",
     "FaultInjector",
+    "fold_events",
+    "follow_fault",
     "random_fault_sequence",
     "relative_degradation",
     "repair_routing",

@@ -24,7 +24,7 @@ from repro.deadlock.certificate import check_servable
 from repro.exceptions import ReproError
 from repro.network.fabric import Fabric
 from repro.obs import get_registry, span
-from repro.resilience.events import LINK_UP, FaultInjector, relative_degradation
+from repro.resilience.events import FaultInjector, follow_fault
 from repro.routing.base import RoutingEngine, RoutingResult
 from repro.utils.reporting import JsonReport
 
@@ -105,19 +105,19 @@ class ChaosRunner:
     Parameters
     ----------
     engine:
-        A :class:`~repro.routing.base.RoutingEngine` instance. Engines
-        without incremental repair (everything except SSSP/DFSSSP) do a
-        full reroute per event; engines that reject degraded fabrics
-        (DOR, fat-tree) die on their first structural failure, which the
-        report records instead of raising.
-    verify:
-        Independently re-verify reachability and per-layer acyclicity
-        after every event (default; the whole point of the harness).
+        A :class:`~repro.routing.base.RoutingEngine` instance. Each event
+        is followed by :func:`~repro.resilience.events.follow_fault`:
+        engines without incremental repair (everything except
+        SSSP/DFSSSP) do a full reroute per event; engines that reject
+        degraded fabrics (DOR, fat-tree) die on their first structural
+        failure, which the report records instead of raising.
+
+    Reachability and per-layer acyclicity are independently re-verified
+    after every event: that is the whole point of the harness.
     """
 
-    def __init__(self, engine: RoutingEngine, verify: bool = True):
+    def __init__(self, engine: RoutingEngine):
         self.engine = engine
-        self.verify = verify
 
     def run(
         self,
@@ -126,7 +126,6 @@ class ChaosRunner:
         seed: int | None = None,
         p_switch_down: float = 0.15,
         p_link_up: float = 0.2,
-        switch_links_only: bool = True,
     ) -> ChaosReport:
         reg = get_registry()
         m_events = reg.counter("chaos_events_applied", "fault events applied during chaos soaks")
@@ -141,11 +140,7 @@ class ChaosRunner:
             events_requested=num_events,
         )
         injector = FaultInjector(
-            fabric,
-            seed=seed,
-            p_switch_down=p_switch_down,
-            p_link_up=p_link_up,
-            switch_links_only=switch_links_only,
+            fabric, seed=seed, p_switch_down=p_switch_down, p_link_up=p_link_up
         )
         with span("chaos.run", engine=self.engine.name, events=num_events):
             try:
@@ -166,7 +161,6 @@ class ChaosRunner:
                 if stepped is None:
                     break  # nothing left to fail or repair
                 event, cur_state = stepped
-                rel = relative_degradation(prev_state, cur_state)
                 record = ChaosEventRecord(
                     index=index,
                     kind=event.kind,
@@ -178,11 +172,9 @@ class ChaosRunner:
                 )
                 t0 = time.perf_counter()
                 try:
-                    if event.kind == LINK_UP:
-                        # Link-up means new channels: rebuild from scratch.
-                        result = self.engine.route(cur_state.fabric)
-                    else:
-                        result = self.engine.reroute(result, rel)
+                    result, record.action = follow_fault(
+                        self.engine, result, event, prev_state, cur_state
+                    )
                 except ReproError as err:
                     record.seconds = time.perf_counter() - t0
                     record.action = "dead"
@@ -193,9 +185,8 @@ class ChaosRunner:
                     m_deaths.inc()
                     break
                 record.seconds = time.perf_counter() - t0
-                repair = result.stats.get("repair")
-                if repair is not None:
-                    record.action = "repair"
+                if record.action == "repair":
+                    repair = result.stats["repair"]
                     record.destinations_repaired = repair["destinations_repaired"]
                     record.destinations_total = repair["destinations_total"]
                     record.escalations = repair["escalations"]
@@ -210,8 +201,6 @@ class ChaosRunner:
 
     # ------------------------------------------------------------------
     def _verify(self, result: RoutingResult, report: ChaosReport, record) -> None:
-        if not self.verify:
-            return
         verdict = check_servable(result.tables, result.layered, result.certificate)
         if record is not None and verdict.deadlock_free is not None:
             record.deadlock_free = verdict.deadlock_free
@@ -292,7 +281,6 @@ def run_service_soak(
     seed: int | None = None,
     p_switch_down: float = 0.15,
     p_link_up: float = 0.2,
-    switch_links_only: bool = True,
     burst_max: int = 1,
     inject_timeout_at: set[int] | frozenset[int] = frozenset(),
     kill_after: int | None = None,
@@ -327,11 +315,7 @@ def run_service_soak(
     """
     baseline = supervisor.baseline
     injector = FaultInjector(
-        baseline,
-        seed=seed,
-        p_switch_down=p_switch_down,
-        p_link_up=p_link_up,
-        switch_links_only=switch_links_only,
+        baseline, seed=seed, p_switch_down=p_switch_down, p_link_up=p_link_up
     )
     skip = supervisor.events_submitted
     for _ in range(skip):
@@ -350,7 +334,6 @@ def run_service_soak(
         "num_events": num_events,
         "p_switch_down": p_switch_down,
         "p_link_up": p_link_up,
-        "switch_links_only": switch_links_only,
         "burst_max": burst_max,
     }
 

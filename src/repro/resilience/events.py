@@ -10,6 +10,11 @@ to the baseline via :func:`repro.network.faults.degrade`, and
 :func:`relative_degradation` derives the step-to-step node/channel maps
 that :mod:`repro.resilience.repair` needs to splice forwarding tables.
 
+:func:`fold_events` is the one fold of events into dead sets and a
+checked degraded fabric (the injector and the supervisor both use it),
+and :func:`follow_fault` the one step that routes the fabric after an
+event (chaos soaks and DES fault injection use it).
+
 Events that would make the fabric unroutable (disconnect it or orphan a
 terminal) are never emitted — a real subnet manager would drop the dead
 partition's endpoints, but our experiments keep the terminal population
@@ -38,6 +43,10 @@ from repro.utils.prng import make_rng
 LINK_DOWN = "link_down"
 SWITCH_DOWN = "switch_down"
 LINK_UP = "link_up"
+
+#: candidates the injector probes per kind and step before declaring the
+#: kind unviable (each probe costs one fabric rebuild)
+MAX_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,55 @@ def relative_degradation(prev: DegradedFabric, cur: DegradedFabric) -> DegradedF
     )
 
 
+def fold_events(
+    baseline: Fabric, dead_cables, dead_switches, events
+) -> tuple[DegradedFabric, set, set]:
+    """Fold fault events into the dead sets and degrade the baseline.
+
+    Returns ``(degraded, cables, switches)``: new dead sets (the inputs
+    are not mutated) and the baseline with them removed. Raises
+    :class:`~repro.exceptions.ReproError` when the result is not
+    routable (disconnected, or a terminal orphaned).
+    """
+    cables = set(dead_cables)
+    switches = set(dead_switches)
+    for event in events:
+        if event.kind == LINK_UP:
+            cables.discard(event.cable)
+        elif event.kind == SWITCH_DOWN:
+            switches.add(int(event.switch))
+        else:
+            cables.add(event.cable)
+    degraded = degrade(baseline, switches, cables)
+    check_routable(degraded.fabric)
+    return degraded, cables, switches
+
+
+def reroute_action(result) -> str:
+    """``"repair"`` when ``result`` came from an incremental repair, else ``"full"``."""
+    return "repair" if "repair" in result.stats else "full"
+
+
+def follow_fault(engine, prior, event: FaultEvent, prev: DegradedFabric, cur: DegradedFabric):
+    """Route the fabric after one fault event; returns ``(result, action)``.
+
+    A link-up adds channels, so it is a full route of ``cur``; any other
+    event goes through :meth:`~repro.routing.base.RoutingEngine.reroute`
+    of ``prior`` along the ``prev`` -> ``cur`` step. ``action`` is
+    :func:`reroute_action` of the result.
+    """
+    if event.kind == LINK_UP:
+        result = engine.route(cur.fabric)
+    else:
+        result = engine.reroute(prior, relative_degradation(prev, cur))
+    return result, reroute_action(result)
+
+
 class FaultInjector:
     """Seeded stream of routability-preserving fault events.
+
+    Cable failures hit switch-to-switch cables only (terminal cables die
+    with their switch), like :func:`repro.network.faults.fail_links`.
 
     Parameters
     ----------
@@ -123,13 +179,6 @@ class FaultInjector:
         resurrection over the default cable failure. When the preferred
         kind has no viable candidate the injector falls through to the
         other kinds before giving up on the step.
-    switch_links_only:
-        Restrict cable failures to switch-to-switch cables (terminal
-        cables only die with their switch), like
-        :func:`repro.network.faults.fail_links`.
-    max_attempts:
-        Candidates probed per kind and step before declaring the kind
-        unviable (each probe costs one fabric rebuild).
     """
 
     def __init__(
@@ -138,21 +187,19 @@ class FaultInjector:
         seed=None,
         p_switch_down: float = 0.15,
         p_link_up: float = 0.2,
-        switch_links_only: bool = True,
-        max_attempts: int = 16,
     ):
         check_routable(fabric)
         self.healthy = fabric
         self.rng = make_rng(seed)
         self.p_switch_down = p_switch_down
         self.p_link_up = p_link_up
-        self.switch_links_only = switch_links_only
-        self.max_attempts = max_attempts
         self.dead_cables: set[tuple[int, int]] = set()
         self.dead_switches: set[int] = set()
         self.state = identity_degradation(fabric)
         self.history: list[FaultEvent] = []
-        self._all_keys = cable_keys(fabric)
+        self._switch_cables = [
+            key for key in cable_keys(fabric) if fabric.is_switch_channel[key[0]]
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -169,12 +216,7 @@ class FaultInjector:
 
     def _candidates(self, kind: str) -> list:
         if kind == LINK_DOWN:
-            return [
-                key
-                for key in self._all_keys
-                if self._cable_alive(key)
-                and (not self.switch_links_only or self.healthy.is_switch_channel[key[0]])
-            ]
+            return [key for key in self._switch_cables if self._cable_alive(key)]
         if kind == LINK_UP:
             out = []
             for key in self.dead_cables:
@@ -189,23 +231,17 @@ class FaultInjector:
         candidates = self._candidates(kind)
         if not candidates:
             return None
-        order = self.rng.permutation(len(candidates))[: self.max_attempts]
+        order = self.rng.permutation(len(candidates))[:MAX_ATTEMPTS]
         for i in order:
             pick = candidates[int(i)]
-            cables = set(self.dead_cables)
-            switches = set(self.dead_switches)
-            if kind == LINK_DOWN:
-                cables.add(pick)
-                event = FaultEvent(kind, cable=pick)
-            elif kind == LINK_UP:
-                cables.discard(pick)
-                event = FaultEvent(kind, cable=pick)
-            else:
-                switches.add(pick)
+            if kind == SWITCH_DOWN:
                 event = FaultEvent(kind, switch=pick)
-            tentative = degrade(self.healthy, switches, cables)
+            else:
+                event = FaultEvent(kind, cable=pick)
             try:
-                check_routable(tentative.fabric)
+                tentative, cables, switches = fold_events(
+                    self.healthy, self.dead_cables, self.dead_switches, [event]
+                )
             except ReproError:
                 continue  # would disconnect or orphan a terminal
             self.dead_cables = cables

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import RoutingError
+from repro.exceptions import InsufficientLayersError, RepairError, RoutingError
 from repro.network.fabric import Fabric
 from repro.network.validate import check_routable
 from repro.service.budget import check_budget
@@ -221,8 +221,13 @@ class RoutingEngine(ABC):
     name: str = "abstract"
 
     #: whether :meth:`reroute` can splice a prior result instead of
-    #: recomputing from scratch (overridden by SSSP/DFSSSP)
+    #: recomputing from scratch (SSSP, DFSSSP); such an engine has a
+    #: ``kernel`` that the repair re-routes its broken columns with
     supports_incremental_reroute: bool = False
+
+    #: whether a repaired result must keep virtual layers (DFSSSP): a
+    #: prior without them is routed from scratch instead
+    repair_needs_layers: bool = False
 
     def route(self, fabric: Fabric) -> RoutingResult:
         # Engines honour the active compute budget (repro.service): SSSP/
@@ -233,16 +238,33 @@ class RoutingEngine(ABC):
         return self._route(fabric)
 
     def reroute(self, prior: RoutingResult | None, degraded) -> RoutingResult:
-        """Recompute routing after failure injection.
+        """Recompute routing after failure injection: the one repair-or-rebuild rule.
 
         ``degraded`` is a :class:`repro.network.faults.DegradedFabric`
-        derived from the fabric that produced ``prior``. The base
-        implementation performs a full from-scratch reroute; engines that
-        can repair incrementally (SSSP, DFSSSP) override this to splice
-        only the broken forwarding columns and fall back to the full
-        recompute when repair is impossible.
+        derived from the fabric that produced ``prior``. An engine that
+        supports incremental reroute splices only the broken forwarding
+        columns (:func:`repro.resilience.repair.repair_routing`). Every
+        other engine, a missing prior and a prior without the layers the
+        engine must keep get a full route. So does a repair that is
+        impossible (:class:`~repro.exceptions.RepairError`: link-up,
+        foreign degradation) or that exhausts the virtual layers
+        (:class:`~repro.exceptions.InsufficientLayersError`); those two
+        are counted in ``repair_full_fallbacks{engine, reason}``.
         """
-        return self.route(degraded.fabric)
+        if (
+            not self.supports_incremental_reroute
+            or prior is None
+            or (self.repair_needs_layers and prior.layered is None)
+        ):
+            return self.route(degraded.fabric)
+        # Imported here: repro.resilience.repair builds on this module.
+        from repro.resilience.repair import count_fallback, repair_routing
+
+        try:
+            return repair_routing(prior, degraded, engine_name=self.name, kernel=self.kernel)
+        except (RepairError, InsufficientLayersError) as err:
+            count_fallback(self.name, reason=type(err).__name__)
+            return self.route(degraded.fabric)
 
     @abstractmethod
     def _route(self, fabric: Fabric) -> RoutingResult:

@@ -116,7 +116,7 @@ class LASHEngine(RoutingEngine):
                 if term == dest:
                     next_channel[term, t_idx] = -1
                     continue
-                # Inject toward the attached switch minimizing switch hops.
+                # Inject round-robin over the terminal's uplinks (by destination).
                 inject = fabric.out_channels(term)
                 next_channel[term, t_idx] = inject[t_idx % len(inject)]
 

@@ -405,31 +405,20 @@ def flow_channels(tables: RoutingTables, paths: PathSet, src_terminal: int, dst_
 
 
 def path_minimality_violations(tables: RoutingTables, paths: PathSet) -> int:
-    """Count paths longer than the hop distance of an unweighted BFS.
+    """Count paths longer than the hop distance to their destination.
 
     SSSP's large initial edge weight guarantees zero violations (the §II
     argument); MinHop trivially has zero as well. Used by tests and the
     analysis module.
     """
-    from collections import deque
+    from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
 
     fab = tables.fabric
-    S, T = fab.num_switches, fab.num_terminals
-    violations = 0
+    S = fab.num_switches
     lengths = paths.lengths()
-    for t_idx in range(T):
-        term = int(fab.terminals[t_idx])
-        dist = np.full(fab.num_nodes, -1, dtype=np.int64)
-        dist[term] = 0
-        queue = deque([term])
-        while queue:
-            v = queue.popleft()
-            for c in fab.out_channels(v):
-                w = int(fab.channels.dst[c])
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        sw_dist = dist[fab.switches]
+    violations = 0
+    for t_idx, term in enumerate(fab.terminals.tolist()):
+        sw_dist = hops_to_dest(fab, term)[fab.switches]
         got = lengths[t_idx * S : (t_idx + 1) * S]
         violations += int(np.count_nonzero(got != sw_dist))
     return violations

@@ -55,12 +55,17 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.network.fabric import Fabric
-from repro.network.faults import DegradedFabric, degrade, identity_degradation
-from repro.network.validate import check_routable
+from repro.network.faults import DegradedFabric, identity_degradation
 from repro.obs import DURATION_BUCKETS, get_registry, span
 from repro.obs.recorder import get_recorder, record_event
 from repro.obs.telemetry import request_scope
-from repro.resilience.events import LINK_UP, FaultEvent, relative_degradation
+from repro.resilience.events import (
+    LINK_UP,
+    FaultEvent,
+    fold_events,
+    relative_degradation,
+    reroute_action,
+)
 from repro.routing.base import RoutingEngine, RoutingResult
 from repro.routing.registry import ENGINES, make_engine
 from repro.service.budget import compute_budget
@@ -446,7 +451,9 @@ class RoutingSupervisor:
             prev_state = self._state
             self._set_state(REPAIRING)
             try:
-                target, cables, switches, has_link_up = self._apply_events(batch)
+                target, cables, switches = fold_events(
+                    self.baseline, self._committed_cables, self._committed_switches, batch
+                )
             except ReproError as err:
                 self._record_failure(batch, outcome, prev_state,
                                      [f"batch not routable: {err}"])
@@ -458,6 +465,7 @@ class RoutingSupervisor:
             outcome.switches = target.fabric.num_switches
             outcome.cables = target.fabric.num_channels // 2
             rel = relative_degradation(self._committed, target)
+            has_link_up = any(event.kind == LINK_UP for event in batch)
 
             action, result, errors = self._run_ladder(target, rel, has_link_up, outcome)
             if result is not None:
@@ -475,23 +483,6 @@ class RoutingSupervisor:
         m_batches.inc()
         h_seconds.observe(outcome.seconds)
         return outcome
-
-    def _apply_events(self, batch):
-        """Fold a batch into tentative dead sets and rebuild the target fabric."""
-        cables = set(self._committed_cables)
-        switches = set(self._committed_switches)
-        has_link_up = False
-        for event in batch:
-            if event.kind == LINK_UP:
-                cables.discard(event.cable)
-                has_link_up = True
-            elif event.cable is not None:
-                cables.add(event.cable)
-            else:
-                switches.add(int(event.switch))
-        target = degrade(self.baseline, switches, cables)
-        check_routable(target.fabric)
-        return target, cables, switches, has_link_up
 
     def _run_ladder(self, target: DegradedFabric, rel: DegradedFabric,
                     has_link_up: bool, outcome: BatchOutcome):
@@ -542,8 +533,8 @@ class RoutingSupervisor:
                         with compute_budget(deadline, label=rung):
                             result = attempt_fn()
                         self._verify(result)
-                    if rung == "repair" and "repair" not in result.stats:
-                        rung = "full"  # reroute fell back to a full route
+                    if rung == "repair":
+                        rung = reroute_action(result)  # reroute may fall back to full
                     record_event("rung_ok", engine=self.engine.name, rung=rung,
                                  attempt=attempt)
                     return rung, result, errors

@@ -21,7 +21,7 @@ def test_fail_links_keeps_all_nodes(torus333):
 
 
 def test_fail_links_switch_links_only_protects_terminals(ring5):
-    degraded = fail_links(ring5, 1, seed=0, switch_links_only=True)
+    degraded = fail_links(ring5, 1, seed=0)
     for t in degraded.fabric.terminals:
         assert degraded.fabric.degree(int(t)) == 1
 

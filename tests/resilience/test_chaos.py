@@ -100,9 +100,3 @@ def test_same_seed_reproduces_report(random16):
     assert [(r.kind, r.detail, r.action) for r in a.records] == [
         (r.kind, r.detail, r.action) for r in b.records
     ]
-
-
-def test_verify_false_skips_checks(random16):
-    report = ChaosRunner(DFSSSPEngine(), verify=False).run(random16, num_events=4, seed=10)
-    assert report.survived
-    assert all(r.deadlock_free is None for r in report.records)
