@@ -18,8 +18,10 @@ semantics — the lane cannot change mid-route):
   through one fixed point cannot cover the whole ring, so the chain is
   cut opposite the dateline.
 
-The layer index is the wrap bitmask, giving at most ``2**ndims`` layers
-(2 for a ring, 4 for a 2D torus, ...). Meshes and hypercubes wrap
+The layer index is the wrap bitmask over the dimensions that can wrap
+(size > 2; a size-2 ring has no dateline distinct from its one cable),
+giving at most ``2**k`` layers for ``k`` such dimensions (2 for a ring,
+4 for a 2D torus, 2 for a 2×5 torus, ...). Meshes and hypercubes wrap
 nothing and use a single layer, as expected.
 """
 
@@ -51,38 +53,31 @@ class DORVCEngine(RoutingEngine):
         tables.engine = self.name
         paths = extract_paths(tables)
 
-        n_dims = len(dims)
-        needed = 2**n_dims if wrap else 1
+        # Wrap bits are numbered over the dimensions that can wrap: a
+        # size-2 ring's only cable is no dateline.
+        wrapping = [axis for axis, size in enumerate(dims) if size > 2] if wrap else []
+        needed = 2 ** len(wrapping)
         if needed > self.max_layers:
             raise InsufficientLayersError(
-                f"dateline DOR needs {needed} layers for {n_dims} wrapped "
+                f"dateline DOR needs {needed} layers for {len(wrapping)} wrapped "
                 f"dimensions but only {self.max_layers} are available",
                 layers_available=self.max_layers,
                 layers_needed_at_least=needed,
             )
 
+        # A dateline cable (between coordinates size-1 and 0) sets its
+        # dimension's bit; a path's layer ORs the bits of its channels.
         coords = fabric.coordinates
-        chan_src = fabric.channels.src
-        chan_dst = fabric.channels.dst
-        path_layers = np.zeros(paths.num_paths, dtype=np.int16)
-        if wrap:
-            for pid in range(paths.num_paths):
-                mask = 0
-                for c in paths.path(pid):
-                    u, v = int(chan_src[c]), int(chan_dst[c])
-                    if not (fabric.is_switch(u) and fabric.is_switch(v)):
-                        continue
-                    cu, cv = coords[u], coords[v]
-                    for axis, size in enumerate(dims):
-                        if cu[axis] == cv[axis]:
-                            continue
-                        # Dateline: the cable between size-1 and 0.
-                        if {cu[axis], cv[axis]} == {0, size - 1} and size > 2:
-                            mask |= 1 << axis
-                        break  # one axis changes per DOR hop
-                path_layers[pid] = mask
+        bit = np.zeros(fabric.num_channels, dtype=np.int16)
+        for c in fabric.switch_channel_ids().tolist():
+            cu = coords[int(fabric.channels.src[c])]
+            cv = coords[int(fabric.channels.dst[c])]
+            for b, axis in enumerate(wrapping):
+                if {cu[axis], cv[axis]} == {0, dims[axis] - 1}:
+                    bit[c] = 1 << b
+        path_layers = np.bitwise_or.reduceat(bit[paths.chans], paths.offsets[:-1])
 
-        layered = LayeredRouting(tables, path_layers, max(needed, 1))
+        layered = LayeredRouting(tables, path_layers, needed)
         return RoutingResult(
             tables=tables,
             layered=layered,
@@ -91,6 +86,6 @@ class DORVCEngine(RoutingEngine):
                 "engine": self.name,
                 "dims": dims,
                 "wraparound": wrap,
-                "layers_needed": int(len(np.unique(path_layers))),
+                "layers_needed": int(path_layers.max()) + 1,
             },
         )

@@ -54,6 +54,20 @@ def test_size_two_dims_do_not_wrap():
     assert verify_deadlock_free(result.layered, paths).deadlock_free
 
 
+@pytest.mark.parametrize("dims", [(2, 5), (5, 2), (2, 2, 5), (2, 4, 3)])
+def test_size_two_dims_take_no_wrap_bit(dims):
+    # Bits are numbered over the dimensions that can wrap, so the layers
+    # in use are exactly 0 .. layers_needed-1 and a budget of that many fits.
+    wrapping = sum(size > 2 for size in dims)
+    fab = topologies.torus(dims, terminals_per_switch=1)
+    result = DORVCEngine(max_layers=2**wrapping).route(fab)
+    used = np.unique(result.layered.path_layers).tolist()
+    assert used == list(range(2**wrapping))
+    assert result.stats["layers_needed"] == result.layered.num_layers == 2**wrapping
+    paths = extract_paths(result.tables)
+    assert verify_deadlock_free(result.layered, paths).deadlock_free
+
+
 def test_insufficient_layers():
     fab = topologies.torus((3, 3, 3), terminals_per_switch=1)
     with pytest.raises(InsufficientLayersError) as exc:
