@@ -93,6 +93,39 @@ class RoutingTables:
         return len(self.path_channels(src, dest_terminal))
 
 
+def attach_terminals(fabric: Fabric, next_channel: np.ndarray) -> np.ndarray:
+    """Fill the terminal rows and the ejection entries of a table that
+    routes switches only; returns each destination's ejection switch.
+
+    Terminal ``term`` injects toward destination ``t_idx`` round-robin
+    over its uplinks, ``out_channels(term)[t_idx % degree]``, and has no
+    entry toward itself. Destination ``t_idx`` leaves the fabric at
+    ``attached_switches(dest)[0]``, round-robin over that switch's cables
+    to it by the same index.
+    """
+    terms = fabric.terminals
+    cols = np.arange(len(terms))
+    lo = fabric.out_ptr[terms]
+    deg = fabric.out_ptr[terms + 1] - lo
+    for d in np.unique(deg):
+        of_degree = deg == d
+        for r in range(d):
+            uplink = fabric.out_chan[lo[of_degree] + r]
+            next_channel[np.ix_(terms[of_degree], cols[r::d])] = uplink[:, None]
+    next_channel[terms, cols] = -1
+    chan_src, chan_dst = fabric.channels.src, fabric.channels.dst
+    up = np.flatnonzero(fabric.term_index[chan_src] >= 0)
+    owner = fabric.term_index[chan_src[up]]
+    target = np.full(len(terms), fabric.num_nodes, dtype=np.int64)
+    np.minimum.at(target, owner, chan_dst[up])
+    at_target = chan_dst[up] == target[owner]
+    eject, owner = fabric.channels.reverse[up[at_target]], owner[at_target]
+    eject = eject[np.lexsort((eject, owner))]
+    count = np.bincount(owner, minlength=len(terms))
+    next_channel[target, cols] = eject[np.cumsum(count) - count + cols % count]
+    return target
+
+
 class LayeredRouting:
     """Forwarding tables plus a per-path virtual-layer (SL/VL) assignment.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import UnsupportedTopologyError
 from repro.network.fabric import Fabric
-from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
+from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables, attach_terminals
 
 _COORD_FAMILIES = ("torus", "mesh", "hypercube", "ring", "chordal_ring")
 
@@ -51,29 +51,15 @@ class DOREngine(RoutingEngine):
                 )
         coord_to_switch = {coords[int(s)]: int(s) for s in fabric.switches}
 
-        T = fabric.num_terminals
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            attached = fabric.attached_switches(dest)
-            target = int(attached[0])
-            tc = coords[target]
-            for s in fabric.switches:
-                s = int(s)
-                if s == target:
-                    eject = fabric.channels_between(s, dest)
-                    next_channel[s, t_idx] = eject[t_idx % len(eject)]
-                    continue
-                next_channel[s, t_idx] = self._step(
-                    fabric, coords, coord_to_switch, dims, wrap, s, tc, t_idx
-                )
-            for term in fabric.terminals:
-                term = int(term)
-                if term == dest:
-                    continue
-                inject = fabric.out_channels(term)
-                next_channel[term, t_idx] = inject[t_idx % len(inject)]
+        next_channel = np.full((fabric.num_nodes, fabric.num_terminals), -1, dtype=np.int32)
+        target = attach_terminals(fabric, next_channel)
+        for t_idx, tgt in enumerate(target.tolist()):
+            tc = coords[tgt]
+            for s in fabric.switches.tolist():
+                if s != tgt:
+                    next_channel[s, t_idx] = self._step(
+                        fabric, coords, coord_to_switch, dims, wrap, s, tc, t_idx
+                    )
 
         tables = RoutingTables(fabric, next_channel, engine=self.name)
         return RoutingResult(

@@ -8,12 +8,13 @@ validates that cables respect the leveling, and otherwise raises
 :class:`UnsupportedTopologyError` — the paper's "missing bar" on the
 irregular real-world fabrics.
 
-Routing itself reuses the phase-consistent two-stage DP of
-:mod:`repro.routing.updown` with ranks derived from tree levels (root
-level = rank 0). In a proper fat tree the descent stage settles exactly
-the destination leaf's ancestor cone and the ascent stage takes minimal
-up paths into it, i.e. classic NCA routing; port-load tie-breaking
-provides the d-mod-k-style spreading over parallel ancestors.
+Routing itself is Up*/Down*'s per-destination loop
+(:func:`repro.routing.updown.updown_tables`) with ranks derived from
+tree levels (root level = rank 0). In a proper fat tree the descent
+stage settles exactly the destination leaf's ancestor cone and the
+ascent stage takes minimal up paths into it, i.e. classic NCA routing;
+port-load tie-breaking provides the d-mod-k-style spreading over
+parallel ancestors.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from repro.exceptions import UnsupportedTopologyError
 from repro.network.fabric import Fabric
-from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
-from repro.routing.updown import UpDownEngine
+from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult
+from repro.routing.updown import updown_tables
 
 _TREE_FAMILIES = ("kary_ntree", "xgft")
 
@@ -129,17 +130,7 @@ class FatTreeEngine(RoutingEngine):
     name = "ftree"
 
     def _route(self, fabric: Fabric) -> RoutingResult:
-        rank = tree_ranks(fabric)
-        T = fabric.num_terminals
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        load = np.zeros(fabric.num_channels, dtype=np.int64)
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            chan = UpDownEngine._dp_from_dest(fabric, dest, rank, load)
-            next_channel[:, t_idx] = chan
-            valid = chan[chan >= 0]
-            np.add.at(load, valid, 1)
-        tables = RoutingTables(fabric, next_channel, engine=self.name)
+        tables = updown_tables(fabric, tree_ranks(fabric), self.name)
         return RoutingResult(
             tables=tables,
             layered=LayeredRouting.single_layer(tables),

@@ -23,7 +23,14 @@ from repro.core.layers import DEFAULT_MAX_LAYERS
 from repro.deadlock.cdg import ChannelDependencyGraph, first_fit
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
-from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
+from repro.routing.base import (
+    LayeredRouting,
+    RoutingEngine,
+    RoutingResult,
+    RoutingTables,
+    attach_terminals,
+)
+from repro.routing.minhop import choose_least_loaded
 
 
 class LASHEngine(RoutingEngine):
@@ -40,35 +47,31 @@ class LASHEngine(RoutingEngine):
         from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
 
         S = fabric.num_switches
-        T = fabric.num_terminals
         # ------------------------------------------------------------------
-        # 1. Balanced min-hop trees toward every destination switch.
+        # 1. Balanced min-hop trees toward every destination switch, by
+        #    MinHop's chooser over switch-to-switch channels.
         #    sw_next[node, t_sw_idx] = next channel toward switch.
         sw_next = np.full((fabric.num_nodes, S), -1, dtype=np.int32)
         load = np.zeros(fabric.num_channels, dtype=np.int64)
-        chan_dst = fabric.channels.dst
+        chan_src, chan_dst = fabric.channels.src, fabric.channels.dst
         for t_sw_idx in range(S):
             dest_sw = int(fabric.switches[t_sw_idx])
             dist = hops_to_dest(fabric, dest_sw)
-            for v in fabric.switches:
-                v = int(v)
-                if v == dest_sw:
-                    continue
-                best, best_load = -1, None
-                dv = dist[v]
-                for c in fabric.out_channels(v):
-                    w = int(chan_dst[c])
-                    if not fabric.is_switch(w) or dist[w] + 1 != dv:
-                        continue
-                    if best < 0 or load[c] < best_load:
-                        best, best_load = int(c), int(load[c])
-                if best < 0:
-                    raise RoutingError(
-                        f"lash: switch {v} cannot reach switch {dest_sw} "
-                        f"through the switch graph"
-                    )
-                sw_next[v, t_sw_idx] = best
-                load[best] += 1
+            eligible = (
+                fabric.is_switch_channel
+                & (dist[chan_dst] >= 0)
+                & (dist[chan_src] == dist[chan_dst] + 1)
+                & (chan_src != dest_sw)
+            )
+            chosen = choose_least_loaded(fabric, eligible, load)
+            sw_next[chan_src[chosen], t_sw_idx] = chosen
+            stranded = sw_next[fabric.switches, t_sw_idx] < 0
+            stranded[t_sw_idx] = False
+            if stranded.any():
+                raise RoutingError(
+                    f"lash: switch {int(fabric.switches[stranded.argmax()])} cannot reach "
+                    f"switch {dest_sw} through the switch graph"
+                )
 
         # ------------------------------------------------------------------
         # 2. Extract the |S|^2 switch-pair paths (suffix-consistent trees).
@@ -100,34 +103,18 @@ class LASHEngine(RoutingEngine):
             )
 
         # ------------------------------------------------------------------
-        # 4. Expand to terminal-destination forwarding tables.
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        term_sw_idx = np.empty(T, dtype=np.int32)
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            dest_sw = int(fabric.attached_switches(dest)[0])
-            t_sw_idx = int(fabric.switch_index[dest_sw])
-            term_sw_idx[t_idx] = t_sw_idx
-            next_channel[:, t_idx] = sw_next[:, t_sw_idx]
-            eject = fabric.channels_between(dest_sw, dest)
-            next_channel[dest_sw, t_idx] = eject[t_idx % len(eject)]
-            for term in fabric.terminals:
-                term = int(term)
-                if term == dest:
-                    next_channel[term, t_idx] = -1
-                    continue
-                # Inject round-robin over the terminal's uplinks (by destination).
-                inject = fabric.out_channels(term)
-                next_channel[term, t_idx] = inject[t_idx % len(inject)]
-
+        # 4. Expand to terminal-destination forwarding tables: a switch
+        #    forwards toward a terminal along the tree of the terminal's
+        #    ejection switch (which, like the terminals, has no tree entry).
+        next_channel = np.full((fabric.num_nodes, fabric.num_terminals), -1, dtype=np.int32)
+        term_sw_idx = fabric.switch_index[attach_terminals(fabric, next_channel)]
+        to_switch = sw_next[:, term_sw_idx]
+        np.copyto(next_channel, to_switch, where=to_switch >= 0)
         tables = RoutingTables(fabric, next_channel, engine=self.name)
         # Per-(switch, terminal) layers inherit the switch-pair layer; the
-        # destination's own switch row is an ejection-only path (layer 0).
-        path_layers = np.zeros(S * T, dtype=np.int16)
-        for t_idx in range(T):
-            t_sw_idx = int(term_sw_idx[t_idx])
-            path_layers[t_idx * S : (t_idx + 1) * S] = pair_layer[:, t_sw_idx]
-            path_layers[t_idx * S + t_sw_idx] = 0
+        # destination's own switch row is an ejection-only path (layer 0,
+        # the diagonal of pair_layer).
+        path_layers = pair_layer[:, term_sw_idx].T.ravel()
         layered = LayeredRouting(tables, path_layers, self.max_layers)
         return RoutingResult(
             tables=tables,

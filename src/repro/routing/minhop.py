@@ -7,7 +7,8 @@ accumulated the fewest routes so far. It is fast and gives good paths,
 but (a) its balancing cannot see remote congestion, and (b) it is **not
 deadlock-free** — both facts the paper exploits.
 
-Implementation note: the per-destination pass is fully vectorised. This
+Implementation note: the per-destination pass is fully vectorised
+(:func:`choose_least_loaded`, which LASH's switch trees share). This
 is *exactly* equivalent to the sequential OpenSM-style loop because a
 channel's load counter is only ever bumped by its own source node, so
 within one destination no node's choice can influence another's; choices
@@ -43,7 +44,6 @@ class MinHopEngine(RoutingEngine):
         load = np.zeros(fabric.num_channels, dtype=np.int64)
         chan_src = fabric.channels.src.astype(np.int64)
         chan_dst = fabric.channels.dst.astype(np.int64)
-        chan_ids = np.arange(fabric.num_channels, dtype=np.int64)
         sweeps: dict[int, np.ndarray] = {}  # attachment switch -> its hop column
         max_sweeps = SWEEP_CACHE_BYTES // (4 * fabric.num_nodes)
 
@@ -67,18 +67,8 @@ class MinHopEngine(RoutingEngine):
                 & (dist[chan_src] == dist[chan_dst] + 1)
                 & (chan_src != dest)
             )
-            cand = chan_ids[eligible]
-            if not len(cand):  # pragma: no cover - connected fabrics route
-                continue
-            # First channel per source under (load, cid) ordering.
-            order = np.lexsort((cand, load[cand], chan_src[cand]))
-            cand = cand[order]
-            srcs = chan_src[cand]
-            first = np.ones(len(cand), dtype=bool)
-            first[1:] = srcs[1:] != srcs[:-1]
-            chosen = cand[first]
-            next_channel[chan_src[chosen], t_idx] = chosen.astype(np.int32)
-            load[chosen] += 1
+            chosen = choose_least_loaded(fabric, eligible, load)
+            next_channel[chan_src[chosen], t_idx] = chosen
 
         tables = RoutingTables(fabric, next_channel, engine=self.name)
         return RoutingResult(
@@ -123,6 +113,25 @@ class MinHopEngine(RoutingEngine):
             deadlock_free=False,
             stats={"engine": self.name, "max_port_load": int(load.max(initial=0))},
         )
+
+
+def choose_least_loaded(fabric: Fabric, eligible: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """The locally balanced choice toward one destination: for every node
+    with an eligible out-channel, the first under (load, channel id).
+
+    ``eligible`` is a boolean mask over channels; ``load`` counts each
+    channel's earlier choices and is bumped for the chosen ones. Returns
+    the chosen channel ids, one per source node, as ``int32``.
+    """
+    chan_src = fabric.channels.src
+    cand = np.flatnonzero(eligible)
+    cand = cand[np.lexsort((cand, load[cand], chan_src[cand]))]
+    src = chan_src[cand]
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = src[1:] != src[:-1]
+    chosen = cand[first]
+    load[chosen] += 1
+    return chosen.astype(np.int32)
 
 
 def _uplink_switch(fabric: Fabric, terminal: int) -> int:

@@ -19,7 +19,6 @@ more options open for predecessors) and then the least-loaded port
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 import numpy as np
 
@@ -29,11 +28,13 @@ from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, Rou
 
 
 def rank_switches(fabric: Fabric, root: int | None = None) -> tuple[np.ndarray, int]:
-    """BFS ranks over the switch-to-switch graph.
+    """BFS ranks over the switch-to-switch graph; terminals rank -1.
 
     The root defaults to the highest-degree switch (ties: lowest id) —
     a stand-in for OpenSM's root auto-selection.
     """
+    from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
+
     if root is None:
         best = None
         for s in fabric.switches:
@@ -43,17 +44,11 @@ def rank_switches(fabric: Fabric, root: int | None = None) -> tuple[np.ndarray, 
         root = best[1]
     elif not fabric.is_switch(root):
         raise RoutingError(f"Up*/Down* root {root} is not a switch")
-    rank = np.full(fabric.num_nodes, -1, dtype=np.int64)
-    rank[root] = 0
-    queue: deque[int] = deque([root])
-    while queue:
-        v = queue.popleft()
-        for c in fabric.out_channels(v):
-            w = int(fabric.channels.dst[c])
-            if fabric.is_switch(w) and rank[w] < 0:
-                rank[w] = rank[v] + 1
-                queue.append(w)
-    unranked = [int(s) for s in fabric.switches if rank[int(s)] < 0]
+    # Hop counts from the root; terminals never forward, so these are
+    # switch-graph distances.
+    rank = hops_to_dest(fabric, root).astype(np.int64)
+    rank[fabric.terminals] = -1
+    unranked = fabric.switches[rank[fabric.switches] < 0].tolist()
     if unranked:
         raise RoutingError(
             f"Up*/Down* requires a connected switch graph; switches {unranked[:5]} "
@@ -72,23 +67,10 @@ class UpDownEngine(RoutingEngine):
 
     def _route(self, fabric: Fabric) -> RoutingResult:
         rank, root = rank_switches(fabric, self.root)
-        T = fabric.num_terminals
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        load = np.zeros(fabric.num_channels, dtype=np.int64)
-
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            chan = self._dp_from_dest(fabric, dest, rank, load)
-            next_channel[:, t_idx] = chan
-            # Count loads once per table entry, as in MinHop.
-            valid = chan[chan >= 0]
-            np.add.at(load, valid, 1)
-
-        tables = RoutingTables(fabric, next_channel, engine=self.name)
-        layered = LayeredRouting.single_layer(tables)
+        tables = updown_tables(fabric, rank, self.name)
         return RoutingResult(
             tables=tables,
-            layered=layered,
+            layered=LayeredRouting.single_layer(tables),
             deadlock_free=True,
             stats={"engine": self.name, "root": root},
         )
@@ -169,3 +151,18 @@ class UpDownEngine(RoutingEngine):
         run(up_heap, want_down=False)
         chosen[dest] = -1
         return chosen
+
+
+def updown_tables(fabric: Fabric, rank: np.ndarray, engine: str) -> RoutingTables:
+    """Up*/Down* tables under ``rank``, one destination at a time; a
+    channel's load counts the table entries that chose it, as in MinHop.
+    FatTree routes here with its tree levels as ranks."""
+    T = fabric.num_terminals
+    next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
+    load = np.zeros(fabric.num_channels, dtype=np.int64)
+    for t_idx in range(T):
+        chan = UpDownEngine._dp_from_dest(fabric, int(fabric.terminals[t_idx]), rank, load)
+        next_channel[:, t_idx] = chan
+        np.add.at(load, chan[chan >= 0], 1)
+    return RoutingTables(fabric, next_channel, engine=engine)
+
