@@ -44,7 +44,7 @@ from repro.network import topologies as topo
 from repro.network.fabric import Fabric
 from repro.network.io import load_fabric
 from repro.obs import record_event, span
-from repro.routing import ENGINES
+from repro.routing.registry import engines
 
 _DEFAULTS = {
     "name": "scenario",
@@ -85,9 +85,9 @@ def normalize_scenario(spec: dict) -> dict:
     if not out["engines"]:
         raise SimulationError("scenario needs at least one engine")
     for name in out["engines"]:
-        if name not in ENGINES:
+        if name not in engines():
             raise SimulationError(
-                f"unknown engine {name!r}; known: {sorted(ENGINES)}"
+                f"unknown engine {name!r}; known: {sorted(engines())}"
             )
     faults = [FaultSpec(float(f["at_s"]), int(f.get("count", 1))) for f in out["faults"]]
     out["faults"] = [{"at_s": f.at_s, "count": f.count} for f in faults]
@@ -194,7 +194,7 @@ def run_scenario(spec: dict, fabric: Fabric | None = None) -> ScenarioReport:
         wl_spec.setdefault("seed", spec["seed"])
     with span("des.scenario", scenario=spec["name"], workload=wl_kind):
         for name in spec["engines"]:
-            engine = ENGINES[name]()
+            engine = engines()[name]()
             try:
                 result = engine.route(fabric)
                 workload = make_workload(wl_kind, fabric, **wl_spec)

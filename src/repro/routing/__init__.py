@@ -26,13 +26,7 @@ from repro.routing.io import (
     load_routing_state,
     save_routing,
 )
-from repro.routing.registry import (
-    DEADLOCK_FREE_ENGINES,
-    ENGINES,
-    PAPER_ENGINES,
-    REPAIRABLE_ENGINES,
-    make_engine,
-)
+from repro.routing.registry import DEADLOCK_FREE_ENGINES, PAPER_ENGINES, engines, make_engine
 
 __all__ = [
     "RoutingState",
@@ -60,6 +54,14 @@ __all__ = [
     "DEADLOCK_FREE_ENGINES",
     "ENGINES",
     "PAPER_ENGINES",
-    "REPAIRABLE_ENGINES",
+    "engines",
     "make_engine",
 ]
+
+
+def __getattr__(name: str):
+    # ``ENGINES`` imports repro.core, which imports this package: resolve
+    # it on first access.
+    if name == "ENGINES":
+        return engines()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

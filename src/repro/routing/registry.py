@@ -8,12 +8,15 @@ heuristic) matching the paper's hardware constraints.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 from repro.routing.base import RoutingEngine
 
 
-def _factories() -> dict[str, Callable[..., RoutingEngine]]:
+@functools.cache
+def engines() -> dict[str, Callable[..., RoutingEngine]]:
+    """Name -> engine class, built on the first call."""
     # Imported lazily: repro.core's engines themselves import
     # repro.routing.base, so eager imports here would be circular.
     from repro.core.dfsssp import DFSSSPEngine
@@ -37,43 +40,12 @@ def _factories() -> dict[str, Callable[..., RoutingEngine]]:
     }
 
 
-class _LazyEngines(dict):
-    """Mapping that materialises the factory table on first access."""
+def __getattr__(name: str):
+    # ``ENGINES`` is the table of :func:`engines`, built on first access.
+    if name == "ENGINES":
+        return engines()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    def _ensure(self):
-        if not super().__len__():
-            super().update(_factories())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
-
-    def __len__(self):
-        self._ensure()
-        return super().__len__()
-
-    def __contains__(self, key):
-        self._ensure()
-        return super().__contains__(key)
-
-    def keys(self):
-        self._ensure()
-        return super().keys()
-
-    def items(self):
-        self._ensure()
-        return super().items()
-
-    def values(self):
-        self._ensure()
-        return super().values()
-
-
-ENGINES: dict[str, Callable[..., RoutingEngine]] = _LazyEngines()
 
 #: the engine list of the paper's Figure 4, in presentation order
 PAPER_ENGINES = ("minhop", "updown", "dor", "ftree", "lash", "sssp", "dfsssp")
@@ -81,17 +53,13 @@ PAPER_ENGINES = ("minhop", "updown", "dor", "ftree", "lash", "sssp", "dfsssp")
 #: engines that guarantee deadlock-freedom by construction
 DEADLOCK_FREE_ENGINES = ("updown", "dor_vc", "ftree", "lash", "dfsssp")
 
-#: engines whose ``reroute`` repairs incrementally instead of recomputing
-#: from scratch (see :mod:`repro.resilience.repair`)
-REPAIRABLE_ENGINES = ("sssp", "dfsssp")
-
 
 def make_engine(name: str, **kwargs) -> RoutingEngine:
     """Instantiate an engine by name, forwarding keyword options."""
     try:
-        factory = ENGINES[name]
+        factory = engines()[name]
     except KeyError:
         raise ValueError(
-            f"unknown routing engine {name!r}; available: {sorted(ENGINES)}"
+            f"unknown routing engine {name!r}; available: {sorted(engines())}"
         ) from None
     return factory(**kwargs)

@@ -67,7 +67,7 @@ from repro.resilience.events import (
     reroute_action,
 )
 from repro.routing.base import RoutingEngine, RoutingResult
-from repro.routing.registry import ENGINES, make_engine
+from repro.routing.registry import engines, make_engine
 from repro.service.budget import compute_budget
 from repro.service.checkpoint import Checkpoint, CheckpointStore
 from repro.service.policy import CircuitBreaker, ServicePolicy
@@ -257,7 +257,7 @@ class RoutingSupervisor:
             try:
                 make_engine(engine, **engine_opts)
             except TypeError as err:
-                accepted = sorted(inspect.signature(ENGINES[engine]).parameters)
+                accepted = sorted(inspect.signature(engines()[engine]).parameters)
                 unknown = sorted(set(engine_opts) - set(accepted))
                 raise CheckpointError(
                     f"{where}: engine_opts {unknown} not accepted by engine "

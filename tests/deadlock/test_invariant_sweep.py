@@ -32,11 +32,7 @@ from repro.exceptions import CertificateError, ReproError, RoutingError
 from repro.network.faults import cable_keys, degrade
 from repro.routing import extract_paths, make_engine
 from repro.routing.base import LayeredRouting
-from repro.routing.registry import (
-    DEADLOCK_FREE_ENGINES,
-    ENGINES,
-    REPAIRABLE_ENGINES,
-)
+from repro.routing.registry import DEADLOCK_FREE_ENGINES, ENGINES
 
 TOPOLOGIES = {
     "ring": lambda: topologies.ring(6, terminals_per_switch=1),
@@ -136,7 +132,7 @@ def test_invariants_hold_and_survive_a_fault(sweep_fabric, engine_name):
         # Incomplete tables after degradation: tolerable for engines whose
         # structural assumptions the fault broke (e.g. ftree on a no longer
         # proper tree), never for the repairable SSSP/DFSSSP pair.
-        if engine_name in REPAIRABLE_ENGINES:
+        if engine.supports_incremental_reroute:
             raise
         pytest.skip(
             f"{engine_name} tables incomplete on degraded {topo_name} "
