@@ -2,7 +2,7 @@
 
 The perf-regression gate (``test_perf_regression.py``) pins the hot path
 on a 384-terminal reference fabric; this sweep shows the fast path
-(shared-memory fan-out + numpy kernel + vectorized weight update) holds
+(process-pool fan-out + numpy kernel + vectorized weight update) holds
 up at three orders of magnitude:
 
 ========  ==========================  =========  ==========
@@ -88,7 +88,7 @@ MIN_SPEEDUP_10K = 5.0
 #: fast-path regression tolerance vs the committed baseline
 REGRESSION_FACTOR = 1.3
 
-#: fast-path configuration: shared-memory fan-out + numpy kernel
+#: fast-path configuration: process-pool fan-out + numpy kernel
 FAST_WORKERS = 2
 
 RUN_100K = os.environ.get("REPRO_SCALE_100K") == "1"

@@ -5,8 +5,8 @@ a single output bit:
 
 * :mod:`repro.parallel.kernel` — the vectorized (numpy) Dijkstra and BFS
   kernels;
-* :mod:`repro.parallel.executor` — the process pool that fans out
-  per-destination columns in deterministic batches, only on request
+* :mod:`repro.parallel.executor` — the process pool that sweeps one hop
+  column per hop plan opened, in deterministic batches, only on request
   (``SSSPEngine(workers=N)`` / ``DFSSSPEngine(workers=N)``);
 * :mod:`repro.parallel.reduction` — the exact reduction that replays the
   serial weight-update order and *proves* every column equal to the

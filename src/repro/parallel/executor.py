@@ -23,10 +23,10 @@ scheduling can change timing only, never output. Batch ``b+1`` is
 dispatched before batch ``b`` is reduced, so workers stay busy while the
 parent reduces.
 
-The fabric goes out and the hop columns come back through shared memory
-(:mod:`repro.parallel.shm`): the fabric CSR arrays and two rotating
-per-batch column blocks are mapped into every process, so nothing is
-pickled per batch and workers write result rows in place.
+Workers get the fabric once, as the pool initializer's argument, and
+return their hop columns as the task result. One int32 column per plan
+opened is a few megabytes per route (168 columns, 1.7 MB, on the
+2 352-terminal ``xgft(3,(14,14,12),(1,4,4))``).
 
 Compute budgets (:mod:`repro.service.budget`) are context-local and do
 not cross process boundaries, so the parent snapshots the active
@@ -64,7 +64,6 @@ from repro.obs import DURATION_BUCKETS, get_registry, span
 from repro.obs.telemetry import capture_spans, export_context, replay_spans
 from repro.parallel.kernel import hops_to_dest
 from repro.parallel.reduction import ExactReduction
-from repro.parallel.shm import ColumnBlock, FabricArena, attach_columns, attach_fabric
 from repro.service.budget import active_budget, check_budget, compute_budget
 
 #: default destinations per batch, per worker (batches of ``4 * workers``).
@@ -73,63 +72,45 @@ BATCH_COLUMNS_PER_WORKER = 4
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-_worker_state: dict = {"fabric": None, "columns": None, "pins": ()}
+_worker_fabric: Fabric | None = None
 
 
-def _init_worker(fabric_spec: dict, column_specs: Sequence[dict]) -> None:
-    """Pool initializer: map the shared fabric arena into a
-    :class:`~repro.parallel.shm.FabricView` and the rotating column
-    blocks into writable row arrays, pinning the mappings for the
-    process lifetime (``pins`` keeps the SharedMemory objects alive)."""
-    fabric, shm = attach_fabric(fabric_spec)
-    pins = [shm]
-    columns = []
-    for spec in column_specs:
-        arr, shm = attach_columns(spec)
-        columns.append(arr)
-        pins.append(shm)
-    _worker_state["fabric"] = fabric
-    _worker_state["columns"] = columns
-    _worker_state["pins"] = tuple(pins)
+def _init_worker(fabric: Fabric) -> None:
+    """Pool initializer: keep the fabric for this worker's tasks (``fork``
+    inherits it, ``spawn`` unpickles it once per worker)."""
+    global _worker_fabric
+    _worker_fabric = fabric
 
 
-def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
-                          budget_s, budget_label: str,
-                          carrier: dict | None = None):
+def _hop_columns_task(dests: Sequence[int], budget_s, budget_label: str,
+                      carrier: dict | None = None):
     """Sweep a chunk of destinations' hop columns, under a deadline.
 
-    ``dest_rows`` pairs each destination with its row in column block
-    ``block`` (an index into the initializer's ``column_specs``); the
-    column lands in shared memory, so the payload is just the
-    completed-row count. Returns ``("ok", rows done, records)`` or
-    ``("timeout", info, records)`` — shipping the timeout as data keeps
-    the payload picklable regardless of how the exception type evolves.
-    A timed-out chunk may have written some rows, but the parent
-    discards the whole batch by re-raising, so partial rows are never
-    consumed. ``records`` are the worker's captured span dicts (one
-    ``parallel.hop_column`` per column, stamped with the shipped request
-    id and this worker's pid) when the ``carrier`` asks for capture,
-    else empty; the parent replays them re-parented under its
-    ``parallel.batch`` span. A timed-out chunk still ships what it
-    captured — the aborted column's span arrives with
-    ``status="error"`` and explains the timeout.
+    Returns ``("ok", columns, records)`` — ``columns`` holds one
+    :func:`~repro.parallel.kernel.hops_to_dest` array per destination, in
+    ``dests`` order — or ``("timeout", info, records)``: shipping the
+    timeout as data keeps the payload picklable regardless of how the
+    exception type evolves. ``records`` are the worker's captured span
+    dicts (one ``parallel.hop_column`` per column, stamped with the
+    shipped request id and this worker's pid) when the ``carrier`` asks
+    for capture, else empty; the parent replays them re-parented under
+    its ``parallel.batch`` span. A timed-out chunk still ships what it
+    captured — the aborted column's span arrives with ``status="error"``
+    and explains the timeout.
     """
     capture = bool(carrier and carrier.get("capture"))
     ctx = capture_spans(carrier) if capture else nullcontext()
     records: list[dict] = []
-    fabric = _worker_state["fabric"]
-    out = _worker_state["columns"][block]
 
-    def fill() -> int:
-        done = 0
-        for dest, row in dest_rows:
+    def sweep() -> list[np.ndarray]:
+        columns = []
+        for dest in dests:
             if capture:
                 with span("parallel.hop_column", dest=int(dest), pid=os.getpid()):
-                    out[row, :] = hops_to_dest(fabric, int(dest))
+                    columns.append(hops_to_dest(_worker_fabric, int(dest)))
             else:
-                out[row, :] = hops_to_dest(fabric, int(dest))
-            done += 1
-        return done
+                columns.append(hops_to_dest(_worker_fabric, int(dest)))
+        return columns
 
     with ctx as sink:
         if capture:
@@ -137,8 +118,8 @@ def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
         try:
             if budget_s is not None:
                 with compute_budget(budget_s, label=budget_label):
-                    return ("ok", fill(), records)
-            return ("ok", fill(), records)
+                    return ("ok", sweep(), records)
+            return ("ok", sweep(), records)
         except ComputeTimeoutError as err:
             return ("timeout", (str(err), err.label, err.limit_s, err.elapsed_s), records)
 
@@ -147,8 +128,8 @@ def _hop_columns_shm_task(dest_rows: Sequence[tuple[int, int]], block: int,
 # parent side
 # ----------------------------------------------------------------------
 def _mp_context():
-    """Fork when the platform has it (cheap), spawn otherwise; either way
-    workers reach the fabric through the shared arena."""
+    """Fork when the platform has it (workers inherit the fabric), spawn
+    otherwise (each worker unpickles it once)."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -261,77 +242,63 @@ def run_parallel_sssp(
     ) as run_sp:
         if not batches:
             return next_channel, weights
-        arena = FabricArena(fabric)
-        # Two rotating blocks: the parent reduces batch b (block b%2)
-        # only after all of b's chunks returned, while workers fill
-        # batch b+1 into the other block — never the same rows.
-        blocks = [ColumnBlock(batch_size, fabric.num_nodes) for _ in range(2)]
-        initargs = (arena.spec, [b.spec for b in blocks])
         ctx = _mp_context()
-        try:
-            with ctx.Pool(workers, initializer=_init_worker, initargs=initargs) as pool:
-                handles: list = [None] * len(batches)
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(fabric,)) as pool:
+            handles: list = [None] * len(batches)
 
-                def dispatch(index: int) -> None:
-                    """Fan out the sweeps of batch ``index`` as
-                    ``(chunk, result)`` pairs; a batch served entirely
-                    from cached plans sends the workers nothing."""
-                    if index >= len(batches):
-                        return
-                    budget_s, label = _budget_snapshot()
-                    carrier = export_context()
-                    handles[index] = []
-                    for chunk in _chunks(sweeps_needed(batches[index]), workers):
-                        if not chunk:
-                            continue
-                        handles[index].append((chunk, pool.apply_async(
-                            _hop_columns_shm_task,
-                            (chunk, index % 2, budget_s, label, carrier),
-                        )))
+            def dispatch(index: int) -> None:
+                """Fan out the sweeps of batch ``index`` as
+                ``(chunk, result)`` pairs; a batch served entirely from
+                cached plans sends the workers nothing."""
+                if index >= len(batches):
+                    return
+                budget_s, label = _budget_snapshot()
+                carrier = export_context()
+                handles[index] = []
+                for chunk in _chunks(sweeps_needed(batches[index]), workers):
+                    if not chunk:
+                        continue
+                    handles[index].append((chunk, pool.apply_async(
+                        _hop_columns_task,
+                        ([dest for dest, _ in chunk], budget_s, label, carrier),
+                    )))
 
-                dispatch(0)
-                for index, batch_jobs in enumerate(batches):
-                    dispatch(index + 1)  # keep workers busy while reducing
-                    with span(
-                        "parallel.batch", engine=engine_name, batch=index,
-                        columns=len(batch_jobs),
-                    ) as sp:
-                        hops_of: dict[int, np.ndarray] = {}  # batch row -> hop column
-                        for chunk, handle in handles[index]:
-                            status, payload, records = handle.get()
-                            # Re-parent the worker's captured spans under this
-                            # batch span (even for a timed-out chunk — its
-                            # error span is the explanation).
-                            replay_spans(records)
-                            if status == "timeout":
-                                message, label, limit_s, elapsed_s = payload
-                                m_timeouts.inc()
-                                raise ComputeTimeoutError(
-                                    f"parallel worker: {message}",
-                                    label=label, limit_s=limit_s, elapsed_s=elapsed_s,
-                                )
-                            rows = [row for _, row in chunk]
-                            hops_of.update(zip(rows, blocks[index % 2].array[rows]))
-                        handles[index] = None  # free the batch's column memory
-                        sp.set_attr("sweeps", len(hops_of))
-                        for row, (t_idx, dest) in enumerate(batch_jobs):
-                            check_budget()  # parent-side deadline between columns
-                            t0 = time.perf_counter()
-                            parent = reduction.step(dest, weights, hops_of.get(row))
-                            next_channel[:, t_idx] = parent
-                            m_sources.inc()
-                            m_updates.inc(int(np.count_nonzero(parent >= 0)))
-                            m_dijkstra.observe(time.perf_counter() - t0)
-                    m_batches.inc()
-                    m_columns.inc(len(hops_of))
-                    reduction.counts["sweeps"] += len(hops_of)
-                    m_seconds.observe(sp.duration)
-                for key, value in reduction.counts.items():
-                    run_sp.set_attr(key, value)
-        finally:
-            # Parent owns every segment: unlink as soon as the pool is
-            # gone (workers hold plain mappings, closed at process exit).
-            for b in blocks:
-                b.destroy()
-            arena.destroy()
+            dispatch(0)
+            for index, batch_jobs in enumerate(batches):
+                dispatch(index + 1)  # keep workers busy while reducing
+                with span(
+                    "parallel.batch", engine=engine_name, batch=index,
+                    columns=len(batch_jobs),
+                ) as sp:
+                    hops_of: dict[int, np.ndarray] = {}  # batch row -> hop column
+                    for chunk, handle in handles[index]:
+                        status, payload, records = handle.get()
+                        # Re-parent the worker's captured spans under this
+                        # batch span (even for a timed-out chunk — its
+                        # error span is the explanation).
+                        replay_spans(records)
+                        if status == "timeout":
+                            message, label, limit_s, elapsed_s = payload
+                            m_timeouts.inc()
+                            raise ComputeTimeoutError(
+                                f"parallel worker: {message}",
+                                label=label, limit_s=limit_s, elapsed_s=elapsed_s,
+                            )
+                        hops_of.update(zip([row for _, row in chunk], payload))
+                    handles[index] = None  # free the batch's column memory
+                    sp.set_attr("sweeps", len(hops_of))
+                    for row, (t_idx, dest) in enumerate(batch_jobs):
+                        check_budget()  # parent-side deadline between columns
+                        t0 = time.perf_counter()
+                        parent = reduction.step(dest, weights, hops_of.get(row))
+                        next_channel[:, t_idx] = parent
+                        m_sources.inc()
+                        m_updates.inc(int(np.count_nonzero(parent >= 0)))
+                        m_dijkstra.observe(time.perf_counter() - t0)
+                m_batches.inc()
+                m_columns.inc(len(hops_of))
+                reduction.counts["sweeps"] += len(hops_of)
+                m_seconds.observe(sp.duration)
+            for key, value in reduction.counts.items():
+                run_sp.set_attr(key, value)
     return next_channel, weights

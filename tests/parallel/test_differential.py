@@ -43,6 +43,8 @@ FAMILIES = {
     "dragonfly": lambda: topologies.dragonfly(2, 2, 1),
 }
 
+# The "-shm" suffix of two ids names the pool's former shared-memory
+# transport; every pool run now returns its hop columns as task results.
 PARALLEL_CONFIGS = [
     pytest.param(dict(kernel="numpy"), id="serial-numpy"),
     pytest.param(dict(workers=1, kernel="numpy"), id="workers1-numpy-shm"),

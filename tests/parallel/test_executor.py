@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,14 @@ from repro import topologies
 from repro.core import SSSPEngine
 from repro.exceptions import ComputeTimeoutError
 from repro.obs import InMemorySink, get_registry, use_sink
-from repro.parallel import ExactReduction, run_parallel_sssp
+from repro.parallel import ExactReduction, executor, run_parallel_sssp
 from repro.parallel.executor import (
     _budget_snapshot,
     _chunks,
-    _hop_columns_shm_task,
+    _hop_columns_task,
     _init_worker,
-    _worker_state,
 )
 from repro.parallel.kernel import hops_to_dest
-from repro.parallel.shm import ColumnBlock, FabricArena
 from repro.service.budget import compute_budget
 
 
@@ -56,28 +56,20 @@ def test_budget_snapshot_forwards_remaining():
 
 
 @pytest.fixture()
-def worker_block(fabric):
-    """This process initialised as a pool worker over a one-block
-    transport; yields the parent's view of the block's three rows."""
-    arena = FabricArena(fabric)
-    block = ColumnBlock(3, fabric.num_nodes)
-    _init_worker(arena.spec, [block.spec])
-    yield block.array
-    pins = _worker_state["pins"]
-    _worker_state.update(fabric=None, columns=None, pins=())  # drop the mapped views
-    for shm in pins:
-        shm.close()
-    block.destroy()
-    arena.destroy()
+def worker_fabric(fabric):
+    """This process initialised as a pool worker over ``fabric``."""
+    _init_worker(fabric)
+    yield fabric
+    _init_worker(None)
 
 
-def _dest_rows(fabric):
-    return [(int(d), row) for row, d in enumerate(fabric.terminals[:3])]
+def _dests(fabric):
+    return [int(d) for d in fabric.terminals[:3]]
 
 
-def test_worker_task_ships_timeout_as_data(fabric, worker_block):
+def test_worker_task_ships_timeout_as_data(worker_fabric):
     """Workers re-arm the deadline and return it as a picklable tuple."""
-    status, payload, records = _hop_columns_shm_task(_dest_rows(fabric), 0, 0.0, "repair")
+    status, payload, records = _hop_columns_task(_dests(worker_fabric), 0.0, "repair")
     assert status == "timeout"
     message, label, limit_s, elapsed_s = payload
     assert label == "repair"
@@ -87,24 +79,45 @@ def test_worker_task_ships_timeout_as_data(fabric, worker_block):
     assert records == []  # no carrier → no span capture
 
 
-def test_worker_task_ok_without_budget(fabric, worker_block):
-    dest_rows = _dest_rows(fabric)
-    status, done, records = _hop_columns_shm_task(dest_rows, 0, None, "compute")
-    assert (status, done) == ("ok", 3)
+def test_worker_task_ok_without_budget(worker_fabric):
+    dests = _dests(worker_fabric)
+    status, columns, records = _hop_columns_task(dests, None, "compute")
+    assert status == "ok"
     assert records == []
-    for dest, row in dest_rows:  # the columns landed in the parent's view
-        np.testing.assert_array_equal(worker_block[row], hops_to_dest(fabric, dest))
+    assert len(columns) == len(dests)
+    for dest, column in zip(dests, columns):  # one column per dest, in order
+        np.testing.assert_array_equal(column, hops_to_dest(worker_fabric, dest))
 
 
-def test_worker_task_captures_spans_when_carrier_asks(fabric, worker_block):
-    dest_rows = _dest_rows(fabric)
+def test_worker_task_captures_spans_when_carrier_asks(worker_fabric):
+    dests = _dests(worker_fabric)
     carrier = {"request_id": "req-ff00", "capture": True}
-    status, _, records = _hop_columns_shm_task(dest_rows, 0, None, "compute", carrier)
+    status, _, records = _hop_columns_task(dests, None, "compute", carrier)
     assert status == "ok"
     assert [r["name"] for r in records] == ["parallel.hop_column"] * 3
-    assert [r["attrs"]["dest"] for r in records] == [d for d, _ in dest_rows]
+    assert [r["attrs"]["dest"] for r in records] == dests
     assert all(r["attrs"]["request_id"] == "req-ff00" for r in records)
     assert all(r["attrs"]["pid"] > 0 for r in records)
+
+
+@pytest.mark.parametrize("outcome", ["ok", "timeout"])
+def test_no_worker_outlives_a_route(fabric, outcome, monkeypatch):
+    """The pool is torn down with the route, whether it passes or a
+    worker times out (every task ships an exhausted budget; the parent
+    itself runs without one, so the worker's deadline is what trips)."""
+    assert multiprocessing.active_children() == []
+    engine = SSSPEngine(workers=2, kernel="numpy")
+    if outcome == "ok":
+        engine.route(fabric)
+    else:
+        monkeypatch.setattr(executor, "_budget_snapshot", lambda: (0.0, "repair"))
+        with pytest.raises(ComputeTimeoutError, match="parallel worker"):
+            engine.route(fabric)
+        timeouts = get_registry().counter(
+            "routing_parallel_worker_timeouts", "", engine="sssp"
+        )
+        assert timeouts.value == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_run_honours_expired_budget(fabric):
