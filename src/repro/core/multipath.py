@@ -154,7 +154,7 @@ class MultipathDFSSSPEngine:
         T = fabric.num_terminals
         K = self.num_planes
         weights = np.full(fabric.num_channels, (T * K) ** 2 + 1, dtype=np.int64)
-        step, _ = column_routine(fabric, DEFAULT_KERNEL, self.name)
+        step, _ = column_routine(fabric, DEFAULT_KERNEL, self.name, np.repeat(fabric.terminals, K))
         plane_tables = [np.full((fabric.num_nodes, T), -1, dtype=np.int32) for _ in range(K)]
         # OpenSM routes LIDs in order: offset-major interleaving makes the
         # planes diverge destination by destination.

@@ -102,7 +102,7 @@ class SSSPEngine(RoutingEngine):
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         from repro.parallel.reduction import column_routine
 
-        step, counts = column_routine(fabric, self.kernel, self.name)
+        step, counts = column_routine(fabric, self.kernel, self.name, fabric.terminals)
 
         reg = get_registry()
         m_sources = reg.counter(

@@ -204,15 +204,32 @@ def _int_array(values, what: str, dtype=np.int64) -> np.ndarray:
 
 
 def _json_array(arr: np.ndarray):
-    """``json.dumps(arr.tolist())`` as chunks of at most ``JSON_BLOCK`` rows:
-    ``map(str, ...)`` over one block of an integer ``(n,)`` or ``(n, 2)`` array."""
+    """``json.dumps(arr.tolist())`` as chunks of at most ``JSON_BLOCK`` rows
+    of an integer ``(n,)`` or ``(n, 2)`` array.
+
+    Each integer's text comes from a table of ``str(v)`` for ``v`` in
+    ``range(min, max + 1)``, indexed by ``v - min``, so each value is
+    rendered once: a certificate's values are layers and channel ids, so
+    the table is no longer than the channel count. An array whose range
+    is wider than the array itself would pay more for the table than it
+    saves (and a foreign certificate's range is unbounded): it renders
+    each entry instead."""
     if arr.dtype.kind not in "iu" or not (arr.ndim == 1 or arr.shape[1:] == (2,)) or not arr.size:
         yield json.dumps(arr.tolist())
         return
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo < arr.size:
+        table = list(map(str, range(lo, hi + 1)))
+
+        def render(block):
+            return map(table.__getitem__, (block - lo).tolist())
+    else:
+        def render(block):
+            return map(str, block.tolist())
     pairs = arr.ndim == 2
     start, sep, end = ("[[", "], [", "]]") if pairs else ("[", ", ", "]")
     for i in range(0, len(arr), JSON_BLOCK):
-        text = map(str, arr[i:i + JSON_BLOCK].ravel().tolist())
+        text = render(arr[i:i + JSON_BLOCK].ravel())
         if pairs:
             text = map(", ".join, zip(text, text))
         yield (sep if i else start) + sep.join(text)

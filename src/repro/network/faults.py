@@ -12,11 +12,12 @@ keeps routing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from repro.exceptions import FabricError
-from repro.network.builder import FabricBuilder
+from repro.network.channels import ChannelVector
 from repro.network.fabric import Fabric
 from repro.utils.prng import make_rng
 
@@ -40,49 +41,62 @@ class DegradedFabric:
 
 
 def _rebuild(fabric: Fabric, dead_nodes: set[int], dead_cables: set[tuple[int, int]]) -> DegradedFabric:
-    builder = FabricBuilder()
+    """``fabric`` minus ``dead_nodes`` (switch ids) and ``dead_cables``
+    (validated ``(cid, reverse)`` keys, lower id first), built from arrays.
+
+    The surviving nodes keep their order and are renumbered densely; the
+    surviving cables keep the order of their lower channel id, which
+    becomes the forward channel ``2k`` (its reverse ``2k + 1``, both with
+    the forward capacity) — the layout
+    :class:`~repro.network.builder.FabricBuilder` gives a
+    cable added ``k``-th. Every cable touching a dead node is removed.
+    """
+    channels = fabric.channels
+    alive = np.ones(fabric.num_nodes, dtype=bool)
+    alive[np.fromiter(dead_nodes, dtype=np.int64, count=len(dead_nodes))] = False
+    keep = np.flatnonzero(alive)
     node_map = np.full(fabric.num_nodes, -1, dtype=np.int64)
+    node_map[keep] = np.arange(len(keep))
+    # One entry per cable: its lower channel id, ascending.
+    fwd = np.flatnonzero(np.arange(fabric.num_channels) < channels.reverse)
+    dead = ~(alive[channels.src[fwd]] & alive[channels.dst[fwd]])
+    dead[np.searchsorted(fwd, [key[0] for key in dead_cables])] = True
+    live = fwd[~dead]
+    new_fwd = 2 * np.arange(len(live))
     channel_map = np.full(fabric.num_channels, -1, dtype=np.int64)
-    for v in range(fabric.num_nodes):
-        if v in dead_nodes:
-            continue
-        if fabric.is_switch(v):
-            node_map[v] = builder.add_switch(name=fabric.names[v])
-        else:
-            node_map[v] = builder.add_terminal(name=fabric.names[v])
-        if v in fabric.coordinates:
-            builder.set_coordinates(int(node_map[v]), fabric.coordinates[v])
-    removed_cables = 0
-    seen = set()
-    for cid in range(fabric.num_channels):
-        rid = int(fabric.channels.reverse[cid])
-        key = (min(cid, rid), max(cid, rid))
-        if key in seen:
-            continue
-        seen.add(key)
-        a = int(fabric.channels.src[cid])
-        b = int(fabric.channels.dst[cid])
-        if a in dead_nodes or b in dead_nodes or key in dead_cables:
-            removed_cables += 1
-            continue
-        new_fwd = builder.add_link(
-            int(node_map[a]), int(node_map[b]), capacity=float(fabric.channels.capacity[cid])
-        )[0]
-        # The builder appends cables as adjacent (forward, backward) pairs.
-        channel_map[cid] = new_fwd
-        channel_map[rid] = new_fwd + 1
-    builder.metadata = dict(fabric.metadata)
+    channel_map[live] = new_fwd
+    channel_map[channels.reverse[live]] = new_fwd + 1
+    ends = node_map[np.stack((channels.src[live], channels.dst[live]), axis=1)]
+    src = ends.ravel()
+    dst = ends[:, ::-1].ravel()
+    reverse = np.arange(len(src)) ^ 1  # (forward, backward) adjacent pairs
+    capacity = np.repeat(channels.capacity[live], 2)
+
+    removed_cables = int(np.count_nonzero(dead))
+    metadata = dict(fabric.metadata)
     if removed_cables or dead_nodes:
-        builder.metadata["degraded"] = True
+        metadata["degraded"] = True
     levels = fabric.metadata.get("switch_levels")
     if levels:
-        builder.metadata["switch_levels"] = {
-            int(node_map[int(k)]): int(v)
-            for k, v in levels.items()
-            if node_map[int(k)] >= 0
-        }
+        old = np.fromiter(map(int, levels), dtype=np.int64, count=len(levels))
+        level = np.fromiter(map(int, levels.values()), dtype=np.int64, count=len(levels))
+        new = node_map[old]
+        kept = new >= 0
+        metadata["switch_levels"] = dict(zip(new[kept].tolist(), level[kept].tolist()))
+    coords = fabric.coordinates
+    if coords:
+        old = np.fromiter(coords, dtype=np.int64, count=len(coords))
+        kept = alive[old]
+        coords = dict(zip(node_map[old[kept]].tolist(), compress(coords.values(), kept.tolist())))
+    degraded = Fabric(
+        kinds=fabric.kinds[keep],
+        channels=ChannelVector(src, dst, reverse, capacity),
+        names=compress(fabric.names, alive.tolist()),
+        coordinates=coords,
+        metadata=metadata,
+    )
     return DegradedFabric(
-        fabric=builder.build(),
+        fabric=degraded,
         node_map=node_map,
         removed_cables=removed_cables,
         removed_switches=len(dead_nodes),

@@ -102,10 +102,15 @@ def fabric_from_dict(data: dict) -> Fabric:
     return builder.build()
 
 
+def fabric_json(fabric: Fabric) -> str:
+    """The JSON text :func:`save_fabric` writes."""
+    # compact separators, no indent: an indent selects json's pure-python encoder
+    return json.dumps(fabric_to_dict(fabric), separators=(",", ":"))
+
+
 def save_fabric(fabric: Fabric, path: str | Path) -> None:
     """Atomically write the JSON representation (tmp file + rename)."""
-    # compact separators, no indent: an indent selects json's pure-python encoder
-    atomic_write_text(path, json.dumps(fabric_to_dict(fabric), separators=(",", ":")))
+    atomic_write_text(path, fabric_json(fabric))
 
 
 def load_fabric(path: str | Path) -> Fabric:

@@ -162,7 +162,7 @@ def test_production_step_equals_the_heap_step(monkeypatch, make, lmc):
     real = reduction_mod.column_routine
     monkeypatch.setattr(
         reduction_mod, "column_routine",
-        lambda fab, kernel, name: kernels.append(kernel) or real(fab, kernel, name),
+        lambda fab, kernel, name, order: kernels.append(kernel) or real(fab, kernel, name, order),
     )
     got = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
     monkeypatch.setattr(multipath_mod, "DEFAULT_KERNEL", "python")

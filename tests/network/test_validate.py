@@ -61,3 +61,40 @@ def test_switch_degree_histogram(ring5):
     hist = switch_degree_histogram(ring5)
     # Every ring switch: 2 ring cables + 1 terminal = degree 3.
     assert hist == {3: 5}
+
+
+def _component_of_zero(fabric):
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(fabric.num_nodes))
+    graph.add_edges_from(zip(fabric.channels.src.tolist(), fabric.channels.dst.tolist()))
+    return nx.node_connected_component(graph, 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connectivity_matches_networkx(seed):
+    """Random switch forests with terminals: the check passes iff node 0
+    reaches every node, and otherwise names the count and the first five
+    unreached ids."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    b = FabricBuilder()
+    switches = b.add_switches(int(rng.integers(2, 9)))
+    for i in range(1, len(switches)):
+        if rng.random() < 0.8:
+            b.add_link(switches[i], switches[int(rng.integers(0, i))])
+    for s in switches:
+        for _ in range(int(rng.integers(0, 3))):
+            b.add_link(b.add_terminal(), s)
+    fabric = b.build()
+    reached = _component_of_zero(fabric)
+    if len(reached) == fabric.num_nodes:
+        check_connected(fabric)
+        return
+    missing = sorted(set(range(fabric.num_nodes)) - reached)
+    with pytest.raises(DisconnectedFabricError) as err:
+        check_connected(fabric)
+    assert str(err.value) == (f"fabric is disconnected: {len(missing)} unreachable nodes "
+                              f"(e.g. {missing[:5]})")

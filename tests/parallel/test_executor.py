@@ -19,7 +19,7 @@ from repro.parallel.executor import (
     _init_worker,
 )
 from repro.parallel.kernel import hops_to_dest
-from repro.service.budget import compute_budget
+from repro.service.budget import active_budget, compute_budget
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +120,41 @@ def test_no_worker_outlives_a_route(fabric, outcome, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_parallel_run_honours_expired_budget(fabric):
-    """An exhausted deadline surfaces as ComputeTimeoutError — from the
-    worker or from the parent-side poll, whichever trips first — so the
-    supervisor's escalation ladder works unchanged with workers."""
+def test_parallel_run_honours_expired_budget(fabric, monkeypatch):
+    """A deadline that expires inside a worker's sweep surfaces in the
+    parent as ComputeTimeoutError, so the supervisor's escalation ladder
+    works unchanged with workers. The parent has a minute; the sweep the
+    workers fork with spends the deadline they re-armed from it."""
+    real = executor.hops_to_dest
+
+    def expiring_sweep(fabric, dest):
+        active_budget().deadline = 0.0
+        return real(fabric, dest)
+
+    monkeypatch.setattr(executor, "hops_to_dest", expiring_sweep)  # before the pool forks
     engine = SSSPEngine(workers=2, kernel="numpy")
-    with pytest.raises(ComputeTimeoutError):
+    with pytest.raises(ComputeTimeoutError, match="parallel worker") as err:
+        with compute_budget(60.0, label="repair"):
+            engine.route(fabric)
+    assert err.value.label == "repair"
+    timeouts = get_registry().counter("routing_parallel_worker_timeouts", "", engine="sssp")
+    assert timeouts.value == 1
+    assert get_registry().value("sssp_sources_routed") == 0
+
+
+def test_expired_budget_trips_in_the_parent_before_the_pool(fabric, monkeypatch):
+    """An exhausted deadline around ``route()`` is caught by the parent's
+    own poll before any pool starts: no worker runs, none times out."""
+    started = []
+    monkeypatch.setattr(executor, "_mp_context", lambda: started.append(1))
+    engine = SSSPEngine(workers=2, kernel="numpy")
+    with pytest.raises(ComputeTimeoutError) as err:
         with compute_budget(0.0, label="repair"):
             engine.route(fabric)
+    assert "parallel worker" not in str(err.value)
+    assert started == []
+    timeouts = get_registry().counter("routing_parallel_worker_timeouts", "", engine="sssp")
+    assert timeouts.value == 0
 
 
 def test_validation_fallback_still_bit_identical(fabric, monkeypatch):

@@ -341,7 +341,7 @@ def test_engine_reroute_hands_its_kernel_to_repair(monkeypatch, random16, one_li
     real = repair_mod.column_routine
     monkeypatch.setattr(
         repair_mod, "column_routine",
-        lambda fabric, kernel, engine: seen.append(kernel) or real(fabric, kernel, engine),
+        lambda fabric, kernel, engine, order: seen.append(kernel) or real(fabric, kernel, engine, order),
     )
     for engine in (SSSPEngine(kernel="numpy"), DFSSSPEngine(kernel="numpy"), SSSPEngine(kernel="python")):
         engine.reroute(engine.route(random16), one_link_down)
