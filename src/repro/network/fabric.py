@@ -34,6 +34,16 @@ _SWITCH = int(NodeKind.SWITCH)
 _TERMINAL = int(NodeKind.TERMINAL)
 
 
+def csr_gather(ptr: np.ndarray, rows: np.ndarray):
+    """``(owner, flat)``: the CSR slices ``ptr[r]:ptr[r + 1]`` of ``rows``
+    concatenated; ``owner`` is each entry's index into ``rows``."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), lens)
+    offset = np.cumsum(lens) - lens
+    return owner, np.arange(len(owner)) + (starts - offset)[owner]
+
+
 class Fabric:
     """Immutable network description.
 
