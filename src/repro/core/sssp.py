@@ -26,6 +26,7 @@ destination instead of the naive O(T · diameter).
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -51,10 +52,11 @@ class SSSPEngine(RoutingEngine):
     Parameters
     ----------
     workers:
-        0 (default) routes serially in-process. ``N >= 1`` fans the
-        per-destination columns out over an ``N``-process pool
-        (:mod:`repro.parallel.executor`); the result is bit-identical to
-        the serial run.
+        0 (default) sweeps every hop row in-process. ``N >= 1`` opens an
+        ``N``-process pool for the route that sweeps each block's hop
+        rows (:mod:`repro.parallel.executor`); the column loop, and with
+        it the result, is the serial one. Needs ``kernel="numpy"``: the
+        pool only feeds the production step.
     kernel:
         ``"numpy"`` (default, the production step: hop plans refined and
         validated by :class:`~repro.parallel.reduction.ExactReduction`) or
@@ -71,6 +73,8 @@ class SSSPEngine(RoutingEngine):
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers and kernel != "numpy":
+            raise ValueError(f"workers >= 1 needs kernel='numpy', got {kernel!r}")
         self.workers = workers
         self.kernel = kernel
 
@@ -86,24 +90,13 @@ class SSSPEngine(RoutingEngine):
         )
 
     def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray]:
-        T = fabric.num_terminals
-        w0 = T * T + 1
-
-        if self.workers:
-            from repro.parallel.executor import run_parallel_sssp
-
-            next_channel, weights = run_parallel_sssp(
-                fabric, workers=self.workers, kernel=self.kernel, engine_name=self.name
-            )
-            total = int(weights.sum() - w0 * fabric.num_channels)
-            return RoutingTables(fabric, next_channel, engine=self.name), total, weights
-
-        weights = np.full(fabric.num_channels, w0, dtype=np.int64)
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
+        from repro.parallel.kernel import hop_rows  # parallel -> core.sssp
         from repro.parallel.reduction import column_routine
 
-        step, counts = column_routine(fabric, self.kernel, self.name, fabric.terminals)
-
+        T = fabric.num_terminals
+        w0 = T * T + 1
+        weights = np.full(fabric.num_channels, w0, dtype=np.int64)
+        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         reg = get_registry()
         m_sources = reg.counter(
             "sssp_sources_routed", "destination terminals routed (one Dijkstra each)"
@@ -117,27 +110,36 @@ class SSSPEngine(RoutingEngine):
         )
         hooks = get_hooks()
 
-        with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
-            for t_idx, dest in enumerate(fabric.terminals.tolist()):
-                check_budget()  # cooperative deadline (repro.service)
-                with span("sssp.dijkstra", dest=dest) as sp:
-                    parent = step(dest, weights)
-                    next_channel[:, t_idx] = parent
-                # One `weights[c] += ...` happened per node with a parent
-                # channel; counted vectorised to keep the hot loop clean.
-                updates = int(np.count_nonzero(parent >= 0))
-                m_sources.inc()
-                m_updates.inc(updates)
-                m_dijkstra.observe(sp.duration)
-                hooks.iteration(
-                    engine=self.name,
-                    iteration=t_idx,
-                    dest=dest,
-                    weight_updates=updates,
-                    dijkstra_seconds=sp.duration,
-                )
-            for key, value in counts.items():
-                run_sp.set_attr(key, value)
+        if self.workers:
+            from repro.parallel.executor import pool_sweep  # multiprocessing, only here
+
+            sweeper = pool_sweep(fabric, self.workers, self.name)
+        else:
+            sweeper = nullcontext(hop_rows)
+
+        with sweeper as sweep:
+            step, counts = column_routine(fabric, self.kernel, self.name, fabric.terminals, sweep)
+            with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
+                for t_idx, dest in enumerate(fabric.terminals.tolist()):
+                    check_budget()  # cooperative deadline (repro.service)
+                    with span("sssp.dijkstra", dest=dest) as sp:
+                        parent = step(dest, weights)
+                        next_channel[:, t_idx] = parent
+                    # One `weights[c] += ...` happened per node with a parent
+                    # channel; counted vectorised to keep the hot loop clean.
+                    updates = int(np.count_nonzero(parent >= 0))
+                    m_sources.inc()
+                    m_updates.inc(updates)
+                    m_dijkstra.observe(sp.duration)
+                    hooks.iteration(
+                        engine=self.name,
+                        iteration=t_idx,
+                        dest=dest,
+                        weight_updates=updates,
+                        dijkstra_seconds=sp.duration,
+                    )
+                for key, value in counts.items():
+                    run_sp.set_attr(key, value)
 
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights

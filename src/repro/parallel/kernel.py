@@ -18,10 +18,10 @@ that minimise ``dist[u] + weight[c]`` — a property of the *fixpoint*, not
 of the relaxation order — so the two kernels are bit-identical, which the
 differential suite (``tests/parallel``) asserts on every topology family.
 
-:func:`hops_to_dest` is the weight-independent sibling: plain BFS levels
-toward a destination, equal to Dijkstra distances under uniform weights.
-The parallel executor fans it out to worker processes because hop columns
-never go stale (see :mod:`repro.parallel.executor`).
+:func:`hop_rows` is the weight-independent sibling: plain BFS levels
+toward a block of roots, equal to Dijkstra distances under uniform
+weights. Hop rows never go stale, so they are the one part of Algorithm 1
+a process pool can compute ahead (see :mod:`repro.parallel.executor`).
 """
 
 from __future__ import annotations
@@ -31,20 +31,10 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.core.sssp import KERNELS, dijkstra_to_dest
 from repro.network.fabric import Fabric, csr_gather
 from repro.service.budget import check_budget
 
 INT64_INF = np.iinfo(np.int64).max
-
-
-def resolve_kernel(name: str):
-    """Map a kernel name to its ``(fabric, dest, weights)`` callable."""
-    if name == "python":
-        return dijkstra_to_dest
-    if name == "numpy":
-        return dijkstra_to_dest_numpy
-    raise ValueError(f"kernel must be one of {KERNELS}, got {name!r}")
 
 
 def dijkstra_to_dest_numpy(fabric: Fabric, dest: int, weights: np.ndarray):

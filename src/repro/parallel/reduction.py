@@ -9,16 +9,16 @@ dominates any accumulated balancing weight, the weighted shortest-path
 tree lives inside that DAG in practice. :meth:`ExactReduction.step`
 exploits both facts, in the engine's fixed destination order:
 
-1. **Hop plan.** The hop levels toward the plan's root (swept here, or
-   shipped by a pool worker — :mod:`repro.parallel.executor`) are
-   bucketed into a :class:`HopPlan`: the DAG channels level-major, in CSR
-   order (source-major, channel id ascending) within a level. Neither the
+1. **Hop plan.** The hop levels toward the plan's root are bucketed
+   into a :class:`HopPlan`: the DAG channels level-major, in CSR order
+   (source-major, channel id ascending) within a level. Neither the
    levels nor the plan depend on the weights, so they are built a block
    at a time: given the caller's destination order, the first step that
    needs a plan builds those of the next block of the order with one
-   switch-space BFS for all their roots
-   (:func:`~repro.parallel.kernel.hop_rows`) and one sort that cuts
-   every row into levels (:meth:`ExactReduction.build_plans`). Uplinks of
+   sweep of all their roots (:func:`~repro.parallel.kernel.hop_rows`,
+   one switch-space BFS — or the same rows from a process pool,
+   :mod:`repro.parallel.executor`) and one sort that cuts every row into
+   levels (:meth:`ExactReduction.build_plans`). Uplinks of
    *leaves* — single-homed terminals: one out-channel, into a switch —
    stay out of it: a leaf has one way out, so its column entry is fixed
    (its uplink, or -1 under an unreached switch). For a single-homed
@@ -67,28 +67,27 @@ single-homed terminals, live on the per-run :class:`ExactReduction`, and
 stop being inserted once they hold :data:`PLAN_CACHE_BYTES` — later
 destinations then sweep for themselves.
 
-:func:`column_routine` hands the serial engine, the LMC planes and the
+:func:`column_routine` hands the engine, the LMC planes and the
 incremental repair this step for ``kernel="numpy"`` — with their
 destination order — and the heap Dijkstra + reference update for
-``kernel="python"``; the pool reducer always runs this one and buckets
-each batch's shipped hop columns in one :meth:`~ExactReduction.build_plans` pass.
+``kernel="python"``. A pooled engine passes the pool as the block sweep;
+nothing else about the step changes.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.sssp import (
-    DEFAULT_KERNEL,
+    dijkstra_to_dest,
     update_weights_for_dest,
     update_weights_for_dest_fast,
 )
 from repro.network.fabric import Fabric, csr_gather
 from repro.obs import get_registry
-from repro.parallel.kernel import INT64_INF, hop_rows, hops_to_dest, resolve_kernel
+from repro.parallel.kernel import INT64_INF, dijkstra_to_dest_numpy, hop_rows
 
 #: Most bytes one run's cached hop plans may hold (int32 arrays, ~10 kB a
 #: plan on a 2 352-terminal fat tree). When the next plan would not fit,
@@ -101,7 +100,8 @@ PLAN_CACHE_BYTES = 32 << 20
 HOP_BLOCK_BYTES = 4 << 20
 
 
-def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order=None):
+def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order=None,
+                   sweep=hop_rows):
     """One Algorithm-1 step for ``kernel``, as ``(step, counts)``.
 
     ``step(dest, weights)`` routes the column toward ``dest``, advances
@@ -109,18 +109,17 @@ def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order
     ``"numpy"`` is :meth:`ExactReduction.step` and ``counts`` its live
     ``sweeps / plans / plan_hits / fallbacks``; ``order`` is the sequence
     of destinations the caller will step through, so that hop plans are
-    built a block at a time. The ``"python"`` reference runs the heap
-    Dijkstra and the farthest-first update directly (no counts). Both
-    produce identical arrays.
+    built a block at a time, each block's hop rows by ``sweep``. The
+    ``"python"`` reference runs the heap Dijkstra and the farthest-first
+    update directly (no counts). Both produce identical arrays.
     """
     if kernel == "numpy":
-        reduction = ExactReduction(fabric, kernel, engine_name, order)
+        reduction = ExactReduction(fabric, engine_name, order, sweep)
         return reduction.step, reduction.counts
-    dijkstra = resolve_kernel(kernel)
     is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
     def step(dest: int, weights: np.ndarray):
-        dist, parent = dijkstra(fabric, dest, weights)
+        dist, parent = dijkstra_to_dest(fabric, dest, weights)
         update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
         return parent
 
@@ -150,28 +149,28 @@ class HopPlan(NamedTuple):
 class ExactReduction:
     """Per-run state of the fused step: CSR views, leaf terminals, plans.
 
-    ``kernel`` names the Dijkstra a column falls back to when validation
-    fails; ``engine_name`` labels the fallback counter. ``order``, when
-    given, is the destination sequence :meth:`step` will be called with:
-    a step that needs a new hop plan then builds the plans of the next
-    block of that sequence in one pass (:meth:`_open_block`); without
-    it, or off it, a step sweeps for its own plan. The plan cache dies
-    with the instance, i.e. with the SSSP phase that made it.
+    ``engine_name`` labels the fallback counter; a column that fails
+    validation re-runs the numpy Dijkstra. ``order``, when given, is the
+    destination sequence :meth:`step` will be called with: a step that
+    needs a new hop plan then builds the plans of the next block of that
+    sequence in one pass (:meth:`_open_block`); without it, or off it, a
+    step sweeps for its own plan. ``sweep(fabric, roots)`` computes the
+    hop rows of a block's roots: :func:`~repro.parallel.kernel.hop_rows`,
+    or a process pool's drop-in for it. The plan cache dies with the
+    instance, i.e. with the SSSP phase that made it.
     """
 
-    def __init__(
-        self, fabric: Fabric, kernel: str = DEFAULT_KERNEL, engine_name: str = "sssp",
-        order=None,
-    ):
+    def __init__(self, fabric: Fabric, engine_name: str = "sssp", order=None,
+                 sweep=hop_rows):
         self.fabric = fabric
-        self._dijkstra = resolve_kernel(kernel)
+        self._sweep = sweep
         self._m_fallbacks = get_registry().counter(
             "routing_parallel_fallbacks",
             "reduction columns that failed validation and re-ran full Dijkstra",
             engine=engine_name,
         )
-        #: hop sweeps done for this run (here, or by the pool's workers),
-        #: plans built, steps served from a cached plan, failed validations
+        #: hop rows swept for this run, plans built, steps served from a
+        #: cached plan, failed validations
         self.counts = {"sweeps": 0, "plans": 0, "plan_hits": 0, "fallbacks": 0}
         n, E = fabric.num_nodes, fabric.num_channels
         channels = fabric.channels
@@ -259,31 +258,24 @@ class ExactReduction:
         self._pending: dict[int, HopPlan] = {}
         # A block row: its int32 hop row, and about eight 8-byte
         # temporaries per trunk channel while the block is bucketed.
-        row_bytes = 4 * n + 64 * (len(self._trunk_pos) + 1)
-        self._block_rows = max(1, HOP_BLOCK_BYTES // row_bytes)
+        self._row_bytes = 4 * n + 64 * (len(self._trunk_pos) + 1)
+        self._block_rows = max(1, HOP_BLOCK_BYTES // self._row_bytes)
 
     # ------------------------------------------------------------------
     def shared_root(self, dest: int) -> int:
         """The switch whose cached plan serves ``dest``; -1 if none can."""
         return int(self._shared_root[dest])
 
-    def step(self, dest: int, weights: np.ndarray,
-             plan: HopPlan | None = None) -> np.ndarray:
+    def step(self, dest: int, weights: np.ndarray) -> np.ndarray:
         """Route ``dest`` exactly as serial Dijkstra would and advance
-        ``weights``; returns the column's ``parent`` array.
-
-        ``plan`` is a hop plan for ``dest`` built from a worker's hop
-        column (:meth:`build_plans`), used when no cached plan serves it.
-        """
+        ``weights``; returns the column's ``parent`` array."""
         key = self.shared_root(dest)
         at = self._position(dest)
-        cached = self._plans.get(key)
-        if cached is not None:
-            plan = cached
+        plan = self._plans.get(key)
+        if plan is not None:
             self.counts["plan_hits"] += 1
         else:
-            if plan is None:
-                plan = self._next_plan(dest, at)
+            plan = self._next_plan(dest, at)
             self.counts["plans"] += 1
             if key >= 0 and not self.cache_full:
                 if self._plan_bytes + plan.nbytes <= PLAN_CACHE_BYTES:
@@ -300,7 +292,7 @@ class ExactReduction:
         else:
             self.counts["fallbacks"] += 1
             self._m_fallbacks.inc()
-            dist, parent = self._dijkstra(self.fabric, dest, weights)
+            dist, parent = dijkstra_to_dest_numpy(self.fabric, dest, weights)
             update_weights_for_dest_fast(
                 self.fabric, dest, dist, parent, weights, self._is_term
             )
@@ -327,7 +319,8 @@ class ExactReduction:
     def _next_plan(self, dest: int, at: int) -> HopPlan:
         if at < 0:
             self.counts["sweeps"] += 1
-            return self._build_plan(dest, hops_to_dest(self.fabric, self._plan_root[dest]))
+            root = self._plan_root[dest : dest + 1]
+            return self._build_plan(dest, self._sweep(self.fabric, root)[0])
         plan = self._pending.pop(at, None)
         if plan is None:
             self._open_block(at)
@@ -336,36 +329,30 @@ class ExactReduction:
 
     def _open_block(self, start: int) -> None:
         """Build the plans of the next block of the order in one pass:
-        position ``start`` and the positions after it that
-        :meth:`needs_plan` picks, up to ``HOP_BLOCK_BYTES`` worth of rows."""
-        order, pending = self._order, self._pending
-        opened = {int(self._shared_root[order[pos]]) for pos in pending}
-        opened.add(int(self._shared_root[order[start]]))
-        later = ((pos, order[pos]) for pos in range(start + 1, len(order)) if pos not in pending)
-        rows = [start] + [pos for pos, _ in islice(self.needs_plan(later, opened),
-                                                   self._block_rows - 1)]
+        position ``start`` and, up to ``HOP_BLOCK_BYTES`` worth of rows,
+        each later position whose step will need a plan of its own —
+        every destination that shares no plan, and the first on every
+        sharing switch that is neither cached nor already on its way
+        (all of them but the cached ones once the cache is full)."""
+        order, pending, shared = self._order, self._pending, self._shared_root
+        opened = {int(shared[order[pos]]) for pos in pending}
+        opened.add(int(shared[order[start]]))
+        rows = [start]
+        for pos in range(start + 1, len(order)):
+            if len(rows) == self._block_rows:
+                break
+            key = int(shared[order[pos]])
+            if pos in pending or key in self._plans:
+                continue
+            if key >= 0 and not self.cache_full:
+                if key in opened:
+                    continue
+                opened.add(key)
+            rows.append(pos)
         dests = np.array([order[pos] for pos in rows], dtype=np.intp)
-        hops = hop_rows(self.fabric, self._plan_root[dests])
+        hops = self._sweep(self.fabric, self._plan_root[dests])
         self.counts["sweeps"] += len(rows)
         pending.update(zip(rows, self.build_plans(dests, hops)))
-
-    def needs_plan(self, candidates, opened: set):
-        """Yield the ``(tag, dest)`` pairs of ``candidates``, in routing
-        order, whose step will need a hop plan of its own: every
-        destination that shares no plan, and the first of every sharing
-        switch that is neither cached nor in ``opened`` (the switches
-        whose plan is already on its way; updated here) — all of them
-        but the cached ones once the cache is full."""
-        for tag, dest in candidates:
-            key = int(self._shared_root[dest])
-            if key >= 0:
-                if key in self._plans:
-                    continue
-                if not self.cache_full:
-                    if key in opened:
-                        continue
-                    opened.add(key)
-            yield tag, dest
 
     def _build_plan(self, dest: int, hops: np.ndarray) -> HopPlan:
         return self.build_plans([dest], hops[None, :])[0]

@@ -25,9 +25,12 @@ Layout under the store root::
 Writes are crash-safe by construction: a checkpoint is staged in a
 temporary directory, published with a single ``rename`` to its (never
 reused) versioned name, and only then does ``CURRENT`` flip — itself an
-atomic tmp-file + ``os.replace``. Readers always follow ``CURRENT``, so
-they see the previous checkpoint until the new one is complete. Stale
-staging directories and pruned old versions are cleaned opportunistically.
+atomic tmp-file + ``os.replace``. Every file is fsynced before the
+staging directory is, that directory before its rename, and the store
+root after it, so ``CURRENT`` never names a version the disk may not
+hold yet. Readers always follow ``CURRENT``, so they see the previous
+checkpoint until the new one is complete. Stale staging directories and
+pruned old versions are cleaned opportunistically.
 """
 
 from __future__ import annotations
@@ -62,6 +65,16 @@ def write_text(path: Path, text: str) -> None:
         fp.write(text)
         fp.flush()
         os.fsync(fp.fileno())
+
+
+def fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` (names created or renamed
+    in it) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -169,10 +182,13 @@ class CheckpointStore:
             if result.certificate is not None:  # streamed from its arrays, block by block
                 with open(staging / "certificate.json", "w", encoding="utf-8") as fp:
                     fp.writelines(result.certificate.json_chunks())
+                    fp.flush()
+                    os.fsync(fp.fileno())
             payload = dict(state)
             payload["format"] = STATE_FORMAT
             payload["version"] = version
-            (staging / "state.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
+            write_text(staging / "state.json", json.dumps(payload, indent=1, sort_keys=True))
+            fsync_dir(staging)
             os.rename(staging, final)
         except BaseException as err:
             shutil.rmtree(staging, ignore_errors=True)
@@ -180,6 +196,7 @@ class CheckpointStore:
                 raise self._write_error(version, err) from err
             raise
         try:
+            fsync_dir(self.root)  # the rename, before CURRENT names it
             atomic_write_text(self.root / _CURRENT, self._name(version) + "\n")
         except OSError as err:
             # Unpublished: drop it so the version number can be reissued.

@@ -151,8 +151,8 @@ class RoutingSupervisor:
         Jitter RNG seed (backoff determinism in tests).
     engine_opts:
         Keyword options forwarded to :func:`make_engine` when ``engine``
-        is a name (e.g. ``{"workers": 2}`` to run the SSSP phase on the
-        parallel executor); the defaults are the production configuration.
+        is a name (e.g. ``{"workers": 2}`` to sweep the SSSP phase's hop
+        rows on a process pool); the defaults are the production configuration.
         Persisted in checkpoints and re-applied on :meth:`restore`, so a
         restored service keeps its configuration. Ignored when ``engine``
         is already an instance.

@@ -5,11 +5,12 @@ forwarding tables, layer assignments and balancing weights — between the
 serial reference engine (heap Dijkstra, ``kernel="python"``, named
 explicitly: the engines' default is the production step) and
 
-* the process-pool executor (``workers`` ∈ {1, 2, 4}),
 * the production step (``kernel="numpy"``, the default),
-* any combination of the two,
+* the same step with its hop rows swept by a process pool
+  (``workers`` ∈ {1, 2, 4}, at any hop-block size),
 
-on every topology family. ``assert_same_routing`` compares arrays with
+on every topology family; the pool feeds only the production step, so
+the engines refuse it with ``kernel="python"``. ``assert_same_routing`` compares arrays with
 ``np.array_equal`` (no tolerance: weights and channel ids are integers),
 and the hypothesis properties extend the fixed families with random
 irregular fabrics.
@@ -29,7 +30,7 @@ from repro.core.sssp import (
     update_weights_for_dest_fast,
 )
 from repro.obs import InMemorySink, use_sink
-from repro.parallel import dijkstra_to_dest_numpy, run_parallel_sssp
+from repro.parallel import dijkstra_to_dest_numpy, reduction as reduction_mod
 
 # ≥ 5 topology families, as the acceptance criteria require; sizes are
 # small enough that one serial + three parallel runs stay in CI budget.
@@ -44,7 +45,10 @@ FAMILIES = {
 }
 
 # The "-shm" suffix of two ids names the pool's former shared-memory
-# transport; every pool run now returns its hop columns as task results.
+# transport; every pool run now returns its hop rows as task results.
+# "workers2-python" is the combination the engines refuse: the pool only
+# sweeps hop rows for the production step, which the heap reference has
+# none of. Its cases assert the refusal.
 PARALLEL_CONFIGS = [
     pytest.param(dict(kernel="numpy"), id="serial-numpy"),
     pytest.param(dict(workers=1, kernel="numpy"), id="workers1-numpy-shm"),
@@ -95,9 +99,20 @@ def assert_same_routing(base, other, *, layers: bool = False) -> None:
         )
 
 
+def _refused(engine, config) -> bool:
+    """True, once the refusal is asserted, for a pool with the reference."""
+    if config.get("workers") and config["kernel"] == "python":
+        with pytest.raises(ValueError, match="kernel='numpy'"):
+            engine(**config)
+        return True
+    return False
+
+
 @pytest.mark.parametrize("config", PARALLEL_CONFIGS)
 def test_sssp_bit_identical(family_fabric, serial_sssp, config):
     name, fabric = family_fabric
+    if _refused(SSSPEngine, config):
+        return
     result = SSSPEngine(**config).route(fabric)
     assert_same_routing(serial_sssp, result)
     assert result.stats["total_balancing_weight"] == serial_sssp.stats[
@@ -109,6 +124,8 @@ def test_sssp_bit_identical(family_fabric, serial_sssp, config):
 def test_dfsssp_bit_identical(family_fabric, serial_dfsssp, config):
     """Identical tables imply identical layers — asserted, not assumed."""
     _, fabric = family_fabric
+    if _refused(DFSSSPEngine, config):
+        return
     result = DFSSSPEngine(**config).route(fabric)
     assert_same_routing(serial_dfsssp, result, layers=True)
     assert result.stats["layers_needed"] == serial_dfsssp.stats["layers_needed"]
@@ -138,23 +155,26 @@ def _fabric(params):
 
 
 @_slow
-@given(random_topo_params, st.sampled_from([2, 4]), st.sampled_from(["python", "numpy"]))
-def test_parallel_equals_serial_on_random_fabrics(params, workers, kernel):
+@given(random_topo_params, st.sampled_from([2, 4]))
+def test_parallel_equals_serial_on_random_fabrics(params, workers):
     fabric = _fabric(params)
     base = SSSPEngine(kernel="python").route(fabric)
-    par = SSSPEngine(workers=workers, kernel=kernel).route(fabric)
+    par = SSSPEngine(workers=workers).route(fabric)
     assert_same_routing(base, par)
 
 
 @_slow
 @given(random_topo_params, st.integers(min_value=1, max_value=7))
 def test_batch_size_never_changes_results(params, batch):
-    """Batching affects scheduling and span granularity only."""
+    """The roots one pool sweep serves (a hop block of ``batch`` rows)
+    affect scheduling and span granularity only."""
     fabric = _fabric(params)
     base = SSSPEngine(kernel="python").route(fabric)
-    next_channel, weights = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=batch)
-    assert np.array_equal(next_channel, base.tables.next_channel)
-    assert np.array_equal(weights, base.channel_weights)
+    row_bytes = reduction_mod.ExactReduction(fabric)._row_bytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction_mod, "HOP_BLOCK_BYTES", batch * row_bytes)
+        par = SSSPEngine(workers=2).route(fabric)
+    assert_same_routing(base, par)
 
 
 @_slow

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from repro.core import SSSPEngine
 from repro.network.fabric import Fabric
 from repro.obs import InMemorySink, use_sink
-from repro.parallel import reduction as reduction_mod, run_parallel_sssp
+from repro.parallel import reduction as reduction_mod
 from repro.parallel.kernel import hop_rows, hops_to_dest
 from repro.parallel.reduction import ExactReduction, HopPlan
 
@@ -209,21 +209,23 @@ def test_ordered_steps_are_exact_and_sweep_once_per_plan(name, block_bytes, cach
 
 
 def test_pool_with_a_part_filled_cache_sweeps_once_per_plan(monkeypatch):
-    """The pool's parent picks the columns to ship by the same rule: a
-    destination served from the cache is never swept, once the cache is
-    full or before. Batches of two, so that most batches are dispatched
-    after the cache has filled up."""
+    """The pool sweeps the blocks the serial loop picks: a destination
+    served from the cache is never swept, once the cache is full or
+    before. Blocks of two, so that most blocks are opened after the cache
+    has filled up."""
     fabric = FAMILIES["xgft"]()
     order = np.arange(fabric.num_terminals)
     monkeypatch.setattr(reduction_mod, "PLAN_CACHE_BYTES",
                         _first_shared_plans_bytes(fabric, order, 3))
+    monkeypatch.setattr(reduction_mod, "HOP_BLOCK_BYTES", 2 * ExactReduction(fabric)._row_bytes)
     base = SSSPEngine(kernel="python").route(fabric)
     sink = InMemorySink()
     with use_sink(sink):
-        next_channel, weights = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=2)
-    np.testing.assert_array_equal(next_channel, base.tables.next_channel)
-    np.testing.assert_array_equal(weights, base.channel_weights)
-    run = sink.find("parallel.run")[0]
+        got = SSSPEngine(workers=2).route(fabric)
+    np.testing.assert_array_equal(got.tables.next_channel, base.tables.next_channel)
+    np.testing.assert_array_equal(got.channel_weights, base.channel_weights)
+    assert sink.find("parallel.sweep")
+    run = sink.find("sssp.run")[0]
     assert run.attrs["plan_hits"] > 0 and run.attrs["fallbacks"] == 0
     assert run.attrs["sweeps"] == run.attrs["plans"] == (
         fabric.num_terminals - run.attrs["plan_hits"])

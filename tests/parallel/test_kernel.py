@@ -9,11 +9,7 @@ from repro import topologies
 from repro.core import DFSSSPEngine
 from repro.core.sssp import KERNELS, SSSPEngine, dijkstra_to_dest
 from repro.exceptions import ComputeTimeoutError
-from repro.parallel import (
-    dijkstra_to_dest_numpy,
-    hops_to_dest,
-    resolve_kernel,
-)
+from repro.parallel import dijkstra_to_dest_numpy, hops_to_dest
 from repro.service.budget import compute_budget
 
 
@@ -22,18 +18,15 @@ def fabric():
     return topologies.random_topology(10, 20, 2, seed=3)
 
 
-def test_resolve_kernel_mapping():
-    assert resolve_kernel("python") is dijkstra_to_dest
-    assert resolve_kernel("numpy") is dijkstra_to_dest_numpy
-    with pytest.raises(ValueError, match="kernel"):
-        resolve_kernel("cuda")
-
-
 def test_engine_rejects_bad_parallel_options():
     with pytest.raises(ValueError, match="kernel"):
         SSSPEngine(kernel="fortran")
     with pytest.raises(ValueError, match="workers"):
         SSSPEngine(workers=-1)
+    # The pool sweeps hop rows for the production step only.
+    for engine in (SSSPEngine, DFSSSPEngine):
+        with pytest.raises(ValueError, match="workers >= 1 needs kernel='numpy'"):
+            engine(workers=1, kernel="python")
     assert KERNELS == ("python", "numpy")
 
 

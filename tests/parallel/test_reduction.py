@@ -22,6 +22,7 @@ from repro.network import FabricBuilder
 from repro.network.faults import cable_keys, degrade
 from repro.obs import InMemorySink, get_registry, use_sink
 from repro.parallel import executor, reduction as reduction_mod
+from repro.parallel.kernel import hops_to_dest
 from repro.parallel.reduction import ExactReduction, HopPlan
 from repro.service.budget import active_budget, compute_budget
 
@@ -115,7 +116,7 @@ def test_islands_have_the_rows_reduceat_must_mask():
     degree = np.diff(fabric.out_ptr)
     assert (degree[fabric.switches] == 0).any()  # isolated switch: empty row
     assert (degree[fabric.terminals] == 0).any()  # terminal nobody can reach
-    hops = reduction_mod.hops_to_dest(fabric, int(fabric.terminals[-1]))
+    hops = hops_to_dest(fabric, int(fabric.terminals[-1]))
     assert (hops[fabric.switches] == -1).any() and (hops[fabric.switches] > 0).any()
 
 
@@ -133,7 +134,7 @@ def test_dual_homed_terminal_shares_no_plan():
     assert reduction.counts == {"sweeps": 2, "plans": 2, "plan_hits": 0, "fallbacks": 0}
     sibling_a, sibling_b = (int(t) for t in fabric.terminals[:2])
     assert reduction.shared_root(sibling_a) == reduction.shared_root(sibling_b) >= 0
-    plan = reduction._build_plan(sibling_a, reduction_mod.hops_to_dest(fabric, sibling_a))
+    plan = reduction._build_plan(sibling_a, hops_to_dest(fabric, sibling_a))
     assert any(both in nodes for *_, nodes in plan.levels)
 
 
@@ -143,7 +144,7 @@ def test_refine_and_validate_entry_points():
     reduction = ExactReduction(fabric)
     weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
     dest = int(fabric.terminals[3])
-    dist, parent = reduction.refine(dest, reduction_mod.hops_to_dest(fabric, dest), weights)
+    dist, parent = reduction.refine(dest, hops_to_dest(fabric, dest), weights)
     want_dist, want_parent = dijkstra_to_dest(fabric, dest, weights)
     # A column keeps no leaf distances: compare them on the other rows only.
     rows = np.setdiff1d(np.arange(fabric.num_nodes), _leaves(fabric))
@@ -338,7 +339,7 @@ def test_full_plan_cache_sweeps_per_destination(monkeypatch):
         with use_sink(sink):
             got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
         assert_same_routing(base, got)
-        run = sink.find("parallel.run" if workers else "sssp.run")[0]
+        run = sink.find("sssp.run")[0]
         assert run.attrs["plan_hits"] == 0
         assert run.attrs["sweeps"] == run.attrs["plans"] == T
 
@@ -361,12 +362,13 @@ def test_one_sweep_per_plan_opened(build, plans):
         sink = InMemorySink()
         with use_sink(sink):
             SSSPEngine(kernel="numpy", workers=workers).route(fabric)
-        run = sink.find("parallel.run" if workers else "sssp.run")[0]
+        run = sink.find("sssp.run")[0]
         assert run.attrs["sweeps"] == run.attrs["plans"] == plans
         assert run.attrs["plan_hits"] == fabric.num_terminals - plans
         assert run.attrs["fallbacks"] == 0
         if workers:
-            assert len(sink.find("parallel.hop_column")) == plans
+            rows = [sp.attrs["rows"] for sp in sink.find("parallel.sweep")]
+            assert sum(rows) == plans
             assert get_registry().value("routing_parallel_columns", engine="sssp") == plans
 
 

@@ -1,13 +1,13 @@
 """Differential test: worker span capture/replay is worker-count invariant.
 
-The executor ships a trace carrier into every pool task; workers capture
-one ``parallel.hop_column`` span per hop sweep — one per plan opened: the
-first destination, in routing order, on each attachment switch — and the
-parent replays them re-parented under the consuming ``parallel.batch``
-span. The resulting tree — which destinations hang under which batch,
-with which request id — must depend only on the (deterministic) batch
-schedule, never on how many workers computed it or how the OS scheduled
-them.
+The pool ships a trace carrier into every task; each worker captures one
+``parallel.hop_rows`` span per chunk of a block's roots (a plan's root:
+the attachment switch its terminals share), and the parent replays them
+re-parented under the block's ``parallel.sweep`` span. The resulting
+tree — which roots were swept under which block, with which request id —
+must depend only on the (deterministic) block schedule of the serial
+column loop, never on how many workers computed it or how the OS
+scheduled them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from repro import topologies
+from repro.core import SSSPEngine
 from repro.obs import InMemorySink, get_registry, request_scope, use_sink
-from repro.parallel import run_parallel_sssp
+from repro.parallel import reduction as reduction_mod
+from repro.parallel.kernel import hop_rows
+from repro.parallel.reduction import ExactReduction, column_routine
 
-BATCH = 4  # pinned: the default (workers * 4) would vary the schedule
+BLOCK_ROWS = 4  # pinned: several blocks of several roots each
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +31,10 @@ def fabric():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_registry():
+def _small_blocks(fabric, monkeypatch):
     get_registry().reset()
+    row_bytes = ExactReduction(fabric)._row_bytes
+    monkeypatch.setattr(reduction_mod, "HOP_BLOCK_BYTES", BLOCK_ROWS * row_bytes)
     yield
     get_registry().reset()
 
@@ -39,21 +44,36 @@ def _traced_run(fabric, workers):
     sink = InMemorySink()
     with use_sink(sink):
         with request_scope(f"req-w{workers}", workers=workers):
-            run_parallel_sssp(fabric, workers=workers, kernel="numpy", batch=BATCH)
+            SSSPEngine(workers=workers).route(fabric)
     return f"req-w{workers}", sink
 
 
 def _tree_signature(sink):
-    """batch index → sorted destination list of its replayed worker spans.
+    """block index → sorted roots of its replayed worker spans.
 
-    Worker identity (pid) and timing are deliberately excluded — they are
-    the only things allowed to vary with the worker count.
+    Worker identity (pid), chunking and timing are deliberately excluded
+    — they are the only things allowed to vary with the worker count.
     """
     signature = {}
-    for sp in sink.find("parallel.hop_column"):
-        assert sp.parent is not None and sp.parent.name == "parallel.batch"
-        signature.setdefault(sp.parent.attrs["batch"], []).append(sp.attrs["dest"])
-    return {batch: sorted(dests) for batch, dests in signature.items()}
+    for sp in sink.find("parallel.hop_rows"):
+        assert sp.parent is not None and sp.parent.name == "parallel.sweep"
+        signature.setdefault(sp.parent.attrs["block"], []).extend(sp.attrs["roots"])
+    return {block: sorted(roots) for block, roots in signature.items()}
+
+
+def _serial_blocks(fabric):
+    """The roots of each block the serial column loop sweeps, in order."""
+    blocks = []
+
+    def recording_sweep(fab, roots):
+        blocks.append(sorted(int(r) for r in roots))
+        return hop_rows(fab, roots)
+
+    step, _ = column_routine(fabric, "numpy", order=fabric.terminals, sweep=recording_sweep)
+    weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    for dest in fabric.terminals.tolist():
+        step(dest, weights)
+    return dict(enumerate(blocks))
 
 
 def test_worker_span_tree_identical_across_worker_counts(fabric):
@@ -64,47 +84,40 @@ def test_worker_span_tree_identical_across_worker_counts(fabric):
         spans = sink.spans
         assert spans, "no spans captured"
         assert all(s.attrs.get("request_id") == rid for s in spans)
-        hop_spans = sink.find("parallel.hop_column")
-        # one per plan opened: each switch hosts two terminals that share one
-        assert len(hop_spans) == fabric.num_switches
+        hop_spans = sink.find("parallel.hop_rows")
+        # one row per plan opened: each switch hosts two terminals that share one
+        assert sum(len(s.attrs["roots"]) for s in hop_spans) == fabric.num_switches
         assert all(s.status == "ok" for s in hop_spans)
         assert all(s.duration is not None and s.duration >= 0 for s in hop_spans)
         signatures[workers] = _tree_signature(sink)
 
     assert signatures[1] == signatures[2] == signatures[4]
-    # and the signature matches the deterministic batch schedule itself
-    dests = [int(fabric.terminals[i]) for i in range(fabric.num_terminals)]
-    opened, expected = set(), {}
-    for i, dest in enumerate(dests):
-        switch = int(fabric.attached_switches(dest)[0])
-        if switch not in opened:  # first destination on its switch: sweeps
-            opened.add(switch)
-            expected.setdefault(i // BATCH, []).append(dest)
-    assert signatures[1] == {batch: sorted(ds) for batch, ds in expected.items()}
+    # and the signature is the serial loop's block schedule itself
+    blocks = _serial_blocks(fabric)
+    assert len(blocks) >= 2 and max(len(roots) for roots in blocks.values()) >= 2
+    assert signatures[1] == blocks
 
 
 def test_multiple_workers_actually_fan_out(fabric):
     _, sink = _traced_run(fabric, 4)
-    pids = {s.attrs["pid"] for s in sink.find("parallel.hop_column")}
+    pids = {s.attrs["pid"] for s in sink.find("parallel.hop_rows")}
     assert len(pids) >= 2  # the tree is worker-invariant but the work is not
 
 
 def test_disabled_sink_means_no_worker_spans(fabric):
     # NullSink → carrier capture flag off → workers skip span bookkeeping.
     sink = InMemorySink()
-    run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=BATCH)
+    SSSPEngine(workers=2).route(fabric)
     with use_sink(sink):
         pass  # sink was never active during the run
-    assert sink.find("parallel.hop_column") == []
+    assert sink.find("parallel.hop_rows") == []
 
 
 def test_replayed_spans_preserve_results(fabric):
     """Tracing must be observation only: traced and untraced runs agree."""
-    plain_nc, plain_w = run_parallel_sssp(fabric, workers=2, kernel="numpy", batch=BATCH)
+    plain = SSSPEngine(workers=2).route(fabric)
     with use_sink(InMemorySink()):
         with request_scope("req-x"):
-            traced_nc, traced_w = run_parallel_sssp(
-                fabric, workers=2, kernel="numpy", batch=BATCH
-            )
-    assert np.array_equal(plain_nc, traced_nc)
-    assert np.array_equal(plain_w, traced_w)
+            traced = SSSPEngine(workers=2).route(fabric)
+    assert np.array_equal(plain.tables.next_channel, traced.tables.next_channel)
+    assert np.array_equal(plain.channel_weights, traced.channel_weights)

@@ -468,3 +468,40 @@ def test_fabric_json_reaches_the_disk_before_current_flips(tmp_path, fabric, mon
                    state=sup.state_dict())
         inode = (store.root / store._name(version) / "fabric.json").stat().st_ino
         assert (inode, version - 1) in synced
+
+
+def test_save_syncs_files_then_directory_then_rename_then_root(tmp_path, fabric, monkeypatch):
+    """The durability order of one save: every file of the staging
+    directory is fsynced, then the directory, then it is renamed into
+    place, then the store root is fsynced — all before ``CURRENT`` is
+    replaced."""
+    sup, store, latest = _two_checkpoints(tmp_path, fabric)
+    calls = []  # ("fsync", inode) / ("rename" | "replace", destination name)
+    real = {name: getattr(os, name) for name in ("fsync", "rename", "replace")}
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real["fsync"](fd)
+
+    def moved(name):
+        def move(src, dst, *args, **kwargs):
+            calls.append((name, os.path.basename(dst)))
+            real[name](src, dst, *args, **kwargs)
+        return move
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "rename", moved("rename"))
+    monkeypatch.setattr(os, "replace", moved("replace"))
+    final = store.save(version=latest + 1, baseline=fabric, result=sup.serving().result,
+                       state=sup.state_dict())
+    monkeypatch.undo()
+
+    files = sorted(p.name for p in final.iterdir())
+    assert files == ["certificate.json", "fabric.json", "routing.npz", "state.json"]
+    synced = [calls.index(("fsync", (final / f).stat().st_ino)) for f in files]
+    directory = calls.index(("fsync", final.stat().st_ino))
+    rename = calls.index(("rename", final.name))
+    root = calls.index(("fsync", store.root.stat().st_ino))
+    current = calls.index(("replace", "CURRENT"))
+    assert max(synced) < directory < rename < root < current
+    assert ("fsync", (store.root / "CURRENT").stat().st_ino) in calls[root:current]

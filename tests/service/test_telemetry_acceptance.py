@@ -4,8 +4,8 @@ The tentpole property of the telemetry layer: after a reroute that
 escalates through at least two ladder rungs and fans its full route out
 to parallel workers, a *single* ``request_id`` query over the JSONL
 trace recovers the complete causal tree — supervisor batch, each rung
-attempt, the parallel run/batches, and the replayed per-sweep worker
-spans with their pids. Plus: the ``(service_id, request_seq)``
+attempt, the SSSP run, the pool's per-block sweeps, and the replayed
+per-chunk worker spans with their pids. Plus: the ``(service_id, request_seq)``
 namespace survives checkpoint/restore, so request ids stay unique
 across a crash, and checkpoints carry a flight-recorder dump.
 """
@@ -46,7 +46,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
     with use_sink(sink):
         sup = RoutingSupervisor(
             fabric, engine="dfsssp", policy=ESCALATING,
-            engine_opts={"workers": 2, "kernel": "python"},
+            engine_opts={"workers": 2, "kernel": "numpy"},
             sleep=lambda _s: None,
         )
         injector = FaultInjector(fabric, seed=9, p_switch_down=0.0, p_link_up=0.0)
@@ -64,7 +64,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
             roots = build_trace_tree(read_trace(trace), request_id=outcome.request_id)
             nodes = list(_walk(roots))
             pids = {
-                n.attrs["pid"] for n in nodes if n.name == "parallel.hop_column"
+                n.attrs["pid"] for n in nodes if n.name == "parallel.hop_rows"
             }
             if len(pids) >= 2:
                 break
@@ -91,17 +91,18 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
     repair = next(n for n in attempts if n.attrs["rung"] == "repair")
     assert repair.status == "error"  # the budget expiry marked it
 
-    # the full route fanned out: parallel run → batches → worker columns
-    assert any(n.name == "parallel.run" for n in nodes)
-    hops = [n for n in nodes if n.name == "parallel.hop_column"]
-    # complete: one sweep per hop plan opened, i.e. per attachment switch
+    # the full route fanned out: SSSP run → block sweeps → worker chunks
+    assert any(n.name == "sssp.run" for n in nodes)
+    hops = [n for n in nodes if n.name == "parallel.hop_rows"]
+    # complete: one hop row per plan opened, i.e. per attachment switch
     # (the two terminals on a switch share theirs)
-    assert len(hops) == len({int(fabric.attached_switches(t)[0]) for t in fabric.terminals})
+    assert sum(len(n.attrs["roots"]) for n in hops) == len(
+        {int(fabric.attached_switches(t)[0]) for t in fabric.terminals})
     assert len({n.attrs["pid"] for n in hops}) >= 2  # ≥2 worker processes
-    # worker spans hang under a batch span of *this* tree (re-parented)
-    batches = [n for n in nodes if n.name == "parallel.batch"]
-    batch_ids = {n.span_id for n in batches}
-    assert all(h.parent_id in batch_ids for h in hops)
+    # worker spans hang under a sweep span of *this* tree (re-parented)
+    sweeps = [n for n in nodes if n.name == "parallel.sweep"]
+    sweep_ids = {n.span_id for n in sweeps}
+    assert all(h.parent_id in sweep_ids for h in hops)
 
     # other requests exist in the trace (the initial route) but are excluded
     all_roots = build_trace_tree(records)
@@ -109,7 +110,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
 
     # and the tree renders — spot-check the human view end to end
     text = render_trace_tree(roots)
-    assert "service.batch" in text and "parallel.hop_column" in text
+    assert "service.batch" in text and "parallel.hop_rows" in text
 
 
 def test_request_id_namespace_survives_checkpoint_restore(fabric, tmp_path):
