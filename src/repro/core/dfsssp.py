@@ -48,7 +48,7 @@ class DFSSSPEngine(RoutingEngine):
         2's final step).
     workers / kernel:
         Forwarded to :class:`SSSPEngine`: ``workers=N`` sweeps the SSSP
-        phase's hop rows on a process pool (the column loop stays the
+        phase's hop rows on a thread pool (the column loop stays the
         serial one; needs ``kernel="numpy"``) and ``kernel="python"``
         runs the heap-Dijkstra reference instead of the default
         production step. Both are bit-identical to the default (the

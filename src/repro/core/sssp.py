@@ -52,11 +52,11 @@ class SSSPEngine(RoutingEngine):
     Parameters
     ----------
     workers:
-        0 (default) sweeps every hop row in-process. ``N >= 1`` opens an
-        ``N``-process pool for the route that sweeps each block's hop
-        rows (:mod:`repro.parallel.executor`); the column loop, and with
-        it the result, is the serial one. Needs ``kernel="numpy"``: the
-        pool only feeds the production step.
+        0 (default) sweeps every hop row on the calling thread. ``N >= 1``
+        opens an ``N``-thread pool for the route that sweeps each block's
+        hop rows (:mod:`repro.parallel.executor`); the column loop, and
+        with it the result, is the serial one. Needs ``kernel="numpy"``:
+        the pool only feeds the production step.
     kernel:
         ``"numpy"`` (default, the production step: hop plans refined and
         validated by :class:`~repro.parallel.reduction.ExactReduction`) or
@@ -111,35 +111,40 @@ class SSSPEngine(RoutingEngine):
         hooks = get_hooks()
 
         if self.workers:
-            from repro.parallel.executor import pool_sweep  # multiprocessing, only here
+            from repro.parallel.executor import pool_sweep  # the thread pool, only here
 
             sweeper = pool_sweep(fabric, self.workers, self.name)
         else:
             sweeper = nullcontext(hop_rows)
 
         with sweeper as sweep:
-            step, counts = column_routine(fabric, self.kernel, self.name, fabric.terminals, sweep)
+            step, reduction = column_routine(
+                fabric, self.kernel, self.name, fabric.terminals, sweep)
             with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
                 for t_idx, dest in enumerate(fabric.terminals.tolist()):
                     check_budget()  # cooperative deadline (repro.service)
                     with span("sssp.dijkstra", dest=dest) as sp:
                         parent = step(dest, weights)
                         next_channel[:, t_idx] = parent
+                    # The column's own time: a hop block it opened is
+                    # timed by its `sssp.hop_block` span instead.
+                    seconds = sp.duration - (reduction.block_s if reduction else 0.0)
                     # One `weights[c] += ...` happened per node with a parent
                     # channel; counted vectorised to keep the hot loop clean.
                     updates = int(np.count_nonzero(parent >= 0))
                     m_sources.inc()
                     m_updates.inc(updates)
-                    m_dijkstra.observe(sp.duration)
+                    m_dijkstra.observe(seconds)
                     hooks.iteration(
                         engine=self.name,
                         iteration=t_idx,
                         dest=dest,
                         weight_updates=updates,
-                        dijkstra_seconds=sp.duration,
+                        dijkstra_seconds=seconds,
                     )
-                for key, value in counts.items():
-                    run_sp.set_attr(key, value)
+                if reduction is not None:
+                    for key, value in reduction.counts.items():
+                        run_sp.set_attr(key, value)
 
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights

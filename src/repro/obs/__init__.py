@@ -9,7 +9,7 @@ One coherent layer across the routing/deadlock/simulator stack:
 * :mod:`repro.obs.profiling` — raw per-event hooks
   (``on_iteration`` / ``on_cycle_broken`` / ``on_layer_closed``);
 * :mod:`repro.obs.telemetry` — request-scoped correlation
-  (``request_scope``) and span propagation across process pools;
+  (``request_scope``);
 * :mod:`repro.obs.recorder` — the flight recorder (bounded ring of
   structured events, atomic post-mortem dumps);
 * :mod:`repro.obs.slo` — declarative SLOs judged from recorded metrics
@@ -52,13 +52,7 @@ from repro.obs.slo import (
     SLOEngine,
     evaluate_slos,
 )
-from repro.obs.telemetry import (
-    capture_spans,
-    export_context,
-    new_request_id,
-    replay_spans,
-    request_scope,
-)
+from repro.obs.telemetry import new_request_id, request_scope
 from repro.obs.tracing import (
     InMemorySink,
     JsonlSink,
@@ -102,9 +96,6 @@ __all__ = [
     "new_request_id",
     "request_scope",
     "current_request_id",
-    "export_context",
-    "capture_spans",
-    "replay_spans",
     "InMemorySink",
     "JsonlSink",
     "NullSink",

@@ -7,7 +7,7 @@ CLI (``stats --trace-tree``, ``serve --top``) and tests:
   :func:`render_trace_tree` — parse a ``--trace`` JSONL file, rebuild
   the span forest (optionally restricted to one ``request_id``; every
   span inside a :func:`~repro.obs.telemetry.request_scope` carries that
-  attribute, including replayed worker spans), and draw it with
+  attribute, including the hop-row pool's thread spans), and draw it with
   box-drawing indentation. Ordering and durations come from the
   monotonic ``perf``/``duration_s`` fields — never wall-clock ``ts``
   (see :mod:`repro.obs.tracing`).

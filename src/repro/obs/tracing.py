@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -185,9 +186,12 @@ class JsonlSink:
         else:
             self._fp = open(target, "w", encoding="utf-8")
             self._owns = True
+        self._lock = threading.Lock()  # text files are not thread-safe
 
     def _emit(self, record: dict) -> None:
-        self._fp.write(json.dumps(record, default=str) + "\n")
+        line = json.dumps(record, default=str) + "\n"
+        with self._lock:
+            self._fp.write(line)
 
     def start(self, span: Span) -> None:
         self._emit(

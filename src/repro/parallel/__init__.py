@@ -1,4 +1,4 @@
-"""Parallel routing kernels and the process-pool execution layer.
+"""Parallel routing kernels and the thread-pool execution layer.
 
 ``repro.parallel`` makes the SSSP/DFSSSP hot path scale without changing
 a single output bit:
@@ -9,7 +9,7 @@ a single output bit:
   serial weight-update order and *proves* every column equal to the
   heap-Dijkstra reference's, falling back to a full Dijkstra otherwise:
   the engines' default step (``kernel="numpy"``);
-* :mod:`repro.parallel.executor` — the process pool that sweeps each
+* :mod:`repro.parallel.executor` — the thread pool that sweeps each
   block's hop rows for that step, only on request
   (``SSSPEngine(workers=N)`` / ``DFSSSPEngine(workers=N)``) and only
   then imported.

@@ -21,7 +21,7 @@ differential suite (``tests/parallel``) asserts on every topology family.
 :func:`hop_rows` is the weight-independent sibling: plain BFS levels
 toward a block of roots, equal to Dijkstra distances under uniform
 weights. Hop rows never go stale, so they are the one part of Algorithm 1
-a process pool can compute ahead (see :mod:`repro.parallel.executor`).
+a thread pool can compute ahead (see :mod:`repro.parallel.executor`).
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ exploits both facts, in the engine's fixed destination order:
    at a time: given the caller's destination order, the first step that
    needs a plan builds those of the next block of the order with one
    sweep of all their roots (:func:`~repro.parallel.kernel.hop_rows`,
-   one switch-space BFS — or the same rows from a process pool,
+   one switch-space BFS — or the same rows from a thread pool,
    :mod:`repro.parallel.executor`) and one sort that cuts every row into
-   levels (:meth:`ExactReduction.build_plans`). Uplinks of
+   levels (:meth:`ExactReduction.build_plans`), under one
+   ``sssp.hop_block`` span. Uplinks of
    *leaves* — single-homed terminals: one out-channel, into a switch —
    stay out of it: a leaf has one way out, so its column entry is fixed
    (its uplink, or -1 under an unreached switch). For a single-homed
@@ -86,7 +87,7 @@ from repro.core.sssp import (
     update_weights_for_dest_fast,
 )
 from repro.network.fabric import Fabric, csr_gather
-from repro.obs import get_registry
+from repro.obs import get_registry, span
 from repro.parallel.kernel import INT64_INF, dijkstra_to_dest_numpy, hop_rows
 
 #: Most bytes one run's cached hop plans may hold (int32 arrays, ~10 kB a
@@ -102,20 +103,22 @@ HOP_BLOCK_BYTES = 4 << 20
 
 def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order=None,
                    sweep=hop_rows):
-    """One Algorithm-1 step for ``kernel``, as ``(step, counts)``.
+    """One Algorithm-1 step for ``kernel``, as ``(step, reduction)``.
 
     ``step(dest, weights)`` routes the column toward ``dest``, advances
     ``weights`` in place and returns the column's ``parent`` array.
-    ``"numpy"`` is :meth:`ExactReduction.step` and ``counts`` its live
-    ``sweeps / plans / plan_hits / fallbacks``; ``order`` is the sequence
-    of destinations the caller will step through, so that hop plans are
-    built a block at a time, each block's hop rows by ``sweep``. The
-    ``"python"`` reference runs the heap Dijkstra and the farthest-first
-    update directly (no counts). Both produce identical arrays.
+    ``"numpy"`` is :meth:`ExactReduction.step` of ``reduction``, whose
+    ``counts`` are its live ``sweeps / plans / plan_hits / fallbacks``
+    and ``block_s`` the time the last step spent opening a hop block;
+    ``order`` is the sequence of destinations the caller will step
+    through, so that hop plans are built a block at a time, each block's
+    hop rows by ``sweep``. The ``"python"`` reference runs the heap
+    Dijkstra and the farthest-first update directly (``reduction`` is
+    None). Both produce identical arrays.
     """
     if kernel == "numpy":
         reduction = ExactReduction(fabric, engine_name, order, sweep)
-        return reduction.step, reduction.counts
+        return reduction.step, reduction
     is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
     def step(dest: int, weights: np.ndarray):
@@ -123,7 +126,7 @@ def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order
         update_weights_for_dest(fabric, dest, dist, parent, weights, is_term)
         return parent
 
-    return step, {}
+    return step, None
 
 
 class HopPlan(NamedTuple):
@@ -156,8 +159,11 @@ class ExactReduction:
     sequence in one pass (:meth:`_open_block`); without it, or off it, a
     step sweeps for its own plan. ``sweep(fabric, roots)`` computes the
     hop rows of a block's roots: :func:`~repro.parallel.kernel.hop_rows`,
-    or a process pool's drop-in for it. The plan cache dies with the
-    instance, i.e. with the SSSP phase that made it.
+    or a thread pool's drop-in for it. Each block's sweep and plan
+    building run under one ``sssp.hop_block`` span (``rows``), and
+    ``block_s`` holds its duration until the next step (0.0 for a step
+    that opened none). The plan cache dies with the instance, i.e. with
+    the SSSP phase that made it.
     """
 
     def __init__(self, fabric: Fabric, engine_name: str = "sssp", order=None,
@@ -172,6 +178,7 @@ class ExactReduction:
         #: hop rows swept for this run, plans built, steps served from a
         #: cached plan, failed validations
         self.counts = {"sweeps": 0, "plans": 0, "plan_hits": 0, "fallbacks": 0}
+        self.block_s = 0.0
         n, E = fabric.num_nodes, fabric.num_channels
         channels = fabric.channels
         self._is_switch = fabric.kinds == 0  # NodeKind.SWITCH
@@ -269,6 +276,7 @@ class ExactReduction:
     def step(self, dest: int, weights: np.ndarray) -> np.ndarray:
         """Route ``dest`` exactly as serial Dijkstra would and advance
         ``weights``; returns the column's ``parent`` array."""
+        self.block_s = 0.0
         key = self.shared_root(dest)
         at = self._position(dest)
         plan = self._plans.get(key)
@@ -318,9 +326,7 @@ class ExactReduction:
 
     def _next_plan(self, dest: int, at: int) -> HopPlan:
         if at < 0:
-            self.counts["sweeps"] += 1
-            root = self._plan_root[dest : dest + 1]
-            return self._build_plan(dest, self._sweep(self.fabric, root)[0])
+            return self._hop_block(np.array([dest], dtype=np.intp))[0]
         plan = self._pending.pop(at, None)
         if plan is None:
             self._open_block(at)
@@ -350,9 +356,16 @@ class ExactReduction:
                 opened.add(key)
             rows.append(pos)
         dests = np.array([order[pos] for pos in rows], dtype=np.intp)
-        hops = self._sweep(self.fabric, self._plan_root[dests])
-        self.counts["sweeps"] += len(rows)
-        pending.update(zip(rows, self.build_plans(dests, hops)))
+        pending.update(zip(rows, self._hop_block(dests)))
+
+    def _hop_block(self, dests: np.ndarray) -> list[HopPlan]:
+        """The plans of ``dests``: one sweep of their roots, one
+        :meth:`build_plans`, timed by one ``sssp.hop_block`` span."""
+        with span("sssp.hop_block", rows=len(dests)) as sp:
+            plans = self.build_plans(dests, self._sweep(self.fabric, self._plan_root[dests]))
+        self.counts["sweeps"] += len(dests)
+        self.block_s = sp.duration
+        return plans
 
     def _build_plan(self, dest: int, hops: np.ndarray) -> HopPlan:
         return self.build_plans([dest], hops[None, :])[0]

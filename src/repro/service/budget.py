@@ -25,6 +25,7 @@ check — cheap enough for per-destination granularity.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextvars import ContextVar
 
@@ -51,7 +52,7 @@ class Budget:
         cannot fire or defer deadlines.
     """
 
-    __slots__ = ("label", "seconds", "clock", "started", "deadline", "checks")
+    __slots__ = ("label", "seconds", "clock", "started", "deadline", "checks", "_lock")
 
     def __init__(self, seconds: float | None, *, label: str = "compute", clock=time.perf_counter):
         if seconds is not None and seconds < 0:
@@ -62,6 +63,7 @@ class Budget:
         self.started = clock()
         self.deadline = None if seconds is None else self.started + seconds
         self.checks = 0
+        self._lock = threading.Lock()  # the hop-row pool's threads poll it too
 
     def elapsed(self) -> float:
         return self.clock() - self.started
@@ -78,7 +80,8 @@ class Budget:
 
     def check(self) -> None:
         """Count a checkpoint; raise if the deadline has passed."""
-        self.checks += 1
+        with self._lock:
+            self.checks += 1
         if self.deadline is not None and self.clock() >= self.deadline:
             raise ComputeTimeoutError(
                 f"{self.label} budget of {self.seconds:g}s exhausted "

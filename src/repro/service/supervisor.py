@@ -152,7 +152,7 @@ class RoutingSupervisor:
     engine_opts:
         Keyword options forwarded to :func:`make_engine` when ``engine``
         is a name (e.g. ``{"workers": 2}`` to sweep the SSSP phase's hop
-        rows on a process pool); the defaults are the production configuration.
+        rows on a thread pool); the defaults are the production configuration.
         Persisted in checkpoints and re-applied on :meth:`restore`, so a
         restored service keeps its configuration. Ignored when ``engine``
         is already an instance.

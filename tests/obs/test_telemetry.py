@@ -1,4 +1,4 @@
-"""Request scopes and cross-process span capture/replay."""
+"""Request scopes: one ambient request id over a span tree."""
 
 from __future__ import annotations
 
@@ -6,16 +6,12 @@ import pytest
 
 from repro.obs import (
     InMemorySink,
-    capture_spans,
     current_request_id,
-    export_context,
     new_request_id,
-    replay_spans,
     request_scope,
     span,
     use_sink,
 )
-from repro.obs.telemetry import _CaptureSink
 
 
 def test_new_request_id_format_and_uniqueness():
@@ -66,121 +62,3 @@ def test_request_scope_id_cleared_on_exception():
             with request_scope("req-doomed"):
                 raise RuntimeError("boom")
     assert current_request_id() is None
-
-
-def test_export_context_fields():
-    with use_sink(InMemorySink()):
-        with request_scope("req-1") as root:
-            ctx = export_context()
-    assert ctx == {"request_id": "req-1", "parent_span": root.span_id, "capture": True}
-
-
-def test_export_context_disabled_sink_disables_capture():
-    # Default NullSink: workers should skip span bookkeeping entirely.
-    ctx = export_context()
-    assert ctx["capture"] is False
-    assert ctx["request_id"] is None and ctx["parent_span"] is None
-
-
-def test_capture_spans_records_and_isolates():
-    parent_sink = InMemorySink()
-    with use_sink(parent_sink):
-        with span("parent.live"):
-            with capture_spans({"request_id": "req-w"}) as cap:
-                # the parent's open span must not leak into the capture context
-                with span("worker.unit", dest=7) as wsp:
-                    pass
-                assert wsp.parent is None
-        assert current_request_id() is None
-    assert len(cap.records) == 1
-    rec = cap.records[0]
-    assert rec["name"] == "worker.unit"
-    assert rec["local_parent"] is None
-    assert rec["attrs"] == {"dest": 7, "request_id": "req-w"}
-    assert rec["status"] == "ok" and rec["duration_s"] >= 0
-    # nothing reached the parent sink while capture was active
-    assert [s.name for s in parent_sink.spans] == ["parent.live"]
-
-
-def test_capture_sink_serialises_nested_shape():
-    sink = _CaptureSink()
-    with use_sink(InMemorySink()):  # irrelevant; capture swaps it
-        with capture_spans(None):
-            from repro.obs import tracing
-
-            assert tracing.get_sink() is not None
-            with span("outer"):
-                with span("inner"):
-                    pass
-            records = tracing.get_sink().records
-    inner, outer = records  # stop order: inner closes first
-    assert inner["name"] == "inner" and outer["name"] == "outer"
-    assert inner["local_parent"] == outer["local_id"]
-    assert sink.records == []  # our local instance untouched
-
-
-def test_replay_spans_reparents_under_current_span():
-    with capture_spans({"request_id": "req-r"}):
-        from repro.obs import tracing
-
-        with span("w.a"):
-            with span("w.b"):
-                pass
-        records = tracing.get_sink().records
-
-    sink = InMemorySink()
-    with use_sink(sink):
-        with span("consumer") as consumer:
-            replayed = replay_spans(records)
-    a, b = replayed  # start order: parents first
-    assert a.name == "w.a" and b.name == "w.b"
-    assert a.parent is consumer
-    assert b.parent is a
-    assert a.span_id != records[0]["local_id"] or a.span_id != records[1]["local_id"]
-    # well-nested bracket sequence in the sink
-    kinds = [(kind, s.name) for kind, s in sink.events]
-    assert kinds == [
-        ("start", "consumer"), ("start", "w.a"), ("start", "w.b"),
-        ("stop", "w.b"), ("stop", "w.a"), ("stop", "consumer"),
-    ]
-    assert all(s.attrs["request_id"] == "req-r" for s in replayed)
-
-
-def test_replay_spans_orphans_hang_off_parent():
-    # A record whose parent was lost (e.g. timeout dropped it) re-parents
-    # under the consuming span rather than dangling.
-    records = [
-        {"local_id": 5, "local_parent": 99, "name": "w.orphan", "ts": 1.0,
-         "perf": 1.0, "duration_s": 0.1, "status": "error", "attrs": {}},
-    ]
-    sink = InMemorySink()
-    with use_sink(sink):
-        with span("consumer") as consumer:
-            (orphan,) = replay_spans(records)
-    assert orphan.parent is consumer
-    assert orphan.status == "error"
-
-
-def test_replay_spans_explicit_parent_and_empty():
-    assert replay_spans([]) == []
-    with use_sink(InMemorySink()):
-        with span("root") as root:
-            pass
-        records = [
-            {"local_id": 1, "local_parent": None, "name": "w", "ts": 0.0,
-             "perf": 0.0, "duration_s": 0.0, "status": "ok", "attrs": {}},
-        ]
-        (sp,) = replay_spans(records, parent=root)
-    assert sp.parent is root
-
-
-def test_replay_spans_orders_by_perf():
-    records = [
-        {"local_id": 2, "local_parent": None, "name": "later", "ts": 2.0,
-         "perf": 2.0, "duration_s": 0.0, "status": "ok", "attrs": {}},
-        {"local_id": 1, "local_parent": None, "name": "earlier", "ts": 1.0,
-         "perf": 1.0, "duration_s": 0.0, "status": "ok", "attrs": {}},
-    ]
-    with use_sink(InMemorySink()):
-        replayed = replay_spans(records)
-    assert [s.name for s in replayed] == ["earlier", "later"]

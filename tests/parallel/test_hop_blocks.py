@@ -224,7 +224,7 @@ def test_pool_with_a_part_filled_cache_sweeps_once_per_plan(monkeypatch):
         got = SSSPEngine(workers=2).route(fabric)
     np.testing.assert_array_equal(got.tables.next_channel, base.tables.next_channel)
     np.testing.assert_array_equal(got.channel_weights, base.channel_weights)
-    assert sink.find("parallel.sweep")
+    assert sink.find("parallel.hop_rows")
     run = sink.find("sssp.run")[0]
     assert run.attrs["plan_hits"] > 0 and run.attrs["fallbacks"] == 0
     assert run.attrs["sweeps"] == run.attrs["plans"] == (

@@ -21,12 +21,13 @@ from repro.exceptions import ComputeTimeoutError
 from repro.network import FabricBuilder
 from repro.network.faults import cable_keys, degrade
 from repro.obs import InMemorySink, get_registry, use_sink
-from repro.parallel import executor, reduction as reduction_mod
+from repro.parallel import reduction as reduction_mod
 from repro.parallel.kernel import hops_to_dest
 from repro.parallel.reduction import ExactReduction, HopPlan
 from repro.service.budget import active_budget, compute_budget
 
 from tests.parallel.test_differential import FAMILIES, assert_same_routing
+from tests.parallel.test_executor import _expire_mid_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -366,10 +367,8 @@ def test_one_sweep_per_plan_opened(build, plans):
         assert run.attrs["sweeps"] == run.attrs["plans"] == plans
         assert run.attrs["plan_hits"] == fabric.num_terminals - plans
         assert run.attrs["fallbacks"] == 0
-        if workers:
-            rows = [sp.attrs["rows"] for sp in sink.find("parallel.sweep")]
-            assert sum(rows) == plans
-            assert get_registry().value("routing_parallel_columns", engine="sssp") == plans
+        rows = [sp.attrs["rows"] for sp in sink.find("sssp.hop_block")]
+        assert sum(rows) == plans
 
 
 # ----------------------------------------------------------------------
@@ -400,15 +399,16 @@ def test_budget_trips_in_the_pool_parent(expire_after_first_step):
     with pytest.raises(ComputeTimeoutError) as err:
         with compute_budget(60.0, label="unit"):
             SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
-    assert "parallel worker" not in str(err.value)  # the workers had a minute
+    assert err.value.label == "unit"
     assert get_registry().value("sssp_sources_routed") == 1
 
 
 def test_budget_trips_in_a_worker_sweep(monkeypatch):
-    """Workers re-arm a spent deadline; their first sweep polls it and the
-    parent re-raises what they ship back."""
-    monkeypatch.setattr(executor, "_budget_snapshot", lambda: (0.0, "unit"))
-    with pytest.raises(ComputeTimeoutError, match="parallel worker"):
-        SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
-    assert get_registry().value("routing_parallel_worker_timeouts", engine="sssp") == 1
+    """The pool's threads poll the route's own budget: one spent inside a
+    chunk's sweep surfaces as that budget's timeout."""
+    _expire_mid_sweep(monkeypatch)
+    with pytest.raises(ComputeTimeoutError) as err:
+        with compute_budget(60.0, label="unit"):
+            SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
+    assert err.value.label == "unit"
     assert get_registry().value("sssp_sources_routed") == 0

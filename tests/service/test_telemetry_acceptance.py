@@ -4,21 +4,24 @@ The tentpole property of the telemetry layer: after a reroute that
 escalates through at least two ladder rungs and fans its full route out
 to parallel workers, a *single* ``request_id`` query over the JSONL
 trace recovers the complete causal tree — supervisor batch, each rung
-attempt, the SSSP run, the pool's per-block sweeps, and the replayed
-per-chunk worker spans with their pids. Plus: the ``(service_id, request_seq)``
-namespace survives checkpoint/restore, so request ids stay unique
-across a crash, and checkpoints carry a flight-recorder dump.
+attempt, the SSSP run, the per-block ``sssp.hop_block`` spans, and the
+pool's per-chunk ``parallel.hop_rows`` spans with their threads. Plus:
+the ``(service_id, request_seq)`` namespace survives checkpoint/restore,
+so request ids stay unique across a crash, and checkpoints carry a
+flight-recorder dump.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro import topologies
 from repro.obs import FlightRecorder, JsonlSink, use_recorder, use_sink
 from repro.obs.export import build_trace_tree, read_trace, render_trace_tree
+from repro.parallel import executor
 from repro.resilience import FaultInjector
 from repro.service import BackoffPolicy, RoutingSupervisor, ServicePolicy
 
@@ -40,7 +43,20 @@ def _walk(nodes):
         yield from _walk(node.children)
 
 
-def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
+def _slow_chunks(monkeypatch):
+    """Each chunk outlasts the submission of the next, so a block's
+    chunks run on two threads (an idle pool thread is otherwise reused)."""
+    real = executor.hop_rows
+
+    def sweep(fabric, roots):
+        time.sleep(0.005)
+        return real(fabric, roots)
+
+    monkeypatch.setattr(executor, "hop_rows", sweep)
+
+
+def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path, monkeypatch):
+    _slow_chunks(monkeypatch)
     trace = tmp_path / "trace.jsonl"
     sink = JsonlSink(str(trace))
     with use_sink(sink):
@@ -50,7 +66,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
             sleep=lambda _s: None,
         )
         injector = FaultInjector(fabric, seed=9, p_switch_down=0.0, p_link_up=0.0)
-        # Each batch is an independent chance to observe both workers; the
+        # Each batch is an independent chance to observe both threads; the
         # tree itself must be complete on every attempt.
         chosen = None
         for _ in range(5):
@@ -63,10 +79,10 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
             sink._fp.flush()
             roots = build_trace_tree(read_trace(trace), request_id=outcome.request_id)
             nodes = list(_walk(roots))
-            pids = {
-                n.attrs["pid"] for n in nodes if n.name == "parallel.hop_rows"
+            threads = {
+                n.attrs["thread"] for n in nodes if n.name == "parallel.hop_rows"
             }
-            if len(pids) >= 2:
+            if len(threads) >= 2:
                 break
     sink.close()
 
@@ -91,18 +107,18 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
     repair = next(n for n in attempts if n.attrs["rung"] == "repair")
     assert repair.status == "error"  # the budget expiry marked it
 
-    # the full route fanned out: SSSP run → block sweeps → worker chunks
+    # the full route fanned out: SSSP run → hop blocks → thread chunks
     assert any(n.name == "sssp.run" for n in nodes)
     hops = [n for n in nodes if n.name == "parallel.hop_rows"]
     # complete: one hop row per plan opened, i.e. per attachment switch
     # (the two terminals on a switch share theirs)
     assert sum(len(n.attrs["roots"]) for n in hops) == len(
         {int(fabric.attached_switches(t)[0]) for t in fabric.terminals})
-    assert len({n.attrs["pid"] for n in hops}) >= 2  # ≥2 worker processes
-    # worker spans hang under a sweep span of *this* tree (re-parented)
-    sweeps = [n for n in nodes if n.name == "parallel.sweep"]
-    sweep_ids = {n.span_id for n in sweeps}
-    assert all(h.parent_id in sweep_ids for h in hops)
+    assert len({n.attrs["thread"] for n in hops}) >= 2  # ≥2 pool threads
+    # chunk spans hang under a hop-block span of *this* tree
+    blocks = [n for n in nodes if n.name == "sssp.hop_block"]
+    block_ids = {n.span_id for n in blocks}
+    assert all(h.parent_id in block_ids for h in hops)
 
     # other requests exist in the trace (the initial route) but are excluded
     all_roots = build_trace_tree(records)

@@ -73,7 +73,7 @@ def test_standalone_checker_accepts_the_certificate(mesh8):
 def test_switch_space_step_matches_the_heap_reference(mesh8):
     T = mesh8.num_terminals
     ref_step, _ = column_routine(mesh8, "python")
-    new_step, counts = column_routine(mesh8, "numpy")
+    new_step, reduction = column_routine(mesh8, "numpy")
     ref_w = np.full(mesh8.num_channels, T * T + 1, dtype=np.int64)
     new_w = ref_w.copy()
     for dest in map(int, np.random.default_rng(3).permutation(mesh8.terminals)):
@@ -82,4 +82,4 @@ def test_switch_space_step_matches_the_heap_reference(mesh8):
         np.testing.assert_array_equal(got, want, err_msg=f"parent toward {dest}")
         np.testing.assert_array_equal(new_w, ref_w, err_msg=f"weights after {dest}")
     # One plan per switch, shared by its other terminal.
-    assert counts == {"sweeps": N, "plans": N, "plan_hits": T - N, "fallbacks": 0}
+    assert reduction.counts == {"sweeps": N, "plans": N, "plan_hits": T - N, "fallbacks": 0}
