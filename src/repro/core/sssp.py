@@ -32,7 +32,13 @@ import numpy as np
 
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_hooks, get_registry, span
-from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
+from repro.routing.base import (
+    RoutingEngine,
+    RoutingResult,
+    RoutingTables,
+    fill_leaf_rows,
+    leaves,
+)
 from repro.service.budget import check_budget
 
 #: per-destination shortest-path kernels (see :mod:`repro.parallel.kernel`).
@@ -96,7 +102,10 @@ class SSSPEngine(RoutingEngine):
         T = fabric.num_terminals
         w0 = T * T + 1
         weights = np.full(fabric.num_channels, w0, dtype=np.int64)
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
+        # Per destination, the entries of every node but the leaves; the
+        # leaf rows follow from their switches' after the loop.
+        lv = leaves(fabric)
+        rows = np.empty((T, len(lv.others)), dtype=np.int32)
         reg = get_registry()
         m_sources = reg.counter(
             "sssp_sources_routed", "destination terminals routed (one Dijkstra each)"
@@ -125,7 +134,7 @@ class SSSPEngine(RoutingEngine):
                     check_budget()  # cooperative deadline (repro.service)
                     with span("sssp.dijkstra", dest=dest) as sp:
                         parent = step(dest, weights)
-                        next_channel[:, t_idx] = parent
+                        rows[t_idx] = parent[lv.others]
                     # The column's own time: a hop block it opened is
                     # timed by its `sssp.hop_block` span instead.
                     seconds = sp.duration - (reduction.block_s if reduction else 0.0)
@@ -146,6 +155,9 @@ class SSSPEngine(RoutingEngine):
                     for key, value in reduction.counts.items():
                         run_sp.set_attr(key, value)
 
+        next_channel = np.empty((fabric.num_nodes, T), dtype=np.int32)
+        next_channel[lv.others] = rows.T
+        fill_leaf_rows(next_channel, lv)
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.obs.metrics import get_registry, quantile_from_entry
 from repro.utils.reporting import JsonReport
@@ -221,7 +222,7 @@ def evaluate_slos(slos: list[SLO], dump: dict) -> HealthReport:
 
 def load_slos(path) -> list[SLO]:
     """Read SLO definitions from a JSON file (a list of SLO dicts)."""
-    data = json.loads(open(path, encoding="utf-8").read())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ValueError(f"{path}: SLO file must be a JSON list of objects")
     return [SLO.from_dict(d) for d in data]

@@ -20,15 +20,18 @@ exploits both facts, in the engine's fixed destination order:
    :mod:`repro.parallel.executor`) and one sort that cuts every row into
    levels (:meth:`ExactReduction.build_plans`), under one
    ``sssp.hop_block`` span. Uplinks of
-   *leaves* — single-homed terminals: one out-channel, into a switch —
-   stay out of it: a leaf has one way out, so its column entry is fixed
-   (its uplink, or -1 under an unreached switch). For a single-homed
-   destination the plan is rooted at its attachment switch and is *the
-   same plan for every terminal on that switch*: it is cached there and
-   reused (see below).
-2. **Refine.** Per level, one ``np.minimum.reduceat`` over the bucket
-   gives every node's distance and a second one its first minimiser —
-   the lowest channel id, since buckets are in CSR order. No sort.
+   *leaves* — single-homed terminals: one out-channel, into a switch
+   (:func:`repro.routing.base.leaves`) — stay out of it: a leaf has one
+   way out, so its column entry is fixed (its uplink, or -1 under an
+   unreached switch). Each plan also records its level nodes in one
+   array and the leaves under host switches its root never reaches, so
+   no step re-derives either. For a single-homed destination the plan
+   is rooted at its attachment switch and is *the same plan for every
+   terminal on that switch*: it is cached there and reused (see below).
+2. **Refine.** Per level, one ``np.minimum.reduceat`` over the packed
+   keys ``(candidate << bits) | position`` gives every node's distance
+   (the high bits) and its first minimiser (the low bits) — the lowest
+   channel id, since buckets are in CSR order. No sort, no second pass.
    ``parent`` starts as a copy of a template holding every leaf's
    uplink; leaf distances are not kept (they stay INF).
 3. **Validate.** :meth:`ExactReduction.validate` *proves* the candidate
@@ -39,24 +42,34 @@ exploits both facts, in the engine's fixed destination order:
    weight[c]`` over channels ``(v -> u)`` into forwarding nodes). A
    leaf's row needs no check — one out-channel leaves no tie, and it is
    reached iff its switch is — so this is one ``reduceat`` over the
-   *non-leaf* rows: the channels into switches from non-leaves, plus the
-   channels into ``dest``, the one terminal that forwards. If it ever
-   fails — a pathological fabric where balancing weight overwhelms
-   ``W0``, or a plan that does not fit the destination — the step falls
-   back to a full per-destination Dijkstra, so the result is
-   bit-identical to the reference *unconditionally*.
-4. **Advance the weights.** Every leaf uplink gains its one source in a
-   single add (corrected for ``dest`` and for unreached switches), and
-   the subtree counts start from a precomputed base: per switch, the
-   leaves it hosts. A validated column's tree depth is the plan's hop
-   level, so the counts are then walked over the plan's levels
-   deepest-first; after a fallback the generic
+   packed keys ``(dist[u] + weight[c]) << bits | c`` of the *non-leaf*
+   rows: the channels into switches from non-leaves, plus the channels
+   into ``dest``, the one terminal that forwards. Each row's least key
+   must equal the key its ``(dist[v], parent[v])`` implies. A candidate
+   or a distance that does not fit the 63-bit key fails the check rather
+   than wrap. If it ever fails — a pathological fabric where balancing
+   weight overwhelms ``W0``, weights too large to pack, or a plan that
+   does not fit the destination — the step falls back to a full
+   per-destination Dijkstra, so the result is bit-identical to the
+   reference *unconditionally*.
+4. **Advance the weights.** The subtree counts start from a precomputed
+   base — per switch, the leaves it hosts — and, a validated column's
+   tree depth being the plan's hop level, are walked over the plan's
+   levels deepest-first; after a fallback the generic
    :func:`repro.core.sssp.update_weights_for_dest_fast` levels the tree
-   from its parent pointers instead.
+   from its parent pointers instead. Every leaf uplink gains one source
+   per column (none toward the leaf itself or under an unreached
+   switch), and those adds are *owed*, not made: the step counts them
+   and settles them in one add when the caller's order is exhausted (at
+   once for a step off the order). No step reads a leaf uplink's weight
+   in between — plans and validation never cross one, the root is
+   entered by its downlink, and the fallback Dijkstra's parents do not
+   depend on one — and integer adds commute, so the weights after the
+   order are the reference's, byte for byte.
 
 Per destination, steps 2–4 thus touch the switches and the channels into
 them, O(S + E_switch), not every node and channel, O(N + E); only the
-template copy and the uplink add are O(N), as plain array operations.
+two template copies are O(N), as plain array copies.
 
 **Sharing and why it is safe.** Two single-homed terminals on one switch
 see the same hop levels on every node but themselves, and neither is in
@@ -89,6 +102,7 @@ from repro.core.sssp import (
 from repro.network.fabric import Fabric, csr_gather
 from repro.obs import get_registry, span
 from repro.parallel.kernel import INT64_INF, dijkstra_to_dest_numpy, hop_rows
+from repro.routing.base import leaves
 
 #: Most bytes one run's cached hop plans may hold (int32 arrays, ~10 kB a
 #: plan on a 2 352-terminal fat tree). When the next plan would not fit,
@@ -135,18 +149,31 @@ class HopPlan(NamedTuple):
     ``root`` is the node whose distance is seeded before the level pass:
     the attachment switch of a single-homed destination (then the plan
     fits every single-homed terminal on it) or the destination itself.
-    ``levels`` holds, nearest level first, ``(chan, dst, seg, starts,
+    ``levels`` holds, nearest level first, ``(chan, dst, starts,
     nodes)``: the level's DAG channels in CSR order, the node each one
-    enters, the index of its source node within the level, where each
-    source's run of channels starts, and the source nodes themselves.
-    They are views into the arrays of the block the plan was built in;
-    a plan that goes into the cache gets copies of its own, so that
-    ``nbytes`` is what the cache keeps alive.
+    enters, where each source node's run of channels starts, and the
+    source nodes themselves — slices of ``nodes``, every level's source
+    nodes in level order. ``dead`` lists, by leaf position, the leaves
+    whose switch the root never reaches. The arrays are views into the
+    arrays of the block the plan was built in; a plan that goes into the
+    cache gets copies of its own (:meth:`owned`), so that ``nbytes`` is
+    what the cache keeps alive.
     """
 
     root: int
     levels: list
+    nodes: np.ndarray
+    dead: np.ndarray
     nbytes: int
+
+    def owned(self) -> "HopPlan":
+        """This plan on copies of its arrays, out of its block."""
+        nodes, levels, at = self.nodes.copy(), [], 0
+        for chan, dst, starts, level_nodes in self.levels:
+            end = at + len(level_nodes)
+            levels.append((chan.copy(), dst.copy(), starts.copy(), nodes[at:end]))
+            at = end
+        return self._replace(levels=levels, nodes=nodes, dead=self.dead.copy())
 
 
 class ExactReduction:
@@ -164,6 +191,13 @@ class ExactReduction:
     ``block_s`` holds its duration until the next step (0.0 for a step
     that opened none). The plan cache dies with the instance, i.e. with
     the SSSP phase that made it.
+
+    Along ``order`` the leaf uplinks' weights lag: each validated column
+    owes every leaf uplink its +1 (step 4), and the owed adds land in
+    ``weights`` when the step at the end of the order returns — or at
+    once for a step off the order. Nothing reads a leaf uplink's weight
+    in between: the plans and the validation never cross one, and the
+    fallback Dijkstra's parents do not depend on one.
     """
 
     def __init__(self, fabric: Fabric, engine_name: str = "sssp", order=None,
@@ -188,20 +222,26 @@ class ExactReduction:
         self._chan = fabric.out_chan.astype(np.intp)
         self._chan_src = channels.src[self._chan]
         self._chan_dst = channels.dst[self._chan]
-        degree = np.diff(fabric.out_ptr)
         self._index = np.arange(E, dtype=np.intp)
+        # Packed keys: (value << bits) | channel id or level position, both
+        # below 2**bits; a value must stay below `_cap` to fit. INT64_INF
+        # is `_cap` over all-ones low bits: the key of no candidate.
+        self._bits = max(1, E.bit_length())
+        self._mask = (1 << self._bits) - 1
+        self._cap = (1 << (63 - self._bits)) - 1
 
-        # Single-homed terminals: one out-channel, into a switch.
-        lone = np.flatnonzero(self._is_term & (degree == 1))
-        uplink = fabric.out_chan[fabric.out_ptr[lone]].astype(np.intp)
-        into_switch = self._is_switch[channels.dst[uplink]]
-        self._leaf = lone[into_switch]
-        self._leaf_up = uplink[into_switch]
-        self._leaf_sw = channels.dst[self._leaf_up].astype(np.intp)
+        lv = leaves(fabric)
+        self._leaf, self._leaf_up, self._leaf_sw = lv.nodes, lv.uplinks, lv.switches
         self._uplink = np.full(n, -1, dtype=np.intp)
         self._uplink[self._leaf] = self._leaf_up
+        leaf_at = np.full(n, -1, dtype=np.intp)
+        leaf_at[self._leaf] = np.arange(len(self._leaf))
+        self._leaf_at = leaf_at.tolist()
         hosted = np.bincount(self._leaf_sw, minlength=n)
-        self._hosts = np.flatnonzero(hosted)
+        # The leaves by host switch, as CSR over `lv.hosts`.
+        self._hosts = lv.hosts
+        self._host_leaves = np.argsort(lv.host_of, kind="stable")
+        self._host_ptr = np.r_[0, np.cumsum(np.bincount(lv.host_of, minlength=len(lv.hosts)))]
         #: per node: the switch whose plan it shares, -1 where nothing is shared
         self._shared_root = np.full(n, -1, dtype=np.intp)
         self._shared_root[self._leaf] = np.where(hosted[self._leaf_sw] >= 2, self._leaf_sw, -1)
@@ -214,6 +254,11 @@ class ExactReduction:
         # Subtree counts before any tree node adds its own: a switch
         # already carries the leaves it hosts.
         self._cnt0 = self._is_term + hosted
+        # Leaf-uplink adds owed since the last settle: one per validated
+        # column, less, per leaf, the columns that add nothing to it.
+        self._owed = 0
+        self._unowed = np.zeros(len(self._leaf), dtype=np.int64)
+        self._owed_to = None
         # CSR positions a plan may draw from: channels into switches that
         # are not a single-homed terminal's uplink; a destination that is
         # not single-homed adds the positions of the channels into it.
@@ -221,39 +266,39 @@ class ExactReduction:
         leaf_uplink[self._leaf_up] = True
         self._trunk = self._is_switch[self._chan_dst] & ~leaf_uplink[self._chan]
         self._trunk_pos = np.flatnonzero(self._trunk)
+        self._trunk_src = self._chan_src[self._trunk_pos]
+        self._trunk_dst = self._chan_dst[self._trunk_pos]
         # Per node, the channels into it: CSR bounds, and their positions.
         self._into_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self._chan_dst, minlength=n), out=self._into_ptr[1:])
         self._into_pos = np.argsort(self._chan_dst, kind="stable")
-        # The rows validation checks: every node but the leaves, over the
-        # trunk channels in CSR order (the channels into dest come apart,
-        # channel id ascending, with the row of the node each one leaves).
-        core = np.ones(n, dtype=bool)
-        core[self._leaf] = False
-        self._core = np.flatnonzero(core)
-        self._core_of = np.where(core, np.cumsum(core) - 1, -1)  # -1 for leaves
-        src = self._trunk_src = self._chan_src[self._trunk_pos]
-        first = np.r_[True, src[1:] != src[:-1]][: len(src)]
+        # The rows validation checks: every node but the leaves, each over
+        # its trunk channels in CSR order — the nodes without one last,
+        # each over one entry past the channels that holds no candidate.
+        # The channels into dest come apart, channel id ascending, with
+        # the row of the node each one leaves.
+        has_trunk = np.zeros(n, dtype=bool)
+        has_trunk[self._trunk_src] = True
+        core = lv.others
+        self._core = np.concatenate((core[has_trunk[core]], core[~has_trunk[core]]))
+        core_of = np.full(n, -1, dtype=np.intp)
+        core_of[self._core] = np.arange(len(self._core))
         self._trunk_chan = self._chan[self._trunk_pos]
-        self._trunk_dst = self._chan_dst[self._trunk_pos]
-        self._row_starts = np.flatnonzero(first)
-        self._row_of = np.cumsum(first) - 1
-        self._rows = self._core_of[src[self._row_starts]]
+        src = self._trunk_src
+        first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]][: len(src)])
+        self._row_starts = np.r_[first, np.full(len(core) - len(first), len(src))]
         into = np.argsort(channels.dst, kind="stable")  # channel ids
         self._into_chan = into.tolist()
-        self._into_row = self._core_of[channels.src[into]].tolist()
+        self._into_row = core_of[channels.src[into]].tolist()
         self._into_bounds = self._into_ptr.tolist()
-        self._core_rows = self._core_of.tolist()
+        self._core_rows = core_of.tolist()
         # Templates the per-column arrays start from.
         self._dist0 = np.full(n, INT64_INF, dtype=np.int64)
-        self._fix_d0 = np.full(len(self._core), INT64_INF, dtype=np.int64)
-        self._fix_c0 = np.full(len(self._core), -1, dtype=np.int64)
-        # Per node, for scalar look-ups: a leaf's uplink, and the channel
-        # its switch reaches it by (-1 for every other node).
+        # Per node, for scalar look-ups: the channel a leaf's switch
+        # reaches it by (-1 for every other node).
         entry = np.full(n, -1, dtype=np.intp)
         entry[self._leaf] = channels.reverse[self._leaf_up]
         self._entry = entry.tolist()
-        self._uplinks = self._uplink.tolist()
 
         self._plans: dict[int, HopPlan] = {}
         self._plan_bytes = 0
@@ -276,6 +321,8 @@ class ExactReduction:
     def step(self, dest: int, weights: np.ndarray) -> np.ndarray:
         """Route ``dest`` exactly as serial Dijkstra would and advance
         ``weights``; returns the column's ``parent`` array."""
+        if self._owed_to is not None and self._owed_to is not weights:
+            self._settle()
         self.block_s = 0.0
         key = self.shared_root(dest)
         at = self._position(dest)
@@ -288,9 +335,7 @@ class ExactReduction:
             if key >= 0 and not self.cache_full:
                 if self._plan_bytes + plan.nbytes <= PLAN_CACHE_BYTES:
                     # Out of its block: the cache holds the bytes it counts.
-                    self._plans[key] = plan = HopPlan(
-                        plan.root, [tuple(a.copy() for a in level) for level in plan.levels],
-                        plan.nbytes)
+                    self._plans[key] = plan = plan.owned()
                     self._plan_bytes += plan.nbytes
                 else:
                     self.cache_full = True
@@ -304,6 +349,8 @@ class ExactReduction:
             update_weights_for_dest_fast(
                 self.fabric, dest, dist, parent, weights, self._is_term
             )
+        if at < 0 or self._cursor == len(self._order):
+            self._settle()
         return parent
 
     def refine(self, dest: int, hops: np.ndarray, weights: np.ndarray):
@@ -410,22 +457,34 @@ class ExactReduction:
         run_id = np.cumsum(new_run) - 1
         level_id = np.cumsum(new_level) - 1
         level_run = run_id[level_at]  # each level's first run
-        seg = (run_id - level_run[level_id]).astype(np.int32)
         starts = run_at - level_at[level_id[run_at]]
         nodes = src[run_at]
         level_end = np.r_[level_at[1:], n]
         run_end = np.r_[level_run[1:], len(run_at)]
-        level_bytes = ((level_end - level_at) * (chan.itemsize + dst.itemsize + seg.itemsize)
+        level_bytes = ((level_end - level_at) * (chan.itemsize + dst.itemsize)
                        + (run_end - level_run) * (starts.itemsize + nodes.itemsize))
-        cut = np.searchsorted(row[level_at], np.arange(R + 1))
-        row_bytes = np.r_[0, np.cumsum(level_bytes)][cut]
+        # Leaves under a host switch the row never reaches.
+        dead_row, dead_host = np.nonzero(hops[:, self._hosts] < 0)
+        dead = self._host_leaves[:0]
+        if len(dead_host):
+            owner, flat = csr_gather(self._host_ptr, dead_host)
+            dead_row, dead = dead_row[owner], self._host_leaves[flat]
+        rows = np.arange(R + 1)
+        cut = np.searchsorted(row[level_at], rows)
+        node_cut = np.searchsorted(row[run_at], rows).tolist()
+        dead_cut = np.searchsorted(dead_row, rows).tolist()
+        row_bytes = (np.diff(np.r_[0, np.cumsum(level_bytes)][cut])
+                     + np.diff(dead_cut) * dead.itemsize).tolist()
         bounds = list(zip(level_at.tolist(), level_end.tolist(),
                           level_run.tolist(), run_end.tolist()))
         roots = self._plan_root[dests].tolist()
-        cut, row_bytes = cut.tolist(), np.diff(row_bytes).tolist()
+        cut = cut.tolist()
         return [
-            HopPlan(roots[r], [(chan[a:b], dst[a:b], seg[a:b], starts[c:d], nodes[c:d])
-                               for a, b, c, d in bounds[cut[r]:cut[r + 1]]], row_bytes[r])
+            HopPlan(roots[r],
+                    [(chan[a:b], dst[a:b], starts[c:d], nodes[c:d])
+                     for a, b, c, d in bounds[cut[r]:cut[r + 1]]],
+                    nodes[node_cut[r]:node_cut[r + 1]],
+                    dead[dead_cut[r]:dead_cut[r + 1]], row_bytes[r])
             for r in range(R)
         ]
 
@@ -439,25 +498,27 @@ class ExactReduction:
             parent[root] = entry
         else:
             dist[dest] = 0
-        index = self._index
-        for chan, dst, seg, starts, nodes in plan.levels:
+        bits, mask, index = self._bits, self._mask, self._index
+        for chan, dst, starts, nodes in plan.levels:
             cand = dist[dst]
             cand += weights[chan]
             if len(starts) == len(cand):  # one DAG channel per source: nothing to pick
                 dist[nodes] = cand
                 parent[nodes] = chan
                 continue
+            # One packed argmin: the least (candidate, position) of each
+            # run, i.e. its first minimiser — its lowest channel id, since
+            # runs are in CSR order. A candidate too large for the key
+            # makes garbage here that validation rejects.
+            cand <<= bits
+            cand |= index[: len(cand)]
             best = np.minimum.reduceat(cand, starts)
-            # First minimiser of each run == its lowest channel id.
-            pick = np.minimum.reduceat(
-                np.where(cand == best[seg], index[: len(cand)], len(cand)), starts)
-            dist[nodes] = best
-            parent[nodes] = chan[pick]
+            dist[nodes] = best >> bits
+            parent[nodes] = chan[best & mask]
         # Leaves hang off their switch by their one uplink, unless the
         # column never reaches it; their distances are not kept (INF).
-        dead = self._hosts[dist[self._hosts] == INT64_INF]
-        if len(dead):
-            parent[self._leaf[np.isin(self._leaf_sw, dead)]] = -1
+        if len(plan.dead):
+            parent[self._leaf[plan.dead]] = -1
         dist[dest] = 0
         parent[dest] = -1
         return dist, parent
@@ -473,37 +534,49 @@ class ExactReduction:
         ``dest``: for every non-leaf node ``v != dest``, ``dist[v] ==
         min(dist[u] + w[c])`` over channels ``c = (v -> u)`` into
         forwarding nodes, and ``parent[v]`` is the lowest channel id
-        attaining that minimum (with unreachable nodes at INF / -1). A
-        leaf's entry is not checked: its one uplink leaves no tie, and it
-        is reached iff its switch is.
+        attaining that minimum (with unreachable nodes at INF / -1). Each
+        row's least packed key ``(candidate << bits) | c`` is compared
+        with the key its ``(dist[v], parent[v])`` implies. A candidate or
+        a distance too large for the key fails the check, so the column
+        falls back rather than compare wrapped keys. A leaf's entry is not
+        checked: its one uplink leaves no tie, and it is reached iff its
+        switch is.
         """
-        du = dist[self._trunk_dst]
-        cand = du + weights[self._trunk_chan]  # wraps where du is INF; masked next
-        cand[du == INT64_INF] = INT64_INF
-        fix_d = self._fix_d0.copy()
-        fix_c = self._fix_c0.copy()
-        if len(cand):
-            # reduceat on an empty segment returns the element at its start,
-            # not the identity, so only nodes with a trunk channel are rows.
-            best = np.minimum.reduceat(cand, self._row_starts)
-            # Rows are channel-id ascending: the first minimiser is the lowest id.
-            pick = np.minimum.reduceat(
-                np.where(cand == best[self._row_of], self._index[: len(cand)], len(cand)),
-                self._row_starts)
-            fix_d[self._rows] = best
-            fix_c[self._rows] = np.where(best < INT64_INF, self._trunk_chan[pick], -1)
+        bits, cap = self._bits, self._cap
+        got = dist[self._core]
+        # Usually every non-leaf row is reached and packable (the unsigned
+        # view also sends a negative distance down the careful path): then
+        # no channel leads to a node at INF, and nothing needs masking.
+        reached = got.view(np.uint64).max(initial=0) < cap
+        if not reached and ((got >= cap) & (got != INT64_INF)).any():
+            return False
+        keys = np.empty(len(self._trunk_chan) + 1, dtype=np.int64)
+        cand = keys[:-1]
+        np.take(dist, self._trunk_dst, out=cand, mode="clip")  # "raise" buffers `out`
+        cand += weights[self._trunk_chan]  # wraps below 0 where the target is at INF
+        if cand.max(initial=-1) >= cap:
+            return False
+        unreached = None if reached else cand < 0
+        cand <<= bits
+        cand |= self._trunk_chan
+        if unreached is not None:
+            cand[unreached] = INT64_INF
+        keys[-1] = INT64_INF
+        best = np.minimum.reduceat(keys, self._row_starts)
         # dest is the one terminal that forwards: merge the channels into it.
         a, b = self._into_bounds[dest], self._into_bounds[dest + 1]
         for c, v in zip(self._into_chan[a:b], self._into_row[a:b]):
             d = int(weights[c])
-            if d < fix_d[v] or (d == fix_d[v] and c < fix_c[v]):
-                fix_d[v], fix_c[v] = d, c
+            if d >= cap:
+                return False
+            best[v] = min(int(best[v]), (d << bits) | c)
         row = self._core_rows[dest]
-        if row >= 0:  # a multi-homed dest has a row of its own
-            fix_d[row] = 0
-            fix_c[row] = -1
-        return bool((fix_d == dist[self._core]).all()
-                    and (fix_c == parent[self._core]).all())
+        if row >= 0:  # a multi-homed dest has a row of its own: (0, -1)
+            best[row] = self._mask
+        implied = got if reached else np.minimum(got, cap)
+        implied <<= bits
+        implied |= parent[self._core] & self._mask
+        return bool(np.array_equal(best, implied))
 
     def _advance(self, dest: int, plan: HopPlan, parent: np.ndarray,
                  weights: np.ndarray) -> None:
@@ -511,29 +584,40 @@ class ExactReduction:
         column: its tree depth is the plan's hop level, so the subtree
         counts flow leaf terminals first, then level by level, deepest
         first — each node's count is final before its parent reads it.
-        An unreached switch is in no level, so its count is never read."""
+        An unreached switch is in no level, so its count is never read.
+        The leaf uplinks' +1 is owed, not added (:meth:`_settle`)."""
         chan_dst = self.fabric.channels.dst
         cnt = self._cnt0.copy()  # dest is in no level: never read
-        weights[self._leaf_up] += 1  # one uplink per leaf: distinct
-        dead = self._hosts[parent[self._hosts] < 0]
-        if len(dead):
-            weights[self._leaf_up[np.isin(self._leaf_sw, dead)]] -= 1
+        self._owed += 1
+        self._owed_to = weights
+        if len(plan.dead):
+            self._unowed[plan.dead] += 1
         root = plan.root
         if root != dest:  # dest is a leaf: it sends nothing up
-            weights[self._uplinks[dest]] -= 1
+            self._unowed[self._leaf_at[dest]] += 1
             cnt[root] -= 1
-        if plan.levels:
+        nodes = plan.nodes
+        if len(nodes):
             # Every level's parent channels at once; the loads level by level.
-            nodes = np.concatenate([level[4] for level in plan.levels])
             via = parent[nodes]
             into = chan_dst[via]
             load = np.empty(len(nodes), dtype=cnt.dtype)
             end = len(nodes)
             for *_, level_nodes in reversed(plan.levels):
                 start = end - len(level_nodes)
-                np.take(cnt, level_nodes, out=load[start:end])
+                np.take(cnt, level_nodes, out=load[start:end], mode="clip")
                 np.add.at(cnt, into[start:end], load[start:end])
                 end = start
             weights[via] += load  # one parent channel per node: distinct
         if root != dest:
             weights[parent[root]] += cnt[root]
+
+    def _settle(self) -> None:
+        """Add the leaf-uplink increments the validated columns owe: one
+        per column to every leaf uplink (one per leaf: distinct), less
+        the leaf's own column and the columns that never reach its switch."""
+        if self._owed:
+            self._owed_to[self._leaf_up] += self._owed - self._unowed
+            self._unowed.fill(0)
+            self._owed = 0
+        self._owed_to = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,83 @@ class RoutingTables:
 
     def hops(self, src: int, dest_terminal: int) -> int:
         return len(self.path_channels(src, dest_terminal))
+
+
+#: Most bytes of leaf table rows :func:`leaf_rows` derives at once.
+LEAF_BLOCK_BYTES = 1 << 20
+
+
+class Leaves(NamedTuple):
+    """The single-homed terminals of a fabric — one out-channel, into a
+    switch — and what their table rows follow from.
+
+    ``nodes`` (ascending), each one's ``uplinks`` channel, the switch it
+    enters (``hosts[host_of]``; ``hosts`` ascending) and its own table
+    ``columns``; ``others`` is every other node, ascending: the rows a
+    table cannot derive.
+    """
+
+    nodes: np.ndarray
+    uplinks: np.ndarray
+    hosts: np.ndarray
+    host_of: np.ndarray
+    columns: np.ndarray
+    others: np.ndarray
+
+    @property
+    def switches(self) -> np.ndarray:
+        """Per leaf, the switch its uplink enters."""
+        return self.hosts[self.host_of]
+
+
+def leaves(fabric: Fabric) -> Leaves:
+    """The :class:`Leaves` of ``fabric``."""
+    lone = np.flatnonzero((fabric.kinds == 1) & (np.diff(fabric.out_ptr) == 1))
+    uplink = fabric.out_chan[fabric.out_ptr[lone]].astype(np.int32)
+    switch = fabric.channels.dst[uplink].astype(np.intp)
+    into_switch = fabric.kinds[switch] == 0
+    nodes = lone[into_switch]
+    hosts, host_of = np.unique(switch[into_switch], return_inverse=True)
+    rest = np.ones(fabric.num_nodes, dtype=bool)
+    rest[nodes] = False
+    return Leaves(nodes, uplink[into_switch], hosts, host_of,
+                  fabric.term_index[nodes].astype(np.intp), np.flatnonzero(rest))
+
+
+def leaf_rows(next_channel: np.ndarray, lv: Leaves):
+    """The rule: the table rows of the leaves ``lv``, from their
+    switches' rows in ``next_channel``, as ``(nodes, rows)`` blocks of at
+    most :data:`LEAF_BLOCK_BYTES`.
+
+    A leaf sends toward every destination its switch has an entry for
+    over its one uplink, and has no entry toward itself or where its
+    switch has none (an unreached switch). Every engine's table obeys it
+    except where a leaf is left unrouted on purpose; SSSP builds its
+    leaf rows from it (:func:`fill_leaf_rows`), and ``routing.npz``
+    stores only the entries that break it. Every block is written into
+    the same buffer: use ``rows`` before taking the next block.
+    """
+    T = next_channel.shape[1]
+    unreached = next_channel[lv.hosts] < 0
+    step = max(1, LEAF_BLOCK_BYTES // (4 * max(1, T)))
+    rows = np.empty((min(step, len(lv.nodes)), T), dtype=np.int32)
+    mask = np.empty(rows.shape, dtype=bool)
+    for lo in range(0, len(lv.nodes), step):
+        block = slice(lo, lo + step)
+        k = len(lv.nodes[block])
+        out = rows[:k]
+        out[...] = lv.uplinks[block, None]
+        # mode="clip": "raise" would buffer `out` (the indices are hosts)
+        np.take(unreached, lv.host_of[block], axis=0, out=mask[:k], mode="clip")
+        np.copyto(out, -1, where=mask[:k])
+        out[np.arange(k), lv.columns[block]] = -1
+        yield lv.nodes[block], out
+
+
+def fill_leaf_rows(next_channel: np.ndarray, lv: Leaves) -> None:
+    """Write :func:`leaf_rows` into every leaf row of ``next_channel``."""
+    for nodes, rows in leaf_rows(next_channel, lv):
+        next_channel[nodes] = rows
 
 
 def attach_terminals(fabric: Fabric, next_channel: np.ndarray) -> np.ndarray:

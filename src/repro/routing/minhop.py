@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.fabric import Fabric
-from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
+from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables, leaves
 
 #: Most bytes one route's cached switch hop columns may hold; switches
 #: past it are swept again for each of their terminals.
@@ -46,10 +46,13 @@ class MinHopEngine(RoutingEngine):
         chan_dst = fabric.channels.dst.astype(np.int64)
         sweeps: dict[int, np.ndarray] = {}  # attachment switch -> its hop column
         max_sweeps = SWEEP_CACHE_BYTES // (4 * fabric.num_nodes)
+        lv = leaves(fabric)
+        leaf_switch = np.full(fabric.num_nodes, -1, dtype=np.intp)
+        leaf_switch[lv.nodes] = lv.switches
 
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
-            switch = _uplink_switch(fabric, dest)
+            switch = int(leaf_switch[dest])
             if switch < 0:
                 dist = hops_to_dest(fabric, dest)
             else:
@@ -78,42 +81,6 @@ class MinHopEngine(RoutingEngine):
             stats={"engine": self.name, "max_port_load": int(load.max(initial=0))},
         )
 
-    # ------------------------------------------------------------------
-    def _route_scalar(self, fabric: Fabric) -> RoutingResult:
-        """Reference implementation (sequential loop); kept for the
-        equivalence regression test."""
-        from repro.parallel.kernel import hops_to_dest
-
-        T = fabric.num_terminals
-        next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        load = np.zeros(fabric.num_channels, dtype=np.int64)
-        chan_dst = fabric.channels.dst
-        for t_idx in range(T):
-            dest = int(fabric.terminals[t_idx])
-            dist = hops_to_dest(fabric, dest)
-            for v in range(fabric.num_nodes):
-                if v == dest:
-                    continue
-                best, best_load = -1, None
-                dv = dist[v]
-                for c in fabric.out_channels(v):
-                    if dist[chan_dst[c]] < 0 or dist[chan_dst[c]] + 1 != dv:
-                        continue
-                    lc = load[c]
-                    if best < 0 or lc < best_load:
-                        best, best_load = int(c), lc
-                if best < 0:  # pragma: no cover
-                    continue
-                next_channel[v, t_idx] = best
-                load[best] += 1
-        tables = RoutingTables(fabric, next_channel, engine=self.name)
-        return RoutingResult(
-            tables=tables,
-            layered=None,
-            deadlock_free=False,
-            stats={"engine": self.name, "max_port_load": int(load.max(initial=0))},
-        )
-
 
 def choose_least_loaded(fabric: Fabric, eligible: np.ndarray, load: np.ndarray) -> np.ndarray:
     """The locally balanced choice toward one destination: for every node
@@ -132,12 +99,3 @@ def choose_least_loaded(fabric: Fabric, eligible: np.ndarray, load: np.ndarray) 
     chosen = cand[first]
     load[chosen] += 1
     return chosen.astype(np.int32)
-
-
-def _uplink_switch(fabric: Fabric, terminal: int) -> int:
-    """The switch a single-homed terminal hangs off, else -1."""
-    lo, hi = fabric.out_ptr[terminal], fabric.out_ptr[terminal + 1]
-    if hi - lo != 1:
-        return -1
-    switch = int(fabric.channels.dst[fabric.out_chan[lo]])
-    return switch if fabric.is_switch(switch) else -1

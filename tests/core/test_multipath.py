@@ -156,18 +156,30 @@ def test_layers_equal_the_rebuild_reference(make):
 )
 def test_production_step_equals_the_heap_step(monkeypatch, make, lmc):
     """The planes run the engines' production step; swapping in the heap
-    Dijkstra reference changes no plane and no layer."""
+    Dijkstra reference changes no plane, no layer and, once the last
+    column is routed, no balancing weight."""
     fabric = make()
-    kernels = []
+    kernels, weights = [], []
     real = reduction_mod.column_routine
-    monkeypatch.setattr(
-        reduction_mod, "column_routine",
-        lambda fab, kernel, name, order: kernels.append(kernel) or real(fab, kernel, name, order),
-    )
+
+    def recording(fab, kernel, name, order):
+        kernels.append(kernel)
+        step, reduction = real(fab, kernel, name, order)
+
+        def step_and_keep(dest, w):
+            if not weights or weights[-1] is not w:
+                weights.append(w)
+            return step(dest, w)
+
+        return step_and_keep, reduction
+
+    monkeypatch.setattr(reduction_mod, "column_routine", recording)
     got = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
     monkeypatch.setattr(multipath_mod, "DEFAULT_KERNEL", "python")
     want = MultipathDFSSSPEngine(lmc=lmc).route(fabric)
     assert kernels == ["numpy", "python"]
+    assert len(weights) == 2
+    np.testing.assert_array_equal(weights[0], weights[1])
     for k, (a, b) in enumerate(zip(got.planes, want.planes)):
         np.testing.assert_array_equal(a.next_channel, b.next_channel, err_msg=f"plane {k}")
     np.testing.assert_array_equal(got.path_layers, want.path_layers)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -160,6 +162,16 @@ def test_load_slos(tmp_path):
     bad.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(ValueError, match="JSON list"):
         load_slos(bad)
+
+
+def test_load_slos_closes_the_file(tmp_path):
+    path = tmp_path / "slos.json"
+    path.write_text(json.dumps([LAT.to_dict()]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert load_slos(path) == [LAT]
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_default_slo_sets():

@@ -70,32 +70,32 @@ def plan_oracle(reduction: ExactReduction, dest: int, hops: np.ndarray) -> HopPl
     else:
         root = dest
         pos = np.flatnonzero(reduction._trunk | (reduction._chan_dst == dest))
+    dead = np.flatnonzero(hops[reduction._leaf_sw] < 0)
     src, dst = reduction._chan_src[pos], reduction._chan_dst[pos]
     hv, hu = hops[src], hops[dst]
     keep = np.flatnonzero((hu >= 0) & (hv == hu + 1))
     keep = keep[np.argsort(hv[keep], kind="stable")]
     chan = reduction._chan[pos[keep]].astype(np.int32)
     src, dst, level = src[keep].astype(np.int32), dst[keep].astype(np.int32), hv[keep]
-    levels, nbytes = [], 0
-    if not len(chan):
-        return HopPlan(root, levels, nbytes)
+    levels, nbytes = [], dead.nbytes
     cuts = np.flatnonzero(level[1:] != level[:-1]) + 1
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chan)]):
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chan)] if len(chan) else []):
         s = src[a:b]
-        first = np.r_[True, s[1:] != s[:-1]]
-        starts = np.flatnonzero(first)
-        bucket = (chan[a:b], dst[a:b], (np.cumsum(first) - 1).astype(np.int32),
-                  starts, s[starts])
+        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        bucket = (chan[a:b], dst[a:b], starts, s[starts])
         levels.append(bucket)
         nbytes += sum(arr.nbytes for arr in bucket)
-    return HopPlan(root, levels, nbytes)
+    nodes = np.concatenate([level[3] for level in levels] or [np.zeros(0, np.int32)])
+    return HopPlan(root, levels, nodes, dead, nbytes)
 
 
 def assert_same_plan(got: HopPlan, want: HopPlan) -> None:
     assert got.root == want.root
     assert got.nbytes == want.nbytes
     assert len(got.levels) == len(want.levels)
-    for g, w in zip(got.levels, want.levels):
+    # Which leaves a plan never reaches is a set: its order is free.
+    for g, w in zip([*got.levels, (got.nodes, np.sort(got.dead))],
+                    [*want.levels, (want.nodes, np.sort(want.dead))]):
         for a, b in zip(g, w):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
@@ -172,8 +172,9 @@ def _first_shared_plans_bytes(fabric, order, count):
 def _assert_cache_owns_its_bytes(reduction):
     total = 0
     for plan in reduction._plans.values():
-        arrays = [a for level in plan.levels for a in level]
+        arrays = [a for level in plan.levels for a in level[:3]] + [plan.nodes, plan.dead]
         assert all(a.base is None for a in arrays)  # no view into a block
+        assert all(level[3].base is plan.nodes for level in plan.levels)
         assert sum(a.nbytes for a in arrays) == plan.nbytes
         total += plan.nbytes
     assert total == reduction._plan_bytes <= reduction_mod.PLAN_CACHE_BYTES

@@ -24,6 +24,7 @@ from repro.obs import InMemorySink, get_registry, use_sink
 from repro.parallel import reduction as reduction_mod
 from repro.parallel.kernel import hops_to_dest
 from repro.parallel.reduction import ExactReduction, HopPlan
+from repro.routing.base import leaves
 from repro.service.budget import active_budget, compute_budget
 
 from tests.parallel.test_differential import FAMILIES, assert_same_routing
@@ -85,11 +86,18 @@ def _reference_step(fabric, dest, weights, is_term):
 
 
 def _assert_steps_match(fabric, reduction, order, poison=None):
-    """Run the reference and ``reduction`` side by side over ``order``."""
+    """Run the reference and ``reduction`` side by side over ``order``:
+    the same columns and, after every step, the same weights — but on the
+    leaf uplinks while a reduction that knows its order is inside it (it
+    settles their adds when the order ends). After the last step, the
+    same weights everywhere."""
     T = fabric.num_terminals
     ref_w = np.full(fabric.num_channels, T * T + 1, dtype=np.int64)
     new_w = ref_w.copy()
     is_term = fabric.kinds == 1
+    checked = np.ones(fabric.num_channels, dtype=bool)
+    if reduction._order is not None:
+        checked[leaves(fabric).uplinks] = False
     for t_idx in order:
         dest = int(fabric.terminals[t_idx])
         if poison is not None:
@@ -97,7 +105,9 @@ def _assert_steps_match(fabric, reduction, order, poison=None):
         want = _reference_step(fabric, dest, ref_w, is_term)
         got = reduction.step(dest, new_w)
         np.testing.assert_array_equal(got, want, err_msg=f"parent toward {dest}")
-        np.testing.assert_array_equal(new_w, ref_w, err_msg=f"weights after {dest}")
+        np.testing.assert_array_equal(new_w[checked], ref_w[checked],
+                                      err_msg=f"weights after {dest}")
+    np.testing.assert_array_equal(new_w, ref_w, err_msg="weights after the order")
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +264,7 @@ def test_leaves_under_an_unreached_switch_stay_unrouted():
     nothing: toward any other destination its leaves must be -1 and their
     uplinks must gain no weight."""
     fabric = _islands()
-    s2 = next(int(s) for s in fabric.switches if len(fabric.out_channels(int(s)))
-              and not fabric.is_switch_channel[fabric.out_channels(int(s))].any())
+    s2 = _stranded_switch(fabric)
     stranded = [int(t) for t in fabric.terminals
                 if list(fabric.attached_switches(int(t))) == [s2]]
     assert len(stranded) == 3
@@ -292,13 +301,13 @@ def test_engines_match_heap_reference(family, workers):
 # ----------------------------------------------------------------------
 def _drop_chosen_channel(plan: HopPlan, parent: np.ndarray) -> HopPlan:
     """``plan`` minus one DAG channel the true column routes over."""
-    for i, (chan, dst, seg, starts, nodes) in enumerate(plan.levels):
+    for i, (chan, dst, starts, nodes) in enumerate(plan.levels):
         runs = np.diff(np.r_[starts, len(chan)])
         for j in np.flatnonzero(runs >= 2):  # the node keeps another channel
             k = int(np.flatnonzero(chan == parent[nodes[j]])[0])
             starts = starts.copy()
             starts[j + 1:] -= 1
-            bucket = (np.delete(chan, k), np.delete(dst, k), np.delete(seg, k), starts, nodes)
+            bucket = (np.delete(chan, k), np.delete(dst, k), starts, nodes)
             return plan._replace(levels=[*plan.levels[:i], bucket, *plan.levels[i + 1:]])
     raise AssertionError("no node with two DAG channels")
 
@@ -369,6 +378,149 @@ def test_one_sweep_per_plan_opened(build, plans):
         assert run.attrs["fallbacks"] == 0
         rows = [sp.attrs["rows"] for sp in sink.find("sssp.hop_block")]
         assert sum(rows) == plans
+
+
+# ----------------------------------------------------------------------
+# the leaf-uplink adds wait for the end of the order
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fallback", [False, True], ids=["validated", "fallback"])
+@pytest.mark.parametrize("name", sorted({**FAMILIES, **AWKWARD}))
+def test_leaf_uplink_weights_steer_no_column(name, fallback, monkeypatch):
+    """What deferring their adds rests on: noise on every leaf uplink's
+    weight before every step moves no column — of the production step,
+    of its fallback Dijkstra, nor of the heap reference — and the weights
+    then differ by exactly the noise."""
+    fabric = {**FAMILIES, **AWKWARD}[name]()
+    if fallback:
+        monkeypatch.setattr(ExactReduction, "validate", lambda self, *a: False)
+    T = fabric.num_terminals
+    uplinks = leaves(fabric).uplinks
+    rng = np.random.default_rng(11)
+    clean = np.full(fabric.num_channels, T * T + 1, dtype=np.int64)
+    noisy = clean.copy()
+    noise = np.zeros_like(clean)
+    order = fabric.terminals[rng.permutation(T)]
+    a, b = ExactReduction(fabric, order=order), ExactReduction(fabric, order=order)
+    for dest in map(int, order):
+        bump = rng.integers(1, 3 * T * T, size=len(uplinks))
+        noisy[uplinks] += bump
+        noise[uplinks] += bump
+        want = a.step(dest, clean)
+        np.testing.assert_array_equal(b.step(dest, noisy), want, err_msg=f"toward {dest}")
+        np.testing.assert_array_equal(dijkstra_to_dest(fabric, dest, noisy)[1],
+                                      dijkstra_to_dest(fabric, dest, clean)[1])
+    np.testing.assert_array_equal(noisy - noise, clean)
+    assert a.counts["fallbacks"] == (T if fallback else 0)
+
+
+def test_owed_adds_land_at_the_end_of_the_order():
+    """Inside the order the leaf uplinks lag by one add per validated
+    column; the step at the end of the order settles them, and a step
+    off the order settles its own at once."""
+    fabric = FAMILIES["xgft"]()
+    uplinks = leaves(fabric).uplinks
+    order = [int(t) for t in fabric.terminals]
+    reduction = ExactReduction(fabric, order=order)
+    w0 = fabric.num_terminals ** 2 + 1
+    weights = np.full(fabric.num_channels, w0, dtype=np.int64)
+    for dest in order[:-1]:
+        reduction.step(dest, weights)
+    assert (weights[uplinks] == w0).all()
+    reduction.step(order[-1], weights)
+    ref = np.full(fabric.num_channels, w0, dtype=np.int64)
+    for dest in order:
+        _reference_step(fabric, dest, ref, fabric.kinds == 1)
+    np.testing.assert_array_equal(weights, ref)
+    before = weights.copy()
+    reduction.step(order[0], weights)  # past the end: off the order
+    _reference_step(fabric, order[0], before, fabric.kinds == 1)
+    np.testing.assert_array_equal(weights, before)
+
+
+def test_a_new_weights_array_gets_the_adds_owed_to_the_old_one():
+    fabric = FAMILIES["xgft"]()
+    order = [int(t) for t in fabric.terminals]
+    reduction = ExactReduction(fabric, order=order)
+    first = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    ref = first.copy()
+    reduction.step(order[0], first)
+    _reference_step(fabric, order[0], ref, fabric.kinds == 1)
+    second = first.copy()
+    reduction.step(order[1], second)
+    np.testing.assert_array_equal(first, ref)
+
+
+# ----------------------------------------------------------------------
+# packed keys: too large to pack means not validated
+# ----------------------------------------------------------------------
+def _past_the_key_limit(where):
+    """A fabric, a destination and weights with one candidate too large
+    for the packed key: at the limit (``cap``), or just past ``2**(64 -
+    bits)``, where the shifted key wraps to a small positive value. The
+    wrapping channel is one of two a node picks between, so refine keeps
+    the wrapped value as a short way and only the limit check in
+    validation can tell."""
+    if where.endswith("into_dest"):  # one of two cables from v into a multi-homed dest
+        b = FabricBuilder()
+        v, u = b.add_switches(2)
+        b.add_link(v, u)
+        dest = b.add_terminal()
+        chan = b.add_link(v, dest, count=2)[0]
+        b.add_link(u, dest)
+        for switch in (v, u):
+            b.add_link(b.add_terminal(), switch)
+        fabric = b.build()
+    else:  # one of a leaf switch's two ways up, toward another leaf switch
+        fabric = topologies.xgft(2, (4, 4), (1, 2))
+        dest = int(fabric.terminals[5])
+        home = int(fabric.attached_switches(dest)[0])
+        other = next(int(s) for s in fabric.switches if s != home
+                     and fabric.channels_between(int(s), home) == []
+                     and any(fabric.is_terminal(int(n)) for n in fabric.neighbors(int(s))))
+        chan = next(int(c) for c in fabric.out_channels(other) if fabric.is_switch_channel[c])
+    reduction = ExactReduction(fabric)
+    weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    weights[chan] = (reduction._cap if where.startswith("cap")
+                     else (1 << (64 - reduction._bits)) + 1)
+    return fabric, reduction, dest, weights
+
+
+@pytest.mark.parametrize("where", ["cap_trunk", "cap_into_dest", "wrap_trunk", "wrap_into_dest"])
+def test_candidates_past_the_key_limit_fail_closed(where):
+    """A candidate that does not fit ``(value << bits) | channel`` fails
+    validation — once, counted — and the column and weights still equal
+    the heap reference's."""
+    fabric, reduction, dest, weights = _past_the_key_limit(where)
+    want_w = weights.copy()
+    want = _reference_step(fabric, dest, want_w, fabric.kinds == 1)
+    np.testing.assert_array_equal(reduction.step(dest, weights), want)
+    np.testing.assert_array_equal(weights, want_w)
+    assert reduction.counts["fallbacks"] == 1
+    assert get_registry().value("routing_parallel_fallbacks", engine="sssp") == 1
+
+
+def _stranded_switch(fabric):
+    """The islands' switch 2: it keeps its terminals but reaches nothing."""
+    return next(int(s) for s in fabric.switches if len(fabric.out_channels(int(s)))
+                and not fabric.is_switch_channel[fabric.out_channels(int(s))].any())
+
+
+def test_validation_keys_reject_a_finite_row_without_a_parent():
+    """A row no channel reaches, at a finite distance with no parent —
+    which no refine produces — is caught even where that distance packs
+    to the key of no candidate."""
+    fabric = _islands()
+    reduction = ExactReduction(fabric)
+    s2 = _stranded_switch(fabric)
+    dest = next(int(t) for t in fabric.terminals
+                if len(fabric.out_channels(int(t))) and s2 not in fabric.attached_switches(int(t)))
+    weights = np.full(fabric.num_channels, fabric.num_terminals ** 2 + 1, dtype=np.int64)
+    dist, parent = dijkstra_to_dest(fabric, dest, weights)
+    assert parent[s2] == -1 and reduction.validate(dest, dist, parent, weights)
+    for far in (5, reduction._cap, reduction._cap + 7):
+        bad = dist.copy()
+        bad[s2] = far
+        assert not reduction.validate(dest, bad, parent, weights)
 
 
 # ----------------------------------------------------------------------

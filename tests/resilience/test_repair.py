@@ -249,8 +249,9 @@ def _assert_same_repair(got, want):
         lambda: topologies.random_topology(16, 34, terminals_per_switch=3, seed=42),
         lambda: topologies.kary_ntree(4, 2),
         lambda: topologies.xgft(2, (4, 4), (1, 2)),
+        lambda: topologies.xgft(3, (4, 4, 4), (1, 2, 2)),
     ],
-    ids=["random16", "ktree42", "xgft"],
+    ids=["random16", "ktree42", "xgft", "xgft3"],
 )
 @pytest.mark.parametrize("engine_cls", [SSSPEngine, DFSSSPEngine])
 def test_repair_bit_identical_to_sequential_reference(monkeypatch, build, engine_cls):

@@ -71,7 +71,8 @@ def test_layered_from_tables_of_another_shape_rejected(tmp_path, dfsssp_random16
 
 
 def _legacy_save(path, result):
-    """The writer this module had before it chose its own zlib level."""
+    """A format-1 archive, as this module wrote it before format 2 and
+    before it chose its own zlib level: the dense ``next_channel``."""
     np.savez_compressed(
         path,
         format=np.array([1]),
@@ -84,13 +85,38 @@ def _legacy_save(path, result):
     )
 
 
+def _leaf_nodes(fabric):
+    """Single-homed terminals: one out-channel, into a switch."""
+    return [t for t in map(int, fabric.terminals)
+            if len(fabric.out_channels(t)) == 1
+            and fabric.is_switch(fabric.channels.dst[fabric.out_channels(t)[0]])]
+
+
+def _savez_format2(path, result):
+    """Format 2 written by ``np.savez_compressed``: every row but the
+    leaves', and no leaf entry that breaks the rule (an SSSP table)."""
+    fabric = result.tables.fabric
+    others = np.setdiff1d(np.arange(fabric.num_nodes), _leaf_nodes(fabric))
+    np.savez_compressed(
+        path,
+        format=np.array([2]),
+        engine=np.array([result.tables.engine]),
+        fingerprint=np.array([fabric_fingerprint(fabric)]),
+        next_channel_rows=result.tables.next_channel[others],
+        leaf_exceptions=np.zeros((0, 3), dtype=np.int32),
+        path_layers=result.layered.path_layers,
+        num_layers=np.array([result.layered.num_layers]),
+        channel_weights=result.channel_weights,
+    )
+
+
 def test_level1_archive_holds_what_savez_compressed_wrote(tmp_path, dfsssp_random16):
     """Same members in the same order, and byte-identical ``.npy`` payloads
     (header, dtype, shape, data): only the deflate level differs."""
     new, old = tmp_path / "new.npz", tmp_path / "old.npz"
     save_routing(new, dfsssp_random16.tables, dfsssp_random16.layered,
                  channel_weights=dfsssp_random16.channel_weights)
-    _legacy_save(old, dfsssp_random16)
+    _savez_format2(old, dfsssp_random16)
     with zipfile.ZipFile(new) as a, zipfile.ZipFile(old) as b:
         assert a.namelist() == b.namelist()
         for name in a.namelist():
@@ -133,3 +159,116 @@ def test_loaded_tables_route_identically(tmp_path, dfsssp_random16, random16):
     a = CongestionSimulator(dfsssp_random16.tables).effective_bisection_bandwidth(5, seed=1)
     b = CongestionSimulator(tables).effective_bisection_bandwidth(5, seed=1)
     assert np.allclose(a.per_pattern_mean, b.per_pattern_mean)
+
+
+# ----------------------------------------------------------------------
+# format 2: switch rows stored, leaf rows derived
+# ----------------------------------------------------------------------
+ROUNDTRIP_FABRICS = {
+    "ring6x2": lambda: topologies.ring(6, terminals_per_switch=2),
+    "ktree42": lambda: topologies.kary_ntree(4, 2),
+    "xgft_dual": lambda: topologies.xgft(2, (4, 4), (2, 2)),
+    "torus33": lambda: topologies.torus((3, 3), terminals_per_switch=2),
+}
+
+
+def _roundtrip(tmp_path, tables, weights=None):
+    path = tmp_path / f"{tables.engine}.npz"
+    save_routing(path, tables, channel_weights=weights)
+    state = load_routing_state(path, tables.fabric)
+    np.testing.assert_array_equal(state.tables.next_channel, tables.next_channel)
+    assert state.tables.engine == tables.engine
+    with np.load(path) as data:
+        assert "next_channel" not in data.files
+        others = tables.fabric.num_nodes - len(_leaf_nodes(tables.fabric))
+        assert data["next_channel_rows"].shape == (others, tables.fabric.num_terminals)
+        return data["leaf_exceptions"]
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_FABRICS))
+def test_every_engines_tables_round_trip(tmp_path, name):
+    from repro.exceptions import ReproError
+    from repro.routing.registry import engines
+
+    fabric = ROUNDTRIP_FABRICS[name]()
+    routed = 0
+    for engine_name, engine in sorted(engines().items()):
+        try:
+            result = engine().route(fabric)
+        except ReproError:  # the engine refuses this family
+            continue
+        routed += 1
+        broken = _roundtrip(tmp_path, result.tables, result.channel_weights)
+        if engine_name in ("sssp", "dfsssp"):
+            assert broken.shape == (0, 3)  # SSSP derives its leaf rows by the rule
+    assert routed >= 4
+
+
+def test_unreached_host_switch_round_trips(tmp_path):
+    """A degraded fabric where a host switch reaches nothing: its leaves
+    have no entry toward any other destination, by the rule."""
+    from repro.core import SSSPEngine
+
+    from tests.parallel.test_reduction import _islands
+
+    fabric = _islands()
+    tables = SSSPEngine()._route(fabric).tables  # the fabric is not routable as a whole
+    stranded = [t for t in _leaf_nodes(fabric)
+                if (tables.next_channel[t] < 0).sum() > 1]  # more than toward itself
+    assert stranded
+    broken = _roundtrip(tmp_path, tables)
+    assert broken.shape == (0, 3)
+
+
+def test_leaf_rows_that_break_the_rule_round_trip(tmp_path, minhop_random16, random16):
+    """A hand-edited table: a leaf with no entry where its switch has one,
+    one with an entry toward itself, and one on a channel not its own."""
+    next_channel = minhop_random16.tables.next_channel.copy()
+    a, b = _leaf_nodes(random16)[:2]
+    col_a, col_b = int(random16.term_index[a]), int(random16.term_index[b])
+    up_a = int(random16.out_channels(a)[0])
+    other = (col_a + 1) % random16.num_terminals
+    if other == col_b:
+        other = (other + 1) % random16.num_terminals
+    next_channel[a, other] = -1
+    next_channel[a, col_a] = up_a
+    next_channel[b, col_a] = up_a
+    tables = RoutingTables(random16, next_channel, engine="edited")
+    broken = _roundtrip(tmp_path, tables)
+    assert sorted(map(tuple, broken.tolist())) == sorted(
+        [(a, other, -1), (a, col_a, up_a), (b, col_a, up_a)])
+
+
+def test_writer_allocates_no_dense_table(tmp_path, monkeypatch):
+    """The leaf rows are compared a few at a time: the writer's traced
+    peak stays well under the dense table's bytes."""
+    import tracemalloc
+
+    from repro.core import SSSPEngine
+    from repro.routing import base
+
+    fabric = topologies.xgft(2, (32, 32), (1, 16))  # a 4.4 MB table
+    result = SSSPEngine().route(fabric)
+    dense = result.tables.next_channel.nbytes
+    monkeypatch.setattr(base, "LEAF_BLOCK_BYTES", dense // 32)
+    tracemalloc.start()
+    try:
+        save_routing(tmp_path / "r.npz", result.tables, channel_weights=result.channel_weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense // 4
+
+
+@pytest.mark.parametrize("member", ["next_channel_rows", "leaf_exceptions"])
+def test_malformed_format2_member_is_a_routing_error(tmp_path, dfsssp_random16, random16,
+                                                     member):
+    path = tmp_path / "bad.npz"
+    _savez_format2(path, dfsssp_random16)
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    members[member] = (members[member][1:] if member == "next_channel_rows"
+                       else np.array([[0, 0, 0, 0]], dtype=np.int32))
+    np.savez_compressed(path, **members)
+    with pytest.raises(RoutingError, match="malformed routing state"):
+        load_routing_state(path, random16)

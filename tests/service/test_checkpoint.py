@@ -251,7 +251,10 @@ def _tear(npz, how: str) -> None:
                     archive.writestr(name, data)
 
 
-TEARS = ["empty", "truncated", "num_layers.npy"]
+# ``routing.npz`` format 2: the stored rows and the leaf exceptions are
+# members too; an archive without either is torn.
+TEARS = ["empty", "truncated", "num_layers.npy", "next_channel_rows.npy",
+         "leaf_exceptions.npy"]
 
 
 @pytest.mark.parametrize("how", TEARS)
