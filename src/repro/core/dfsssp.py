@@ -47,13 +47,13 @@ class DFSSSPEngine(RoutingEngine):
         Spread paths over unused layers after cycle breaking (Algorithm
         2's final step).
     workers / kernel:
-        Forwarded to :class:`SSSPEngine`: ``workers=N`` sweeps the SSSP
-        phase's hop rows on a thread pool (the column loop stays the
-        serial one; needs ``kernel="numpy"``) and ``kernel="python"``
-        runs the heap-Dijkstra reference instead of the default
-        production step. Both are bit-identical to the default (the
-        layer assignment consumes identical tables, so the layered
-        result is identical too).
+        Forwarded to :class:`SSSPEngine`. ``workers`` (``>= 0``) is
+        accepted and ignored — every route is serial — until ROADMAP item
+        1-B re-pins ``benchmarks/e2e`` without it and removes it.
+        ``kernel="python"`` runs the heap-Dijkstra reference instead of
+        the default production step; it is bit-identical (the layer
+        assignment consumes identical tables, so the layered result is
+        identical too).
     """
 
     name = "dfsssp"

@@ -26,7 +26,6 @@ destination instead of the naive O(T · diameter).
 from __future__ import annotations
 
 import heapq
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -58,11 +57,10 @@ class SSSPEngine(RoutingEngine):
     Parameters
     ----------
     workers:
-        0 (default) sweeps every hop row on the calling thread. ``N >= 1``
-        opens an ``N``-thread pool for the route that sweeps each block's
-        hop rows (:mod:`repro.parallel.executor`); the column loop, and
-        with it the result, is the serial one. Needs ``kernel="numpy"``:
-        the pool only feeds the production step.
+        Accepted (``>= 0``) and ignored: every route runs on the calling
+        thread. It stays only because ``benchmarks/e2e`` still passes
+        ``workers=2``; ROADMAP item 1-B re-pins those workloads and
+        removes the argument.
     kernel:
         ``"numpy"`` (default, the production step: hop plans refined and
         validated by :class:`~repro.parallel.reduction.ExactReduction`) or
@@ -79,8 +77,6 @@ class SSSPEngine(RoutingEngine):
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if workers and kernel != "numpy":
-            raise ValueError(f"workers >= 1 needs kernel='numpy', got {kernel!r}")
         self.workers = workers
         self.kernel = kernel
 
@@ -96,8 +92,7 @@ class SSSPEngine(RoutingEngine):
         )
 
     def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray]:
-        from repro.parallel.kernel import hop_rows  # parallel -> core.sssp
-        from repro.parallel.reduction import column_routine
+        from repro.parallel.reduction import column_routine  # parallel -> core.sssp
 
         T = fabric.num_terminals
         w0 = T * T + 1
@@ -119,41 +114,32 @@ class SSSPEngine(RoutingEngine):
         )
         hooks = get_hooks()
 
-        if self.workers:
-            from repro.parallel.executor import pool_sweep  # the thread pool, only here
-
-            sweeper = pool_sweep(fabric, self.workers, self.name)
-        else:
-            sweeper = nullcontext(hop_rows)
-
-        with sweeper as sweep:
-            step, reduction = column_routine(
-                fabric, self.kernel, self.name, fabric.terminals, sweep)
-            with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
-                for t_idx, dest in enumerate(fabric.terminals.tolist()):
-                    check_budget()  # cooperative deadline (repro.service)
-                    with span("sssp.dijkstra", dest=dest) as sp:
-                        parent = step(dest, weights)
-                        rows[t_idx] = parent[lv.others]
-                    # The column's own time: a hop block it opened is
-                    # timed by its `sssp.hop_block` span instead.
-                    seconds = sp.duration - (reduction.block_s if reduction else 0.0)
-                    # One `weights[c] += ...` happened per node with a parent
-                    # channel; counted vectorised to keep the hot loop clean.
-                    updates = int(np.count_nonzero(parent >= 0))
-                    m_sources.inc()
-                    m_updates.inc(updates)
-                    m_dijkstra.observe(seconds)
-                    hooks.iteration(
-                        engine=self.name,
-                        iteration=t_idx,
-                        dest=dest,
-                        weight_updates=updates,
-                        dijkstra_seconds=seconds,
-                    )
-                if reduction is not None:
-                    for key, value in reduction.counts.items():
-                        run_sp.set_attr(key, value)
+        step, reduction = column_routine(fabric, self.kernel, self.name, fabric.terminals)
+        with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
+            for t_idx, dest in enumerate(fabric.terminals.tolist()):
+                check_budget()  # cooperative deadline (repro.service)
+                with span("sssp.dijkstra", dest=dest) as sp:
+                    parent = step(dest, weights)
+                    rows[t_idx] = parent[lv.others]
+                # The column's own time: a hop block it opened is
+                # timed by its `sssp.hop_block` span instead.
+                seconds = sp.duration - (reduction.block_s if reduction else 0.0)
+                # One `weights[c] += ...` happened per node with a parent
+                # channel; counted vectorised to keep the hot loop clean.
+                updates = int(np.count_nonzero(parent >= 0))
+                m_sources.inc()
+                m_updates.inc(updates)
+                m_dijkstra.observe(seconds)
+                hooks.iteration(
+                    engine=self.name,
+                    iteration=t_idx,
+                    dest=dest,
+                    weight_updates=updates,
+                    dijkstra_seconds=seconds,
+                )
+            if reduction is not None:
+                for key, value in reduction.counts.items():
+                    run_sp.set_attr(key, value)
 
         next_channel = np.empty((fabric.num_nodes, T), dtype=np.int32)
         next_channel[lv.others] = rows.T

@@ -26,7 +26,9 @@ The request path layers the operational guarantees on top:
 
 Crash detection is belt and braces: each worker stamps a shared
 heartbeat double from a daemon thread; the monitor respawns a worker
-when its process dies *or* its stamp goes stale. A respawned worker
+when its process dies *or* its stamp goes stale, after SIGKILL-ing and
+joining the old process (a stalled one must never wake up beside its
+replacement). A respawned worker
 restores every shard from its checkpoints, where the restore path
 re-verifies the routing through its O(V+E) deadlock-freedom certificate
 before serving — the manager records each respawn with per-shard
@@ -35,8 +37,8 @@ before serving — the manager records each respawn with per-shard
 Workers are started via the ``forkserver`` (fallback ``spawn``) start
 method: the manager is multi-threaded and metrics registries hold locks,
 so ``fork`` could deadlock a child. That makes workers daemonic
-processes, which cannot have children of their own, so every shard runs
-its engine with the default options: serial, no process pool.
+processes, which cannot have children of their own; every shard runs
+its engine with the default options, which start none.
 """
 
 from __future__ import annotations
@@ -323,6 +325,11 @@ class FleetManager:
                     elif handle.heartbeat_age(now) > self.config.heartbeat_timeout_s:
                         self._mark_dead(handle, reason="heartbeat")
                 if not handle.alive:
+                    # Stop the old process for good first: a stalled worker
+                    # that woke up later would write into the shard
+                    # checkpoints beside its replacement.
+                    handle.process.kill()
+                    handle.process.join()
                     try:
                         replacement = self._spawn(
                             handle.id, generation=handle.generation + 1

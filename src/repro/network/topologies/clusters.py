@@ -67,10 +67,6 @@ class _ChassisSwitch:
         """Cable an external node to the next line board with a free port."""
         self.b.add_link(node, self.reserve_port())
 
-    @property
-    def external_capacity(self) -> int:
-        return self.ext_per_line * len(self.lines)
-
 
 def odin(scale: float = 1.0) -> Fabric:
     """Odin (Indiana University): 128 nodes on a single 144-port switch

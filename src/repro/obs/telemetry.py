@@ -1,13 +1,12 @@
 """Request-scoped trace correlation.
 
-The supervisor (``repro.service``), the parallel executor
-(``repro.parallel``) and the engines each emit spans, but until a
-request id ties them together a JSONL trace is a bag of fragments. This
-module provides :func:`request_scope`: open a *request root span* and
-make its ``request_id`` ambient — every span created inside the scope
-(in this context, and in any thread that runs a copy of it, as the
-hop-row pool's do) is stamped with a ``request_id`` attribute, so one
-query over the trace sink reconstructs the request's full causal tree.
+The supervisor (``repro.service``) and the engines each emit spans,
+but until a request id ties them together a JSONL trace is a bag of
+fragments. This module provides :func:`request_scope`: open a *request
+root span* and make its ``request_id`` ambient — every span created
+inside the scope (in this context, and in any thread that runs a copy of
+it) is stamped with a ``request_id`` attribute, so one query over the
+trace sink reconstructs the request's full causal tree.
 
 Request ids are free-form strings. :func:`new_request_id` makes an
 unguessable one; the routing supervisor instead derives sequential ids

@@ -20,8 +20,8 @@ differential suite (``tests/parallel``) asserts on every topology family.
 
 :func:`hop_rows` is the weight-independent sibling: plain BFS levels
 toward a block of roots, equal to Dijkstra distances under uniform
-weights. Hop rows never go stale, so they are the one part of Algorithm 1
-a thread pool can compute ahead (see :mod:`repro.parallel.executor`).
+weights. Hop rows never go stale, so the exact step
+(:mod:`repro.parallel.reduction`) computes them a block at a time.
 """
 
 from __future__ import annotations

@@ -16,16 +16,14 @@ exploits both facts, in the engine's fixed destination order:
    at a time: given the caller's destination order, the first step that
    needs a plan builds those of the next block of the order with one
    sweep of all their roots (:func:`~repro.parallel.kernel.hop_rows`,
-   one switch-space BFS — or the same rows from a thread pool,
-   :mod:`repro.parallel.executor`) and one sort that cuts every row into
-   levels (:meth:`ExactReduction.build_plans`), under one
-   ``sssp.hop_block`` span. Uplinks of
-   *leaves* — single-homed terminals: one out-channel, into a switch
-   (:func:`repro.routing.base.leaves`) — stay out of it: a leaf has one
-   way out, so its column entry is fixed (its uplink, or -1 under an
-   unreached switch). Each plan also records its level nodes in one
-   array and the leaves under host switches its root never reaches, so
-   no step re-derives either. For a single-homed destination the plan
+   one switch-space BFS) and one sort that cuts every row into levels
+   (:meth:`ExactReduction.build_plans`), under one ``sssp.hop_block``
+   span. Uplinks of *leaves* — single-homed terminals: one out-channel,
+   into a switch (:func:`repro.routing.base.leaves`) — stay out of it: a
+   leaf has one way out, so its column entry is fixed (its uplink, or -1
+   under an unreached switch). Each plan also records its level nodes in
+   one array and the leaves under host switches its root never reaches,
+   so no step re-derives either. For a single-homed destination the plan
    is rooted at its attachment switch and is *the same plan for every
    terminal on that switch*: it is cached there and reused (see below).
 2. **Refine.** Per level, one ``np.minimum.reduceat`` over the packed
@@ -84,8 +82,7 @@ destinations then sweep for themselves.
 :func:`column_routine` hands the engine, the LMC planes and the
 incremental repair this step for ``kernel="numpy"`` — with their
 destination order — and the heap Dijkstra + reference update for
-``kernel="python"``. A pooled engine passes the pool as the block sweep;
-nothing else about the step changes.
+``kernel="python"``.
 """
 
 from __future__ import annotations
@@ -115,8 +112,7 @@ PLAN_CACHE_BYTES = 32 << 20
 HOP_BLOCK_BYTES = 4 << 20
 
 
-def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order=None,
-                   sweep=hop_rows):
+def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order=None):
     """One Algorithm-1 step for ``kernel``, as ``(step, reduction)``.
 
     ``step(dest, weights)`` routes the column toward ``dest``, advances
@@ -125,13 +121,13 @@ def column_routine(fabric: Fabric, kernel: str, engine_name: str = "sssp", order
     ``counts`` are its live ``sweeps / plans / plan_hits / fallbacks``
     and ``block_s`` the time the last step spent opening a hop block;
     ``order`` is the sequence of destinations the caller will step
-    through, so that hop plans are built a block at a time, each block's
-    hop rows by ``sweep``. The ``"python"`` reference runs the heap
-    Dijkstra and the farthest-first update directly (``reduction`` is
-    None). Both produce identical arrays.
+    through, so that hop plans are built a block at a time. The
+    ``"python"`` reference runs the heap Dijkstra and the farthest-first
+    update directly (``reduction`` is None). Both produce identical
+    arrays.
     """
     if kernel == "numpy":
-        reduction = ExactReduction(fabric, engine_name, order, sweep)
+        reduction = ExactReduction(fabric, engine_name, order)
         return reduction.step, reduction
     is_term = fabric.kinds == 1  # NodeKind.TERMINAL
 
@@ -184,13 +180,12 @@ class ExactReduction:
     destination sequence :meth:`step` will be called with: a step that
     needs a new hop plan then builds the plans of the next block of that
     sequence in one pass (:meth:`_open_block`); without it, or off it, a
-    step sweeps for its own plan. ``sweep(fabric, roots)`` computes the
-    hop rows of a block's roots: :func:`~repro.parallel.kernel.hop_rows`,
-    or a thread pool's drop-in for it. Each block's sweep and plan
-    building run under one ``sssp.hop_block`` span (``rows``), and
-    ``block_s`` holds its duration until the next step (0.0 for a step
-    that opened none). The plan cache dies with the instance, i.e. with
-    the SSSP phase that made it.
+    step sweeps for its own plan. Each block's sweep
+    (:func:`~repro.parallel.kernel.hop_rows`) and plan building run
+    under one ``sssp.hop_block`` span (``rows``), and ``block_s`` holds
+    its duration until the next step (0.0 for a step that opened none).
+    The plan cache dies with the instance, i.e. with the SSSP phase that
+    made it.
 
     Along ``order`` the leaf uplinks' weights lag: each validated column
     owes every leaf uplink its +1 (step 4), and the owed adds land in
@@ -200,10 +195,8 @@ class ExactReduction:
     fallback Dijkstra's parents do not depend on one.
     """
 
-    def __init__(self, fabric: Fabric, engine_name: str = "sssp", order=None,
-                 sweep=hop_rows):
+    def __init__(self, fabric: Fabric, engine_name: str = "sssp", order=None):
         self.fabric = fabric
-        self._sweep = sweep
         self._m_fallbacks = get_registry().counter(
             "routing_parallel_fallbacks",
             "reduction columns that failed validation and re-ran full Dijkstra",
@@ -409,7 +402,7 @@ class ExactReduction:
         """The plans of ``dests``: one sweep of their roots, one
         :meth:`build_plans`, timed by one ``sssp.hop_block`` span."""
         with span("sssp.hop_block", rows=len(dests)) as sp:
-            plans = self.build_plans(dests, self._sweep(self.fabric, self._plan_root[dests]))
+            plans = self.build_plans(dests, hop_rows(self.fabric, self._plan_root[dests]))
         self.counts["sweeps"] += len(dests)
         self.block_s = sp.duration
         return plans

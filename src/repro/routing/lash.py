@@ -23,6 +23,7 @@ from repro.core.layers import DEFAULT_MAX_LAYERS
 from repro.deadlock.cdg import ChannelDependencyGraph, first_fit
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
+from repro.parallel.kernel import hops_to_dest
 from repro.routing.base import (
     LayeredRouting,
     RoutingEngine,
@@ -44,8 +45,6 @@ class LASHEngine(RoutingEngine):
         self.max_layers = max_layers
 
     def _route(self, fabric: Fabric) -> RoutingResult:
-        from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
-
         S = fabric.num_switches
         # ------------------------------------------------------------------
         # 1. Balanced min-hop trees toward every destination switch, by

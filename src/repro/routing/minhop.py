@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.fabric import Fabric
+from repro.parallel.kernel import hops_to_dest
 from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables, leaves
 
 #: Most bytes one route's cached switch hop columns may hold; switches
@@ -37,8 +38,6 @@ class MinHopEngine(RoutingEngine):
     name = "minhop"
 
     def _route(self, fabric: Fabric) -> RoutingResult:
-        from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
-
         T = fabric.num_terminals
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
         load = np.zeros(fabric.num_channels, dtype=np.int64)

@@ -26,6 +26,7 @@ import numpy as np
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
 from repro.obs import get_registry, span
+from repro.parallel.kernel import hops_to_dest
 from repro.routing.base import RoutingTables
 
 #: (switch, destination) walkers :func:`extract_paths` advances together
@@ -411,8 +412,6 @@ def path_minimality_violations(tables: RoutingTables, paths: PathSet) -> int:
     argument); MinHop trivially has zero as well. Used by tests and the
     analysis module.
     """
-    from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
-
     fab = tables.fabric
     S = fab.num_switches
     lengths = paths.lengths()

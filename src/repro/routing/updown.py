@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
+from repro.parallel.kernel import hops_to_dest
 from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
 
 
@@ -33,8 +34,6 @@ def rank_switches(fabric: Fabric, root: int | None = None) -> tuple[np.ndarray, 
     The root defaults to the highest-degree switch (ties: lowest id) —
     a stand-in for OpenSM's root auto-selection.
     """
-    from repro.parallel.kernel import hops_to_dest  # kernel -> core.sssp -> routing
-
     if root is None:
         best = None
         for s in fabric.switches:

@@ -151,8 +151,10 @@ class RoutingSupervisor:
         Jitter RNG seed (backoff determinism in tests).
     engine_opts:
         Keyword options forwarded to :func:`make_engine` when ``engine``
-        is a name (e.g. ``{"workers": 2}`` to sweep the SSSP phase's hop
-        rows on a thread pool); the defaults are the production configuration.
+        is a name (e.g. ``{"kernel": "python"}`` for the heap-Dijkstra
+        reference; ``{"workers": 2}`` is accepted and changes nothing,
+        see :class:`~repro.core.sssp.SSSPEngine`); the defaults are the
+        production configuration.
         Persisted in checkpoints and re-applied on :meth:`restore`, so a
         restored service keeps its configuration. Ignored when ``engine``
         is already an instance.
@@ -379,10 +381,6 @@ class RoutingSupervisor:
             state=self._state,
             pending_events=len(self._queue) + len(self._uncommitted),
         )
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._queue or self._uncommitted)
 
     def submit(self, event: FaultEvent) -> None:
         """Queue one fault event (serving is marked stale until repaired)."""

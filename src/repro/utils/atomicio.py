@@ -56,24 +56,3 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Atomically write ``text`` to ``path`` (complete file or no change)."""
     with atomic_path(path, "w") as fp:
         fp.write(text)
-
-
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Atomically write ``payload`` to ``path``."""
-    with atomic_path(path, "wb") as fp:
-        fp.write(payload)
-
-
-def replace_dir(tmp_dir: str | Path, final_dir: str | Path) -> None:
-    """Atomically publish a staged directory under its final name.
-
-    ``final_dir`` must not already exist (checkpoint directories are
-    versioned, so names are never reused); a stale directory left by a
-    crashed predecessor is removed first.
-    """
-    import shutil
-
-    final_dir = Path(final_dir)
-    if final_dir.exists():
-        shutil.rmtree(final_dir)
-    os.rename(tmp_dir, final_dir)

@@ -1,6 +1,10 @@
 """SSSP routing (Algorithm 1): minimality, balancing, determinism."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,32 @@ def test_option_surface():
 def test_defaults_are_the_production_step():
     engine = SSSPEngine()
     assert (engine.kernel, engine.workers) == ("numpy", 0)
+
+
+def test_a_route_starts_no_thread_whatever_its_workers():
+    """``workers`` is accepted and inert: in a fresh interpreter, SSSP and
+    DFSSSP routes with ``workers`` 0 and 2 start no thread and load no
+    thread or process pool."""
+    probe = (
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
+        "from repro import topologies\n"
+        "from repro.core import DFSSSPEngine, SSSPEngine\n"
+        "fabric = topologies.xgft(2, (4, 4), (1, 2))\n"
+        "for workers in (0, 2):\n"
+        "    SSSPEngine(workers=workers).route(fabric)\n"
+        "    DFSSSPEngine(workers=workers).route(fabric)\n"
+        "print(started, sorted({'concurrent.futures.thread', 'multiprocessing.pool'}\n"
+        "                      & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
 
 
 def test_deterministic(random16):

@@ -1,12 +1,15 @@
 """Fleet manager end to end: spawn, serve, kill, degrade, respawn.
 
 Worker processes are real (forkserver/spawn), so one module-scoped
-fleet is shared across the tests here; the kill/respawn test runs last
+fleet is shared across most tests here; the kill/respawn test runs last
 and leaves the fleet recovered.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -54,6 +57,31 @@ def test_worker_that_fails_to_build_its_shards_is_a_fleet_error(tmp_path):
     config = FleetConfig(workers=1, engine="no-such-engine")
     with pytest.raises(FleetError, match=r"died before reporting ready \(exitcode=1\)"):
         FleetManager(_fabrics(n=1), tmp_path, config)
+
+
+def test_a_stalled_worker_is_stopped_before_its_slot_respawns(tmp_path):
+    """A worker whose heartbeat went stale (SIGSTOP) is SIGKILLed and
+    joined before its replacement starts, so it can never resume its
+    batch beside the replacement; shutdown then leaves no child behind.
+    Runs before the module fleet exists, whose workers are children too."""
+    config = FleetConfig(workers=1, heartbeat_timeout_s=1.0, policy=FAST_POLICY)
+    manager = FleetManager(_fabrics(n=1), tmp_path, config)
+    stalled = manager._workers[0].process
+    try:
+        os.kill(stalled.pid, signal.SIGSTOP)
+        deadline = time.time() + 60.0
+        while not manager.respawns and time.time() < deadline:
+            time.sleep(0.05)
+        assert manager.respawns, "the stalled worker was never replaced"
+        assert manager.deaths[0]["reason"] == "heartbeat"
+        assert not stalled.is_alive()
+        manager.shutdown()
+        assert multiprocessing.active_children() == []
+    finally:
+        manager.shutdown()
+        if stalled.is_alive():  # only if the manager left it running
+            stalled.kill()
+            stalled.join(timeout=10)
 
 
 def test_spawn_shards_across_workers(fleet):
@@ -162,3 +190,4 @@ def test_kill_respawns_with_certified_restore(fleet):
         assert shard["verify_method"] == "certificate"
     assert len(fleet.deaths) >= 1
     assert fleet.alive_workers() == [0, 1]
+

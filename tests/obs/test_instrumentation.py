@@ -1,8 +1,10 @@
 """End-to-end: routing a real fabric populates the obs registry."""
 
+import numpy as np
+
 from repro import topologies
 from repro.core import DFSSSPEngine
-from repro.obs import InMemorySink, get_registry, use_sink
+from repro.obs import InMemorySink, get_registry, request_scope, use_sink
 
 
 def test_dfsssp_ring_emits_expected_metrics():
@@ -55,3 +57,14 @@ def test_stats_keys_survive_instrumentation():
     result = DFSSSPEngine().route(topologies.ring(5, 2))
     assert result.stats["time_sssp_s"] > 0
     assert result.stats["time_layers_s"] > 0
+
+
+def test_traced_spans_preserve_results():
+    """Tracing is observation only: traced and untraced routes agree."""
+    fabric = topologies.random_topology(10, 20, 2, seed=5)
+    plain = DFSSSPEngine().route(fabric)
+    with use_sink(InMemorySink()), request_scope("req-x"):
+        traced = DFSSSPEngine().route(fabric)
+    assert np.array_equal(plain.tables.next_channel, traced.tables.next_channel)
+    assert np.array_equal(plain.channel_weights, traced.channel_weights)
+    assert np.array_equal(plain.layered.path_layers, traced.layered.path_layers)

@@ -1,19 +1,16 @@
-"""Differential suite: every parallel path is bit-identical to serial.
+"""Differential suite: the production step is bit-identical to the reference.
 
 The determinism contract of :mod:`repro.parallel` is *exact* equality —
 forwarding tables, layer assignments and balancing weights — between the
-serial reference engine (heap Dijkstra, ``kernel="python"``, named
-explicitly: the engines' default is the production step) and
-
-* the production step (``kernel="numpy"``, the default),
-* the same step with its hop rows swept by a process pool
-  (``workers`` ∈ {1, 2, 4}, at any hop-block size),
-
-on every topology family; the pool feeds only the production step, so
-the engines refuse it with ``kernel="python"``. ``assert_same_routing`` compares arrays with
-``np.array_equal`` (no tolerance: weights and channel ids are integers),
-and the hypothesis properties extend the fixed families with random
-irregular fabrics.
+reference engine (heap Dijkstra, ``kernel="python"``, named explicitly:
+the engines' default is the production step) and the production step
+(``kernel="numpy"``, the default, at any hop-block size), on every
+topology family. ``workers`` is an inert argument, kept only for
+``benchmarks/e2e``: the configs pin that ``workers`` ∈ {0, 1, 2, 4}, with
+either kernel, changes nothing. ``assert_same_routing`` compares arrays
+with ``np.array_equal`` (no tolerance: weights and channel ids are
+integers), and the hypothesis properties extend the fixed families with
+random irregular fabrics.
 """
 
 from __future__ import annotations
@@ -32,8 +29,8 @@ from repro.core.sssp import (
 from repro.obs import InMemorySink, use_sink
 from repro.parallel import dijkstra_to_dest_numpy, reduction as reduction_mod
 
-# ≥ 5 topology families, as the acceptance criteria require; sizes are
-# small enough that one serial + three parallel runs stay in CI budget.
+# ≥ 5 topology families; sizes are small enough that the reference and
+# every config stay in CI budget.
 FAMILIES = {
     "ring": lambda: topologies.ring(8, terminals_per_switch=2),
     "torus": lambda: topologies.torus((3, 3), terminals_per_switch=2),
@@ -44,11 +41,8 @@ FAMILIES = {
     "dragonfly": lambda: topologies.dragonfly(2, 2, 1),
 }
 
-# The "-shm" suffix of two ids names the pool's former shared-memory
-# transport; every pool run now returns its hop rows as task results.
-# "workers2-python" is the combination the engines refuse: the pool only
-# sweeps hop rows for the production step, which the heap reference has
-# none of. Its cases assert the refusal.
+# The ids keep the names of the worker pools these configs once drove
+# ("-shm": a former shared-memory transport); every route is now serial.
 PARALLEL_CONFIGS = [
     pytest.param(dict(kernel="numpy"), id="serial-numpy"),
     pytest.param(dict(workers=1, kernel="numpy"), id="workers1-numpy-shm"),
@@ -99,20 +93,9 @@ def assert_same_routing(base, other, *, layers: bool = False) -> None:
         )
 
 
-def _refused(engine, config) -> bool:
-    """True, once the refusal is asserted, for a pool with the reference."""
-    if config.get("workers") and config["kernel"] == "python":
-        with pytest.raises(ValueError, match="kernel='numpy'"):
-            engine(**config)
-        return True
-    return False
-
-
 @pytest.mark.parametrize("config", PARALLEL_CONFIGS)
 def test_sssp_bit_identical(family_fabric, serial_sssp, config):
     name, fabric = family_fabric
-    if _refused(SSSPEngine, config):
-        return
     result = SSSPEngine(**config).route(fabric)
     assert_same_routing(serial_sssp, result)
     assert result.stats["total_balancing_weight"] == serial_sssp.stats[
@@ -124,8 +107,6 @@ def test_sssp_bit_identical(family_fabric, serial_sssp, config):
 def test_dfsssp_bit_identical(family_fabric, serial_dfsssp, config):
     """Identical tables imply identical layers — asserted, not assumed."""
     _, fabric = family_fabric
-    if _refused(DFSSSPEngine, config):
-        return
     result = DFSSSPEngine(**config).route(fabric)
     assert_same_routing(serial_dfsssp, result, layers=True)
     assert result.stats["layers_needed"] == serial_dfsssp.stats["layers_needed"]
@@ -155,8 +136,10 @@ def _fabric(params):
 
 
 @_slow
-@given(random_topo_params, st.sampled_from([2, 4]))
+@given(random_topo_params, st.sampled_from([0, 2]))
 def test_parallel_equals_serial_on_random_fabrics(params, workers):
+    """The production step equals the heap reference on random fabrics
+    (with ``workers`` inert either way)."""
     fabric = _fabric(params)
     base = SSSPEngine(kernel="python").route(fabric)
     par = SSSPEngine(workers=workers).route(fabric)
@@ -166,14 +149,14 @@ def test_parallel_equals_serial_on_random_fabrics(params, workers):
 @_slow
 @given(random_topo_params, st.integers(min_value=1, max_value=7))
 def test_batch_size_never_changes_results(params, batch):
-    """The roots one pool sweep serves (a hop block of ``batch`` rows)
-    affect scheduling and span granularity only."""
+    """The roots one hop sweep serves (a hop block of ``batch`` rows)
+    affect span granularity only."""
     fabric = _fabric(params)
     base = SSSPEngine(kernel="python").route(fabric)
     row_bytes = reduction_mod.ExactReduction(fabric)._row_bytes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction_mod, "HOP_BLOCK_BYTES", batch * row_bytes)
-        par = SSSPEngine(workers=2).route(fabric)
+        par = SSSPEngine().route(fabric)
     assert_same_routing(base, par)
 
 

@@ -14,13 +14,16 @@ the per-destination one, whatever the block size.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro import topologies
 from repro.core import SSSPEngine
 from repro.network.fabric import Fabric
-from repro.obs import InMemorySink, use_sink
+from repro.obs import InMemorySink, get_registry, use_sink
 from repro.parallel import reduction as reduction_mod
 from repro.parallel.kernel import hop_rows, hops_to_dest
 from repro.parallel.reduction import ExactReduction, HopPlan
@@ -209,11 +212,10 @@ def test_ordered_steps_are_exact_and_sweep_once_per_plan(name, block_bytes, cach
     assert counts == per_dest.counts
 
 
-def test_pool_with_a_part_filled_cache_sweeps_once_per_plan(monkeypatch):
-    """The pool sweeps the blocks the serial loop picks: a destination
-    served from the cache is never swept, once the cache is full or
-    before. Blocks of two, so that most blocks are opened after the cache
-    has filled up."""
+def test_a_part_filled_cache_sweeps_once_per_plan(monkeypatch):
+    """Through the engine, a destination served from the cache is never
+    swept, once the cache is full or before. Blocks of two, so that most
+    blocks are opened after the cache has filled up."""
     fabric = FAMILIES["xgft"]()
     order = np.arange(fabric.num_terminals)
     monkeypatch.setattr(reduction_mod, "PLAN_CACHE_BYTES",
@@ -222,14 +224,46 @@ def test_pool_with_a_part_filled_cache_sweeps_once_per_plan(monkeypatch):
     base = SSSPEngine(kernel="python").route(fabric)
     sink = InMemorySink()
     with use_sink(sink):
-        got = SSSPEngine(workers=2).route(fabric)
+        got = SSSPEngine().route(fabric)
     np.testing.assert_array_equal(got.tables.next_channel, base.tables.next_channel)
     np.testing.assert_array_equal(got.channel_weights, base.channel_weights)
-    assert sink.find("parallel.hop_rows")
     run = sink.find("sssp.run")[0]
     assert run.attrs["plan_hits"] > 0 and run.attrs["fallbacks"] == 0
     assert run.attrs["sweeps"] == run.attrs["plans"] == (
         fabric.num_terminals - run.attrs["plan_hits"])
+
+
+def test_block_building_stays_out_of_the_column_histogram(monkeypatch):
+    """With every hop sweep slowed by 20 ms and blocks of at most three
+    roots, each ``sssp.hop_block`` span is opened by a column's step and
+    holds its sleep, and no ``sssp_dijkstra_seconds`` observation does."""
+    fabric = topologies.random_topology(10, 20, 2, seed=5)
+    nap = 0.02
+    real = reduction_mod.hop_rows
+
+    def slow(fabric, roots):
+        time.sleep(nap)
+        return real(fabric, roots)
+
+    monkeypatch.setattr(reduction_mod, "hop_rows", slow)
+    monkeypatch.setattr(reduction_mod, "HOP_BLOCK_BYTES", 3 * ExactReduction(fabric)._row_bytes)
+    get_registry().reset()
+    sink = InMemorySink()
+    with use_sink(sink):
+        SSSPEngine().route(fabric)
+    # One hop row per plan opened: each switch hosts two terminals, so
+    # the second one of every pair is served from its sibling's plan.
+    blocks = sink.find("sssp.hop_block")
+    assert len(blocks) == -(-fabric.num_switches // 3)
+    assert sum(b.attrs["rows"] for b in blocks) == fabric.num_switches
+    assert all(b.parent.name == "sssp.dijkstra" for b in blocks)
+    assert all(b.duration >= nap for b in blocks)
+    hist = get_registry().histogram("sssp_dijkstra_seconds", "")
+    assert hist.count == fabric.num_terminals
+    assert hist.maximum < nap
+    # the column spans still contain the blocks they opened
+    assert sum(sp.duration for sp in sink.find("sssp.dijkstra")) > hist.sum + len(blocks) * nap
+    get_registry().reset()
 
 
 def test_repeated_destinations_each_get_a_plan(monkeypatch):

@@ -28,7 +28,6 @@ from repro.routing.base import leaves
 from repro.service.budget import active_budget, compute_budget
 
 from tests.parallel.test_differential import FAMILIES, assert_same_routing
-from tests.parallel.test_executor import _expire_mid_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -285,13 +284,14 @@ def test_leaves_under_an_unreached_switch_stay_unrouted():
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_engines_match_heap_reference(family, workers):
+    """``workers`` is inert: either value runs the one column loop,
+    which times each destination once."""
     fabric = FAMILIES[family]()
     base = SSSPEngine(kernel="python").route(fabric)
     reg = get_registry()
     reg.reset()
     got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
     assert_same_routing(base, got)
-    # The pool parent times each destination like the serial loop does.
     assert reg.histogram("sssp_dijkstra_seconds", "").count == fabric.num_terminals
     assert reg.value("routing_parallel_fallbacks", engine="sssp") == 0
 
@@ -339,19 +339,30 @@ def test_poisoned_plan_is_rejected_and_output_identical(corrupt):
         "routing_parallel_fallbacks", engine="sssp")
 
 
+def test_validation_fallback_still_bit_identical(monkeypatch):
+    """Force every column to fail validation: the engine re-runs the full
+    Dijkstra per destination, counts each fallback, and still matches the
+    heap reference."""
+    fabric = topologies.random_topology(10, 20, 2, seed=5)
+    base = SSSPEngine(kernel="python").route(fabric)
+    monkeypatch.setattr(ExactReduction, "validate", lambda self, *a, **k: False)
+    got = SSSPEngine(kernel="numpy").route(fabric)
+    assert_same_routing(base, got)
+    assert get_registry().value(
+        "routing_parallel_fallbacks", engine="sssp") == fabric.num_terminals
+
+
 def test_full_plan_cache_sweeps_per_destination(monkeypatch):
     fabric = FAMILIES["xgft"]()
     base = SSSPEngine(kernel="python").route(fabric)
     monkeypatch.setattr(reduction_mod, "PLAN_CACHE_BYTES", 0)
-    T = fabric.num_terminals
-    for workers in (0, 2):
-        sink = InMemorySink()
-        with use_sink(sink):
-            got = SSSPEngine(kernel="numpy", workers=workers).route(fabric)
-        assert_same_routing(base, got)
-        run = sink.find("sssp.run")[0]
-        assert run.attrs["plan_hits"] == 0
-        assert run.attrs["sweeps"] == run.attrs["plans"] == T
+    sink = InMemorySink()
+    with use_sink(sink):
+        got = SSSPEngine(kernel="numpy").route(fabric)
+    assert_same_routing(base, got)
+    run = sink.find("sssp.run")[0]
+    assert run.attrs["plan_hits"] == 0
+    assert run.attrs["sweeps"] == run.attrs["plans"] == fabric.num_terminals
 
 
 # ----------------------------------------------------------------------
@@ -367,17 +378,15 @@ def test_full_plan_cache_sweeps_per_destination(monkeypatch):
 )
 def test_one_sweep_per_plan_opened(build, plans):
     fabric = build()
-    for workers in (0, 2):
-        get_registry().reset()
-        sink = InMemorySink()
-        with use_sink(sink):
-            SSSPEngine(kernel="numpy", workers=workers).route(fabric)
-        run = sink.find("sssp.run")[0]
-        assert run.attrs["sweeps"] == run.attrs["plans"] == plans
-        assert run.attrs["plan_hits"] == fabric.num_terminals - plans
-        assert run.attrs["fallbacks"] == 0
-        rows = [sp.attrs["rows"] for sp in sink.find("sssp.hop_block")]
-        assert sum(rows) == plans
+    sink = InMemorySink()
+    with use_sink(sink):
+        SSSPEngine(kernel="numpy").route(fabric)
+    run = sink.find("sssp.run")[0]
+    assert run.attrs["sweeps"] == run.attrs["plans"] == plans
+    assert run.attrs["plan_hits"] == fabric.num_terminals - plans
+    assert run.attrs["fallbacks"] == 0
+    rows = [sp.attrs["rows"] for sp in sink.find("sssp.hop_block")]
+    assert sum(rows) == plans
 
 
 # ----------------------------------------------------------------------
@@ -547,20 +556,19 @@ def test_budget_trips_inside_the_serial_loop(expire_after_first_step):
     assert get_registry().value("sssp_sources_routed") == 1
 
 
-def test_budget_trips_in_the_pool_parent(expire_after_first_step):
-    with pytest.raises(ComputeTimeoutError) as err:
-        with compute_budget(60.0, label="unit"):
-            SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
-    assert err.value.label == "unit"
-    assert get_registry().value("sssp_sources_routed") == 1
+def test_budget_trips_inside_a_hop_sweep(monkeypatch):
+    """``hop_rows`` polls the route's budget from its level loop: one
+    spent inside the first block's sweep surfaces as that budget's
+    timeout, before any destination is routed."""
+    real = reduction_mod.hop_rows
 
+    def expiring_sweep(fabric, roots):
+        active_budget().deadline = 0.0
+        return real(fabric, roots)
 
-def test_budget_trips_in_a_worker_sweep(monkeypatch):
-    """The pool's threads poll the route's own budget: one spent inside a
-    chunk's sweep surfaces as that budget's timeout."""
-    _expire_mid_sweep(monkeypatch)
-    with pytest.raises(ComputeTimeoutError) as err:
+    monkeypatch.setattr(reduction_mod, "hop_rows", expiring_sweep)
+    with pytest.raises(ComputeTimeoutError, match="unit budget") as err:
         with compute_budget(60.0, label="unit"):
-            SSSPEngine(kernel="numpy", workers=2).route(FAMILIES["xgft"]())
-    assert err.value.label == "unit"
+            SSSPEngine(kernel="numpy").route(FAMILIES["xgft"]())
+    assert err.value.label == "unit" and err.value.limit_s == 60.0
     assert get_registry().value("sssp_sources_routed") == 0

@@ -12,6 +12,7 @@ import pytest
 
 from repro import topologies
 from repro.exceptions import CheckpointError
+from repro.obs import InMemorySink, use_sink
 from repro.resilience import FaultInjector
 from repro.service import (
     BackoffPolicy,
@@ -41,9 +42,13 @@ def _run_events(sup, fabric, n, seed=5, skip=0):
 
 
 def test_engine_opts_survive_restore(tmp_path, fabric):
-    """A parallel-configured service restores with the same configuration
-    (and stays bit-compatible with its serial checkpoints)."""
+    """A service configured with ``{"workers": 2}`` (accepted, and inert)
+    restores with the same options, re-verifies its routing by the
+    checkpointed certificate, and serves and repairs exactly what a
+    default service does."""
     opts = {"workers": 2, "kernel": "numpy"}
+    injector = FaultInjector(fabric, seed=5, p_switch_down=0.0, p_link_up=0.0)
+    events = [injector.step()[0] for _ in range(2)]
     sup = RoutingSupervisor(
         fabric,
         engine="dfsssp",
@@ -53,24 +58,35 @@ def test_engine_opts_survive_restore(tmp_path, fabric):
     )
     assert sup.engine._sssp.workers == 2
     assert sup.engine._sssp.kernel == "numpy"
+    sup.submit(events[0])
+    assert sup.process().ok
     expected = sup.serving()
 
-    restored = RoutingSupervisor.restore(tmp_path / "ckpt")
+    sink = InMemorySink()
+    with use_sink(sink):
+        restored = RoutingSupervisor.restore(tmp_path / "ckpt")
     assert restored.engine_opts == opts
     assert restored.engine._sssp.workers == 2
     assert restored.engine._sssp.kernel == "numpy"
+    (verify,) = sink.find("service.verify")
+    assert verify.attrs["method"] == "certificate" and verify.attrs["ok"]
     served = restored.serving()
+    assert served.result.deadlock_free
     assert np.array_equal(
         served.result.tables.next_channel, expected.result.tables.next_channel
     )
+    restored.submit(events[1])
+    assert restored.process().ok
 
-    # Serial supervisor over the same fabric serves identical tables: the
-    # parallel options change execution, never results.
+    # A default supervisor over the same fabric and events serves
+    # identical tables and layers: ``workers`` changes nothing.
     serial = RoutingSupervisor(fabric, engine="dfsssp", policy=FAST)
-    assert np.array_equal(
-        serial.serving().result.tables.next_channel,
-        expected.result.tables.next_channel,
-    )
+    for event in events:
+        serial.submit(event)
+        assert serial.process().ok
+    got, want = restored.serving().result, serial.serving().result
+    assert np.array_equal(got.tables.next_channel, want.tables.next_channel)
+    assert np.array_equal(got.layered.path_layers, want.layered.path_layers)
 
 
 def test_checkpoint_restore_round_trip(tmp_path, fabric):

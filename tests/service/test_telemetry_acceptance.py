@@ -1,11 +1,10 @@
 """Acceptance: one request_id query reconstructs a full escalation tree.
 
 The tentpole property of the telemetry layer: after a reroute that
-escalates through at least two ladder rungs and fans its full route out
-to parallel workers, a *single* ``request_id`` query over the JSONL
-trace recovers the complete causal tree — supervisor batch, each rung
-attempt, the SSSP run, the per-block ``sssp.hop_block`` spans, and the
-pool's per-chunk ``parallel.hop_rows`` spans with their threads. Plus:
+escalates through at least two ladder rungs, a *single* ``request_id``
+query over the JSONL trace recovers the complete causal tree —
+supervisor batch, each rung attempt, the SSSP run and the per-block
+``sssp.hop_block`` spans its columns opened. Plus:
 the ``(service_id, request_seq)`` namespace survives checkpoint/restore,
 so request ids stay unique across a crash, and checkpoints carry a
 flight-recorder dump.
@@ -14,21 +13,20 @@ flight-recorder dump.
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
 from repro import topologies
 from repro.obs import FlightRecorder, JsonlSink, use_recorder, use_sink
 from repro.obs.export import build_trace_tree, read_trace, render_trace_tree
-from repro.parallel import executor
+from repro.parallel import reduction as reduction_mod
 from repro.resilience import FaultInjector
 from repro.service import BackoffPolicy, RoutingSupervisor, ServicePolicy
 
 
 @pytest.fixture()
 def fabric():
-    # Big enough that one full route fans out many worker chunks.
+    # Big enough that one full route opens several hop blocks.
     return topologies.random_topology(24, 52, terminals_per_switch=2, seed=7)
 
 
@@ -43,47 +41,22 @@ def _walk(nodes):
         yield from _walk(node.children)
 
 
-def _slow_chunks(monkeypatch):
-    """Each chunk outlasts the submission of the next, so a block's
-    chunks run on two threads (an idle pool thread is otherwise reused)."""
-    real = executor.hop_rows
-
-    def sweep(fabric, roots):
-        time.sleep(0.005)
-        return real(fabric, roots)
-
-    monkeypatch.setattr(executor, "hop_rows", sweep)
-
-
 def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path, monkeypatch):
-    _slow_chunks(monkeypatch)
+    # Blocks of at most four roots, so that the full route opens several.
+    row_bytes = reduction_mod.ExactReduction(fabric)._row_bytes
+    monkeypatch.setattr(reduction_mod, "HOP_BLOCK_BYTES", 4 * row_bytes)
     trace = tmp_path / "trace.jsonl"
     sink = JsonlSink(str(trace))
     with use_sink(sink):
         sup = RoutingSupervisor(
-            fabric, engine="dfsssp", policy=ESCALATING,
-            engine_opts={"workers": 2, "kernel": "numpy"},
-            sleep=lambda _s: None,
+            fabric, engine="dfsssp", policy=ESCALATING, sleep=lambda _s: None,
         )
         injector = FaultInjector(fabric, seed=9, p_switch_down=0.0, p_link_up=0.0)
-        # Each batch is an independent chance to observe both threads; the
-        # tree itself must be complete on every attempt.
-        chosen = None
-        for _ in range(5):
-            sup.submit(injector.step()[0])
-            outcome = sup.process()
-            assert outcome.ok and outcome.action == "full"
-            assert outcome.timeouts >= 1  # the repair rung expired
-            assert outcome.request_id is not None
-            chosen = outcome
-            sink._fp.flush()
-            roots = build_trace_tree(read_trace(trace), request_id=outcome.request_id)
-            nodes = list(_walk(roots))
-            threads = {
-                n.attrs["thread"] for n in nodes if n.name == "parallel.hop_rows"
-            }
-            if len(threads) >= 2:
-                break
+        sup.submit(injector.step()[0])
+        chosen = sup.process()
+        assert chosen.ok and chosen.action == "full"
+        assert chosen.timeouts >= 1  # the repair rung expired
+        assert chosen.request_id is not None
     sink.close()
 
     records = read_trace(trace)
@@ -107,18 +80,16 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path, 
     repair = next(n for n in attempts if n.attrs["rung"] == "repair")
     assert repair.status == "error"  # the budget expiry marked it
 
-    # the full route fanned out: SSSP run → hop blocks → thread chunks
-    assert any(n.name == "sssp.run" for n in nodes)
-    hops = [n for n in nodes if n.name == "parallel.hop_rows"]
+    # the full route: SSSP run → its columns → the hop blocks they opened
+    (run,) = [n for n in nodes if n.name == "sssp.run"]
+    columns = {n.span_id for n in nodes if n.name == "sssp.dijkstra"}
+    blocks = [n for n in nodes if n.name == "sssp.hop_block"]
+    assert len(blocks) >= 2
+    assert all(b.parent_id in columns for b in blocks)
     # complete: one hop row per plan opened, i.e. per attachment switch
     # (the two terminals on a switch share theirs)
-    assert sum(len(n.attrs["roots"]) for n in hops) == len(
+    assert sum(b.attrs["rows"] for b in blocks) == run.attrs["sweeps"] == len(
         {int(fabric.attached_switches(t)[0]) for t in fabric.terminals})
-    assert len({n.attrs["thread"] for n in hops}) >= 2  # ≥2 pool threads
-    # chunk spans hang under a hop-block span of *this* tree
-    blocks = [n for n in nodes if n.name == "sssp.hop_block"]
-    block_ids = {n.span_id for n in blocks}
-    assert all(h.parent_id in block_ids for h in hops)
 
     # other requests exist in the trace (the initial route) but are excluded
     all_roots = build_trace_tree(records)
@@ -126,7 +97,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path, 
 
     # and the tree renders — spot-check the human view end to end
     text = render_trace_tree(roots)
-    assert "service.batch" in text and "parallel.hop_rows" in text
+    assert "service.batch" in text and "sssp.hop_block" in text
 
 
 def test_request_id_namespace_survives_checkpoint_restore(fabric, tmp_path):

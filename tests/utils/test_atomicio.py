@@ -6,12 +6,7 @@ import os
 
 import pytest
 
-from repro.utils.atomicio import (
-    atomic_path,
-    atomic_write_bytes,
-    atomic_write_text,
-    replace_dir,
-)
+from repro.utils.atomicio import atomic_path, atomic_write_text
 
 
 def _entries(directory):
@@ -23,12 +18,6 @@ def test_atomic_write_text_creates_file(tmp_path):
     atomic_write_text(target, '{"ok": true}')
     assert target.read_text() == '{"ok": true}'
     assert _entries(tmp_path) == ["out.json"]  # no temp files left
-
-
-def test_atomic_write_bytes(tmp_path):
-    target = tmp_path / "blob.bin"
-    atomic_write_bytes(target, b"\x00\x01\x02")
-    assert target.read_bytes() == b"\x00\x01\x02"
 
 
 def test_failure_leaves_previous_content(tmp_path):
@@ -60,23 +49,3 @@ def test_overwrite_is_atomic_replace(tmp_path):
     assert target.read_text() == "v2"
     assert os.stat(target).st_ino != ino_before  # replaced, not rewritten
 
-
-def test_replace_dir_publishes_staging(tmp_path):
-    staging = tmp_path / ".staging"
-    staging.mkdir()
-    (staging / "data.txt").write_text("payload")
-    final = tmp_path / "final"
-    replace_dir(staging, final)
-    assert (final / "data.txt").read_text() == "payload"
-    assert not staging.exists()
-
-
-def test_replace_dir_removes_stale_target(tmp_path):
-    stale = tmp_path / "final"
-    stale.mkdir()
-    (stale / "old.txt").write_text("stale")
-    staging = tmp_path / ".staging"
-    staging.mkdir()
-    (staging / "new.txt").write_text("fresh")
-    replace_dir(staging, tmp_path / "final")
-    assert _entries(tmp_path / "final") == ["new.txt"]
