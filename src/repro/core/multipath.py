@@ -32,7 +32,7 @@ from repro.exceptions import RoutingError
 from repro.network.fabric import Fabric
 from repro.network.validate import check_routable
 from repro.routing.base import RoutingTables
-from repro.routing.paths import PathSet, extract_paths
+from repro.routing.paths import PathSet, extract_paths, offset_dtype
 
 
 class ConcatenatedPaths:
@@ -42,7 +42,9 @@ class ConcatenatedPaths:
     the planes' ``offsets`` / ``chans`` are concatenated in that order, so
     :class:`~repro.routing.paths.PathSet`'s storage methods — ``path``,
     the turn index and ``layer_edges`` — and hence the CDG engine work
-    unchanged over the union.
+    unchanged over the union. The union's offsets take
+    :func:`~repro.routing.paths.offset_dtype` of its channel total, and
+    each plane's base is added at that width.
     """
 
     def __init__(self, planes: list[PathSet]):
@@ -53,10 +55,15 @@ class ConcatenatedPaths:
         if any(p.num_paths != self.plane_size for p in planes):
             raise RoutingError("planes must have identical path counts")
         self.fabric = planes[0].fabric
-        base = np.cumsum([0] + [len(p.chans) for p in planes])
-        self.offsets = np.concatenate(
-            [p.offsets[:-1] + b for p, b in zip(planes, base)] + [base[-1:]]
-        )
+        n = self.plane_size
+        total = sum(len(p.chans) for p in planes)
+        self.offsets = np.empty(len(planes) * n + 1, dtype=offset_dtype(total))
+        base = 0
+        for k, p in enumerate(planes):
+            np.add(p.offsets[:-1], base, out=self.offsets[k * n : (k + 1) * n],
+                   dtype=self.offsets.dtype)
+            base += len(p.chans)
+        self.offsets[-1] = total
         self.chans = np.concatenate([p.chans for p in planes])
         self._turns = None
 

@@ -113,6 +113,7 @@ class SSSPEngine(RoutingEngine):
             buckets=DURATION_BUCKETS,
         )
         hooks = get_hooks()
+        listening = hooks.active("iteration")
 
         step, reduction = column_routine(fabric, self.kernel, self.name, fabric.terminals)
         with span("sssp.run", engine=self.name, destinations=int(T)) as run_sp:
@@ -124,19 +125,17 @@ class SSSPEngine(RoutingEngine):
                 # The column's own time: a hop block it opened is
                 # timed by its `sssp.hop_block` span instead.
                 seconds = sp.duration - (reduction.block_s if reduction else 0.0)
-                # One `weights[c] += ...` happened per node with a parent
-                # channel; counted vectorised to keep the hot loop clean.
-                updates = int(np.count_nonzero(parent >= 0))
                 m_sources.inc()
-                m_updates.inc(updates)
                 m_dijkstra.observe(seconds)
-                hooks.iteration(
-                    engine=self.name,
-                    iteration=t_idx,
-                    dest=dest,
-                    weight_updates=updates,
-                    dijkstra_seconds=seconds,
-                )
+                if listening:
+                    hooks.iteration(
+                        engine=self.name,
+                        iteration=t_idx,
+                        dest=dest,
+                        # one `weights[c] += ...` per node with a parent channel
+                        weight_updates=int(np.count_nonzero(parent >= 0)),
+                        dijkstra_seconds=seconds,
+                    )
             if reduction is not None:
                 for key, value in reduction.counts.items():
                     run_sp.set_attr(key, value)
@@ -144,6 +143,9 @@ class SSSPEngine(RoutingEngine):
         next_channel = np.empty((fabric.num_nodes, T), dtype=np.int32)
         next_channel[lv.others] = rows.T
         fill_leaf_rows(next_channel, lv)
+        # The columns' updates summed: a derived leaf row is its column's
+        # leaf parent, so the table holds one entry per parent channel.
+        m_updates.inc(int(np.count_nonzero(next_channel >= 0)))
         total = int(weights.sum() - w0 * fabric.num_channels)
         return RoutingTables(fabric, next_channel, engine=self.name), total, weights
 

@@ -65,8 +65,8 @@ JSON_BLOCK = 1 << 14
 class LayerWitness:
     """One layer's certified CDG: edge list plus a topological order."""
 
-    topo_order: np.ndarray  # (V,) int64, node = channel id
-    edges: np.ndarray  # (E, 2) int64, lexicographically sorted
+    topo_order: np.ndarray  # (V,) int32, node = channel id
+    edges: np.ndarray  # (E, 2) int32, lexicographically sorted
 
 
 @dataclass
@@ -76,7 +76,7 @@ class DeadlockFreedomCertificate:
     engine: str
     fingerprint: str | None
     num_layers: int
-    path_layers: np.ndarray  # (num_paths,) int32, -1 = traffic-free path
+    path_layers: np.ndarray  # (num_paths,) layer_dtype(num_layers), -1 = traffic-free path
     layers: list[LayerWitness]
 
     # -- serialisation --------------------------------------------------
@@ -98,10 +98,12 @@ class DeadlockFreedomCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DeadlockFreedomCertificate":
-        """Inverse of :meth:`to_dict`. A payload it would have to reshape or
-        cast, or one with the wrong ``kind``, ``format`` or ``num_paths``, is a
-        :class:`CertificateError`; whether the layers are acyclic is left to
-        the checker."""
+        """Inverse of :meth:`to_dict`, at the widths :func:`emit_certificate`
+        gives: :func:`layer_dtype` layers, int32 channel ids. A payload it
+        would have to reshape or cast (or whose values those widths cannot
+        hold), or one with the wrong ``kind``, ``format`` or ``num_paths``, is
+        a :class:`CertificateError`; whether the layers are acyclic is left
+        to the checker."""
         if not isinstance(payload, dict):
             raise _malformed("not a JSON object")
         for key, want in (("kind", KIND), ("format", FORMAT)):
@@ -113,7 +115,8 @@ class DeadlockFreedomCertificate:
         fingerprint = payload.get("fingerprint")
         if not isinstance(engine, str) or not (fingerprint is None or isinstance(fingerprint, str)):
             raise _malformed(f"engine {engine!r} or fingerprint {fingerprint!r} is not a string")
-        path_layers = _int_array(payload.get("path_layers"), "path_layers", np.int32)
+        path_layers = _int_array(payload.get("path_layers"), "path_layers",
+                                 layer_dtype(num_layers))
         if payload.get("num_paths", len(path_layers)) != len(path_layers):
             raise _malformed(
                 f"path_layers has {len(path_layers)} entries, num_paths says "
@@ -128,8 +131,9 @@ class DeadlockFreedomCertificate:
                     and set(map(len, edges)) <= {2}):
                 raise _malformed(f"layer {li} edges are not a list of [c1, c2] pairs")
             layers.append(LayerWitness(
-                topo_order=_int_array(lw.get("topo_order"), f"layer {li} topo_order"),
-                edges=_int_array(flat_edges(edges), f"layer {li} edges").reshape(len(edges), 2),
+                topo_order=_int_array(lw.get("topo_order"), f"layer {li} topo_order", np.int32),
+                edges=_int_array(flat_edges(edges), f"layer {li} edges",
+                                 np.int32).reshape(len(edges), 2),
             ))
         return cls(engine=engine, fingerprint=fingerprint,
                    num_layers=num_layers, path_layers=path_layers, layers=layers)
@@ -172,12 +176,14 @@ class DeadlockFreedomCertificate:
 
     # -- checking -------------------------------------------------------
     def check(self) -> CheckResult:
-        """Structural check by the independent stdlib checker, on flat lists:
-        the verdict ``check_certificate(self.to_dict())`` would give."""
+        """Structural check by the independent stdlib checker, on flat lists
+        built one layer at a time: the verdict
+        ``check_certificate(self.to_dict())`` would give."""
         return check_layers(
             int(self.num_layers),
             self.path_layers.tolist(),
-            [(lw.topo_order.tolist(), _flat_list(lw.edges)) for lw in self.layers],
+            self.layers,
+            unpack=lambda lw: (lw.topo_order.tolist(), _flat_list(lw.edges)),
         )
 
     @property
@@ -193,7 +199,16 @@ def _malformed(what: str) -> CertificateError:
     return CertificateError(f"malformed certificate payload: {what}")
 
 
-def _int_array(values, what: str, dtype=np.int64) -> np.ndarray:
+def layer_dtype(num_layers: int) -> np.dtype:
+    """The narrowest signed width holding the certified layers ``-1`` …
+    ``num_layers - 1``: int8 up to 128 layers."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if num_layers <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _int_array(values, what: str, dtype) -> np.ndarray:
     """``values``, a list of ints, as an array; anything needing a cast is refused."""
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise _malformed(f"{what} is not a list of integers")
@@ -221,8 +236,8 @@ def _json_array(arr: np.ndarray):
     if hi - lo < arr.size:
         table = list(map(str, range(lo, hi + 1)))
 
-        def render(block):
-            return map(table.__getitem__, (block - lo).tolist())
+        def render(block):  # the subtraction at int64: block may be int8
+            return map(table.__getitem__, np.subtract(block, lo, dtype=np.int64).tolist())
     else:
         def render(block):
             return map(str, block.tolist())
@@ -245,8 +260,11 @@ def _flat_list(edges: np.ndarray) -> list:
 
 # ----------------------------------------------------------------------
 def _traffic_layers(layered: LayeredRouting, paths: PathSet) -> np.ndarray:
-    """The certified path -> layer map: traffic-free paths at ``-1``."""
-    return np.where(paths.active_mask(), layered.path_layers.astype(np.int32), np.int32(-1))
+    """The certified path -> layer map at :func:`layer_dtype` width:
+    traffic-free paths at ``-1``."""
+    layers = np.full(len(layered.path_layers), -1, dtype=layer_dtype(layered.num_layers))
+    np.copyto(layers, layered.path_layers, where=paths.active_mask())
+    return layers
 
 
 def layer_witnesses(layered: LayeredRouting, paths: PathSet):
@@ -387,12 +405,8 @@ def check_against_routing(
             f"{paths.num_paths}"
         )
     active = paths.active_mask()
-    if not np.array_equal(
-        cert.path_layers[active], layered.path_layers[active].astype(np.int32)
-    ):
-        bad = int(np.flatnonzero(
-            active & (cert.path_layers != layered.path_layers.astype(np.int32))
-        )[0])
+    if not np.array_equal(cert.path_layers[active], layered.path_layers[active]):
+        bad = int(np.flatnonzero(active & (cert.path_layers != layered.path_layers))[0])
         return fail(
             f"path -> layer assignment does not match the routing (first "
             f"divergence at pid {bad}: certificate says "

@@ -24,7 +24,7 @@ def kahn_core(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     predecessor of a node was peeled in an earlier round.
     """
     if not len(src):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=getattr(src, "dtype", np.int64)), np.zeros(0, dtype=np.int64)
     nodes = np.unique(np.concatenate([src, dst]))
     a1 = np.searchsorted(nodes, src)
     a2 = np.searchsorted(nodes, dst)

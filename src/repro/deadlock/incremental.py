@@ -186,7 +186,8 @@ class LayerCDG:
 
         n_ch = self.paths.fabric.num_channels
         # Out-edges of channel c are the edge ids _first[c]:_first[c + 1].
-        self._first: list[int] = np.searchsorted(self.edge_src, np.arange(n_ch + 1)).tolist()
+        self._first: list[int] = np.searchsorted(
+            self.edge_src, np.arange(n_ch + 1, dtype=self.edge_src.dtype)).tolist()
         self._ptr = self._first[:-1]  # next out-edge the walk tries
         self._end = self._first[1:]
         self._dst: list[int] = self.edge_dst.tolist()

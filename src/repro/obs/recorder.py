@@ -44,7 +44,8 @@ class FlightRecorder:
     evictions), ``ts`` (wall clock), ``mono`` (``perf_counter``),
     ``kind``, ``request_id`` (ambient, may be ``None``) plus the
     caller's fields. Values should be JSON-serialisable; anything else
-    is stringified at dump time.
+    is stringified at dump time. Each event is rendered once: its JSON
+    text is kept, by ``seq``, from its first dump until it is evicted.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -52,10 +53,14 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._events: deque[dict] = deque(maxlen=capacity)
+        self._texts: dict[int, str] = {}  # seq -> the event's dumped JSON
         self._seq = 0
 
     def record(self, kind: str, **fields) -> dict:
-        """Append one event; returns it (mostly for tests)."""
+        """Append one event; returns a copy of it (mostly for tests), so
+        its kept dump text cannot go stale."""
+        if len(self._events) == self.capacity:
+            self._texts.pop(self._events[0]["seq"], None)  # the append evicts it
         self._seq += 1
         event = {
             "seq": self._seq,
@@ -66,7 +71,7 @@ class FlightRecorder:
             **fields,
         }
         self._events.append(event)
-        return event
+        return dict(event)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -94,6 +99,7 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._events.clear()
+        self._texts.clear()
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -106,11 +112,26 @@ class FlightRecorder:
         }
 
     def dump(self, path) -> dict:
-        """Atomically write the ring as JSON; returns the dumped dict."""
+        """Atomically write the ring as JSON; returns the dumped dict.
+
+        The file holds ``json.dumps(data, separators=(",", ":"),
+        default=str) + "\\n"``; each event's part is the text kept from
+        its first dump."""
         data = self.to_dict()
-        # compact separators, no indent: an indent selects json's pure-python encoder
-        atomic_write_text(path, json.dumps(data, separators=(",", ":"), default=str) + "\n")
+        texts = self._texts
+        for event in data["events"]:
+            if event["seq"] not in texts:
+                texts[event["seq"]] = _compact(event)
+        head = _compact({k: v for k, v in data.items() if k != "events"})
+        events = ",".join(texts[e["seq"]] for e in data["events"])
+        # "events" is the last key: the head without its closing brace
+        atomic_write_text(path, f'{head[:-1]},"events":[{events}]}}\n')
         return data
+
+
+def _compact(obj) -> str:
+    # compact separators, no indent: an indent selects json's pure-python encoder
+    return json.dumps(obj, separators=(",", ":"), default=str)
 
 
 _default_recorder = FlightRecorder()

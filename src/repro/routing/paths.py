@@ -11,7 +11,10 @@ It is the shared input of
 * path statistics (hop histograms, minimality checks).
 
 Storage is flat and destination-major: path ``pid = t_idx * S + s_idx``
-occupies ``chans[offsets[pid]:offsets[pid+1]]``. Extraction is vectorised
+occupies ``chans[offsets[pid]:offsets[pid+1]]``. Each array is allocated
+at the narrowest width that holds its values exactly (:func:`chan_dtype`,
+:func:`offset_dtype`): uint16 channel ids up to 65 536 channels and int32
+offsets below 2**31 channels on all paths. Extraction is vectorised
 over blocks of destinations — all switches walk their next-hop chains
 toward every destination of a block simultaneously — so the Python-level
 loop count is ``O(blocks * diameter)`` instead of ``O(S * T * diameter)``.
@@ -35,18 +38,54 @@ MAX_WALKERS = 1 << 18
 MAX_HELD = 16 * MAX_WALKERS
 #: channels (or turn occurrences) one block of a per-occurrence pass spans
 MAX_BLOCK = 1 << 16
+#: the most channels a fabric may have for its path sets to store uint16 ids
+CHANNEL_ID_LIMIT = 1 << 16
+#: the totals an int32 CSR pointer (path offsets, turn occurrences) stays below
+OFFSET_LIMIT = 1 << 31
+
+
+def chan_dtype(num_channels: int) -> np.dtype:
+    """Width of a path set's channel ids: uint16 while the fabric has at
+    most :data:`CHANNEL_ID_LIMIT` channels, int32 beyond."""
+    return np.dtype(np.uint16 if num_channels <= CHANNEL_ID_LIMIT else np.int32)
+
+
+def offset_dtype(total: int) -> np.dtype:
+    """Width of a CSR pointer ending at ``total``: int32 while ``total`` is
+    below :data:`OFFSET_LIMIT`, int64 from there."""
+    return np.dtype(np.int32 if total < OFFSET_LIMIT else np.int64)
+
+
+def _at_width(values, dtype: np.dtype, what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array: itself when it already is one (every
+    array :func:`extract_paths` allocates), else a copy that must hold the
+    same values."""
+    arr = np.asarray(values)
+    if arr.dtype == dtype:
+        return arr
+    out = arr.astype(dtype)
+    if not np.array_equal(out, arr):
+        raise RoutingError(f"{what} do not fit {dtype}")
+    return out
 
 
 class PathSet:
-    """Flat storage of all switch-to-terminal paths of a routing."""
+    """Flat storage of all switch-to-terminal paths of a routing.
+
+    ``chans`` are :func:`chan_dtype` channel ids and ``offsets`` an
+    :func:`offset_dtype` pointer; arrays of another integer type are
+    copied to those widths, and a value they cannot hold is a
+    :class:`RoutingError`.
+    """
 
     def __init__(self, fabric: Fabric, offsets: np.ndarray, chans: np.ndarray):
         self.fabric = fabric
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.chans = np.asarray(chans, dtype=np.int32)
+        offsets = np.asarray(offsets)
         expected = fabric.num_switches * fabric.num_terminals + 1
-        if self.offsets.shape != (expected,):
-            raise RoutingError(f"offsets shape {self.offsets.shape} != ({expected},)")
+        if offsets.shape != (expected,):
+            raise RoutingError(f"offsets shape {offsets.shape} != ({expected},)")
+        self.offsets = _at_width(offsets, offset_dtype(int(offsets[-1])), "offsets")
+        self.chans = _at_width(chans, chan_dtype(fabric.num_channels), "channel ids")
         self._active_mask: np.ndarray | None = None
         self._turns: TurnIndex | None = None
 
@@ -133,7 +172,7 @@ class PathSet:
 
     def dependency_edges(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct dependency edges of the paths ``pids`` as ``(c1, c2)``
-        int64 columns, sorted lexicographically."""
+        int32 columns, sorted lexicographically."""
         layer = np.full(self.num_paths, -1, dtype=np.int8)
         layer[np.asarray(pids, dtype=np.int64)] = 0
         return self.layer_edges(layer, 1)[0]
@@ -145,7 +184,7 @@ class PathSet:
 
         Path ``pid`` belongs to layer ``path_layers[pid]``; a value
         outside ``[0, num_layers)`` (``-1``: a traffic-free path) leaves
-        it out. Returns, per layer, ``(c1, c2)`` int64 columns sorted
+        it out. Returns, per layer, ``(c1, c2)`` int32 columns sorted
         lexicographically. The work is, per :func:`blocks` range, one
         repeat of every path's mask row over its occurrences and one
         scatter into a layers × turns presence mask: turn ids order like
@@ -192,10 +231,13 @@ class TurnIndex:
     ``occ_turn`` lists every path's turns, path-major and in hop order —
     ``occ_turn[occ_ptr[pid]:occ_ptr[pid + 1]]`` are path ``pid``'s — as
     uint16 while the fabric has at most 65 536 turns (the index lives as
-    long as its path set). Every array is read-only. What the index keeps
-    is 2 B per occurrence (``occ_turn``) and 8 B per path (``occ_ptr``);
-    its build, like every pass over it, walks :func:`blocks` ranges, so
-    the scratch is O(block), not O(paths × hops).
+    long as its path set). ``occ_ptr`` takes the path offsets' width
+    (a path has fewer turns than channels); ``src``, ``dst``, ``ptr`` and
+    ``rank`` are int32, as the fabric's channel ids are. Every array is
+    read-only. What the index keeps is 2 B per occurrence (``occ_turn``)
+    and 4 B per path (``occ_ptr``); its build, like every pass over it,
+    walks :func:`blocks` ranges, so the scratch is O(block), not
+    O(paths × hops).
     """
 
     def __init__(self, paths: PathSet):
@@ -203,15 +245,16 @@ class TurnIndex:
         chan_src, chan_dst = fab.channels.src, fab.channels.dst
         n_ch = fab.num_channels
         # Switch channels by source node, ascending id (the fabric CSR's order).
-        sw_out = fab.out_chan[fab.is_switch_channel[fab.out_chan]].astype(np.int64)
+        sw_out = fab.out_chan[fab.is_switch_channel[fab.out_chan]]
         sw_ptr = np.zeros(fab.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(chan_src[sw_out], minlength=fab.num_nodes), out=sw_ptr[1:])
-        self.rank = np.full(n_ch, -1, dtype=np.int64)
+        self.rank = np.full(n_ch, -1, dtype=np.int32)
         self.rank[sw_out] = np.arange(len(sw_out)) - sw_ptr[chan_src[sw_out]]
         fan = np.where(fab.is_switch_channel, np.diff(sw_ptr)[chan_dst], 0)
-        self.ptr = np.zeros(n_ch + 1, dtype=np.int64)
+        # A turn id is below len(src), far below 2**31: int32 arithmetic.
+        self.ptr = np.zeros(n_ch + 1, dtype=np.int32)
         np.cumsum(fan, out=self.ptr[1:])
-        self.src = np.repeat(np.arange(n_ch, dtype=np.int64), fan)
+        self.src = np.repeat(np.arange(n_ch, dtype=np.int32), fan)
         first = sw_ptr[chan_dst[self.src]] - self.ptr[self.src]
         self.dst = sw_out[first + np.arange(len(self.src))]
 
@@ -225,10 +268,9 @@ class TurnIndex:
         chans, offsets = paths.chans, paths.offsets
         fab = paths.fabric
         is_sw, chan_src, chan_dst = fab.is_switch_channel, fab.channels.src, fab.channels.dst
-        # A turn id is below len(src), far below 2**31: int32 arithmetic.
-        ptr, rank = self.ptr.astype(np.int32), self.rank.astype(np.int32)
+        ptr, rank = self.ptr, self.rank
         dtype = np.uint16 if len(self.src) <= 1 << 16 else np.int32
-        occ_ptr = np.zeros(len(offsets), dtype=np.int64)
+        occ_ptr = np.zeros(len(offsets), dtype=offsets.dtype)
         chunks = []
         for p0, p1 in blocks(offsets):
             lo = offsets[p0]
@@ -272,7 +314,10 @@ def blocks(ptr: np.ndarray) -> Iterator[tuple[int, int]]:
     n = len(ptr) - 1
     p0 = 0
     while True:
-        p1 = int(np.searchsorted(ptr, ptr[p0] + MAX_BLOCK, side="right")) - 1
+        # Clamped to ``ptr[-1]``, the bound fits ``ptr``'s dtype, and a
+        # scalar of that dtype spares searchsorted a copy of ``ptr``.
+        end = ptr.dtype.type(min(int(ptr[p0]) + MAX_BLOCK, int(ptr[-1])))
+        p1 = int(np.searchsorted(ptr, end, side="right")) - 1
         p1 = min(max(p1, p0 + 1), n)
         yield p0, p1
         if p1 == n:
@@ -298,7 +343,11 @@ def extract_paths(tables: RoutingTables) -> PathSet:
 
 def _walk(tables: RoutingTables) -> PathSet:
     """Advance the ``(switch, destination)`` walkers of a block of
-    destinations together, carrying only those still under way."""
+    destinations together, carrying only those still under way.
+
+    Each block's channels are written at :func:`chan_dtype` width and the
+    offsets, once the channel total is known, at :func:`offset_dtype`
+    width: nothing is narrowed by a copy afterwards."""
     fab = tables.fabric
     S, T = fab.num_switches, fab.num_terminals
     nc = tables.next_channel
@@ -307,7 +356,8 @@ def _walk(tables: RoutingTables) -> PathSet:
     max_steps = fab.num_nodes + 1
     block = max(1, MAX_WALKERS // max(S, 1))  # destinations per block
 
-    all_lengths = np.zeros(S * T, dtype=np.int64)
+    chan_type = chan_dtype(fab.num_channels)
+    all_lengths = np.zeros(S * T, dtype=np.int32)  # at most max_steps each
     chunks: list[np.ndarray] = []
     with span("paths.extract", paths=S * T) as sp:
         t0 = 0
@@ -346,15 +396,16 @@ def _walk(tables: RoutingTables) -> PathSet:
                 live, cur = live[going], cur[going]
             else:
                 first = np.cumsum(lengths) - lengths
-                out = np.empty(int(lengths.sum()), dtype=np.int32)
+                out = np.empty(int(lengths.sum()), dtype=chan_type)
                 for k, (walkers, c) in enumerate(steps):
                     out[first[walkers] + k] = c
                 chunks.append(out)
                 t0 = t1
 
-        offsets = np.zeros(S * T + 1, dtype=np.int64)
-        np.cumsum(all_lengths, out=offsets[1:])
-        chans = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int32)
+        total = sum(map(len, chunks))
+        offsets = np.zeros(S * T + 1, dtype=offset_dtype(total))
+        np.cumsum(all_lengths, out=offsets[1:], dtype=offsets.dtype)
+        chans = np.concatenate(chunks) if chunks else np.zeros(0, dtype=chan_type)
         sp.set_attr("chans", len(chans))
         sp.set_attr("blocks", len(chunks))
     get_registry().counter(
@@ -370,7 +421,8 @@ def gather_flows(
 
     Flow ``i`` is the injection channel of ``src[i]``'s table row followed
     by the switch-level path from its first-hop switch; it occupies
-    ``flat[offsets[i]:offsets[i + 1]]``. Every consumer of flows (the
+    ``flat[offsets[i]:offsets[i + 1]]`` (channel ids at the path set's
+    width, int64 offsets). Every consumer of flows (the
     congestion simulators, the adversary, :func:`flow_channels`) gathers
     them here, so they all see the same channels.
     """

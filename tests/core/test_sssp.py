@@ -134,3 +134,38 @@ def test_subtree_weight_update_counts_terminal_sources(ring5):
                 continue
             total += result.tables.hops(int(t_src), int(t_dst))
     assert result.stats["total_balancing_weight"] == total
+
+
+@pytest.mark.parametrize(
+    "fabric_factory",
+    [
+        lambda: topologies.random_topology(12, 26, 2, seed=2),
+        lambda: topologies.chic(scale=0.1),  # dual-homed storage nodes: not leaves
+    ],
+)
+def test_weight_update_counter_is_the_per_column_sum(fabric_factory):
+    """``sssp_edge_weight_updates`` grows once per route, by the table's
+    entries: the per-column parent counts the heap reference reports."""
+    from repro.obs import get_hooks, get_registry
+
+    fabric = fabric_factory()
+    reg, hooks = get_registry(), get_hooks()
+
+    def updates():
+        return reg.value("sssp_edge_weight_updates", default=0)
+
+    seen: list[dict] = []
+    handler = hooks.on_iteration(seen.append)
+    try:
+        before = updates()
+        SSSPEngine(kernel="python").route(fabric)
+        reference = updates() - before
+    finally:
+        hooks.unsubscribe("iteration", handler)
+    assert len(seen) == fabric.num_terminals
+    assert reference == sum(e["weight_updates"] for e in seen) > 0
+
+    before = updates()
+    result = SSSPEngine().route(fabric)
+    assert updates() - before == reference
+    assert reference == np.count_nonzero(result.tables.next_channel >= 0)

@@ -77,7 +77,8 @@ def _assert_turn_index_matches(paths):
     keys, rows = _reference_pairs(paths, np.arange(paths.num_paths))
     index = paths.turn_index()
     turn = index.occ_turn.astype(np.int64)
-    np.testing.assert_array_equal(index.src[turn] << SHIFT | index.dst[turn], keys)
+    src, dst = index.src[turn].astype(np.int64), index.dst[turn].astype(np.int64)
+    np.testing.assert_array_equal(src << SHIFT | dst, keys)
     counts = np.bincount(rows, minlength=paths.num_paths)
     np.testing.assert_array_equal(index.occ_ptr, np.concatenate([[0], np.cumsum(counts)]))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import topologies
@@ -127,5 +128,8 @@ def test_a_cyclic_but_well_formed_certificate_loads_and_fails_binding(routed, wi
 def test_round_trip_keeps_dtypes_and_shapes(routed, wire):
     cert = DeadlockFreedomCertificate.from_dict(wire)
     assert cert.to_json() == routed.certificate.to_json()
-    assert cert.path_layers.dtype.name == "int32"
-    assert all(lw.edges.shape == (len(lw.edges), 2) for lw in cert.layers)
+    assert cert.path_layers.dtype == routed.certificate.path_layers.dtype == np.int8
+    for lw, emitted in zip(cert.layers, routed.certificate.layers):
+        assert lw.edges.shape == (len(lw.edges), 2)
+        assert lw.edges.dtype == emitted.edges.dtype == np.int32
+        assert lw.topo_order.dtype == emitted.topo_order.dtype == np.int32

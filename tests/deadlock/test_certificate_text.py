@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.deadlock.certificate as certificate_mod
-from repro.deadlock.certificate import DeadlockFreedomCertificate, LayerWitness
+from repro.deadlock.certificate import DeadlockFreedomCertificate, LayerWitness, layer_dtype
 from repro.deadlock.checker import check_certificate
 
 BIG = 70_000  # above 65 535: ids that no 16-bit type holds
@@ -110,3 +110,15 @@ def test_verdicts_on_the_cases():
     verdict = {name: check_certificate(_certificate(name).to_dict()).ok for name in CASES}
     assert not verdict["cyclic"] and not verdict["one_value_edges"]
     assert verdict["minus_one"] and verdict["big_narrow"] and verdict["empty_middle_layer"]
+
+
+def test_int8_layers_render_across_their_whole_range():
+    """128 layers: int8 ``path_layers`` from -1 to 127, whose offsets into
+    the text table (``value + 1``) reach 128, one past int8."""
+    cert = DeadlockFreedomCertificate(
+        engine="dfsssp", fingerprint="ab" * 32, num_layers=128,
+        path_layers=np.arange(-1, 128, dtype=layer_dtype(128)),
+        layers=[_layer([], []) for _ in range(128)],
+    )
+    assert cert.path_layers.dtype == np.int8
+    assert cert.to_json() == json.dumps(cert.to_dict(), sort_keys=True) + "\n"

@@ -75,7 +75,7 @@ def _assert_index_matches(paths, num_layers, seed):
         pids = np.flatnonzero(path_layers == layer)
         keys = np.unique(_reference_pairs(paths, pids)[0])
         for src, dst in (edges, paths.dependency_edges(pids)):
-            assert src.dtype == dst.dtype == np.int64
+            assert src.dtype == dst.dtype == np.int32
             np.testing.assert_array_equal(src, keys >> SHIFT)
             np.testing.assert_array_equal(dst, keys & MASK)
         _assert_layer_cdg_matches(paths, pids)

@@ -94,6 +94,54 @@ def test_dump_round_trips(tmp_path):
     assert [e["i"] for e in on_disk["events"]] == [1, 2]
 
 
+def test_record_returns_a_copy():
+    rec = FlightRecorder()
+    rec.record("tick", i=0)["kind"] = "mutated"
+    assert rec.snapshot()[0]["kind"] == "tick"
+
+
+def test_dump_renders_each_event_once_and_writes_json_dumps(tmp_path, monkeypatch):
+    """With ``dumped_at`` fixed, every dump's bytes are ``json.dumps`` of
+    ``to_dict()``; an event is rendered at its first dump only, and an
+    evicted event's text is dropped."""
+    import time
+
+    import repro.obs.recorder as recorder_mod
+
+    monkeypatch.setattr(time, "time", lambda: 1_700_000_000.25)
+    rendered = []
+    compact = recorder_mod._compact
+
+    def counting(obj):
+        if "seq" in obj:
+            rendered.append(obj["seq"])
+        return compact(obj)
+
+    monkeypatch.setattr(recorder_mod, "_compact", counting)
+    rec = FlightRecorder(capacity=4)
+    path = tmp_path / "flight.json"
+
+    def dump_equals_json_dumps():
+        rec.dump(path)
+        want = json.dumps(rec.to_dict(), separators=(",", ":"), default=str) + "\n"
+        assert path.read_text() == want
+
+    dump_equals_json_dumps()  # no events yet
+    for i in range(3):
+        rec.record("tick", i=i, odd={i})  # a set: stringified
+    dump_equals_json_dumps()
+    dump_equals_json_dumps()
+    assert rendered == [1, 2, 3]
+    for i in range(3, 6):
+        rec.record("tock", i=i, nested={"a": [i, None, "x"]})
+    dump_equals_json_dumps()
+    assert rendered == [1, 2, 3, 4, 5, 6]
+    assert sorted(rec._texts) == [3, 4, 5, 6]  # seq 1 and 2 were evicted
+    rec.clear()
+    assert not rec._texts
+    dump_equals_json_dumps()
+
+
 def test_dump_stringifies_unserialisable_values(tmp_path):
     rec = FlightRecorder()
     rec.record("odd", payload=object())

@@ -1,6 +1,7 @@
 """Span nesting, attribute propagation and sink formats."""
 
 import json
+import threading
 
 import pytest
 
@@ -153,3 +154,70 @@ def test_exit_without_enter_is_a_named_error():
         with pytest.raises(UsageError, match="'phase'.*without __enter__"):
             span("phase").__exit__(None, None, None)
     assert sink.events == []
+
+
+class _HalfwayTarget:
+    """A file-like target that, halfway through each ``write``, hands
+    control to the other writer thread: it waits until that thread has
+    entered ``write`` as well or is waiting for the sink's lock (its
+    ``_lock`` call reports arrivals here)."""
+
+    def __init__(self):
+        self.parts: list[str] = []
+        self.cv = threading.Condition()
+        self.entered: set[int] = set()  # threads that reached write()
+        self.arrived: set[int] = set()  # threads that asked for the sink's lock
+
+    def write(self, text: str) -> None:
+        me = threading.get_ident()
+        with self.cv:
+            self.parts.append(text[: len(text) // 2])
+            self.entered.add(me)
+            self.cv.notify_all()
+            assert self.cv.wait_for(lambda: (self.entered | self.arrived) - {me}, timeout=30)
+            self.parts.append(text[len(text) // 2:])
+
+    def flush(self) -> None:
+        pass
+
+
+class _ReportingLock:
+    """The sink's lock, telling the target who asked for it before blocking."""
+
+    def __init__(self, lock, target: _HalfwayTarget):
+        self.lock, self.target = lock, target
+
+    def __enter__(self):
+        with self.target.cv:
+            self.target.arrived.add(threading.get_ident())
+            self.target.cv.notify_all()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_jsonl_sink_lock_keeps_lines_whole_when_a_write_is_interrupted():
+    """Each write is cut in two with the other thread let in between:
+    without ``JsonlSink._lock`` the two threads' halves interleave on
+    every run; with it, every line is one whole record."""
+    target = _HalfwayTarget()
+    sink = JsonlSink(target)
+    sink._lock = _ReportingLock(sink._lock, target)
+
+    def writer(i):
+        with span(f"writer-{i}", pad="x" * 40):
+            pass
+
+    with use_sink(sink):
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    lines = "".join(target.parts).splitlines()
+    records = [json.loads(line) for line in lines]
+    assert sorted((r["name"], r["event"]) for r in records) == [
+        (f"writer-{i}", e) for i in range(2) for e in ("start", "stop")
+    ]

@@ -77,7 +77,7 @@ def test_gather_matches_the_per_flow_loop(case):
     want_flat, want_offsets = _reference(tables, paths, src, dst)
     np.testing.assert_array_equal(offsets, want_offsets)
     np.testing.assert_array_equal(flat, want_flat)
-    assert flat.dtype == np.int32
+    assert flat.dtype == paths.chans.dtype  # the path set's channel-id width
     for i in (0, len(src) - 1):
         one = flow_channels(tables, paths, src[i], dst[i])
         np.testing.assert_array_equal(one, flat[offsets[i] : offsets[i + 1]])

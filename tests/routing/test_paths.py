@@ -320,8 +320,10 @@ def test_block_walk_equals_the_per_destination_walk(name, request, monkeypatch):
         monkeypatch.setattr(paths_mod, "MAX_WALKERS", walkers)
         with use_sink(InMemorySink()) as sink:
             got = extract_paths(_fresh(tables))
-        assert got.offsets.dtype == want_offsets.dtype == np.int64
-        assert got.chans.dtype == want_chans.dtype == np.int32
+        # allocated at the width rule's narrowest widths, as the oracle's
+        # int64 / int32 arrays are not
+        assert got.offsets.dtype == np.int32 == paths_mod.offset_dtype(len(want_chans))
+        assert got.chans.dtype == np.uint16 == paths_mod.chan_dtype(fabric.num_channels)
         assert np.array_equal(got.offsets, want_offsets)
         assert np.array_equal(got.chans, want_chans)
         (sp,) = sink.find("paths.extract")
