@@ -43,23 +43,65 @@ class DOREngine(RoutingEngine):
 
     def _route(self, fabric: Fabric) -> RoutingResult:
         dims, wrap = _dims_and_wrap(fabric)
-        coords = fabric.coordinates
-        for s in fabric.switches:
-            if int(s) not in coords or len(coords[int(s)]) != len(dims):
+        switches = fabric.switches.tolist()
+        rows = [fabric.coordinates.get(s, ()) for s in switches]
+        for s, row in zip(switches, rows):
+            if len(row) != len(dims):
                 raise UnsupportedTopologyError(
-                    f"switch {int(s)} lacks {len(dims)}-dimensional coordinates"
+                    f"switch {s} lacks {len(dims)}-dimensional coordinates"
                 )
-        coord_to_switch = {coords[int(s)]: int(s) for s in fabric.switches}
+        coords = np.array(rows, dtype=np.int64).reshape(len(rows), len(dims))
+        size = np.array(dims, dtype=np.int64)
+        # A dense coordinate -> switch grid over a box that holds every
+        # coordinate and every next hop; the last switch at a place wins.
+        lo = coords.min(axis=0, initial=0)
+        shape = np.maximum(coords.max(axis=0, initial=0) + 1, size) - lo
+        place = np.ravel_multi_index((coords - lo).T, shape)
+        last = len(place) - 1 - np.unique(place[::-1], return_index=True)[1]
+        grid = np.full(int(np.prod(shape)), -1, dtype=np.int64)
+        grid[place[last]] = fabric.switches[last]
+        # Channel ids grouped by (src, dst), ascending within a group.
+        N = fabric.num_nodes
+        pair = fabric.channels.src.astype(np.int64) * N + fabric.channels.dst
+        by_pair = np.argsort(pair, kind="stable")
+        pair = pair[by_pair]
+        here = fabric.switches.astype(np.int64)
+        idx = np.arange(len(switches))
 
-        next_channel = np.full((fabric.num_nodes, fabric.num_terminals), -1, dtype=np.int32)
+        next_channel = np.full((N, fabric.num_terminals), -1, dtype=np.int32)
         target = attach_terminals(fabric, next_channel)
-        for t_idx, tgt in enumerate(target.tolist()):
-            tc = coords[tgt]
-            for s in fabric.switches.tolist():
-                if s != tgt:
-                    next_channel[s, t_idx] = self._step(
-                        fabric, coords, coord_to_switch, dims, wrap, s, tc, t_idx
-                    )
+        # One pass per destination column: every switch but the target
+        # moves along its first axis with a nonzero difference.
+        for t_idx, tgt in enumerate(fabric.switch_index[target].tolist()):
+            delta = (coords[tgt] - coords) % size
+            moves = delta != 0
+            axis = moves.argmax(axis=1)
+            d, cur, n = delta[idx, axis], coords[idx, axis], size[axis]
+            if wrap:
+                # Shorter wrap direction; ties go positive.
+                hop = (cur + np.where(d <= n - d, 1, -1)) % n
+            else:
+                hop = cur + np.where(coords[tgt, axis] > cur, 1, -1)
+            nxt = coords.copy()
+            nxt[idx, axis] = hop
+            # Rows that do not move (the target's) clip to a throwaway hop.
+            nxt_switch = grid[np.ravel_multi_index((nxt - lo).T, shape, mode="clip")]
+            first = np.searchsorted(pair, here * N + nxt_switch)
+            count = np.searchsorted(pair, here * N + nxt_switch, side="right") - first
+            away = idx != tgt
+            bad = away & (~moves.any(axis=1) | (nxt_switch < 0) | (count == 0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                spot = tuple(nxt[k].tolist())
+                if not moves[k].any():  # pragma: no cover - two switches share coordinates
+                    raise AssertionError("DOR step called with source == target")
+                raise UnsupportedTopologyError(
+                    f"coordinate grid incomplete at {spot} (degraded fabric?); DOR cannot route"
+                    if nxt_switch[k] < 0 else f"missing cable {rows[k]} -> {spot}; DOR cannot route"
+                )
+            # Parallel cables round-robin by destination index.
+            step = by_pair.take(first + t_idx % np.maximum(count, 1), mode="clip")
+            next_channel[here[away], t_idx] = step[away]
 
         tables = RoutingTables(fabric, next_channel, engine=self.name)
         return RoutingResult(
@@ -68,31 +110,3 @@ class DOREngine(RoutingEngine):
             deadlock_free=False,  # cyclic on wraparound topologies
             stats={"engine": self.name, "dims": dims, "wraparound": wrap},
         )
-
-    @staticmethod
-    def _step(fabric, coords, coord_to_switch, dims, wrap, s, tc, t_idx) -> int:
-        sc = coords[s]
-        for axis, size in enumerate(dims):
-            delta = (tc[axis] - sc[axis]) % size
-            if delta == 0:
-                continue
-            if wrap:
-                # Shorter wrap direction; ties go positive.
-                step = 1 if delta <= size - delta else -1
-            else:
-                step = 1 if tc[axis] > sc[axis] else -1
-            nxt = list(sc)
-            nxt[axis] = (sc[axis] + step) % size if wrap else sc[axis] + step
-            nxt_switch = coord_to_switch.get(tuple(nxt))
-            if nxt_switch is None:
-                raise UnsupportedTopologyError(
-                    f"coordinate grid incomplete at {tuple(nxt)} "
-                    f"(degraded fabric?); DOR cannot route"
-                )
-            chans = fabric.channels_between(s, nxt_switch)
-            if not chans:
-                raise UnsupportedTopologyError(
-                    f"missing cable {sc} -> {tuple(nxt)}; DOR cannot route"
-                )
-            return chans[t_idx % len(chans)]
-        raise AssertionError("DOR step called with source == target")  # pragma: no cover

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import UnsupportedTopologyError
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, csr_gather
 from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult
 from repro.routing.updown import updown_tables
 
@@ -42,50 +42,44 @@ def infer_switch_levels(fabric: Fabric) -> dict[int, int]:
     how the irregular real-world systems end up as the paper's missing
     bars.
     """
-    from collections import deque
-
-    levels: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in fabric.switches:
-        s = int(s)
-        if any(fabric.is_terminal(int(n)) for n in fabric.neighbors(s)):
-            levels[s] = 1
-            queue.append(s)
-    if not queue:
+    src, dst = fabric.channels.src, fabric.channels.dst
+    is_switch = fabric.kinds == 0
+    level = np.zeros(fabric.num_nodes, dtype=np.int64)
+    frontier = np.unique(src[is_switch[src] & ~is_switch[dst]])
+    if not len(frontier):
         raise UnsupportedTopologyError("no leaf switches (no terminals attached?)")
-    while queue:
-        v = queue.popleft()
-        for n in fabric.neighbors(v):
-            n = int(n)
-            if fabric.is_switch(n) and n not in levels:
-                levels[n] = levels[v] + 1
-                queue.append(n)
-    for s in fabric.switches:
-        if int(s) not in levels:
-            raise UnsupportedTopologyError(f"switch {int(s)} is not level-reachable")
-    # (a) adjacency of levels.
-    for cid in fabric.switch_channel_ids():
-        u = int(fabric.channels.src[cid])
-        v = int(fabric.channels.dst[cid])
-        if abs(levels[u] - levels[v]) != 1:
-            raise UnsupportedTopologyError(
-                f"cable {u}<->{v} connects levels {levels[u]} and {levels[v]}; "
-                f"not a fat tree"
-            )
+    # Multi-source BFS from the leaves over switch cables.
+    depth = 1
+    while len(frontier):
+        level[frontier] = depth
+        nxt = dst[fabric.out_chan[csr_gather(fabric.out_ptr, frontier)[1]]]
+        frontier = np.unique(nxt[is_switch[nxt] & (level[nxt] == 0)])
+        depth += 1
+    unleveled = fabric.switches[level[fabric.switches] == 0]
+    if len(unleveled):
+        raise UnsupportedTopologyError(f"switch {unleveled[0]} is not level-reachable")
+    _check_adjacent(fabric, level, "connects levels {lu} and {lv}; not a fat tree")
     # (b) all roots on the top level.
-    top = max(levels.values())
-    for s in fabric.switches:
-        s = int(s)
-        if levels[s] == top:
-            continue
-        if not any(
-            fabric.is_switch(int(n)) and levels[int(n)] == levels[s] + 1
-            for n in fabric.neighbors(s)
-        ):
-            raise UnsupportedTopologyError(
-                f"switch {s} at level {levels[s]} has no up-links; not a fat tree"
-            )
-    return levels
+    sw = fabric.switch_channel_ids()
+    climbers = src[sw][level[dst[sw]] == level[src[sw]] + 1]
+    low = fabric.switches[(level[fabric.switches] < level.max())
+                          & ~np.isin(fabric.switches, climbers)]
+    if len(low):
+        raise UnsupportedTopologyError(
+            f"switch {low[0]} at level {level[low[0]]} has no up-links; not a fat tree"
+        )
+    return dict(zip(fabric.switches.tolist(), level[fabric.switches].tolist()))
+
+
+def _check_adjacent(fabric: Fabric, level: np.ndarray, why: str) -> None:
+    """Raise for the first switch cable, by channel id, whose ends' levels
+    are not adjacent; ``why`` formats with ``lu`` and ``lv``."""
+    sw = fabric.switch_channel_ids()
+    u, v = fabric.channels.src[sw], fabric.channels.dst[sw]
+    off = np.flatnonzero(np.abs(level[u] - level[v]) != 1)
+    if len(off):
+        u, v = int(u[off[0]]), int(v[off[0]])
+        raise UnsupportedTopologyError(f"cable {u}<->{v} " + why.format(lu=level[u], lv=level[v]))
 
 
 def tree_ranks(fabric: Fabric) -> np.ndarray:
@@ -96,31 +90,26 @@ def tree_ranks(fabric: Fabric) -> np.ndarray:
     leveled tree (e.g. after failure injection removed switches).
     """
     levels = fabric.metadata.get("switch_levels")
-    if levels:
-        if fabric.metadata.get("family") not in _TREE_FAMILIES:
-            raise UnsupportedTopologyError(
-                f"switch_levels metadata present but family "
-                f"{fabric.metadata.get('family')!r} is not a tree"
-            )
-        # JSON round-trips turn int keys into strings; normalise.
-        levels = {int(k): int(v) for k, v in levels.items()}
-    else:
+    inferred = not levels
+    if inferred:
         levels = infer_switch_levels(fabric)
-    max_level = max(levels.values())
+    elif fabric.metadata.get("family") not in _TREE_FAMILIES:
+        raise UnsupportedTopologyError(
+            f"switch_levels metadata present but family "
+            f"{fabric.metadata.get('family')!r} is not a tree"
+        )
+    # JSON round-trips turn int keys into strings; normalise.
+    node = np.fromiter(map(int, levels), dtype=np.int64, count=len(levels))
+    level = np.fromiter(map(int, levels.values()), dtype=np.int64, count=len(levels))
+    known = (node >= 0) & (node < fabric.num_nodes)
     rank = np.full(fabric.num_nodes, -1, dtype=np.int64)
-    for s in fabric.switches:
-        s = int(s)
-        if s not in levels:
-            raise UnsupportedTopologyError(f"switch {s} has no tree level")
-        rank[s] = max_level - int(levels[s])
-    # Structural check: switch cables must connect adjacent levels.
-    for cid in fabric.switch_channel_ids():
-        u = int(fabric.channels.src[cid])
-        v = int(fabric.channels.dst[cid])
-        if abs(int(rank[u]) - int(rank[v])) != 1:
-            raise UnsupportedTopologyError(
-                f"cable {u}<->{v} does not connect adjacent tree levels"
-            )
+    rank[node[known]] = level.max() - level[known]
+    missing = fabric.switches[rank[fabric.switches] < 0]
+    if len(missing):
+        raise UnsupportedTopologyError(f"switch {missing[0]} has no tree level")
+    rank[fabric.terminals] = -1
+    if not inferred:  # inferred levels passed this check already
+        _check_adjacent(fabric, rank, "does not connect adjacent tree levels")
     return rank
 
 

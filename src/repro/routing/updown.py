@@ -18,14 +18,12 @@ more options open for predecessors) and then the least-loaded port
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.exceptions import RoutingError
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, csr_gather
 from repro.parallel.kernel import hops_to_dest
-from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables
+from repro.routing.base import LayeredRouting, RoutingEngine, RoutingResult, RoutingTables, leaves
 
 
 def rank_switches(fabric: Fabric, root: int | None = None) -> tuple[np.ndarray, int]:
@@ -35,13 +33,8 @@ def rank_switches(fabric: Fabric, root: int | None = None) -> tuple[np.ndarray, 
     a stand-in for OpenSM's root auto-selection.
     """
     if root is None:
-        best = None
-        for s in fabric.switches:
-            key = (fabric.degree(int(s)), -int(s))
-            if best is None or key > best[0]:
-                best = (key, int(s))
-        root = best[1]
-    elif not fabric.is_switch(root):
+        root = int(fabric.switches[np.argmax(np.diff(fabric.out_ptr)[fabric.switches])])
+    elif not (0 <= root < fabric.num_nodes and fabric.is_switch(root)):
         raise RoutingError(f"Up*/Down* root {root} is not a switch")
     # Hop counts from the root; terminals never forward, so these are
     # switch-graph distances.
@@ -75,82 +68,88 @@ class UpDownEngine(RoutingEngine):
         )
 
     @staticmethod
-    def _dp_from_dest(fabric: Fabric, dest: int, rank: np.ndarray, load: np.ndarray) -> np.ndarray:
-        """Choose a phase-consistent next hop for every node, in two stages.
+    def _dp_from_dest(fabric: Fabric, dest: int, graph: tuple, load: np.ndarray) -> np.ndarray:
+        """Choose a phase-consistent next hop for every node toward
+        ``dest`` and count the chosen channels into ``load``.
 
-        **Stage 1 (descent):** Dijkstra from the destination over *down*
-        edges only. Every node settled here owns an all-down chosen path.
-        The BFS-tree argument guarantees the Up*/Down* root is always
-        among them (the tree path root→…→dest's switch descends).
-
-        **Stage 2 (ascent):** remaining nodes relax exclusively via *up*
-        edges into already-settled nodes. Prepending an up hop to any
-        legal path stays ``up* down*``, so realized routes are legal by
-        construction; every non-root switch has an up neighbor, so all
-        nodes settle.
-
-        Descent nodes keep their all-down path even when a shorter
-        up-then-down mixture exists — the conservative choice that makes
-        destination-based tables phase-consistent. Ties break on port
-        load (OpenSM-style balancing), then insertion order.
+        Stage 1 (descent) settles, from the destination, the nodes with
+        an all-down path; the Up*/Down* root is among them. Stage 2
+        (ascent), seeded by every stage-1 switch, settles the rest over up
+        channels only: an up hop before a legal path stays ``up* down*``,
+        and every non-root switch has an up neighbor. Descent nodes keep
+        their all-down path even where an up-then-down one is shorter,
+        which keeps destination-based tables phase-consistent. Ties break
+        on port load (OpenSM-style balancing), then on the order of the
+        offers (:func:`_settle`). A single-homed terminal takes its uplink
+        once its switch has settled.
         """
-        n = fabric.num_nodes
-        chosen = np.full(n, -1, dtype=np.int32)
-        settled = np.zeros(n, dtype=bool)
-        dist = np.zeros(n, dtype=np.int64)
-        chan_dst = fabric.channels.dst
-        reverse = fabric.channels.reverse
-
-        def goes_down(u: int, v: int) -> bool:
-            """Does the channel u->v descend? Terminals hang below their
-            switches; among switches, strictly larger (rank, id) is lower."""
-            if fabric.is_terminal(v):
-                return True
-            if fabric.is_terminal(u):
-                return False
-            return (rank[v], v) > (rank[u], u)
-
-        counter = 0
-
-        def push_predecessors(heap: list, u: int, want_down: bool):
-            nonlocal counter
-            du = int(dist[u])
-            for c_out in fabric.out_channels(u):
-                c = int(reverse[c_out])  # channel p -> u
-                p = int(chan_dst[c_out])
-                if settled[p]:
-                    continue
-                if goes_down(p, u) != want_down:
-                    continue
-                counter += 1
-                heapq.heappush(heap, (du + 1, int(load[c]), counter, p, c))
-
-        def run(heap: list, want_down: bool):
-            while heap:
-                d, _lc, _cnt, node, c = heapq.heappop(heap)
-                if settled[node]:
-                    continue
-                settled[node] = True
-                dist[node] = d
-                chosen[node] = c
-                if fabric.is_switch(node):
-                    # Terminals never forward traffic for others.
-                    push_predecessors(heap, node, want_down)
-
-        settled[dest] = True
-        down_heap: list = []
-        push_predecessors(down_heap, dest, want_down=True)
-        run(down_heap, want_down=True)
-
-        up_heap: list = []
-        for u in range(n):
-            if settled[u] and fabric.is_switch(u):
-                push_predecessors(up_heap, u, want_down=False)
-        push_predecessors(up_heap, dest, want_down=False)
-        run(up_heap, want_down=False)
+        down, up, lv = graph
+        is_switch = fabric.kinds == 0
+        chosen = np.full(fabric.num_nodes, -1, dtype=np.int32)
+        dist = np.full(fabric.num_nodes, -1, dtype=np.int64)
+        dist[dest] = 0
+        _settle(down, np.array([dest]), load, dist, chosen, is_switch)
+        _settle(up, np.flatnonzero(is_switch & (dist >= 0)), load, dist, chosen, is_switch)
+        chosen[lv.nodes] = np.where(dist[lv.switches] >= 0, lv.uplinks, -1)
         chosen[dest] = -1
+        load[chosen[chosen >= 0]] += 1  # only its source chooses a channel
         return chosen
 
+
+def _updown_graph(fabric: Fabric, rank: np.ndarray) -> tuple:
+    """``(down, up, leaves(fabric))``: per node ``u``, the down and the up
+    channels ``p -> u`` whose ``p`` is no single-homed terminal, as CSRs
+    ``(ptr, pred, chan)`` in the order of ``u``'s out-channels. A channel
+    descends into a terminal, or between switches to a larger (rank, id).
+    """
+    src, dst, term = fabric.channels.src, fabric.channels.dst, fabric.kinds == 1
+    higher = (rank[dst] > rank[src]) | (rank[dst] == rank[src]) & (dst > src)
+    down = term[dst] | ~term[src] & higher
+    lv = leaves(fabric)
+    chan, pred = fabric.channels.reverse[fabric.out_chan], dst[fabric.out_chan]
+    offered = ~np.isin(pred, lv.nodes)
+    graphs = []
+    for legal in (down, ~down):
+        keep = legal[chan] & offered
+        count = np.bincount(src[fabric.out_chan[keep]], minlength=fabric.num_nodes)
+        graphs.append((np.r_[0, np.cumsum(count)], pred[keep], chan[keep]))
+    return graphs[0], graphs[1], lv
+
+
+def _settle(graph, seeds, load, dist, chosen, is_switch) -> None:
+    """Settle every unsettled node that reaches ``seeds`` over ``graph``,
+    one distance level per pass, in the order of a heap keyed (distance,
+    channel load, push counter).
+
+    A settled node offers each predecessor its channel at its distance
+    + 1: first the seeds, in seed order, then the switches this pass
+    settles, in settling order, each in its CSR order. That order is the
+    counter: per level, a node takes its offer of least (load, offer
+    index), and nodes settle in the order of their winning offers.
+    """
+    ptr, pred, chan = graph
+    owner, flat = csr_gather(ptr, seeds)
+    seed_dist = dist[seeds][owner] + 1
+    by_dist = np.argsort(seed_dist, kind="stable")
+    seed_dist, flat = seed_dist[by_dist], flat[by_dist]
+    pushed, i = flat[:0], 0
+    while len(pushed) or i < len(flat):
+        if not len(pushed):
+            level = seed_dist[i]
+        j = i + int(np.searchsorted(seed_dist[i:], level, side="right"))
+        offers = np.concatenate((flat[i:j], pushed))
+        i, level = j, level + 1
+        pushed = offers = offers[dist[pred[offers]] < 0]
+        if not len(offers):
+            continue
+        p, c = pred[offers], chan[offers]
+        key = load[c]
+        order = np.lexsort((key, p))
+        win = order[np.concatenate(([True], p[order[1:]] != p[order[:-1]]))]
+        win = win[np.lexsort((win, key[win]))]
+        dist[p[win]] = level - 1
+        chosen[p[win]] = c[win]
+        pushed = csr_gather(ptr, p[win][is_switch[p[win]]])[1]
 
 def updown_tables(fabric: Fabric, rank: np.ndarray, engine: str) -> RoutingTables:
     """Up*/Down* tables under ``rank``, one destination at a time; a
@@ -159,9 +158,7 @@ def updown_tables(fabric: Fabric, rank: np.ndarray, engine: str) -> RoutingTable
     T = fabric.num_terminals
     next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
     load = np.zeros(fabric.num_channels, dtype=np.int64)
-    for t_idx in range(T):
-        chan = UpDownEngine._dp_from_dest(fabric, int(fabric.terminals[t_idx]), rank, load)
-        next_channel[:, t_idx] = chan
-        np.add.at(load, chan[chan >= 0], 1)
+    graph = _updown_graph(fabric, rank)
+    for t_idx, dest in enumerate(fabric.terminals.tolist()):
+        next_channel[:, t_idx] = UpDownEngine._dp_from_dest(fabric, dest, graph, load)
     return RoutingTables(fabric, next_channel, engine=engine)
-

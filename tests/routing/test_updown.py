@@ -71,6 +71,17 @@ def test_non_switch_root_rejected(ring5):
         UpDownEngine(root=t).route(ring5)
 
 
+def test_negative_root_rejected_not_wrapped():
+    # -6 would index node 4 of ring(5, 1)'s 10 nodes, a switch.
+    with pytest.raises(RoutingError, match=r"root -6 is not a switch"):
+        UpDownEngine(root=-6).route(topologies.ring(5, 1))
+
+
+def test_root_past_the_last_node_rejected():
+    with pytest.raises(RoutingError, match=r"root 1000000 is not a switch"):
+        UpDownEngine(root=10**6).route(topologies.ring(5, 1))
+
+
 def test_default_root_is_max_degree():
     from repro.network import FabricBuilder
 
